@@ -19,7 +19,6 @@
 #include "core/social_scratch.h"
 #include "core/stats.h"
 #include "index/rstar_tree.h"
-#include "roadnet/astar.h"
 #include "roadnet/contraction_hierarchy.h"
 #include "roadnet/distance_backend.h"
 #include "roadnet/distance_cache.h"
@@ -94,7 +93,7 @@ void BM_BfsFullGraph(benchmark::State& state) {
 BENCHMARK(BM_BfsFullGraph)->Arg(1000)->Arg(10000);
 
 // Point-to-point engine shoot-out on the same 20K-vertex road network:
-// plain Dijkstra (early exit), A*, bidirectional, contraction hierarchies.
+// plain Dijkstra (early exit) vs contraction hierarchies.
 void BM_PointToPointDijkstra(benchmark::State& state) {
   const RoadNetwork& g = SharedRoad(20000);
   DijkstraEngine engine(&g);
@@ -106,30 +105,6 @@ void BM_PointToPointDijkstra(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PointToPointDijkstra);
-
-void BM_PointToPointAStar(benchmark::State& state) {
-  const RoadNetwork& g = SharedRoad(20000);
-  AStarEngine engine(&g);
-  Rng rng(21);
-  for (auto _ : state) {
-    const VertexId a = rng.NextBounded(g.num_vertices());
-    const VertexId b = rng.NextBounded(g.num_vertices());
-    benchmark::DoNotOptimize(engine.VertexToVertex(a, b));
-  }
-}
-BENCHMARK(BM_PointToPointAStar);
-
-void BM_PointToPointBidirectional(benchmark::State& state) {
-  const RoadNetwork& g = SharedRoad(20000);
-  BidirectionalDijkstra engine(&g);
-  Rng rng(21);
-  for (auto _ : state) {
-    const VertexId a = rng.NextBounded(g.num_vertices());
-    const VertexId b = rng.NextBounded(g.num_vertices());
-    benchmark::DoNotOptimize(engine.VertexToVertex(a, b));
-  }
-}
-BENCHMARK(BM_PointToPointBidirectional);
 
 void BM_PointToPointCh(benchmark::State& state) {
   const RoadNetwork& g = SharedRoad(20000);

@@ -8,26 +8,16 @@
 // repeated-issuer workload (cache off vs cold vs warm). When
 // GPSSN_BENCH_JSON is set, the cache comparison is also written to that
 // path as a JSON object (consumed by scripts/bench_smoke.sh).
-//
-// The third section sweeps intra-query refinement lanes (QueryOptions::
-// scheduler) over one heavy query at 1/2/4/8 workers, verifies the
-// answers stay byte-identical, and measures a batch with and without
-// scheduler sharing (intra_query_sharing) plus the steal/morsel counters.
-// GPSSN_BENCH_INTRA_JSON writes the sweep as JSON (also consumed by
-// scripts/bench_smoke.sh, which gates sharing-on QPS >= sharing-off).
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "common/table_printer.h"
-#include "common/task_scheduler.h"
-#include "common/timer.h"
 #include "roadnet/distance_cache.h"
 
 namespace gpssn::bench {
@@ -224,212 +214,11 @@ void Run() {
       "flat on a single-core host)\n");
 }
 
-// Picks the query with the heaviest serial refinement among a pool of
-// random issuers, so the lane sweep measures the phase the lanes actually
-// parallelize (a query that dies in Phase 1 would measure nothing).
-GpssnQuery PickHeavyQuery(GpssnDatabase* db) {
-  Rng rng(7);
-  GpssnQuery best = DefaultQuery();
-  double best_refine = -1.0;
-  for (int i = 0; i < 12; ++i) {
-    GpssnQuery q = DefaultQuery();
-    q.issuer = static_cast<UserId>(rng.NextBounded(db->ssn().num_users()));
-    q.tau = 3 + static_cast<int>(rng.NextBounded(3));
-    q.radius *= 1.5;  // Larger balls: more centers and groups to refine.
-    QueryStats stats;
-    auto result = db->Query(q, QueryOptions(), &stats);
-    if (result.ok() && stats.refine_seconds > best_refine) {
-      best_refine = stats.refine_seconds;
-      best = q;
-    }
-  }
-  return best;
-}
-
-// One heavy query, refinement lanes swept over 1/2/4/8 workers. Reports
-// best-of-reps refinement wall time per worker count and checks the answer
-// never drifts from the serial one (the determinism contract).
-void RunIntraQuerySweep() {
-  const BenchConfig config = GetConfig();
-  const int reps = 5;
-  std::printf(
-      "\n=== Intra-query parallel refinement: lane sweep on one heavy "
-      "query (best of %d reps, %u hardware threads) ===\n",
-      reps, std::thread::hardware_concurrency());
-
-  // Dense road network, as in the cache section: the lanes claim centers
-  // AND compute their exact-distance rows, so the workload must be
-  // refinement-bound for the sweep to measure anything.
-  DatasetOverrides overrides;
-  overrides.num_road_vertices =
-      std::max(8000, static_cast<int>(20000 * config.scale));
-  auto db = BuildDatabase(MakeDataset("UNI", config.scale, overrides));
-  const GpssnQuery query = PickHeavyQuery(db.get());
-
-  GpssnAnswer reference;
-  bool have_reference = false;
-  bool identical = true;
-  double refine_at_1 = 0.0;
-  double speedup[4] = {0.0, 0.0, 0.0, 0.0};
-  double refine_best[4] = {0.0, 0.0, 0.0, 0.0};
-  const int worker_counts[4] = {1, 2, 4, 8};
-
-  TablePrinter table({"workers", "lanes", "refine (ms)", "query (ms)",
-                      "speedup", "identical"});
-  for (int wi = 0; wi < 4; ++wi) {
-    const int workers = worker_counts[wi];
-    std::unique_ptr<TaskScheduler> scheduler;
-    QueryOptions options;
-    if (workers > 1) {
-      scheduler = std::make_unique<TaskScheduler>(workers - 1);
-      options.scheduler = scheduler.get();
-      options.intra_query_workers = workers;
-    }
-    double best_refine = 0.0;
-    double best_wall = 0.0;
-    uint32_t lanes = 0;
-    bool config_identical = true;
-    for (int rep = 0; rep < reps; ++rep) {
-      QueryStats stats;
-      WallTimer timer;
-      auto result = db->Query(query, options, &stats);
-      const double wall = timer.ElapsedSeconds();
-      if (!result.ok()) continue;
-      if (!have_reference) {
-        reference = *result;
-        have_reference = true;
-      } else if (result->found != reference.found ||
-                 result->users != reference.users ||
-                 result->center != reference.center ||
-                 result->pois != reference.pois ||
-                 result->max_dist != reference.max_dist) {
-        config_identical = false;
-      }
-      if (rep == 0 || stats.refine_seconds < best_refine) {
-        best_refine = stats.refine_seconds;
-        best_wall = wall;
-      }
-      lanes = std::max(lanes, stats.intra_lanes_used);
-    }
-    identical = identical && config_identical;
-    refine_best[wi] = best_refine;
-    if (workers == 1) refine_at_1 = best_refine;
-    speedup[wi] = best_refine > 0.0 ? refine_at_1 / best_refine : 0.0;
-    table.AddRow({std::to_string(workers), std::to_string(lanes),
-                  TablePrinter::Num(best_refine * 1e3, 3),
-                  TablePrinter::Num(best_wall * 1e3, 3),
-                  TablePrinter::Num(speedup[wi], 2) + "x",
-                  config_identical ? "yes" : "NO"});
-  }
-  table.Print();
-  std::printf(
-      "(expected: refinement speedup tracking physical cores; ~1x on a "
-      "single-core host — the lanes only add an atomic claim per center)\n");
-
-  // Batch x intra combined: the executor shares ONE scheduler between the
-  // inter-query workers and the intra-query morsel lanes. Workers prefer
-  // queued query tasks over morsels, so sharing-on must never lose
-  // throughput to the sharing-off run (the gate in bench_smoke.sh); idle
-  // workers at the batch tail steal morsels and trim the p99.
-  const int num_queries = std::max(8, config.queries * 2);
-  auto workload = MakeWorkload(*db, num_queries, /*seed=*/44);
-  TablePrinter combo({"sharing", "wall (s)", "qps", "p99 (ms)", "morsels",
-                      "stolen tasks"});
-  double qps_off = 0.0;
-  double qps_on = 0.0;
-  uint64_t on_morsels = 0;
-  uint64_t on_morsels_stolen = 0;
-  uint64_t on_tasks_stolen = 0;
-  uint64_t on_sources = 0;
-  {
-    BatchExecutorOptions off_opts;
-    off_opts.num_workers = 4;
-    BatchExecutorOptions on_opts = off_opts;
-    on_opts.intra_query_sharing = true;
-    GpssnBatchExecutor off_exec(&db->poi_index(), &db->social_index(),
-                                off_opts);
-    GpssnBatchExecutor on_exec(&db->poi_index(), &db->social_index(),
-                               on_opts);
-    off_exec.ExecuteAll(workload);  // Arena warm-up.
-    on_exec.ExecuteAll(workload);
-    // Best of `reps` batches, off/on INTERLEAVED: the smoke workload
-    // finishes in tens of milliseconds, so back-to-back blocks would let
-    // clock/cache drift masquerade as a sharing regression in the
-    // bench_smoke.sh QPS gate.
-    BatchStats off_stats;
-    BatchStats on_stats;
-    for (int rep = 0; rep < reps; ++rep) {
-      BatchStats attempt;
-      off_exec.ExecuteAll(workload, &attempt);
-      if (rep == 0 || attempt.throughput_qps > off_stats.throughput_qps) {
-        off_stats = attempt;
-      }
-      on_exec.ExecuteAll(workload, &attempt);
-      if (rep == 0 || attempt.throughput_qps > on_stats.throughput_qps) {
-        on_stats = attempt;
-      }
-    }
-    qps_off = off_stats.throughput_qps;
-    qps_on = on_stats.throughput_qps;
-    on_morsels = on_stats.totals.refine_morsels;
-    on_morsels_stolen = on_stats.totals.refine_morsels_stolen;
-    on_tasks_stolen = on_stats.scheduler_tasks_stolen;
-    on_sources = on_stats.scheduler_sources_published;
-    for (const bool sharing : {false, true}) {
-      const BatchStats& stats = sharing ? on_stats : off_stats;
-      combo.AddRow({sharing ? "on" : "off",
-                    TablePrinter::Num(stats.wall_seconds, 3),
-                    TablePrinter::Num(stats.throughput_qps, 1),
-                    TablePrinter::Num(stats.latency_p99_seconds * 1e3, 2),
-                    std::to_string(stats.totals.refine_morsels),
-                    std::to_string(stats.scheduler_tasks_stolen)});
-    }
-  }
-  std::printf(
-      "\n--- Batch (4 workers) with intra-query scheduler sharing ---\n");
-  combo.Print();
-
-  if (const char* json_path = std::getenv("GPSSN_BENCH_INTRA_JSON")) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f != nullptr) {
-      std::fprintf(
-          f,
-          "{\n"
-          "  \"bench\": \"intra_query_refinement\",\n"
-          "  \"hardware_threads\": %u,\n  \"reps\": %d,\n"
-          "  \"refine_seconds\": {\"w1\": %.6f, \"w2\": %.6f, "
-          "\"w4\": %.6f, \"w8\": %.6f},\n"
-          "  \"refine_speedup\": {\"w2\": %.3f, \"w4\": %.3f, "
-          "\"w8\": %.3f},\n"
-          "  \"answers_identical\": %s,\n"
-          "  \"batch_sharing_off_qps\": %.3f,\n"
-          "  \"batch_sharing_on_qps\": %.3f,\n"
-          "  \"sharing_on_refine_morsels\": %llu,\n"
-          "  \"sharing_on_refine_morsels_stolen\": %llu,\n"
-          "  \"sharing_on_tasks_stolen\": %llu,\n"
-          "  \"sharing_on_sources_published\": %llu\n"
-          "}\n",
-          std::thread::hardware_concurrency(), reps, refine_best[0],
-          refine_best[1], refine_best[2], refine_best[3], speedup[1],
-          speedup[2], speedup[3], identical ? "true" : "false", qps_off,
-          qps_on, static_cast<unsigned long long>(on_morsels),
-          static_cast<unsigned long long>(on_morsels_stolen),
-          static_cast<unsigned long long>(on_tasks_stolen),
-          static_cast<unsigned long long>(on_sources));
-      std::fclose(f);
-      std::printf("wrote %s\n", json_path);
-    } else {
-      std::printf("could not open GPSSN_BENCH_INTRA_JSON=%s\n", json_path);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace gpssn::bench
 
 int main() {
   gpssn::bench::Run();
   gpssn::bench::RunCacheComparison();
-  gpssn::bench::RunIntraQuerySweep();
   return 0;
 }

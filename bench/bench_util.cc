@@ -75,45 +75,6 @@ std::unique_ptr<GpssnDatabase> BuildDatabase(SpatialSocialNetwork ssn,
   return std::make_unique<GpssnDatabase>(std::move(ssn), build);
 }
 
-namespace {
-void AddStats(QueryStats* total, const QueryStats& s) {
-  total->io.logical_accesses += s.io.logical_accesses;
-  total->io.page_misses += s.io.page_misses;
-  total->social_nodes_visited += s.social_nodes_visited;
-  total->social_nodes_pruned_interest += s.social_nodes_pruned_interest;
-  total->social_nodes_pruned_distance += s.social_nodes_pruned_distance;
-  total->users_seen += s.users_seen;
-  total->users_pruned_interest += s.users_pruned_interest;
-  total->users_pruned_distance += s.users_pruned_distance;
-  total->users_pruned_corollary2 += s.users_pruned_corollary2;
-  total->users_candidates += s.users_candidates;
-  total->users_pruned_at_index_level += s.users_pruned_at_index_level;
-  total->road_nodes_visited += s.road_nodes_visited;
-  total->road_nodes_pruned_match += s.road_nodes_pruned_match;
-  total->road_nodes_pruned_distance += s.road_nodes_pruned_distance;
-  total->pois_seen += s.pois_seen;
-  total->pois_pruned_match += s.pois_pruned_match;
-  total->pois_pruned_distance += s.pois_pruned_distance;
-  total->pois_candidates += s.pois_candidates;
-  total->pois_pruned_at_index_level += s.pois_pruned_at_index_level;
-  total->groups_enumerated += s.groups_enumerated;
-  total->pairs_examined += s.pairs_examined;
-  total->exact_distance_evals += s.exact_distance_evals;
-  total->descent_seconds += s.descent_seconds;
-  total->ball_seconds += s.ball_seconds;
-  total->refine_seconds += s.refine_seconds;
-  total->exact_dist_seconds += s.exact_dist_seconds;
-  total->dist_cache_row_hits += s.dist_cache_row_hits;
-  total->dist_cache_row_misses += s.dist_cache_row_misses;
-  total->skipped_shards += s.skipped_shards;
-  total->refined_shards += s.refined_shards;
-  total->shard_msgs += s.shard_msgs;
-  total->serve_gather_seconds += s.serve_gather_seconds;
-  total->serve_plan_seconds += s.serve_plan_seconds;
-  total->serve_refine_seconds += s.serve_refine_seconds;
-}
-}  // namespace
-
 Aggregate RunWorkload(GpssnDatabase* db, const GpssnQuery& base, int queries,
                       const QueryOptions& options, uint64_t seed) {
   Aggregate agg;
@@ -132,7 +93,7 @@ Aggregate RunWorkload(GpssnDatabase* db, const GpssnQuery& base, int queries,
     cpu += stats.cpu_seconds;
     ios += static_cast<double>(stats.PageAccesses());
     if (answer->found) ++agg.answers_found;
-    AddStats(&agg.total, stats);
+    agg.total.MergeFrom(stats);
     ++agg.queries;
   }
   if (agg.queries > 0) {

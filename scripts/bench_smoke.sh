@@ -1,21 +1,11 @@
 #!/usr/bin/env bash
-# Fixed-seed benchmark smoke run: the distance-backend/cache checks of the
-# backend PR plus the social-kernel and intra-query-refinement checks of
-# the parallel-refinement PR, merged into one JSON report with pass/fail
+# Fixed-seed benchmark smoke run: the distance-backend/cache and
+# social-kernel checks, merged into one JSON report with pass/fail
 # acceptance checks:
 #
 #   - warm shared-cache batch speedup >= 1.5x over the cache-off run
 #   - CH bucket one-to-many beats bounded Dijkstra at the largest road size
 #   - SoA social-score one-to-many >= 1.5x over the scalar loop at d=128
-#   - intra-query refinement answers byte-identical at every worker count
-#   - refinement speedup at 4 workers >= a core-aware threshold
-#     (cores >= 4: 2.0x, 3: 1.7x, 2: 1.4x; on a single-core host the
-#     speedup check is not applicable — lanes only add overhead there —
-#     and the identity check is what must hold)
-#   - batch QPS with intra-query sharing ON >= sharing OFF on >= 2 cores
-#     (the work-stealing scheduler gate: a busy scheduler must cost a
-#     query only one publish/retire, never queued no-op helpers); on a
-#     single-core host >= 0.95x (publish/retire overhead only)
 #
 #   - PR 9 (continental-scale distance engine, BENCH_PR9.json):
 #       * serial and morselized CH builds bitwise identical; parallel
@@ -64,26 +54,22 @@ echo "=== bench_kernels: one-to-many + social kernel sweeps ==="
   --benchmark_filter='OneToMany|SocialScore|EsuExtend|Corollary2' \
   --benchmark_out="$TMP/kernels.json" --benchmark_out_format=json
 
-echo "=== bench_throughput: cache comparison + intra-query lane sweep ==="
+echo "=== bench_throughput: worker sweep + cache comparison ==="
 GPSSN_BENCH_SCALE="${GPSSN_BENCH_SCALE:-0.05}" \
   GPSSN_BENCH_QUERIES="${GPSSN_BENCH_QUERIES:-6}" \
   GPSSN_BENCH_JSON="$TMP/throughput.json" \
-  GPSSN_BENCH_INTRA_JSON="$TMP/intra.json" \
   ./build/bench/bench_throughput
 
-python3 - "$TMP/kernels.json" "$TMP/throughput.json" "$TMP/intra.json" \
-  "$OUT" <<'EOF'
+python3 - "$TMP/kernels.json" "$TMP/throughput.json" "$OUT" <<'EOF'
 import json
 import os
 import sys
 
-kern_path, thr_path, intra_path, out_path = sys.argv[1:5]
+kern_path, thr_path, out_path = sys.argv[1:4]
 with open(kern_path) as f:
     kern = json.load(f)
 with open(thr_path) as f:
     thr = json.load(f)
-with open(intra_path) as f:
-    intra = json.load(f)
 
 kernels = {}
 for b in kern.get("benchmarks", []):
@@ -103,25 +89,7 @@ soa = kernels.get(f"BM_SocialScoreSoa/{SOCIAL_DIM}")
 soa_speedup = (scalar["real_time"] / soa["real_time"]) if (scalar and soa) \
     else None
 
-# Core-aware refinement-speedup threshold at 4 workers. A single-core
-# host cannot exhibit intra-query speedup — lanes only duplicate row
-# computations there — so the gate degrades to the (always enforced)
-# byte-identity check.
 cores = os.cpu_count() or 1
-eff_cores = min(4, cores)
-refine_thresholds = {2: 1.4, 3: 1.7, 4: 2.0}
-refine_threshold = refine_thresholds.get(eff_cores)  # None on 1 core.
-refine_speedup_w4 = intra.get("refine_speedup", {}).get("w4")
-
-# Scheduler-sharing gate: with the morsel scheduler a saturated batch
-# behaves like sharing-off (workers prefer queued queries over morsels),
-# so sharing-on throughput must not regress. Multi-core boxes must be at
-# parity or better; a single-core box pays only the publish/retire
-# registry operation per query, bounded at 5%.
-qps_off = intra.get("batch_sharing_off_qps", 0.0)
-qps_on = intra.get("batch_sharing_on_qps", 0.0)
-sharing_floor = 1.0 if cores >= 2 else 0.95
-sharing_ratio = (qps_on / qps_off) if qps_off > 0 else None
 
 checks = {
     "warm_cache_speedup_ge_1_5": thr.get("warm_speedup", 0.0) >= 1.5,
@@ -129,14 +97,6 @@ checks = {
         ch_speedup is not None and ch_speedup > 1.0,
     "soa_social_kernel_ge_1_5_at_d128":
         soa_speedup is not None and soa_speedup >= 1.5,
-    "intra_query_answers_identical":
-        intra.get("answers_identical") is True,
-    "intra_query_refine_speedup_w4":
-        True if refine_threshold is None
-        else (refine_speedup_w4 is not None
-              and refine_speedup_w4 >= refine_threshold),
-    "batch_sharing_on_ge_off":
-        sharing_ratio is not None and sharing_ratio >= sharing_floor,
 }
 
 report = {
@@ -147,18 +107,7 @@ report = {
     "social_kernel_dim": SOCIAL_DIM,
     "soa_social_speedup_at_d128": soa_speedup,
     "throughput_cache": thr,
-    "intra_query": intra,
     "cpu_cores": cores,
-    "refine_speedup_threshold_w4": refine_threshold,
-    "batch_sharing_qps_ratio": sharing_ratio,
-    "batch_sharing_qps_floor": sharing_floor,
-    "scheduler_counters": {
-        "refine_morsels": intra.get("sharing_on_refine_morsels"),
-        "refine_morsels_stolen":
-            intra.get("sharing_on_refine_morsels_stolen"),
-        "tasks_stolen": intra.get("sharing_on_tasks_stolen"),
-        "sources_published": intra.get("sharing_on_sources_published"),
-    },
     "checks": checks,
 }
 with open(out_path, "w") as f:

@@ -32,7 +32,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
-TSAN_TESTS='gpssn_common_task_scheduler_test|gpssn_core_parallel_refinement_test|gpssn_core_concurrency_test|gpssn_core_executor_test|gpssn_core_scheduler_stress_test|gpssn_ssn_serialize_fuzz_test|gpssn_roadnet_distance_cache_test|gpssn_roadnet_ch_parallel_build_test|gpssn_serving_transport_test|gpssn_serving_serving_stress_test'
 MODE="${1:-all}"
 case "$MODE" in
   all|--tier1-only|--tsan-only|--ubsan-only|--lint-only|--audit-only|--tsa-only|--analyzer-only|--large-only) ;;
@@ -52,15 +51,10 @@ run_tier1() {
 run_tsan() {
   echo "=== TSAN: concurrency-related tests ==="
   cmake -B build-tsan -S . -DGPSSN_SANITIZE=thread
-  # Only the TSAN-relevant test binaries are built, keeping the check fast.
-  cmake --build build-tsan -j "$JOBS" --target \
-    gpssn_common_task_scheduler_test gpssn_core_parallel_refinement_test \
-    gpssn_core_concurrency_test gpssn_core_executor_test \
-    gpssn_core_scheduler_stress_test \
-    gpssn_ssn_serialize_fuzz_test gpssn_roadnet_distance_cache_test \
-    gpssn_roadnet_ch_parallel_build_test \
-    gpssn_serving_transport_test gpssn_serving_serving_stress_test
-  (cd build-tsan && ctest --output-on-failure -R "$TSAN_TESTS")
+  # Only the TSAN-relevant test binaries (ctest label `tsan`, listed once in
+  # tests/CMakeLists.txt) are built, keeping the check fast.
+  cmake --build build-tsan -j "$JOBS" --target gpssn_tsan_tests
+  (cd build-tsan && ctest --output-on-failure -L '^tsan$')
 }
 
 run_ubsan() {

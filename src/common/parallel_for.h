@@ -7,11 +7,10 @@
 // registry, and have the CALLER run chunks too so a saturated (or 1-core)
 // scheduler degrades to the serial loop with no queued helper tasks.
 //
-// Lane discipline mirrors the query path's RefineSource: each participant
-// claims a unique lane id (caller = lane 0, workers = 1..max_lanes-1) so
-// the body can use per-lane scratch arenas without locking. The chunk
-// cursor is the only shared state; bodies must write only lane-private or
-// per-index data. ParallelFor returns only after every chunk has finished
+// Lane discipline: each participant claims a unique lane id (caller =
+// lane 0, workers = 1..max_lanes-1) so the body can use per-lane scratch
+// arenas without locking. The chunk cursor is the only shared state;
+// bodies must write only lane-private or per-index data. ParallelFor returns only after every chunk has finished
 // (Retire barrier), so the helper may live on the caller's stack.
 
 #ifndef GPSSN_COMMON_PARALLEL_FOR_H_

@@ -60,7 +60,6 @@ void TaskScheduler::Submit(Task task, TaskPriority priority) {
                    [](const Injected& a, const Injected& b) {
                      return RunsBefore(b, a);
                    });
-    injector_size_.fetch_add(1, std::memory_order_relaxed);  // gpssn-lint: relaxed(queue-size hint; mu_ orders the queue)
     queued_.fetch_add(1);
     work_cv_.NotifyOne();
   }
@@ -165,7 +164,6 @@ bool TaskScheduler::PopInjector(Task* task) {
                   });
     *task = std::move(injector_.back().task);
     injector_.pop_back();
-    injector_size_.fetch_sub(1, std::memory_order_relaxed);  // gpssn-lint: relaxed(queue-size hint; mu_ orders the queue)
   }
   running_.fetch_add(1);
   queued_.fetch_sub(1);

@@ -1,10 +1,11 @@
 // Copyright 2026 The gpssn Authors.
 //
-// TaskScheduler: the single execution substrate for inter-query AND
-// intra-query parallelism — a work-stealing morsel scheduler in the style
-// of the SIGMOD'14 AWFY solution / HyPer-style morsel-driven engines.
+// TaskScheduler: the work-stealing execution substrate behind the batch
+// executor and serving shards (one task per query) and the morselized
+// index builds (common/parallel_for.h) — in the style of the SIGMOD'14
+// AWFY solution / HyPer-style morsel-driven engines.
 //
-// Three ways work enters the scheduler, in the order an idle worker
+// Four ways work enters the scheduler, in the order an idle worker
 // consumes them:
 //
 //   1. Its OWN DEQUE (LIFO): tasks Spawn()ed by a task running on that
@@ -17,21 +18,17 @@
 //   3. STEALING: the FIFO end of a sibling's deque (round-robin victim
 //      scan), oldest task first — classic work stealing.
 //   4. MORSEL SOURCES: transient suppliers of fine-grained stealable work
-//      (e.g. one query's refinement centers) published by a RUNNING task
-//      via Publish(). Only a worker with nothing else to do visits one, so
-//      a saturated scheduler costs a running query exactly one registry
-//      insert + remove — no queued helper tasks, no no-op handshake. This
-//      is what fixes the BENCH_PR5 intra-query-sharing QPS regression
-//      (227 -> 180 with the old lend/close ThreadPool protocol).
+//      (e.g. the chunks of one CH contraction round) published via
+//      Publish() by a caller that also works through them itself. Only a
+//      worker with nothing else to do visits one, so a saturated scheduler
+//      costs the publisher exactly one registry insert + remove — no
+//      queued helper tasks.
 //
 // Lifetime contract for morsel sources: Publish(src) makes `src` visible
 // to idle workers; Retire(src) removes it and BLOCKS until every
 // in-flight RunMorsels() call has returned. After Retire() no worker
-// touches `src` again, so a source may live on the publishing task's
-// stack frame and reference stack state — the Retire barrier is what
-// makes the morsel descriptors fully owned by the query (the PR 5 helper
-// lambdas captured stack references guarded only by a close flag; one
-// reordering away from use-after-free).
+// touches `src` again, so a source may live on the publisher's stack frame
+// and reference stack state.
 //
 // Every queue mutation happens under a mutex and every sleeper re-checks
 // its predicate under the same mutex the notifier holds, so there are no
@@ -135,13 +132,6 @@ class TaskScheduler {
   /// before the source is destroyed.
   void Retire(MorselSource* source) GPSSN_EXCLUDES(sources_mu_);
 
-  /// True when the injector holds a ready task. Morsel loops poll this to
-  /// hand their worker back to queued queries (admission over help).
-  bool HasQueuedTasks() const {
-    // A stale read only delays the lane handback by one morsel.
-    return injector_size_.load(std::memory_order_relaxed) > 0;  // gpssn-lint: relaxed(queue-size hint; a stale read is benign)
-  }
-
   Stats GetStats() const;
 
  private:
@@ -206,7 +196,6 @@ class TaskScheduler {
   // popped-but-unfinished tasks. WaitAll waits for both to hit zero.
   std::atomic<int64_t> queued_{0};
   std::atomic<int64_t> running_{0};
-  std::atomic<int64_t> injector_size_{0};
 
   std::atomic<uint64_t> stat_tasks_run_{0};
   std::atomic<uint64_t> stat_spawned_run_{0};

@@ -662,49 +662,4 @@ void PruningAuditor::OnPairDistanceBound(const QueryUserContext& /*ctx*/,
   }
 }
 
-
-void SerializedPruningAuditor::OnUserPruned(const QueryUserContext& ctx,
-                                            UserId u, PruneRule rule) {
-  if (auditor_ == nullptr) return;
-  MutexLock lock(mu_);
-  auditor_->OnUserPruned(ctx, u, rule);
-}
-
-void SerializedPruningAuditor::OnSocialNodePruned(const QueryUserContext& ctx,
-                                                  SNodeId node,
-                                                  PruneRule rule) {
-  if (auditor_ == nullptr) return;
-  MutexLock lock(mu_);
-  auditor_->OnSocialNodePruned(ctx, node, rule);
-}
-
-void SerializedPruningAuditor::OnPoiMatchPruned(const QueryUserContext& ctx,
-                                                PoiId poi) {
-  if (auditor_ == nullptr) return;
-  MutexLock lock(mu_);
-  auditor_->OnPoiMatchPruned(ctx, poi);
-}
-
-void SerializedPruningAuditor::OnRoadNodeMatchPruned(
-    const QueryUserContext& ctx, RNodeId node) {
-  if (auditor_ == nullptr) return;
-  MutexLock lock(mu_);
-  auditor_->OnRoadNodeMatchPruned(ctx, node);
-}
-
-void SerializedPruningAuditor::OnPoiDistanceBound(const QueryUserContext& ctx,
-                                                  PoiId poi, double lb) {
-  if (auditor_ == nullptr) return;
-  MutexLock lock(mu_);
-  auditor_->OnPoiDistanceBound(ctx, poi, lb);
-}
-
-void SerializedPruningAuditor::OnPairDistanceBound(const QueryUserContext& ctx,
-                                                   UserId user, PoiId center,
-                                                   double lb) {
-  if (auditor_ == nullptr) return;
-  MutexLock lock(mu_);
-  auditor_->OnPairDistanceBound(ctx, user, center, lb);
-}
-
 }  // namespace gpssn

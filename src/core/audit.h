@@ -40,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "common/sync.h"
 #include "core/pruning.h"
 #include "index/poi_index.h"
 #include "index/social_index.h"
@@ -175,39 +174,6 @@ class PruningAuditor {
   int64_t events_ = 0;
   int64_t samples_ = 0;
   std::vector<AuditIssue> issues_;
-};
-
-/// Thread-safe adapter for prune sites reached from parallel lanes: every
-/// hook serializes on an internal Mutex before touching the wrapped (not
-/// thread-safe) PruningAuditor, so concurrently stolen refinement lanes may
-/// all notify the same auditor. A null wrapped auditor makes every hook a
-/// cheap no-op (the pointer itself is read without the lock; only the
-/// POINTEE is guarded).
-class SerializedPruningAuditor {
- public:
-  explicit SerializedPruningAuditor(PruningAuditor* auditor)
-      : auditor_(auditor) {}
-
-  GPSSN_DISALLOW_COPY_AND_MOVE(SerializedPruningAuditor);
-
-  bool enabled() const { return auditor_ != nullptr; }
-
-  void OnUserPruned(const QueryUserContext& ctx, UserId u, PruneRule rule)
-      GPSSN_EXCLUDES(mu_);
-  void OnSocialNodePruned(const QueryUserContext& ctx, SNodeId node,
-                          PruneRule rule) GPSSN_EXCLUDES(mu_);
-  void OnPoiMatchPruned(const QueryUserContext& ctx, PoiId poi)
-      GPSSN_EXCLUDES(mu_);
-  void OnRoadNodeMatchPruned(const QueryUserContext& ctx, RNodeId node)
-      GPSSN_EXCLUDES(mu_);
-  void OnPoiDistanceBound(const QueryUserContext& ctx, PoiId poi, double lb)
-      GPSSN_EXCLUDES(mu_);
-  void OnPairDistanceBound(const QueryUserContext& ctx, UserId user,
-                           PoiId center, double lb) GPSSN_EXCLUDES(mu_);
-
- private:
-  Mutex mu_;
-  PruningAuditor* const auditor_ GPSSN_PT_GUARDED_BY(mu_);
 };
 
 }  // namespace gpssn

@@ -30,7 +30,7 @@ std::string BatchStats::ToString() const {
       "cpu-total=%.4fs pairs=%llu page-ios=%llu "
       "phases(s) descent=%.4f ball=%.4f refine=%.4f exact-dist=%.4f "
       "dist-cache rows hit=%llu miss=%llu "
-      "sched stolen=%llu morsel-visits=%llu sources=%llu",
+      "sched stolen=%llu",
       static_cast<unsigned long long>(queries),
       static_cast<unsigned long long>(succeeded),
       static_cast<unsigned long long>(answers_found),
@@ -46,9 +46,7 @@ std::string BatchStats::ToString() const {
       totals.exact_dist_seconds,
       static_cast<unsigned long long>(totals.dist_cache_row_hits),
       static_cast<unsigned long long>(totals.dist_cache_row_misses),
-      static_cast<unsigned long long>(scheduler_tasks_stolen),
-      static_cast<unsigned long long>(scheduler_morsel_visits),
-      static_cast<unsigned long long>(scheduler_sources_published));
+      static_cast<unsigned long long>(scheduler_tasks_stolen));
   return buf;
 }
 
@@ -114,7 +112,6 @@ void GpssnBatchExecutor::RunOne(int worker, BatchQueryResult* slot,
   QueryOptions options = options_.query;
   options.deadline = deadline;
   options.cancel = &cancel_;
-  if (options_.intra_query_sharing) options.scheduler = &scheduler_;
 
   Result<GpssnAnswer> result =
       processors_[worker]->Execute(slot->query, options, &slot->stats);
@@ -153,10 +150,6 @@ std::vector<BatchQueryResult> GpssnBatchExecutor::Wait(BatchStats* stats) {
     stats->wall_seconds = wall;
     const TaskScheduler::Stats sched = scheduler_.GetStats();
     stats->scheduler_tasks_stolen = sched.tasks_stolen - sched_base_.tasks_stolen;
-    stats->scheduler_morsel_visits =
-        sched.morsel_visits - sched_base_.morsel_visits;
-    stats->scheduler_sources_published =
-        sched.sources_published - sched_base_.sources_published;
     std::vector<double> latencies;
     for (WorkerLane& lane : lanes_) {
       stats->totals.MergeFrom(lane.totals);

@@ -51,14 +51,6 @@ struct BatchExecutorOptions {
   /// <= 0 means no deadline. Deadlines are armed at SUBMIT time, so queue
   /// waiting counts against them.
   double default_deadline_seconds = 0.0;
-  /// Lets each query publish its refinement centers as stealable morsels
-  /// on the SAME scheduler (QueryOptions::scheduler = the executor's
-  /// scheduler). Workers prefer queued query root tasks over morsels, so a
-  /// saturated batch runs exactly like sharing-off (one publish/retire per
-  /// query, zero queued helper tasks); only genuinely idle workers — the
-  /// batch tail, or a small batch on a big box — steal morsels and cut
-  /// per-query latency. Answers stay byte-identical either way.
-  bool intra_query_sharing = false;
 };
 
 /// Outcome of one query of a batch, in submission order.
@@ -100,12 +92,9 @@ struct BatchStats {
   /// of per-query CPU times, i.e. aggregate work, not wall time).
   QueryStats totals;
 
-  /// Scheduler activity during this batch (deltas of the scheduler's
-  /// cumulative counters between the first Submit and Wait): work-stealing
-  /// traffic and intra-query morsel sharing.
+  /// Work-stealing traffic during this batch (delta of the scheduler's
+  /// cumulative counter between the first Submit and Wait).
   uint64_t scheduler_tasks_stolen = 0;
-  uint64_t scheduler_morsel_visits = 0;
-  uint64_t scheduler_sources_published = 0;
 
   std::string ToString() const;
 };

@@ -17,7 +17,6 @@ namespace gpssn {
 class PruningAuditor;   // core/audit.h
 class DistanceBackend;  // roadnet/distance_backend.h
 class DistanceCache;    // roadnet/distance_cache.h
-class TaskScheduler;    // common/task_scheduler.h
 
 /// Cooperative per-query deadline. The processor polls Expired() at its
 /// descent-loop, heap-round, and refinement boundaries and abandons the
@@ -129,29 +128,10 @@ struct QueryOptions {
   /// notifies it on every pruned candidate and it re-tests a sample against
   /// the brute-force predicates. Null disables auditing; GPSSN_AUDIT builds
   /// install a per-processor default when this is null. Not thread-safe —
-  /// do not share one auditor across concurrent queries (the intra-query
-  /// refinement lanes serialize their notifications behind a mutex). The
-  /// pointee must outlive the query.
+  /// do not share one auditor across concurrent queries; a query notifies
+  /// it only from the thread running the query. The pointee must outlive
+  /// the query.
   PruningAuditor* auditor = nullptr;
-  /// Intra-query parallel refinement: when non-null, the refinement center
-  /// loop publishes its centers as stealable morsels on this scheduler
-  /// (common/task_scheduler.h). The calling thread always runs lane 0;
-  /// scheduler workers with nothing better to do steal morsels as extra
-  /// lanes, and a fully busy scheduler costs the query exactly one
-  /// publish/retire registry operation — no queued helper tasks, no
-  /// oversubscription, no deadlock. Deterministic: the reported answers
-  /// are byte-identical to the serial path at any worker count (see
-  /// DESIGN.md §10). Null (default) keeps the seed-exact serial loop. On a
-  /// single-core host (hardware_concurrency <= 1) the query automatically
-  /// degenerates to the serial path — lanes could only timeshare the one
-  /// core — unless intra_query_workers explicitly requests them. The
-  /// scheduler must outlive the query.
-  TaskScheduler* scheduler = nullptr;
-  /// Caps the refinement lanes (claiming caller + morsel thieves) when
-  /// `scheduler` is set; 0 means scheduler size + 1 (and serial on a
-  /// single-core host); an explicit value also forces the morsel path on a
-  /// single-core host (used by the determinism/TSAN suites).
-  int intra_query_workers = 0;
   /// Vectorized social kernels: build a per-query SocialScratch (SoA
   /// interest matrix + pairwise-score memo + adjacency bitsets) and route
   /// ApplyCorollary2 / EnumerateGroups / MatchScore through it. The

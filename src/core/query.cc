@@ -1,15 +1,12 @@
 #include "core/query.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
+#include <cmath>
 #include <queue>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 
 #include "common/macros.h"
-#include "common/task_scheduler.h"
 #include "common/timer.h"
 #include "core/audit.h"
 #include "core/pruning.h"
@@ -18,24 +15,6 @@
 #include "roadnet/distance_cache.h"
 
 namespace gpssn {
-
-// One lane of the intra-query parallel refinement. Lane 0 is the calling
-// thread (it reuses the processor's main distance engine); helper lanes own
-// a private engine because engine arenas are not thread-safe. The row cache
-// mirrors RefineScratch's stamped layout but is lane-private: during the
-// parallel region the shared scratch is read-only (only rows computed
-// BEFORE the fan-out — the issuer's — live there), so lanes never race on
-// it. Reused across queries; declared in query.h.
-struct IntraLane {
-  const DistanceBackend* source = nullptr;  // Backend `engine` came from.
-  uint64_t source_generation = 0;  // Backend POI generation at creation.
-  std::unique_ptr<DistanceEngine> engine;   // Null for lane 0.
-  uint32_t generation = 0;
-  std::vector<uint32_t> user_stamp;
-  std::vector<int32_t> user_row;
-  std::vector<double> rows;
-  std::unordered_map<uint64_t, bool> match_memo;  // (user, center) -> ok.
-};
 
 namespace {
 
@@ -50,20 +29,25 @@ struct HeapGreater {
 using RoadHeap =
     std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapGreater>;
 
-// Cached per-center refinement data.
+// Per-center refinement data.
 struct CenterInfo {
   std::vector<PoiId> ball;                 // R = B(o_i, r), sorted.
-  std::vector<std::pair<PoiId, double>> ball_dists;  // From the center.
   std::vector<KeywordId> union_keywords;   // ∪_{o∈R} o.K.
   bool issuer_matches = false;
   // Bitset form of union_keywords, built only when the SoA social scratch
   // is live; MaskedMatchScore over it is bit-identical to MatchScore.
   DynamicBitset keyword_mask;
-  bool has_mask = false;
+};
+
+// A candidate center in the pair loop's visit order.
+struct RankedCenter {
+  double worst;  // Exact issuer-side objective contribution.
+  PoiId id;
+  const CenterInfo* info;
 };
 
 // Accrues elapsed wall time into *out on destruction; attributes phase
-// time across the multiple exit paths of ExecuteImpl.
+// time across the multiple exit paths of the stages.
 class ScopedPhaseTimer {
  public:
   explicit ScopedPhaseTimer(double* out) : out_(out) {}
@@ -75,7 +59,33 @@ class ScopedPhaseTimer {
   double* out_;
 };
 
+// Cooperative interruption (deadline / external cancel), polled at every
+// loop boundary of the stages. The longest unpolled stretch is one bounded
+// search inside a distance row, which bounds the latency overshoot past a
+// deadline.
+bool InterruptRequested(const QueryOptions& options) {
+  return (options.cancel != nullptr &&
+          options.cancel->load(std::memory_order_relaxed)) ||  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
+         options.deadline.Expired();
+}
+
+// The status of an interrupted stage. An external cancel wins: it implies
+// the caller no longer wants the answer regardless of the deadline.
+Status InterruptStatus(const QueryOptions& options) {
+  if (options.cancel != nullptr &&
+      options.cancel->load(std::memory_order_relaxed)) {  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
+    return Status::Cancelled("query cancelled");
+  }
+  return Status::DeadlineExceeded("query deadline exceeded");
+}
+
 }  // namespace
+
+bool RanksBefore(const RankedAnswer& a, const RankedAnswer& b) {
+  return std::tie(a.answer.max_dist, a.center_worst, a.answer.center,
+                  a.group_index) < std::tie(b.answer.max_dist, b.center_worst,
+                                            b.answer.center, b.group_index);
+}
 
 GpssnProcessor::GpssnProcessor(const PoiIndex* poi_index,
                                const SocialIndex* social_index)
@@ -121,6 +131,10 @@ DistanceEngine* GpssnProcessor::EngineFor(const QueryOptions& options) {
   return plugged_engine_.get();
 }
 
+PruningAuditor* GpssnProcessor::AuditorFor(const QueryOptions& options) const {
+  return options.auditor != nullptr ? options.auditor : default_auditor_.get();
+}
+
 void GpssnProcessor::RefineScratch::BeginQuery(size_t num_users,
                                                size_t num_pois) {
   if (poi_stamp.size() < num_pois) {
@@ -142,9 +156,7 @@ void GpssnProcessor::RefineScratch::BeginQuery(size_t num_users,
   rows.clear();
 }
 
-Result<GpssnAnswer> GpssnProcessor::Execute(const GpssnQuery& query,
-                                            const QueryOptions& options,
-                                            QueryStats* stats) {
+Status GpssnProcessor::ValidateQuery(const GpssnQuery& query) const {
   const SpatialSocialNetwork& ssn = poi_index_->ssn();
   if (query.issuer < 0 || query.issuer >= ssn.num_users()) {
     return Status::InvalidArgument("query issuer out of range");
@@ -160,52 +172,48 @@ Result<GpssnAnswer> GpssnProcessor::Execute(const GpssnQuery& query,
     return Status::InvalidArgument(
         "radius outside the index's [r_min, r_max] envelope");
   }
+  return Status::OK();
+}
 
+Result<GpssnAnswer> GpssnProcessor::Execute(const GpssnQuery& query,
+                                            const QueryOptions& options,
+                                            QueryStats* stats) {
+  GPSSN_ASSIGN_OR_RETURN(std::vector<GpssnAnswer> top,
+                         ExecuteTopK(query, /*k=*/1, options, stats));
+  return top.empty() ? GpssnAnswer() : std::move(top.front());
+}
+
+Result<std::vector<GpssnAnswer>> GpssnProcessor::ExecuteTopK(
+    const GpssnQuery& query, int k, const QueryOptions& options,
+    QueryStats* stats) {
+  if (k < 1) return Status::InvalidArgument("top-k requires k >= 1");
+  GPSSN_RETURN_NOT_OK(ValidateQuery(query));
   QueryStats local;
   QueryStats* out = stats != nullptr ? stats : &local;
   *out = QueryStats();
   WallTimer timer;
 
-  // Distinguishes the two cooperative-interruption causes once ExecuteImpl
-  // reports one (external cancel wins: it implies the caller no longer
-  // wants the answer regardless of the deadline).
-  auto interrupted_status = [&options]() {
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
-      return Status::Cancelled("query cancelled");
-    }
-    return Status::DeadlineExceeded("query deadline exceeded");
-  };
-
+  // The δ cut is only safe for the single optimum; disable it for k > 1.
+  QueryOptions run = options;
+  if (k > 1) run.pruning.road_distance = false;
+  std::vector<RankedAnswer> best;
   double final_delta = kInfDistance;
-  bool interrupted = false;
-  std::vector<GpssnAnswer> top =
-      ExecuteImpl(query, options, /*top_k=*/1, out, &final_delta, &interrupted);
-  if (interrupted) {
-    out->cpu_seconds = timer.ElapsedSeconds();
-    return interrupted_status();
-  }
-  GpssnAnswer answer = top.empty() ? GpssnAnswer() : std::move(top.front());
+  Status status = RunPipeline(query, run, k, out, &final_delta, &best);
 
   // δ-cut exactness check (see the header comment): if the best found
   // objective exceeds the final δ — or nothing was found although the cut
   // pruned candidates — re-run without the cut.
   const bool delta_was_used =
-      options.pruning.road_distance &&
+      run.pruning.road_distance &&
       (out->road_nodes_pruned_distance > 0 || out->pois_pruned_distance > 0);
-  if (delta_was_used &&
-      (!answer.found || answer.max_dist > final_delta + 1e-12)) {
-    QueryOptions relaxed = options;
-    relaxed.pruning.road_distance = false;
+  if (status.ok() && delta_was_used &&
+      (best.empty() ||
+       best.front().answer.max_dist > final_delta + 1e-12)) {
+    run.pruning.road_distance = false;
     QueryStats rerun_stats;
-    double unused = kInfDistance;
-    std::vector<GpssnAnswer> rerun = ExecuteImpl(
-        query, relaxed, /*top_k=*/1, &rerun_stats, &unused, &interrupted);
-    if (interrupted) {
-      out->cpu_seconds = timer.ElapsedSeconds();
-      return interrupted_status();
-    }
-    GpssnAnswer exact = rerun.empty() ? GpssnAnswer() : std::move(rerun.front());
+    std::vector<RankedAnswer> exact;
+    status = RunPipeline(query, run, /*top_k=*/1, &rerun_stats, &final_delta,
+                         &exact);
     // Keep the first run's pruning counters (they describe the indexed
     // fast path) but charge the extra I/O and refinement work.
     out->io.logical_accesses += rerun_stats.io.logical_accesses;
@@ -223,94 +231,106 @@ Result<GpssnAnswer> GpssnProcessor::Execute(const GpssnQuery& query,
     // the discovery-order winner over the FULL (δ-free) candidate set, the
     // same set the sharded serving path evaluates, keeping the two paths'
     // answers identical in the (measure-zero) tie-at-fallback case.
-    if (exact.found &&
-        (!answer.found || exact.max_dist <= answer.max_dist)) {
-      answer = std::move(exact);
+    if (!exact.empty() &&
+        (best.empty() ||
+         exact.front().answer.max_dist <= best.front().answer.max_dist)) {
+      best = std::move(exact);
     }
   }
-
   out->cpu_seconds = timer.ElapsedSeconds();
-  return answer;
+  GPSSN_RETURN_NOT_OK(status);
+  std::vector<GpssnAnswer> answers;
+  answers.reserve(best.size());
+  for (RankedAnswer& ranked : best) answers.push_back(std::move(ranked.answer));
+  return answers;
 }
 
-Result<std::vector<GpssnAnswer>> GpssnProcessor::ExecuteTopK(
-    const GpssnQuery& query, int k, const QueryOptions& options,
-    QueryStats* stats) {
-  if (k < 1) return Status::InvalidArgument("top-k requires k >= 1");
-  if (k == 1) {
-    GPSSN_ASSIGN_OR_RETURN(GpssnAnswer answer,
-                           Execute(query, options, stats));
-    std::vector<GpssnAnswer> out;
-    if (answer.found) out.push_back(std::move(answer));
-    return out;
-  }
-  // Validate through the single-answer path's checks by reusing Execute's
-  // precondition tests.
-  const SpatialSocialNetwork& ssn = poi_index_->ssn();
-  if (query.issuer < 0 || query.issuer >= ssn.num_users() || query.tau < 1 ||
-      query.gamma < 0.0 || query.theta < 0.0 ||
-      query.radius < poi_index_->options().r_min ||
-      query.radius > poi_index_->options().r_max) {
-    return Status::InvalidArgument("malformed GP-SSN query");
-  }
+Result<ShardCandidates> GpssnProcessor::GatherCandidates(
+    const GpssnQuery& query, const QueryOptions& options,
+    const ShardScope& scope, QueryStats* stats) {
+  GPSSN_RETURN_NOT_OK(ValidateQuery(query));
   QueryStats local;
   QueryStats* out = stats != nullptr ? stats : &local;
   *out = QueryStats();
   WallTimer timer;
-  // The δ cut is only safe for the single optimum; disable it for k > 1.
-  QueryOptions relaxed = options;
-  relaxed.pruning.road_distance = false;
-  double unused = kInfDistance;
-  bool interrupted = false;
-  std::vector<GpssnAnswer> results =
-      ExecuteImpl(query, relaxed, k, out, &unused, &interrupted);
+  QueryPlan plan(query, *social_index_, options.buffer_pool_pages);
+  Status status = Gather(options, scope, /*single_node=*/false, &plan, out);
+  out->io.logical_accesses += plan.pool.stats().logical_accesses;
+  out->io.page_misses += plan.pool.stats().page_misses;
   out->cpu_seconds = timer.ElapsedSeconds();
-  if (interrupted) {
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
-      return Status::Cancelled("query cancelled");
-    }
-    return Status::DeadlineExceeded("query deadline exceeded");
-  }
-  return results;
+  GPSSN_RETURN_NOT_OK(status);
+  ShardCandidates result;
+  result.users = std::move(plan.users);
+  result.pois = std::move(plan.pois);
+  std::sort(result.pois.begin(), result.pois.end());
+  result.lower_bound = plan.lower_bound;
+  return result;
 }
 
-std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
-                                                     const QueryOptions& options,
-                                                     int top_k,
-                                                     QueryStats* stats,
-                                                     double* final_delta,
-                                                     bool* interrupted) {
-  // Cooperative interruption (deadline / external cancel). Polled at every
-  // loop boundary below; `aborted` lets the nested traversal lambdas
-  // unwind without partial-answer leakage. The longest unpolled stretch is
-  // one bounded Dijkstra inside get_user_dists, which bounds the latency
-  // overshoot past a deadline.
-  *interrupted = false;
-  bool aborted = false;
-  auto interrupted_now = [&options]() {
-    return (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed)) ||  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
-           options.deadline.Expired();
-  };
-  if (interrupted_now()) {
-    *interrupted = true;
-    return {};
+Result<ShardRefineResult> GpssnProcessor::RefineCandidates(
+    const GpssnQuery& query, const QueryOptions& options,
+    const std::vector<PoiId>& centers,
+    const std::vector<std::vector<UserId>>& groups, double incumbent,
+    QueryStats* stats) {
+  GPSSN_RETURN_NOT_OK(ValidateQuery(query));
+  QueryStats local;
+  QueryStats* out = stats != nullptr ? stats : &local;
+  *out = QueryStats();
+  WallTimer timer;
+  QueryPlan plan(query, *social_index_, options.buffer_pool_pages);
+  plan.pois = centers;
+  std::vector<RankedAnswer> best;
+  Status status;
+  {
+    const ScopedPhaseTimer refine_phase(&out->refine_seconds);
+    status = Refine(options, groups, /*top_k=*/1, incumbent, &plan, out, &best);
   }
+  // users/pois/groups counters stay 0 here: the coordinator owns the
+  // candidate-level counters (the gather stats already carry them), so the
+  // merged per-query stats count each candidate exactly once.
+  out->io.logical_accesses += plan.pool.stats().logical_accesses;
+  out->io.page_misses += plan.pool.stats().page_misses;
+  out->cpu_seconds = timer.ElapsedSeconds();
+  GPSSN_RETURN_NOT_OK(status);
+  return best.empty() ? ShardRefineResult() : std::move(best.front());
+}
 
-  const SpatialSocialNetwork& ssn = poi_index_->ssn();
-  const SocialNetwork& social = ssn.social();
+Status GpssnProcessor::RunPipeline(const GpssnQuery& query,
+                                   const QueryOptions& options, int top_k,
+                                   QueryStats* stats, double* final_delta,
+                                   std::vector<RankedAnswer>* best) {
+  QueryPlan plan(query, *social_index_, options.buffer_pool_pages);
+  ShardScope whole;
+  whole.social_roots = {social_index_->root()};
+  whole.road_roots = {poi_index_->tree().root()};
+  Status status = Gather(options, whole, /*single_node=*/true, &plan, stats);
+  if (status.ok()) {
+    const ScopedPhaseTimer refine_phase(&stats->refine_seconds);
+    plan.social = PlanGroups(poi_index_->ssn().social(), query, options,
+                             &social_scratch_, &plan.users, &plan.groups,
+                             stats);
+    status = Refine(options, plan.groups, top_k, kInfDistance, &plan, stats,
+                    best);
+  }
+  stats->io.logical_accesses += plan.pool.stats().logical_accesses;
+  stats->io.page_misses += plan.pool.stats().page_misses;
+  *final_delta = plan.delta;
+  return status;
+}
+
+Status GpssnProcessor::Gather(const QueryOptions& options,
+                              const ShardScope& scope, bool single_node,
+                              QueryPlan* plan, QueryStats* stats) {
+  if (InterruptRequested(options)) return InterruptStatus(options);
+  const QueryUserContext& ctx = plan->ctx;
+  const GpssnQuery& query = ctx.query;
+  const SocialNetwork& social = poi_index_->ssn().social();
   const PruningFlags& flags = options.pruning;
-  BufferPool pool(options.buffer_pool_pages);
-  QueryUserContext ctx(query, *social_index_);
-  DistanceEngine& dist_engine = *EngineFor(options);
+  const bool use_delta = single_node && flags.road_distance;
+  BufferPool& pool = plan->pool;
+  PruningAuditor* auditor = AuditorFor(options);
+  double& delta = plan->delta;
   WallTimer descent_timer;
-
-  // Pruning-soundness auditor (core/audit.h): caller-supplied, or the
-  // processor default in GPSSN_AUDIT builds, or null (one pointer test per
-  // prune event — negligible).
-  PruningAuditor* auditor =
-      options.auditor != nullptr ? options.auditor : default_auditor_.get();
 
   // Exact hop labels around u_q (Lemma 4 with exact distances): any member
   // of a connected τ-group containing u_q is within τ−1 hops of u_q, so a
@@ -322,17 +342,38 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
     bfs_.Run(query.issuer, query.tau - 1);
   }
 
-  // ---------------------------------------------------------------- Phase 1
-  // Algorithm 2 lines 1-28: synchronized index traversal.
-  std::vector<SNodeId> s_frontier = {social_index_->root()};
-  std::vector<UserId> user_cands;
-  std::vector<PoiId> r_cand;
-  double delta = kInfDistance;
+  // I_S frontier. A scope root other than the index root is prune-tested
+  // like any child: the single-node descent tests it as its parent's child.
+  std::vector<SNodeId> s_frontier;
+  auto admit_social = [&](SNodeId id) {
+    const SocialIndexNode& node = social_index_->node(id);
+    ++stats->social_nodes_visited;
+    pool.Access(node.page);
+    if (id != social_index_->root()) {
+      if (flags.interest_score && PruneSocialNodeInterest(ctx, node)) {
+        ++stats->social_nodes_pruned_interest;
+        stats->users_pruned_at_index_level += node.subtree_users;
+        if (auditor != nullptr) {
+          auditor->OnSocialNodePruned(ctx, id, PruneRule::kSocialNodeInterest);
+        }
+        return;
+      }
+      if (flags.social_distance && PruneSocialNodeDistance(ctx, node)) {
+        ++stats->social_nodes_pruned_distance;
+        stats->users_pruned_at_index_level += node.subtree_users;
+        if (auditor != nullptr) {
+          auditor->OnSocialNodePruned(ctx, id, PruneRule::kSocialNodeDistance);
+        }
+        return;
+      }
+    }
+    s_frontier.push_back(id);
+  };
 
   // Upper bound of dist(candidate user, rp_k) over the current S-side
   // frontier (used by Eq. 16 / δ updates). Always covers u_q.
   const int h = poi_index_->pivots().num_pivots();
-  std::vector<double> s_ub_rp = ctx.rp_dist;
+  std::vector<double> s_ub_rp;
   auto refresh_s_ub = [&]() {
     s_ub_rp = ctx.rp_dist;
     for (SNodeId id : s_frontier) {
@@ -342,27 +383,43 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
       }
     }
   };
-  refresh_s_ub();
 
+  // I_R heap. Like the I_S side, only the index root enters untested.
   RoadHeap heap;
-  heap.push({0.0, poi_index_->tree().root()});
+  auto admit_road = [&](RNodeId id, RoadHeap* into) {
+    const PoiNodeAug& aug = poi_index_->node_aug(id);
+    if (flags.match_score && PruneRoadNodeMatch(ctx, aug)) {
+      ++stats->road_nodes_pruned_match;
+      stats->pois_pruned_at_index_level += aug.subtree_pois;
+      if (auditor != nullptr) auditor->OnRoadNodeMatchPruned(ctx, id);
+      return;
+    }
+    const double lb = LbMaxDistToRoadNode(ctx, aug.lb_pivot, aug.ub_pivot);
+    if (use_delta && lb > delta) {
+      ++stats->road_nodes_pruned_distance;
+      stats->pois_pruned_at_index_level += aug.subtree_pois;
+      return;
+    }
+    into->push({lb, id});
+  };
 
   // One "round" of the I_R traversal: drains the heap into the next-level
   // heap (Algorithm 2 lines 11-26), pruning with the CURRENT S-side bounds.
+  bool aborted = false;
   auto process_ir_round = [&]() {
     RoadHeap next;
     while (!heap.empty()) {
-      if (interrupted_now()) {
+      if (InterruptRequested(options)) {
         aborted = true;
         return;
       }
       const auto [key, node_id] = heap.top();
       heap.pop();
-      if (flags.road_distance && key > delta) {
+      if (use_delta && key > delta) {
         // Line 14: every remaining entry has key >= this one.
-        const PoiNodeAug& aug = poi_index_->node_aug(node_id);
         ++stats->road_nodes_pruned_distance;
-        stats->pois_pruned_at_index_level += aug.subtree_pois;
+        stats->pois_pruned_at_index_level +=
+            poi_index_->node_aug(node_id).subtree_pois;
         while (!heap.empty()) {
           ++stats->road_nodes_pruned_distance;
           stats->pois_pruned_at_index_level +=
@@ -374,94 +431,71 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
       const RTreeNode& node = poi_index_->tree().node(node_id);
       ++stats->road_nodes_visited;
       pool.Access(poi_index_->node_aug(node_id).page);
-      if (node.is_leaf()) {
-        for (const RTreeEntry& e : node.entries) {
-          ++stats->pois_seen;
-          pool.Access(poi_index_->poi_page(e.id));
-          const PoiAug& aug = poi_index_->poi_aug(e.id);
-          if (flags.match_score && PrunePoiMatch(ctx, aug)) {
-            ++stats->pois_pruned_match;
-            if (auditor != nullptr) auditor->OnPoiMatchPruned(ctx, e.id);
-            continue;
-          }
-          const double lb = LbDistToPoi(ctx, aug);
-          if (flags.road_distance && lb > delta) {
-            ++stats->pois_pruned_distance;
-            if (auditor != nullptr) auditor->OnPoiDistanceBound(ctx, e.id, lb);
-            continue;
-          }
-          r_cand.push_back(e.id);
-          // δ update (line 20), guarded by the Eq. 18-style lower-bound
-          // feasibility check: u_q must already match the inner ball.
-          if (MatchScore(ctx.w_q, aug.sub_keywords) >= query.theta) {
-            delta = std::min(
-                delta, UbMaxDistViaCenter(s_ub_rp, aug, query.radius));
-          }
+      if (!node.is_leaf()) {
+        for (const RTreeEntry& e : node.entries) admit_road(e.id, &next);
+        continue;
+      }
+      for (const RTreeEntry& e : node.entries) {
+        ++stats->pois_seen;
+        pool.Access(poi_index_->poi_page(e.id));
+        const PoiAug& aug = poi_index_->poi_aug(e.id);
+        if (flags.match_score && PrunePoiMatch(ctx, aug)) {
+          ++stats->pois_pruned_match;
+          if (auditor != nullptr) auditor->OnPoiMatchPruned(ctx, e.id);
+          continue;
         }
-      } else {
-        for (const RTreeEntry& e : node.entries) {
-          const PoiNodeAug& child = poi_index_->node_aug(e.id);
-          if (flags.match_score && PruneRoadNodeMatch(ctx, child)) {
-            ++stats->road_nodes_pruned_match;
-            stats->pois_pruned_at_index_level += child.subtree_pois;
-            if (auditor != nullptr) auditor->OnRoadNodeMatchPruned(ctx, e.id);
-            continue;
-          }
-          const double lb =
-              LbMaxDistToRoadNode(ctx, child.lb_pivot, child.ub_pivot);
-          if (flags.road_distance && lb > delta) {
-            ++stats->road_nodes_pruned_distance;
-            stats->pois_pruned_at_index_level += child.subtree_pois;
-            continue;
-          }
-          next.push({lb, e.id});
+        const double lb = LbDistToPoi(ctx, aug);
+        if (use_delta && lb > delta) {
+          ++stats->pois_pruned_distance;
+          if (auditor != nullptr) auditor->OnPoiDistanceBound(ctx, e.id, lb);
+          continue;
+        }
+        plan->pois.push_back(e.id);
+        plan->lower_bound = std::min(plan->lower_bound, lb);
+        // δ update (line 20), guarded by the Eq. 18-style lower-bound
+        // feasibility check: u_q must already match the inner ball.
+        if (use_delta && MatchScore(ctx.w_q, aug.sub_keywords) >= query.theta) {
+          delta = std::min(delta,
+                           UbMaxDistViaCenter(s_ub_rp, aug, query.radius));
         }
       }
     }
     heap = std::move(next);
   };
 
-  // Descend I_S level by level (lines 4-10), one I_R round per level.
-  {
-    // The root itself is visited unconditionally.
-    ++stats->social_nodes_visited;
-    pool.Access(social_index_->node(social_index_->root()).page);
+  for (SNodeId id : scope.social_roots) admit_social(id);
+  refresh_s_ub();
+  for (RNodeId id : scope.road_roots) {
+    if (id == poi_index_->tree().root()) {
+      heap.push({0.0, id});
+    } else {
+      admit_road(id, &heap);
+    }
   }
-  for (int level = social_index_->height() - 1; level >= 1 && !aborted;
-       --level) {
-    if (interrupted_now()) {
+
+  // Descend I_S level by level (lines 4-10), one I_R round per level. All
+  // I_S leaves sit at level 0; a shard's frontier may mix levels, so leaves
+  // keep their place until the internal nodes beside them are expanded.
+  auto has_internal = [&]() {
+    return std::any_of(s_frontier.begin(), s_frontier.end(), [&](SNodeId id) {
+      return !social_index_->node(id).is_leaf();
+    });
+  };
+  while (!aborted && has_internal()) {
+    if (InterruptRequested(options)) {
       aborted = true;
       break;
     }
-    std::vector<SNodeId> next_frontier;
-    for (SNodeId id : s_frontier) {
+    std::vector<SNodeId> level = std::move(s_frontier);
+    s_frontier.clear();
+    for (SNodeId id : level) {
       const SocialIndexNode& node = social_index_->node(id);
-      for (SNodeId child_id : node.children) {
-        const SocialIndexNode& child = social_index_->node(child_id);
-        ++stats->social_nodes_visited;
-        pool.Access(child.page);
-        if (flags.interest_score && PruneSocialNodeInterest(ctx, child)) {
-          ++stats->social_nodes_pruned_interest;
-          stats->users_pruned_at_index_level += child.subtree_users;
-          if (auditor != nullptr) {
-            auditor->OnSocialNodePruned(ctx, child_id,
-                                        PruneRule::kSocialNodeInterest);
-          }
-          continue;
-        }
-        if (flags.social_distance && PruneSocialNodeDistance(ctx, child)) {
-          ++stats->social_nodes_pruned_distance;
-          stats->users_pruned_at_index_level += child.subtree_users;
-          if (auditor != nullptr) {
-            auditor->OnSocialNodePruned(ctx, child_id,
-                                        PruneRule::kSocialNodeDistance);
-          }
-          continue;
-        }
-        next_frontier.push_back(child_id);
+      if (node.is_leaf()) {
+        s_frontier.push_back(id);
+        continue;
       }
+      for (SNodeId child_id : node.children) admit_social(child_id);
     }
-    s_frontier = std::move(next_frontier);
     refresh_s_ub();
     process_ir_round();
   }
@@ -470,16 +504,15 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
   uint32_t poll_stride = 0;
   for (SNodeId id : s_frontier) {
     if (aborted) break;
-    const SocialIndexNode& leaf = social_index_->node(id);
-    for (UserId u : leaf.users) {
-      if ((++poll_stride & 255u) == 0 && interrupted_now()) {
+    for (UserId u : social_index_->node(id).users) {
+      if ((++poll_stride & 255u) == 0 && InterruptRequested(options)) {
         aborted = true;
         break;
       }
       ++stats->users_seen;
       pool.Access(social_index_->user_page(u));
       if (u == query.issuer) {
-        user_cands.push_back(u);
+        plan->users.push_back(u);
         continue;
       }
       // The hop filter is cheaper (two array lookups) than the interest dot
@@ -504,149 +537,94 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
         }
         continue;
       }
-      user_cands.push_back(u);
+      plan->users.push_back(u);
     }
-  }
-  // Ensure the issuer survives even if its leaf was (incorrectly
-  // aggressively) pruned at node level — u_q is in S by definition.
-  if (std::find(user_cands.begin(), user_cands.end(), query.issuer) ==
-      user_cands.end()) {
-    user_cands.push_back(query.issuer);
   }
 
   // Remaining I_R levels (lines 27-28).
   int guard = poi_index_->height() + 2;
   while (!heap.empty() && guard-- > 0 && !aborted) process_ir_round();
-  if (aborted) {
-    *interrupted = true;
-    return {};
+  if (aborted) return InterruptStatus(options);
+
+  // u_q is in S by definition: on the whole index it survives even when
+  // its leaf was node-pruned (a shard leaves that to the coordinator).
+  if (single_node && std::find(plan->users.begin(), plan->users.end(),
+                               query.issuer) == plan->users.end()) {
+    plan->users.push_back(query.issuer);
   }
-
-  stats->users_candidates = user_cands.size();
-  stats->pois_candidates = r_cand.size();
-  stats->descent_seconds += descent_timer.ElapsedSeconds();
-
-  // ---------------------------------------------------------------- Phase 2
-  // Refinement (lines 29-31).
-  const ScopedPhaseTimer refine_phase(&stats->refine_seconds);
+  stats->users_candidates = plan->users.size();
+  stats->pois_candidates = plan->pois.size();
 
   // δ-based user filter (Lemma 5 applied user-side): any member u of a
   // group achieving objective <= δ satisfies dist(u, center) <= δ for the
   // answer's center (the center lies in its own ball), so users whose
   // pivot lower bound exceeds δ against EVERY candidate center cannot
   // appear in a δ-beating answer. Safe under the same a-posteriori δ check
-  // as the traversal cut (Execute re-runs without road-distance pruning
-  // when the check fails).
-  if (flags.road_distance && std::isfinite(delta) && !r_cand.empty()) {
+  // as the traversal cut (ExecuteTopK re-runs without road-distance
+  // pruning when the check fails).
+  if (use_delta && std::isfinite(delta) && !plan->pois.empty()) {
     std::vector<UserId> kept;
-    kept.reserve(user_cands.size());
-    for (UserId u : user_cands) {
-      if (u == query.issuer) {
-        kept.push_back(u);
-        continue;
-      }
+    kept.reserve(plan->users.size());
+    for (UserId u : plan->users) {
       const auto& rp = social_index_->user_road_pivot_dists(u);
-      bool reachable = false;
-      for (PoiId c : r_cand) {
-        const double lb = LbUserPoiDist(rp, poi_index_->poi_aug(c));
-        if (auditor != nullptr) auditor->OnPairDistanceBound(ctx, u, c, lb);
-        if (lb <= delta) {
-          reachable = true;
-          break;
-        }
-      }
+      const bool reachable =
+          u == query.issuer ||
+          std::any_of(plan->pois.begin(), plan->pois.end(), [&](PoiId c) {
+            const double lb = LbUserPoiDist(rp, poi_index_->poi_aug(c));
+            if (auditor != nullptr) auditor->OnPairDistanceBound(ctx, u, c, lb);
+            return lb <= delta;
+          });
       if (reachable) {
         kept.push_back(u);
       } else {
         ++stats->users_pruned_distance;
       }
     }
-    user_cands = std::move(kept);
+    plan->users = std::move(kept);
   }
+  stats->descent_seconds += descent_timer.ElapsedSeconds();
+  return Status::OK();
+}
 
-  // SoA social scratch: built once from the surviving candidates;
-  // Corollary 2, the ESU enumerator, and the matching-score checks below
-  // all share its aligned interest matrix, adjacency bitsets, and pairwise
-  // memo. The memo is O(n²/2) bytes, so very large candidate sets fall
-  // back to the scalar kernels.
-  SocialScratch* social_scratch = nullptr;
-  if (options.vectorized_social_kernels &&
-      user_cands.size() <=
-          static_cast<size_t>(options.social_scratch_max_candidates)) {
-    social_scratch_.Build(social, query, user_cands);
-    social_scratch = &social_scratch_;
-  }
+Status GpssnProcessor::Refine(const QueryOptions& options,
+                              const std::vector<std::vector<UserId>>& groups,
+                              int top_k, double incumbent, QueryPlan* plan,
+                              QueryStats* stats,
+                              std::vector<RankedAnswer>* best) {
+  best->clear();
+  if (groups.empty() || plan->pois.empty()) return Status::OK();
+  const QueryUserContext& ctx = plan->ctx;
+  const GpssnQuery& query = ctx.query;
+  const SpatialSocialNetwork& ssn = poi_index_->ssn();
+  BufferPool& pool = plan->pool;
+  DistanceEngine& engine = *EngineFor(options);
+  PruningAuditor* auditor = AuditorFor(options);
+  SocialScratch* kernels = plan->social;
 
-  if (flags.interest_score) {
-    ApplyCorollary2(social, query, &user_cands, stats, social_scratch);
+  // Candidate centers ordered by the issuer's pivot lower bound. Every
+  // ball materializes up front so the needed-POI slot table is complete
+  // before the first distance row is computed: a row covers every needed
+  // POI, and an infinite entry is a proof, not a gap.
+  std::vector<std::pair<double, PoiId>> by_lb;
+  by_lb.reserve(plan->pois.size());
+  for (PoiId c : plan->pois) {
+    by_lb.emplace_back(LbDistToPoi(ctx, poi_index_->poi_aug(c)), c);
   }
-
-  std::vector<std::vector<UserId>> groups;
-  if (options.subset_sampling) {
-    SampleGroups(social, query, user_cands, options.subset_samples,
-                 options.seed, &groups);
-  } else {
-    if (!EnumerateGroups(social, query, user_cands, options.max_groups,
-                         &groups, social_scratch)) {
-      stats->truncated = true;
-    }
-  }
-  stats->groups_enumerated = groups.size();
-  if (social_scratch != nullptr) {
-    stats->interest_pairs_scored += social_scratch->pairs_scored();
-  }
-
-  // Up to top_k answers, kept sorted by ascending objective.
-  std::vector<GpssnAnswer> best;
-  auto bound = [&]() {
-    return static_cast<int>(best.size()) < top_k ? kInfDistance
-                                                 : best.back().max_dist;
-  };
-  if (groups.empty() || r_cand.empty()) {
-    stats->io.logical_accesses += pool.stats().logical_accesses;
-    stats->io.page_misses += pool.stats().page_misses;
-    *final_delta = delta;
-    return best;
-  }
-
-  // Candidate centers, initially ordered by the issuer's pivot lower bound
-  // (re-ordered by EXACT issuer distances below, once balls materialize).
-  std::vector<std::pair<double, PoiId>> centers;
-  centers.reserve(r_cand.size());
-  for (PoiId id : r_cand) {
-    centers.emplace_back(LbDistToPoi(ctx, poi_index_->poi_aug(id)), id);
-  }
-  std::sort(centers.begin(), centers.end());
-
-  // Per-user exact distances to ball-member POIs, computed lazily with one
-  // bounded search per user (bound = best objective at compute time; a
-  // kInfDistance row entry therefore proves the pair cannot beat the
-  // best). Backed by processor-owned flat stamped scratch (RefineScratch)
-  // instead of per-query hash maps, and optionally by the shared
-  // cross-query distance cache.
+  std::sort(by_lb.begin(), by_lb.end());
   scratch_.BeginQuery(static_cast<size_t>(ssn.num_users()),
                       static_cast<size_t>(ssn.num_pois()));
   RefineScratch& scr = scratch_;
-  std::unordered_map<PoiId, CenterInfo> center_cache;
-  // (user, center) match memo: 1 = matches, 0 = fails, absent = unknown.
-  std::unordered_map<uint64_t, bool> match_memo;
-
-  // Materialize every candidate center's ball up front (loop further down)
-  // so the needed-POI slot table is complete before the first per-user
-  // distance row is computed: a row covers every needed POI, and an
-  // infinite entry is a proof, not a gap.
-  auto get_center = [&](PoiId c) -> const CenterInfo& {
-    auto it = center_cache.find(c);
-    if (it != center_cache.end()) return it->second;
+  std::vector<CenterInfo> infos(by_lb.size());
+  for (size_t i = 0; i < by_lb.size(); ++i) {
+    if (InterruptRequested(options)) return InterruptStatus(options);
     const ScopedPhaseTimer ball_phase(&stats->ball_seconds);
-    CenterInfo info;
+    CenterInfo& info = infos[i];
     ++stats->ball_queries;
-    if (dist_engine.BallUsesRangeEngine(query.radius)) {
+    if (engine.BallUsesRangeEngine(query.radius)) {
       ++stats->ball_range_engine_queries;
     }
-    info.ball_dists =
-        dist_engine.BallWithDistances(ssn.poi(c).position, query.radius);
-    for (const auto& [id, dist] : info.ball_dists) {
+    for (const auto& [id, dist] : engine.BallWithDistances(
+             ssn.poi(by_lb[i].second).position, query.radius)) {
       info.ball.push_back(id);
       if (scr.poi_stamp[id] != scr.generation) {
         scr.poi_stamp[id] = scr.generation;
@@ -660,34 +638,27 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
     info.union_keywords = UnionKeywords(ssn, info.ball);
     info.issuer_matches =
         MatchScore(ctx.w_q, info.union_keywords) >= query.theta;
-    if (social_scratch != nullptr) {
-      social_scratch->BuildKeywordMask(info.union_keywords,
-                                       &info.keyword_mask);
-      info.has_mask = true;
+    if (kernels != nullptr) {
+      kernels->BuildKeywordMask(info.union_keywords, &info.keyword_mask);
     }
-    return center_cache.emplace(c, std::move(info)).first->second;
-  };
+  }
 
-  // Registers the needed-POI targets with the engine exactly once, after
-  // every candidate ball has materialized, and pre-sizes the row table so
-  // row pointers stay valid for the rest of the query (at most one row per
-  // candidate user plus the issuer).
+  // Per-user exact distances to every needed POI, computed lazily with one
+  // bounded search per user (a kInfDistance entry proves the pair cannot
+  // beat the bound the row was computed under), backed by the processor's
+  // stamped scratch and optionally by the shared cross-query cache. The
+  // returned row stays valid until the next call.
   bool targets_set = false;
-  auto ensure_targets = [&]() {
-    if (targets_set) return;
-    dist_engine.SetTargets(scr.needed_positions);
-    scr.rows.reserve((user_cands.size() + 1) * scr.needed.size());
-    targets_set = true;
-  };
-
-  // Row of exact distances indexed by scr.poi_slot[]; kInfDistance marks
-  // "beyond the bound the row was computed with".
-  auto get_user_dists = [&](UserId u, double bound) -> const double* {
+  auto user_dists = [&](UserId u, double bound) -> const double* {
     const size_t width = scr.needed.size();
     if (scr.user_stamp[u] == scr.generation) {
       return scr.rows.data() + static_cast<size_t>(scr.user_row[u]) * width;
     }
-    ensure_targets();
+    if (!targets_set) {
+      engine.SetTargets(scr.needed_positions);
+      scr.rows.reserve((plan->users.size() + 1) * width);
+      targets_set = true;
+    }
     const int32_t row_index =
         width == 0 ? 0 : static_cast<int32_t>(scr.rows.size() / width);
     scr.rows.resize(scr.rows.size() + width);
@@ -711,7 +682,7 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
     }
     if (!have_row) {
       const ScopedPhaseTimer exact_phase(&stats->exact_dist_seconds);
-      dist_engine.SourceToTargets(ssn.user_home(u), bound, row);
+      engine.SourceToTargets(ssn.user_home(u), bound, row);
       ++stats->exact_distance_evals;
       if (options.distance_cache != nullptr) {
         for (size_t i = 0; i < width; ++i) {
@@ -726,973 +697,112 @@ std::vector<GpssnAnswer> GpssnProcessor::ExecuteImpl(const GpssnQuery& query,
     return row;
   };
 
-  for (const auto& [center_lb, c] : centers) {
-    if (interrupted_now()) {
-      *interrupted = true;
-      return {};
-    }
-    get_center(c);
-  }
-
-  // One exact Dijkstra from the issuer (bounded by δ) upgrades the center
-  // ordering from pivot lower bounds to the exact issuer-side objective
-  // contribution max_{o∈ball} dist(u_q, o): the objective of any pair at
-  // center c is at least that, since u_q ∈ S. Centers beyond the bound are
-  // dropped outright (covered by the δ a-posteriori check / fallback).
+  // One exact search from the issuer, bounded by δ (single node) or the
+  // incumbent (shard), upgrades the center order to the exact issuer-side
+  // objective contribution max_{o∈ball} dist(u_q, o): the objective of
+  // any pair at center c is at least that, since u_q ∈ S. Centers beyond
+  // the bound are dropped outright (they cannot beat the incumbent, and a
+  // δ-cut run is covered by the a-posteriori δ check).
+  std::vector<RankedCenter> centers;
   {
-    const double* issuer_dists = get_user_dists(query.issuer, delta);
-    std::vector<std::pair<double, PoiId>> exact_centers;
-    exact_centers.reserve(centers.size());
-    for (const auto& [center_lb, c] : centers) {
-      const CenterInfo& info = get_center(c);
+    const double* issuer_dists =
+        user_dists(query.issuer, std::min(plan->delta, incumbent));
+    for (size_t i = 0; i < by_lb.size(); ++i) {
+      const CenterInfo& info = infos[i];
       double worst = 0.0;
       bool in_range = !info.ball.empty();
       for (PoiId o : info.ball) {
         const double d = issuer_dists[scr.poi_slot[o]];
         if (d >= kInfDistance) {
-          in_range = false;  // Beyond δ (or unreachable): cannot beat it.
+          in_range = false;  // Beyond the bound (or unreachable).
           break;
         }
         worst = std::max(worst, d);
       }
-      if (in_range) exact_centers.emplace_back(worst, c);
+      if (in_range) centers.push_back({worst, by_lb[i].second, &info});
     }
-    std::sort(exact_centers.begin(), exact_centers.end());
-    centers = std::move(exact_centers);
+    std::sort(centers.begin(), centers.end(),
+              [](const RankedCenter& a, const RankedCenter& b) {
+                return std::tie(a.worst, a.id) < std::tie(b.worst, b.id);
+              });
   }
 
-  // Matching-score predicate of one member against a ball's union
-  // keywords. The SoA masked row sum adds the same interest weights in
-  // the same (keyword-ascending) order as the scalar MatchScore, so the
-  // two paths are bit-identical.
-  auto compute_match = [&](UserId u, const CenterInfo& info) {
-    if (info.has_mask) {
-      const int idx = social_scratch->IndexOf(u);
-      if (idx >= 0) {
-        return social_scratch->MatchRow(idx, info.keyword_mask) >=
-               query.theta;
-      }
-    }
-    return MatchScore(social.Interests(u), info.union_keywords) >=
-           query.theta;
+  // `best` holds up to top_k answers in discovery-rank order. Until it is
+  // full, an answer survives when it does not exceed the incumbent (a tie
+  // may still win a rank comparison against it); once full, an answer must
+  // beat the k-th strictly, since it would rank after every equal
+  // objective found before it. The row bound follows the same threshold.
+  auto full = [&]() { return static_cast<int>(best->size()) >= top_k; };
+  auto bound = [&]() {
+    return full() ? best->back().answer.max_dist : incumbent;
   };
+  auto reject = [&](double v) { return full() ? v >= bound() : v > incumbent; };
 
-  int64_t pair_budget = options.max_refine_pairs;
-  // Lane ceiling of the intra-query parallel refinement: the claiming
-  // caller plus at most one stolen lane per scheduler worker (never more
-  // lanes than centers). How many lanes actually run depends on how many
-  // workers are idle when the morsel source is published — a saturated
-  // scheduler leaves lane 0 alone, which IS the serial loop plus one
-  // publish/retire registry operation. 1 lane = the seed-exact serial path.
-  int max_lanes = 1;
-  if (options.scheduler != nullptr && !centers.empty()) {
-    max_lanes = options.scheduler->num_threads() + 1;
-    if (options.intra_query_workers > 0) {
-      max_lanes = std::min(max_lanes, options.intra_query_workers);
-    } else if (std::thread::hardware_concurrency() <= 1) {
-      // A single-core box cannot win from intra-query lanes — thieves only
-      // duplicate row computations while timesharing the one core — so the
-      // query degenerates to the seed-exact serial loop automatically (no
-      // publish, no lane setup). An explicit intra_query_workers overrides
-      // this (tests force the morsel path to keep its races covered).
-      max_lanes = 1;
-    }
-    max_lanes =
-        std::min(max_lanes, static_cast<int>(centers.size()));
-    max_lanes = std::max(max_lanes, 1);
-  }
-
-  if (max_lanes <= 1) {
-    poll_stride = 0;
-    for (const auto& [center_lb, c] : centers) {
-      if (interrupted_now()) {
-        *interrupted = true;
-        return {};
-      }
-      if (center_lb >= bound()) break;
-      const CenterInfo& info = get_center(c);
-      if (info.ball.empty()) continue;
-      if (!info.issuer_matches) continue;
-      const PoiAug& center_aug = poi_index_->poi_aug(c);
-
-      for (const auto& group : groups) {
-        if ((++poll_stride & 63u) == 0 && interrupted_now()) {
-          *interrupted = true;
-          return {};
-        }
-        // Pivot lower bound of the pair objective (Lemma 5).
-        double pair_lb = center_lb;
-        for (UserId u : group) {
-          const double user_lb = LbUserPoiDist(
-              social_index_->user_road_pivot_dists(u), center_aug);
-          if (auditor != nullptr) {
-            auditor->OnPairDistanceBound(ctx, u, c, user_lb);
-          }
-          pair_lb = std::max(pair_lb, user_lb);
-        }
-        if (pair_lb >= bound()) continue;
-
-        // Matching-score predicate for every member (memoized).
-        bool all_match = true;
-        for (UserId u : group) {
-          const uint64_t key =
-              (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(c);
-          auto mit = match_memo.find(key);
-          bool ok;
-          if (mit != match_memo.end()) {
-            ok = mit->second;
-          } else {
-            ok = compute_match(u, info);
-            match_memo.emplace(key, ok);
-          }
-          if (!ok) {
-            all_match = false;
-            break;
-          }
-        }
-        if (!all_match) continue;
-
-        // Exact objective: maxdist_RN(S, B(c, r)). The budget caps only
-        // these expensive evaluations; lower-bound skips above are O(h)
-        // and free.
-        if (--pair_budget < 0) {
-          stats->truncated = true;
-          break;
-        }
-        ++stats->pairs_examined;
-        double obj = 0.0;
-        bool feasible = true;
-        for (UserId u : group) {
-          const double* dists = get_user_dists(u, bound());
-          for (PoiId o : info.ball) {
-            const double d = dists[scr.poi_slot[o]];
-            if (d >= kInfDistance) {
-              feasible = false;  // Distance beyond the bound: cannot win.
-              break;
-            }
-            obj = std::max(obj, d);
-          }
-          if (!feasible || obj >= bound()) {
-            feasible = false;
-            break;
-          }
-        }
-        if (!feasible) continue;
-        GpssnAnswer answer;
-        answer.found = true;
-        answer.users = group;
-        answer.center = c;
-        answer.pois = info.ball;
-        answer.max_dist = obj;
-        auto it = std::upper_bound(
-            best.begin(), best.end(), obj,
-            [](double v, const GpssnAnswer& a) { return v < a.max_dist; });
-        best.insert(it, std::move(answer));
-        if (static_cast<int>(best.size()) > top_k) best.pop_back();
-      }
-      if (pair_budget < 0) break;
-    }
-  } else {
-    // ------------------------------------------------- Parallel refinement
-    // Deterministic parallel-for over the sorted centers. Lanes claim
-    // center indices off an atomic cursor and keep private top-k lists
-    // keyed by (objective, center position, group index). The serial loop
-    // reports exactly the key-minimal k feasible candidates (its
-    // upper_bound insert keeps the first-encountered — i.e. key-minimal —
-    // answer among equal objectives), so merging the lane lists by key and
-    // truncating to k reproduces the serial answers byte for byte at any
-    // lane count. Lane-side pruning uses STRICT comparisons against a
-    // monotone-decreasing bound (a shared CAS-min incumbent for k = 1, the
-    // lane-local k-th objective otherwise): a candidate equal to the bound
-    // may still win the key tie-break, so only strictly-worse ones are
-    // dropped — never more than the serial loop drops. See DESIGN.md §10.
-    struct LaneBest {
-      double obj;
-      size_t center_pos;
-      size_t group_idx;
-      GpssnAnswer answer;
-    };
-    auto lane_key_less = [](const LaneBest& a, const LaneBest& b) {
-      return std::tie(a.obj, a.center_pos, a.group_idx) <
-             std::tie(b.obj, b.center_pos, b.group_idx);
-    };
-    struct LaneData {
-      std::vector<LaneBest> best;
-      QueryStats stats;
-      uint64_t claimed = 0;  // Centers this lane actually processed.
-    };
-
-    while (intra_lanes_.size() < static_cast<size_t>(max_lanes)) {
-      intra_lanes_.push_back(std::make_unique<IntraLane>());
-    }
-    const DistanceBackend* lane_backend = options.distance_backend != nullptr
-                                              ? options.distance_backend
-                                              : default_backend_.get();
-    const size_t num_users = static_cast<size_t>(ssn.num_users());
-    std::vector<DistanceEngine*> lane_engine(max_lanes);
-    lane_engine[0] = &dist_engine;
-    // Lane pools charge the same logical accesses the serial loop would;
-    // lane 0 reuses the main pool (it is the only thread touching it).
-    std::vector<std::unique_ptr<BufferPool>> lane_pools(max_lanes);
-    std::vector<uint8_t> lane_targets_ready(max_lanes, 0);
-    lane_targets_ready[0] = targets_set ? 1 : 0;
-    for (int lane = 0; lane < max_lanes; ++lane) {
-      IntraLane& ln = *intra_lanes_[lane];
-      if (lane > 0) {
-        const uint64_t backend_generation = lane_backend->poi_generation();
-        if (ln.source != lane_backend || ln.engine == nullptr ||
-            ln.source_generation != backend_generation) {
-          ln.engine = lane_backend->CreateEngine();
-          ln.source = lane_backend;
-          ln.source_generation = backend_generation;
-        }
-        lane_engine[lane] = ln.engine.get();
-        lane_pools[lane] =
-            std::make_unique<BufferPool>(options.buffer_pool_pages);
-      }
-      if (ln.user_stamp.size() < num_users) {
-        ln.user_stamp.resize(num_users, 0);
-        ln.user_row.resize(num_users, 0);
-      }
-      ++ln.generation;
-      if (ln.generation == 0) {  // Stamp wrap-around: hard reset.
-        std::fill(ln.user_stamp.begin(), ln.user_stamp.end(), 0);
-        ln.generation = 1;
-      }
-      ln.rows.clear();
-      ln.match_memo.clear();
-    }
-
-    std::vector<LaneData> lanes(max_lanes);
-    std::atomic<size_t> cursor{0};
-    std::atomic<bool> par_stop{false};
-    std::atomic<bool> par_interrupted{false};
-    std::atomic<int64_t> par_budget{pair_budget};
-    std::atomic<double> shared_bound{kInfDistance};
-    // Hooks on the raw auditor are not thread-safe; every lane notifies
-    // through this serializing adapter instead (core/audit.h).
-    SerializedPruningAuditor shared_auditor(auditor);
-
-    auto publish_bound = [&](double v) {
-      double cur = shared_bound.load(std::memory_order_relaxed);  // gpssn-lint: relaxed(bound is a monotone pruning hint)
-      while (v < cur && !shared_bound.compare_exchange_weak(
-                            cur, v, std::memory_order_relaxed)) {  // gpssn-lint: relaxed(bound is a monotone pruning hint)
-      }
-    };
-
-    // Lane-private row of exact distances, same layout and bound-tagging
-    // as get_user_dists. The shared scratch is consulted read-only (only
-    // pre-fan-out rows — the issuer's — are stamped there); rows computed
-    // under an earlier, looser bound stay sound because bounds only
-    // decrease (a kInfDistance entry proves d > bound-at-compute >= any
-    // later bound).
-    auto lane_user_dists = [&](int lane, LaneData& ld, UserId u,
-                               double bnd) -> const double* {
-      const size_t width = scr.needed.size();
-      if (scr.user_stamp[u] == scr.generation) {
-        return scr.rows.data() + static_cast<size_t>(scr.user_row[u]) * width;
-      }
-      IntraLane& ln = *intra_lanes_[lane];
-      if (ln.user_stamp[u] == ln.generation) {
-        return ln.rows.data() + static_cast<size_t>(ln.user_row[u]) * width;
-      }
-      if (!lane_targets_ready[lane]) {
-        lane_engine[lane]->SetTargets(scr.needed_positions);
-        lane_targets_ready[lane] = 1;
-      }
-      const int32_t row_index =
-          width == 0 ? 0 : static_cast<int32_t>(ln.rows.size() / width);
-      ln.rows.resize(ln.rows.size() + width);
-      double* row = ln.rows.data() + static_cast<size_t>(row_index) * width;
-      bool have_row = false;
-      if (options.distance_cache != nullptr && width > 0) {
-        bool all_hit = true;
-        for (size_t i = 0; i < width; ++i) {
-          if (!options.distance_cache->Lookup(u, scr.needed[i], bnd,
-                                              &row[i])) {
-            all_hit = false;
-            break;
-          }
-        }
-        if (all_hit) {
-          ++ld.stats.dist_cache_row_hits;
-          have_row = true;
-        } else {
-          ++ld.stats.dist_cache_row_misses;
-        }
-      }
-      if (!have_row) {
-        const ScopedPhaseTimer exact_phase(&ld.stats.exact_dist_seconds);
-        lane_engine[lane]->SourceToTargets(ssn.user_home(u), bnd, row);
-        ++ld.stats.exact_distance_evals;
-        if (options.distance_cache != nullptr) {
-          for (size_t i = 0; i < width; ++i) {
-            options.distance_cache->Insert(u, scr.needed[i], bnd, row[i]);
-          }
-        }
-      }
-      (lane == 0 ? pool : *lane_pools[lane])
-          .Access(social_index_->user_page(u));
-      ln.user_stamp[u] = ln.generation;
-      ln.user_row[u] = row_index;
-      return row;
-    };
-
-    auto run_lane = [&](int lane) {
-      LaneData& ld = lanes[lane];
-      IntraLane& ln = *intra_lanes_[lane];
-      auto lane_bound = [&]() {
-        if (top_k == 1) return shared_bound.load(std::memory_order_relaxed);  // gpssn-lint: relaxed(bound is a monotone pruning hint)
-        return static_cast<int>(ld.best.size()) < top_k
-                   ? kInfDistance
-                   : ld.best.back().obj;
-      };
-      uint32_t stride = 0;
-      for (;;) {
-        if (par_stop.load(std::memory_order_relaxed)) break;  // gpssn-lint: relaxed(lane stop flag; Retire is the barrier)
-        // Stolen lanes hand their worker back as soon as a query root task
-        // is queued (admission beats help); lane 0 drains whatever remains.
-        // Any lane may process any center, so answers are unaffected.
-        if (lane != 0 && options.scheduler->HasQueuedTasks()) break;
-        const size_t ci = cursor.fetch_add(1, std::memory_order_relaxed);  // gpssn-lint: relaxed(claim counter; each index taken once)
-        if (ci >= centers.size()) break;
-        if (interrupted_now()) {
-          par_interrupted.store(true, std::memory_order_relaxed);  // gpssn-lint: relaxed(lane stop flag; Retire is the barrier)
-          par_stop.store(true, std::memory_order_relaxed);  // gpssn-lint: relaxed(lane stop flag; Retire is the barrier)
-          break;
-        }
-        const auto& [center_lb, c] = centers[ci];
-        // Centers are sorted by lb and the bound only decreases, so every
-        // unclaimed center is strictly worse too: stop claiming.
-        if (center_lb > lane_bound()) break;
-        ++ld.claimed;
-        const CenterInfo& info = center_cache.find(c)->second;
-        if (info.ball.empty()) continue;
-        if (!info.issuer_matches) continue;
-        const PoiAug& center_aug = poi_index_->poi_aug(c);
-
-        for (size_t gi = 0; gi < groups.size(); ++gi) {
-          if ((++stride & 63u) == 0) {
-            if (par_stop.load(std::memory_order_relaxed)) break;  // gpssn-lint: relaxed(lane stop flag; Retire is the barrier)
-            if (interrupted_now()) {
-              par_interrupted.store(true, std::memory_order_relaxed);  // gpssn-lint: relaxed(lane stop flag; Retire is the barrier)
-              par_stop.store(true, std::memory_order_relaxed);  // gpssn-lint: relaxed(lane stop flag; Retire is the barrier)
-              break;
-            }
-          }
-          const auto& group = groups[gi];
-          double pair_lb = center_lb;
-          for (UserId u : group) {
-            const double user_lb = LbUserPoiDist(
-                social_index_->user_road_pivot_dists(u), center_aug);
-            if (shared_auditor.enabled()) {
-              shared_auditor.OnPairDistanceBound(ctx, u, c, user_lb);
-            }
-            pair_lb = std::max(pair_lb, user_lb);
-          }
-          if (pair_lb > lane_bound()) continue;
-
-          bool all_match = true;
-          for (UserId u : group) {
-            const uint64_t key =
-                (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(c);
-            auto mit = ln.match_memo.find(key);
-            bool ok;
-            if (mit != ln.match_memo.end()) {
-              ok = mit->second;
-            } else {
-              ok = compute_match(u, info);
-              ln.match_memo.emplace(key, ok);
-            }
-            if (!ok) {
-              all_match = false;
-              break;
-            }
-          }
-          if (!all_match) continue;
-
-          if (par_budget.fetch_sub(1, std::memory_order_relaxed) <= 0) {  // gpssn-lint: relaxed(budget counter; exactness not required)
-            ld.stats.truncated = true;
-            par_stop.store(true, std::memory_order_relaxed);  // gpssn-lint: relaxed(lane stop flag; Retire is the barrier)
-            break;
-          }
-          ++ld.stats.pairs_examined;
-          double obj = 0.0;
-          bool feasible = true;
-          for (UserId u : group) {
-            const double* dists = lane_user_dists(lane, ld, u, lane_bound());
-            for (PoiId o : info.ball) {
-              const double d = dists[scr.poi_slot[o]];
-              if (d >= kInfDistance) {
-                feasible = false;
-                break;
-              }
-              obj = std::max(obj, d);
-            }
-            if (!feasible || obj > lane_bound()) {
-              feasible = false;
-              break;
-            }
-          }
-          if (!feasible) continue;
-          LaneBest entry;
-          entry.obj = obj;
-          entry.center_pos = ci;
-          entry.group_idx = gi;
-          entry.answer.found = true;
-          entry.answer.users = group;
-          entry.answer.center = c;
-          entry.answer.pois = info.ball;
-          entry.answer.max_dist = obj;
-          auto pos = std::upper_bound(ld.best.begin(), ld.best.end(), entry,
-                                      lane_key_less);
-          ld.best.insert(pos, std::move(entry));
-          if (static_cast<int>(ld.best.size()) > top_k) ld.best.pop_back();
-          if (top_k == 1 && !ld.best.empty()) {
-            publish_bound(ld.best.front().obj);
-          }
-        }
-      }
-    };
-
-    // Fan out by PUBLISHING rather than pushing: the centers become a
-    // morsel source on the unified scheduler, the caller runs lane 0
-    // itself, and only scheduler workers with nothing better to do steal
-    // extra lanes off it. A saturated scheduler therefore costs this query
-    // exactly one Publish + Retire registry operation — no queued no-op
-    // helper tasks (the PR 5 lend/close handshake, and its QPS
-    // regression). Retire() blocks until every in-flight RunMorsels() has
-    // returned, so everything the lanes reference — run_lane, the cursor,
-    // the LaneData vector, all of it stack-held — is exclusively owned
-    // again before this frame unwinds or reads lane results: the morsel
-    // descriptor is fully owned, with no use-after-free window.
-    struct RefineSource : TaskScheduler::MorselSource {
-      std::function<void(int)>* run = nullptr;
-      std::atomic<int> next_lane{1};  // Lane 0 is the calling thread.
-      int lane_cap = 1;
-      bool RunMorsels(int /*worker*/) override {
-        const int lane = next_lane.fetch_add(1, std::memory_order_relaxed);  // gpssn-lint: relaxed(lane claim counter; each lane runs once)
-        if (lane >= lane_cap) return false;
-        (*run)(lane);
-        return true;
-      }
-    };
-    std::function<void(int)> run_fn = run_lane;
-    RefineSource source;
-    source.run = &run_fn;
-    source.lane_cap = max_lanes;
-    options.scheduler->Publish(&source);
-    run_lane(0);
-    options.scheduler->Retire(&source);
-
-    if (par_interrupted.load(std::memory_order_relaxed)) {  // gpssn-lint: relaxed(read after the Retire barrier)
-      *interrupted = true;
-      return {};
-    }
-
-    // Merge: min-k of the keyed union == the serial loop's answer list.
-    std::vector<LaneBest> merged;
-    uint32_t lanes_used = 0;
-    uint64_t morsels = 0;
-    uint64_t morsels_stolen = 0;
-    for (int lane = 0; lane < max_lanes; ++lane) {
-      LaneData& ld = lanes[lane];
-      if (ld.claimed > 0) ++lanes_used;
-      morsels += ld.claimed;
-      if (lane > 0) morsels_stolen += ld.claimed;
-      for (LaneBest& e : ld.best) merged.push_back(std::move(e));
-    }
-    std::sort(merged.begin(), merged.end(), lane_key_less);
-    if (static_cast<int>(merged.size()) > top_k) merged.resize(top_k);
-    best.clear();
-    for (LaneBest& e : merged) best.push_back(std::move(e.answer));
-    stats->intra_lanes_used = std::max(stats->intra_lanes_used, lanes_used);
-    stats->refine_morsels += morsels;
-    stats->refine_morsels_stolen += morsels_stolen;
-    for (int lane = 0; lane < max_lanes; ++lane) {
-      LaneData& ld = lanes[lane];
-      if (lane > 0) {
-        ld.stats.io.logical_accesses +=
-            lane_pools[lane]->stats().logical_accesses;
-        ld.stats.io.page_misses += lane_pools[lane]->stats().page_misses;
-      }
-      stats->MergeFrom(ld.stats);
-    }
-  }
-
-  stats->io.logical_accesses += pool.stats().logical_accesses;
-  stats->io.page_misses += pool.stats().page_misses;
-  *final_delta = delta;
-  return best;
-}
-
-Result<ShardCandidates> GpssnProcessor::GatherCandidates(
-    const GpssnQuery& query, const QueryOptions& options,
-    const ShardScope& scope, QueryStats* stats) {
-  const SpatialSocialNetwork& ssn = poi_index_->ssn();
-  if (query.issuer < 0 || query.issuer >= ssn.num_users()) {
-    return Status::InvalidArgument("query issuer out of range");
-  }
-  if (query.tau < 1 || query.tau > ssn.num_users()) {
-    return Status::InvalidArgument("group size tau out of range");
-  }
-  if (query.gamma < 0.0 || query.theta < 0.0) {
-    return Status::InvalidArgument("negative score threshold");
-  }
-  if (query.radius < poi_index_->options().r_min ||
-      query.radius > poi_index_->options().r_max) {
-    return Status::InvalidArgument(
-        "radius outside the index's [r_min, r_max] envelope");
-  }
-
-  QueryStats local;
-  QueryStats* out = stats != nullptr ? stats : &local;
-  *out = QueryStats();
-  WallTimer timer;
-
-  auto interrupted_status = [&options]() {
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
-      return Status::Cancelled("query cancelled");
-    }
-    return Status::DeadlineExceeded("query deadline exceeded");
-  };
-  auto interrupted_now = [&options]() {
-    return (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed)) ||  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
-           options.deadline.Expired();
-  };
-  if (interrupted_now()) return interrupted_status();
-
-  const SocialNetwork& social = ssn.social();
-  const PruningFlags& flags = options.pruning;
-  BufferPool pool(options.buffer_pool_pages);
-  QueryUserContext ctx(query, *social_index_);
-  PruningAuditor* auditor =
-      options.auditor != nullptr ? options.auditor : default_auditor_.get();
-  WallTimer descent_timer;
-
-  if (flags.social_distance) {
-    bfs_.Run(query.issuer, query.tau - 1);
-  }
-
-  ShardCandidates result;
-
-  // --- Social side: descend only the scoped subtrees, level-synchronized
-  // (BFS) exactly like ExecuteImpl so surviving leaves — and hence users —
-  // come out in the same left-to-right order the single-node descent
-  // produces. Without δ there is no coupling to the I_R traversal; the
-  // node-level interest/social-distance prunes and the object-level leaf
-  // filters are exactly ExecuteImpl's, so the concatenation of all
-  // shards' survivors (in partition order) equals the single-node
-  // candidate list (node prunes are subsumed by the object-level tests).
-  uint32_t poll_stride = 0;
-  std::vector<SNodeId> s_frontier;
-  auto admit_social = [&](SNodeId id) {
-    const SocialIndexNode& node = social_index_->node(id);
-    ++out->social_nodes_visited;
-    pool.Access(node.page);
-    if (flags.interest_score && PruneSocialNodeInterest(ctx, node)) {
-      ++out->social_nodes_pruned_interest;
-      out->users_pruned_at_index_level += node.subtree_users;
-      if (auditor != nullptr) {
-        auditor->OnSocialNodePruned(ctx, id, PruneRule::kSocialNodeInterest);
-      }
-      return;
-    }
-    if (flags.social_distance && PruneSocialNodeDistance(ctx, node)) {
-      ++out->social_nodes_pruned_distance;
-      out->users_pruned_at_index_level += node.subtree_users;
-      if (auditor != nullptr) {
-        auditor->OnSocialNodePruned(ctx, id, PruneRule::kSocialNodeDistance);
-      }
-      return;
-    }
-    s_frontier.push_back(id);
-  };
-  for (SNodeId id : scope.social_roots) admit_social(id);
-  bool aborted = false;
-  for (;;) {
-    bool any_internal = false;
-    for (SNodeId id : s_frontier) {
-      if (!social_index_->node(id).is_leaf()) {
-        any_internal = true;
-        break;
-      }
-    }
-    if (!any_internal) break;
-    if (interrupted_now()) {
-      aborted = true;
-      break;
-    }
-    std::vector<SNodeId> prev = std::move(s_frontier);
-    s_frontier.clear();
-    for (SNodeId id : prev) {
-      const SocialIndexNode& node = social_index_->node(id);
-      if (node.is_leaf()) {
-        s_frontier.push_back(id);  // Already at object level; keep place.
-        continue;
-      }
-      for (SNodeId child_id : node.children) admit_social(child_id);
-    }
-  }
-  for (SNodeId id : s_frontier) {
-    if (aborted) break;
-    const SocialIndexNode& leaf = social_index_->node(id);
-    for (UserId u : leaf.users) {
-      if ((++poll_stride & 255u) == 0 && interrupted_now()) {
-        aborted = true;
-        break;
-      }
-      ++out->users_seen;
-      pool.Access(social_index_->user_page(u));
-      if (u == query.issuer) {
-        result.users.push_back(u);
-        continue;
-      }
-      if (flags.social_distance) {
-        const bool pivot_pruned =
-            PruneUserSocialDistance(ctx, social_index_->social_pivots(), u);
-        if (pivot_pruned || bfs_.Hops(u) >= query.tau) {
-          ++out->users_pruned_distance;
-          if (pivot_pruned && auditor != nullptr) {
-            auditor->OnUserPruned(ctx, u, PruneRule::kUserSocialDistance);
-          }
-          continue;
-        }
-      }
-      if (flags.interest_score &&
-          PruneUserInterest(ctx, social.Interests(u))) {
-        ++out->users_pruned_interest;
-        if (auditor != nullptr) {
-          auditor->OnUserPruned(ctx, u, PruneRule::kUserInterest);
-        }
-        continue;
-      }
-      result.users.push_back(u);
-    }
-  }
-
-  // --- POI side: match prunes only. The δ road-distance cut is a global
-  // incumbent property and is NEVER applied on the sharded path (so the
-  // a-posteriori δ fallback is structurally unnecessary here); the
-  // cross-shard analogue is the coordinator's incumbent skip, applied at
-  // whole-shard granularity from `lower_bound`.
-  std::vector<RNodeId> r_stack;
-  for (RNodeId id : scope.road_roots) {
-    const PoiNodeAug& aug = poi_index_->node_aug(id);
-    if (flags.match_score && PruneRoadNodeMatch(ctx, aug)) {
-      ++out->road_nodes_pruned_match;
-      out->pois_pruned_at_index_level += aug.subtree_pois;
-      if (auditor != nullptr) auditor->OnRoadNodeMatchPruned(ctx, id);
-      continue;
-    }
-    r_stack.push_back(id);
-  }
-  while (!r_stack.empty() && !aborted) {
-    if (interrupted_now()) {
-      aborted = true;
-      break;
-    }
-    const RNodeId node_id = r_stack.back();
-    r_stack.pop_back();
-    const RTreeNode& node = poi_index_->tree().node(node_id);
-    ++out->road_nodes_visited;
-    pool.Access(poi_index_->node_aug(node_id).page);
-    if (node.is_leaf()) {
-      for (const RTreeEntry& e : node.entries) {
-        ++out->pois_seen;
-        pool.Access(poi_index_->poi_page(e.id));
-        const PoiAug& aug = poi_index_->poi_aug(e.id);
-        if (flags.match_score && PrunePoiMatch(ctx, aug)) {
-          ++out->pois_pruned_match;
-          if (auditor != nullptr) auditor->OnPoiMatchPruned(ctx, e.id);
-          continue;
-        }
-        result.pois.push_back(e.id);
-        result.lower_bound =
-            std::min(result.lower_bound, LbDistToPoi(ctx, aug));
-      }
-    } else {
-      for (const RTreeEntry& e : node.entries) {
-        const PoiNodeAug& child = poi_index_->node_aug(e.id);
-        if (flags.match_score && PruneRoadNodeMatch(ctx, child)) {
-          ++out->road_nodes_pruned_match;
-          out->pois_pruned_at_index_level += child.subtree_pois;
-          if (auditor != nullptr) auditor->OnRoadNodeMatchPruned(ctx, e.id);
-          continue;
-        }
-        r_stack.push_back(e.id);
-      }
-    }
-  }
-  if (aborted) {
-    out->cpu_seconds = timer.ElapsedSeconds();
-    return interrupted_status();
-  }
-
-  std::sort(result.pois.begin(), result.pois.end());
-  out->users_candidates = result.users.size();
-  out->pois_candidates = result.pois.size();
-  out->descent_seconds += descent_timer.ElapsedSeconds();
-  out->io.logical_accesses += pool.stats().logical_accesses;
-  out->io.page_misses += pool.stats().page_misses;
-  out->cpu_seconds = timer.ElapsedSeconds();
-  return result;
-}
-
-Result<ShardRefineResult> GpssnProcessor::RefineCandidates(
-    const GpssnQuery& query, const QueryOptions& options,
-    const std::vector<PoiId>& centers_in,
-    const std::vector<std::vector<UserId>>& groups, double incumbent,
-    QueryStats* stats) {
-  const SpatialSocialNetwork& ssn = poi_index_->ssn();
-  if (query.issuer < 0 || query.issuer >= ssn.num_users()) {
-    return Status::InvalidArgument("query issuer out of range");
-  }
-
-  QueryStats local;
-  QueryStats* out = stats != nullptr ? stats : &local;
-  *out = QueryStats();
-  WallTimer timer;
-
-  auto interrupted_status = [&options]() {
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
-      return Status::Cancelled("query cancelled");
-    }
-    return Status::DeadlineExceeded("query deadline exceeded");
-  };
-  auto interrupted_now = [&options]() {
-    return (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed)) ||  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
-           options.deadline.Expired();
-  };
-  if (interrupted_now()) return interrupted_status();
-
-  const SocialNetwork& social = ssn.social();
-  const ScopedPhaseTimer refine_phase(&out->refine_seconds);
-  BufferPool pool(options.buffer_pool_pages);
-  QueryUserContext ctx(query, *social_index_);
-  DistanceEngine& dist_engine = *EngineFor(options);
-  PruningAuditor* auditor =
-      options.auditor != nullptr ? options.auditor : default_auditor_.get();
-
-  ShardRefineResult result;
-  GpssnAnswer& best = result.answer;  // found=false until one qualifies.
-  // Rejection threshold: NON-STRICT against the shard's own running best
-  // (within the shard, later discovery rank loses ties — exactly the
-  // serial loop's `>= bound()` rejects) but STRICT against the incumbent
-  // (an answer TYING the incumbent may still win the global discovery-rank
-  // comparison at the coordinator, so it must be reported, not dropped).
-  auto reject = [&](double v) {
-    return best.found ? v >= best.max_dist : v > incumbent;
-  };
-  // Distance-row bound: d == bound stays finite (the engines keep
-  // settled-at-bound vertices), so an obj tying `incumbent` is still
-  // representable; once a best exists only strictly-better survives.
-  auto bound = [&]() { return best.found ? best.max_dist : incumbent; };
-  if (groups.empty() || centers_in.empty()) {
-    out->cpu_seconds = timer.ElapsedSeconds();
-    return result;
-  }
-
-  // The refinement below mirrors ExecuteImpl's serial loop exactly (same
-  // arithmetic, same center ordering, same first-encountered-minimum
-  // acceptance) restricted to this shard's centers. Per-pair objectives
-  // depend only on (group, center) — rows are bound-tagged and a
-  // kInfDistance entry proves the pair cannot beat the bound it was
-  // computed under — so evaluating a subset of the single-node candidate
-  // pairs yields bit-identical objective values.
-  scratch_.BeginQuery(static_cast<size_t>(ssn.num_users()),
-                      static_cast<size_t>(ssn.num_pois()));
-  RefineScratch& scr = scratch_;
-  std::unordered_map<PoiId, CenterInfo> center_cache;
+  // (user, center) matching-score memo. The SoA masked row sum adds the
+  // same interest weights in the same (keyword-ascending) order as the
+  // scalar MatchScore, so the two kernels are bit-identical.
   std::unordered_map<uint64_t, bool> match_memo;
-
-  auto get_center = [&](PoiId c) -> const CenterInfo& {
-    auto it = center_cache.find(c);
-    if (it != center_cache.end()) return it->second;
-    const ScopedPhaseTimer ball_phase(&out->ball_seconds);
-    CenterInfo info;
-    ++out->ball_queries;
-    if (dist_engine.BallUsesRangeEngine(query.radius)) {
-      ++out->ball_range_engine_queries;
-    }
-    info.ball_dists =
-        dist_engine.BallWithDistances(ssn.poi(c).position, query.radius);
-    for (const auto& [id, dist] : info.ball_dists) {
-      info.ball.push_back(id);
-      if (scr.poi_stamp[id] != scr.generation) {
-        scr.poi_stamp[id] = scr.generation;
-        scr.poi_slot[id] = static_cast<int32_t>(scr.needed.size());
-        scr.needed.push_back(id);
-        scr.needed_positions.push_back(ssn.poi(id).position);
-      }
-      pool.Access(poi_index_->poi_page(id));
-    }
-    std::sort(info.ball.begin(), info.ball.end());
-    info.union_keywords = UnionKeywords(ssn, info.ball);
-    info.issuer_matches =
-        MatchScore(ctx.w_q, info.union_keywords) >= query.theta;
-    return center_cache.emplace(c, std::move(info)).first->second;
-  };
-
-  bool targets_set = false;
-  auto ensure_targets = [&]() {
-    if (targets_set) return;
-    dist_engine.SetTargets(scr.needed_positions);
-    scr.rows.reserve((static_cast<size_t>(ssn.num_users()) < 256
-                          ? static_cast<size_t>(ssn.num_users())
-                          : size_t{256}) *
-                     scr.needed.size());
-    targets_set = true;
-  };
-
-  auto get_user_dists = [&](UserId u, double bnd) -> const double* {
-    const size_t width = scr.needed.size();
-    if (scr.user_stamp[u] == scr.generation) {
-      return scr.rows.data() + static_cast<size_t>(scr.user_row[u]) * width;
-    }
-    ensure_targets();
-    const int32_t row_index =
-        width == 0 ? 0 : static_cast<int32_t>(scr.rows.size() / width);
-    scr.rows.resize(scr.rows.size() + width);
-    double* row = scr.rows.data() + static_cast<size_t>(row_index) * width;
-    bool have_row = false;
-    if (options.distance_cache != nullptr && width > 0) {
-      bool all_hit = true;
-      for (size_t i = 0; i < width; ++i) {
-        if (!options.distance_cache->Lookup(u, scr.needed[i], bnd, &row[i])) {
-          all_hit = false;
-          break;
-        }
-      }
-      if (all_hit) {
-        ++out->dist_cache_row_hits;
-        have_row = true;
-      } else {
-        ++out->dist_cache_row_misses;
-      }
-    }
-    if (!have_row) {
-      const ScopedPhaseTimer exact_phase(&out->exact_dist_seconds);
-      dist_engine.SourceToTargets(ssn.user_home(u), bnd, row);
-      ++out->exact_distance_evals;
-      if (options.distance_cache != nullptr) {
-        for (size_t i = 0; i < width; ++i) {
-          options.distance_cache->Insert(u, scr.needed[i], bnd, row[i]);
-        }
-      }
-    }
-    pool.Access(social_index_->user_page(u));
-    scr.user_stamp[u] = scr.generation;
-    scr.user_row[u] = row_index;
-    return row;
-  };
-
-  for (PoiId c : centers_in) {
-    if (interrupted_now()) {
-      out->cpu_seconds = timer.ElapsedSeconds();
-      return interrupted_status();
-    }
-    get_center(c);
-  }
-
-  // Exact issuer-side ordering, as in ExecuteImpl: one bounded search from
-  // the issuer upgrades center order to the exact objective contribution
-  // max_{o∈ball} dist(u_q, o); centers beyond the incumbent cannot beat it
-  // (u_q ∈ S) and are dropped.
-  std::vector<std::pair<double, PoiId>> centers;
-  {
-    const double* issuer_dists = get_user_dists(query.issuer, incumbent);
-    centers.reserve(centers_in.size());
-    for (PoiId c : centers_in) {
-      const CenterInfo& info = get_center(c);
-      double worst = 0.0;
-      bool in_range = !info.ball.empty();
-      for (PoiId o : info.ball) {
-        const double d = issuer_dists[scr.poi_slot[o]];
-        if (d >= kInfDistance) {
-          in_range = false;
-          break;
-        }
-        worst = std::max(worst, d);
-      }
-      if (in_range) centers.emplace_back(worst, c);
-    }
-    std::sort(centers.begin(), centers.end());
-  }
-
-  auto compute_match = [&](UserId u, const CenterInfo& info) {
-    return MatchScore(social.Interests(u), info.union_keywords) >=
-           query.theta;
+  auto matches = [&](UserId u, const RankedCenter& center) {
+    const uint64_t key =
+        (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(center.id);
+    auto it = match_memo.find(key);
+    if (it != match_memo.end()) return it->second;
+    const int idx = kernels != nullptr ? kernels->IndexOf(u) : -1;
+    const double score =
+        idx >= 0 ? kernels->MatchRow(idx, center.info->keyword_mask)
+                 : MatchScore(ssn.social().Interests(u),
+                              center.info->union_keywords);
+    return match_memo.emplace(key, score >= query.theta).first->second;
   };
 
   int64_t pair_budget = options.max_refine_pairs;
   uint32_t poll_stride = 0;
-  for (const auto& [center_lb, c] : centers) {
-    if (interrupted_now()) {
-      out->cpu_seconds = timer.ElapsedSeconds();
-      return interrupted_status();
-    }
-    // Centers are sorted by (center_lb, id) and the threshold only
-    // decreases, so every unvisited center is rejected too.
-    if (reject(center_lb)) break;
-    const CenterInfo& info = get_center(c);
-    if (info.ball.empty()) continue;
+  for (const RankedCenter& center : centers) {
+    if (InterruptRequested(options)) return InterruptStatus(options);
+    // Centers ascend by `worst` and the threshold only tightens, so every
+    // later center is rejected too.
+    if (reject(center.worst)) break;
+    const CenterInfo& info = *center.info;
     if (!info.issuer_matches) continue;
-    const PoiAug& center_aug = poi_index_->poi_aug(c);
+    const PoiAug& center_aug = poi_index_->poi_aug(center.id);
 
     for (size_t gi = 0; gi < groups.size(); ++gi) {
-      const auto& group = groups[gi];
-      if ((++poll_stride & 63u) == 0 && interrupted_now()) {
-        out->cpu_seconds = timer.ElapsedSeconds();
-        return interrupted_status();
+      if ((++poll_stride & 63u) == 0 && InterruptRequested(options)) {
+        return InterruptStatus(options);
       }
-      double pair_lb = center_lb;
+      const std::vector<UserId>& group = groups[gi];
+      // Pivot lower bound of the pair objective (Lemma 5).
+      double pair_lb = center.worst;
       for (UserId u : group) {
         const double user_lb = LbUserPoiDist(
             social_index_->user_road_pivot_dists(u), center_aug);
         if (auditor != nullptr) {
-          auditor->OnPairDistanceBound(ctx, u, c, user_lb);
+          auditor->OnPairDistanceBound(ctx, u, center.id, user_lb);
         }
         pair_lb = std::max(pair_lb, user_lb);
       }
       if (reject(pair_lb)) continue;
-
-      bool all_match = true;
-      for (UserId u : group) {
-        const uint64_t key =
-            (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(c);
-        auto mit = match_memo.find(key);
-        bool ok;
-        if (mit != match_memo.end()) {
-          ok = mit->second;
-        } else {
-          ok = compute_match(u, info);
-          match_memo.emplace(key, ok);
-        }
-        if (!ok) {
-          all_match = false;
-          break;
-        }
+      if (!std::all_of(group.begin(), group.end(),
+                       [&](UserId u) { return matches(u, center); })) {
+        continue;
       }
-      if (!all_match) continue;
 
+      // Exact objective: maxdist_RN(S, B(c, r)). The budget caps only
+      // these expensive evaluations; lower-bound skips above are O(h) and
+      // free.
       if (--pair_budget < 0) {
-        out->truncated = true;
+        stats->truncated = true;
         break;
       }
-      ++out->pairs_examined;
+      ++stats->pairs_examined;
       double obj = 0.0;
       bool feasible = true;
       for (UserId u : group) {
-        const double* dists = get_user_dists(u, bound());
+        const double* dists = user_dists(u, bound());
         for (PoiId o : info.ball) {
           const double d = dists[scr.poi_slot[o]];
           if (d >= kInfDistance) {
-            feasible = false;
+            feasible = false;  // Distance beyond the bound: cannot win.
             break;
           }
           obj = std::max(obj, d);
@@ -1703,26 +813,22 @@ Result<ShardRefineResult> GpssnProcessor::RefineCandidates(
         }
       }
       if (!feasible) continue;
-      // First-encountered minimum within the shard (the rejects above make
-      // any survivor strictly better than the running best).
-      best.found = true;
-      best.users = group;
-      best.center = c;
-      best.pois = info.ball;
-      best.max_dist = obj;
-      result.center_worst = center_lb;
-      result.group_index = static_cast<int64_t>(gi);
+      RankedAnswer ranked;
+      ranked.answer.found = true;
+      ranked.answer.users = group;
+      ranked.answer.center = center.id;
+      ranked.answer.pois = info.ball;
+      ranked.answer.max_dist = obj;
+      ranked.center_worst = center.worst;
+      ranked.group_index = static_cast<int64_t>(gi);
+      best->insert(std::upper_bound(best->begin(), best->end(), ranked,
+                                    RanksBefore),
+                   std::move(ranked));
+      if (static_cast<int>(best->size()) > top_k) best->pop_back();
     }
     if (pair_budget < 0) break;
   }
-
-  // users/pois/groups counters stay 0 here: the coordinator owns the
-  // candidate-level counters (the gather stats already carry them), so the
-  // merged per-query stats count each candidate exactly once.
-  out->io.logical_accesses += pool.stats().logical_accesses;
-  out->io.page_misses += pool.stats().page_misses;
-  out->cpu_seconds = timer.ElapsedSeconds();
-  return result;
+  return Status::OK();
 }
 
 }  // namespace gpssn

@@ -6,6 +6,15 @@
 // candidate user/POI sets. Returns the pair (S, R) minimizing
 // maxdist_RN(S, R) subject to every predicate of Definition 5.
 //
+// Every entry point runs the same three stages over one QueryPlan:
+//   GATHER  the synchronized I_S/I_R descent over a scope (the two index
+//           roots on a single node, a shard's subtrees when serving);
+//   PLAN    Corollary 2 + group enumeration (PlanGroups, core/refinement.h);
+//   REFINE  ball materialization, per-user distance rows, and the ranked
+//           pair loop over (center, group) candidates.
+// Execute/ExecuteTopK run all three; the serving shards run GATHER and
+// REFINE while the coordinator runs PLAN (serving/coordinator.h).
+//
 // Exactness: every pruning rule except the δ-based road-distance cut is
 // individually safe. The δ cut (line 14 of Algorithm 2) is safe whenever
 // the δ-defining candidate admits a feasible group; the processor verifies
@@ -33,11 +42,6 @@
 
 namespace gpssn {
 
-// Per-lane persistent state of the intra-query parallel refinement
-// (defined in query.cc): a private distance engine plus stamped row/memo
-// caches, reused across queries so lane setup is O(changed state).
-struct IntraLane;
-
 /// A GP-SSN answer: the user group S, the ball center o_i, and the POI set
 /// R = B(o_i, r).
 struct GpssnAnswer {
@@ -47,6 +51,24 @@ struct GpssnAnswer {
   std::vector<PoiId> pois;    // R, sorted.
   double max_dist = kInfDistance;  // maxdist_RN(S, R), the objective.
 };
+
+/// An answer plus its DISCOVERY RANK: the position the refinement pair
+/// loop finds it at. Centers are visited in ascending (exact issuer-side
+/// objective contribution `center_worst`, center id) order, groups in
+/// ascending index order within a center, and the first-encountered
+/// minimum wins. Ranking answers by the lex key
+/// (max_dist, center_worst, center, group_index) therefore reproduces the
+/// single-node winner however the centers are split across shards.
+struct RankedAnswer {
+  GpssnAnswer answer;
+  double center_worst = kInfDistance;  // max_{o∈ball} dist(u_q, o).
+  int64_t group_index = -1;            // Into the planned group list.
+};
+
+/// The discovery-rank order of RankedAnswer: true when `a` ranks strictly
+/// before `b`. Orders the refinement's top-k list and the serving
+/// coordinator's merge of shard answers.
+bool RanksBefore(const RankedAnswer& a, const RankedAnswer& b);
 
 /// Which index subtrees a serving shard owns: the shard's candidate scope
 /// is the union of users under `social_roots` (I_S partition-tree nodes)
@@ -72,20 +94,9 @@ struct ShardCandidates {
   double lower_bound = kInfDistance;
 };
 
-/// Refine-phase result of one shard: the best feasible answer over the
-/// shard's candidate centers with objective <= the incumbent, plus its
-/// DISCOVERY RANK — the position the single-node serial loop would have
-/// found it at: centers are visited in ascending (exact issuer-side
-/// objective contribution `center_worst`, center id) order, groups in
-/// ascending index order within a center, and the first-encountered
-/// minimum wins. Comparing shard answers by the lex key
-/// (max_dist, center_worst, center id, group_index) therefore reproduces
-/// the single-node winner exactly, shard count notwithstanding.
-struct ShardRefineResult {
-  GpssnAnswer answer;
-  double center_worst = kInfDistance;  // max_{o∈ball} dist(u_q, o).
-  int64_t group_index = -1;            // Into the coordinator's group list.
-};
+/// Refine-phase result of one shard: its discovery-rank-first answer with
+/// objective <= the incumbent (answer.found=false when there is none).
+using ShardRefineResult = RankedAnswer;
 
 /// Query processor bound to one pair of indexes. Owns reusable Dijkstra /
 /// BFS arenas; not thread-safe (one processor per thread).
@@ -102,11 +113,11 @@ class GpssnProcessor {
 
   /// Answers one GP-SSN query. On success `stats` (optional) carries CPU
   /// time, page I/Os, and pruning counters. Returns InvalidArgument for
-  /// malformed queries (bad issuer, τ < 1, radius outside the index's
-  /// [r_min, r_max] envelope), DeadlineExceeded when
-  /// `options.deadline` fires mid-query, and Cancelled when
-  /// `options.cancel` is raised (both polled cooperatively at descent-loop
-  /// and refinement boundaries).
+  /// malformed queries (bad issuer, τ outside [1, |users|], negative
+  /// thresholds, radius outside the index's [r_min, r_max] envelope),
+  /// DeadlineExceeded when `options.deadline` fires mid-query, and
+  /// Cancelled when `options.cancel` is raised (both polled cooperatively
+  /// at descent-loop and refinement boundaries).
   Result<GpssnAnswer> Execute(const GpssnQuery& query,
                               const QueryOptions& options,
                               QueryStats* stats = nullptr);
@@ -115,34 +126,31 @@ class GpssnProcessor {
   /// maxdist_RN (fewer when fewer feasible pairs exist). For k > 1 the
   /// δ-based road-distance cut is disabled internally (it is only safe for
   /// the single optimum), so top-k queries trade some pruning for
-  /// completeness.
+  /// completeness. Validates the query exactly as Execute() does.
   Result<std::vector<GpssnAnswer>> ExecuteTopK(const GpssnQuery& query, int k,
                                                const QueryOptions& options,
                                                QueryStats* stats = nullptr);
 
-  /// Serving scatter phase: descends only the index subtrees in `scope`
-  /// and returns the surviving candidate users/POIs plus the shard's
-  /// objective lower bound. Runs the same node- and object-level prunes as
-  /// Execute() except the δ road-distance cut, which is never applied here
-  /// (δ is a global property; a shard-local δ would be unsound), so no
-  /// a-posteriori re-execution is ever needed on the sharded path.
-  /// Deadline/cancel are polled as in Execute().
+  /// Serving scatter phase: the Gather stage over the index subtrees in
+  /// `scope`, returning the surviving candidate users/POIs plus the
+  /// shard's objective lower bound. Runs the same node- and object-level
+  /// prunes as Execute() except the δ road-distance cut, which is never
+  /// applied here (δ is a global property; a shard-local δ would be
+  /// unsound), so no a-posteriori re-execution is ever needed on the
+  /// sharded path. Deadline/cancel are polled as in Execute().
   Result<ShardCandidates> GatherCandidates(const GpssnQuery& query,
                                            const QueryOptions& options,
                                            const ShardScope& scope,
                                            QueryStats* stats = nullptr);
 
-  /// Serving refine phase: exact evaluation of the coordinator-supplied
-  /// candidate `groups` (user lists satisfying the pairwise interest
-  /// predicate, in enumeration order) against candidate centers `centers`,
-  /// returning the discovery-order-first feasible answer with objective
-  /// <= `incumbent` (kInfDistance for an unbounded search) plus its
-  /// discovery rank (see ShardRefineResult). Mirrors Execute()'s serial
-  /// refinement exactly — same arithmetic, same non-strict rejection
-  /// against the running best — so per-pair objectives are bit-identical
-  /// to the single-node run (rows are bound-tagged; values are
-  /// bound-independent where finite). answer.found=false when no
-  /// candidate has objective <= incumbent.
+  /// Serving refine phase: the Refine stage over the coordinator-supplied
+  /// candidate `groups` (the planned group list, in enumeration order) and
+  /// candidate `centers`, returning the discovery-rank-first feasible
+  /// answer with objective <= `incumbent` (kInfDistance for an unbounded
+  /// search). The same pair loop as Execute(), so per-pair objectives are
+  /// bit-identical to the single-node run (rows are bound-tagged; values
+  /// are bound-independent where finite). An answer TYING the incumbent is
+  /// reported — it may still win the coordinator's rank comparison.
   Result<ShardRefineResult> RefineCandidates(
       const GpssnQuery& query, const QueryOptions& options,
       const std::vector<PoiId>& centers,
@@ -150,17 +158,64 @@ class GpssnProcessor {
       QueryStats* stats = nullptr);
 
  private:
-  /// `interrupted` (required) is set when the deadline/cancel hook fired
-  /// and the traversal was abandoned; the partial result must be discarded.
-  std::vector<GpssnAnswer> ExecuteImpl(const GpssnQuery& query,
-                                       const QueryOptions& options, int top_k,
-                                       QueryStats* stats, double* final_delta,
-                                       bool* interrupted);
+  /// The state one query carries through Gather → Plan → Refine.
+  struct QueryPlan {
+    QueryPlan(const GpssnQuery& query, const SocialIndex& social_index,
+              uint32_t buffer_pool_pages)
+        : ctx(query, social_index), pool(buffer_pool_pages) {}
+
+    QueryUserContext ctx;  // The query and the issuer's pruning bounds.
+    BufferPool pool;       // Page buffer behind the I/O metric.
+    // Gather: candidate users in I_S leaf-traversal order, candidate ball
+    // centers, the final δ of the heap cut (kInfDistance when off), and
+    // the least issuer-side lower bound over the centers.
+    std::vector<UserId> users;
+    std::vector<PoiId> pois;
+    double delta = kInfDistance;
+    double lower_bound = kInfDistance;
+    // Plan: the candidate groups, and the SoA social scratch they were
+    // enumerated over (null on the scalar kernels).
+    std::vector<std::vector<UserId>> groups;
+    SocialScratch* social = nullptr;
+  };
+
+  /// InvalidArgument unless `query` is well formed for these indexes.
+  Status ValidateQuery(const GpssnQuery& query) const;
+
+  /// Gather stage: descends I_S and I_R from the roots in `scope`
+  /// (Algorithm 2 lines 1-28), filling plan->users/pois/lower_bound.
+  /// `single_node` marks a whole-index run: the issuer joins the
+  /// candidates even when its leaf was node-pruned, and, when
+  /// options.pruning.road_distance is on, the δ heap cut and the δ user
+  /// filter run. Returns Cancelled/DeadlineExceeded when interrupted.
+  Status Gather(const QueryOptions& options, const ShardScope& scope,
+                bool single_node, QueryPlan* plan, QueryStats* stats);
+
+  /// Refine stage: materializes the ball of every center in plan->pois,
+  /// orders the centers by the issuer's exact distances, and runs the pair
+  /// loop over `groups` (plan->groups on a single node, the coordinator's
+  /// list on a shard). `best` receives up to `top_k` answers in
+  /// discovery-rank order; only answers with objective <= `incumbent` are
+  /// kept.
+  Status Refine(const QueryOptions& options,
+                const std::vector<std::vector<UserId>>& groups, int top_k,
+                double incumbent, QueryPlan* plan, QueryStats* stats,
+                std::vector<RankedAnswer>* best);
+
+  /// Gather over the whole index, Plan, then Refine; `final_delta`
+  /// receives the δ the heap cut ended with.
+  Status RunPipeline(const GpssnQuery& query, const QueryOptions& options,
+                     int top_k, QueryStats* stats, double* final_delta,
+                     std::vector<RankedAnswer>* best);
 
   /// Engine for `options.distance_backend` (the built-in Dijkstra engine
   /// when null). Plugged-backend engines are cached so repeated queries
   /// against the same backend reuse one set of arenas.
   DistanceEngine* EngineFor(const QueryOptions& options);
+
+  /// The caller's auditor, else the GPSSN_AUDIT default (null in normal
+  /// builds).
+  PruningAuditor* AuditorFor(const QueryOptions& options) const;
 
   /// Flat stamped scratch for the refinement phase, reused across queries:
   /// replaces the per-query unordered_map<UserId, unordered_map<PoiId,
@@ -206,9 +261,6 @@ class GpssnProcessor {
   // QueryOptions::vectorized_social_kernels is on and the candidate set
   // fits social_scratch_max_candidates.
   SocialScratch social_scratch_;
-  // Lanes of the intra-query parallel refinement, lane 0 = the caller.
-  // Grown on demand, reused across queries.
-  std::vector<std::unique_ptr<IntraLane>> intra_lanes_;
   // Non-null only in GPSSN_AUDIT builds: the default pruning-soundness
   // auditor (abort-on-violation) used when the caller supplies none.
   std::unique_ptr<PruningAuditor> default_auditor_;

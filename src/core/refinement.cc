@@ -442,4 +442,35 @@ void SampleGroups(const SocialNetwork& social, const GpssnQuery& query,
   out->assign(unique.begin(), unique.end());
 }
 
+SocialScratch* PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
+                          const QueryOptions& options, SocialScratch* scratch,
+                          std::vector<UserId>* users,
+                          std::vector<std::vector<UserId>>* groups,
+                          QueryStats* stats) {
+  // The scratch's pair memo is O(n²/2) bytes, so very large candidate sets
+  // stay on the scalar kernels.
+  SocialScratch* kernels = nullptr;
+  if (options.vectorized_social_kernels &&
+      users->size() <=
+          static_cast<size_t>(options.social_scratch_max_candidates)) {
+    scratch->Build(social, query, *users);
+    kernels = scratch;
+  }
+  if (options.pruning.interest_score) {
+    ApplyCorollary2(social, query, users, stats, kernels);
+  }
+  if (options.subset_sampling) {
+    SampleGroups(social, query, *users, options.subset_samples, options.seed,
+                 groups);
+  } else if (!EnumerateGroups(social, query, *users, options.max_groups,
+                              groups, kernels)) {
+    stats->truncated = true;
+  }
+  stats->groups_enumerated = groups->size();
+  if (kernels != nullptr) {
+    stats->interest_pairs_scored += kernels->pairs_scored();
+  }
+  return kernels;
+}
+
 }  // namespace gpssn

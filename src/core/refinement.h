@@ -53,6 +53,22 @@ void SampleGroups(const SocialNetwork& social, const GpssnQuery& query,
                   const std::vector<UserId>& candidates, int samples,
                   uint64_t seed, std::vector<std::vector<UserId>>* out);
 
+/// The Plan stage of a query (Algorithm 2 lines 29-30), shared by
+/// GpssnProcessor and the serving coordinator. `users` holds the gathered
+/// candidates in I_S leaf order, the issuer included. Under
+/// options.vectorized_social_kernels (and social_scratch_max_candidates)
+/// it first builds `scratch` over them; then Corollary 2 (with interest
+/// pruning on) shrinks `users` in place, and `groups` receives the
+/// enumerated — or, with options.subset_sampling, sampled — groups.
+/// Records groups_enumerated, interest_pairs_scored and a max_groups
+/// truncation in `stats` (required). Returns `scratch` when it was built
+/// (refinement reuses it for matching scores), else null.
+SocialScratch* PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
+                          const QueryOptions& options, SocialScratch* scratch,
+                          std::vector<UserId>* users,
+                          std::vector<std::vector<UserId>>* groups,
+                          QueryStats* stats);
+
 }  // namespace gpssn
 
 #endif  // GPSSN_CORE_REFINEMENT_H_

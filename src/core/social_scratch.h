@@ -20,10 +20,8 @@
 // reproduces the CSR Friends() visit order and group enumeration emits the
 // exact same group sequence as the scalar path.
 //
-// Not thread-safe: Build and PairPasses mutate state and must run on one
-// thread (the query's serial sections). The read-only accessors (Row,
-// MatchRow, adjacency words) are safe to call concurrently from the
-// intra-query refinement lanes once building is done.
+// Not thread-safe: one scratch serves one query at a time, on the thread
+// running it (Build and PairPasses mutate state).
 
 #ifndef GPSSN_CORE_SOCIAL_SCRATCH_H_
 #define GPSSN_CORE_SOCIAL_SCRATCH_H_

@@ -1,6 +1,5 @@
 #include "core/stats.h"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace gpssn {
@@ -36,9 +35,6 @@ void QueryStats::MergeFrom(const QueryStats& other) {
   exact_dist_seconds += other.exact_dist_seconds;
   dist_cache_row_hits += other.dist_cache_row_hits;
   dist_cache_row_misses += other.dist_cache_row_misses;
-  intra_lanes_used = std::max(intra_lanes_used, other.intra_lanes_used);
-  refine_morsels += other.refine_morsels;
-  refine_morsels_stolen += other.refine_morsels_stolen;
   interest_pairs_scored += other.interest_pairs_scored;
   ball_queries += other.ball_queries;
   ball_range_engine_queries += other.ball_range_engine_queries;
@@ -62,8 +58,7 @@ std::string QueryStats::ToString() const {
       "pois seen=%llu pruned(match=%llu, distance=%llu) candidates=%llu "
       "index-pruned-pois=%llu\n"
       "refine: groups=%llu pairs=%llu exact-dist=%llu truncated=%d "
-      "lanes=%u morsels=%llu (stolen=%llu) interest-pairs=%llu "
-      "balls=%llu (range-engine=%llu)\n"
+      "interest-pairs=%llu balls=%llu (range-engine=%llu)\n"
       "phases: descent=%.6fs ball=%.6fs refine=%.6fs exact-dist=%.6fs; "
       "dist-cache rows hit=%llu miss=%llu\n"
       "serving: shards refined=%llu skipped=%llu msgs=%llu "
@@ -90,9 +85,7 @@ std::string QueryStats::ToString() const {
       static_cast<unsigned long long>(groups_enumerated),
       static_cast<unsigned long long>(pairs_examined),
       static_cast<unsigned long long>(exact_distance_evals),
-      truncated ? 1 : 0, intra_lanes_used,
-      static_cast<unsigned long long>(refine_morsels),
-      static_cast<unsigned long long>(refine_morsels_stolen),
+      truncated ? 1 : 0,
       static_cast<unsigned long long>(interest_pairs_scored),
       static_cast<unsigned long long>(ball_queries),
       static_cast<unsigned long long>(ball_range_engine_queries),

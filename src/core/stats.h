@@ -61,16 +61,6 @@ struct QueryStats {
   uint64_t dist_cache_row_hits = 0;
   uint64_t dist_cache_row_misses = 0;
 
-  // --- Intra-query parallel refinement (QueryOptions::scheduler):
-  // refinement lanes that claimed at least one candidate center (0 on the
-  // serial path; MergeFrom keeps the max, a peak not a sum).
-  uint32_t intra_lanes_used = 0;
-  // Refinement morsels (candidate centers claimed off the atomic cursor)
-  // processed in the parallel region, and the subset claimed by STOLEN
-  // lanes (idle scheduler workers; lane 0 is the calling thread). Both 0
-  // on the serial path; MergeFrom sums.
-  uint64_t refine_morsels = 0;
-  uint64_t refine_morsels_stolen = 0;
   // Fresh pairwise Interest_Score evaluations through the SocialScratch
   // memo (QueryOptions::vectorized_social_kernels; 0 on the scalar path).
   // Bounded by n(n-1)/2 per query — each pair is scored at most once.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <tuple>
 #include <utility>
 
 #include "core/refinement.h"
@@ -51,9 +50,8 @@ ServingCluster::ServingCluster(const GpssnDatabase& db,
   if (shard_query_options_.distance_backend == nullptr) {
     shard_query_options_.distance_backend = db_.distance_backend();
   }
-  // Shards own their caches and schedulers; never inherit the database's.
+  // Shards own their caches; never inherit the database's.
   shard_query_options_.distance_cache = nullptr;
-  shard_query_options_.scheduler = nullptr;
 
   transport_ = std::make_unique<InProcessTransport>(options_.num_shards,
                                                     options_.mailbox_capacity);
@@ -149,7 +147,7 @@ void ServingCluster::Complete(QueryState* state, Status status,
   BatchQueryResult& slot = (*results)[state->slot];
   slot.query = state->query;
   slot.status = std::move(status);
-  if (slot.status.ok()) slot.answer = std::move(state->best);
+  if (slot.status.ok()) slot.answer = std::move(state->best.answer);
   slot.stats = state->stats;
   slot.latency_seconds = state->submit_timer.ElapsedSeconds();
   slot.worker = state->wave1_shard;
@@ -173,15 +171,8 @@ void ServingCluster::Plan(QueryState* state) {
     candidates.push_back(state->query.issuer);
   }
 
-  const SocialNetwork& social = db_.ssn().social();
-  if (shard_query_options_.pruning.interest_score) {
-    ApplyCorollary2(social, state->query, &candidates, &state->stats);
-  }
-  if (!EnumerateGroups(social, state->query, candidates,
-                       shard_query_options_.max_groups, &state->groups)) {
-    state->stats.truncated = true;
-  }
-  state->stats.groups_enumerated = state->groups.size();
+  PlanGroups(db_.ssn().social(), state->query, shard_query_options_,
+             &plan_scratch_, &candidates, &state->groups, &state->stats);
   state->stats.serve_plan_seconds = state->phase_timer.ElapsedSeconds();
   state->phase_timer.Restart();
 }
@@ -251,10 +242,8 @@ bool ServingCluster::HandleReply(QueryState* state,
       ++state->stats.shard_msgs;
       state->stats.MergeFrom(reply->stats);
       if (reply->result.answer.found) {
-        state->incumbent = reply->result.answer.max_dist;
-        state->best = std::move(reply->result.answer);
-        state->best_rank = {state->best.max_dist, reply->result.center_worst,
-                            state->best.center, reply->result.group_index};
+        state->best = std::move(reply->result);
+        state->incumbent = state->best.answer.max_dist;
       }
 
       // Wave 2: broadcast the incumbent; skip any shard whose lower bound
@@ -295,28 +284,16 @@ bool ServingCluster::HandleReply(QueryState* state,
       }
       ++state->stats.shard_msgs;
       state->stats.MergeFrom(reply->stats);
-      if (reply->result.answer.found) {
-        // Discovery-rank merge: the lexicographically least key wins —
-        // exactly the first-encountered minimum of the single-node serial
-        // loop. Wave-2 shards report ties with the incumbent (their reject
-        // is strict against it) precisely so this comparison can decide
-        // them by rank.
-        const RankKey rank{reply->result.answer.max_dist,
-                           reply->result.center_worst,
-                           reply->result.answer.center,
-                           reply->result.group_index};
-        const bool better =
-            !state->best.found ||
-            std::tie(rank.max_dist, rank.center_worst, rank.center,
-                     rank.group_index) <
-                std::tie(state->best_rank.max_dist,
-                         state->best_rank.center_worst, state->best_rank.center,
-                         state->best_rank.group_index);
-        if (better) {
-          state->best = std::move(reply->result.answer);
-          state->best_rank = rank;
-          state->incumbent = state->best.max_dist;
-        }
+      // Discovery-rank merge: the first answer in rank order wins — exactly
+      // the first-encountered minimum of the single-node pair loop.
+      // Wave-2 shards report ties with the incumbent (their reject is
+      // strict against it) precisely so this comparison can decide them
+      // by rank.
+      if (reply->result.answer.found &&
+          (!state->best.answer.found ||
+           RanksBefore(reply->result, state->best))) {
+        state->best = std::move(reply->result);
+        state->incumbent = state->best.answer.max_dist;
       }
       if (--state->outstanding > 0) return false;
       state->stats.serve_refine_seconds = state->phase_timer.ElapsedSeconds();

@@ -11,17 +11,17 @@
 //               lower bound (no δ cut — δ is a global property).
 //   2. PLAN     (driver thread) concatenate the shard candidate lists in
 //               shard order — reproducing the single-node candidate order —
-//               then Corollary 2 + group enumeration, exactly as Execute().
+//               then PlanGroups (core/refinement.h), the Plan stage
+//               Execute() runs, under the same options.
 //   3. REFINE   wave 1: the shard with the SMALLEST lower bound refines
 //               first (unbounded) and establishes the global incumbent.
 //               Wave 2: every other shard whose bound exceeds the incumbent
 //               is SKIPPED outright (QueryStats::skipped_shards); the rest
 //               refine in parallel under the incumbent.
-//   4. MERGE    shard answers carry their discovery rank (center_worst,
-//               group_index — see ShardRefineResult); the lexicographically
-//               least (max_dist, center_worst, center, group_index) wins,
-//               which is provably the exact answer the single-node serial
-//               loop returns. Answers are byte-identical at any shard count.
+//   4. MERGE    shard answers carry their discovery rank (RankedAnswer,
+//               core/query.h); the one RanksBefore orders first wins, which
+//               is provably the exact answer the single-node pair loop
+//               returns. Answers are byte-identical at any shard count.
 //
 // The coordinator is a single-threaded event loop over its transport inbox
 // that PIPELINES up to max_inflight queries (per-query state machines keyed
@@ -42,6 +42,7 @@
 
 #include "common/macros.h"
 #include "core/database.h"
+#include "core/social_scratch.h"
 #include "serving/partition.h"
 #include "serving/shard.h"
 #include "serving/transport.h"
@@ -110,15 +111,6 @@ class ServingCluster {
   void CancelAll() { cancel_.store(true, std::memory_order_relaxed); }  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
 
  private:
-  /// Discovery rank of a shard answer (see ShardRefineResult): the
-  /// single-node winner is the lexicographic minimum.
-  struct RankKey {
-    double max_dist = kInfDistance;
-    double center_worst = kInfDistance;
-    PoiId center = kInvalidPoi;
-    int64_t group_index = -1;
-  };
-
   enum class Phase { kGather, kRefineWave1, kRefineWave2 };
 
   /// One in-flight query's state machine.
@@ -131,8 +123,7 @@ class ServingCluster {
     std::vector<ShardCandidates> per_shard;  // Indexed by shard.
     std::vector<std::vector<UserId>> groups;
     double incumbent = kInfDistance;
-    GpssnAnswer best;
-    RankKey best_rank;
+    RankedAnswer best;  // The discovery-rank-first shard answer so far.
     int wave1_shard = -1;
     QueryStats stats;
     WallTimer submit_timer;
@@ -160,6 +151,7 @@ class ServingCluster {
   const GpssnDatabase& db_;
   ServingPartition partition_;
   QueryOptions shard_query_options_;  // Backend default filled in.
+  SocialScratch plan_scratch_;        // Plan's SoA social kernels.
   std::atomic<bool> cancel_{false};
   uint64_t next_query_id_ = 1;  // Never reused (stale-reply detection).
   std::unordered_map<uint64_t, QueryState> inflight_;

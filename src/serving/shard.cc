@@ -62,12 +62,6 @@ void ShardProcess::Handle(int worker, const TransportMessage& message) {
   QueryOptions options = config_.query;
   options.distance_cache = distance_cache_.get();
   options.cancel = config_.cancel;
-  // Serving shards parallelize ACROSS queries (scheduler tasks), not
-  // within one — the discovery-rank protocol depends on the serial
-  // refinement loop — and always use the scalar social kernels.
-  options.scheduler = nullptr;
-  options.intra_query_workers = 0;
-  options.vectorized_social_kernels = false;
 
   auto arm = [&options](double deadline_seconds) {
     // Re-arming from seconds-remaining loses the request's transport

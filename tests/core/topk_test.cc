@@ -140,6 +140,10 @@ TEST(TopKTest, InvalidKRejected) {
   EXPECT_TRUE(db->QueryTopK(q, 0, QueryOptions{}).status().IsInvalidArgument());
   q.issuer = -3;
   EXPECT_TRUE(db->QueryTopK(q, 2, QueryOptions{}).status().IsInvalidArgument());
+  // τ beyond the user count is malformed for every k, as for Query.
+  q.issuer = 1;
+  q.tau = db->ssn().num_users() + 1;
+  EXPECT_TRUE(db->QueryTopK(q, 2, QueryOptions{}).status().IsInvalidArgument());
 }
 
 TEST(TopKTest, LargerKNeverShrinksResults) {
