@@ -7,8 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -296,26 +295,56 @@ void BM_UbMatchScoreBitVector(benchmark::State& state) {
 }
 BENCHMARK(BM_UbMatchScoreBitVector);
 
-// ----- Social scoring kernels (SocialScratch fast path) -----
+// ----- Social scoring kernels -----
 //
-// Scalar vs SoA one-to-many interest scoring, hash-set vs bitset ESU
-// extension tests, and Corollary 2 with the pairwise memo off vs on. The
-// d sweep covers small/medium/large topic vocabularies; bench_smoke.sh
-// enforces the SoA kernel speedup at d=128.
+// The library's 4-lane Interest_Score against a sequential loop, CSR-probe
+// vs bitset ESU extension tests, and Corollary 2 with the pairwise memo
+// off vs on. The d sweep covers small/medium/large topic vocabularies;
+// bench_smoke.sh enforces the 4-lane kernel speedup at d=128.
 
 constexpr int kSocialRows = 256;
 
-// One query row scored against kSocialRows candidate rows, sequential
-// scalar kernel (span-based, one dependent accumulator chain).
-void BM_SocialScoreScalar(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
+std::vector<std::vector<double>> RandomSocialRows(size_t d) {
   Rng rng(23);
   std::vector<std::vector<double>> rows(kSocialRows);
   for (auto& r : rows) {
     r.resize(d);
     for (double& x : r) x = rng.Bernoulli(0.5) ? rng.UniformDouble() : 0.0;
   }
-  const std::vector<double> q = rows[0];
+  return rows;
+}
+
+// Dot product with one dependent accumulator chain: the sequential order
+// the 4-lane kernel is measured against. Kept out of line, like the
+// library kernel, so the two timings differ only in the summation order
+// and not in how far the compiler interleaves consecutive rows.
+[[gnu::noinline]] double SequentialDot(std::span<const double> a,
+                                       std::span<const double> b) {
+  double s = 0.0;
+  for (size_t f = 0; f < a.size(); ++f) s += a[f] * b[f];
+  return s;
+}
+
+// One query row scored against kSocialRows candidate rows by SequentialDot.
+void BM_SocialScoreScalar(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  const auto rows = RandomSocialRows(d);
+  const std::vector<double>& q = rows[0];
+  std::vector<double> out(kSocialRows);
+  for (auto _ : state) {
+    for (int i = 0; i < kSocialRows; ++i) out[i] = SequentialDot(q, rows[i]);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kSocialRows);
+}
+BENCHMARK(BM_SocialScoreScalar)->Arg(8)->Arg(32)->Arg(128);
+
+// The same scoring through the library kernel (UserSimilarity, 4 lanes),
+// as SocialScratch::PairPasses and the oracle call it.
+void BM_SocialScoreSoa(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  const auto rows = RandomSocialRows(d);
+  const std::vector<double>& q = rows[0];
   std::vector<double> out(kSocialRows);
   for (auto _ : state) {
     for (int i = 0; i < kSocialRows; ++i) {
@@ -325,53 +354,30 @@ void BM_SocialScoreScalar(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kSocialRows);
 }
-BENCHMARK(BM_SocialScoreScalar)->Arg(8)->Arg(32)->Arg(128);
-
-// The same scoring through the padded SoA rows and the unrolled
-// multi-accumulator kernel (SoaSimilarityOneToMany).
-void BM_SocialScoreSoa(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  const size_t padded = (d + kSoaLaneWidth - 1) / kSoaLaneWidth *
-                        kSoaLaneWidth;
-  Rng rng(23);
-  std::vector<double> rows(kSocialRows * padded, 0.0);
-  for (int i = 0; i < kSocialRows; ++i) {
-    for (size_t f = 0; f < d; ++f) {
-      rows[i * padded + f] = rng.Bernoulli(0.5) ? rng.UniformDouble() : 0.0;
-    }
-  }
-  std::vector<double> out(kSocialRows);
-  for (auto _ : state) {
-    SoaSimilarityOneToMany(InterestMetric::kDotProduct, rows.data(),
-                           rows.data(), d, padded, kSocialRows, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kSocialRows);
-}
 BENCHMARK(BM_SocialScoreSoa)->Arg(8)->Arg(32)->Arg(128);
 
-// ESU extension probe, scalar shape: walk a candidate's CSR friend list,
-// test candidate membership and seen-ness through hash sets (what the
-// scalar GroupEnumerator does per extension step).
-void BM_EsuExtendHashSet(benchmark::State& state) {
+// ESU extension probe, sparse-path shape: walk a candidate's CSR friend
+// list and test candidate membership and seen-ness through std::vector<bool>
+// over the user id space (what GroupEnumerator does per extension step).
+void BM_EsuExtendVectorBool(benchmark::State& state) {
   const SocialNetwork& g = SharedSocial(2000);
   const int n = kSocialRows;
-  std::unordered_map<UserId, int> cand_index;
-  for (int i = 0; i < n; ++i) cand_index.emplace(static_cast<UserId>(i), i);
-  std::unordered_set<UserId> seen;
-  for (int i = 0; i < n; i += 3) seen.insert(static_cast<UserId>(i));
+  std::vector<bool> in_candidates(g.num_users(), false);
+  std::vector<bool> seen(g.num_users(), false);
+  for (int i = 0; i < n; ++i) in_candidates[i] = true;
+  for (int i = 0; i < n; i += 3) seen[i] = true;
   for (auto _ : state) {
     size_t extensions = 0;
     for (int i = 0; i < n; ++i) {
       for (UserId v : g.Friends(static_cast<UserId>(i))) {
-        if (cand_index.count(v) != 0 && seen.count(v) == 0) ++extensions;
+        if (in_candidates[v] && !seen[v]) ++extensions;
       }
     }
     benchmark::DoNotOptimize(extensions);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_EsuExtendHashSet);
+BENCHMARK(BM_EsuExtendVectorBool);
 
 // The same probe over SocialScratch's candidate-local adjacency bitsets:
 // one AND-NOT + popcount per word (what ScratchGroupEnumerator does).

@@ -5,7 +5,7 @@
 #
 #   - warm shared-cache batch speedup >= 1.5x over the cache-off run
 #   - CH bucket one-to-many beats bounded Dijkstra at the largest road size
-#   - SoA social-score one-to-many >= 1.5x over the scalar loop at d=128
+#   - 4-lane library social score >= 1.5x over a sequential loop at d=128
 #
 #   - PR 9 (continental-scale distance engine, BENCH_PR9.json):
 #       * serial and morselized CH builds bitwise identical; parallel
@@ -28,7 +28,8 @@
 #         single core shards are just threads, so only identity and the
 #         skip rate are enforced
 #
-# Usage: scripts/bench_smoke.sh [output.json]   (default: BENCH_PR6.json;
+# Usage: scripts/bench_smoke.sh [output.json]
+#          (default: bench-out/bench-smoke.json, a gitignored directory;
 #          the PR 9 / PR 10 reports are always written next to it as
 #          BENCH_PR9.json / BENCH_PR10.json)
 #
@@ -39,7 +40,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_PR6.json}"
+OUT="${1:-bench-out/bench-smoke.json}"
+mkdir -p "$(dirname "$OUT")"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 cmake -B build -S . > /dev/null

@@ -5,16 +5,6 @@
 
 namespace gpssn {
 
-namespace {
-
-// Identifies the scheduler (and worker index) owning the current thread so
-// Spawn() can target the caller's own deque. Thread-local instead of a
-// member because several schedulers may coexist (tests, nested tools).
-thread_local TaskScheduler* tls_scheduler = nullptr;
-thread_local int tls_worker = -1;
-
-}  // namespace
-
 bool TaskScheduler::RunsBefore(const Injected& a, const Injected& b) {
   if (a.priority.armed != b.priority.armed) return a.priority.armed;
   if (a.priority.armed && a.priority.deadline != b.priority.deadline) {
@@ -25,10 +15,6 @@ bool TaskScheduler::RunsBefore(const Injected& a, const Injected& b) {
 
 TaskScheduler::TaskScheduler(int num_threads) : num_threads_(num_threads) {
   GPSSN_CHECK(num_threads >= 1);
-  deques_.reserve(num_threads);
-  for (int w = 0; w < num_threads; ++w) {
-    deques_.push_back(std::make_unique<WorkerDeque>());
-  }
   workers_.reserve(num_threads);
   for (int w = 0; w < num_threads; ++w) {
     workers_.emplace_back([this, w]() { WorkerLoop(w); });
@@ -65,23 +51,6 @@ void TaskScheduler::Submit(Task task, TaskPriority priority) {
   }
 }
 
-void TaskScheduler::Spawn(Task task) {
-  GPSSN_CHECK(task != nullptr);
-  if (tls_scheduler != this) {
-    Submit(std::move(task));
-    return;
-  }
-  WorkerDeque& dq = *deques_[tls_worker];
-  {
-    MutexLock lock(dq.mu);
-    dq.tasks.push_back(std::move(task));
-  }
-  // Safe outside dq.mu: the spawning task itself still counts in running_,
-  // so WaitAll cannot observe an all-idle scheduler in this window.
-  queued_.fetch_add(1);
-  WakeWorkers(/*all=*/false);
-}
-
 void TaskScheduler::WaitAll() {
   MutexLock lock(mu_);
   // Order matters: queued_ first. A pop increments running_ BEFORE
@@ -104,7 +73,10 @@ void TaskScheduler::Publish(MorselSource* source) {
     source_epoch_.fetch_add(1, std::memory_order_release);
     stat_sources_published_.fetch_add(1, std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stats counter)
   }
-  WakeWorkers(/*all=*/true);
+  // Under mu_, so a worker between its fruitless scan and its sleep
+  // cannot miss the signal.
+  MutexLock lock(mu_);
+  work_cv_.NotifyAll();
 }
 
 void TaskScheduler::Retire(MorselSource* source) {
@@ -132,26 +104,10 @@ TaskScheduler::Stats TaskScheduler::GetStats() const {
   // Independent monotone counters; a snapshot need not be mutually
   // consistent (callers diff two snapshots taken around a batch).
   stats.tasks_run = stat_tasks_run_.load(std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stats counter)
-  stats.spawned_run = stat_spawned_run_.load(std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stats counter)
-  stats.tasks_stolen = stat_tasks_stolen_.load(std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stats counter)
   stats.morsel_visits = stat_morsel_visits_.load(std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stats counter)
   stats.sources_published =
       stat_sources_published_.load(std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stats counter)
   return stats;
-}
-
-bool TaskScheduler::PopLocal(int worker, Task* task) {
-  WorkerDeque& dq = *deques_[worker];
-  {
-    MutexLock lock(dq.mu);
-    if (dq.tasks.empty()) return false;
-    *task = std::move(dq.tasks.back());  // LIFO: newest stays cache-hot.
-    dq.tasks.pop_back();
-  }
-  running_.fetch_add(1);
-  queued_.fetch_sub(1);
-  stat_spawned_run_.fetch_add(1, std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stats counter)
-  return true;
 }
 
 bool TaskScheduler::PopInjector(Task* task) {
@@ -169,25 +125,6 @@ bool TaskScheduler::PopInjector(Task* task) {
   queued_.fetch_sub(1);
   stat_tasks_run_.fetch_add(1, std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stats counter)
   return true;
-}
-
-bool TaskScheduler::StealTask(int worker, Task* task) {
-  const int n = num_threads();
-  for (int i = 1; i < n; ++i) {
-    WorkerDeque& victim = *deques_[(worker + i) % n];
-    {
-      MutexLock lock(victim.mu);
-      if (victim.tasks.empty()) continue;
-      *task = std::move(victim.tasks.front());  // FIFO end: oldest first.
-      victim.tasks.pop_front();
-    }
-    running_.fetch_add(1);
-    queued_.fetch_sub(1);
-    stat_spawned_run_.fetch_add(1, std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stats counter)
-    stat_tasks_stolen_.fetch_add(1, std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stats counter)
-    return true;
-  }
-  return false;
 }
 
 bool TaskScheduler::VisitSources(int worker) {
@@ -223,15 +160,6 @@ bool TaskScheduler::VisitSources(int worker) {
   return false;
 }
 
-void TaskScheduler::WakeWorkers(bool all) {
-  MutexLock lock(mu_);
-  if (all) {
-    work_cv_.NotifyAll();
-  } else {
-    work_cv_.NotifyOne();
-  }
-}
-
 void TaskScheduler::RunTask(Task task, int worker) {
   task(worker);
   running_.fetch_sub(1);
@@ -242,12 +170,9 @@ void TaskScheduler::RunTask(Task task, int worker) {
 }
 
 void TaskScheduler::WorkerLoop(int worker) {
-  tls_scheduler = this;
-  tls_worker = worker;
   for (;;) {
     Task task;
-    if (PopLocal(worker, &task) || PopInjector(&task) ||
-        StealTask(worker, &task)) {
+    if (PopInjector(&task)) {
       RunTask(std::move(task), worker);
       continue;
     }

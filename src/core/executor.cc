@@ -29,8 +29,7 @@ std::string BatchStats::ToString() const {
       "latency(ms) mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f "
       "cpu-total=%.4fs pairs=%llu page-ios=%llu "
       "phases(s) descent=%.4f ball=%.4f refine=%.4f exact-dist=%.4f "
-      "dist-cache rows hit=%llu miss=%llu "
-      "sched stolen=%llu",
+      "dist-cache rows hit=%llu miss=%llu",
       static_cast<unsigned long long>(queries),
       static_cast<unsigned long long>(succeeded),
       static_cast<unsigned long long>(answers_found),
@@ -45,8 +44,7 @@ std::string BatchStats::ToString() const {
       totals.descent_seconds, totals.ball_seconds, totals.refine_seconds,
       totals.exact_dist_seconds,
       static_cast<unsigned long long>(totals.dist_cache_row_hits),
-      static_cast<unsigned long long>(totals.dist_cache_row_misses),
-      static_cast<unsigned long long>(scheduler_tasks_stolen));
+      static_cast<unsigned long long>(totals.dist_cache_row_misses));
   return buf;
 }
 
@@ -83,7 +81,6 @@ size_t GpssnBatchExecutor::Submit(const GpssnQuery& query,
                                   double deadline_seconds, Callback callback) {
   if (results_.empty()) {
     batch_timer_.Restart();
-    sched_base_ = scheduler_.GetStats();
   }
   const size_t index = results_.size();
   results_.push_back(BatchQueryResult{});
@@ -148,8 +145,6 @@ std::vector<BatchQueryResult> GpssnBatchExecutor::Wait(BatchStats* stats) {
     *stats = BatchStats();
     stats->queries = results_.size();
     stats->wall_seconds = wall;
-    const TaskScheduler::Stats sched = scheduler_.GetStats();
-    stats->scheduler_tasks_stolen = sched.tasks_stolen - sched_base_.tasks_stolen;
     std::vector<double> latencies;
     for (WorkerLane& lane : lanes_) {
       stats->totals.MergeFrom(lane.totals);

@@ -1,7 +1,7 @@
 // Copyright 2026 The gpssn Authors.
 //
 // GpssnBatchExecutor: the concurrent batch-query entry point. A
-// work-stealing TaskScheduler (common/task_scheduler.h) in which every
+// TaskScheduler (common/task_scheduler.h) in which every
 // worker owns one pooled GpssnProcessor — reusing its Dijkstra/BFS arenas
 // across queries — over the shared immutable PoiIndex/SocialIndex. Query
 // root tasks enter the scheduler's deadline-aware injector (earliest
@@ -92,8 +92,8 @@ struct BatchStats {
   /// of per-query CPU times, i.e. aggregate work, not wall time).
   QueryStats totals;
 
-  /// Work-stealing traffic during this batch (delta of the scheduler's
-  /// cumulative counter between the first Submit and Wait).
+  /// Always 0: the scheduler has no work stealing. Kept for the readers of
+  /// the field (the perfbench per-layer report).
   uint64_t scheduler_tasks_stolen = 0;
 
   std::string ToString() const;
@@ -169,9 +169,6 @@ class GpssnBatchExecutor {
   // stable slots handed to them — deque growth never invalidates those).
   std::deque<BatchQueryResult> results_;
   WallTimer batch_timer_;
-  // Scheduler-counter snapshot at the first Submit of the batch; Wait()
-  // diffs against it for BatchStats::scheduler_*.
-  TaskScheduler::Stats sched_base_;
 
   TaskScheduler scheduler_;  // Last member: joins before the state above.
 };

@@ -89,7 +89,9 @@ struct PruningFlags {
   bool road_distance = true;    // Lemma 5 / Lemma 7 / δ-based heap cut.
 };
 
-/// Processor knobs.
+/// Processor knobs. The social kernel is not one: PlanGroups
+/// (core/refinement.h) picks it from the candidate count and whether
+/// Corollary 2 runs, and every kernel computes the same scores.
 struct QueryOptions {
   PruningFlags pruning;
   /// LRU buffer pool capacity (pages) for the I/O metric.
@@ -132,17 +134,6 @@ struct QueryOptions {
   /// it only from the thread running the query. The pointee must outlive
   /// the query.
   PruningAuditor* auditor = nullptr;
-  /// Vectorized social kernels: build a per-query SocialScratch (SoA
-  /// interest matrix + pairwise-score memo + adjacency bitsets) and route
-  /// ApplyCorollary2 / EnumerateGroups / MatchScore through it. The
-  /// matching-score path is bit-identical to the scalar kernels; pairwise
-  /// Interest_Score sums may differ by final-ULP rounding (different
-  /// summation order), which can flip exact-threshold ties. Default off =
-  /// seed-exact scalar kernels.
-  bool vectorized_social_kernels = false;
-  /// Candidate-count ceiling for the SocialScratch (its pair memo is
-  /// O(n²/2) bytes); above it the query falls back to the scalar kernels.
-  int social_scratch_max_candidates = 4096;
 };
 
 }  // namespace gpssn

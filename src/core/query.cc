@@ -34,9 +34,6 @@ struct CenterInfo {
   std::vector<PoiId> ball;                 // R = B(o_i, r), sorted.
   std::vector<KeywordId> union_keywords;   // ∪_{o∈R} o.K.
   bool issuer_matches = false;
-  // Bitset form of union_keywords, built only when the SoA social scratch
-  // is live; MaskedMatchScore over it is bit-identical to MatchScore.
-  DynamicBitset keyword_mask;
 };
 
 // A candidate center in the pair loop's visit order.
@@ -306,9 +303,8 @@ Status GpssnProcessor::RunPipeline(const GpssnQuery& query,
   Status status = Gather(options, whole, /*single_node=*/true, &plan, stats);
   if (status.ok()) {
     const ScopedPhaseTimer refine_phase(&stats->refine_seconds);
-    plan.social = PlanGroups(poi_index_->ssn().social(), query, options,
-                             &social_scratch_, &plan.users, &plan.groups,
-                             stats);
+    PlanGroups(poi_index_->ssn().social(), query, options, &social_scratch_,
+               &plan.users, &plan.groups, stats);
     status = Refine(options, plan.groups, top_k, kInfDistance, &plan, stats,
                     best);
   }
@@ -599,7 +595,6 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   BufferPool& pool = plan->pool;
   DistanceEngine& engine = *EngineFor(options);
   PruningAuditor* auditor = AuditorFor(options);
-  SocialScratch* kernels = plan->social;
 
   // Candidate centers ordered by the issuer's pivot lower bound. Every
   // ball materializes up front so the needed-POI slot table is complete
@@ -638,9 +633,6 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     info.union_keywords = UnionKeywords(ssn, info.ball);
     info.issuer_matches =
         MatchScore(ctx.w_q, info.union_keywords) >= query.theta;
-    if (kernels != nullptr) {
-      kernels->BuildKeywordMask(info.union_keywords, &info.keyword_mask);
-    }
   }
 
   // Per-user exact distances to every needed POI, computed lazily with one
@@ -738,20 +730,15 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   };
   auto reject = [&](double v) { return full() ? v >= bound() : v > incumbent; };
 
-  // (user, center) matching-score memo. The SoA masked row sum adds the
-  // same interest weights in the same (keyword-ascending) order as the
-  // scalar MatchScore, so the two kernels are bit-identical.
+  // (user, center) matching-score memo.
   std::unordered_map<uint64_t, bool> match_memo;
   auto matches = [&](UserId u, const RankedCenter& center) {
     const uint64_t key =
         (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(center.id);
     auto it = match_memo.find(key);
     if (it != match_memo.end()) return it->second;
-    const int idx = kernels != nullptr ? kernels->IndexOf(u) : -1;
     const double score =
-        idx >= 0 ? kernels->MatchRow(idx, center.info->keyword_mask)
-                 : MatchScore(ssn.social().Interests(u),
-                              center.info->union_keywords);
+        MatchScore(ssn.social().Interests(u), center.info->union_keywords);
     return match_memo.emplace(key, score >= query.theta).first->second;
   };
 

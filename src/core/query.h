@@ -173,10 +173,8 @@ class GpssnProcessor {
     std::vector<PoiId> pois;
     double delta = kInfDistance;
     double lower_bound = kInfDistance;
-    // Plan: the candidate groups, and the SoA social scratch they were
-    // enumerated over (null on the scalar kernels).
+    // Plan: the candidate groups.
     std::vector<std::vector<UserId>> groups;
-    SocialScratch* social = nullptr;
   };
 
   /// InvalidArgument unless `query` is well formed for these indexes.
@@ -256,10 +254,9 @@ class GpssnProcessor {
   uint64_t plugged_generation_ = 0;
   std::unique_ptr<DistanceEngine> plugged_engine_;
   RefineScratch scratch_;
-  // Per-query SoA social scratch (candidate interest matrix, adjacency
-  // bitsets, pairwise-score memo); rebuilt only when
-  // QueryOptions::vectorized_social_kernels is on and the candidate set
-  // fits social_scratch_max_candidates.
+  // Per-query social scratch (candidate index, adjacency bitsets,
+  // pairwise-score memo) that PlanGroups rebuilds whenever Corollary 2
+  // runs over at most kScratchMaxCandidates candidates.
   SocialScratch social_scratch_;
   // Non-null only in GPSSN_AUDIT builds: the default pruning-soundness
   // auditor (abort-on-violation) used when the caller supplies none.

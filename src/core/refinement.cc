@@ -4,6 +4,7 @@
 #include <bit>
 #include <set>
 
+#include "common/bitvector.h"
 #include "common/macros.h"
 #include "common/rng.h"
 #include "core/scores.h"
@@ -12,52 +13,64 @@ namespace gpssn {
 
 namespace {
 
-// Sparse view of an interest vector: the nonzero (topic, weight) entries
-// plus the total weight. Real interest vectors hold a handful of topics, so
-// pairwise scores via sorted-merge are ~25x cheaper than dense loops.
+// Sparse view of an interest vector: the nonzero (topic, weight) entries.
+// Real interest vectors hold a handful of topics, so pairwise scores via
+// sorted-merge are ~25x cheaper than dense loops.
 struct SparseInterests {
   std::vector<std::pair<int, double>> entries;  // Sorted by topic.
-  double total = 0.0;
   int dim = 0;
 
   static SparseInterests From(std::span<const double> w) {
     SparseInterests out;
     out.dim = static_cast<int>(w.size());
     for (size_t f = 0; f < w.size(); ++f) {
-      if (w[f] > 0.0) {
-        out.entries.emplace_back(static_cast<int>(f), w[f]);
-        out.total += w[f];
-      }
+      if (w[f] > 0.0) out.entries.emplace_back(static_cast<int>(f), w[f]);
     }
     return out;
   }
 };
 
+// UserSimilarity over two sparse vectors, bit for bit. A topic outside
+// both supports contributes a zero term, and adding zero leaves a lane
+// unchanged, so accumulating the remaining terms into lane f mod
+// kScoreLanes in ascending f reproduces the dense 4-lane order. The
+// Jaccard denominator sums max over the union of the two supports.
 double SparseSimilarity(InterestMetric metric, const SparseInterests& a,
                         const SparseInterests& b) {
-  double dot = 0.0, min_sum = 0.0;
+  double dot[kScoreLanes] = {};
+  double min_sum[kScoreLanes] = {};
+  double max_sum[kScoreLanes] = {};
   int common_support = 0;
+  auto one_sided = [&](const std::pair<int, double>& e) {
+    max_sum[e.first % kScoreLanes] += e.second;
+  };
   size_t i = 0, j = 0;
   while (i < a.entries.size() && j < b.entries.size()) {
-    if (a.entries[i].first < b.entries[j].first) {
-      ++i;
-    } else if (a.entries[i].first > b.entries[j].first) {
-      ++j;
+    const auto& [fa, wa] = a.entries[i];
+    const auto& [fb, wb] = b.entries[j];
+    if (fa < fb) {
+      one_sided(a.entries[i++]);
+    } else if (fa > fb) {
+      one_sided(b.entries[j++]);
     } else {
-      dot += a.entries[i].second * b.entries[j].second;
-      min_sum += std::min(a.entries[i].second, b.entries[j].second);
+      const size_t lane = fa % kScoreLanes;
+      dot[lane] += wa * wb;
+      min_sum[lane] += std::min(wa, wb);
+      max_sum[lane] += std::max(wa, wb);
       ++common_support;
       ++i;
       ++j;
     }
   }
+  for (; i < a.entries.size(); ++i) one_sided(a.entries[i]);
+  for (; j < b.entries.size(); ++j) one_sided(b.entries[j]);
+  auto combine = [](const double* l) { return (l[0] + l[1]) + (l[2] + l[3]); };
   switch (metric) {
     case InterestMetric::kDotProduct:
-      return dot;
+      return combine(dot);
     case InterestMetric::kJaccard: {
-      // Weighted Jaccard via Σmax = Σa + Σb − Σmin (non-negative entries).
-      const double max_sum = a.total + b.total - min_sum;
-      return max_sum > 0.0 ? min_sum / max_sum : 1.0;
+      const double den = combine(max_sum);
+      return den > 0.0 ? combine(min_sum) / den : 1.0;
     }
     case InterestMetric::kHamming: {
       if (a.dim == 0) return 1.0;
@@ -270,7 +283,7 @@ class GroupEnumerator {
 /// from word-parallel adjacency ∧ active ∧ ¬seen sweeps, and the pairwise
 /// predicate hits the memo. Scratch candidates are id-sorted, so ascending
 /// bit iteration appends extension vertices in exactly the order the
-/// scalar enumerator reads them off the CSR friend lists — the emitted
+/// sparse enumerator reads them off the CSR friend lists — the emitted
 /// group sequence is identical.
 class ScratchGroupEnumerator {
  public:
@@ -442,21 +455,16 @@ void SampleGroups(const SocialNetwork& social, const GpssnQuery& query,
   out->assign(unique.begin(), unique.end());
 }
 
-SocialScratch* PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
-                          const QueryOptions& options, SocialScratch* scratch,
-                          std::vector<UserId>* users,
-                          std::vector<std::vector<UserId>>* groups,
-                          QueryStats* stats) {
-  // The scratch's pair memo is O(n²/2) bytes, so very large candidate sets
-  // stay on the scalar kernels.
+void PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
+                const QueryOptions& options, SocialScratch* scratch,
+                std::vector<UserId>* users,
+                std::vector<std::vector<UserId>>* groups, QueryStats* stats) {
   SocialScratch* kernels = nullptr;
-  if (options.vectorized_social_kernels &&
-      users->size() <=
-          static_cast<size_t>(options.social_scratch_max_candidates)) {
-    scratch->Build(social, query, *users);
-    kernels = scratch;
-  }
   if (options.pruning.interest_score) {
+    if (users->size() <= kScratchMaxCandidates) {
+      scratch->Build(social, query, *users);
+      kernels = scratch;
+    }
     ApplyCorollary2(social, query, users, stats, kernels);
   }
   if (options.subset_sampling) {
@@ -470,7 +478,6 @@ SocialScratch* PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
   if (kernels != nullptr) {
     stats->interest_pairs_scored += kernels->pairs_scored();
   }
-  return kernels;
 }
 
 }  // namespace gpssn

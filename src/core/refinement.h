@@ -28,8 +28,10 @@ namespace gpssn {
 /// reach it), and pairs between two decided users are skipped outright —
 /// the removed set is provably the one full evaluation would produce.
 /// When `scratch` is non-null (built over a superset of `candidates`),
-/// pair tests go through its memoized SoA kernels and stay cached for the
-/// group enumeration; null keeps the scalar sparse-merge kernels.
+/// pair tests go through its memo and stay cached for the group
+/// enumeration; null runs the sparse-merge kernels. Both compute
+/// Interest_Score in the 4-lane order of core/scores.h, so they remove the
+/// same users.
 void ApplyCorollary2(const SocialNetwork& social, const GpssnQuery& query,
                      std::vector<UserId>* candidates, QueryStats* stats,
                      SocialScratch* scratch = nullptr);
@@ -40,8 +42,8 @@ void ApplyCorollary2(const SocialNetwork& social, const GpssnQuery& query,
 /// hit (output truncated). With a non-null `scratch` (candidates must all
 /// be scratch members) the ESU extension tests run over candidate-local
 /// adjacency bitsets and the memoized pair scores; the emitted group
-/// sequence is identical to the scalar path (id-ascending bit order equals
-/// the CSR Friends() order) up to pairwise-score rounding.
+/// sequence is identical to the sparse path (id-ascending bit order equals
+/// the CSR Friends() order, and both paths compute the same pair scores).
 bool EnumerateGroups(const SocialNetwork& social, const GpssnQuery& query,
                      const std::vector<UserId>& candidates, int64_t max_groups,
                      std::vector<std::vector<UserId>>* out,
@@ -53,21 +55,27 @@ void SampleGroups(const SocialNetwork& social, const GpssnQuery& query,
                   const std::vector<UserId>& candidates, int samples,
                   uint64_t seed, std::vector<std::vector<UserId>>* out);
 
+/// Largest candidate set PlanGroups builds a SocialScratch for: it bounds
+/// the O(n²) pair memo and adjacency bitsets at about 10 MiB.
+inline constexpr size_t kScratchMaxCandidates = 4096;
+
 /// The Plan stage of a query (Algorithm 2 lines 29-30), shared by
 /// GpssnProcessor and the serving coordinator. `users` holds the gathered
-/// candidates in I_S leaf order, the issuer included. Under
-/// options.vectorized_social_kernels (and social_scratch_max_candidates)
-/// it first builds `scratch` over them; then Corollary 2 (with interest
-/// pruning on) shrinks `users` in place, and `groups` receives the
-/// enumerated — or, with options.subset_sampling, sampled — groups.
-/// Records groups_enumerated, interest_pairs_scored and a max_groups
-/// truncation in `stats` (required). Returns `scratch` when it was built
-/// (refinement reuses it for matching scores), else null.
-SocialScratch* PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
-                          const QueryOptions& options, SocialScratch* scratch,
-                          std::vector<UserId>* users,
-                          std::vector<std::vector<UserId>>* groups,
-                          QueryStats* stats);
+/// candidates in I_S leaf order, the issuer included. With interest
+/// pruning on, Corollary 2 shrinks `users` in place; then `groups`
+/// receives the enumerated — or, with options.subset_sampling, sampled —
+/// groups. The social kernel follows from cost: Corollary 2 scores most of
+/// the n(n−1)/2 candidate pairs, so when it runs over at most
+/// kScratchMaxCandidates users PlanGroups first builds `scratch` over them
+/// and both stages share its pair memo and adjacency bitsets; otherwise
+/// the enumerator touches few pairs and the sparse kernels run. Either way
+/// the groups are the same. Records groups_enumerated,
+/// interest_pairs_scored and a max_groups truncation in `stats`
+/// (required).
+void PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
+                const QueryOptions& options, SocialScratch* scratch,
+                std::vector<UserId>* users,
+                std::vector<std::vector<UserId>>* groups, QueryStats* stats);
 
 }  // namespace gpssn
 

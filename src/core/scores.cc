@@ -1,27 +1,46 @@
 #include "core/scores.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/macros.h"
+#include "geom/pruning_region.h"
 
 namespace gpssn {
 
+namespace {
+
+// Σ_f min(a_f, x_f) / Σ_f max(a_f, y_f), both sums in the 4-lane order (1.0
+// when the denominator is 0). WeightedJaccard is x = y = b; the box bound
+// takes x = ub, y = lb.
+double JaccardRatio(std::span<const double> a, std::span<const double> x,
+                    std::span<const double> y) {
+  GPSSN_CHECK(a.size() == x.size() && a.size() == y.size());
+  const size_t n = a.size();
+  double num[kScoreLanes] = {};
+  double den[kScoreLanes] = {};
+  size_t f = 0;
+  for (; f + kScoreLanes <= n; f += kScoreLanes) {
+    for (size_t l = 0; l < kScoreLanes; ++l) {
+      num[l] += std::min(a[f + l], x[f + l]);
+      den[l] += std::max(a[f + l], y[f + l]);
+    }
+  }
+  for (size_t l = 0; f + l < n; ++l) {  // Tail terms keep their lanes.
+    num[l] += std::min(a[f + l], x[f + l]);
+    den[l] += std::max(a[f + l], y[f + l]);
+  }
+  const double total = (den[0] + den[1]) + (den[2] + den[3]);
+  return total > 0.0 ? ((num[0] + num[1]) + (num[2] + num[3])) / total : 1.0;
+}
+
+}  // namespace
+
 double InterestScore(std::span<const double> a, std::span<const double> b) {
-  GPSSN_CHECK(a.size() == b.size());
-  double s = 0.0;
-  for (size_t f = 0; f < a.size(); ++f) s += a[f] * b[f];
-  return s;
+  return Dot(a, b);
 }
 
 double WeightedJaccard(std::span<const double> a, std::span<const double> b) {
-  GPSSN_CHECK(a.size() == b.size());
-  double num = 0.0, den = 0.0;
-  for (size_t f = 0; f < a.size(); ++f) {
-    num += std::min(a[f], b[f]);
-    den += std::max(a[f], b[f]);
-  }
-  return den > 0.0 ? num / den : 1.0;
+  return JaccardRatio(a, b, b);
 }
 
 double HammingSimilarity(std::span<const double> a,
@@ -50,13 +69,7 @@ double UserSimilarity(InterestMetric metric, std::span<const double> a,
 
 double UbJaccardBox(std::span<const double> q, std::span<const double> lb,
                     std::span<const double> ub) {
-  GPSSN_CHECK(q.size() == lb.size() && q.size() == ub.size());
-  double num = 0.0, den = 0.0;
-  for (size_t f = 0; f < q.size(); ++f) {
-    num += std::min(q[f], ub[f]);
-    den += std::max(q[f], lb[f]);
-  }
-  return den > 0.0 ? num / den : 1.0;
+  return JaccardRatio(q, ub, lb);
 }
 
 double UbHammingBox(std::span<const double> q, std::span<const double> lb,
@@ -90,102 +103,6 @@ double UbMatchScore(std::span<const double> interests,
   for (size_t f = 0; f < interests.size(); ++f) {
     if (interests[f] > 0.0 && signature.MayContain(static_cast<int>(f))) {
       s += interests[f];
-    }
-  }
-  return s;
-}
-
-double SoaDot(const double* a, const double* b, size_t padded_dim) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  for (size_t f = 0; f < padded_dim; f += kSoaLaneWidth) {
-    l0 += a[f] * b[f];
-    l1 += a[f + 1] * b[f + 1];
-    l2 += a[f + 2] * b[f + 2];
-    l3 += a[f + 3] * b[f + 3];
-  }
-  return (l0 + l1) + (l2 + l3);
-}
-
-double SoaJaccard(const double* a, const double* b, size_t padded_dim) {
-  double n0 = 0.0, n1 = 0.0, n2 = 0.0, n3 = 0.0;
-  double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-  for (size_t f = 0; f < padded_dim; f += kSoaLaneWidth) {
-    n0 += std::min(a[f], b[f]);
-    n1 += std::min(a[f + 1], b[f + 1]);
-    n2 += std::min(a[f + 2], b[f + 2]);
-    n3 += std::min(a[f + 3], b[f + 3]);
-    d0 += std::max(a[f], b[f]);
-    d1 += std::max(a[f + 1], b[f + 1]);
-    d2 += std::max(a[f + 2], b[f + 2]);
-    d3 += std::max(a[f + 3], b[f + 3]);
-  }
-  const double num = (n0 + n1) + (n2 + n3);
-  const double den = (d0 + d1) + (d2 + d3);
-  return den > 0.0 ? num / den : 1.0;
-}
-
-double SoaHamming(const double* a, const double* b, size_t dim,
-                  size_t padded_dim) {
-  if (dim == 0) return 1.0;
-  // Integer counting: exact, so lane order is irrelevant here. Zero padding
-  // never mismatches (both sides outside the support).
-  int m0 = 0, m1 = 0, m2 = 0, m3 = 0;
-  for (size_t f = 0; f < padded_dim; f += kSoaLaneWidth) {
-    m0 += (a[f] > 0.0) != (b[f] > 0.0);
-    m1 += (a[f + 1] > 0.0) != (b[f + 1] > 0.0);
-    m2 += (a[f + 2] > 0.0) != (b[f + 2] > 0.0);
-    m3 += (a[f + 3] > 0.0) != (b[f + 3] > 0.0);
-  }
-  const int mismatches = (m0 + m1) + (m2 + m3);
-  return 1.0 - static_cast<double>(mismatches) / static_cast<double>(dim);
-}
-
-double SoaSimilarity(InterestMetric metric, const double* a, const double* b,
-                     size_t dim, size_t padded_dim) {
-  switch (metric) {
-    case InterestMetric::kDotProduct:
-      return SoaDot(a, b, padded_dim);
-    case InterestMetric::kJaccard:
-      return SoaJaccard(a, b, padded_dim);
-    case InterestMetric::kHamming:
-      return SoaHamming(a, b, dim, padded_dim);
-  }
-  return 0.0;
-}
-
-void SoaSimilarityOneToMany(InterestMetric metric, const double* q,
-                            const double* rows, size_t dim, size_t padded_dim,
-                            size_t n, double* out) {
-  switch (metric) {
-    case InterestMetric::kDotProduct:
-      for (size_t i = 0; i < n; ++i) {
-        out[i] = SoaDot(q, rows + i * padded_dim, padded_dim);
-      }
-      return;
-    case InterestMetric::kJaccard:
-      for (size_t i = 0; i < n; ++i) {
-        out[i] = SoaJaccard(q, rows + i * padded_dim, padded_dim);
-      }
-      return;
-    case InterestMetric::kHamming:
-      for (size_t i = 0; i < n; ++i) {
-        out[i] = SoaHamming(q, rows + i * padded_dim, dim, padded_dim);
-      }
-      return;
-  }
-}
-
-double MaskedMatchScore(const double* interests,
-                        std::span<const uint64_t> mask_words) {
-  // Ascending set-bit iteration reproduces MatchScore's sorted-unique
-  // keyword walk addition-for-addition (bit-identical sums).
-  double s = 0.0;
-  for (size_t w = 0; w < mask_words.size(); ++w) {
-    uint64_t bits = mask_words[w];
-    while (bits != 0) {
-      const int b = std::countr_zero(bits);
-      s += interests[w * 64 + static_cast<size_t>(b)];
-      bits &= bits - 1;
     }
   }
   return s;

@@ -3,6 +3,17 @@
 // The two scores of Definition 5: the common-interest score between users
 // (Eq. 1) and the user-vs-POI-set matching score (Eq. 2), plus the
 // bit-vector upper bound of Eq. 15.
+//
+// Every interest score sums its per-topic terms in one order, the 4-lane
+// order: term f goes to lane f mod 4, each lane adds its terms in ascending
+// f, and the lanes combine as (l0 + l1) + (l2 + l3). A vector of any length
+// qualifies; a tail term goes to its own lane, which equals zero padding.
+// The order is part of the definition, not an implementation detail: the
+// SocialScratch rows (core/social_scratch.h), the sparse merge of
+// core/refinement.cc, the box bounds below, the Lemma 8 region
+// (geom/pruning_region.h) and the oracle all compute it, so every kernel
+// returns the same bits and no γ tie can split them. Four independent
+// lanes also let the compiler keep the accumulators in vector registers.
 
 #ifndef GPSSN_CORE_SCORES_H_
 #define GPSSN_CORE_SCORES_H_
@@ -17,14 +28,20 @@
 
 namespace gpssn {
 
-/// Eq. 1: Interest_Score(u_j, u_k) = Σ_f w_f(j) · w_f(k).
+/// Lane count of the summation order above.
+inline constexpr size_t kScoreLanes = 4;
+
+/// Eq. 1: Interest_Score(u_j, u_k) = Σ_f w_f(j) · w_f(k), in the 4-lane
+/// order (it is geom's Dot, which the Lemma 8 box test shares).
 double InterestScore(std::span<const double> a, std::span<const double> b);
 
 /// Weighted Jaccard similarity: Σ_f min(a_f, b_f) / Σ_f max(a_f, b_f)
-/// (1.0 when both vectors are all-zero). The paper's "future work" metric.
+/// (1.0 when both vectors are all-zero), numerator and denominator each in
+/// the 4-lane order. The paper's "future work" metric.
 double WeightedJaccard(std::span<const double> a, std::span<const double> b);
 
 /// Hamming similarity over topic supports: 1 − |supp(a) Δ supp(b)| / d.
+/// The mismatch count is an integer, so every order gives the same bits.
 double HammingSimilarity(std::span<const double> a, std::span<const double> b);
 
 /// Dispatches on the query's interest metric.
@@ -34,7 +51,9 @@ double UserSimilarity(InterestMetric metric, std::span<const double> a,
 /// Upper bound of the weighted Jaccard between `q` and ANY vector inside
 /// the box [lb, ub]: Σ min(q, ub) / Σ max(q, lb). Used for node-level
 /// pruning under the Jaccard metric (the half-space region of Section 3.2
-/// only applies to the dot product).
+/// only applies to the dot product). Both sums use the 4-lane order, so
+/// with monotone rounding the bound is exactly >= every box member's
+/// WeightedJaccard.
 double UbJaccardBox(std::span<const double> q, std::span<const double> lb,
                     std::span<const double> ub);
 
@@ -57,50 +76,6 @@ double UbMatchScore(std::span<const double> interests,
 /// Union of the keyword sets of the given POIs, sorted unique.
 std::vector<KeywordId> UnionKeywords(const SpatialSocialNetwork& ssn,
                                      const std::vector<PoiId>& pois);
-
-// ----- Structure-of-arrays kernels (SocialScratch fast path) -----
-//
-// The Soa* kernels operate on flat interest rows padded with zeros to
-// `padded_dim` (a multiple of kSoaLaneWidth doubles, 64-byte aligned — see
-// core/social_scratch.h). Each reduction runs in kSoaLaneWidth independent
-// accumulator lanes combined as (l0 + l1) + (l2 + l3), so the compiler can
-// keep them in one vector register; the summation order therefore differs
-// from the sequential scalar kernels above by design. The differential
-// tests pin them 0-ULP against ScalarReference* implementations that spell
-// out the same lane split, and the query-level tests cover the (measure-
-// zero) threshold-tie divergence against the sequential kernels.
-
-/// Accumulator-lane count of the unrolled reductions (doubles per 64-byte
-/// SIMD-width stripe; also the row padding granularity).
-inline constexpr size_t kSoaLaneWidth = 4;
-
-/// Eq. 1 over padded rows: 4-lane unrolled dot product.
-double SoaDot(const double* a, const double* b, size_t padded_dim);
-
-/// Weighted Jaccard over padded rows (zero padding contributes min=max=0).
-double SoaJaccard(const double* a, const double* b, size_t padded_dim);
-
-/// Hamming similarity over padded rows; `dim` is the true dimensionality
-/// (the denominator — padding lanes agree on zero so they add nothing).
-double SoaHamming(const double* a, const double* b, size_t dim,
-                  size_t padded_dim);
-
-/// Dispatches on the metric, like UserSimilarity.
-double SoaSimilarity(InterestMetric metric, const double* a, const double* b,
-                     size_t dim, size_t padded_dim);
-
-/// One-to-many row variant: out[i] = SoaSimilarity(q, rows + i*padded_dim)
-/// for i in [0, n). Row-major `rows` as produced by SocialScratch.
-void SoaSimilarityOneToMany(InterestMetric metric, const double* q,
-                            const double* rows, size_t dim, size_t padded_dim,
-                            size_t n, double* out);
-
-/// Eq. 2 as a masked row sum: Σ interests[i] over the set bits of
-/// `mask_words` (covering `padded_dim` bits, no bits ≥ the true dim).
-/// Iterates set bits ascending, so against a mask built from sorted unique
-/// union keywords this is bit-identical to MatchScore.
-double MaskedMatchScore(const double* interests,
-                        std::span<const uint64_t> mask_words);
 
 }  // namespace gpssn
 

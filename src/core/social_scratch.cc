@@ -8,13 +8,6 @@
 
 namespace gpssn {
 
-namespace {
-// Rows are padded to a multiple of 8 doubles so every row starts on a
-// 64-byte boundary once the base pointer is aligned.
-constexpr size_t kAlignDoubles = 8;
-static_assert(kAlignDoubles % kSoaLaneWidth == 0);
-}  // namespace
-
 void SocialScratch::Build(const SocialNetwork& social, const GpssnQuery& query,
                           std::span<const UserId> candidates) {
   social_ = &social;
@@ -39,19 +32,6 @@ void SocialScratch::Build(const SocialNetwork& social, const GpssnQuery& query,
   for (size_t i = 0; i < n; ++i) {
     index_stamp_[users_[i]] = generation_;
     index_of_[users_[i]] = static_cast<int32_t>(i);
-  }
-
-  // SoA interest matrix: one zero-padded, 64-byte-aligned row per
-  // candidate. Interests are probabilities (non-negative), so zero padding
-  // is value-preserving for every kernel.
-  dim_ = static_cast<size_t>(social.num_topics());
-  padded_dim_ = (dim_ + kAlignDoubles - 1) / kAlignDoubles * kAlignDoubles;
-  rows_storage_.assign(n * padded_dim_ + kAlignDoubles, 0.0);
-  const auto base = reinterpret_cast<uintptr_t>(rows_storage_.data());
-  rows_ = rows_storage_.data() + ((64 - base % 64) % 64) / sizeof(double);
-  for (size_t i = 0; i < n; ++i) {
-    const auto w = social.Interests(users_[i]);
-    std::copy(w.begin(), w.end(), rows_ + i * padded_dim_);
   }
 
   // Candidate-local adjacency bitsets from the CSR friend lists. Candidate
@@ -86,27 +66,9 @@ bool SocialScratch::PairPasses(int i, int j) {
   uint8_t& state = memo_[TriIndex(i, j)];
   if (state == 0) {
     ++pairs_scored_;
-    const double s =
-        SoaSimilarity(metric_, Row(i), Row(j), dim_, padded_dim_);
-    state = s >= gamma_ ? 1 : 2;
+    state = UserSimilarity(metric_, Row(i), Row(j)) >= gamma_ ? 1 : 2;
   }
   return state == 1;
-}
-
-void SocialScratch::BuildKeywordMask(const std::vector<KeywordId>& keywords,
-                                     DynamicBitset* mask) const {
-  mask->Reset(padded_dim_);
-  for (KeywordId kw : keywords) {
-    if (kw >= 0 && static_cast<size_t>(kw) < dim_) {
-      mask->Set(static_cast<size_t>(kw));
-    }
-  }
-}
-
-double SocialScratch::MaskedMatchScoreRow(const double* row,
-                                          const DynamicBitset& mask) {
-  return MaskedMatchScore(
-      row, std::span<const uint64_t>(mask.words(), mask.num_words()));
 }
 
 }  // namespace gpssn

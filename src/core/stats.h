@@ -62,7 +62,8 @@ struct QueryStats {
   uint64_t dist_cache_row_misses = 0;
 
   // Fresh pairwise Interest_Score evaluations through the SocialScratch
-  // memo (QueryOptions::vectorized_social_kernels; 0 on the scalar path).
+  // memo, which PlanGroups builds whenever Corollary 2 runs over at most
+  // kScratchMaxCandidates candidates (0 when the sparse kernels ran).
   // Bounded by n(n-1)/2 per query — each pair is scored at most once.
   uint64_t interest_pairs_scored = 0;
 

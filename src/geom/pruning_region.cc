@@ -9,9 +9,20 @@ namespace gpssn {
 
 double Dot(std::span<const double> a, std::span<const double> b) {
   GPSSN_CHECK(a.size() == b.size());
-  double s = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
+  const size_t n = a.size();
+  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+  size_t f = 0;
+  for (; f + 4 <= n; f += 4) {
+    l0 += a[f] * b[f];
+    l1 += a[f + 1] * b[f + 1];
+    l2 += a[f + 2] * b[f + 2];
+    l3 += a[f + 3] * b[f + 3];
+  }
+  // Tail terms keep their lanes, which equals zero padding.
+  if (f < n) l0 += a[f] * b[f];
+  if (f + 1 < n) l1 += a[f + 1] * b[f + 1];
+  if (f + 2 < n) l2 += a[f + 2] * b[f + 2];
+  return (l0 + l1) + (l2 + l3);
 }
 
 namespace {

@@ -63,7 +63,12 @@ class PruningRegion {
   bool case1_;    // ||w||^2 >= gamma
 };
 
-/// Dot product of two equal-length vectors.
+/// Dot product of two equal-length vectors, summed in the 4-lane order
+/// that defines Interest_Score (core/scores.h): term f goes to lane f mod 4,
+/// each lane adds its terms in ascending f, and the lanes combine as
+/// (l0 + l1) + (l2 + l3). Eq. 1 is this function, so the box test above
+/// bounds every member's score exactly: rounding is monotone, and the `ub`
+/// corner's terms are each at least the member's.
 double Dot(std::span<const double> a, std::span<const double> b);
 
 }  // namespace gpssn

@@ -151,7 +151,7 @@ class ServingCluster {
   const GpssnDatabase& db_;
   ServingPartition partition_;
   QueryOptions shard_query_options_;  // Backend default filled in.
-  SocialScratch plan_scratch_;        // Plan's SoA social kernels.
+  SocialScratch plan_scratch_;        // Plan's social scratch (PlanGroups).
   std::atomic<bool> cancel_{false};
   uint64_t next_query_id_ = 1;  // Never reused (stale-reply detection).
   std::unordered_map<uint64_t, QueryState> inflight_;

@@ -1,8 +1,7 @@
-// Unit and race tests for the unified work-stealing TaskScheduler:
-// drain-on-destruction, WaitAll semantics, Spawn/steal plumbing and steal
-// fairness, earliest-deadline-first injector ordering, the Publish/Retire
-// morsel-source barrier, and lost-wakeup hammers (shutdown and publish
-// races). The TSAN preset runs this test.
+// Unit and race tests for the TaskScheduler: drain-on-destruction,
+// WaitAll semantics, earliest-deadline-first injector ordering, the
+// Publish/Retire morsel-source barrier, and lost-wakeup hammers (shutdown
+// and publish races). The TSAN preset runs this test.
 
 #include "common/task_scheduler.h"
 
@@ -36,7 +35,7 @@ TEST(TaskSchedulerTest, WaitAllCoversTasksSubmittedFromTasks) {
   for (int i = 0; i < 50; ++i) {
     scheduler.Submit([&](int) {
       ++count;
-      scheduler.Spawn([&count](int) { ++count; });
+      scheduler.Submit([&count](int) { ++count; });
     });
   }
   scheduler.WaitAll();
@@ -54,56 +53,6 @@ TEST(TaskSchedulerTest, WorkerIndexIsInRange) {
   }
   scheduler.WaitAll();
   EXPECT_EQ(bad.load(), 0);
-}
-
-TEST(TaskSchedulerTest, SpawnedWorkIsStolenByIdleWorkers) {
-  // One root task spawns many children onto its own deque and then blocks
-  // until every child ran. Only stealing lets the other workers help, so
-  // completion without a timeout proves the steal path works; the stat
-  // counter proves it was actually exercised.
-  TaskScheduler scheduler(4);
-  constexpr int kChildren = 64;
-  std::atomic<int> done{0};
-  scheduler.Submit([&](int) {
-    for (int i = 0; i < kChildren; ++i) {
-      scheduler.Spawn([&done](int) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        ++done;
-      });
-    }
-    while (done.load() < kChildren) std::this_thread::yield();
-  });
-  scheduler.WaitAll();
-  EXPECT_EQ(done.load(), kChildren);
-  EXPECT_GT(scheduler.GetStats().tasks_stolen, 0u);
-}
-
-TEST(TaskSchedulerTest, StealSpreadsWorkAcrossWorkers) {
-  // Fairness: with one spawner and long-ish children, every worker should
-  // end up running some of them (round-robin victim scan + FIFO steals).
-  constexpr int kWorkers = 4;
-  constexpr int kChildren = 200;
-  TaskScheduler scheduler(kWorkers);
-  Mutex mu;
-  std::vector<int> per_worker(kWorkers, 0);
-  std::atomic<int> done{0};
-  scheduler.Submit([&](int) {
-    for (int i = 0; i < kChildren; ++i) {
-      scheduler.Spawn([&](int worker) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        {
-          MutexLock lock(mu);
-          ++per_worker[worker];
-        }
-        ++done;
-      });
-    }
-    while (done.load() < kChildren) std::this_thread::yield();
-  });
-  scheduler.WaitAll();
-  int busy_workers = 0;
-  for (int n : per_worker) busy_workers += n > 0 ? 1 : 0;
-  EXPECT_GE(busy_workers, 2) << "stealing never spread the spawned work";
 }
 
 TEST(TaskSchedulerTest, DeadlinePriorityOrdersInjector) {

@@ -3,7 +3,10 @@
 // varying seed, τ, γ, θ, r, and ALL THREE InterestMetric values — the
 // indexed GpssnProcessor must return exactly the oracle's feasibility
 // verdict and objective max_dist. Any divergence is a soundness bug in a
-// pruning rule, a bound, or the δ-cut fallback.
+// pruning rule, a bound, or the δ-cut fallback. A second suite repeats the
+// comparison on dense social graphs under both social kernels.
+
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -87,6 +90,86 @@ TEST_P(DifferentialTest, OptimizedMatchesBaselineOracle) {
 // 20 random networks × 3 metrics × 2 queries = 120 oracle comparisons.
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Range<uint64_t>(1, 21));
+
+// Dense social graphs (average degree ≈ 30, GowCol's regime) through
+// Execute, under both social kernels: default pruning runs Corollary 2
+// over the SocialScratch; with interest pruning off the sparse kernels
+// run. Sizes keep the oracle cheap and every refinement cap idle.
+class DenseDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DenseDifferentialTest, BothSocialKernelsMatchOracle) {
+  Rng rng(GetParam() * 7919 + 5);
+  RealLikeSsnOptions data;
+  data.name = "dense";
+  data.num_users = 90;
+  data.social_avg_degree = 30.0;
+  data.power_law_exponent = 2.3;
+  data.num_road_vertices = 150;
+  data.road_avg_degree = 2.4;
+  data.space_size = 14.0;
+  data.num_pois = 45;
+  data.num_topics = 10;
+  data.community_size = 30;
+  data.seed = rng.Next();
+
+  GpssnBuildOptions build;
+  build.num_road_pivots = 3;
+  build.num_social_pivots = 3;
+  build.social_index.leaf_cell_size = 12;
+  build.poi_index.r_min = 0.3;
+  build.poi_index.r_max = 4.5;
+  build.seed = rng.Next();
+
+  GpssnDatabase db(MakeRealLike(data), build);
+
+  const InterestMetric kMetrics[] = {InterestMetric::kDotProduct,
+                                     InterestMetric::kJaccard,
+                                     InterestMetric::kHamming};
+  for (InterestMetric metric : kMetrics) {
+    for (int trial = 0; trial < 3; ++trial) {
+      GpssnQuery q;
+      q.issuer = static_cast<UserId>(rng.NextBounded(db.ssn().num_users()));
+      q.tau = 2 + static_cast<int>(rng.NextBounded(2));
+      q.theta = rng.UniformDouble(0.2, 1.0);
+      q.radius = rng.UniformDouble(0.5, 3.0);
+      q.metric = metric;
+      switch (metric) {
+        case InterestMetric::kDotProduct:
+          q.gamma = rng.UniformDouble(0.2, 1.2);
+          break;
+        case InterestMetric::kJaccard:
+          q.gamma = rng.UniformDouble(0.1, 0.6);
+          break;
+        case InterestMetric::kHamming:
+          q.gamma = rng.UniformDouble(0.6, 0.95);
+          break;
+      }
+      const GpssnAnswer oracle = BruteForceGpssn(db.ssn(), q);
+
+      for (bool interest_pruning : {true, false}) {
+        QueryOptions options;
+        options.pruning.interest_score = interest_pruning;
+        QueryStats stats;
+        auto got = db.Query(q, options, &stats);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const std::string where =
+            "seed=" + std::to_string(GetParam()) +
+            " metric=" + std::to_string(static_cast<int>(metric)) +
+            " trial=" + std::to_string(trial) +
+            " interest_pruning=" + std::to_string(interest_pruning);
+        EXPECT_FALSE(stats.truncated) << where;
+        ASSERT_EQ(got->found, oracle.found) << where;
+        if (oracle.found) {
+          ASSERT_NEAR(got->max_dist, oracle.max_dist, 1e-9) << where;
+        }
+      }
+    }
+  }
+}
+
+// 6 dense networks × 3 metrics × 3 queries × 2 kernels.
+INSTANTIATE_TEST_SUITE_P(Seeds, DenseDifferentialTest,
+                         ::testing::Range<uint64_t>(1, 7));
 
 }  // namespace
 }  // namespace gpssn

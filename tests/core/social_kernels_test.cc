@@ -1,20 +1,15 @@
-// Differential tests for the SoA social kernels and the per-query
+// Tests of the one Interest_Score summation order and the per-query
 // SocialScratch:
-//   * SoaDot / SoaJaccard / SoaHamming equal a scalar reference spelling
-//     out the same 4-lane split to 0 ULP, over random vectors including
-//     padded-tail dimensionalities;
-//   * MaskedMatchScore equals the sequential MatchScore to 0 ULP (same
-//     additions in the same ascending-keyword order);
+//   * UserSimilarity equals a reference spelling out the 4-lane split bit
+//     for bit, for every metric and every length, tails included;
 //   * the scratch goes stale when interests change (SetInterests bumps
 //     interests_version);
-//   * scratch-backed ApplyCorollary2 / EnumerateGroups agree with the
-//     scalar path, and the count-based Corollary 2 early termination
-//     removes exactly the users full evaluation removes, on 20 random
-//     networks.
+//   * the scratch-backed and sparse ApplyCorollary2 / EnumerateGroups
+//     produce identical removed sets and group sequences under all three
+//     metrics, and the count-based Corollary 2 early termination removes
+//     exactly the users full evaluation removes, on 20 random networks.
 
 #include <algorithm>
-#include <cstring>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,35 +22,39 @@
 namespace gpssn {
 namespace {
 
-// Scalar references replicating the kernels' lane split exactly (see
-// scores.h): kSoaLaneWidth independent accumulators combined as
-// (l0 + l1) + (l2 + l3).
-double RefDot(const std::vector<double>& a, const std::vector<double>& b) {
-  double l[kSoaLaneWidth] = {};
-  for (size_t f = 0; f < a.size(); ++f) l[f % kSoaLaneWidth] += a[f] * b[f];
-  return (l[0] + l[1]) + (l[2] + l[3]);
-}
+constexpr InterestMetric kMetrics[] = {InterestMetric::kDotProduct,
+                                       InterestMetric::kJaccard,
+                                       InterestMetric::kHamming};
 
-double RefJaccard(const std::vector<double>& a, const std::vector<double>& b) {
-  double n[kSoaLaneWidth] = {};
-  double d[kSoaLaneWidth] = {};
-  for (size_t f = 0; f < a.size(); ++f) {
-    n[f % kSoaLaneWidth] += std::min(a[f], b[f]);
-    d[f % kSoaLaneWidth] += std::max(a[f], b[f]);
-  }
-  const double num = (n[0] + n[1]) + (n[2] + n[3]);
-  const double den = (d[0] + d[1]) + (d[2] + d[3]);
-  return den > 0.0 ? num / den : 1.0;
-}
-
-double RefHamming(const std::vector<double>& a, const std::vector<double>& b,
-                  size_t dim) {
-  if (dim == 0) return 1.0;
+// The definition of core/scores.h written out: term f goes to lane f mod 4,
+// lanes combine as (l0 + l1) + (l2 + l3).
+double LaneSplitReference(InterestMetric metric, const std::vector<double>& a,
+                          const std::vector<double>& b) {
+  double num[kScoreLanes] = {};
+  double den[kScoreLanes] = {};
   int mismatches = 0;
   for (size_t f = 0; f < a.size(); ++f) {
+    const size_t lane = f % kScoreLanes;
+    if (metric == InterestMetric::kDotProduct) {
+      num[lane] += a[f] * b[f];
+    } else {
+      num[lane] += std::min(a[f], b[f]);
+      den[lane] += std::max(a[f], b[f]);
+    }
     mismatches += (a[f] > 0.0) != (b[f] > 0.0);
   }
-  return 1.0 - static_cast<double>(mismatches) / static_cast<double>(dim);
+  const double n = (num[0] + num[1]) + (num[2] + num[3]);
+  const double d = (den[0] + den[1]) + (den[2] + den[3]);
+  switch (metric) {
+    case InterestMetric::kDotProduct:
+      return n;
+    case InterestMetric::kJaccard:
+      return d > 0.0 ? n / d : 1.0;
+    case InterestMetric::kHamming:
+      return 1.0 - static_cast<double>(mismatches) /
+                       static_cast<double>(a.size());
+  }
+  return 0.0;
 }
 
 std::vector<double> RandomInterests(Rng* rng, size_t dim, double density) {
@@ -66,91 +65,20 @@ std::vector<double> RandomInterests(Rng* rng, size_t dim, double density) {
   return w;
 }
 
-// Pads to a multiple of kSoaLaneWidth with zeros (the scratch pads to 8,
-// but the kernels only require lane-width granularity).
-std::vector<double> Pad(const std::vector<double>& v, size_t padded) {
-  std::vector<double> out(padded, 0.0);
-  std::copy(v.begin(), v.end(), out.begin());
-  return out;
-}
-
-TEST(SoaKernelsTest, ZeroUlpAgainstLaneSplitReference) {
+TEST(UserSimilarityTest, BitIdenticalToLaneSplitReference) {
   Rng rng(12345);
-  // Dims straddling the padding boundaries: exact multiples and tails.
-  for (size_t dim : {1u, 3u, 4u, 5u, 7u, 8u, 12u, 15u, 16u, 31u, 32u, 100u,
-                     128u, 129u}) {
-    const size_t padded = (dim + kSoaLaneWidth - 1) / kSoaLaneWidth *
-                          kSoaLaneWidth;
+  std::vector<size_t> dims;
+  for (size_t dim = 1; dim <= 13; ++dim) dims.push_back(dim);
+  dims.push_back(100);
+  for (size_t dim : dims) {
     for (int trial = 0; trial < 50; ++trial) {
       const auto a = RandomInterests(&rng, dim, 0.6);
       const auto b = RandomInterests(&rng, dim, 0.6);
-      const auto pa = Pad(a, padded);
-      const auto pb = Pad(b, padded);
-      // 0 ULP: exact double equality, not NEAR.
-      EXPECT_EQ(SoaDot(pa.data(), pb.data(), padded), RefDot(pa, pb))
-          << "dim=" << dim;
-      EXPECT_EQ(SoaJaccard(pa.data(), pb.data(), padded), RefJaccard(pa, pb))
-          << "dim=" << dim;
-      EXPECT_EQ(SoaHamming(pa.data(), pb.data(), dim, padded),
-                RefHamming(pa, pb, dim))
-          << "dim=" << dim;
-      // Hamming is integer-exact, so it must ALSO equal the sequential
-      // kernel exactly; dot/Jaccard agree to rounding.
-      EXPECT_EQ(SoaHamming(pa.data(), pb.data(), dim, padded),
-                HammingSimilarity(a, b));
-      EXPECT_NEAR(SoaDot(pa.data(), pb.data(), padded), InterestScore(a, b),
-                  1e-12);
-      EXPECT_NEAR(SoaJaccard(pa.data(), pb.data(), padded),
-                  WeightedJaccard(a, b), 1e-12);
-    }
-  }
-}
-
-TEST(SoaKernelsTest, OneToManyMatchesSingleRowCalls) {
-  Rng rng(777);
-  const size_t dim = 13, padded = 16, n = 9;
-  const auto q = Pad(RandomInterests(&rng, dim, 0.5), padded);
-  std::vector<double> rows(n * padded, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    const auto r = RandomInterests(&rng, dim, 0.5);
-    std::copy(r.begin(), r.end(), rows.begin() + i * padded);
-  }
-  for (InterestMetric m : {InterestMetric::kDotProduct,
-                           InterestMetric::kJaccard,
-                           InterestMetric::kHamming}) {
-    std::vector<double> out(n, -1.0);
-    SoaSimilarityOneToMany(m, q.data(), rows.data(), dim, padded, n,
-                           out.data());
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out[i], SoaSimilarity(m, q.data(), rows.data() + i * padded,
-                                      dim, padded));
-    }
-  }
-}
-
-TEST(SoaKernelsTest, MaskedMatchScoreBitIdenticalToMatchScore) {
-  Rng rng(2024);
-  for (size_t dim : {5u, 8u, 17u, 64u, 65u, 130u}) {
-    const size_t padded = (dim + 7) / 8 * 8;
-    for (int trial = 0; trial < 40; ++trial) {
-      const auto interests = Pad(RandomInterests(&rng, dim, 0.7), padded);
-      // Random sorted unique keyword subset (some out of range, which
-      // MatchScore ignores and the mask never sets).
-      std::vector<KeywordId> keywords;
-      for (size_t f = 0; f < dim + 4; ++f) {
-        if (rng.Bernoulli(0.4)) keywords.push_back(static_cast<KeywordId>(f));
+      for (InterestMetric m : kMetrics) {
+        // Bit for bit: exact double equality, not NEAR.
+        EXPECT_EQ(UserSimilarity(m, a, b), LaneSplitReference(m, a, b))
+            << "dim=" << dim << " metric=" << static_cast<int>(m);
       }
-      DynamicBitset mask(padded);
-      for (KeywordId kw : keywords) {
-        if (static_cast<size_t>(kw) < dim) {
-          mask.Set(static_cast<size_t>(kw));
-        }
-      }
-      EXPECT_EQ(MaskedMatchScore(
-                    interests.data(),
-                    std::span<const uint64_t>(mask.words(), mask.num_words())),
-                MatchScore(interests, keywords))
-          << "dim=" << dim;
     }
   }
 }
@@ -194,8 +122,9 @@ TEST(SocialScratchTest, StaleAfterSetInterests) {
   scratch.Build(g, q, cands);
   EXPECT_FALSE(scratch.StaleFor(g));
   // The rebuilt row reflects the new interests.
-  const double* row = scratch.Row(scratch.IndexOf(2));
-  for (size_t f = 0; f < scratch.dim(); ++f) EXPECT_EQ(row[f], 0.5);
+  const auto row = scratch.Row(scratch.IndexOf(2));
+  EXPECT_EQ(row.size(), static_cast<size_t>(g.num_topics()));
+  for (double x : row) EXPECT_EQ(x, 0.5);
 }
 
 TEST(SocialScratchTest, PairMemoScoresEachPairOnce) {
@@ -220,81 +149,105 @@ TEST(SocialScratchTest, PairMemoScoresEachPairOnce) {
 
 class ScratchEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
+// γ drawn from a range where each metric both passes and fails pairs.
+double RandomGamma(InterestMetric metric, Rng* rng) {
+  switch (metric) {
+    case InterestMetric::kDotProduct:
+      return rng->UniformDouble(0.05, 0.6);
+    case InterestMetric::kJaccard:
+      return rng->UniformDouble(0.02, 0.4);
+    case InterestMetric::kHamming:
+      return rng->UniformDouble(0.3, 0.9);
+  }
+  return 0.0;
+}
+
 // Corollary 2 with early termination must remove EXACTLY the users the
-// full quadratic evaluation removes, with and without the scratch.
+// full quadratic evaluation removes, and the scratch and sparse kernels
+// must remove the same ones.
 TEST_P(ScratchEquivalenceTest, Corollary2MatchesFullEvaluation) {
   const uint64_t seed = GetParam();
   const SocialNetwork g = RandomSocial(18, 0.3, 5, seed * 31 + 1);
   Rng rng(seed);
-  for (int trial = 0; trial < 3; ++trial) {
-    GpssnQuery q;
-    q.issuer = static_cast<UserId>(rng.NextBounded(g.num_users()));
-    q.tau = 2 + static_cast<int>(rng.NextBounded(4));
-    q.gamma = rng.UniformDouble(0.05, 0.6);
-    std::vector<UserId> cands;
-    for (UserId u = 0; u < g.num_users(); ++u) {
-      if (rng.Bernoulli(0.8) || u == q.issuer) cands.push_back(u);
-    }
-
-    // Full evaluation: count every failing pair, no early exit.
-    const int64_t threshold =
-        static_cast<int64_t>(cands.size()) - q.tau + 1;
-    std::vector<UserId> want;
-    for (UserId u : cands) {
-      int64_t failures = 0;
-      for (UserId v : cands) {
-        if (v == u) continue;
-        if (UserSimilarity(q.metric, g.Interests(u), g.Interests(v)) <
-            q.gamma) {
-          ++failures;
-        }
+  for (InterestMetric metric : kMetrics) {
+    for (int trial = 0; trial < 3; ++trial) {
+      GpssnQuery q;
+      q.issuer = static_cast<UserId>(rng.NextBounded(g.num_users()));
+      q.tau = 2 + static_cast<int>(rng.NextBounded(4));
+      q.metric = metric;
+      q.gamma = RandomGamma(metric, &rng);
+      std::vector<UserId> cands;
+      for (UserId u = 0; u < g.num_users(); ++u) {
+        if (rng.Bernoulli(0.8) || u == q.issuer) cands.push_back(u);
       }
-      if (u == q.issuer || failures < threshold) want.push_back(u);
+
+      // Full evaluation: count every failing pair, no early exit.
+      const int64_t threshold =
+          static_cast<int64_t>(cands.size()) - q.tau + 1;
+      std::vector<UserId> want;
+      for (UserId u : cands) {
+        int64_t failures = 0;
+        for (UserId v : cands) {
+          if (v == u) continue;
+          if (UserSimilarity(q.metric, g.Interests(u), g.Interests(v)) <
+              q.gamma) {
+            ++failures;
+          }
+        }
+        if (u == q.issuer || failures < threshold) want.push_back(u);
+      }
+
+      std::vector<UserId> sparse = cands;
+      QueryStats sparse_stats;
+      ApplyCorollary2(g, q, &sparse, &sparse_stats);
+
+      SocialScratch scratch;
+      scratch.Build(g, q, cands);
+      std::vector<UserId> memoized = cands;
+      QueryStats scratch_stats;
+      ApplyCorollary2(g, q, &memoized, &scratch_stats, &scratch);
+
+      EXPECT_EQ(sparse, want) << "seed=" << seed << " metric="
+                              << static_cast<int>(metric) << " trial=" << trial;
+      EXPECT_EQ(memoized, sparse) << "seed=" << seed << " metric="
+                                  << static_cast<int>(metric)
+                                  << " trial=" << trial;
+      EXPECT_EQ(scratch_stats.users_pruned_corollary2,
+                sparse_stats.users_pruned_corollary2);
     }
-
-    std::vector<UserId> scalar = cands;
-    QueryStats scalar_stats;
-    ApplyCorollary2(g, q, &scalar, &scalar_stats);
-    EXPECT_EQ(scalar, want) << "scalar seed=" << seed << " trial=" << trial;
-
-    SocialScratch scratch;
-    scratch.Build(g, q, cands);
-    std::vector<UserId> vectorized = cands;
-    QueryStats soa_stats;
-    ApplyCorollary2(g, q, &vectorized, &soa_stats, &scratch);
-    EXPECT_EQ(vectorized, want) << "soa seed=" << seed << " trial=" << trial;
-    EXPECT_EQ(scalar_stats.users_pruned_corollary2,
-              soa_stats.users_pruned_corollary2);
   }
 }
 
 // The scratch-backed ESU enumerator must emit the same groups in the same
-// order as the scalar one.
+// order as the sparse one.
 TEST_P(ScratchEquivalenceTest, EnumerateGroupsSameSequence) {
   const uint64_t seed = GetParam();
   const SocialNetwork g = RandomSocial(16, 0.3, 5, seed * 17 + 3);
   Rng rng(seed ^ 0xbeef);
-  for (int trial = 0; trial < 3; ++trial) {
-    GpssnQuery q;
-    q.issuer = static_cast<UserId>(rng.NextBounded(g.num_users()));
-    q.tau = 2 + static_cast<int>(rng.NextBounded(3));
-    q.gamma = rng.UniformDouble(0.05, 0.5);
-    std::vector<UserId> cands;
-    for (UserId u = 0; u < g.num_users(); ++u) {
-      if (rng.Bernoulli(0.85) || u == q.issuer) cands.push_back(u);
+  for (InterestMetric metric : kMetrics) {
+    for (int trial = 0; trial < 3; ++trial) {
+      GpssnQuery q;
+      q.issuer = static_cast<UserId>(rng.NextBounded(g.num_users()));
+      q.tau = 2 + static_cast<int>(rng.NextBounded(3));
+      q.metric = metric;
+      q.gamma = RandomGamma(metric, &rng);
+      std::vector<UserId> cands;
+      for (UserId u = 0; u < g.num_users(); ++u) {
+        if (rng.Bernoulli(0.85) || u == q.issuer) cands.push_back(u);
+      }
+
+      std::vector<std::vector<UserId>> sparse;
+      ASSERT_TRUE(EnumerateGroups(g, q, cands, 1000000, &sparse));
+
+      SocialScratch scratch;
+      scratch.Build(g, q, cands);
+      std::vector<std::vector<UserId>> memoized;
+      ASSERT_TRUE(EnumerateGroups(g, q, cands, 1000000, &memoized, &scratch));
+
+      EXPECT_EQ(sparse, memoized) << "seed=" << seed << " metric="
+                                  << static_cast<int>(metric)
+                                  << " trial=" << trial << " tau=" << q.tau;
     }
-
-    std::vector<std::vector<UserId>> scalar;
-    ASSERT_TRUE(EnumerateGroups(g, q, cands, 1000000, &scalar));
-
-    SocialScratch scratch;
-    scratch.Build(g, q, cands);
-    std::vector<std::vector<UserId>> vectorized;
-    ASSERT_TRUE(
-        EnumerateGroups(g, q, cands, 1000000, &vectorized, &scratch));
-
-    EXPECT_EQ(scalar, vectorized)
-        << "seed=" << seed << " trial=" << trial << " tau=" << q.tau;
   }
 }
 
