@@ -13,6 +13,11 @@
 #           annotations of src/common/sync.h) + the TSA compile-fail test
 #   analyzer  Clang Static Analyzer (clang-tidy clang-analyzer-* +
 #           concurrency-* as errors) over the compile database
+#   perfbench  end-to-end benchmark smoke: perfbench/run.py on uni-ch and
+#           zipf-maint (seed 1, 1 s), untraced and traced. Any non-zero exit
+#           fails it: a failed build, a failed answer check or a timeout. It
+#           gates that the benchmark compiles and answers correctly, not its
+#           numbers. NOT part of the default mode.
 #   large   continental-scale tests (ctest label `large`, e.g. the 10^5+
 #           vertex CH range-engine / index-file validation): builds tier-1
 #           and runs `ctest -L large` with GPSSN_LARGE_TESTS=1. NOT part
@@ -21,7 +26,7 @@
 #
 # Usage: scripts/check.sh
 #          [--tier1-only|--tsan-only|--ubsan-only|--lint-only|--audit-only|
-#           --tsa-only|--analyzer-only|--large-only]
+#           --tsa-only|--analyzer-only|--large-only|--perfbench-only]
 #
 # `--lint-only` is the static-analysis gate: lint.py, clang-tidy (when
 # available), and a UBSan test pass. The default (no flag) runs everything.
@@ -34,9 +39,9 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
 MODE="${1:-all}"
 case "$MODE" in
-  all|--tier1-only|--tsan-only|--ubsan-only|--lint-only|--audit-only|--tsa-only|--analyzer-only|--large-only) ;;
+  all|--tier1-only|--tsan-only|--ubsan-only|--lint-only|--audit-only|--tsa-only|--analyzer-only|--large-only|--perfbench-only) ;;
   *)
-    echo "usage: scripts/check.sh [--tier1-only|--tsan-only|--ubsan-only|--lint-only|--audit-only|--tsa-only|--analyzer-only|--large-only]" >&2
+    echo "usage: scripts/check.sh [--tier1-only|--tsan-only|--ubsan-only|--lint-only|--audit-only|--tsa-only|--analyzer-only|--large-only|--perfbench-only]" >&2
     exit 2
     ;;
 esac
@@ -118,6 +123,16 @@ run_large() {
   (cd build && GPSSN_LARGE_TESTS=1 ctest --output-on-failure -L large)
 }
 
+run_perfbench() {
+  echo "=== perfbench: end-to-end benchmark smoke ==="
+  for workload in uni-ch zipf-maint; do
+    for trace in 0 1; do
+      python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+        --trace "$trace"
+    done
+  done
+}
+
 run_audit() {
   echo "=== audit: GPSSN_AUDIT build + full test suite ==="
   cmake -B build-audit -S . -DGPSSN_AUDIT=ON
@@ -144,6 +159,7 @@ case "$MODE" in
     ;;
   --audit-only) run_audit ;;
   --large-only) run_large ;;
+  --perfbench-only) run_perfbench ;;
   --tsa-only) run_tsa ;;
   --analyzer-only) run_analyzer ;;
 esac

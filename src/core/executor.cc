@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <iomanip>
+#include <numeric>
+#include <sstream>
 #include <utility>
 
 namespace gpssn {
@@ -21,37 +23,67 @@ double Percentile(const std::vector<double>& sorted, double q) {
 }  // namespace
 
 std::string BatchStats::ToString() const {
-  char buf[768];
-  std::snprintf(
-      buf, sizeof(buf),
-      "queries=%llu ok=%llu found=%llu deadline=%llu cancelled=%llu "
-      "failed=%llu wall=%.4fs qps=%.1f "
-      "latency(ms) mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f "
-      "cpu-total=%.4fs pairs=%llu page-ios=%llu "
-      "phases(s) descent=%.4f ball=%.4f refine=%.4f exact-dist=%.4f "
-      "dist-cache rows hit=%llu miss=%llu",
-      static_cast<unsigned long long>(queries),
-      static_cast<unsigned long long>(succeeded),
-      static_cast<unsigned long long>(answers_found),
-      static_cast<unsigned long long>(deadline_exceeded),
-      static_cast<unsigned long long>(cancelled),
-      static_cast<unsigned long long>(failed), wall_seconds, throughput_qps,
-      latency_mean_seconds * 1e3, latency_p50_seconds * 1e3,
-      latency_p95_seconds * 1e3, latency_p99_seconds * 1e3,
-      latency_max_seconds * 1e3, totals.cpu_seconds,
-      static_cast<unsigned long long>(totals.pairs_examined),
-      static_cast<unsigned long long>(totals.PageAccesses()),
-      totals.descent_seconds, totals.ball_seconds, totals.refine_seconds,
-      totals.exact_dist_seconds,
-      static_cast<unsigned long long>(totals.dist_cache_row_hits),
-      static_cast<unsigned long long>(totals.dist_cache_row_misses));
-  return buf;
+  std::ostringstream out;
+  out << "queries=" << queries << " ok=" << succeeded
+      << " found=" << answers_found << " deadline=" << deadline_exceeded
+      << " cancelled=" << cancelled << " failed=" << failed
+      << " stolen=" << scheduler_tasks_stolen << std::fixed
+      << std::setprecision(4) << " wall=" << wall_seconds << "s"
+      << std::setprecision(1) << " qps=" << throughput_qps
+      << std::setprecision(3) << " latency(ms) mean="
+      << latency_mean_seconds * 1e3 << " p50=" << latency_p50_seconds * 1e3
+      << " p95=" << latency_p95_seconds * 1e3
+      << " p99=" << latency_p99_seconds * 1e3
+      << " max=" << latency_max_seconds * 1e3
+      << " totals: " << totals.ToString();
+  return out.str();
 }
 
-void GpssnBatchExecutor::WorkerLane::Reset() {
-  totals = QueryStats();
-  latencies.clear();
-  succeeded = answers_found = deadline_exceeded = cancelled = failed = 0;
+void BatchTally::Add(const BatchQueryResult& result) {
+  ++sums_.queries;
+  if (result.status.ok()) {
+    ++sums_.succeeded;
+    if (result.answer.found) ++sums_.answers_found;
+  } else if (result.status.IsDeadlineExceeded()) {
+    ++sums_.deadline_exceeded;
+  } else if (result.status.IsCancelled()) {
+    ++sums_.cancelled;
+  } else {
+    ++sums_.failed;
+  }
+  sums_.totals.MergeFrom(result.stats);
+  latencies_.push_back(result.latency_seconds);
+}
+
+void BatchTally::MergeFrom(const BatchTally& other) {
+  sums_.queries += other.sums_.queries;
+  sums_.succeeded += other.sums_.succeeded;
+  sums_.answers_found += other.sums_.answers_found;
+  sums_.deadline_exceeded += other.sums_.deadline_exceeded;
+  sums_.cancelled += other.sums_.cancelled;
+  sums_.failed += other.sums_.failed;
+  sums_.totals.MergeFrom(other.sums_.totals);
+  latencies_.insert(latencies_.end(), other.latencies_.begin(),
+                    other.latencies_.end());
+}
+
+BatchStats BatchTally::Finish(double wall_seconds) {
+  BatchStats stats = sums_;
+  stats.wall_seconds = wall_seconds;
+  if (wall_seconds > 0.0) {
+    stats.throughput_qps = static_cast<double>(stats.queries) / wall_seconds;
+  }
+  if (!latencies_.empty()) {
+    std::sort(latencies_.begin(), latencies_.end());
+    stats.latency_mean_seconds =
+        std::accumulate(latencies_.begin(), latencies_.end(), 0.0) /
+        static_cast<double>(latencies_.size());
+    stats.latency_p50_seconds = Percentile(latencies_, 0.50);
+    stats.latency_p95_seconds = Percentile(latencies_, 0.95);
+    stats.latency_p99_seconds = Percentile(latencies_, 0.99);
+    stats.latency_max_seconds = latencies_.back();
+  }
+  return stats;
 }
 
 GpssnBatchExecutor::GpssnBatchExecutor(const PoiIndex* poi_index,
@@ -121,19 +153,7 @@ void GpssnBatchExecutor::RunOne(int worker, BatchQueryResult* slot,
   }
   slot->latency_seconds = submit_timer.ElapsedSeconds();
 
-  WorkerLane& lane = lanes_[worker];
-  lane.totals.MergeFrom(slot->stats);
-  lane.latencies.push_back(slot->latency_seconds);
-  if (slot->status.ok()) {
-    ++lane.succeeded;
-    if (slot->answer.found) ++lane.answers_found;
-  } else if (slot->status.IsDeadlineExceeded()) {
-    ++lane.deadline_exceeded;
-  } else if (slot->status.IsCancelled()) {
-    ++lane.cancelled;
-  } else {
-    ++lane.failed;
-  }
+  lanes_[worker].tally.Add(*slot);
   if (callback) callback(*slot);
 }
 
@@ -141,41 +161,17 @@ std::vector<BatchQueryResult> GpssnBatchExecutor::Wait(BatchStats* stats) {
   scheduler_.WaitAll();
   const double wall = results_.empty() ? 0.0 : batch_timer_.ElapsedSeconds();
 
-  if (stats != nullptr) {
-    *stats = BatchStats();
-    stats->queries = results_.size();
-    stats->wall_seconds = wall;
-    std::vector<double> latencies;
-    for (WorkerLane& lane : lanes_) {
-      stats->totals.MergeFrom(lane.totals);
-      stats->succeeded += lane.succeeded;
-      stats->answers_found += lane.answers_found;
-      stats->deadline_exceeded += lane.deadline_exceeded;
-      stats->cancelled += lane.cancelled;
-      stats->failed += lane.failed;
-      latencies.insert(latencies.end(), lane.latencies.begin(),
-                       lane.latencies.end());
-    }
-    if (!latencies.empty()) {
-      std::sort(latencies.begin(), latencies.end());
-      double sum = 0.0;
-      for (double v : latencies) sum += v;
-      stats->latency_mean_seconds = sum / static_cast<double>(latencies.size());
-      stats->latency_p50_seconds = Percentile(latencies, 0.50);
-      stats->latency_p95_seconds = Percentile(latencies, 0.95);
-      stats->latency_p99_seconds = Percentile(latencies, 0.99);
-      stats->latency_max_seconds = latencies.back();
-    }
-    if (wall > 0.0) {
-      stats->throughput_qps = static_cast<double>(stats->queries) / wall;
-    }
+  BatchTally batch;
+  for (WorkerLane& lane : lanes_) {
+    batch.MergeFrom(lane.tally);
+    lane.tally = BatchTally();
   }
+  if (stats != nullptr) *stats = batch.Finish(wall);
 
   std::vector<BatchQueryResult> out;
   out.reserve(results_.size());
   for (BatchQueryResult& r : results_) out.push_back(std::move(r));
   results_.clear();
-  for (WorkerLane& lane : lanes_) lane.Reset();
   cancel_.store(false, std::memory_order_relaxed);  // gpssn-lint: relaxed(flag reset before workers observe the batch)
   return out;
 }

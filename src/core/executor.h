@@ -99,6 +99,26 @@ struct BatchStats {
   std::string ToString() const;
 };
 
+/// The one aggregation of per-query results into a BatchStats, filled by
+/// GpssnBatchExecutor (one tally per worker lane, merged at Wait()) and by
+/// serving::ServingCluster::QueryBatch.
+class BatchTally {
+ public:
+  /// Counts `result`'s outcome, merges its stats into the totals and
+  /// records its latency.
+  void Add(const BatchQueryResult& result);
+  /// Folds in another tally.
+  void MergeFrom(const BatchTally& other);
+  /// The aggregate of everything added: outcome counts, totals, latency
+  /// mean / nearest-rank p50, p95, p99 / max, and throughput over
+  /// `wall_seconds`.
+  BatchStats Finish(double wall_seconds);
+
+ private:
+  BatchStats sums_;  // Outcome counts and totals; Finish derives the rest.
+  std::vector<double> latencies_;
+};
+
 /// Concurrent batch executor over one pair of immutable indexes. Not
 /// itself thread-safe: one thread drives Submit/Wait (the workers are
 /// internal). Reusable: Wait() ends one batch and the next Submit starts
@@ -147,14 +167,7 @@ class GpssnBatchExecutor {
   // while the batch runs (lock-free by partitioning); Wait() reads them
   // after the pool barrier.
   struct alignas(64) WorkerLane {
-    QueryStats totals;
-    std::vector<double> latencies;
-    uint64_t succeeded = 0;
-    uint64_t answers_found = 0;
-    uint64_t deadline_exceeded = 0;
-    uint64_t cancelled = 0;
-    uint64_t failed = 0;
-    void Reset();
+    BatchTally tally;
   };
 
   void RunOne(int worker, BatchQueryResult* slot, QueryDeadline deadline,

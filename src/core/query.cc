@@ -211,19 +211,10 @@ Result<std::vector<GpssnAnswer>> GpssnProcessor::ExecuteTopK(
     std::vector<RankedAnswer> exact;
     status = RunPipeline(query, run, /*top_k=*/1, &rerun_stats, &final_delta,
                          &exact);
-    // Keep the first run's pruning counters (they describe the indexed
-    // fast path) but charge the extra I/O and refinement work.
-    out->io.logical_accesses += rerun_stats.io.logical_accesses;
-    out->io.page_misses += rerun_stats.io.page_misses;
-    out->pairs_examined += rerun_stats.pairs_examined;
-    out->exact_distance_evals += rerun_stats.exact_distance_evals;
-    out->truncated = out->truncated || rerun_stats.truncated;
-    out->descent_seconds += rerun_stats.descent_seconds;
-    out->ball_seconds += rerun_stats.ball_seconds;
-    out->refine_seconds += rerun_stats.refine_seconds;
-    out->exact_dist_seconds += rerun_stats.exact_dist_seconds;
-    out->dist_cache_row_hits += rerun_stats.dist_cache_row_hits;
-    out->dist_cache_row_misses += rerun_stats.dist_cache_row_misses;
+    // Keep the first run's funnel (it describes the indexed fast path) but
+    // charge all of the rerun's work.
+    out->ChargeWorkFrom(rerun_stats);
+    ++out->delta_reruns;
     // Non-strict: on an exact objective tie the rerun's answer wins — it is
     // the discovery-order winner over the FULL (δ-free) candidate set, the
     // same set the sharded serving path evaluates, keeping the two paths'

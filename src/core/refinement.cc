@@ -179,189 +179,69 @@ void ApplyCorollary2(const SocialNetwork& social, const GpssnQuery& query,
 
 namespace {
 
-/// Shared state of the ESU-style enumeration.
-class GroupEnumerator {
+/// The ESU (enumerate-subgraphs) recursion over a view of the candidates.
+/// Each step takes the last extension vertex w (sibling branches never see
+/// it again — ESU uniqueness), tests it against every member, adds its
+/// exclusive (never-seen) candidate neighbours to the extension, recurses,
+/// then un-sees the vertices the branch introduced. The view supplies the
+/// three operations its representation does its own way:
+///   ForEachUnseenNeighbor(w, seen, fn)  fn(v) for every candidate
+///       neighbour v of w outside `seen`, in CSR Friends() order;
+///   PairPasses(a, b)  the pairwise Interest_Score >= γ test;
+///   UserOf(v)  the user id of vertex v.
+template <typename View>
+class EsuEnumerator {
  public:
-  GroupEnumerator(const SocialNetwork& social, const GpssnQuery& query,
-                  const std::vector<UserId>& candidates, int64_t max_groups,
-                  std::vector<std::vector<UserId>>* out)
-      : social_(social),
-        query_(query),
+  EsuEnumerator(View* view, int tau, int64_t max_groups,
+                std::vector<std::vector<UserId>>* out)
+      : view_(view),
+        tau_(tau),
         max_groups_(max_groups),
         out_(out),
-        in_candidates_(social.num_users(), false),
-        seen_(social.num_users(), false),
-        sparse_(social.num_users()) {
-    for (UserId u : candidates) in_candidates_[u] = true;
-    in_candidates_[query.issuer] = true;
-    for (UserId u = 0; u < social.num_users(); ++u) {
-      if (in_candidates_[u]) {
-        sparse_[u] = SparseInterests::From(social.Interests(u));
-      }
-    }
-  }
+        seen_(view->num_vertices()) {}
 
-  /// Returns false when truncated by max_groups.
-  bool Run() {
-    sub_.push_back(query_.issuer);
-    seen_[query_.issuer] = true;
-    std::vector<UserId> ext;
-    for (UserId v : social_.Friends(query_.issuer)) {
-      if (in_candidates_[v] && !seen_[v]) {
-        seen_[v] = true;
-        ext.push_back(v);
-        rollback_.push_back(v);
-      }
-    }
-    const bool complete = Extend(&ext);
-    return complete;
+  /// Emits every group grown from `root` (the first extension vertex);
+  /// false when truncated by max_groups.
+  bool Run(int root) {
+    seen_.Set(static_cast<size_t>(root));
+    return Extend({root});
   }
 
  private:
-  bool Extend(std::vector<UserId>* ext) {
-    if (static_cast<int>(sub_.size()) == query_.tau) {
-      std::vector<UserId> group = sub_;
-      std::sort(group.begin(), group.end());
-      out_->push_back(std::move(group));
-      return static_cast<int64_t>(out_->size()) < max_groups_;
-    }
-    // ESU: repeatedly take one extension vertex; sibling branches never see
-    // it again (uniqueness), and its exclusive neighbors join the extension.
-    std::vector<UserId> local = *ext;
-    while (!local.empty()) {
-      const UserId w = local.back();
-      local.pop_back();
-      // Pairwise interest predicate: any group containing w must pass γ
-      // against every current member.
-      bool compatible = true;
-      for (UserId member : sub_) {
-        if (SparseSimilarity(query_.metric, sparse_[w], sparse_[member]) <
-            query_.gamma) {
-          compatible = false;
-          break;
-        }
-      }
-      if (!compatible) continue;
-
-      // Exclusive neighbors of w (never seen along this path).
-      const size_t rollback_mark = rollback_.size();
-      std::vector<UserId> next = local;
-      for (UserId v : social_.Friends(w)) {
-        if (in_candidates_[v] && !seen_[v]) {
-          seen_[v] = true;
-          rollback_.push_back(v);
-          next.push_back(v);
-        }
-      }
-      sub_.push_back(w);
-      const bool keep_going = Extend(&next);
-      sub_.pop_back();
-      // Un-see the vertices this branch introduced (w itself stays seen for
-      // the remaining siblings — ESU uniqueness).
-      while (rollback_.size() > rollback_mark) {
-        seen_[rollback_.back()] = false;
-        rollback_.pop_back();
-      }
-      if (!keep_going) return false;
-    }
-    return true;
-  }
-
-  const SocialNetwork& social_;
-  const GpssnQuery& query_;
-  int64_t max_groups_;
-  std::vector<std::vector<UserId>>* out_;
-  std::vector<bool> in_candidates_;
-  std::vector<bool> seen_;
-  std::vector<SparseInterests> sparse_;
-  std::vector<UserId> sub_;
-  std::vector<UserId> rollback_;
-};
-
-/// Bitset variant of the ESU enumeration over a SocialScratch: everything
-/// is candidate-local (indices, not user ids), extension candidates come
-/// from word-parallel adjacency ∧ active ∧ ¬seen sweeps, and the pairwise
-/// predicate hits the memo. Scratch candidates are id-sorted, so ascending
-/// bit iteration appends extension vertices in exactly the order the
-/// sparse enumerator reads them off the CSR friend lists — the emitted
-/// group sequence is identical.
-class ScratchGroupEnumerator {
- public:
-  ScratchGroupEnumerator(const GpssnQuery& query, SocialScratch* scratch,
-                         const std::vector<UserId>& candidates,
-                         int64_t max_groups,
-                         std::vector<std::vector<UserId>>* out)
-      : query_(query),
-        scratch_(scratch),
-        max_groups_(max_groups),
-        out_(out),
-        active_(scratch->size()),
-        seen_(scratch->size()) {
-    for (UserId u : candidates) {
-      const int i = scratch->IndexOf(u);
-      GPSSN_CHECK(i >= 0);
-      active_.Set(static_cast<size_t>(i));
-    }
-    issuer_ = scratch->IndexOf(query.issuer);
-    GPSSN_CHECK(issuer_ >= 0);
-    active_.Set(static_cast<size_t>(issuer_));
-  }
-
-  bool Run() {
-    sub_.push_back(issuer_);
-    seen_.Set(static_cast<size_t>(issuer_));
-    std::vector<int> ext;
-    AppendExclusiveNeighbors(issuer_, &ext);
-    return Extend(&ext);
-  }
-
- private:
-  // Appends (adjacency[w] ∧ active ∧ ¬seen) to *ext in ascending index
-  // order, marking each appended vertex seen and recording it for
-  // rollback.
+  // Appends w's never-seen candidate neighbours to *ext, marking each one
+  // seen and recording it for rollback.
   void AppendExclusiveNeighbors(int w, std::vector<int>* ext) {
-    const uint64_t* adj = scratch_->AdjacencyRow(w);
-    for (size_t word = 0; word < scratch_->adj_words(); ++word) {
-      uint64_t bits = adj[word] & active_.Word(word) & ~seen_.Word(word);
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        const int v = static_cast<int>(word * 64) + b;
-        seen_.Set(static_cast<size_t>(v));
-        rollback_.push_back(v);
-        ext->push_back(v);
-      }
-    }
+    view_->ForEachUnseenNeighbor(w, seen_, [&](int v) {
+      seen_.Set(static_cast<size_t>(v));
+      rollback_.push_back(v);
+      ext->push_back(v);
+    });
   }
 
-  bool Extend(std::vector<int>* ext) {
-    if (static_cast<int>(sub_.size()) == query_.tau) {
+  bool Extend(std::vector<int> ext) {
+    if (static_cast<int>(sub_.size()) == tau_) {
       std::vector<UserId> group;
       group.reserve(sub_.size());
-      for (int i : sub_) group.push_back(scratch_->UserAt(i));
+      for (int v : sub_) group.push_back(view_->UserOf(v));
       std::sort(group.begin(), group.end());
       out_->push_back(std::move(group));
       return static_cast<int64_t>(out_->size()) < max_groups_;
     }
-    std::vector<int> local = *ext;
-    while (!local.empty()) {
-      const int w = local.back();
-      local.pop_back();
-      bool compatible = true;
-      for (int member : sub_) {
-        if (!scratch_->PairPasses(w, member)) {
-          compatible = false;
-          break;
-        }
-      }
-      if (!compatible) continue;
+    while (!ext.empty()) {
+      const int w = ext.back();
+      ext.pop_back();
+      // Pairwise interest predicate: any group containing w must pass γ
+      // against every current member.
+      const auto passes = [&](int m) { return view_->PairPasses(w, m); };
+      if (!std::all_of(sub_.begin(), sub_.end(), passes)) continue;
 
       const size_t rollback_mark = rollback_.size();
-      std::vector<int> next = local;
+      std::vector<int> next = ext;
       AppendExclusiveNeighbors(w, &next);
       sub_.push_back(w);
-      const bool keep_going = Extend(&next);
+      const bool keep_going = Extend(std::move(next));
       sub_.pop_back();
+      // w itself stays seen for the remaining siblings (ESU uniqueness).
       while (rollback_.size() > rollback_mark) {
         seen_.Clear(static_cast<size_t>(rollback_.back()));
         rollback_.pop_back();
@@ -371,15 +251,98 @@ class ScratchGroupEnumerator {
     return true;
   }
 
-  const GpssnQuery& query_;
-  SocialScratch* scratch_;
+  View* view_;
+  int tau_;
   int64_t max_groups_;
   std::vector<std::vector<UserId>>* out_;
-  DynamicBitset active_;
   DynamicBitset seen_;
-  int issuer_ = -1;
   std::vector<int> sub_;
   std::vector<int> rollback_;
+};
+
+/// CSR view: vertices are user ids, neighbours are the Friends() that are
+/// candidates, and pairs run the sparse merge.
+class SparseView {
+ public:
+  SparseView(const SocialNetwork& social, const GpssnQuery& query,
+             const std::vector<UserId>& candidates)
+      : social_(social),
+        query_(query),
+        in_candidates_(social.num_users(), false),
+        sparse_(social.num_users()) {
+    auto add = [&](UserId u) {
+      in_candidates_[u] = true;
+      sparse_[u] = SparseInterests::From(social.Interests(u));
+    };
+    for (UserId u : candidates) add(u);
+    add(query.issuer);
+  }
+
+  size_t num_vertices() const { return in_candidates_.size(); }
+
+  template <typename Fn>
+  void ForEachUnseenNeighbor(int w, const DynamicBitset& seen,
+                             Fn&& fn) const {
+    for (UserId v : social_.Friends(w)) {
+      if (in_candidates_[v] && !seen.Test(static_cast<size_t>(v))) fn(v);
+    }
+  }
+
+  bool PairPasses(int a, int b) const {
+    return SparseSimilarity(query_.metric, sparse_[a], sparse_[b]) >=
+           query_.gamma;
+  }
+
+  UserId UserOf(int v) const { return v; }
+
+ private:
+  const SocialNetwork& social_;
+  const GpssnQuery& query_;
+  std::vector<bool> in_candidates_;
+  std::vector<SparseInterests> sparse_;
+};
+
+/// Bitset view over a SocialScratch: vertices are candidate-local indices,
+/// neighbours come from word-parallel adjacency ∧ active ∧ ¬seen sweeps,
+/// and pairs hit the memo. Scratch candidates are id-sorted, so ascending
+/// bit order is the CSR Friends() order and the emitted group sequence is
+/// the sparse view's.
+class ScratchView {
+ public:
+  ScratchView(SocialScratch* scratch, const std::vector<UserId>& candidates,
+              int issuer)
+      : scratch_(scratch), active_(scratch->size()) {
+    for (UserId u : candidates) {
+      const int i = scratch->IndexOf(u);
+      GPSSN_CHECK(i >= 0);
+      active_.Set(static_cast<size_t>(i));
+    }
+    active_.Set(static_cast<size_t>(issuer));
+  }
+
+  size_t num_vertices() const { return active_.size(); }
+
+  template <typename Fn>
+  void ForEachUnseenNeighbor(int w, const DynamicBitset& seen,
+                             Fn&& fn) const {
+    const uint64_t* adj = scratch_->AdjacencyRow(w);
+    for (size_t word = 0; word < scratch_->adj_words(); ++word) {
+      uint64_t bits = adj[word] & active_.Word(word) & ~seen.Word(word);
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        bits &= bits - 1;
+        fn(static_cast<int>(word * 64) + b);
+      }
+    }
+  }
+
+  bool PairPasses(int a, int b) { return scratch_->PairPasses(a, b); }
+
+  UserId UserOf(int v) const { return scratch_->UserAt(v); }
+
+ private:
+  SocialScratch* scratch_;
+  DynamicBitset active_;
 };
 
 }  // namespace
@@ -394,14 +357,15 @@ bool EnumerateGroups(const SocialNetwork& social, const GpssnQuery& query,
     out->push_back({query.issuer});
     return true;
   }
-  if (scratch != nullptr && scratch->built() &&
-      scratch->IndexOf(query.issuer) >= 0) {
-    ScratchGroupEnumerator enumerator(query, scratch, candidates, max_groups,
-                                      out);
-    return enumerator.Run();
+  const int issuer =
+      scratch != nullptr && scratch->built() ? scratch->IndexOf(query.issuer)
+                                             : -1;
+  if (issuer >= 0) {
+    ScratchView view(scratch, candidates, issuer);
+    return EsuEnumerator(&view, query.tau, max_groups, out).Run(issuer);
   }
-  GroupEnumerator enumerator(social, query, candidates, max_groups, out);
-  return enumerator.Run();
+  SparseView view(social, query, candidates);
+  return EsuEnumerator(&view, query.tau, max_groups, out).Run(query.issuer);
 }
 
 void SampleGroups(const SocialNetwork& social, const GpssnQuery& query,

@@ -14,88 +14,108 @@
 
 namespace gpssn {
 
+// The QueryStats schema: the one list of its members, one row each,
+// X(type, name, merge, kind), in declaration order. The struct body,
+// MergeFrom, ChargeWorkFrom and ToString are generated from it, so a new
+// row merges, prints, crosses the serving wire (a trivially copyable
+// blob) and reaches BatchStats with no other edit.
+//   merge: Sum adds (IoStats adds both of its counters); Or ORs a flag.
+//   kind:  Funnel rows count the candidates each pruning rule visited,
+//          pruned or kept (the Fig. 7 numbers); Work rows measure cost.
+#define GPSSN_QUERY_STATS(X)                                                 \
+  X(double, cpu_seconds, Sum, Work)                                          \
+  X(IoStats, io, Sum, Work)                                                  \
+  /* --- Social-network side (Fig. 7(a)/(b)). */                             \
+  X(uint64_t, social_nodes_visited, Sum, Funnel)                             \
+  X(uint64_t, social_nodes_pruned_interest, Sum, Funnel) /* Lemma 8. */      \
+  X(uint64_t, social_nodes_pruned_distance, Sum, Funnel) /* Lemma 9. */      \
+  X(uint64_t, users_seen, Sum, Funnel) /* Users reaching object level. */    \
+  X(uint64_t, users_pruned_interest, Sum, Funnel) /* Lemma 3 / Corollary 1. */ \
+  X(uint64_t, users_pruned_distance, Sum, Funnel) /* Lemma 4. */             \
+  /* Corollary 2 (refinement). */                                            \
+  X(uint64_t, users_pruned_corollary2, Sum, Funnel)                          \
+  X(uint64_t, users_candidates, Sum, Funnel) /* Survivors. */                \
+  /* Users covered by index nodes pruned at index level (for index-level     \
+     pruning power: fraction of all users never reaching object level). */   \
+  X(uint64_t, users_pruned_at_index_level, Sum, Funnel)                      \
+  /* --- Road-network side (Fig. 7(a)/(c)). */                               \
+  X(uint64_t, road_nodes_visited, Sum, Funnel)                               \
+  X(uint64_t, road_nodes_pruned_match, Sum, Funnel) /* Lemma 6. */           \
+  X(uint64_t, road_nodes_pruned_distance, Sum, Funnel) /* Lemma 7 / δ cut. */ \
+  X(uint64_t, pois_seen, Sum, Funnel)                                        \
+  X(uint64_t, pois_pruned_match, Sum, Funnel) /* Lemma 1. */                 \
+  X(uint64_t, pois_pruned_distance, Sum, Funnel) /* Lemma 5. */              \
+  X(uint64_t, pois_candidates, Sum, Funnel)                                  \
+  X(uint64_t, pois_pruned_at_index_level, Sum, Funnel)                       \
+  /* --- Refinement (Fig. 7(d), Figs. 8-11). */                              \
+  X(uint64_t, groups_enumerated, Sum, Funnel)                                \
+  /* (S, R) pairs actually evaluated. */                                     \
+  X(uint64_t, pairs_examined, Sum, Work)                                     \
+  X(uint64_t, exact_distance_evals, Sum, Work)                               \
+  X(bool, truncated, Or, Work) /* A refinement cap was hit. */               \
+  /* Reruns without the δ cut, which may have removed the optimum            \
+     (GpssnProcessor::ExecuteTopK); their work is charged to this query. */  \
+  X(uint64_t, delta_reruns, Sum, Work)                                       \
+  /* --- Per-phase wall time (attributes backend/cache wins to the phase     \
+     they land in; the four do not sum to cpu_seconds — exact_dist and       \
+     ball are subsets of refine). Phase 1: synchronized index descent. */    \
+  X(double, descent_seconds, Sum, Work)                                      \
+  X(double, ball_seconds, Sum, Work) /* Ball materialization (B(o_i, r)). */ \
+  /* Phase 2 total (includes the below). */                                  \
+  X(double, refine_seconds, Sum, Work)                                       \
+  /* Exact user→POI distance evaluations. */                                 \
+  X(double, exact_dist_seconds, Sum, Work)                                   \
+  /* --- Shared distance cache (roadnet/distance_cache.h), counted at        \
+     user-row granularity: a hit means one whole per-user distance           \
+     evaluation (one bounded Dijkstra / CH forward search) was skipped. */   \
+  X(uint64_t, dist_cache_row_hits, Sum, Work)                                \
+  X(uint64_t, dist_cache_row_misses, Sum, Work)                              \
+  /* Fresh pairwise Interest_Score evaluations through the SocialScratch     \
+     memo, which PlanGroups builds whenever Corollary 2 runs over at most    \
+     kScratchMaxCandidates candidates (0 when the sparse kernels ran).       \
+     Bounded by n(n-1)/2 per plan — each pair is scored at most once. */     \
+  X(uint64_t, interest_pairs_scored, Sum, Work)                              \
+  /* --- Ball materialization backend (roadnet/ch_range.h): total B(o, r)    \
+     evaluations and the subset answered by the CH range index instead of    \
+     bounded Dijkstra (0 on the Dijkstra backend). */                        \
+  X(uint64_t, ball_queries, Sum, Work)                                       \
+  X(uint64_t, ball_range_engine_queries, Sum, Work)                          \
+  /* --- Sharded serving (src/serving/): all 0 on the single-node path.      \
+     Refine requests the coordinator never sent because the shard's gather   \
+     lower bound could not beat the global incumbent (the cross-shard        \
+     Lemma-style prune), over the shards that held candidate centers. */     \
+  X(uint64_t, skipped_shards, Sum, Work)                                     \
+  X(uint64_t, refined_shards, Sum, Work)                                     \
+  /* Transport envelopes exchanged for this query (requests + replies). */   \
+  X(uint64_t, shard_msgs, Sum, Work)                                         \
+  /* Coordinator-side wall time per serving phase: scatter/gather round,     \
+     central planning (merge + Corollary 2 + group enumeration), and the     \
+     incumbent-pruned refine waves. Shard-side descent/ball/refine time      \
+     lands in the regular phase counters above via the merged shard          \
+     stats. */                                                               \
+  X(double, serve_gather_seconds, Sum, Work)                                 \
+  X(double, serve_plan_seconds, Sum, Work)                                   \
+  X(double, serve_refine_seconds, Sum, Work)
+
 struct QueryStats {
-  double cpu_seconds = 0.0;
-  IoStats io;
-
-  // --- Social-network side (Fig. 7(a)/(b)).
-  uint64_t social_nodes_visited = 0;
-  uint64_t social_nodes_pruned_interest = 0;  // Lemma 8.
-  uint64_t social_nodes_pruned_distance = 0;  // Lemma 9.
-  uint64_t users_seen = 0;                    // Users reaching object level.
-  uint64_t users_pruned_interest = 0;         // Lemma 3 / Corollary 1.
-  uint64_t users_pruned_distance = 0;         // Lemma 4.
-  uint64_t users_pruned_corollary2 = 0;       // Corollary 2 (refinement).
-  uint64_t users_candidates = 0;              // Survivors.
-  /// Users covered by index nodes pruned at index level (for index-level
-  /// pruning power: fraction of all users never reaching object level).
-  uint64_t users_pruned_at_index_level = 0;
-
-  // --- Road-network side (Fig. 7(a)/(c)).
-  uint64_t road_nodes_visited = 0;
-  uint64_t road_nodes_pruned_match = 0;      // Lemma 6.
-  uint64_t road_nodes_pruned_distance = 0;   // Lemma 7 / δ cut.
-  uint64_t pois_seen = 0;
-  uint64_t pois_pruned_match = 0;            // Lemma 1.
-  uint64_t pois_pruned_distance = 0;         // Lemma 5.
-  uint64_t pois_candidates = 0;
-  uint64_t pois_pruned_at_index_level = 0;
-
-  // --- Refinement (Fig. 7(d), Figs. 8-11).
-  uint64_t groups_enumerated = 0;
-  uint64_t pairs_examined = 0;     // (S, R) pairs actually evaluated.
-  uint64_t exact_distance_evals = 0;
-  bool truncated = false;          // A refinement cap was hit.
-
-  // --- Per-phase wall time (attributes backend/cache wins to the phase
-  // they land in; the four do not sum to cpu_seconds — exact_dist and
-  // ball are subsets of refine).
-  double descent_seconds = 0.0;     // Phase 1: synchronized index descent.
-  double ball_seconds = 0.0;        // Ball materialization (B(o_i, r)).
-  double refine_seconds = 0.0;      // Phase 2 total (includes the below).
-  double exact_dist_seconds = 0.0;  // Exact user→POI distance evaluations.
-
-  // --- Shared distance cache (roadnet/distance_cache.h), counted at
-  // user-row granularity: a hit means one whole per-user distance
-  // evaluation (one bounded Dijkstra / CH forward search) was skipped.
-  uint64_t dist_cache_row_hits = 0;
-  uint64_t dist_cache_row_misses = 0;
-
-  // Fresh pairwise Interest_Score evaluations through the SocialScratch
-  // memo, which PlanGroups builds whenever Corollary 2 runs over at most
-  // kScratchMaxCandidates candidates (0 when the sparse kernels ran).
-  // Bounded by n(n-1)/2 per query — each pair is scored at most once.
-  uint64_t interest_pairs_scored = 0;
-
-  // --- Ball materialization backend (roadnet/ch_range.h): total B(o, r)
-  // evaluations and the subset answered by the CH range index instead of
-  // bounded Dijkstra (0 on the Dijkstra backend). MergeFrom sums.
-  uint64_t ball_queries = 0;
-  uint64_t ball_range_engine_queries = 0;
-
-  // --- Sharded serving (src/serving/): all 0 on the single-node path.
-  // Refine requests the coordinator never sent because the shard's gather
-  // lower bound could not beat the global incumbent (the cross-shard
-  // Lemma-style prune), over the shards that held candidate centers.
-  uint64_t skipped_shards = 0;
-  uint64_t refined_shards = 0;
-  // Transport envelopes exchanged for this query (requests + replies).
-  uint64_t shard_msgs = 0;
-  // Coordinator-side wall time per serving phase: scatter/gather round,
-  // central planning (merge + Corollary 2 + group enumeration), and the
-  // incumbent-pruned refine waves. Shard-side descent/ball/refine time
-  // lands in the regular phase counters above via the merged shard stats.
-  double serve_gather_seconds = 0.0;
-  double serve_plan_seconds = 0.0;
-  double serve_refine_seconds = 0.0;
+#define GPSSN_STATS_DECLARE(type, name, merge, kind) type name{};
+  GPSSN_QUERY_STATS(GPSSN_STATS_DECLARE)
+#undef GPSSN_STATS_DECLARE
 
   /// Page misses (the paper's "number of page accesses through a buffer").
   uint64_t PageAccesses() const { return io.page_misses; }
 
-  /// Adds every counter (and cpu_seconds) of `other` into this struct;
-  /// `truncated` ORs. Used by batch-level aggregation (core/executor.h).
+  /// Applies every row's merge rule with `other`. Used by batch-level
+  /// aggregation (core/executor.h) and the serving coordinator.
   void MergeFrom(const QueryStats& other);
 
+  /// The δ-fallback charge: merges only the Work rows of `rerun`, so this
+  /// query keeps its own Funnel rows (they describe the indexed fast path)
+  /// and pays for all of the rerun's work.
+  void ChargeWorkFrom(const QueryStats& rerun);
+
+  /// Every row as `name=value`, space-separated, in table order (`io`
+  /// prints as io.page_misses and io.logical_accesses).
   std::string ToString() const;
 };
 

@@ -2,24 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "core/refinement.h"
 
 namespace gpssn::serving {
-namespace {
-
-// Nearest-rank percentile over an ascending-sorted sample (same estimator
-// as the batch executor's, so serving and single-node BatchStats compare).
-double Percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
-  const size_t idx = static_cast<size_t>(std::max(1.0, rank)) - 1;
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
-}  // namespace
 
 Result<std::unique_ptr<ServingCluster>> ServingCluster::Create(
     const GpssnDatabase& db, const ServingOptions& options) {
@@ -343,39 +330,9 @@ std::vector<BatchQueryResult> ServingCluster::QueryBatch(
   }
 
   if (stats != nullptr) {
-    *stats = BatchStats{};
-    stats->queries = results.size();
-    std::vector<double> latencies;
-    latencies.reserve(results.size());
-    for (const BatchQueryResult& r : results) {
-      if (r.status.ok()) {
-        ++stats->succeeded;
-        if (r.answer.found) ++stats->answers_found;
-      } else if (r.status.IsDeadlineExceeded()) {
-        ++stats->deadline_exceeded;
-      } else if (r.status.IsCancelled()) {
-        ++stats->cancelled;
-      } else {
-        ++stats->failed;
-      }
-      stats->totals.MergeFrom(r.stats);
-      latencies.push_back(r.latency_seconds);
-    }
-    stats->wall_seconds = batch_timer.ElapsedSeconds();
-    if (stats->wall_seconds > 0.0) {
-      stats->throughput_qps =
-          static_cast<double>(stats->queries) / stats->wall_seconds;
-    }
-    if (!latencies.empty()) {
-      std::sort(latencies.begin(), latencies.end());
-      double sum = 0.0;
-      for (double v : latencies) sum += v;
-      stats->latency_mean_seconds = sum / static_cast<double>(latencies.size());
-      stats->latency_p50_seconds = Percentile(latencies, 0.50);
-      stats->latency_p95_seconds = Percentile(latencies, 0.95);
-      stats->latency_p99_seconds = Percentile(latencies, 0.99);
-      stats->latency_max_seconds = latencies.back();
-    }
+    BatchTally tally;
+    for (const BatchQueryResult& r : results) tally.Add(r);
+    *stats = tally.Finish(batch_timer.ElapsedSeconds());
     // Cross-check: the per-query shard_msgs counters must cover every
     // message the fabric carried for this batch (stale replies included —
     // they were counted when sent).

@@ -15,6 +15,7 @@
 #include "core/database.h"
 #include "core/executor.h"
 #include "roadnet/distance_cache.h"
+#include "serving/coordinator.h"
 #include "ssn/dataset.h"
 
 namespace gpssn {
@@ -47,6 +48,33 @@ std::vector<GpssnQuery> MakeWorkload(int count) {
     queries.push_back(q);
   }
   return queries;
+}
+
+void ExpectRowEq(const char* name, uint64_t got, uint64_t want) {
+  EXPECT_EQ(got, want) << name;
+}
+void ExpectRowEq(const char* name, bool got, bool want) {
+  EXPECT_EQ(got, want) << name;
+}
+// Merge order differs between lanes and submission order, so the float
+// sums may differ in the last ulp.
+void ExpectRowEq(const char* name, double got, double want) {
+  EXPECT_NEAR(got, want, 1e-9) << name;
+}
+void ExpectRowEq(const char* name, const IoStats& got, const IoStats& want) {
+  EXPECT_EQ(got.page_misses, want.page_misses) << name;
+  EXPECT_EQ(got.logical_accesses, want.logical_accesses) << name;
+}
+
+// Every row of the batch totals equals the merge of the per-query stats.
+void ExpectTotalsArePerQuerySums(const BatchStats& stats,
+                                 const std::vector<BatchQueryResult>& batch) {
+  QueryStats expected;
+  for (const BatchQueryResult& r : batch) expected.MergeFrom(r.stats);
+#define GPSSN_TEST_ROW(type, name, merge, kind) \
+  ExpectRowEq(#name, stats.totals.name, expected.name);
+  GPSSN_QUERY_STATS(GPSSN_TEST_ROW)
+#undef GPSSN_TEST_ROW
 }
 
 void ExpectSameAnswer(const BatchQueryResult& got, const GpssnAnswer& want,
@@ -141,27 +169,16 @@ TEST(BatchExecutorTest, AggregatedStatsEqualPerQuerySums) {
   std::vector<BatchQueryResult> batch = executor.ExecuteAll(queries, &stats);
   ASSERT_EQ(batch.size(), queries.size());
 
-  QueryStats expected;
   uint64_t found = 0;
   double latency_sum = 0.0, latency_max = 0.0;
   for (const BatchQueryResult& r : batch) {
-    expected.MergeFrom(r.stats);
     if (r.status.ok() && r.answer.found) ++found;
     latency_sum += r.latency_seconds;
     latency_max = std::max(latency_max, r.latency_seconds);
     EXPECT_GE(r.worker, 0);
     EXPECT_LT(r.worker, options.num_workers);
   }
-  EXPECT_EQ(stats.totals.pairs_examined, expected.pairs_examined);
-  EXPECT_EQ(stats.totals.users_seen, expected.users_seen);
-  EXPECT_EQ(stats.totals.pois_seen, expected.pois_seen);
-  EXPECT_EQ(stats.totals.groups_enumerated, expected.groups_enumerated);
-  EXPECT_EQ(stats.totals.exact_distance_evals, expected.exact_distance_evals);
-  EXPECT_EQ(stats.totals.io.page_misses, expected.io.page_misses);
-  EXPECT_EQ(stats.totals.io.logical_accesses, expected.io.logical_accesses);
-  // Merge order differs between lanes and submission order, so the float
-  // sums may differ in the last ulp.
-  EXPECT_NEAR(stats.totals.cpu_seconds, expected.cpu_seconds, 1e-9);
+  ExpectTotalsArePerQuerySums(stats, batch);
   EXPECT_EQ(stats.answers_found, found);
   EXPECT_NEAR(stats.latency_mean_seconds,
               latency_sum / static_cast<double>(queries.size()), 1e-9);
@@ -170,6 +187,24 @@ TEST(BatchExecutorTest, AggregatedStatsEqualPerQuerySums) {
   EXPECT_LE(stats.latency_p50_seconds, stats.latency_p95_seconds);
   EXPECT_LE(stats.latency_p95_seconds, stats.latency_p99_seconds);
   EXPECT_LE(stats.latency_p99_seconds, stats.latency_max_seconds);
+}
+
+TEST(BatchExecutorTest, ClusterTotalsEqualPerQuerySums) {
+  GpssnDatabase* db = SharedDb();
+  const std::vector<GpssnQuery> queries = MakeWorkload(16);
+
+  serving::ServingOptions options;
+  options.num_shards = 3;
+  options.max_inflight = 4;
+  auto cluster = serving::ServingCluster::Create(*db, options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  BatchStats stats;
+  std::vector<BatchQueryResult> batch = (*cluster)->QueryBatch(queries, &stats);
+  ASSERT_EQ(batch.size(), queries.size());
+  EXPECT_EQ(stats.queries, queries.size());
+  EXPECT_EQ(stats.succeeded, queries.size());
+  EXPECT_GT(stats.totals.shard_msgs, 0u);
+  ExpectTotalsArePerQuerySums(stats, batch);
 }
 
 TEST(BatchExecutorTest, DeadlineExpiredQueryDoesNotPoisonThePool) {

@@ -21,6 +21,41 @@ TransportMessage Msg(uint64_t query_id) {
   return m;
 }
 
+// Every row of the GPSSN_QUERY_STATS table set to a value no other row
+// holds, so a round-trip that drops or swaps a row shows.
+void SetDistinct(uint64_t* v, int k) { *v = 100 + static_cast<uint64_t>(k); }
+void SetDistinct(double* v, int k) { *v = 0.5 + k; }
+void SetDistinct(bool* v, int /*k*/) { *v = true; }
+void SetDistinct(IoStats* v, int k) {
+  v->page_misses = 700 + static_cast<uint64_t>(k);
+  v->logical_accesses = 900 + static_cast<uint64_t>(k);
+}
+
+QueryStats DistinctStats() {
+  QueryStats stats;
+  int k = 0;
+#define GPSSN_TEST_FILL(type, name, merge, kind) SetDistinct(&stats.name, k++);
+  GPSSN_QUERY_STATS(GPSSN_TEST_FILL)
+#undef GPSSN_TEST_FILL
+  return stats;
+}
+
+void ExpectRowEq(const char* name, const IoStats& got, const IoStats& want) {
+  EXPECT_EQ(got.page_misses, want.page_misses) << name;
+  EXPECT_EQ(got.logical_accesses, want.logical_accesses) << name;
+}
+template <typename T>
+void ExpectRowEq(const char* name, const T& got, const T& want) {
+  EXPECT_EQ(got, want) << name;
+}
+
+void ExpectSameStats(const QueryStats& got, const QueryStats& want) {
+#define GPSSN_TEST_ROW(type, name, merge, kind) \
+  ExpectRowEq(#name, got.name, want.name);
+  GPSSN_QUERY_STATS(GPSSN_TEST_ROW)
+#undef GPSSN_TEST_ROW
+}
+
 TEST(MailboxTest, FifoDelivery) {
   Mailbox box(8);
   ASSERT_TRUE(box.Send(Msg(1)));
@@ -130,17 +165,13 @@ TEST(WireTest, CandidatesReplyRoundtrip) {
   reply.candidates.users = {3, 1, 9};  // Traversal order, not sorted.
   reply.candidates.pois = {2, 5};
   reply.candidates.lower_bound = 0.375;
-  reply.stats.users_candidates = 3;
-  reply.stats.pois_candidates = 2;
-  reply.stats.cpu_seconds = 0.5;
+  reply.stats = DistinctStats();
   auto decoded = DecodeCandidatesReply(EncodeCandidatesReply(reply));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->candidates.users, reply.candidates.users);
   EXPECT_EQ(decoded->candidates.pois, reply.candidates.pois);
   EXPECT_EQ(decoded->candidates.lower_bound, 0.375);
-  EXPECT_EQ(decoded->stats.users_candidates, 3u);
-  EXPECT_EQ(decoded->stats.pois_candidates, 2u);
-  EXPECT_EQ(decoded->stats.cpu_seconds, 0.5);
+  ExpectSameStats(decoded->stats, reply.stats);
 }
 
 TEST(WireTest, RefineRequestRoundtrip) {
@@ -167,7 +198,7 @@ TEST(WireTest, AnswerReplyRoundtrip) {
   reply.result.answer.max_dist = 1.625;
   reply.result.center_worst = 1.5;
   reply.result.group_index = 42;
-  reply.stats.ball_queries = 7;
+  reply.stats = DistinctStats();
   auto decoded = DecodeAnswerReply(EncodeAnswerReply(reply));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded->result.answer.found);
@@ -177,7 +208,7 @@ TEST(WireTest, AnswerReplyRoundtrip) {
   EXPECT_EQ(decoded->result.answer.max_dist, 1.625);
   EXPECT_EQ(decoded->result.center_worst, 1.5);
   EXPECT_EQ(decoded->result.group_index, 42);
-  EXPECT_EQ(decoded->stats.ball_queries, 7u);
+  ExpectSameStats(decoded->stats, reply.stats);
 }
 
 TEST(WireTest, TruncatedPayloadsAreRejectedNotRead) {
