@@ -163,10 +163,39 @@ AuditReport AuditPoiIndex(const PoiIndex& index) {
   if (tree.size() == 0) return report;
   const int h = index.pivots().num_pivots();
 
-  // Per-POI invariants: sub_K ⊆ sup_K, pivot vector arity.
-  const int num_pois = index.ssn().num_pois();
+  // Per-POI invariants: the stored B(o, r_max) holds o at distance 0,
+  // every distance lies in [0, r_max], and it equals a fresh reference
+  // search in ids, distances and order; sub_K ⊆ sup_K; pivot vector arity.
+  const SpatialSocialNetwork& ssn = index.ssn();
+  const double r_max = index.options().r_max;
+  DijkstraEngine engine(&ssn.road());
+  const PoiLocator locator(&ssn.road(), &ssn.pois());
+  const int num_pois = ssn.num_pois();
   for (PoiId id = 0; id < num_pois; ++id) {
     const PoiAug& aug = index.poi_aug(id);
+    const std::string poi = "poi " + std::to_string(id) + ": ";
+    if (std::find(aug.ball.begin(), aug.ball.end(),
+                  std::pair<PoiId, double>(id, 0.0)) == aug.ball.end()) {
+      AddIssue(&report, "poi-ball", -1,
+               poi + "ball misses the POI itself at distance 0");
+    }
+    for (const auto& [member, d] : aug.ball) {
+      if (!(d >= 0.0 && d <= r_max)) {
+        std::ostringstream os;
+        os << poi << "member " << member << " at distance " << d
+           << " outside [0, r_max = " << r_max << "]";
+        AddIssue(&report, "poi-ball", -1, os.str());
+        break;
+      }
+    }
+    const auto fresh =
+        locator.BallWithDistances(ssn.poi(id).position, r_max, &engine);
+    if (aug.ball != fresh) {
+      AddIssue(&report, "poi-ball", -1,
+               poi + "ball (" + std::to_string(aug.ball.size()) +
+                   " entries) differs from a fresh B(o, r_max) search (" +
+                   std::to_string(fresh.size()) + " entries)");
+    }
     if (static_cast<int>(aug.pivot_dist.size()) != h) {
       AddIssue(&report, "poi-pivot-arity", -1,
                "poi " + std::to_string(id) + " carries " +

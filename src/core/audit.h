@@ -11,7 +11,7 @@
 //         coherence (uniform leaf depth), object count.
 //       * I_R augmentations: pivot lb/ub boxes contain every member POI's
 //         exact pivot distances, node signatures cover member signatures,
-//         subtree POI counts add up.
+//         subtree POI counts add up, stored balls equal a fresh search.
 //       * I_S partition tree: leaves partition the user set (disjoint,
 //         complete, consistent with leaf_of_user), interest / social-pivot /
 //         road-pivot lb/ub boxes contain every member, subtree counts and
@@ -74,7 +74,10 @@ AuditReport AuditRStarTree(const RStarTree& tree);
 /// AuditRStarTree plus the I_R augmentation invariants: per-node pivot
 /// lb/ub boxes contain the exact pivot distances of every POI underneath,
 /// node keyword signatures cover member signatures (sup_K ⊇ sub_K per POI),
-/// and subtree_pois counts are exact.
+/// subtree_pois counts are exact, and each POI's stored B(o, r_max) holds
+/// o at distance 0, keeps every distance in [0, r_max] and equals a fresh
+/// PoiLocator::BallWithDistances(position, r_max) ("poi-ball"; one bounded
+/// search per POI).
 AuditReport AuditPoiIndex(const PoiIndex& index);
 
 /// Validates the I_S partition tree: leaf user lists are disjoint and cover

@@ -164,8 +164,10 @@ Status GpssnProcessor::ValidateQuery(const GpssnQuery& query) const {
   if (query.gamma < 0.0 || query.theta < 0.0) {
     return Status::InvalidArgument("negative score threshold");
   }
-  if (query.radius < poi_index_->options().r_min ||
-      query.radius > poi_index_->options().r_max) {
+  // Negated so that a NaN radius fails too: Refine filters each stored
+  // B(o, r_max) by `radius`.
+  if (!(query.radius >= poi_index_->options().r_min &&
+        query.radius <= poi_index_->options().r_max)) {
     return Status::InvalidArgument(
         "radius outside the index's [r_min, r_max] envelope");
   }
@@ -590,7 +592,9 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   // Candidate centers ordered by the issuer's pivot lower bound. Every
   // ball materializes up front so the needed-POI slot table is complete
   // before the first distance row is computed: a row covers every needed
-  // POI, and an infinite entry is a proof, not a gap.
+  // POI, and an infinite entry is a proof, not a gap. B(c, r) is read from
+  // I_R: the members of the stored B(c, r_max) within r, in the order the
+  // reference bounded search emits them.
   std::vector<std::pair<double, PoiId>> by_lb;
   by_lb.reserve(plan->pois.size());
   for (PoiId c : plan->pois) {
@@ -606,11 +610,8 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     const ScopedPhaseTimer ball_phase(&stats->ball_seconds);
     CenterInfo& info = infos[i];
     ++stats->ball_queries;
-    if (engine.BallUsesRangeEngine(query.radius)) {
-      ++stats->ball_range_engine_queries;
-    }
-    for (const auto& [id, dist] : engine.BallWithDistances(
-             ssn.poi(by_lb[i].second).position, query.radius)) {
+    for (const auto& [id, dist] : poi_index_->poi_aug(by_lb[i].second).ball) {
+      if (dist > query.radius) continue;
       info.ball.push_back(id);
       if (scr.poi_stamp[id] != scr.generation) {
         scr.poi_stamp[id] = scr.generation;

@@ -1,7 +1,8 @@
 #include "core/snapshot.h"
-#include <algorithm>
 
+#include <algorithm>
 #include <fstream>
+#include <functional>
 
 #include "ssn/serialize.h"
 
@@ -109,14 +110,24 @@ Result<std::unique_ptr<GpssnDatabase>> LoadSnapshot(const std::string& path) {
         return Status::IoError("bad keyword id in snapshot");
       }
     }
-    if (!std::is_sorted(out_kws->begin(), out_kws->end())) {
-      return Status::IoError("snapshot keyword sets must be sorted");
+    // Strictly increasing: the PoiIndex constructor takes sorted-unique
+    // sets, and a repeated sub_K id would count twice in MatchScore.
+    if (std::adjacent_find(out_kws->begin(), out_kws->end(),
+                           std::greater_equal<KeywordId>()) !=
+        out_kws->end()) {
+      return Status::IoError(
+          "snapshot keyword sets must be strictly increasing");
     }
     return Status::OK();
   };
   for (PoiId id = 0; id < num_pois; ++id) {
-    GPSSN_RETURN_NOT_OK(read_keywords(&augs[id].sup_keywords));
-    GPSSN_RETURN_NOT_OK(read_keywords(&augs[id].sub_keywords));
+    PoiAug& aug = augs[id];
+    GPSSN_RETURN_NOT_OK(read_keywords(&aug.sup_keywords));
+    GPSSN_RETURN_NOT_OK(read_keywords(&aug.sub_keywords));
+    if (!std::includes(aug.sup_keywords.begin(), aug.sup_keywords.end(),
+                       aug.sub_keywords.begin(), aug.sub_keywords.end())) {
+      return Status::IoError("snapshot sub_K is not a subset of sup_K");
+    }
   }
   if (!(in >> section) || section != "end") {
     return Status::IoError("missing snapshot trailer");

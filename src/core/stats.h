@@ -75,9 +75,11 @@ namespace gpssn {
      kScratchMaxCandidates candidates (0 when the sparse kernels ran).       \
      Bounded by n(n-1)/2 per plan — each pair is scored at most once. */     \
   X(uint64_t, interest_pairs_scored, Sum, Work)                              \
-  /* --- Ball materialization backend (roadnet/ch_range.h): total B(o, r)    \
-     evaluations and the subset answered by the CH range index instead of    \
-     bounded Dijkstra (0 on the Dijkstra backend). */                        \
+  /* --- Ball materialization: B(o, r) reads from I_R's stored balls         \
+     (PoiAug::ball), one per candidate center; ball_seconds times them.      \
+     No query searches the road network for a ball, so nothing increments    \
+     ball_range_engine_queries: it always reads 0 and stays only because     \
+     perfbench reads it (roadnet.range_engine_share). */                     \
   X(uint64_t, ball_queries, Sum, Work)                                       \
   X(uint64_t, ball_range_engine_queries, Sum, Work)                          \
   /* --- Sharded serving (src/serving/): all 0 on the single-node path.      \

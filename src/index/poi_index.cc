@@ -39,7 +39,9 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
       pivots_(pivots),
       options_(options),
       tree_(options.rtree),
-      rng_(options.seed) {
+      rng_(options.seed),
+      engine_(&ssn->road()),
+      locator_(&ssn->road(), &ssn->pois()) {
   GPSSN_CHECK(ssn != nullptr && pivots != nullptr);
   GPSSN_CHECK(options.r_min > 0.0 && options.r_min <= options.r_max);
   const int n = ssn->num_pois();
@@ -55,11 +57,7 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
 
   // --- Per-POI augmentations.
   poi_aug_.resize(n);
-  DijkstraEngine engine(&ssn->road());
-  const PoiLocator locator(&ssn->road(), &ssn->pois());
-  for (PoiId id = 0; id < n; ++id) {
-    ComputePoiAug(id, &engine, locator);
-  }
+  for (PoiId id = 0; id < n; ++id) ComputePoiAug(id);
 
   RebuildNodeAugmentations();
 }
@@ -72,7 +70,9 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
       pivots_(pivots),
       options_(options),
       tree_(options.rtree),
-      rng_(options.seed) {
+      rng_(options.seed),
+      engine_(&ssn->road()),
+      locator_(&ssn->road(), &ssn->pois()) {
   GPSSN_CHECK(ssn != nullptr && pivots != nullptr);
   GPSSN_CHECK(options.r_min > 0.0 && options.r_min <= options.r_max);
   const int n = ssn->num_pois();
@@ -91,29 +91,37 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
     aug.v_sup = KeywordBitVector::FromKeywords(
         std::vector<int>(aug.sup_keywords.begin(), aug.sup_keywords.end()));
     aug.pivot_dist = pivots->PositionDistances(ssn->poi(id).position);
+    RefreshBall(id);
   }
 
   RebuildNodeAugmentations();
 }
 
-void PoiIndex::ComputePoiAug(PoiId id, DijkstraEngine* engine,
-                             const PoiLocator& locator) {
+std::vector<std::pair<PoiId, double>> PoiIndex::ComputePoiAug(PoiId id) {
   PoiAug& aug = poi_aug_[id];
   const Poi& poi = ssn_->poi(id);
-  // One ball query at the outer radius gives both sets (the inner ball is
-  // a distance filter over the same result).
-  const auto ball = locator.BallWithDistances(poi.position,
-                                              2.0 * options_.r_max, engine);
+  // One ball query at the outer radius gives sup_K, sub_K and B(o, r_max):
+  // each inner ball is a distance filter over the same result.
+  auto outer = locator_.BallWithDistances(poi.position, 2.0 * options_.r_max,
+                                          &engine_);
   std::vector<PoiId> sup_ids, sub_ids;
-  for (const auto& [other, dist] : ball) {
+  aug.ball.clear();
+  for (const auto& [other, dist] : outer) {
     sup_ids.push_back(other);
     if (dist <= options_.r_min) sub_ids.push_back(other);
+    if (dist <= options_.r_max) aug.ball.emplace_back(other, dist);
   }
   aug.sup_keywords = KeywordUnion(*ssn_, sup_ids);
   aug.sub_keywords = KeywordUnion(*ssn_, sub_ids);
   aug.v_sup = KeywordBitVector::FromKeywords(
       std::vector<int>(aug.sup_keywords.begin(), aug.sup_keywords.end()));
   aug.pivot_dist = pivots_->PositionDistances(poi.position);
+  return outer;
+}
+
+void PoiIndex::RefreshBall(PoiId id) {
+  poi_aug_[id].ball = locator_.BallWithDistances(
+      ssn_->poi(id).position, options_.r_max, &engine_);
 }
 
 void PoiIndex::RebuildNodeAugmentations() {
@@ -216,15 +224,18 @@ Status PoiIndex::InsertPoi(PoiId id) {
 
   // Fresh augmentations for the new POI.
   poi_aug_.emplace_back();
-  DijkstraEngine engine(&ssn_->road());
-  const PoiLocator locator(&ssn_->road(), &ssn_->pois());
-  ComputePoiAug(id, &engine, locator);
+  locator_.AppendPoi(id);
+  const auto reverse = ComputePoiAug(id);
 
   // Reverse ball update: the new POI now appears inside the precomputed
   // balls of every POI within 2·r_max (sup) / r_min (sub) — road distances
-  // are symmetric, so its own ball IS the reverse ball.
-  const auto reverse =
-      locator.BallWithDistances(poi.position, 2.0 * options_.r_max, &engine);
+  // are symmetric, so its own ball IS the reverse ball. A stored B(o,
+  // r_max) must hold d(o, id) bit for bit, which may differ from d(id, o)
+  // in the last bit, so those balls are searched again from o's side; the
+  // slack only widens the choice (a search that does not reach the new
+  // POI rewrites the same ball).
+  const double refresh_radius =
+      options_.r_max + 1e-9 * std::max(1.0, options_.r_max);
   for (const auto& [other, dist] : reverse) {
     if (other == id) continue;
     PoiAug& aug = poi_aug_[other];
@@ -233,6 +244,7 @@ Status PoiIndex::InsertPoi(PoiId id) {
     if (dist <= options_.r_min) {
       MergeSorted(&aug.sub_keywords, poi.keywords);
     }
+    if (dist <= refresh_radius) RefreshBall(other);
   }
 
   tree_.Insert(poi.location, id);

@@ -7,17 +7,21 @@
 //                    2·r_max of o_i (candidate superset R' of Fig. 2);
 //                    sub_K = union of keywords within r_min (used for match-
 //                    score LOWER bounds, Eq. 18, therefore stored exactly);
+//                    the ball B(o_i, r_max) with exact distances, from which
+//                    a query reads every candidate ball B(o_i, r), r <= r_max;
 //                    exact road distances to the h road pivots.
 //   * per node e_R:  V_sup bit vector (OR of children, Lemma 6 / Eq. 15);
 //                    sampled POIs with exact sub_K sets (Eq. 18);
 //                    per-pivot lb/ub road distances (Eqs. 7-8).
 //
 // Nodes are mapped onto simulated disk pages so queries can charge the
-// paper's I/O metric.
+// paper's I/O metric. The ball table stays outside that layout: a query
+// charges the payload page of every ball member it reads, as before.
 
 #ifndef GPSSN_INDEX_POI_INDEX_H_
 #define GPSSN_INDEX_POI_INDEX_H_
 
+#include <utility>
 #include <vector>
 
 #include "common/bitvector.h"
@@ -50,6 +54,12 @@ struct PoiAug {
   std::vector<KeywordId> sup_keywords;   // Exact sup_K (sorted).
   std::vector<KeywordId> sub_keywords;   // Exact sub_K (sorted).
   std::vector<double> pivot_dist;        // dist_RN(o_i, rp_k), k = 1..h.
+  // B(o_i, r_max): every POI within road distance r_max of o_i with that
+  // distance, bit-identical to PoiLocator::BallWithDistances(position,
+  // r_max) in ids, distances and order (ascending edge, then POI id). A
+  // bounded search's labels below its bound do not depend on the bound,
+  // so the entries with distance <= r are exactly B(o_i, r).
+  std::vector<std::pair<PoiId, double>> ball;
 };
 
 /// Augmentations of one R*-tree node of I_R.
@@ -66,15 +76,17 @@ struct PoiNodeAug {
 class PoiIndex {
  public:
   /// Builds the index. `pivots` must outlive the index. Runs one bounded
-  /// Dijkstra ball query per POI (radius 2·r_max) to assemble sup/sub sets.
+  /// Dijkstra ball query per POI (radius 2·r_max) and keeps sup_K, sub_K
+  /// and B(o, r_max) from it.
   PoiIndex(const SpatialSocialNetwork* ssn, const RoadPivotTable* pivots,
            const PoiIndexOptions& options);
 
   /// Snapshot-loading constructor: takes the sup_K / sub_K keyword sets
-  /// precomputed by a previous build (the expensive per-POI ball queries
-  /// are skipped; bit vectors and pivot distances are recomputed). The
-  /// `precomputed` vector must have one entry per POI with sorted-unique
-  /// keyword sets; everything else in it is ignored.
+  /// precomputed by a previous build, so the 2·r_max ball queries are
+  /// skipped; bit vectors and pivot distances are recomputed, and each
+  /// POI's ball with one bounded search of radius r_max. The `precomputed`
+  /// vector must have one entry per POI with sorted-unique keyword sets;
+  /// everything else in it is ignored.
   PoiIndex(const SpatialSocialNetwork* ssn, const RoadPivotTable* pivots,
            const PoiIndexOptions& options, std::vector<PoiAug> precomputed);
 
@@ -104,14 +116,19 @@ class PoiIndex {
   /// Dynamic maintenance: registers the POI `id` that was just appended to
   /// the underlying network via SpatialSocialNetwork::AddPoi. Updates the
   /// new POI's augmentations, patches the sup_K / sub_K sets of every POI
-  /// whose precomputed balls now contain it (reverse ball update), inserts
-  /// it into the R*-tree, and rebuilds the node aggregates and page layout
-  /// (O(n) — suitable for occasional facility openings, not bulk loads).
+  /// whose precomputed balls now contain it (reverse ball update), searches
+  /// the ball of every POI within r_max of it again from that POI's side,
+  /// inserts it into the R*-tree, and rebuilds the node aggregates and page
+  /// layout (O(n) — suitable for occasional facility openings, not bulk
+  /// loads).
   Status InsertPoi(PoiId id);
 
  private:
-  void ComputePoiAug(PoiId id, DijkstraEngine* engine,
-                     const PoiLocator& locator);
+  /// Fills the augmentations of `id` from one ball query at 2·r_max and
+  /// returns that query's result.
+  std::vector<std::pair<PoiId, double>> ComputePoiAug(PoiId id);
+  /// Recomputes B(id, r_max) with one bounded search from `id`.
+  void RefreshBall(PoiId id);
   /// Recomputes every node's aggregates (bit vectors, pivot bounds,
   /// samples, subtree counts) and the page layout from the current tree.
   void RebuildNodeAugmentations();
@@ -124,6 +141,10 @@ class PoiIndex {
   std::vector<PoiAug> poi_aug_;
   std::vector<PoiNodeAug> node_aug_;
   std::vector<PageId> poi_page_;
+  // The index's own ball searches (build and InsertPoi); queries never
+  // touch them.
+  DijkstraEngine engine_;
+  PoiLocator locator_;
 };
 
 }  // namespace gpssn

@@ -127,15 +127,11 @@ class ChDistanceEngine final : public DistanceEngine {
 
   std::vector<std::pair<PoiId, double>> BallWithDistances(
       const EdgePosition& center, double radius) override {
-    if (BallUsesRangeEngine(radius)) {
+    if (range_ != nullptr && radius <= range_max_radius_) {
       return range_->BallWithDistances(center, radius, locator_, *pois_);
     }
     // No index (or radius beyond its bound): the reference bounded search.
     return locator_.BallWithDistances(center, radius, &dijkstra_);
-  }
-
-  bool BallUsesRangeEngine(double radius) const override {
-    return range_ != nullptr && radius <= range_max_radius_;
   }
 
   void SetTargets(std::span<const EdgePosition> targets) override {

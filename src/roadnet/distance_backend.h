@@ -60,16 +60,10 @@ class DistanceEngine {
   /// The Dijkstra backend answers with the reference bounded search; the
   /// CH backend answers from its ball/range index (bit-exact against the
   /// reference) whenever the radius is covered, falling back to bounded
-  /// Dijkstra otherwise.
+  /// Dijkstra otherwise. The query path does not call this: it reads its
+  /// balls from I_R (PoiAug::ball); the oracle and tuning do.
   virtual std::vector<std::pair<PoiId, double>> BallWithDistances(
       const EdgePosition& center, double radius) = 0;
-
-  /// True when BallWithDistances(center, radius) would be answered by the
-  /// CH range index rather than bounded Dijkstra (stats introspection).
-  virtual bool BallUsesRangeEngine(double radius) const {
-    (void)radius;
-    return false;
-  }
 
   /// Registers the target positions for subsequent SourceToTargets calls.
   /// The CH engine runs one backward upward search per target here,

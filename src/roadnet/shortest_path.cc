@@ -133,11 +133,14 @@ PoiLocator::PoiLocator(const RoadNetwork* graph, const std::vector<Poi>* pois)
     : graph_(graph), pois_(pois) {
   GPSSN_CHECK(graph != nullptr && pois != nullptr);
   pois_on_edge_.resize(graph->num_edges());
-  for (const Poi& poi : *pois) {
-    GPSSN_CHECK(poi.position.edge >= 0 &&
-                poi.position.edge < graph->num_edges());
-    pois_on_edge_[poi.position.edge].push_back(poi.id);
-  }
+  for (const Poi& poi : *pois) AppendPoi(poi.id);
+}
+
+void PoiLocator::AppendPoi(PoiId id) {
+  GPSSN_CHECK(id >= 0 && id < static_cast<PoiId>(pois_->size()));
+  const EdgeId edge = (*pois_)[id].position.edge;
+  GPSSN_CHECK(edge >= 0 && edge < graph_->num_edges());
+  pois_on_edge_[edge].push_back(id);
 }
 
 std::vector<std::pair<PoiId, double>> PoiLocator::BallWithDistances(

@@ -103,6 +103,10 @@ class PoiLocator {
  public:
   PoiLocator(const RoadNetwork* graph, const std::vector<Poi>* pois);
 
+  /// Registers POI `id`, the one just appended to the backing vector, on
+  /// its edge: the slot a locator built over the grown vector gives it.
+  void AppendPoi(PoiId id);
+
   /// Returns ids of all POIs with dist_RN(center, poi) <= radius, using a
   /// bounded Dijkstra from `center`. Exact: a network path to a POI on edge
   /// (u, v) must pass u or v, or start on the same edge.

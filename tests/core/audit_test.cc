@@ -116,6 +116,30 @@ TEST_F(AuditTest, PoiSubtreeCountCorruptionIsLocalizedToNode) {
       << report.ToString();
 }
 
+TEST_F(AuditTest, PoiBallCorruptionIsLocalizedToPoi) {
+  // Drop one member (not the POI itself) from a stored B(o, r_max).
+  PoiId victim = kInvalidPoi;
+  for (PoiId id = 0; id < ssn_->num_pois(); ++id) {
+    if (poi_index_->poi_aug(id).ball.size() >= 2) {
+      victim = id;
+      break;
+    }
+  }
+  ASSERT_NE(victim, kInvalidPoi) << "fixture too small: every ball is a "
+                                    "singleton";
+  auto& ball = poi_index_->mutable_poi_aug_for_test(victim).ball;
+  ball.erase(std::find_if(ball.begin(), ball.end(), [&](const auto& entry) {
+    return entry.first != victim;
+  }));
+  const AuditReport report = AuditPoiIndex(*poi_index_);
+  ASSERT_TRUE(HasCheck(report, "poi-ball")) << report.ToString();
+  const std::string named = "poi " + std::to_string(victim) + ": ";
+  for (const AuditIssue& issue : report.issues) {
+    EXPECT_EQ(issue.check, "poi-ball") << report.ToString();
+    EXPECT_EQ(issue.detail.rfind(named, 0), 0u) << issue.detail;
+  }
+}
+
 // ----- Localized corruption: I_S bounds and partition -----
 
 TEST_F(AuditTest, SocialInterestBoxCorruptionIsLocalizedToNode) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/baseline.h"
 #include "core/database.h"
 #include "core/scores.h"
@@ -152,6 +154,9 @@ TEST(QueryValidationTest, RejectsMalformedQueries) {
   q.radius = 100.0;  // Outside the index envelope [r_min, r_max].
   EXPECT_TRUE(db->Query(q, &stats).status().IsInvalidArgument());
   q.radius = 0.0001;
+  EXPECT_TRUE(db->Query(q, &stats).status().IsInvalidArgument());
+  // NaN compares false against both envelope ends.
+  q.radius = std::numeric_limits<double>::quiet_NaN();
   EXPECT_TRUE(db->Query(q, &stats).status().IsInvalidArgument());
 }
 

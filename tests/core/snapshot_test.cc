@@ -40,16 +40,18 @@ TEST(SnapshotTest, RoundTripPreservesEveryAnswer) {
   auto restored = LoadSnapshot(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
-  // Pivot ids and per-POI keyword sets must match exactly.
+  // Pivot ids, per-POI keyword sets and the B(o, r_max) table (searched
+  // again at radius r_max on load) must match exactly.
   EXPECT_EQ((*restored)->road_pivots().pivots(),
             original->road_pivots().pivots());
   EXPECT_EQ((*restored)->social_pivots().pivots(),
             original->social_pivots().pivots());
   for (PoiId id = 0; id < original->ssn().num_pois(); ++id) {
-    EXPECT_EQ((*restored)->poi_index().poi_aug(id).sup_keywords,
-              original->poi_index().poi_aug(id).sup_keywords);
-    EXPECT_EQ((*restored)->poi_index().poi_aug(id).sub_keywords,
-              original->poi_index().poi_aug(id).sub_keywords);
+    const PoiAug& loaded = (*restored)->poi_index().poi_aug(id);
+    const PoiAug& built = original->poi_index().poi_aug(id);
+    EXPECT_EQ(loaded.sup_keywords, built.sup_keywords) << "poi " << id;
+    EXPECT_EQ(loaded.sub_keywords, built.sub_keywords) << "poi " << id;
+    EXPECT_EQ(loaded.ball, built.ball) << "poi " << id;
   }
 
   // Identical answers across a spread of queries.
@@ -130,6 +132,27 @@ TEST(SnapshotTest, RejectsMalformedSnapshots) {
     }
     EXPECT_FALSE(LoadSnapshot(cut_path).ok()) << "fraction " << fraction;
   }
+
+  // Rewrite the first POI's keyword line: "<n> sup... <m> sub...".
+  const size_t section = contents.find("\npoiaug ");
+  ASSERT_NE(section, std::string::npos);
+  const size_t line_begin = contents.find('\n', section + 1) + 1;
+  const size_t line_end = contents.find('\n', line_begin);
+  auto load_with_first_line = [&](const std::string& line) {
+    const std::string bad_path = TempPath("bad-keywords.snapshot");
+    {
+      std::ofstream out(bad_path);
+      out << contents.substr(0, line_begin) << line
+          << contents.substr(line_end);
+    }
+    return LoadSnapshot(bad_path).status();
+  };
+  ASSERT_TRUE(load_with_first_line("2 1 3 1 3").ok());
+  // A repeated id passes a sortedness check but not the loader.
+  EXPECT_TRUE(load_with_first_line("2 3 3 1 3").IsIoError());
+  EXPECT_TRUE(load_with_first_line("2 1 3 2 3 3").IsIoError());
+  // sub_K must be a subset of sup_K.
+  EXPECT_TRUE(load_with_first_line("2 1 3 1 2").IsIoError());
 }
 
 }  // namespace

@@ -67,6 +67,8 @@ TEST(DynamicPoiTest, IncrementalIndexMatchesFreshRebuild) {
     const PoiAug& b = fresh.poi_aug(id);
     EXPECT_EQ(a.sup_keywords, b.sup_keywords) << "poi " << id;
     EXPECT_EQ(a.sub_keywords, b.sub_keywords) << "poi " << id;
+    // The stored B(o, r_max) tables agree exactly: ids, distances, order.
+    EXPECT_EQ(a.ball, b.ball) << "poi " << id;
     ASSERT_EQ(a.pivot_dist.size(), b.pivot_dist.size());
     for (size_t k = 0; k < a.pivot_dist.size(); ++k) {
       EXPECT_NEAR(a.pivot_dist[k], b.pivot_dist[k], 1e-9);

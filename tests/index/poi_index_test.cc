@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/scores.h"
+#include "roadnet/distance_backend.h"
 #include "ssn/dataset.h"
 
 namespace gpssn {
@@ -83,6 +84,36 @@ TEST_F(PoiIndexTest, SubIsSubsetOfAnyBallKeywords) {
     const PoiAug& aug = index_->poi_aug(center);
     ASSERT_TRUE(std::includes(ball_kws.begin(), ball_kws.end(),
                               aug.sub_keywords.begin(), aug.sub_keywords.end()));
+  }
+}
+
+TEST_F(PoiIndexTest, StoredBallsMatchBothEnginesAtEveryRadius) {
+  // A query reads B(o, r) as the stored B(o, r_max) entries within r; that
+  // filter must equal the engines' own ball searches bit for bit (ids,
+  // distances, order), including at a radius equal to a member distance.
+  const auto dijkstra_backend =
+      MakeDijkstraBackend(&ssn_->road(), &ssn_->pois());
+  const auto ch_backend = MakeChBackend(&ssn_->road(), &ssn_->pois());
+  const auto dijkstra = dijkstra_backend->CreateEngine();
+  const auto ch = ch_backend->CreateEngine();
+  for (PoiId id = 0; id < ssn_->num_pois(); ++id) {
+    const auto& ball = index_->poi_aug(id).ball;
+    std::vector<double> member_dists;
+    for (const auto& [member, d] : ball) member_dists.push_back(d);
+    std::sort(member_dists.begin(), member_dists.end());
+    ASSERT_FALSE(member_dists.empty()) << "poi " << id;
+    const double member_r = member_dists[member_dists.size() / 2];
+    for (double r : {options_.r_min, 1.0, 2.0, options_.r_max, member_r}) {
+      std::vector<std::pair<PoiId, double>> filtered;
+      for (const auto& entry : ball) {
+        if (entry.second <= r) filtered.push_back(entry);
+      }
+      const EdgePosition& center = ssn_->poi(id).position;
+      EXPECT_EQ(filtered, dijkstra->BallWithDistances(center, r))
+          << "poi " << id << " r " << r;
+      EXPECT_EQ(filtered, ch->BallWithDistances(center, r))
+          << "poi " << id << " r " << r;
+    }
   }
 }
 
