@@ -4,7 +4,6 @@
 #include <cmath>
 #include <queue>
 #include <tuple>
-#include <unordered_map>
 
 #include "common/macros.h"
 #include "common/timer.h"
@@ -29,11 +28,11 @@ struct HeapGreater {
 using RoadHeap =
     std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapGreater>;
 
-// Per-center refinement data.
+// Per-center refinement data of a center whose ball the issuer matches.
 struct CenterInfo {
+  PoiId id;
   std::vector<PoiId> ball;                 // R = B(o_i, r), sorted.
   std::vector<KeywordId> union_keywords;   // ∪_{o∈R} o.K.
-  bool issuer_matches = false;
 };
 
 // A candidate center in the pair loop's visit order.
@@ -140,7 +139,7 @@ void GpssnProcessor::RefineScratch::BeginQuery(size_t num_users,
   }
   if (user_stamp.size() < num_users) {
     user_stamp.resize(num_users, 0);
-    user_row.resize(num_users, 0);
+    user_member.resize(num_users, 0);
   }
   ++generation;
   if (generation == 0) {  // Stamp wrap-around: hard reset.
@@ -150,7 +149,15 @@ void GpssnProcessor::RefineScratch::BeginQuery(size_t num_users,
   }
   needed.clear();
   needed_positions.clear();
+  num_members = 0;
   rows.clear();
+}
+
+void GpssnProcessor::RefineScratch::AddMember(UserId u) {
+  if (user_stamp[u] != generation) {
+    user_stamp[u] = generation;
+    user_member[u] = num_members++;
+  }
 }
 
 Status GpssnProcessor::ValidateQuery(const GpssnQuery& query) const {
@@ -161,8 +168,18 @@ Status GpssnProcessor::ValidateQuery(const GpssnQuery& query) const {
   if (query.tau < 1 || query.tau > ssn.num_users()) {
     return Status::InvalidArgument("group size tau out of range");
   }
-  if (query.gamma < 0.0 || query.theta < 0.0) {
-    return Status::InvalidArgument("negative score threshold");
+  // Negated so that NaN fails too: every score comparison against a NaN
+  // threshold is false.
+  if (!(query.gamma >= 0.0 && query.theta >= 0.0)) {
+    return Status::InvalidArgument("negative or NaN score threshold");
+  }
+  switch (query.metric) {
+    case InterestMetric::kDotProduct:
+    case InterestMetric::kJaccard:
+    case InterestMetric::kHamming:
+      break;
+    default:  // A raw wire value no metric has.
+      return Status::InvalidArgument("unknown interest metric");
   }
   // Negated so that a NaN radius fails too: Refine filters each stored
   // B(o, r_max) by `radius`.
@@ -263,6 +280,20 @@ Result<ShardRefineResult> GpssnProcessor::RefineCandidates(
     const std::vector<std::vector<UserId>>& groups, double incumbent,
     QueryStats* stats) {
   GPSSN_RETURN_NOT_OK(ValidateQuery(query));
+  // The ids index the processor's per-POI and per-user arrays.
+  const SpatialSocialNetwork& ssn = poi_index_->ssn();
+  for (PoiId c : centers) {
+    if (c < 0 || c >= ssn.num_pois()) {
+      return Status::InvalidArgument("refine center out of range");
+    }
+  }
+  for (const std::vector<UserId>& group : groups) {
+    for (UserId u : group) {
+      if (u < 0 || u >= ssn.num_users()) {
+        return Status::InvalidArgument("refine group member out of range");
+      }
+    }
+  }
   QueryStats local;
   QueryStats* out = stats != nullptr ? stats : &local;
   *out = QueryStats();
@@ -588,59 +619,76 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   BufferPool& pool = plan->pool;
   DistanceEngine& engine = *EngineFor(options);
   PruningAuditor* auditor = AuditorFor(options);
+  scratch_.BeginQuery(static_cast<size_t>(ssn.num_users()),
+                      static_cast<size_t>(ssn.num_pois()));
+  RefineScratch& scr = scratch_;
+
+  // Number the issuer and the groups' users once; the distance rows and
+  // the per-center table below are indexed by member number.
+  scr.AddMember(query.issuer);
+  for (const std::vector<UserId>& group : groups) {
+    for (UserId u : group) scr.AddMember(u);
+  }
+  scr.member_row.assign(static_cast<size_t>(scr.num_members), -1);
+  scr.at_center.assign(static_cast<size_t>(scr.num_members), CenterCell());
 
   // Candidate centers ordered by the issuer's pivot lower bound. Every
   // ball materializes up front so the needed-POI slot table is complete
   // before the first distance row is computed: a row covers every needed
   // POI, and an infinite entry is a proof, not a gap. B(c, r) is read from
   // I_R: the members of the stored B(c, r_max) within r, in the order the
-  // reference bounded search emits them.
+  // reference bounded search emits them. Only a ball whose keyword union
+  // the issuer matches can hold an answer, so only its center is kept and
+  // only its members take slots.
   std::vector<std::pair<double, PoiId>> by_lb;
   by_lb.reserve(plan->pois.size());
   for (PoiId c : plan->pois) {
     by_lb.emplace_back(LbDistToPoi(ctx, poi_index_->poi_aug(c)), c);
   }
   std::sort(by_lb.begin(), by_lb.end());
-  scratch_.BeginQuery(static_cast<size_t>(ssn.num_users()),
-                      static_cast<size_t>(ssn.num_pois()));
-  RefineScratch& scr = scratch_;
-  std::vector<CenterInfo> infos(by_lb.size());
-  for (size_t i = 0; i < by_lb.size(); ++i) {
+  std::vector<CenterInfo> infos;
+  infos.reserve(by_lb.size());
+  std::vector<PoiId> ball;
+  for (const auto& [lb, c] : by_lb) {
     if (InterruptRequested(options)) return InterruptStatus(options);
     const ScopedPhaseTimer ball_phase(&stats->ball_seconds);
-    CenterInfo& info = infos[i];
     ++stats->ball_queries;
-    for (const auto& [id, dist] : poi_index_->poi_aug(by_lb[i].second).ball) {
+    ball.clear();
+    for (const auto& [id, dist] : poi_index_->poi_aug(c).ball) {
       if (dist > query.radius) continue;
-      info.ball.push_back(id);
+      ball.push_back(id);
+      pool.Access(poi_index_->poi_page(id));
+    }
+    std::vector<KeywordId> union_keywords = UnionKeywords(ssn, ball);
+    if (MatchScore(ctx.w_q, union_keywords) < query.theta) continue;
+    for (PoiId id : ball) {
       if (scr.poi_stamp[id] != scr.generation) {
         scr.poi_stamp[id] = scr.generation;
         scr.poi_slot[id] = static_cast<int32_t>(scr.needed.size());
         scr.needed.push_back(id);
         scr.needed_positions.push_back(ssn.poi(id).position);
       }
-      pool.Access(poi_index_->poi_page(id));
     }
-    std::sort(info.ball.begin(), info.ball.end());
-    info.union_keywords = UnionKeywords(ssn, info.ball);
-    info.issuer_matches =
-        MatchScore(ctx.w_q, info.union_keywords) >= query.theta;
+    std::sort(ball.begin(), ball.end());
+    infos.push_back({c, ball, std::move(union_keywords)});
   }
 
   // Per-user exact distances to every needed POI, computed lazily with one
-  // bounded search per user (a kInfDistance entry proves the pair cannot
+  // bounded search per member (a kInfDistance entry proves the pair cannot
   // beat the bound the row was computed under), backed by the processor's
   // stamped scratch and optionally by the shared cross-query cache. The
-  // returned row stays valid until the next call.
+  // returned row stays valid until the next call. A row of no needed POI
+  // is a cache hit: there is nothing to look up.
   bool targets_set = false;
   auto user_dists = [&](UserId u, double bound) -> const double* {
     const size_t width = scr.needed.size();
-    if (scr.user_stamp[u] == scr.generation) {
-      return scr.rows.data() + static_cast<size_t>(scr.user_row[u]) * width;
+    int32_t& stored_row = scr.member_row[scr.user_member[u]];
+    if (stored_row >= 0) {
+      return scr.rows.data() + static_cast<size_t>(stored_row) * width;
     }
     if (!targets_set) {
       engine.SetTargets(scr.needed_positions);
-      scr.rows.reserve((plan->users.size() + 1) * width);
+      scr.rows.reserve(static_cast<size_t>(scr.num_members) * width);
       targets_set = true;
     }
     const int32_t row_index =
@@ -648,7 +696,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     scr.rows.resize(scr.rows.size() + width);
     double* row = scr.rows.data() + static_cast<size_t>(row_index) * width;
     bool have_row = false;
-    if (options.distance_cache != nullptr && width > 0) {
+    if (options.distance_cache != nullptr) {
       bool all_hit = true;
       for (size_t i = 0; i < width; ++i) {
         if (!options.distance_cache->Lookup(u, scr.needed[i], bound,
@@ -676,8 +724,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     }
     // Charge the traversal of the user's neighbourhood (adjacency pages).
     pool.Access(social_index_->user_page(u));
-    scr.user_stamp[u] = scr.generation;
-    scr.user_row[u] = row_index;
+    stored_row = row_index;
     return row;
   };
 
@@ -691,8 +738,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   {
     const double* issuer_dists =
         user_dists(query.issuer, std::min(plan->delta, incumbent));
-    for (size_t i = 0; i < by_lb.size(); ++i) {
-      const CenterInfo& info = infos[i];
+    for (const CenterInfo& info : infos) {
       double worst = 0.0;
       bool in_range = !info.ball.empty();
       for (PoiId o : info.ball) {
@@ -703,7 +749,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
         }
         worst = std::max(worst, d);
       }
-      if (in_range) centers.push_back({worst, by_lb[i].second, &info});
+      if (in_range) centers.push_back({worst, info.id, &info});
     }
     std::sort(centers.begin(), centers.end(),
               [](const RankedCenter& a, const RankedCenter& b) {
@@ -716,55 +762,66 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   // may still win a rank comparison against it); once full, an answer must
   // beat the k-th strictly, since it would rank after every equal
   // objective found before it. The row bound follows the same threshold.
+  // reject() is monotone in its argument and its threshold moves only when
+  // an answer is kept, which needs a center the issuer matches; so leaving
+  // the other centers out above changes neither which centers are visited
+  // nor where the loop breaks.
   auto full = [&]() { return static_cast<int>(best->size()) >= top_k; };
   auto bound = [&]() {
     return full() ? best->back().answer.max_dist : incumbent;
   };
   auto reject = [&](double v) { return full() ? v >= bound() : v > incumbent; };
 
-  // (user, center) matching-score memo.
-  std::unordered_map<uint64_t, bool> match_memo;
-  auto matches = [&](UserId u, const RankedCenter& center) {
-    const uint64_t key =
-        (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(center.id);
-    auto it = match_memo.find(key);
-    if (it != match_memo.end()) return it->second;
-    const double score =
-        MatchScore(ssn.social().Interests(u), center.info->union_keywords);
-    return match_memo.emplace(key, score >= query.theta).first->second;
-  };
-
   int64_t pair_budget = options.max_refine_pairs;
   uint32_t poll_stride = 0;
+  uint32_t visit = 0;
   for (const RankedCenter& center : centers) {
     if (InterruptRequested(options)) return InterruptStatus(options);
     // Centers ascend by `worst` and the threshold only tightens, so every
     // later center is rejected too.
     if (reject(center.worst)) break;
     const CenterInfo& info = *center.info;
-    if (!info.issuer_matches) continue;
     const PoiAug& center_aug = poi_index_->poi_aug(center.id);
+    ++visit;
+    // User u's entry at this center, its Lemma 5 bound computed on first
+    // use: once per (member, center), however many groups share u.
+    auto cell = [&](UserId u) -> CenterCell& {
+      CenterCell& entry = scr.at_center[scr.user_member[u]];
+      if (entry.visit != visit) {
+        entry.lb = LbUserPoiDist(social_index_->user_road_pivot_dists(u),
+                                 center_aug);
+        entry.visit = visit;
+        entry.match = -1;
+        ++stats->pair_bounds;
+        if (auditor != nullptr) {
+          auditor->OnPairDistanceBound(ctx, u, center.id, entry.lb);
+        }
+      }
+      return entry;
+    };
+    auto matches = [&](UserId u) {
+      CenterCell& entry = cell(u);
+      if (entry.match < 0) {
+        entry.match = MatchScore(ssn.social().Interests(u),
+                                 info.union_keywords) >= query.theta;
+      }
+      return entry.match == 1;
+    };
 
     for (size_t gi = 0; gi < groups.size(); ++gi) {
       if ((++poll_stride & 63u) == 0 && InterruptRequested(options)) {
         return InterruptStatus(options);
       }
       const std::vector<UserId>& group = groups[gi];
-      // Pivot lower bound of the pair objective (Lemma 5).
+      // Pivot lower bound of the pair objective (Lemma 5). It only grows
+      // member by member, so the member that lifts it past the threshold
+      // rejects the pair without bounding the rest.
       double pair_lb = center.worst;
-      for (UserId u : group) {
-        const double user_lb = LbUserPoiDist(
-            social_index_->user_road_pivot_dists(u), center_aug);
-        if (auditor != nullptr) {
-          auditor->OnPairDistanceBound(ctx, u, center.id, user_lb);
-        }
-        pair_lb = std::max(pair_lb, user_lb);
+      for (size_t j = 0; j < group.size() && !reject(pair_lb); ++j) {
+        pair_lb = std::max(pair_lb, cell(group[j]).lb);
       }
       if (reject(pair_lb)) continue;
-      if (!std::all_of(group.begin(), group.end(),
-                       [&](UserId u) { return matches(u, center); })) {
-        continue;
-      }
+      if (!std::all_of(group.begin(), group.end(), matches)) continue;
 
       // Exact objective: maxdist_RN(S, B(c, r)). The budget caps only
       // these expensive evaluations; lower-bound skips above are O(h) and

@@ -10,8 +10,8 @@
 //   GATHER  the synchronized I_S/I_R descent over a scope (the two index
 //           roots on a single node, a shard's subtrees when serving);
 //   PLAN    Corollary 2 + group enumeration (PlanGroups, core/refinement.h);
-//   REFINE  ball materialization, per-user distance rows, and the ranked
-//           pair loop over (center, group) candidates.
+//   REFINE  ball materialization, per-member distance rows, and the
+//           ranked pair loop over (center, group) candidates.
 // Execute/ExecuteTopK run all three; the serving shards run GATHER and
 // REFINE while the coordinator runs PLAN (serving/coordinator.h).
 //
@@ -113,11 +113,11 @@ class GpssnProcessor {
 
   /// Answers one GP-SSN query. On success `stats` (optional) carries CPU
   /// time, page I/Os, and pruning counters. Returns InvalidArgument for
-  /// malformed queries (bad issuer, τ outside [1, |users|], negative
-  /// thresholds, radius outside the index's [r_min, r_max] envelope),
-  /// DeadlineExceeded when `options.deadline` fires mid-query, and
-  /// Cancelled when `options.cancel` is raised (both polled cooperatively
-  /// at descent-loop and refinement boundaries).
+  /// malformed queries (bad issuer, τ outside [1, |users|], negative or
+  /// NaN thresholds, an unknown metric, radius outside the index's
+  /// [r_min, r_max] envelope), DeadlineExceeded when `options.deadline`
+  /// fires mid-query, and Cancelled when `options.cancel` is raised (both
+  /// polled cooperatively at descent-loop and refinement boundaries).
   Result<GpssnAnswer> Execute(const GpssnQuery& query,
                               const QueryOptions& options,
                               QueryStats* stats = nullptr);
@@ -151,6 +151,8 @@ class GpssnProcessor {
   /// bit-identical to the single-node run (rows are bound-tagged; values
   /// are bound-independent where finite). An answer TYING the incumbent is
   /// reported — it may still win the coordinator's rank comparison.
+  /// Returns InvalidArgument for a center outside [0, |POIs|) or a member
+  /// outside [0, |users|).
   Result<ShardRefineResult> RefineCandidates(
       const GpssnQuery& query, const QueryOptions& options,
       const std::vector<PoiId>& centers,
@@ -190,11 +192,11 @@ class GpssnProcessor {
                 bool single_node, QueryPlan* plan, QueryStats* stats);
 
   /// Refine stage: materializes the ball of every center in plan->pois,
-  /// orders the centers by the issuer's exact distances, and runs the pair
-  /// loop over `groups` (plan->groups on a single node, the coordinator's
-  /// list on a shard). `best` receives up to `top_k` answers in
-  /// discovery-rank order; only answers with objective <= `incumbent` are
-  /// kept.
+  /// keeps the centers whose keyword union the issuer matches, orders them
+  /// by the issuer's exact distances, and runs the pair loop over `groups`
+  /// (plan->groups on a single node, the coordinator's list on a shard).
+  /// `best` receives up to `top_k` answers in discovery-rank order; only
+  /// answers with objective <= `incumbent` are kept.
   Status Refine(const QueryOptions& options,
                 const std::vector<std::vector<UserId>>& groups, int top_k,
                 double incumbent, QueryPlan* plan, QueryStats* stats,
@@ -215,11 +217,19 @@ class GpssnProcessor {
   /// builds).
   PruningAuditor* AuditorFor(const QueryOptions& options) const;
 
+  /// One member's entry in the per-center table: its Lemma 5 bound and
+  /// θ match at the center being visited, valid when `visit` is that
+  /// center's visit number. `match` is -1 until first asked.
+  struct CenterCell {
+    double lb = 0.0;
+    uint32_t visit = 0;
+    int8_t match = -1;
+  };
+
   /// Flat stamped scratch for the refinement phase, reused across queries:
-  /// replaces the per-query unordered_map<UserId, unordered_map<PoiId,
-  /// double>> distance memos with generation-stamped slot/row arrays and
-  /// one flat row-major distance table, eliminating allocation churn in
-  /// the refinement loop.
+  /// generation-stamped slot and member arrays, one flat row-major
+  /// distance table, and the per-center member table, so a warm
+  /// refinement allocates nothing per pair.
   struct RefineScratch {
     uint32_t generation = 0;
     // POI id -> slot in `needed` (valid when poi_stamp matches).
@@ -227,16 +237,27 @@ class GpssnProcessor {
     std::vector<int32_t> poi_slot;
     std::vector<PoiId> needed;                  // Slot -> POI id.
     std::vector<EdgePosition> needed_positions; // Slot -> position.
-    // User id -> row index into `rows` (valid when user_stamp matches).
+    // Members: the issuer and every user of the refined groups, numbered
+    // 0 .. num_members-1 once per query. User id -> member (valid when
+    // user_stamp matches), and member -> row index into `rows` (-1 until
+    // computed).
     std::vector<uint32_t> user_stamp;
-    std::vector<int32_t> user_row;
+    std::vector<int32_t> user_member;
+    int32_t num_members = 0;
+    std::vector<int32_t> member_row;
+    // Member -> its entry at the visited center, filled lazily.
+    std::vector<CenterCell> at_center;
     // Row-major |rows| x |needed| distance table; kInfDistance = beyond
     // the bound the row was computed under.
     std::vector<double> rows;
 
-    /// Starts a query: bumps the generation (invalidating every slot/row
-    /// in O(1)) and clears the flat arrays, keeping their capacity.
+    /// Starts a query: bumps the generation (invalidating every slot and
+    /// member number in O(1)) and clears the flat arrays, keeping their
+    /// capacity.
     void BeginQuery(size_t num_users, size_t num_pois);
+
+    /// Numbers `u` as the next member unless it already has a number.
+    void AddMember(UserId u);
   };
 
   const PoiIndex* poi_index_;

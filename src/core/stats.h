@@ -51,6 +51,9 @@ namespace gpssn {
   X(uint64_t, groups_enumerated, Sum, Funnel)                                \
   /* (S, R) pairs actually evaluated. */                                     \
   X(uint64_t, pairs_examined, Sum, Work)                                     \
+  /* Lemma 5 pivot bounds the pair loop evaluated: at most one per           \
+     (group member, visited center), however many groups share it. */        \
+  X(uint64_t, pair_bounds, Sum, Work)                                        \
   X(uint64_t, exact_distance_evals, Sum, Work)                               \
   X(bool, truncated, Or, Work) /* A refinement cap was hit. */               \
   /* Reruns without the δ cut, which may have removed the optimum            \

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 namespace gpssn::serving {
 namespace {
@@ -52,6 +53,24 @@ class Reader {
     pos_ += count * sizeof(int32_t);
     return true;
   }
+
+  /// Reads the QueryStats blob. A bool row holding a byte other than 0 or
+  /// 1 would be undefined to read back, so it fails like a short read.
+  bool ReadStats(QueryStats* out) {
+    if (!ReadPod(out)) return false;
+    bool valid = true;
+#define GPSSN_WIRE_CHECK_BOOL(type, name, merge, kind) \
+  if constexpr (std::is_same_v<type, bool>) {          \
+    uint8_t byte = 0;                                  \
+    std::memcpy(&byte, &out->name, sizeof(byte));      \
+    valid = valid && byte <= 1;                        \
+  }
+    GPSSN_QUERY_STATS(GPSSN_WIRE_CHECK_BOOL)
+#undef GPSSN_WIRE_CHECK_BOOL
+    return valid;
+  }
+
+  size_t remaining() const { return data_.size() - pos_; }
 
   bool AtEnd() const { return pos_ == data_.size(); }
 
@@ -138,7 +157,7 @@ Result<CandidatesReply> DecodeCandidatesReply(
   reply.candidates.lower_bound = h.lower_bound;
   if (!reader.ReadIds(h.num_users, &reply.candidates.users) ||
       !reader.ReadIds(h.num_pois, &reply.candidates.pois) ||
-      !reader.ReadPod(&reply.stats) || !reader.AtEnd()) {
+      !reader.ReadStats(&reply.stats) || !reader.AtEnd()) {
     return Malformed("candidates body");
   }
   return reply;
@@ -175,11 +194,17 @@ Result<RefineRequest> DecodeRefineRequest(std::span<const uint8_t> payload) {
   request.query = FromWire(w);
   request.deadline_seconds = w.deadline_seconds;
   request.incumbent = h.incumbent;
-  if (h.group_size != static_cast<uint32_t>(request.query.tau)) {
+  if (h.group_size == 0 ||
+      h.group_size != static_cast<uint32_t>(request.query.tau)) {
     return Malformed("refine group size");
   }
   if (!reader.ReadIds(h.num_centers, &request.centers)) {
     return Malformed("refine centers");
+  }
+  // The groups must fit in the bytes left before any is allocated.
+  if (uint64_t{h.num_groups} * h.group_size >
+      reader.remaining() / sizeof(int32_t)) {
+    return Malformed("refine groups");
   }
   request.groups.resize(h.num_groups);
   for (auto& group : request.groups) {
@@ -229,7 +254,7 @@ Result<AnswerReply> DecodeAnswerReply(std::span<const uint8_t> payload) {
   reply.result.group_index = h.group_index;
   if (!reader.ReadIds(h.num_users, &answer.users) ||
       !reader.ReadIds(h.num_pois, &answer.pois) ||
-      !reader.ReadPod(&reply.stats) || !reader.AtEnd()) {
+      !reader.ReadStats(&reply.stats) || !reader.AtEnd()) {
     return Malformed("answer body");
   }
   return reply;

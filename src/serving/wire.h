@@ -166,7 +166,9 @@ struct AnswerReply {
 // --- Encode / decode --------------------------------------------------------
 // Encoders produce the payload bytes; the caller fills the envelope.
 // Decoders bounds-check every section and return InvalidArgument on a
-// malformed payload (truncated, inconsistent counts, stats size mismatch).
+// malformed payload (truncated, trailing bytes, a count the remaining
+// bytes cannot hold — checked before allocating —, a zero group size, a
+// stats size mismatch or a stats bool row other than 0 or 1).
 
 std::vector<uint8_t> EncodeGatherRequest(const GatherRequest& request);
 Result<GatherRequest> DecodeGatherRequest(std::span<const uint8_t> payload);

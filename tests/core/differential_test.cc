@@ -158,6 +158,14 @@ TEST_P(DenseDifferentialTest, BothSocialKernelsMatchOracle) {
             " trial=" + std::to_string(trial) +
             " interest_pruning=" + std::to_string(interest_pruning);
         EXPECT_FALSE(stats.truncated) << where;
+        // Refine bounds each (member, center) at most once, so the count
+        // fits in candidates × centers however many groups share a
+        // member. A δ fallback charges a second run, so it is left out.
+        if (stats.delta_reruns == 0) {
+          EXPECT_LE(stats.pair_bounds,
+                    stats.users_candidates * stats.pois_candidates)
+              << where;
+        }
         ASSERT_EQ(got->found, oracle.found) << where;
         if (oracle.found) {
           ASSERT_NEAR(got->max_dist, oracle.max_dist, 1e-9) << where;

@@ -158,6 +158,42 @@ TEST(QueryValidationTest, RejectsMalformedQueries) {
   // NaN compares false against both envelope ends.
   q.radius = std::numeric_limits<double>::quiet_NaN();
   EXPECT_TRUE(db->Query(q, &stats).status().IsInvalidArgument());
+  q.radius = 2.0;
+  ASSERT_TRUE(db->Query(q, &stats).ok());
+  // NaN thresholds would fail every score comparison.
+  q.gamma = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(db->Query(q, &stats).status().IsInvalidArgument());
+  q.gamma = 0.3;
+  q.theta = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(db->Query(q, &stats).status().IsInvalidArgument());
+  q.theta = 0.3;
+  // A raw wire value no metric has.
+  q.metric = static_cast<InterestMetric>(3);
+  EXPECT_TRUE(db->Query(q, &stats).status().IsInvalidArgument());
+}
+
+TEST(QueryValidationTest, RefineCandidatesRejectsOutOfRangeIds) {
+  auto db = SmallDatabase(7);
+  GpssnProcessor processor(&db->poi_index(), &db->social_index());
+  GpssnQuery q;
+  q.issuer = 0;
+  q.tau = 2;
+  q.gamma = 0.1;
+  q.theta = 0.1;
+  q.radius = 2.0;
+  auto refine = [&](const std::vector<PoiId>& centers,
+                    const std::vector<std::vector<UserId>>& groups) {
+    return processor
+        .RefineCandidates(q, QueryOptions(), centers, groups, kInfDistance)
+        .status();
+  };
+  const PoiId num_pois = db->ssn().num_pois();
+  const UserId num_users = db->ssn().num_users();
+  EXPECT_TRUE(refine({0, num_pois - 1}, {{0, num_users - 1}}).ok());
+  EXPECT_TRUE(refine({-1}, {{0, 1}}).IsInvalidArgument());
+  EXPECT_TRUE(refine({num_pois}, {{0, 1}}).IsInvalidArgument());
+  EXPECT_TRUE(refine({0}, {{0, -1}}).IsInvalidArgument());
+  EXPECT_TRUE(refine({0}, {{num_users, 0}}).IsInvalidArgument());
 }
 
 TEST(QueryAnswerTest, AnswerSatisfiesAllPredicates) {

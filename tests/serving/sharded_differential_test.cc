@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "core/database.h"
@@ -172,18 +173,21 @@ TEST(ServingClusterTest, InvalidQueriesFailPerQueryNotPerBatch) {
   good.radius = 2.0;
   GpssnQuery bad = good;
   bad.issuer = static_cast<UserId>(db.ssn().num_users() + 100);
+  GpssnQuery nan_gamma = good;
+  nan_gamma.gamma = std::numeric_limits<double>::quiet_NaN();
 
-  // The invalid query fails on its first shard reply and later (stale)
-  // replies for it must be dropped without disturbing the good queries.
-  std::vector<GpssnQuery> batch{good, bad, good};
+  // The invalid queries fail on their first shard reply and later (stale)
+  // replies for them must be dropped without disturbing the good queries.
+  std::vector<GpssnQuery> batch{good, bad, good, nan_gamma};
   BatchStats stats;
   auto results = (*cluster)->QueryBatch(batch, &stats);
-  ASSERT_EQ(results.size(), 3u);
+  ASSERT_EQ(results.size(), 4u);
   EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
   EXPECT_TRUE(results[1].status.IsInvalidArgument());
   EXPECT_TRUE(results[2].status.ok()) << results[2].status.ToString();
+  EXPECT_TRUE(results[3].status.IsInvalidArgument());
   EXPECT_EQ(stats.succeeded, 2u);
-  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.failed, 2u);
 
   // The cluster stays serviceable after the failure.
   auto after = (*cluster)->Query(good);

@@ -1,10 +1,15 @@
-// Transport-layer unit tests: mailbox blocking/close semantics and
-// lossless encode/decode roundtrips of every serving wire message
-// (src/serving/transport.h, src/serving/wire.h).
+// Transport-layer unit tests: mailbox blocking/close semantics, lossless
+// encode/decode roundtrips of every serving wire message, and every
+// truncation and single-byte flip of each (src/serving/transport.h,
+// src/serving/wire.h).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <cstring>
+#include <functional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -145,11 +150,48 @@ GpssnQuery SampleQuery() {
   return q;
 }
 
-TEST(WireTest, GatherRequestRoundtrip) {
+// One message of each kind, as the roundtrip and corruption tests use it.
+GatherRequest SampleGather() {
   GatherRequest request;
   request.query = SampleQuery();
   request.deadline_seconds = 0.125;
-  auto decoded = DecodeGatherRequest(EncodeGatherRequest(request));
+  return request;
+}
+
+CandidatesReply SampleCandidates() {
+  CandidatesReply reply;
+  reply.candidates.users = {3, 1, 9};  // Traversal order, not sorted.
+  reply.candidates.pois = {2, 5};
+  reply.candidates.lower_bound = 0.375;
+  reply.stats = DistinctStats();
+  return reply;
+}
+
+RefineRequest SampleRefine() {
+  RefineRequest request;
+  request.query = SampleQuery();
+  request.deadline_seconds = -1.0;
+  request.incumbent = 2.5;
+  request.centers = {4, 8, 15};
+  request.groups = {{1, 2, 17, 30}, {1, 5, 17, 21}};
+  return request;
+}
+
+AnswerReply SampleAnswer() {
+  AnswerReply reply;
+  reply.result.answer.found = true;
+  reply.result.answer.users = {1, 2, 17};
+  reply.result.answer.center = 8;
+  reply.result.answer.pois = {6, 8, 9};
+  reply.result.answer.max_dist = 1.625;
+  reply.result.center_worst = 1.5;
+  reply.result.group_index = 42;
+  reply.stats = DistinctStats();
+  return reply;
+}
+
+TEST(WireTest, GatherRequestRoundtrip) {
+  auto decoded = DecodeGatherRequest(EncodeGatherRequest(SampleGather()));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->query.issuer, 17);
   EXPECT_EQ(decoded->query.tau, 4);
@@ -161,11 +203,7 @@ TEST(WireTest, GatherRequestRoundtrip) {
 }
 
 TEST(WireTest, CandidatesReplyRoundtrip) {
-  CandidatesReply reply;
-  reply.candidates.users = {3, 1, 9};  // Traversal order, not sorted.
-  reply.candidates.pois = {2, 5};
-  reply.candidates.lower_bound = 0.375;
-  reply.stats = DistinctStats();
+  const CandidatesReply reply = SampleCandidates();
   auto decoded = DecodeCandidatesReply(EncodeCandidatesReply(reply));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->candidates.users, reply.candidates.users);
@@ -175,12 +213,7 @@ TEST(WireTest, CandidatesReplyRoundtrip) {
 }
 
 TEST(WireTest, RefineRequestRoundtrip) {
-  RefineRequest request;
-  request.query = SampleQuery();
-  request.deadline_seconds = -1.0;
-  request.incumbent = 2.5;
-  request.centers = {4, 8, 15};
-  request.groups = {{1, 2, 17, 30}, {1, 5, 17, 21}};
+  const RefineRequest request = SampleRefine();
   auto decoded = DecodeRefineRequest(EncodeRefineRequest(request));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->incumbent, 2.5);
@@ -190,15 +223,7 @@ TEST(WireTest, RefineRequestRoundtrip) {
 }
 
 TEST(WireTest, AnswerReplyRoundtrip) {
-  AnswerReply reply;
-  reply.result.answer.found = true;
-  reply.result.answer.users = {1, 2, 17};
-  reply.result.answer.center = 8;
-  reply.result.answer.pois = {6, 8, 9};
-  reply.result.answer.max_dist = 1.625;
-  reply.result.center_worst = 1.5;
-  reply.result.group_index = 42;
-  reply.stats = DistinctStats();
+  const AnswerReply reply = SampleAnswer();
   auto decoded = DecodeAnswerReply(EncodeAnswerReply(reply));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded->result.answer.found);
@@ -211,26 +236,111 @@ TEST(WireTest, AnswerReplyRoundtrip) {
   ExpectSameStats(decoded->stats, reply.stats);
 }
 
+// One encoded sample of a message kind plus its decoder. The decoder
+// returns whether `bytes` decoded; a message that decodes must be well
+// formed: it re-encodes to exactly as many bytes (its counts describe the
+// payload) and that encoding decodes too.
+struct WireSample {
+  const char* kind;
+  std::vector<uint8_t> bytes;
+  std::function<bool(std::span<const uint8_t>)> decode;
+};
+
+template <typename Message>
+WireSample Sample(const char* kind, const Message& message,
+                  std::vector<uint8_t> (*encode)(const Message&),
+                  Result<Message> (*decode)(std::span<const uint8_t>)) {
+  return {kind, encode(message), [=](std::span<const uint8_t> bytes) {
+            Result<Message> decoded = decode(bytes);
+            if (!decoded.ok()) {
+              EXPECT_TRUE(decoded.status().IsInvalidArgument())
+                  << kind << ": " << decoded.status().ToString();
+              return false;
+            }
+            const std::vector<uint8_t> again = encode(*decoded);
+            EXPECT_EQ(again.size(), bytes.size()) << kind;
+            EXPECT_TRUE(decode(again).ok()) << kind;
+            return true;
+          }};
+}
+
+std::vector<WireSample> Samples() {
+  return {Sample("gather", SampleGather(), &EncodeGatherRequest,
+                 &DecodeGatherRequest),
+          Sample("candidates", SampleCandidates(), &EncodeCandidatesReply,
+                 &DecodeCandidatesReply),
+          Sample("refine", SampleRefine(), &EncodeRefineRequest,
+                 &DecodeRefineRequest),
+          Sample("answer", SampleAnswer(), &EncodeAnswerReply,
+                 &DecodeAnswerReply)};
+}
+
 TEST(WireTest, TruncatedPayloadsAreRejectedNotRead) {
+  for (const WireSample& sample : Samples()) {
+    ASSERT_TRUE(sample.decode(sample.bytes)) << sample.kind;
+    for (size_t cut = 0; cut < sample.bytes.size(); ++cut) {
+      EXPECT_FALSE(sample.decode(std::span(sample.bytes.data(), cut)))
+          << sample.kind << " cut=" << cut;
+    }
+    // Trailing garbage is as malformed as missing bytes.
+    std::vector<uint8_t> longer = sample.bytes;
+    longer.push_back(0);
+    EXPECT_FALSE(sample.decode(longer)) << sample.kind;
+  }
+}
+
+TEST(WireTest, FlippedBytesDecodeToErrorsOrWellFormedMessages) {
+  for (const WireSample& sample : Samples()) {
+    for (size_t at = 0; at < sample.bytes.size(); ++at) {
+      for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
+        std::vector<uint8_t> flipped = sample.bytes;
+        flipped[at] ^= mask;
+        EXPECT_NO_THROW(sample.decode(flipped))
+            << sample.kind << " byte=" << at << " mask=" << int{mask};
+      }
+    }
+  }
+}
+
+TEST(WireTest, StatsBoolRowsHoldZeroOrOne) {
+  CandidatesReply reply;
+  reply.candidates.users = {3, 1, 9};
+  std::vector<uint8_t> bytes = EncodeCandidatesReply(reply);
+  const size_t at = sizeof(WireCandidatesHeader) + 3 * sizeof(int32_t) +
+                    offsetof(QueryStats, truncated);
+  bytes[at] = 1;
+  ASSERT_TRUE(DecodeCandidatesReply(bytes).ok());
+  EXPECT_TRUE(DecodeCandidatesReply(bytes)->stats.truncated);
+  bytes[at] = 2;  // Undefined to read back as a bool.
+  EXPECT_TRUE(DecodeCandidatesReply(bytes).status().IsInvalidArgument());
+}
+
+TEST(WireTest, RefineGroupsAreCheckedAgainstThePayloadBeforeAllocating) {
+  auto with_num_groups = [](std::vector<uint8_t> bytes, uint32_t num_groups) {
+    WireRefineHeader h;
+    std::memcpy(&h, bytes.data(), sizeof(h));
+    h.num_groups = num_groups;
+    std::memcpy(bytes.data(), &h, sizeof(h));
+    return bytes;
+  };
   RefineRequest request;
   request.query = SampleQuery();
-  request.centers = {4, 8, 15};
+  request.centers = {4};
   request.groups = {{1, 2, 17, 30}};
-  std::vector<uint8_t> bytes = EncodeRefineRequest(request);
-  for (size_t cut : {size_t{0}, size_t{8}, bytes.size() - 1}) {
-    std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
-    EXPECT_TRUE(DecodeRefineRequest(truncated).status().IsInvalidArgument())
-        << "cut=" << cut;
-  }
-  // Trailing garbage is as malformed as missing bytes.
-  bytes.push_back(0);
-  EXPECT_TRUE(DecodeRefineRequest(bytes).status().IsInvalidArgument());
-
-  CandidatesReply reply;
-  reply.candidates.users = {1};
-  std::vector<uint8_t> cbytes = EncodeCandidatesReply(reply);
-  cbytes.resize(cbytes.size() / 2);
-  EXPECT_TRUE(DecodeCandidatesReply(cbytes).status().IsInvalidArgument());
+  const std::vector<uint8_t> bytes = EncodeRefineRequest(request);
+  ASSERT_TRUE(DecodeRefineRequest(bytes).ok());
+  // ~4·10^9 groups claimed by a 100-byte payload.
+  EXPECT_TRUE(DecodeRefineRequest(with_num_groups(bytes, 0xFFFFFFF0u))
+                  .status()
+                  .IsInvalidArgument());
+  // A zero group size (τ = 0 on the wire too) describes no bytes at all.
+  request.query.tau = 0;
+  request.groups = {{}, {}};
+  const std::vector<uint8_t> empty = EncodeRefineRequest(request);
+  EXPECT_TRUE(DecodeRefineRequest(empty).status().IsInvalidArgument());
+  EXPECT_TRUE(DecodeRefineRequest(with_num_groups(empty, 0xFFFFFFF0u))
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(WireTest, StatusCodesSurviveTheWire) {
