@@ -200,19 +200,21 @@ void BM_OneToManyCacheWarm(benchmark::State& state) {
   // the three kernels comparable row for row in the report.
   DistanceCache cache;
   constexpr UserId kUsers = 256;
+  std::vector<PoiId> pois(kOneToManyTargets);
+  for (int i = 0; i < kOneToManyTargets; ++i) pois[i] = i;
+  std::vector<double> row(kOneToManyTargets);
   for (UserId u = 0; u < kUsers; ++u) {
     for (int i = 0; i < kOneToManyTargets; ++i) {
-      cache.Insert(u, i, kInfDistance, static_cast<double>(u + i));
+      row[i] = static_cast<double>(u + i);
     }
+    cache.InsertRow(u, pois, kInfDistance, row.data());
   }
-  std::vector<double> row(kOneToManyTargets);
   UserId u = 0;
   for (auto _ : state) {
-    bool all = true;
-    for (int i = 0; i < kOneToManyTargets; ++i) {
-      all = cache.Lookup(u, i, kInfDistance, &row[i]) && all;
-    }
-    benchmark::DoNotOptimize(all);
+    const bool hit = cache.LookupRow(u, pois, kInfDistance, row.data());
+    benchmark::DoNotOptimize(hit);
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
     u = (u + 1) % kUsers;
   }
   state.SetItemsProcessed(state.iterations() * kOneToManyTargets);

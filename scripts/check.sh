@@ -4,6 +4,7 @@
 #   tier-1  build + full test suite
 #   tsan    ThreadSanitizer build of the concurrency-related tests
 #   ubsan   UndefinedBehaviorSanitizer build + full test suite
+#   asan    AddressSanitizer build (the `asan` preset) + full test suite
 #   lint    scripts/lint.py (+ its self-test) and clang-tidy over
 #           compile_commands.json when clang-tidy is installed
 #   audit   GPSSN_AUDIT build (index validators at processor construction,
@@ -25,8 +26,9 @@
 #           job do it.
 #
 # Usage: scripts/check.sh
-#          [--tier1-only|--tsan-only|--ubsan-only|--lint-only|--audit-only|
-#           --tsa-only|--analyzer-only|--large-only|--perfbench-only]
+#          [--tier1-only|--tsan-only|--ubsan-only|--asan-only|--lint-only|
+#           --audit-only|--tsa-only|--analyzer-only|--large-only|
+#           --perfbench-only]
 #
 # `--lint-only` is the static-analysis gate: lint.py, clang-tidy (when
 # available), and a UBSan test pass. The default (no flag) runs everything.
@@ -39,9 +41,9 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
 MODE="${1:-all}"
 case "$MODE" in
-  all|--tier1-only|--tsan-only|--ubsan-only|--lint-only|--audit-only|--tsa-only|--analyzer-only|--large-only|--perfbench-only) ;;
+  all|--tier1-only|--tsan-only|--ubsan-only|--asan-only|--lint-only|--audit-only|--tsa-only|--analyzer-only|--large-only|--perfbench-only) ;;
   *)
-    echo "usage: scripts/check.sh [--tier1-only|--tsan-only|--ubsan-only|--lint-only|--audit-only|--tsa-only|--analyzer-only|--large-only|--perfbench-only]" >&2
+    echo "usage: scripts/check.sh [--tier1-only|--tsan-only|--ubsan-only|--asan-only|--lint-only|--audit-only|--tsa-only|--analyzer-only|--large-only|--perfbench-only]" >&2
     exit 2
     ;;
 esac
@@ -67,6 +69,14 @@ run_ubsan() {
   cmake -B build-ubsan -S . -DGPSSN_SANITIZE=undefined
   cmake --build build-ubsan -j "$JOBS"
   (cd build-ubsan && ctest --output-on-failure -j "$JOBS")
+}
+
+run_asan() {
+  echo "=== ASAN: full test suite ==="
+  cmake --preset asan
+  cmake --build --preset asan -j "$JOBS"
+  # The full suite, not the asan test preset's `tsan`-label subset.
+  (cd build-asan && ctest --output-on-failure -j "$JOBS")
 }
 
 run_lint() {
@@ -145,6 +155,7 @@ case "$MODE" in
     run_tier1
     run_tsan
     run_ubsan
+    run_asan
     run_lint
     run_audit
     run_tsa
@@ -153,6 +164,7 @@ case "$MODE" in
   --tier1-only) run_tier1 ;;
   --tsan-only) run_tsan ;;
   --ubsan-only) run_ubsan ;;
+  --asan-only) run_asan ;;
   --lint-only)
     run_lint
     run_ubsan

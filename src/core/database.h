@@ -50,10 +50,10 @@ struct GpssnBuildOptions {
   /// and it matches the road network, and otherwise builds and saves one
   /// (see roadnet/index_io.h).
   std::string ch_index_path;
-  /// Capacity of the shared cross-query (user, poi) → distance cache
-  /// (roadnet/distance_cache.h); 0 disables it. The cache is shared by
-  /// every query and batch worker of this database and is invalidated
-  /// automatically on AddPoi.
+  /// Capacity, in (user, POI) items, of the shared cross-query distance
+  /// row cache (roadnet/distance_cache.h); 0 disables it. The cache is
+  /// shared by every query and batch worker of this database and is
+  /// invalidated automatically on AddPoi.
   size_t distance_cache_entries = 0;
 };
 

@@ -119,12 +119,17 @@ struct QueryOptions {
   /// and immutable (the processor creates a private engine from it); the
   /// pointee must outlive every query using it.
   const DistanceBackend* distance_backend = nullptr;
-  /// Optional shared cross-query (user, poi) → distance cache
-  /// (roadnet/distance_cache.h). Thread-safe: one cache may be shared by
-  /// all workers of a batch executor. Null disables caching. The pointee
-  /// must outlive the query; dynamic maintenance invalidates per POI
-  /// column (GpssnDatabase::AddPoi calls InvalidatePoi, and stale entries
-  /// are dropped lazily on lookup), so unrelated rows survive inserts.
+  /// Optional shared cross-query distance cache (roadnet/distance_cache.h):
+  /// one entry per user holding that user's (poi → distance) items, read
+  /// and written a whole needed-POI row at a time under one lock, and
+  /// evicted whole, least recently used first, within a budget counted in
+  /// (user, POI) items. Hits and misses (the cache's and QueryStats'
+  /// dist_cache_row_*) count rows; insertions, evictions and entries count
+  /// items. Thread-safe: one cache may be shared by all workers of a batch
+  /// executor. Null disables caching. The pointee must outlive the query;
+  /// dynamic maintenance invalidates per POI column (GpssnDatabase::AddPoi
+  /// calls InvalidatePoi, and stale items are dropped lazily), so a row
+  /// over unrelated POIs survives inserts.
   DistanceCache* distance_cache = nullptr;
   /// Optional pruning-soundness auditor (core/audit.h): the processor
   /// notifies it on every pruned candidate and it re-tests a sample against

@@ -672,13 +672,28 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     std::sort(ball.begin(), ball.end());
     infos.push_back({c, ball, std::move(union_keywords)});
   }
+  // The cache keeps a user's items in ascending POI id order: sort the
+  // needed POIs that way once per query, with each one's slot, so a row
+  // lookup or insert is one linear merge plus a gather. The slots keep
+  // discovery order, which groups each ball's targets; id-ordered targets
+  // made the CH engine's rows slower.
+  if (options.distance_cache != nullptr) {
+    scr.cache_pois = scr.needed;
+    std::sort(scr.cache_pois.begin(), scr.cache_pois.end());
+    scr.cache_slots.clear();
+    for (PoiId id : scr.cache_pois) {
+      scr.cache_slots.push_back(scr.poi_slot[id]);
+    }
+    scr.cache_row.resize(scr.needed.size());
+  }
 
   // Per-user exact distances to every needed POI, computed lazily with one
   // bounded search per member (a kInfDistance entry proves the pair cannot
   // beat the bound the row was computed under), backed by the processor's
-  // stamped scratch and optionally by the shared cross-query cache. The
-  // returned row stays valid until the next call. A row of no needed POI
-  // is a cache hit: there is nothing to look up.
+  // stamped scratch and optionally by the shared cross-query cache, which
+  // serves or stores the whole row under one lock. The returned row stays
+  // valid until the next call. A row of no needed POI is a cache hit:
+  // there is nothing to look up.
   bool targets_set = false;
   auto user_dists = [&](UserId u, double bound) -> const double* {
     const size_t width = scr.needed.size();
@@ -697,17 +712,13 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     double* row = scr.rows.data() + static_cast<size_t>(row_index) * width;
     bool have_row = false;
     if (options.distance_cache != nullptr) {
-      bool all_hit = true;
-      for (size_t i = 0; i < width; ++i) {
-        if (!options.distance_cache->Lookup(u, scr.needed[i], bound,
-                                            &row[i])) {
-          all_hit = false;
-          break;
-        }
-      }
-      if (all_hit) {
+      have_row = options.distance_cache->LookupRow(u, scr.cache_pois, bound,
+                                                   scr.cache_row.data());
+      if (have_row) {
         ++stats->dist_cache_row_hits;
-        have_row = true;
+        for (size_t i = 0; i < width; ++i) {
+          row[scr.cache_slots[i]] = scr.cache_row[i];
+        }
       } else {
         ++stats->dist_cache_row_misses;
       }
@@ -718,8 +729,10 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
       ++stats->exact_distance_evals;
       if (options.distance_cache != nullptr) {
         for (size_t i = 0; i < width; ++i) {
-          options.distance_cache->Insert(u, scr.needed[i], bound, row[i]);
+          scr.cache_row[i] = row[scr.cache_slots[i]];
         }
+        options.distance_cache->InsertRow(u, scr.cache_pois, bound,
+                                          scr.cache_row.data());
       }
     }
     // Charge the traversal of the user's neighbourhood (adjacency pages).

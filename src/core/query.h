@@ -237,6 +237,11 @@ class GpssnProcessor {
     std::vector<int32_t> poi_slot;
     std::vector<PoiId> needed;                  // Slot -> POI id.
     std::vector<EdgePosition> needed_positions; // Slot -> position.
+    // The needed POIs in ascending id order, the order DistanceCache rows
+    // keep, with each one's slot, and a row in that order (cache only).
+    std::vector<PoiId> cache_pois;
+    std::vector<int32_t> cache_slots;
+    std::vector<double> cache_row;
     // Members: the issuer and every user of the refined groups, numbered
     // 0 .. num_members-1 once per query. User id -> member (valid when
     // user_stamp matches), and member -> row index into `rows` (-1 until

@@ -21,95 +21,182 @@ DistanceCache::DistanceCache(const DistanceCacheOptions& options)
   const int shards = RoundUpPow2(std::max(options.num_shards, 1));
   shard_mask_ = static_cast<uint64_t>(shards - 1);
   shards_ = std::vector<Shard>(shards);
-  per_shard_capacity_ =
-      std::max<size_t>(1, (max_entries_ + shards - 1) / shards);
+  // Split the budget exactly: the shares sum to max_entries.
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i].budget = max_entries_ / shards_.size() +
+                        (i < max_entries_ % shards_.size() ? 1 : 0);
+  }
   poi_gen_ = std::make_unique<std::atomic<uint32_t>[]>(kPoiGenBuckets);
   for (size_t i = 0; i < kPoiGenBuckets; ++i) {
     poi_gen_[i].store(0, std::memory_order_relaxed);  // gpssn-lint: relaxed(construction; not yet shared)
   }
 }
 
-bool DistanceCache::Lookup(UserId user, PoiId poi, double bound,
-                           double* dist) {
-  const uint64_t key = Key(user, poi);
-  Shard& shard = ShardFor(key);
+uint32_t DistanceCache::Shard::AddRow(UserId user) {
+  uint32_t r = free_head;
+  if (r != kNone) {
+    free_head = slab[r].next;
+  } else {
+    r = static_cast<uint32_t>(slab.size());
+    slab.emplace_back();
+  }
+  slab[r].user = user;
+  index.emplace(user, r);
+  return r;
+}
+
+void DistanceCache::Shard::RemoveRow(uint32_t r) {
+  Unlink(r);
+  Row& row = slab[r];
+  index.erase(row.user);
+  items -= row.items.size();
+  std::vector<Item>().swap(row.items);  // Return the row's memory.
+  row.next = free_head;
+  free_head = r;
+}
+
+void DistanceCache::Shard::Unlink(uint32_t r) {
+  const Row& row = slab[r];
+  (row.prev == kNone ? lru_head : slab[row.prev].next) = row.next;
+  (row.next == kNone ? lru_tail : slab[row.next].prev) = row.prev;
+}
+
+void DistanceCache::Shard::PushFront(uint32_t r) {
+  Row& row = slab[r];
+  row.prev = kNone;
+  row.next = lru_head;
+  (lru_head == kNone ? lru_tail : slab[lru_head].prev) = r;
+  lru_head = r;
+}
+
+void DistanceCache::DropStaleItems(Shard& shard, uint32_t r) {
+  std::vector<Item>& items = shard.slab[r].items;
+  const auto kept =
+      std::remove_if(items.begin(), items.end(),
+                     [&](const Item& item) { return Stale(item); });
+  const size_t dropped = static_cast<size_t>(items.end() - kept);
+  shard.stale_drops += dropped;
+  if (kept == items.begin()) {
+    shard.RemoveRow(r);
+    return;
+  }
+  items.erase(kept, items.end());
+  shard.items -= dropped;
+}
+
+bool DistanceCache::LookupRow(UserId user, std::span<const PoiId> pois,
+                              double bound, double* out) {
+  Shard& shard = ShardFor(user);
   MutexLock lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
+  if (pois.empty()) {
+    ++shard.hits;
+    return true;
+  }
+  const uint32_t r = shard.Find(user);
+  if (r == kNone) {
     ++shard.misses;
     return false;
   }
-  Entry& e = it->second;
-  if (e.poi_gen != PoiGen(poi).load(std::memory_order_acquire)) {
-    // The POI's bucket was invalidated after this entry was cached (e.g.
-    // AddPoi rewired edges near it): drop lazily and miss.
-    shard.lru.erase(e.lru);
-    shard.map.erase(it);
-    ++shard.stale_drops;
-    ++shard.misses;
-    return false;
+  // The row and the request both ascend by POI id: walk them together.
+  const std::vector<Item>& items = shard.slab[r].items;
+  auto it = items.begin();
+  for (size_t i = 0; i < pois.size(); ++i) {
+    while (it != items.end() && it->poi < pois[i]) ++it;
+    if (it == items.end() || it->poi != pois[i]) {
+      ++shard.misses;
+      return false;
+    }
+    if (Stale(*it)) {
+      // The POI's bucket was invalidated after this item was cached (e.g.
+      // AddPoi rewired edges near it): drop lazily and miss.
+      DropStaleItems(shard, r);
+      ++shard.misses;
+      return false;
+    }
+    if (!std::isfinite(it->dist) && it->bound < bound) {
+      // "dist > it->bound" says nothing about bounds beyond it->bound.
+      ++shard.misses;
+      return false;
+    }
+    // A finite item is the exact distance; report it against the caller's
+    // bound so the hit is indistinguishable from a fresh computation.
+    out[i] = it->dist <= bound ? it->dist : kInfDistance;
   }
-  if (!std::isfinite(e.dist) && e.bound < bound) {
-    // "dist > e.bound" says nothing about bounds beyond e.bound.
-    ++shard.misses;
-    return false;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, e.lru);
+  shard.Unlink(r);
+  shard.PushFront(r);
   ++shard.hits;
-  // A finite entry is the exact distance; report it against the caller's
-  // bound so the hit is indistinguishable from a fresh computation.
-  *dist = e.dist <= bound ? e.dist : kInfDistance;
   return true;
 }
 
-void DistanceCache::Insert(UserId user, PoiId poi, double bound,
-                           double dist) {
-  const uint64_t key = Key(user, poi);
-  Shard& shard = ShardFor(key);
+void DistanceCache::InsertRow(UserId user, std::span<const PoiId> pois,
+                              double bound, const double* dists) {
+  if (pois.empty()) return;
+  Shard& shard = ShardFor(user);
   MutexLock lock(shard.mu);
-  const uint32_t gen = PoiGen(poi).load(std::memory_order_acquire);
-  auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
-    Entry& e = it->second;
-    if (e.poi_gen != gen) {
-      // Stale survivor: the fresh value simply replaces it.
-      e.dist = dist;
-      e.bound = bound;
-      e.poi_gen = gen;
-      shard.lru.splice(shard.lru.begin(), shard.lru, e.lru);
-      return;
+  uint32_t r = shard.Find(user);
+  // Merge the cached items and the new row, both ascending by POI id, into
+  // the shard's buffer; stale items the row does not replace are dropped.
+  std::vector<Item>& merged = shard.merged;
+  merged.clear();
+  const std::span<const Item> old =
+      r == kNone ? std::span<const Item>() : shard.slab[r].items;
+  uint64_t added = 0;
+  uint64_t dropped = 0;
+  auto keep = [&](const Item& item) {
+    if (Stale(item)) {
+      ++dropped;
+    } else {
+      merged.push_back(item);
     }
-    // Finite (exact) beats inf; among inf tags the larger bound is
-    // strictly more informative.
-    if (std::isfinite(dist)) {
-      e.dist = dist;
+  };
+  size_t i = 0;
+  for (size_t j = 0; j < pois.size(); ++j) {
+    for (; i < old.size() && old[i].poi < pois[j]; ++i) keep(old[i]);
+    const Item fresh{pois[j], PoiGen(pois[j]).load(std::memory_order_acquire),
+                     dists[j], bound};
+    if (i == old.size() || old[i].poi != pois[j]) {
+      merged.push_back(fresh);
+      ++added;
+      continue;
+    }
+    Item e = old[i++];
+    if (e.poi_gen != fresh.poi_gen) {
+      e = fresh;  // Stale survivor: the fresh value simply replaces it.
+    } else if (std::isfinite(fresh.dist)) {
+      // Finite (exact) beats inf; among inf tags the larger bound is
+      // strictly more informative.
+      e.dist = fresh.dist;
       e.bound = bound;
     } else if (!std::isfinite(e.dist) && bound > e.bound) {
       e.bound = bound;
     }
-    shard.lru.splice(shard.lru.begin(), shard.lru, e.lru);
-    return;
+    merged.push_back(e);
   }
-  if (shard.map.size() >= per_shard_capacity_) {
-    const uint64_t victim = shard.lru.back();
-    shard.lru.pop_back();
-    shard.map.erase(victim);
-    ++shard.evictions;
+  for (; i < old.size(); ++i) keep(old[i]);
+  if (merged.size() > shard.budget) return;
+
+  // Evict whole least-recently-used rows, never this user's, until the
+  // merged row fits the shard's budget.
+  const size_t old_size = old.size();
+  if (r != kNone) shard.Unlink(r);
+  while (shard.items - old_size + merged.size() > shard.budget) {
+    const uint32_t victim = shard.lru_tail;
+    shard.evictions += shard.slab[victim].items.size();
+    shard.RemoveRow(victim);
   }
-  shard.lru.push_front(key);
-  Entry e;
-  e.dist = dist;
-  e.bound = bound;
-  e.poi_gen = gen;
-  e.lru = shard.lru.begin();
-  shard.map.emplace(key, e);
-  ++shard.insertions;
+  if (r == kNone) r = shard.AddRow(user);
+  shard.slab[r].items.assign(merged.begin(), merged.end());
+  shard.items = shard.items - old_size + merged.size();
+  shard.PushFront(r);
+  shard.insertions += added;
+  shard.stale_drops += dropped;
 }
 
 void DistanceCache::InvalidatePoi(PoiId poi) {
-  // Release pairs with Lookup/Insert acquire loads: a reader that sees the
-  // new generation also sees every network mutation sequenced before this
-  // call (the caller mutates the network first, then invalidates).
+  // Release pairs with the acquire loads under the stripe locks: a reader
+  // that sees the new generation also sees every network mutation
+  // sequenced before this call (the caller mutates the network first,
+  // then invalidates).
   PoiGen(poi).fetch_add(1, std::memory_order_release);
 }
 
@@ -122,18 +209,20 @@ DistanceCache::Stats DistanceCache::GetStats() const {
     stats.insertions += shard.insertions;
     stats.evictions += shard.evictions;
     stats.stale_drops += shard.stale_drops;
-    stats.entries += shard.map.size();
+    stats.entries += shard.items;
   }
   return stats;
 }
 
 void DistanceCache::Clear() {
-  // Drops every entry but keeps the lifetime counters: a Clear() after an
+  // Drops every row but keeps the lifetime counters: a Clear() after an
   // index mutation should not erase the observability history.
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mu);
-    shard.map.clear();
-    shard.lru.clear();
+    shard.slab.clear();
+    shard.index.clear();
+    shard.lru_head = shard.lru_tail = shard.free_head = kNone;
+    shard.items = 0;
   }
 }
 
@@ -141,7 +230,7 @@ std::string DistanceCache::Stats::ToString() const {
   char buf[192];
   const uint64_t total = hits + misses;
   std::snprintf(buf, sizeof(buf),
-                "entries=%zu hits=%llu misses=%llu (%.1f%% hit) "
+                "entries=%zu row-hits=%llu row-misses=%llu (%.1f%% hit) "
                 "insertions=%llu evictions=%llu stale-drops=%llu",
                 entries, static_cast<unsigned long long>(hits),
                 static_cast<unsigned long long>(misses),

@@ -6,31 +6,40 @@
 // cache lets any worker reuse a distance another worker already paid for,
 // across queries, over the immutable indexes.
 //
-// Entries are BOUND-TAGGED: refinement computes distances under a bound
+// The cache is ROW-GRANULAR: refinement reads and writes one user's
+// distances to a whole needed-POI set at a time, so each shard keeps one
+// entry per cached user holding that user's items sorted by POI id in one
+// flat allocation. LookupRow and InsertRow cost one stripe lock and one
+// probe per row, and walk the row and the requested POI ids together.
+//
+// Items are BOUND-TAGGED: refinement computes distances under a bound
 // (the best objective so far), and "no result" only proves the distance
-// exceeds THAT bound. An entry therefore stores either
+// exceeds THAT bound. An item therefore stores either
 //   * a finite distance d — exact, reusable under ANY requested bound
 //     (the caller compares d against its own bound), or
 //   * kInfDistance tagged with the bound b it was computed under —
 //     meaning dist > b, reusable only for requests with bound <= b.
-// Serving an inf entry computed under a smaller bound to a larger-bound
-// request would wrongly report "unreachable"; Lookup treats that case as
-// a miss. See DESIGN.md "Distance backends & caching".
+// Serving an inf item computed under a smaller bound to a larger-bound
+// request would wrongly report "unreachable"; LookupRow treats that case
+// as a miss. Inserts only strengthen items, so an entry serves any subset
+// of what was ever cached for its user. See DESIGN.md "Distance backends
+// & caching".
 //
-// Dynamic maintenance invalidates SURGICALLY, not wholesale: entries are
+// Dynamic maintenance invalidates SURGICALLY, not wholesale: items are
 // stamped with the generation of their POI's bucket in a fixed table of
-// atomic counters, and InvalidatePoi(poi) just bumps that bucket. Lookup
-// drops entries whose stamp is stale (lazy eviction), so an AddPoi only
-// costs the cache the columns that share the mutated POI's bucket — every
-// other cached row keeps serving hits. Clear() remains for full resets.
+// atomic counters, and InvalidatePoi(poi) just bumps that bucket. A row
+// that needs a stale item misses, and the stale items are dropped lazily
+// (by that lookup or by the next InsertRow for the user), so an AddPoi
+// only costs the cache the columns that share the mutated POI's bucket.
+// Clear() remains for full resets.
 
 #ifndef GPSSN_ROADNET_DISTANCE_CACHE_H_
 #define GPSSN_ROADNET_DISTANCE_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,39 +52,51 @@
 namespace gpssn {
 
 struct DistanceCacheOptions {
-  /// Total entry budget across all shards (LRU-evicted per shard).
+  /// Total budget across all shards, counted in (user, POI) items. The
+  /// shards split it exactly, and each evicts whole least-recently-used
+  /// rows to stay within its share.
   size_t max_entries = 1u << 20;
-  /// Lock-striping factor; rounded up to a power of two. One mutex, map,
-  /// and LRU list per shard.
+  /// Lock-striping factor; rounded up to a power of two. One mutex, row
+  /// slab, and LRU list per shard; a user's row lives in one shard.
   int num_shards = 16;
 };
 
-/// Thread-safe (user, poi) → distance cache with striped locks and
-/// per-shard LRU eviction. Shared by all workers of a batch executor.
+/// Thread-safe user → (poi → distance) row cache with striped locks and
+/// per-shard LRU eviction of whole rows. Shared by all workers of a batch
+/// executor.
 class DistanceCache {
  public:
   explicit DistanceCache(const DistanceCacheOptions& options = {});
 
   GPSSN_DISALLOW_COPY_AND_MOVE(DistanceCache);
 
-  /// Returns true on a usable hit and sets *dist to the cached distance
-  /// (kInfDistance = proven greater than `bound`). An inf entry tagged
-  /// with a smaller bound than `bound` is NOT usable and misses.
-  bool Lookup(UserId user, PoiId poi, double bound, double* dist);
+  /// Serves `user`'s row over `pois` (strictly ascending ids): returns true
+  /// only when every POI has a usable item, and then sets out[i] to the
+  /// distance to pois[i] as a search under `bound` would report it (the
+  /// exact distance when <= bound, kInfDistance otherwise). An inf item
+  /// tagged with a smaller bound than `bound` is NOT usable, and neither is
+  /// a stale or missing one. On false, `out` is unspecified. An empty
+  /// `pois` hits. A hit allocates nothing.
+  bool LookupRow(UserId user, std::span<const PoiId> pois, double bound,
+                 double* out);
 
-  /// Records dist_RN(user, poi) computed under `bound`: `dist` is the
-  /// exact distance when <= bound, kInfDistance meaning "> bound"
-  /// otherwise. Finite entries always win over inf entries; among inf
-  /// entries the larger bound wins.
-  void Insert(UserId user, PoiId poi, double bound, double dist);
+  /// Merges a row computed under `bound` into `user`'s entry: dists[i] is
+  /// dist_RN(user, pois[i]) when <= bound and kInfDistance ("> bound")
+  /// otherwise; `pois` ascends strictly. Per item, finite wins over inf,
+  /// among inf items the larger bound wins, and an item whose POI was
+  /// invalidated is replaced. A merged row wider than its shard's budget
+  /// is not cached (the entry stays as it was).
+  void InsertRow(UserId user, std::span<const PoiId> pois, double bound,
+                 const double* dists);
 
+  /// Row lookups count in hits/misses; items count in everything else.
   struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-    uint64_t stale_drops = 0;  // Entries dropped by generation mismatch.
-    size_t entries = 0;
+    uint64_t hits = 0;         // LookupRow calls served.
+    uint64_t misses = 0;       // LookupRow calls not served.
+    uint64_t insertions = 0;   // Items added for a (user, POI) not cached.
+    uint64_t evictions = 0;    // Items dropped with their evicted rows.
+    uint64_t stale_drops = 0;  // Items dropped by generation mismatch.
+    size_t entries = 0;        // Items cached now.
     std::string ToString() const;
   };
   Stats GetStats() const;
@@ -83,9 +104,9 @@ class DistanceCache {
   size_t max_entries() const { return max_entries_; }
 
   /// Invalidates every cached (*, poi) distance by bumping the generation
-  /// of `poi`'s bucket; stale entries are dropped lazily on their next
-  /// Lookup. POIs sharing the bucket (id mod kPoiGenBuckets) are
-  /// conservatively invalidated too — safe, and with 4096 buckets the
+  /// of `poi`'s bucket; a row needing a stale item misses, and stale items
+  /// are dropped lazily. POIs sharing the bucket (id mod kPoiGenBuckets)
+  /// are conservatively invalidated too — safe, and with 4096 buckets the
   /// collateral is 1/4096th of the id space per AddPoi instead of the
   /// whole cache. O(1), no locks.
   void InvalidatePoi(PoiId poi);
@@ -97,44 +118,75 @@ class DistanceCache {
   /// distinct buckets, which keeps invalidation exact in tests and small
   /// datasets.
   static constexpr size_t kPoiGenBuckets = 4096;
+  /// Null slab index: no row, or the end of a list.
+  static constexpr uint32_t kNone = ~uint32_t{0};
 
-  struct Entry {
-    double dist = kInfDistance;   // Exact when finite.
-    double bound = 0.0;           // Tag: the bound `dist` was computed under.
-    uint32_t poi_gen = 0;         // Bucket generation at insert time.
-    std::list<uint64_t>::iterator lru;
+  struct Item {
+    PoiId poi = 0;
+    uint32_t poi_gen = 0;        // Bucket generation at insert time.
+    double dist = kInfDistance;  // Exact when finite.
+    double bound = 0.0;          // Tag: the bound `dist` was computed under.
   };
 
-  // Everything in a shard — map, LRU list, and counters — is one unit
-  // under the stripe lock `mu`; there is no lock-free read path.
+  // One cached user: its items, ascending by POI id, and its links in the
+  // shard's LRU list (slab indices). `next` also links the free list.
+  struct Row {
+    UserId user = 0;
+    uint32_t prev = kNone;
+    uint32_t next = kNone;
+    std::vector<Item> items;
+  };
+
+  // Everything in a shard — slab, user index, LRU list, and counters — is
+  // one unit under the stripe lock `mu`; there is no lock-free read path.
   struct alignas(64) Shard {
     mutable Mutex mu;
-    std::unordered_map<uint64_t, Entry> map GPSSN_GUARDED_BY(mu);
-    std::list<uint64_t> lru GPSSN_GUARDED_BY(mu);  // Front = most recent.
+    size_t budget = 0;  // Item share of max_entries; fixed at construction.
+    std::vector<Row> slab GPSSN_GUARDED_BY(mu);
+    std::unordered_map<UserId, uint32_t> index GPSSN_GUARDED_BY(mu);
+    uint32_t lru_head GPSSN_GUARDED_BY(mu) = kNone;  // Most recent.
+    uint32_t lru_tail GPSSN_GUARDED_BY(mu) = kNone;
+    uint32_t free_head GPSSN_GUARDED_BY(mu) = kNone;
+    size_t items GPSSN_GUARDED_BY(mu) = 0;
+    std::vector<Item> merged GPSSN_GUARDED_BY(mu);  // InsertRow's buffer.
     uint64_t hits GPSSN_GUARDED_BY(mu) = 0;
     uint64_t misses GPSSN_GUARDED_BY(mu) = 0;
     uint64_t insertions GPSSN_GUARDED_BY(mu) = 0;
     uint64_t evictions GPSSN_GUARDED_BY(mu) = 0;
     uint64_t stale_drops GPSSN_GUARDED_BY(mu) = 0;
+
+    /// `user`'s slab index, or kNone.
+    uint32_t Find(UserId user) const GPSSN_REQUIRES(mu) {
+      const auto it = index.find(user);
+      return it == index.end() ? kNone : it->second;
+    }
+    /// A new empty row for `user` (not yet in the LRU list).
+    uint32_t AddRow(UserId user) GPSSN_REQUIRES(mu);
+    /// Frees row `r`, which must be in the LRU list, with its items.
+    void RemoveRow(uint32_t r) GPSSN_REQUIRES(mu);
+    void Unlink(uint32_t r) GPSSN_REQUIRES(mu);
+    void PushFront(uint32_t r) GPSSN_REQUIRES(mu);
   };
 
-  static uint64_t Key(UserId user, PoiId poi) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(user)) << 32) |
-           static_cast<uint32_t>(poi);
-  }
-
-  Shard& ShardFor(uint64_t key) {
+  Shard& ShardFor(UserId user) {
     // Multiplicative mix so consecutive ids spread across shards.
-    const uint64_t h = key * 0x9e3779b97f4a7c15ull;
+    const uint64_t h =
+        static_cast<uint64_t>(static_cast<uint32_t>(user)) *
+        0x9e3779b97f4a7c15ull;
     return shards_[(h >> 32) & shard_mask_];
   }
 
   std::atomic<uint32_t>& PoiGen(PoiId poi) {
     return poi_gen_[static_cast<uint32_t>(poi) & (kPoiGenBuckets - 1)];
   }
+  bool Stale(const Item& item) {
+    return item.poi_gen != PoiGen(item.poi).load(std::memory_order_acquire);
+  }
+
+  /// Drops row `r`'s stale items (and the row when none is left).
+  void DropStaleItems(Shard& shard, uint32_t r) GPSSN_REQUIRES(shard.mu);
 
   size_t max_entries_;
-  size_t per_shard_capacity_;
   uint64_t shard_mask_;
   std::vector<Shard> shards_;
   // Per-bucket POI generations (see InvalidatePoi). unique_ptr-to-array

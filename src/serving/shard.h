@@ -42,7 +42,7 @@ struct ShardConfig {
   QueryOptions query;
   /// Scheduler worker count (= pooled processors); >= 1.
   int num_workers = 1;
-  /// Entry budget of the shard-private DistanceCache; 0 disables caching.
+  /// Item budget of the shard-private DistanceCache; 0 disables caching.
   size_t distance_cache_entries = 1u << 18;
   /// Shared immutable indexes (must outlive the shard).
   const PoiIndex* poi_index = nullptr;

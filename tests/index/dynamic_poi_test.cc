@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/baseline.h"
 #include "core/database.h"
 #include "index/poi_index.h"
+#include "roadnet/distance_backend.h"
+#include "roadnet/distance_cache.h"
 #include "ssn/dataset.h"
 
 namespace gpssn {
@@ -131,14 +135,16 @@ TEST(DynamicPoiTest, DatabaseQueriesStayExactAfterInserts) {
 TEST(DynamicPoiTest, SharedCacheSurvivesUnrelatedAddPoi) {
   // Regression: AddPoi used to Clear() the whole shared DistanceCache, so
   // every batch worker recomputed every row after ANY insert. Invalidation
-  // is now generation-tagged per POI column: rows cached before an
-  // UNRELATED AddPoi must still serve hits afterwards.
+  // is now generation-tagged per POI column: a row cached before an AddPoi
+  // must still serve the POIs the insert did not touch, and only a row
+  // that includes the new POI misses.
   GpssnBuildOptions build;
   build.num_road_pivots = 3;
   build.num_social_pivots = 3;
   build.distance_cache_entries = 1 << 16;
   GpssnDatabase db(MakeSynthetic(SmallData(6)), build);
-  ASSERT_NE(db.distance_cache(), nullptr);
+  DistanceCache* cache = db.distance_cache();
+  ASSERT_NE(cache, nullptr);
 
   GpssnQuery q;
   q.issuer = 11;
@@ -146,14 +152,12 @@ TEST(DynamicPoiTest, SharedCacheSurvivesUnrelatedAddPoi) {
   q.gamma = 0.2;
   q.theta = 0.2;
   q.radius = 2.5;
-  // First run fills the cache; second run proves rows actually hit.
-  ASSERT_TRUE(db.Query(q).ok());
-  const auto warm = db.distance_cache()->GetStats();
-  ASSERT_GT(warm.insertions, 0u) << "workload never touched the cache; "
-                                    "the regression check below is vacuous";
-  ASSERT_TRUE(db.Query(q).ok());
-  const auto before = db.distance_cache()->GetStats();
-  ASSERT_GT(before.hits, warm.hits);
+  // The first run caches the row of every member of its answer.
+  auto first = db.Query(q);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->found) << "no answer, so no member rows to check";
+  ASSERT_GT(cache->GetStats().insertions, 0u)
+      << "workload never touched the cache; the checks below are vacuous";
 
   // Open a facility somewhere; the existing columns must keep serving.
   Rng rng(13);
@@ -162,16 +166,38 @@ TEST(DynamicPoiTest, SharedCacheSurvivesUnrelatedAddPoi) {
       rng.UniformDouble()};
   auto id = db.AddPoi(pos, {1});
   ASSERT_TRUE(id.ok()) << id.status().ToString();
-  EXPECT_GT(db.distance_cache()->GetStats().entries, 0u)
+  EXPECT_GT(cache->GetStats().entries, 0u)
       << "AddPoi wiped the cache wholesale";
 
+  // Each member still row-hits the answer's ball at its objective, with
+  // the distances a fresh search reports; adding the new POI (the largest
+  // id, so the row still ascends) makes the same row miss.
+  const SpatialSocialNetwork& ssn = db.ssn();
+  const auto backend = MakeDijkstraBackend(&ssn.road(), &ssn.pois());
+  const auto engine = backend->CreateEngine();
+  std::vector<EdgePosition> targets;
+  for (PoiId o : first->pois) targets.push_back(ssn.poi(o).position);
+  engine->SetTargets(targets);
+  std::vector<PoiId> with_new = first->pois;
+  with_new.push_back(*id);
+  for (UserId u : first->users) {
+    std::vector<double> cached(first->pois.size());
+    ASSERT_TRUE(
+        cache->LookupRow(u, first->pois, first->max_dist, cached.data()))
+        << "user " << u << ": row did not survive the unrelated AddPoi";
+    std::vector<double> fresh(first->pois.size());
+    engine->SourceToTargets(ssn.user_home(u), first->max_dist, fresh.data());
+    EXPECT_EQ(cached, fresh) << "user " << u;
+    std::vector<double> wider(with_new.size());
+    EXPECT_FALSE(
+        cache->LookupRow(u, with_new, first->max_dist, wider.data()))
+        << "user " << u << ": a row with the new POI cannot be cached yet";
+  }
+
+  // And the answers stay exact over the grown network.
   QueryStats stats;
   auto got = db.Query(q, QueryOptions(), &stats);
   ASSERT_TRUE(got.ok());
-  const auto after = db.distance_cache()->GetStats();
-  EXPECT_GT(after.hits, before.hits)
-      << "no cached row survived the unrelated AddPoi";
-  // And the answers stay exact over the grown network.
   const GpssnAnswer oracle = BruteForceGpssn(db.ssn(), q);
   ASSERT_EQ(got->found, oracle.found);
   if (oracle.found) {
