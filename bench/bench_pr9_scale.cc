@@ -4,11 +4,7 @@
 //   1. CH construction, serial vs morselized (TaskScheduler) — the builds
 //      must be bitwise identical, and the parallel one must not cost more
 //      than scheduler overhead on a single core;
-//   2. ball queries, bounded Dijkstra vs the CH range engine — answers
-//      must be identical, and the range engine is the whole point: at
-//      10^6 vertices it must be >= 5x faster (scripts/bench_smoke.sh
-//      enforces a scale-aware threshold);
-//   3. index persistence — SaveRoadIndex once, then mmap cold-start
+//   2. index persistence — SaveRoadIndex once, then mmap cold-start
 //      (LoadRoadIndex) vs rebuilding the hierarchy from scratch.
 //
 // Environment:
@@ -18,22 +14,19 @@
 //   GPSSN_BENCH_PR9_INDEX  index file path (default: a file in the cwd,
 //                          removed on exit)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/rng.h"
 #include "common/task_scheduler.h"
-#include "roadnet/ch_range.h"
 #include "roadnet/contraction_hierarchy.h"
 #include "roadnet/index_io.h"
 #include "roadnet/road_graph.h"
-#include "roadnet/shortest_path.h"
 
 namespace gpssn::bench {
 namespace {
@@ -49,9 +42,7 @@ int EnvInt(const char* name, int fallback) {
   return v != nullptr ? std::atoi(v) : fallback;
 }
 
-// Unit-spacing grid with jittered vertices: Euclidean weights are all
-// distinct, so shortest paths are unique and both ball engines must
-// return bit-identical answers.
+// Unit-spacing grid with jittered vertices and Euclidean weights.
 RoadNetwork JitteredGrid(int side, uint64_t seed) {
   Rng rng(seed);
   RoadNetworkBuilder b;
@@ -69,19 +60,6 @@ RoadNetwork JitteredGrid(int side, uint64_t seed) {
     }
   }
   return b.Build();
-}
-
-std::vector<Poi> ScatterPois(const RoadNetwork& g, int n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Poi> pois(n);
-  for (int i = 0; i < n; ++i) {
-    pois[i].id = i;
-    pois[i].position =
-        EdgePosition{static_cast<EdgeId>(rng.NextBounded(g.num_edges())),
-                     rng.UniformDouble()};
-    pois[i].location = g.PositionPoint(pois[i].position);
-  }
-  return pois;
 }
 
 bool BitIdentical(const ContractionHierarchy& a,
@@ -111,14 +89,12 @@ void Run() {
               side, side, side * side, workers);
 
   const RoadNetwork g = JitteredGrid(side, 1);
-  const std::vector<Poi> pois = ScatterPois(g, side * 4, 2);
 
   ChOptions options;
   // Default witness limits: weakening them (e.g. 5/24) looks cheaper per
   // search but misses witnesses, and the surviving shortcuts densify the
   // remaining graph — measured 3x slower AND 3x more shortcuts on a
   // 90k-vertex grid. Strong witnesses are the scale knob.
-  options.build_ball_index = false;  // Built separately below (timed).
 
   // --- 1. CH construction: serial vs morselized ------------------------
   double t0 = Now();
@@ -140,58 +116,7 @@ void Run() {
   std::printf("CH build (%d lanes):  %7.2f s  (identical: %s)\n",
               workers + 1, build_parallel_s, build_identical ? "yes" : "NO");
 
-  // --- 2. Ball queries: bounded Dijkstra vs CH range engine ------------
-  // Fixed city-scale radii (grid spacing is ~1): a query ball covers a
-  // metro-sized patch regardless of how large the whole network is. This
-  // is the continental regime — as the graph grows, the ball holds the
-  // same number of vertices but an ever smaller share of the POI sources,
-  // so bounded Dijkstra keeps paying for the full patch while the range
-  // engine only pays for the few sources actually inside. That widening
-  // gap is where the 10^6-vertex speedup gate comes from.
-  const double max_radius = 30.0;
-  t0 = Now();
-  const ChBallIndex index(&serial, &pois, max_radius, &scheduler, 0);
-  const double index_build_s = Now() - t0;
-  std::printf("ball index:           %7.2f s  (%zu sources)\n",
-              index_build_s, index.num_sources());
-
-  DijkstraEngine dijkstra(&g);
-  PoiLocator locator(&g, &pois);
-  ChRangeEngine range(&index);
-  const double radii[] = {5.0, 15.0, max_radius};
-  std::vector<EdgePosition> centers;
-  Rng rng(3);
-  for (int c = 0; c < 8; ++c) {
-    centers.push_back(
-        EdgePosition{static_cast<EdgeId>(rng.NextBounded(g.num_edges())),
-                     rng.UniformDouble()});
-  }
-  bool balls_identical = true;
-  int ball_trials = 0;
-  double ball_dijkstra_s = 0.0;
-  double ball_ch_s = 0.0;
-  for (const double radius : radii) {
-    for (const EdgePosition& center : centers) {
-      t0 = Now();
-      const auto expected = locator.BallWithDistances(center, radius,
-                                                      &dijkstra);
-      ball_dijkstra_s += Now() - t0;
-      t0 = Now();
-      const auto actual = range.BallWithDistances(center, radius, locator,
-                                                  pois);
-      ball_ch_s += Now() - t0;
-      balls_identical = balls_identical && expected == actual;
-      ++ball_trials;
-    }
-  }
-  const double ball_speedup =
-      ball_ch_s > 0.0 ? ball_dijkstra_s / ball_ch_s : 0.0;
-  std::printf("balls (%d trials):    Dijkstra %7.3f s, CH %7.3f s "
-              "-> %.1fx (identical: %s)\n",
-              ball_trials, ball_dijkstra_s, ball_ch_s, ball_speedup,
-              balls_identical ? "yes" : "NO");
-
-  // --- 3. Persistence: save once, mmap cold-start vs rebuild -----------
+  // --- 2. Persistence: save once, mmap cold-start vs rebuild -----------
   const char* index_env = std::getenv("GPSSN_BENCH_PR9_INDEX");
   const std::string path =
       index_env != nullptr ? index_env : "bench_pr9.gpssnidx";
@@ -222,31 +147,21 @@ void Run() {
                  "{\n"
                  "  \"grid_side\": %d,\n"
                  "  \"num_vertices\": %d,\n"
-                 "  \"num_pois\": %zu,\n"
                  "  \"workers\": %d,\n"
                  "  \"build_serial_seconds\": %.6f,\n"
                  "  \"build_parallel_seconds\": %.6f,\n"
                  "  \"build_identical\": %s,\n"
-                 "  \"ball_index_seconds\": %.6f,\n"
-                 "  \"ball_trials\": %d,\n"
-                 "  \"ball_max_radius\": %.1f,\n"
-                 "  \"ball_dijkstra_seconds\": %.6f,\n"
-                 "  \"ball_ch_seconds\": %.6f,\n"
-                 "  \"ball_speedup\": %.3f,\n"
-                 "  \"balls_identical\": %s,\n"
                  "  \"save_seconds\": %.6f,\n"
                  "  \"load_seconds\": %.6f,\n"
                  "  \"rebuild_seconds\": %.6f\n"
                  "}\n",
-                 side, side * side, pois.size(), workers, build_serial_s,
+                 side, side * side, workers, build_serial_s,
                  build_parallel_s, build_identical ? "true" : "false",
-                 index_build_s, ball_trials, max_radius, ball_dijkstra_s,
-                 ball_ch_s, ball_speedup, balls_identical ? "true" : "false",
                  save_s, load_s, rebuild_s);
     std::fclose(f);
     std::printf("wrote %s\n", out);
   }
-  GPSSN_CHECK(build_identical && balls_identical);
+  GPSSN_CHECK(build_identical);
 }
 
 }  // namespace

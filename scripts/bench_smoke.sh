@@ -7,14 +7,11 @@
 #   - CH bucket one-to-many beats bounded Dijkstra at the largest road size
 #   - 4-lane library social score >= 1.5x over a sequential loop at d=128
 #
-#   - PR 9 (continental-scale distance engine, BENCH_PR9.json):
+#   - PR 9 (continental-scale CH build and index file, BENCH_PR9.json;
+#     GPSSN_BENCH_PR9_SIDE=1000 runs it at 10^6 vertices):
 #       * serial and morselized CH builds bitwise identical; parallel
 #         build core-aware (1 core: <= 1.4x serial wall time — scheduler
 #         overhead only; >= 2 cores: >= 1.25x speedup)
-#       * CH range-engine balls identical to bounded Dijkstra, and faster
-#         by a scale-aware factor (>= 5x at 10^6 vertices, >= 1.2x at
-#         smoke sizes; GPSSN_BENCH_PR9_SIDE=1000 runs the paper-scale
-#         gate)
 #       * mmap cold-start (LoadRoadIndex) strictly faster than rebuilding
 #         the hierarchy
 #
@@ -123,7 +120,7 @@ EOF
 
 PR9_OUT="$(dirname "$OUT")/BENCH_PR9.json"
 
-echo "=== bench_pr9_scale: CH range engine / parallel build / mmap load ==="
+echo "=== bench_pr9_scale: parallel CH build / mmap load ==="
 GPSSN_BENCH_PR9_SIDE="${GPSSN_BENCH_PR9_SIDE:-220}" \
   GPSSN_BENCH_PR9_JSON="$TMP/pr9.json" \
   GPSSN_BENCH_PR9_INDEX="$TMP/pr9.gpssnidx" \
@@ -140,12 +137,6 @@ with open(pr9_path) as f:
 
 cores = os.cpu_count() or 1
 
-# Ball-speedup gate is scale-aware: the ISSUE's >= 5x target is a
-# 10^6-vertex property (bounded Dijkstra scales with the ball area, the
-# upward search with the hierarchy); at smoke sizes the margin shrinks,
-# so only direction is enforced there.
-ball_threshold = 5.0 if pr9["num_vertices"] >= 1_000_000 else 1.2
-
 # Parallel-build gate is core-aware: a single-core host cannot speed the
 # build up — lanes only add publish/retire and cursor traffic — so the
 # gate becomes a regression bound; multi-core hosts must show a real
@@ -160,8 +151,6 @@ else:
 checks = {
     "build_bitwise_identical": pr9.get("build_identical") is True,
     "build_parallel_core_aware": build_ok,
-    "balls_identical": pr9.get("balls_identical") is True,
-    "ball_speedup_scale_aware": pr9.get("ball_speedup", 0.0) >= ball_threshold,
     "mmap_load_beats_rebuild":
         pr9.get("load_seconds", float("inf")) < pr9.get("rebuild_seconds", 0.0),
 }
@@ -170,7 +159,6 @@ report = {
     "generated_by": "scripts/bench_smoke.sh",
     "measurements": pr9,
     "cpu_cores": cores,
-    "ball_speedup_threshold": ball_threshold,
     "checks": checks,
 }
 with open(out_path, "w") as f:

@@ -20,7 +20,7 @@
 #           gates that the benchmark compiles and answers correctly, not its
 #           numbers. NOT part of the default mode.
 #   large   continental-scale tests (ctest label `large`, e.g. the 10^5+
-#           vertex CH range-engine / index-file validation): builds tier-1
+#           vertex CH build / index-file validation): builds tier-1
 #           and runs `ctest -L large` with GPSSN_LARGE_TESTS=1. NOT part
 #           of the default mode — run explicitly or let the dedicated CI
 #           job do it.

@@ -7,6 +7,10 @@
 // 2^19-entry shared distance cache, as perfbench's uni-ch and zipf-maint):
 //   - kQueries queries: Query at a random radius and τ, then QueryTopK(3)
 //     of the same query, with an AddPoi every kAddPoiEvery queries;
+//   - on a database that owns a backend (the CH one), after the build and
+//     after every AddPoi, kEngineBalls DistanceEngine::BallWithDistances
+//     results from a fresh engine of that backend, at fixed POI centers
+//     and radii drawn from their own seed (so the query mix is unchanged);
 //   - one 2-shard ServingCluster::QueryBatch over kClusterQueries queries
 //     (one query in flight, so every shard's cache sees a fixed order).
 // Doubles print as %a (exact bits). Every double QueryStats row is a wall
@@ -49,6 +53,8 @@ constexpr int kQueries = 400;
 constexpr int kAddPoiEvery = 40;
 constexpr int kClusterQueries = 120;
 constexpr int kHotIssuers = 24;  // Half the issuers come from here.
+constexpr int kEngineBalls = 16;
+constexpr uint64_t kEngineBallSeed = 7;
 
 void PrintRow(const std::string& tag, const char* name, uint64_t value) {
   std::printf("%s stat %s=%" PRIu64 "\n", tag.c_str(), name, value);
@@ -105,6 +111,39 @@ std::string QueryTag(const char* dataset, const char* path, int i,
   return buf;
 }
 
+struct BallProbe {
+  PoiId center;
+  double radius;
+};
+
+std::vector<BallProbe> EngineBallProbes(const GpssnDatabase& db) {
+  Rng rng(kEngineBallSeed);
+  std::vector<BallProbe> probes;
+  for (int i = 0; i < kEngineBalls; ++i) {
+    const auto center =
+        static_cast<PoiId>(rng.NextBounded(db.ssn().num_pois()));
+    probes.push_back({center, rng.UniformDouble(0.5, 8.0)});
+  }
+  return probes;
+}
+
+// Each probe's ball as `id:distance` pairs in the engine's order.
+void PrintEngineBalls(const std::string& tag, const GpssnDatabase& db,
+                      const std::vector<BallProbe>& probes) {
+  const DistanceBackend* backend = db.distance_backend();
+  if (backend == nullptr) return;
+  const std::unique_ptr<DistanceEngine> engine = backend->CreateEngine();
+  for (size_t i = 0; i < probes.size(); ++i) {
+    std::printf("%s engine_ball%zu center=%d r=%a pois=", tag.c_str(), i,
+                probes[i].center, probes[i].radius);
+    for (const auto& [poi, dist] : engine->BallWithDistances(
+             db.ssn().poi(probes[i].center).position, probes[i].radius)) {
+      std::printf("%d:%a,", poi, dist);
+    }
+    std::printf("\n");
+  }
+}
+
 void AddRandomPoi(GpssnDatabase* db, Rng* rng) {
   const SpatialSocialNetwork& ssn = db->ssn();
   EdgePosition position;
@@ -131,9 +170,16 @@ void RunDataset(const Dataset& dataset) {
   std::printf("%s users=%d pois=%d\n", dataset.name, db.ssn().num_users(),
               db.ssn().num_pois());
 
+  const std::vector<BallProbe> probes = EngineBallProbes(db);
+  PrintEngineBalls(std::string(dataset.name) + " build", db, probes);
   Rng rng(2026);
   for (int i = 0; i < kQueries; ++i) {
-    if (i > 0 && i % kAddPoiEvery == 0) AddRandomPoi(&db, &rng);
+    if (i > 0 && i % kAddPoiEvery == 0) {
+      AddRandomPoi(&db, &rng);
+      PrintEngineBalls(std::string(dataset.name) + " before q" +
+                           std::to_string(i),
+                       db, probes);
+    }
     const GpssnQuery q = RandomQuery(db, &rng);
     QueryStats stats;
     const std::string tag = QueryTag(dataset.name, "query", i, q);

@@ -105,9 +105,10 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
     ::close(fd);
     return Status::IoError("cannot stat " + path + ": " + err);
   }
-  if (st.st_size <= 0) {
+  MappedFile mapped;
+  if (st.st_size <= 0) {  // mmap rejects a zero length.
     ::close(fd);
-    return Status::IoError("empty file: " + path);
+    return mapped;
   }
   const size_t bytes = static_cast<size_t>(st.st_size);
   void* addr = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
@@ -117,7 +118,6 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
     return Status::IoError("cannot mmap " + path + ": " +
                            std::strerror(errno));
   }
-  MappedFile mapped;
   mapped.addr_ = addr;
   mapped.size_ = bytes;
   return mapped;

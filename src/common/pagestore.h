@@ -109,8 +109,8 @@ class MappedFile {
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
 
-  /// Maps `path` read-only. Fails with IoError for missing, unreadable, or
-  /// empty files.
+  /// Maps `path` read-only. Fails with IoError for missing or unreadable
+  /// files. An empty file opens unmapped: size() 0, data() null.
   static Result<MappedFile> Open(const std::string& path);
 
   bool valid() const { return addr_ != nullptr; }

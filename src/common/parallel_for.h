@@ -1,11 +1,11 @@
 // Copyright 2026 The gpssn Authors.
 //
 // Morselized parallel-for on top of TaskScheduler. Index preprocessing
-// (parallel CH contraction rounds, ball-index bucket builds) needs a
-// deterministic data-parallel loop: split [0, count) into fixed chunks,
-// let idle scheduler workers claim chunks through the morsel-source
-// registry, and have the CALLER run chunks too so a saturated (or 1-core)
-// scheduler degrades to the serial loop with no queued helper tasks.
+// (parallel CH contraction rounds) needs a deterministic data-parallel
+// loop: split [0, count) into fixed chunks, let idle scheduler workers
+// claim chunks through the morsel-source registry, and have the CALLER run
+// chunks too so a saturated (or 1-core) scheduler degrades to the serial
+// loop with no queued helper tasks.
 //
 // Lane discipline: each participant claims a unique lane id (caller =
 // lane 0, workers = 1..max_lanes-1) so the body can use per-lane scratch

@@ -9,6 +9,7 @@
 #include "common/timer.h"
 #include "core/refinement.h"
 #include "core/scores.h"
+#include "roadnet/distance_backend.h"
 #include "roadnet/shortest_path.h"
 
 namespace gpssn {
@@ -23,8 +24,7 @@ double Log10Binomial(int64_t n, int64_t k) {
 
 GpssnAnswer BruteForceGpssn(const SpatialSocialNetwork& ssn,
                             const GpssnQuery& query, int64_t max_groups,
-                            QueryStats* stats,
-                            const DistanceBackend* backend) {
+                            QueryStats* stats) {
   WallTimer timer;
   const SocialNetwork& social = ssn.social();
   GpssnAnswer answer;
@@ -41,12 +41,9 @@ GpssnAnswer BruteForceGpssn(const SpatialSocialNetwork& ssn,
   }
   if (groups.empty()) return answer;
 
-  std::unique_ptr<DistanceBackend> own_backend;
-  if (backend == nullptr) {
-    own_backend = MakeDijkstraBackend(&ssn.road(), &ssn.pois());
-    backend = own_backend.get();
-  }
-  std::unique_ptr<DistanceEngine> engine = backend->CreateEngine();
+  const std::unique_ptr<DistanceBackend> backend =
+      MakeDijkstraBackend(&ssn.road(), &ssn.pois());
+  const std::unique_ptr<DistanceEngine> engine = backend->CreateEngine();
 
   // Per-user exact distances to every POI (exhaustive, no bounds): every
   // POI is a registered target, one unbounded one-to-many evaluation per

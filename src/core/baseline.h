@@ -18,20 +18,19 @@
 #include "core/options.h"
 #include "core/query.h"
 #include "core/stats.h"
-#include "roadnet/distance_backend.h"
 #include "ssn/spatial_social_network.h"
 
 namespace gpssn {
 
 /// Exhaustive exact GP-SSN evaluation (no indexes, no pruning). Exponential
 /// in τ — only usable on small networks; `max_groups` caps the enumeration
-/// as a safety net (sets `truncated` in stats when hit). `backend`
-/// (optional) selects the exact-distance backend; null = bounded Dijkstra.
+/// as a safety net (sets `truncated` in stats when hit). Distances come
+/// from a private bounded-Dijkstra backend, the reference search, so the
+/// oracle never shares code with a backend under test.
 GpssnAnswer BruteForceGpssn(const SpatialSocialNetwork& ssn,
                             const GpssnQuery& query,
                             int64_t max_groups = 5000000,
-                            QueryStats* stats = nullptr,
-                            const DistanceBackend* backend = nullptr);
+                            QueryStats* stats = nullptr);
 
 /// Sampling-based cost estimate of the full Baseline run (Section 6.3).
 struct BaselineEstimate {

@@ -142,9 +142,9 @@ Result<PoiId> GpssnDatabase::AddPoi(const EdgePosition& position,
   GPSSN_ASSIGN_OR_RETURN(const PoiId id,
                          ssn_.AddPoi(position, std::move(keywords)));
   GPSSN_RETURN_NOT_OK(poi_index_->InsertPoi(id));
-  // Fold the new POI into the backend (the CH backend's ball index grows
-  // delta buckets) and bump its generation so every cached engine —
-  // processor-plugged or batch-lane — is recreated before its next use.
+  // Bump the backend's generation so every cached engine — processor-
+  // plugged or batch-lane — is recreated, with a PoiLocator over the grown
+  // POI set, before its next use.
   if (backend_ != nullptr) backend_->NotifyPoisMutated();
   // The processor caches a POI locator; rebuild it over the grown set.
   processor_ =

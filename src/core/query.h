@@ -274,8 +274,8 @@ class GpssnProcessor {
   std::unique_ptr<DistanceEngine> default_engine_;
   // Engine created from the last non-null options.distance_backend, plus
   // the backend POI generation it was created under — the engine is
-  // recreated when the backend reports a POI mutation, so cached arenas
-  // (e.g. the CH ball index's locator) never serve a stale POI set.
+  // recreated when the backend reports a POI mutation, so its PoiLocator
+  // never serves a stale POI set.
   const DistanceBackend* plugged_source_ = nullptr;
   uint64_t plugged_generation_ = 0;
   std::unique_ptr<DistanceEngine> plugged_engine_;

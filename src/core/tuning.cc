@@ -6,6 +6,7 @@
 
 #include "common/macros.h"
 #include "core/scores.h"
+#include "roadnet/distance_backend.h"
 
 namespace gpssn {
 
@@ -54,13 +55,9 @@ ParameterSuggestion SuggestParameters(const SpatialSocialNetwork& ssn,
   // --- r: percentile of the radius needed to gather target_ball_size POIs
   // around a random POI (a stand-in for the trip-length distribution of a
   // query log).
-  std::unique_ptr<DistanceBackend> own_backend;
-  const DistanceBackend* backend = options.distance_backend;
-  if (backend == nullptr) {
-    own_backend = MakeDijkstraBackend(&ssn.road(), &ssn.pois());
-    backend = own_backend.get();
-  }
-  std::unique_ptr<DistanceEngine> engine = backend->CreateEngine();
+  const std::unique_ptr<DistanceBackend> backend =
+      MakeDijkstraBackend(&ssn.road(), &ssn.pois());
+  const std::unique_ptr<DistanceEngine> engine = backend->CreateEngine();
   {
     std::vector<double> radii;
     for (int s = 0; s < options.radius_samples; ++s) {

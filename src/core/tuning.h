@@ -16,7 +16,6 @@
 
 #include "common/rng.h"
 #include "core/options.h"
-#include "roadnet/distance_backend.h"
 #include "ssn/spatial_social_network.h"
 
 namespace gpssn {
@@ -31,10 +30,6 @@ struct TuningOptions {
   /// Ball size the radius suggestion should typically gather.
   int target_ball_size = 8;
   uint64_t seed = 1;
-  /// Optional distance backend (roadnet/distance_backend.h) for the
-  /// ball probes of the r / θ estimators. Null = a private bounded
-  /// Dijkstra over ssn.road(). Must outlive the call.
-  const DistanceBackend* distance_backend = nullptr;
 };
 
 struct ParameterSuggestion {

@@ -502,41 +502,6 @@ ContractionHierarchy ContractionHierarchy::AdoptStorage(
   return ch;
 }
 
-const ContractionHierarchy::UpArc& ContractionHierarchy::UpArcBetween(
-    VertexId from, VertexId to) const {
-  // up(from) is sorted by target id; hub vertices carry hundreds of arcs
-  // and unpacking visits them constantly, so binary search matters.
-  const std::span<const UpArc> arcs = up(from);
-  const auto it = std::lower_bound(
-      arcs.begin(), arcs.end(), to,
-      [](const UpArc& arc, VertexId target) { return arc.to < target; });
-  GPSSN_CHECK(it != arcs.end() && it->to == to &&
-              "missing unpack arc: hierarchy is inconsistent");
-  return *it;
-}
-
-double ChPathUnpacker::Accumulate(VertexId from, VertexId to,
-                                  const ContractionHierarchy::UpArc& arc,
-                                  double acc) {
-  stack_.clear();
-  stack_.push_back(Frame{from, to, &arc});
-  while (!stack_.empty()) {
-    const Frame f = stack_.back();
-    stack_.pop_back();
-    if (f.arc->middle == kInvalidVertex) {
-      acc += f.arc->weight;
-      continue;
-    }
-    const VertexId m = f.arc->middle;
-    // Both halves live in up(m): m was contracted before either endpoint.
-    // Push the far half first so the `from` half pops (and accumulates)
-    // first — weights are added strictly in travel order.
-    stack_.push_back(Frame{m, f.to, &ch_->UpArcBetween(m, f.to)});
-    stack_.push_back(Frame{f.from, m, &ch_->UpArcBetween(m, f.from)});
-  }
-  return acc;
-}
-
 ChQuery::ChQuery(const ContractionHierarchy* ch) : ch_(ch) {
   GPSSN_CHECK(ch != nullptr && ch->built());
   const int n = ch->graph().num_vertices();

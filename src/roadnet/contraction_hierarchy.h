@@ -27,10 +27,7 @@
 // The preprocessed arrays (rank permutation + CSR upward graph) live
 // behind spans over a shared payload, so a hierarchy can be backed either
 // by vectors built in-process or by a read-only file mapping
-// (roadnet/index_io.h) with zero copies. Shortcut arcs record their
-// contracted middle vertex, which lets the range engine (roadnet/
-// ch_range.h) unpack any upward path into its original edges and
-// reproduce bounded Dijkstra's exact floating-point label accumulation.
+// (roadnet/index_io.h) with zero copies.
 //
 // This is the substrate a production deployment of GP-SSN uses for the
 // exact maxdist evaluations of the refinement phase on continental road
@@ -65,12 +62,6 @@ struct ChOptions {
   TaskScheduler* scheduler = nullptr;
   /// Cap on concurrent build lanes (0 = scheduler workers + caller).
   int build_max_lanes = 0;
-  /// CH backend: also build the ball/range index (roadnet/ch_range.h) so
-  /// B(o, r) queries run on the hierarchy instead of bounded Dijkstra.
-  bool build_ball_index = true;
-  /// Largest ball radius the range index serves (kInfDistance = any
-  /// radius). Bounding it shrinks the index's backward search spaces.
-  double ball_index_max_radius = kInfDistance;
 };
 
 /// Preprocessed hierarchy. Build once (seconds for 10^5-vertex graphs),
@@ -79,9 +70,10 @@ struct ChOptions {
 class ContractionHierarchy {
  public:
   /// Upward arc: original road edge (middle == kInvalidVertex) or shortcut
-  /// bypassing its contracted `middle` vertex. Fixed-width and trivially
-  /// copyable — this struct is stored verbatim in index files and read
-  /// back through mmap (see roadnet/index_io.h).
+  /// bypassing its contracted `middle` vertex. No query reads `middle`; it
+  /// stays because the version-1 index file layout stores it. Fixed-width
+  /// and trivially copyable — this struct is stored verbatim in index
+  /// files and read back through mmap (see roadnet/index_io.h).
   // gpssn-serialized(bytes=16)
   struct UpArc {
     VertexId to = kInvalidVertex;
@@ -130,11 +122,6 @@ class ContractionHierarchy {
   std::span<const int64_t> up_offsets() const { return up_offsets_; }
   std::span<const UpArc> up_arcs() const { return up_arcs_; }
 
-  /// The upward arc connecting `from` and `to`, where rank(from) <
-  /// rank(to). Every shortcut's two halves are present by construction, so
-  /// unpacking can always resolve them.
-  const UpArc& UpArcBetween(VertexId from, VertexId to) const;
-
  private:
   friend class ChQuery;
 
@@ -161,29 +148,6 @@ static_assert(std::is_trivially_copyable_v<ContractionHierarchy::UpArc>,
               "UpArc is stored verbatim in index files");
 static_assert(sizeof(ContractionHierarchy::UpArc) == 16,
               "UpArc file layout is fixed at 16 bytes");
-
-/// Unpacks (possibly shortcut) upward arcs into their original road edges,
-/// accumulating edge weights one at a time in travel order — the exact
-/// floating-point association bounded Dijkstra uses when it relaxes the
-/// same path edge by edge. Reusable scratch; one per thread.
-class ChPathUnpacker {
- public:
-  explicit ChPathUnpacker(const ContractionHierarchy* ch) : ch_(ch) {}
-
-  /// Returns `acc` + the original-edge weights of the arc between `from`
-  /// and `to`, added left-to-right starting from the `from` side.
-  double Accumulate(VertexId from, VertexId to,
-                    const ContractionHierarchy::UpArc& arc, double acc);
-
- private:
-  struct Frame {
-    VertexId from;
-    VertexId to;
-    const ContractionHierarchy::UpArc* arc;
-  };
-  const ContractionHierarchy* ch_;
-  std::vector<Frame> stack_;
-};
 
 /// Query engine over a built hierarchy. Reusable arenas; not thread-safe
 /// (one engine per thread).

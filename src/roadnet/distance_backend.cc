@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "common/macros.h"
-#include "roadnet/ch_range.h"
 #include "roadnet/index_io.h"
 
 namespace gpssn {
@@ -96,10 +95,8 @@ class DijkstraBackend final : public DistanceBackend {
 class ChDistanceEngine final : public DistanceEngine {
  public:
   ChDistanceEngine(const ContractionHierarchy* ch,
-                   const std::vector<Poi>* pois,
-                   const ChBallIndex* ball_index)
+                   const std::vector<Poi>* pois)
       : ch_(ch),
-        pois_(pois),
         graph_(&ch->graph()),
         dijkstra_(graph_),
         locator_(graph_, pois),
@@ -108,10 +105,6 @@ class ChDistanceEngine final : public DistanceEngine {
     dist_.resize(n, kInfDistance);
     stamp_.resize(n, 0);
     buckets_.resize(n);
-    if (ball_index != nullptr) {
-      range_ = std::make_unique<ChRangeEngine>(ball_index);
-      range_max_radius_ = ball_index->max_radius();
-    }
   }
 
   DistanceBackendKind kind() const override {
@@ -127,10 +120,6 @@ class ChDistanceEngine final : public DistanceEngine {
 
   std::vector<std::pair<PoiId, double>> BallWithDistances(
       const EdgePosition& center, double radius) override {
-    if (range_ != nullptr && radius <= range_max_radius_) {
-      return range_->BallWithDistances(center, radius, locator_, *pois_);
-    }
-    // No index (or radius beyond its bound): the reference bounded search.
     return locator_.BallWithDistances(center, radius, &dijkstra_);
   }
 
@@ -214,13 +203,10 @@ class ChDistanceEngine final : public DistanceEngine {
   }
 
   const ContractionHierarchy* ch_;
-  const std::vector<Poi>* pois_;
   const RoadNetwork* graph_;
-  DijkstraEngine dijkstra_;  // Fallback radius-bounded ball queries.
+  DijkstraEngine dijkstra_;  // Radius-bounded ball queries.
   PoiLocator locator_;
   ChQuery p2p_;
-  std::unique_ptr<ChRangeEngine> range_;  // Ball queries via the CH index.
-  double range_max_radius_ = 0.0;
 
   // Upward-search arena (shared by target and source searches).
   std::vector<double> dist_;
@@ -261,11 +247,6 @@ class ChBackend final : public DistanceBackend {
       }
       ch_ = std::move(built);
     }
-    if (options.build_ball_index) {
-      ball_index_ = std::make_unique<ChBallIndex>(
-          ch_.get(), pois, options.ball_index_max_radius, options.scheduler,
-          options.build_max_lanes);
-    }
   }
 
   DistanceBackendKind kind() const override {
@@ -274,13 +255,7 @@ class ChBackend final : public DistanceBackend {
   const char* name() const override { return "ch-bucket"; }
 
   std::unique_ptr<DistanceEngine> CreateEngine() const override {
-    return std::make_unique<ChDistanceEngine>(ch_.get(), pois_,
-                                              ball_index_.get());
-  }
-
-  void NotifyPoisMutated() override {
-    if (ball_index_ != nullptr) ball_index_->AppendNewPois();
-    DistanceBackend::NotifyPoisMutated();
+    return std::make_unique<ChDistanceEngine>(ch_.get(), pois_);
   }
 
   bool loaded_from_disk() const override { return loaded_from_disk_; }
@@ -289,7 +264,6 @@ class ChBackend final : public DistanceBackend {
   const std::vector<Poi>* pois_ = nullptr;
   RoadIndexBundle bundle_;  // Keeps a loaded mapping (and graph) alive.
   std::shared_ptr<const ContractionHierarchy> ch_;
-  std::unique_ptr<ChBallIndex> ball_index_;
   bool loaded_from_disk_ = false;
 };
 

@@ -57,11 +57,11 @@ class DistanceEngine {
                                     const EdgePosition& b, double bound) = 0;
 
   /// All POIs with dist_RN(center, poi) <= radius, with exact distances.
-  /// The Dijkstra backend answers with the reference bounded search; the
-  /// CH backend answers from its ball/range index (bit-exact against the
-  /// reference) whenever the radius is covered, falling back to bounded
-  /// Dijkstra otherwise. The query path does not call this: it reads its
-  /// balls from I_R (PoiAug::ball); the oracle and tuning do.
+  /// Both backends answer with the reference bounded search
+  /// (PoiLocator::BallWithDistances). The query path does not call this:
+  /// it reads its balls from I_R (PoiAug::ball). The oracle and the r/θ
+  /// estimators call it on a private Dijkstra backend, and perfbench's
+  /// answer checker and traced ball replay on the workload's backend.
   virtual std::vector<std::pair<PoiId, double>> BallWithDistances(
       const EdgePosition& center, double radius) = 0;
 
@@ -104,10 +104,10 @@ class DistanceBackend {
   }
 
   /// Must be called (with queries quiesced) after POIs are appended to the
-  /// backing vector. The base bumps the generation; the CH backend first
-  /// folds the new POIs into its ball/range index so freshly created
-  /// engines see them.
-  virtual void NotifyPoisMutated() {
+  /// backing vector. Bumps the generation: every engine holds a PoiLocator
+  /// built over the POI set it was created under, so a cached engine would
+  /// miss the new POIs in BallWithDistances.
+  void NotifyPoisMutated() {
     poi_generation_.fetch_add(1, std::memory_order_release);
   }
 
@@ -128,14 +128,14 @@ std::unique_ptr<DistanceBackend> MakeDijkstraBackend(
 /// (seconds for 10^5-vertex graphs; pass a scheduler in `options` for the
 /// morselized parallel build); engines answer SourceToTargets with the
 /// bucket many-to-many algorithm, PositionToPosition with the
-/// bidirectional upward search, and BallWithDistances from the CH range
-/// index (when enabled and the radius is covered).
+/// bidirectional upward search, and BallWithDistances with the reference
+/// bounded Dijkstra.
 ///
 /// When `index_path` is non-empty, the backend tries to mmap a previously
-/// saved graph+CH index from that file (validating its checksums and that
-/// its fingerprint matches `graph`); on any mismatch it rebuilds from
-/// `graph` and best-effort saves the result back to `index_path`. The
-/// ball index is always built in-process (it depends on the POI set).
+/// saved graph+CH index from that file (validating its checksums, its
+/// structure, and that its fingerprint matches `graph`); on any mismatch
+/// it rebuilds from `graph` and best-effort saves the result back to
+/// `index_path`.
 std::unique_ptr<DistanceBackend> MakeChBackend(
     const RoadNetwork* graph, const std::vector<Poi>* pois,
     const ChOptions& options = {}, const std::string& index_path = {});

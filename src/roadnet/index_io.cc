@@ -1,5 +1,6 @@
 #include "roadnet/index_io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -175,8 +176,12 @@ Result<RoadIndexBundle> LoadRoadIndex(const std::string& path) {
   }
   const IndexSectionEntry* by_kind[16] = {};
   for (const IndexSectionEntry& entry : table) {
-    if (entry.offset % 8 != 0 || entry.offset + entry.bytes > size) {
-      return Status::IoError("truncated road index file: " + path);
+    // Written so that no sum can wrap: offset + bytes overflows uint64_t
+    // for offsets near 2^64.
+    if (entry.offset % 8 != 0 || entry.bytes > size ||
+        entry.offset > size - entry.bytes) {
+      return Status::IoError("corrupted road index file (section bounds): " +
+                             path);
     }
     if (Fnv1a(base + entry.offset, entry.bytes) != entry.checksum) {
       return Status::IoError("corrupted road index file (section " +
@@ -206,11 +211,16 @@ Result<RoadIndexBundle> LoadRoadIndex(const std::string& path) {
   std::memcpy(&meta, base + meta_entry.offset, sizeof(meta));
   const int64_t n = meta.num_vertices;
   const int64_t m = meta.num_edges;
+  // bytes is bounded by the file size, so dividing cannot wrap the way
+  // count * elem_bytes can.
+  auto sized = [](const IndexSectionEntry& entry, size_t elem_bytes) {
+    return entry.bytes % elem_bytes == 0 &&
+           entry.bytes / elem_bytes == entry.count;
+  };
   auto check_counts = [&](IndexSectionKind kind, size_t elem_bytes,
                           uint64_t expected_count) {
     const IndexSectionEntry& entry = *section(kind);
-    return entry.count == expected_count &&
-           entry.bytes == expected_count * elem_bytes;
+    return entry.count == expected_count && sized(entry, elem_bytes);
   };
   if (n < 0 || m < 0 ||
       !check_counts(IndexSectionKind::kPoints, sizeof(Point), n) ||
@@ -244,6 +254,10 @@ Result<RoadIndexBundle> LoadRoadIndex(const std::string& path) {
       return Status::IoError("corrupted road index file (edge endpoints): " +
                              path);
     }
+    if (!std::isfinite(edge_w[e]) || edge_w[e] < 0.0) {
+      return Status::IoError("corrupted road index file (edge weights): " +
+                             path);
+    }
   }
   auto payload = std::make_shared<LoadedIndexPayload>();
   payload->graph = std::make_shared<RoadNetwork>(RoadNetwork::FromParts(
@@ -260,8 +274,7 @@ Result<RoadIndexBundle> LoadRoadIndex(const std::string& path) {
   const IndexSectionEntry& offs_entry =
       *section(IndexSectionKind::kChUpOffsets);
   const IndexSectionEntry& arcs_entry = *section(IndexSectionKind::kChUpArcs);
-  if (arcs_entry.bytes !=
-      arcs_entry.count * sizeof(ContractionHierarchy::UpArc)) {
+  if (!sized(arcs_entry, sizeof(ContractionHierarchy::UpArc))) {
     return Status::IoError("corrupted road index file (section counts): " +
                            path);
   }
@@ -277,11 +290,38 @@ Result<RoadIndexBundle> LoadRoadIndex(const std::string& path) {
       reinterpret_cast<const ContractionHierarchy::UpArc*>(mapped +
                                                            arcs_entry.offset),
       static_cast<size_t>(arcs_entry.count));
-  if (n > 0 &&
-      (up_offsets[0] != 0 ||
-       up_offsets[static_cast<size_t>(n)] !=
-           static_cast<int64_t>(arcs_entry.count))) {
+  // Checksums only show the file is the one its table describes; anyone
+  // who edits it can recompute them. Searches index per-vertex arrays by
+  // arc targets and trust the upward order, so the structure is checked
+  // too.
+  bool offsets_ok = up_offsets[0] == 0 &&
+                    up_offsets[static_cast<size_t>(n)] ==
+                        static_cast<int64_t>(arcs_entry.count);
+  for (size_t v = 0; offsets_ok && v < static_cast<size_t>(n); ++v) {
+    offsets_ok = up_offsets[v] <= up_offsets[v + 1];
+  }
+  if (!offsets_ok) {
     return Status::IoError("corrupted road index file (CSR offsets): " + path);
+  }
+  std::vector<bool> rank_seen(static_cast<size_t>(n), false);
+  for (const int32_t r : rank) {
+    if (r < 0 || r >= n || rank_seen[static_cast<size_t>(r)]) {
+      return Status::IoError("corrupted road index file (CH ranks): " + path);
+    }
+    rank_seen[static_cast<size_t>(r)] = true;
+  }
+  for (size_t v = 0; v < static_cast<size_t>(n); ++v) {
+    for (int64_t a = up_offsets[v]; a < up_offsets[v + 1]; ++a) {
+      const ContractionHierarchy::UpArc& arc = up_arcs[static_cast<size_t>(a)];
+      if (arc.to < 0 || arc.to >= n || rank[arc.to] <= rank[v]) {
+        return Status::IoError("corrupted road index file (CH arc targets): " +
+                               path);
+      }
+      if (!std::isfinite(arc.weight) || arc.weight < 0.0) {
+        return Status::IoError("corrupted road index file (CH arc weights): " +
+                               path);
+      }
+    }
   }
 
   ChOptions options;

@@ -18,9 +18,10 @@
 //                     section with counts, build options, and the source
 //                     graph fingerprint
 //
-// Load validates sizes and checksums before trusting anything; distinct
-// error messages distinguish wrong-version, truncated, and corrupted
-// files. Writes go to `path + ".tmp"` and rename into place, so readers
+// Load validates sizes, checksums and the hierarchy's structure before
+// trusting anything (a checksum is no seal: whoever edits the file can
+// recompute it); distinct error messages distinguish wrong-version,
+// truncated, and corrupted files. Writes go to `path + ".tmp"` and rename into place, so readers
 // never observe a half-written index.
 
 #ifndef GPSSN_ROADNET_INDEX_IO_H_
@@ -112,7 +113,9 @@ Status SaveRoadIndex(const RoadNetwork& graph, const ContractionHierarchy& ch,
                      const std::string& path);
 
 /// Maps `path` and reconstructs the bundle, validating magic, version,
-/// section table, and payload checksums.
+/// section table, payload checksums, and that the arrays form a valid
+/// graph and hierarchy (finite non-negative weights, a rank permutation,
+/// CSR offsets within the arc array, every up-arc in range and upward).
 Result<RoadIndexBundle> LoadRoadIndex(const std::string& path);
 
 }  // namespace gpssn

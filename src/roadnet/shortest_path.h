@@ -117,10 +117,6 @@ class PoiLocator {
   std::vector<std::pair<PoiId, double>> BallWithDistances(
       const EdgePosition& center, double radius, DijkstraEngine* engine) const;
 
-  const std::vector<PoiId>& PoisOnEdge(EdgeId e) const {
-    return pois_on_edge_[e];
-  }
-
  private:
   const RoadNetwork* graph_;
   const std::vector<Poi>* pois_;

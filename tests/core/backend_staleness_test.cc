@@ -1,10 +1,10 @@
-// Regression tests for backend/POI-set coherence: before the generation
-// protocol, nothing tied a DistanceBackend's preprocessed state (the CH
-// ball index, engines' cached POI locators) to AddPoi — a CH database
-// kept answering ball queries from the pre-insert POI set. Now AddPoi
-// calls DistanceBackend::NotifyPoisMutated (the CH backend folds the new
-// POIs into its ball index and bumps its generation) and every cached
-// engine is recreated at the next use.
+// Regression tests for backend/POI-set coherence: every DistanceEngine
+// holds a PoiLocator over the POI set it was created under, so an engine
+// cached across AddPoi would answer ball queries from the pre-insert set.
+// AddPoi calls DistanceBackend::NotifyPoisMutated, which bumps the
+// backend's POI generation, and every cached engine is recreated at its
+// next use. Queries read their balls from I_R, which AddPoi patches, so
+// the CH database must agree with the Dijkstra one and the oracle.
 
 #include <gtest/gtest.h>
 
@@ -51,7 +51,7 @@ TEST(BackendStalenessTest, NotifyPoisMutatedBumpsGeneration) {
 TEST(BackendStalenessTest, ChQueriesSeeInsertedPois) {
   // Same inserts against a CH database and a Dijkstra database; after
   // every round both must agree with the brute-force oracle (and thus
-  // with each other) — the CH ball index must not serve the stale set.
+  // with each other) — no stale POI set may serve a ball.
   GpssnBuildOptions dij_build = ChBuild();
   dij_build.distance_backend = DistanceBackendKind::kDijkstra;
   GpssnDatabase ch_db(MakeSynthetic(SmallData(4)), ChBuild());
@@ -97,7 +97,7 @@ TEST(BackendStalenessTest, ChQueriesSeeInsertedPois) {
 TEST(BackendStalenessTest, InsertedPoiOnIssuerEdgeBecomesVisible) {
   // The sharpest form of the regression: with tau=1 the answer is the
   // issuer's best ball; a POI opened ON the issuer's home edge must
-  // appear in post-insert ball queries served by the CH range engine.
+  // appear in the balls a CH database reads after the insert.
   GpssnDatabase db(MakeSynthetic(SmallData(5)), ChBuild());
   GpssnQuery q;
   q.issuer = 7;

@@ -1,18 +1,14 @@
 // Determinism tests for the morselized parallel CH construction: the
 // hierarchy built with a TaskScheduler must be BITWISE IDENTICAL to the
 // serial build at every worker count — same ranks, same shortcut count,
-// same upward CSR arrays bit for bit — and so must the ball index built
-// over it. This test also runs under TSAN (scripts/check.sh) to verify
-// the build's only cross-lane communication is the morsel cursor.
+// same upward CSR arrays bit for bit. This test also runs under TSAN
+// (scripts/check.sh) to verify the build's only cross-lane communication
+// is the morsel cursor.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
 #include "common/rng.h"
 #include "common/task_scheduler.h"
-#include "roadnet/ch_range.h"
 #include "roadnet/contraction_hierarchy.h"
 #include "roadnet/road_generator.h"
 
@@ -104,43 +100,6 @@ TEST(ChParallelBuildTest, IdenticalDistancesAtEveryWorkerCount) {
     const VertexId t = static_cast<VertexId>(rng.NextBounded(g.num_vertices()));
     ASSERT_EQ(serial_query.VertexToVertex(s, t),
               parallel_query.VertexToVertex(s, t));
-  }
-}
-
-// The parallel ball-index build fans the per-source searches out across
-// lanes; the assembled buckets must not depend on the lane interleaving.
-TEST(ChParallelBuildTest, BallIndexIdenticalAcrossWorkerCounts) {
-  RoadGenOptions gen;
-  gen.num_vertices = 300;
-  gen.seed = 11;
-  const RoadNetwork g = GenerateRoadNetwork(gen);
-  Rng rng(7);
-  std::vector<Poi> pois(35);
-  for (size_t i = 0; i < pois.size(); ++i) {
-    pois[i].id = static_cast<PoiId>(i);
-    pois[i].position =
-        EdgePosition{static_cast<EdgeId>(rng.NextBounded(g.num_edges())),
-                     rng.UniformDouble()};
-    pois[i].location = g.PositionPoint(pois[i].position);
-  }
-  ContractionHierarchy ch;
-  ch.Build(&g);
-  const ChBallIndex serial_index(&ch, &pois, kInfDistance, nullptr, 1);
-  PoiLocator locator(&g, &pois);
-  for (const int workers : {2, 4}) {
-    TaskScheduler scheduler(workers);
-    const ChBallIndex parallel_index(&ch, &pois, kInfDistance, &scheduler, 0);
-    ASSERT_EQ(serial_index.num_sources(), parallel_index.num_sources());
-    ChRangeEngine a(&serial_index);
-    ChRangeEngine b(&parallel_index);
-    for (int trial = 0; trial < 30; ++trial) {
-      const EdgePosition center{
-          static_cast<EdgeId>(rng.NextBounded(g.num_edges())),
-          rng.UniformDouble()};
-      const double radius = rng.UniformDouble(0.2, 9.0);
-      ASSERT_EQ(a.BallWithDistances(center, radius, locator, pois),
-                b.BallWithDistances(center, radius, locator, pois));
-    }
   }
 }
 
