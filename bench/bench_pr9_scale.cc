@@ -1,11 +1,11 @@
 // Continental-scale distance-engine benchmark (PR 9): on a jittered
 // synthetic grid it measures
 //
-//   1. CH construction, serial vs morselized (TaskScheduler) — the builds
-//      must be bitwise identical, and the parallel one must not cost more
-//      than scheduler overhead on a single core;
+//   1. CH construction;
 //   2. index persistence — SaveRoadIndex once, then mmap cold-start
-//      (LoadRoadIndex) vs rebuilding the hierarchy from scratch.
+//      (LoadRoadIndex) vs rebuilding the hierarchy from scratch. The
+//      rebuild must be bitwise identical to the first build (the build is
+//      deterministic) and to the loaded index.
 //
 // Environment:
 //   GPSSN_BENCH_PR9_SIDE   grid side (default 1000 -> 10^6 vertices;
@@ -14,16 +14,13 @@
 //   GPSSN_BENCH_PR9_INDEX  index file path (default: a file in the cwd,
 //                          removed on exit)
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "common/macros.h"
 #include "common/rng.h"
-#include "common/task_scheduler.h"
 #include "roadnet/contraction_hierarchy.h"
 #include "roadnet/index_io.h"
 #include "roadnet/road_graph.h"
@@ -82,11 +79,9 @@ bool BitIdentical(const ContractionHierarchy& a,
 
 void Run() {
   const int side = EnvInt("GPSSN_BENCH_PR9_SIDE", 1000);
-  const int workers = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
   std::printf("=== PR 9: continental-scale distance engine "
-              "(grid %dx%d = %d vertices, %d workers) ===\n",
-              side, side, side * side, workers);
+              "(grid %dx%d = %d vertices) ===\n",
+              side, side, side * side);
 
   const RoadNetwork g = JitteredGrid(side, 1);
 
@@ -96,25 +91,14 @@ void Run() {
   // remaining graph — measured 3x slower AND 3x more shortcuts on a
   // 90k-vertex grid. Strong witnesses are the scale knob.
 
-  // --- 1. CH construction: serial vs morselized ------------------------
+  // --- 1. CH construction ---------------------------------------------
   double t0 = Now();
   ContractionHierarchy serial(options);
   serial.Build(&g);
   const double build_serial_s = Now() - t0;
-  std::printf("CH build (serial):    %7.2f s  (%lld shortcuts, %d rounds)\n",
+  std::printf("CH build:             %7.2f s  (%lld shortcuts, %d rounds)\n",
               build_serial_s, static_cast<long long>(serial.num_shortcuts()),
               serial.build_rounds());
-
-  TaskScheduler scheduler(workers);
-  ChOptions par_options = options;
-  par_options.scheduler = &scheduler;
-  t0 = Now();
-  ContractionHierarchy parallel(par_options);
-  parallel.Build(&g);
-  const double build_parallel_s = Now() - t0;
-  const bool build_identical = BitIdentical(serial, parallel);
-  std::printf("CH build (%d lanes):  %7.2f s  (identical: %s)\n",
-              workers + 1, build_parallel_s, build_identical ? "yes" : "NO");
 
   // --- 2. Persistence: save once, mmap cold-start vs rebuild -----------
   const char* index_env = std::getenv("GPSSN_BENCH_PR9_INDEX");
@@ -134,10 +118,12 @@ void Run() {
   ContractionHierarchy rebuilt(options);
   rebuilt.Build(&g);
   const double rebuild_s = Now() - t0;
+  const bool build_identical = BitIdentical(serial, rebuilt);
   std::printf("persistence:          save %.3f s, mmap load %.3f s, "
-              "rebuild %.2f s (load %.0fx faster)\n",
+              "rebuild %.2f s (load %.0fx faster; rebuild identical: %s)\n",
               save_s, load_s, rebuild_s,
-              load_s > 0.0 ? rebuild_s / load_s : 0.0);
+              load_s > 0.0 ? rebuild_s / load_s : 0.0,
+              build_identical ? "yes" : "NO");
   std::remove(path.c_str());
 
   if (const char* out = std::getenv("GPSSN_BENCH_PR9_JSON")) {
@@ -147,16 +133,14 @@ void Run() {
                  "{\n"
                  "  \"grid_side\": %d,\n"
                  "  \"num_vertices\": %d,\n"
-                 "  \"workers\": %d,\n"
                  "  \"build_serial_seconds\": %.6f,\n"
-                 "  \"build_parallel_seconds\": %.6f,\n"
                  "  \"build_identical\": %s,\n"
                  "  \"save_seconds\": %.6f,\n"
                  "  \"load_seconds\": %.6f,\n"
                  "  \"rebuild_seconds\": %.6f\n"
                  "}\n",
-                 side, side * side, workers, build_serial_s,
-                 build_parallel_s, build_identical ? "true" : "false",
+                 side, side * side, build_serial_s,
+                 build_identical ? "true" : "false",
                  save_s, load_s, rebuild_s);
     std::fclose(f);
     std::printf("wrote %s\n", out);

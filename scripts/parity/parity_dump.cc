@@ -5,6 +5,9 @@
 //
 // Per dataset (UNI x0.2 on the CH backend; ZIPF x0.2 on Dijkstra with a
 // 2^19-entry shared distance cache, as perfbench's uni-ch and zipf-maint):
+//   - a fresh ContractionHierarchy of the road network under default
+//     ChOptions: FNV-1a digests of its ranks(), up_offsets() and up_arcs()
+//     bytes, its shortcut count and its round count;
 //   - kQueries queries: Query at a random radius and τ, then QueryTopK(3)
 //     of the same query, with an AddPoi every kAddPoiEvery queries;
 //   - on a database that owns a backend (the CH one), after the build and
@@ -17,13 +20,16 @@
 // time and is left out; everything else is deterministic.
 
 #include <cinttypes>
+#include <cstddef>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/database.h"
+#include "roadnet/contraction_hierarchy.h"
 #include "serving/coordinator.h"
 #include "ssn/dataset.h"
 
@@ -111,6 +117,26 @@ std::string QueryTag(const char* dataset, const char* path, int i,
   return buf;
 }
 
+// 64-bit FNV-1a over the bytes of `values`.
+template <typename T>
+uint64_t Fnv1a(std::span<const T> values) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::byte b : std::as_bytes(values)) {
+    hash ^= static_cast<uint64_t>(b);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+void PrintHierarchy(const char* dataset, const RoadNetwork& road) {
+  ContractionHierarchy ch;
+  ch.Build(&road);
+  std::printf("%s ch ranks=%016" PRIx64 " up_offsets=%016" PRIx64
+              " up_arcs=%016" PRIx64 " shortcuts=%d rounds=%d\n",
+              dataset, Fnv1a(ch.ranks()), Fnv1a(ch.up_offsets()),
+              Fnv1a(ch.up_arcs()), ch.num_shortcuts(), ch.build_rounds());
+}
+
 struct BallProbe {
   PoiId center;
   double radius;
@@ -169,6 +195,7 @@ void RunDataset(const Dataset& dataset) {
   GpssnDatabase db(MakeSynthetic(data), build);
   std::printf("%s users=%d pois=%d\n", dataset.name, db.ssn().num_users(),
               db.ssn().num_pois());
+  PrintHierarchy(dataset.name, db.ssn().road());
 
   const std::vector<BallProbe> probes = EngineBallProbes(db);
   PrintEngineBalls(std::string(dataset.name) + " build", db, probes);

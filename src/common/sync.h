@@ -10,12 +10,9 @@
 //
 // Vocabulary (see https://clang.llvm.org/docs/ThreadSafetyAnalysis.html):
 //
-//   * Mutex            — an exclusive capability (wraps std::mutex).
-//   * SharedMutex      — a reader/writer capability (wraps std::shared_mutex).
-//   * MutexLock        — scoped exclusive hold of a Mutex.
-//   * WriterMutexLock  — scoped exclusive hold of a SharedMutex.
-//   * ReaderMutexLock  — scoped shared hold of a SharedMutex.
-//   * CondVar          — condition variable whose Wait() REQUIRES the Mutex.
+//   * Mutex      — an exclusive capability (wraps std::mutex).
+//   * MutexLock  — scoped exclusive hold of a Mutex.
+//   * CondVar    — condition variable whose Wait() REQUIRES the Mutex.
 //
 // Annotate the protected state, not the call sites:
 //
@@ -42,7 +39,6 @@
 
 #include <condition_variable>  // gpssn-lint: allow(naked-mutex)
 #include <mutex>               // gpssn-lint: allow(naked-mutex)
-#include <shared_mutex>        // gpssn-lint: allow(naked-mutex)
 
 #include "common/macros.h"
 
@@ -65,8 +61,7 @@
 /// releases a capability.
 #define GPSSN_SCOPED_CAPABILITY GPSSN_THREAD_ANNOTATION__(scoped_lockable)
 
-/// Data member readable/writable only while `x` is held (shared hold is
-/// enough to read, exclusive hold is required to write).
+/// Data member readable/writable only while `x` is held.
 #define GPSSN_GUARDED_BY(x) GPSSN_THREAD_ANNOTATION__(guarded_by(x))
 
 /// Pointer member whose POINTEE is protected by `x` (the pointer itself may
@@ -79,24 +74,16 @@
 #define GPSSN_ACQUIRED_AFTER(...) \
   GPSSN_THREAD_ANNOTATION__(acquired_after(__VA_ARGS__))
 
-/// The function may only be called while holding the capabilities
-/// (exclusively / shared); it does not acquire or release them.
+/// The function may only be called while holding the capabilities; it
+/// does not acquire or release them.
 #define GPSSN_REQUIRES(...) \
   GPSSN_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
-#define GPSSN_REQUIRES_SHARED(...) \
-  GPSSN_THREAD_ANNOTATION__(requires_shared_capability(__VA_ARGS__))
 
 /// The function acquires (and holds past return) / releases the capability.
 #define GPSSN_ACQUIRE(...) \
   GPSSN_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
-#define GPSSN_ACQUIRE_SHARED(...) \
-  GPSSN_THREAD_ANNOTATION__(acquire_shared_capability(__VA_ARGS__))
 #define GPSSN_RELEASE(...) \
   GPSSN_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
-#define GPSSN_RELEASE_SHARED(...) \
-  GPSSN_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
-#define GPSSN_RELEASE_GENERIC(...) \
-  GPSSN_THREAD_ANNOTATION__(release_generic_capability(__VA_ARGS__))
 
 /// The function acquires the capability iff it returns the first argument
 /// (a bool literal), e.g. GPSSN_TRY_ACQUIRE(true).
@@ -141,22 +128,6 @@ class GPSSN_CAPABILITY("mutex") Mutex {
   std::mutex mu_;  // gpssn-lint: allow(naked-mutex)
 };
 
-/// Reader/writer capability over std::shared_mutex. Readers share; writers
-/// exclude everyone.
-class GPSSN_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  GPSSN_DISALLOW_COPY_AND_MOVE(SharedMutex);
-
-  void Lock() GPSSN_ACQUIRE() { mu_.lock(); }
-  void Unlock() GPSSN_RELEASE() { mu_.unlock(); }
-  void ReaderLock() GPSSN_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void ReaderUnlock() GPSSN_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;  // gpssn-lint: allow(naked-mutex)
-};
-
 /// Scoped exclusive hold of a Mutex (the std::lock_guard of this layer).
 class GPSSN_SCOPED_CAPABILITY MutexLock {
  public:
@@ -167,35 +138,6 @@ class GPSSN_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Scoped exclusive hold of a SharedMutex.
-class GPSSN_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) GPSSN_ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock();
-  }
-  ~WriterMutexLock() GPSSN_RELEASE() { mu_.Unlock(); }
-
-  GPSSN_DISALLOW_COPY_AND_MOVE(WriterMutexLock);
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Scoped shared (reader) hold of a SharedMutex.
-class GPSSN_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) GPSSN_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_.ReaderLock();
-  }
-  ~ReaderMutexLock() GPSSN_RELEASE_GENERIC() { mu_.ReaderUnlock(); }
-
-  GPSSN_DISALLOW_COPY_AND_MOVE(ReaderMutexLock);
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable bound to Mutex. Wait() atomically releases the held

@@ -89,9 +89,8 @@ BatchStats BatchTally::Finish(double wall_seconds) {
 GpssnBatchExecutor::GpssnBatchExecutor(const PoiIndex* poi_index,
                                        const SocialIndex* social_index,
                                        const BatchExecutorOptions& options)
-    : options_(options),
-      lanes_(std::max(options.num_workers, 1)),
-      scheduler_(options.num_workers) {
+    : options_(options), scheduler_(std::max(options.num_workers, 1)) {
+  lanes_.resize(scheduler_.num_threads());
   processors_.reserve(scheduler_.num_threads());
   for (int w = 0; w < scheduler_.num_threads(); ++w) {
     processors_.push_back(

@@ -42,7 +42,8 @@
 namespace gpssn {
 
 struct BatchExecutorOptions {
-  /// Worker-pool size (= number of pooled processors).
+  /// Worker-pool size (= number of pooled processors); values below 1
+  /// run one worker.
   int num_workers = 4;
   /// Base processor options applied to every query (per-query deadlines
   /// and the batch cancel flag are layered on top).

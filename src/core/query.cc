@@ -214,22 +214,21 @@ Result<std::vector<GpssnAnswer>> GpssnProcessor::ExecuteTopK(
   if (k > 1) run.pruning.road_distance = false;
   std::vector<RankedAnswer> best;
   double final_delta = kInfDistance;
-  Status status = RunPipeline(query, run, k, out, &final_delta, &best);
+  bool delta_cut = false;
+  Status status = RunPipeline(query, run, k, out, &final_delta, &delta_cut,
+                              &best);
 
-  // δ-cut exactness check (see the header comment): if the best found
-  // objective exceeds the final δ — or nothing was found although the cut
-  // pruned candidates — re-run without the cut.
-  const bool delta_was_used =
-      run.pruning.road_distance &&
-      (out->road_nodes_pruned_distance > 0 || out->pois_pruned_distance > 0);
-  if (status.ok() && delta_was_used &&
+  // δ-cut exactness check (see the header comment): if the cut removed a
+  // candidate and the best found objective exceeds the final δ — or
+  // nothing was found — re-run without the cut.
+  if (status.ok() && delta_cut &&
       (best.empty() ||
        best.front().answer.max_dist > final_delta + 1e-12)) {
     run.pruning.road_distance = false;
     QueryStats rerun_stats;
     std::vector<RankedAnswer> exact;
     status = RunPipeline(query, run, /*top_k=*/1, &rerun_stats, &final_delta,
-                         &exact);
+                         &delta_cut, &exact);
     // Keep the first run's funnel (it describes the indexed fast path) but
     // charge all of the rerun's work.
     out->ChargeWorkFrom(rerun_stats);
@@ -319,6 +318,7 @@ Result<ShardRefineResult> GpssnProcessor::RefineCandidates(
 Status GpssnProcessor::RunPipeline(const GpssnQuery& query,
                                    const QueryOptions& options, int top_k,
                                    QueryStats* stats, double* final_delta,
+                                   bool* delta_cut,
                                    std::vector<RankedAnswer>* best) {
   QueryPlan plan(query, *social_index_, options.buffer_pool_pages);
   ShardScope whole;
@@ -335,6 +335,7 @@ Status GpssnProcessor::RunPipeline(const GpssnQuery& query,
   stats->io.logical_accesses += plan.pool.stats().logical_accesses;
   stats->io.page_misses += plan.pool.stats().page_misses;
   *final_delta = plan.delta;
+  *delta_cut = plan.delta_cut;
   return status;
 }
 
@@ -416,6 +417,7 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
     }
     const double lb = LbMaxDistToRoadNode(ctx, aug.lb_pivot, aug.ub_pivot);
     if (use_delta && lb > delta) {
+      plan->delta_cut = true;
       ++stats->road_nodes_pruned_distance;
       stats->pois_pruned_at_index_level += aug.subtree_pois;
       return;
@@ -437,6 +439,7 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
       heap.pop();
       if (use_delta && key > delta) {
         // Line 14: every remaining entry has key >= this one.
+        plan->delta_cut = true;
         ++stats->road_nodes_pruned_distance;
         stats->pois_pruned_at_index_level +=
             poi_index_->node_aug(node_id).subtree_pois;
@@ -466,6 +469,7 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
         }
         const double lb = LbDistToPoi(ctx, aug);
         if (use_delta && lb > delta) {
+          plan->delta_cut = true;
           ++stats->pois_pruned_distance;
           if (auditor != nullptr) auditor->OnPoiDistanceBound(ctx, e.id, lb);
           continue;
@@ -597,6 +601,7 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
       if (reachable) {
         kept.push_back(u);
       } else {
+        plan->delta_cut = true;
         ++stats->users_pruned_distance;
       }
     }
@@ -746,9 +751,10 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   // objective contribution max_{o∈ball} dist(u_q, o): the objective of
   // any pair at center c is at least that, since u_q ∈ S. Centers beyond
   // the bound are dropped outright (they cannot beat the incumbent, and a
-  // δ-cut run is covered by the a-posteriori δ check).
+  // center δ drops is a δ cut, covered by the a-posteriori δ check).
   std::vector<RankedCenter> centers;
   {
+    const bool bound_is_delta = plan->delta < incumbent;
     const double* issuer_dists =
         user_dists(query.issuer, std::min(plan->delta, incumbent));
     for (const CenterInfo& info : infos) {
@@ -758,6 +764,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
         const double d = issuer_dists[scr.poi_slot[o]];
         if (d >= kInfDistance) {
           in_range = false;  // Beyond the bound (or unreachable).
+          if (bound_is_delta) plan->delta_cut = true;
           break;
         }
         worst = std::max(worst, d);

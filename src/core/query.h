@@ -175,6 +175,9 @@ class GpssnProcessor {
     std::vector<PoiId> pois;
     double delta = kInfDistance;
     double lower_bound = kInfDistance;
+    // Set when a δ cut removed a road node, POI, user (Gather) or center
+    // (Refine): only then can the cut have removed the optimum.
+    bool delta_cut = false;
     // Plan: the candidate groups.
     std::vector<std::vector<UserId>> groups;
   };
@@ -203,10 +206,11 @@ class GpssnProcessor {
                 std::vector<RankedAnswer>* best);
 
   /// Gather over the whole index, Plan, then Refine; `final_delta`
-  /// receives the δ the heap cut ended with.
+  /// receives the δ the heap cut ended with and `delta_cut` whether a δ
+  /// cut removed anything (QueryPlan::delta_cut).
   Status RunPipeline(const GpssnQuery& query, const QueryOptions& options,
                      int top_k, QueryStats* stats, double* final_delta,
-                     std::vector<RankedAnswer>* best);
+                     bool* delta_cut, std::vector<RankedAnswer>* best);
 
   /// Engine for `options.distance_backend` (the built-in Dijkstra engine
   /// when null). Plugged-backend engines are cached so repeated queries

@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "common/parallel_for.h"
-#include "common/task_scheduler.h"
 
 namespace gpssn {
 
@@ -34,7 +32,7 @@ struct EdgeRec {
 // graph used for witness searches. One search per contraction neighbour
 // serves every pair that neighbour participates in, so simulating a
 // degree-d contraction costs d searches instead of d^2/2. Owns stamped
-// arenas sized once per build; one instance per build lane.
+// arenas sized once per build.
 class WitnessSearch {
  public:
   explicit WitnessSearch(int n)
@@ -127,20 +125,18 @@ class WitnessSearch {
   std::vector<std::pair<double, VertexId>> heap_;
 };
 
-// A shortcut to insert, produced by a (parallel) contraction simulation.
+// A shortcut to insert, produced by a contraction simulation.
 struct ShortcutRec {
   VertexId a = kInvalidVertex;
   VertexId b = kInvalidVertex;
   double weight = 0.0;
 };
 
-// Round-based independent-set contraction. All phase outputs are written
-// to per-vertex or per-index slots, so the parallel and serial paths are
-// bitwise identical.
+// Round-based independent-set contraction.
 class ChBuilder {
  public:
   ChBuilder(const RoadNetwork& g, const ChOptions& options)
-      : g_(g), options_(options) {}
+      : g_(g), options_(options), n_(g.num_vertices()), witness_(n_) {}
 
   void Run();
 
@@ -180,22 +176,18 @@ class ChBuilder {
   /// Runs ONE one-to-many witness search per neighbour (targets = the
   /// later neighbours, each bounded by its pair's through-v weight), so
   /// the cost is linear rather than quadratic in the degree.
-  int SimulateContraction(VertexId v, int lane, bool exclude_selected,
+  int SimulateContraction(VertexId v, bool exclude_selected,
                           std::vector<ShortcutRec>* out) {
-    WitnessSearch& witness = *witness_[lane];
-    std::vector<std::pair<VertexId, double>>& neighbors =
-        neighbor_scratch_[lane];
-    std::vector<std::pair<VertexId, double>>& targets = target_scratch_[lane];
-    neighbors.clear();
+    neighbors_.clear();
     for (const BuildArc& arc : adj_[v]) {
-      if (contracted_[arc.to] == 0) neighbors.emplace_back(arc.to, arc.weight);
+      if (contracted_[arc.to] == 0) neighbors_.emplace_back(arc.to, arc.weight);
     }
     int count = 0;
-    for (size_t i = 0; i + 1 < neighbors.size(); ++i) {
-      const auto [a, wa] = neighbors[i];
-      targets.clear();
-      for (size_t j = i + 1; j < neighbors.size(); ++j) {
-        targets.emplace_back(neighbors[j].first, wa + neighbors[j].second);
+    for (size_t i = 0; i + 1 < neighbors_.size(); ++i) {
+      const auto [a, wa] = neighbors_[i];
+      targets_.clear();
+      for (size_t j = i + 1; j < neighbors_.size(); ++j) {
+        targets_.emplace_back(neighbors_[j].first, wa + neighbors_[j].second);
       }
       // The settle budget covers the whole one-to-many search. Scale it
       // with the target count but cap the scaling: witness paths between
@@ -205,15 +197,15 @@ class ChBuilder {
       // pay for a huge exhaustive ball. Priority-only simulations (out ==
       // nullptr) just need an estimate and get a tighter cap.
       const int scale =
-          std::min(static_cast<int>(targets.size()), out != nullptr ? 4 : 2);
-      witness.Run(adj_, contracted_,
-                  exclude_selected ? selected_flag_ : no_flags_, a, targets, v,
-                  options_.witness_hop_limit,
-                  options_.witness_settle_limit * scale);
-      for (size_t j = i + 1; j < neighbors.size(); ++j) {
-        const auto [b, wb] = neighbors[j];
+          std::min(static_cast<int>(targets_.size()), out != nullptr ? 4 : 2);
+      witness_.Run(adj_, contracted_,
+                   exclude_selected ? selected_flag_ : no_flags_, a, targets_,
+                   v, options_.witness_hop_limit,
+                   options_.witness_settle_limit * scale);
+      for (size_t j = i + 1; j < neighbors_.size(); ++j) {
+        const auto [b, wb] = neighbors_[j];
         const double through = wa + wb;
-        if (witness.Label(b) <= through) continue;  // Witness: no shortcut.
+        if (witness_.Label(b) <= through) continue;  // Witness: no shortcut.
         ++count;
         if (out != nullptr) out->push_back(ShortcutRec{a, b, through});
       }
@@ -241,25 +233,17 @@ class ChBuilder {
     if (dirty_flag_[v] == 0) dirty_flag_[v] = 1;
   }
 
-  void ParallelPhase(size_t count, size_t chunk,
-                     const std::function<void(int, size_t, size_t)>& fn) {
-    ParallelFor loop(options_.scheduler, lanes_, count, chunk, fn);
-    loop.Run();
-  }
-
   void BuildUpwardGraph();
 
   const RoadNetwork& g_;
   const ChOptions& options_;
-  int n_ = 0;
-  int lanes_ = 1;
+  const int n_;
 
   std::vector<std::vector<BuildArc>> adj_;
   std::vector<EdgeRec> all_edges_;
   std::vector<uint8_t> contracted_;
   std::vector<uint8_t> selected_flag_;
   std::vector<uint8_t> no_flags_;  // Empty: witness excludes nothing extra.
-  std::vector<uint8_t> min_flag_;
   std::vector<uint8_t> dirty_flag_;
   std::vector<int> deleted_neighbors_;
   std::vector<int> priority_;
@@ -267,9 +251,9 @@ class ChBuilder {
   std::vector<VertexId> dirty_;
   std::vector<VertexId> selected_;
   std::vector<std::vector<ShortcutRec>> round_shortcuts_;
-  std::vector<std::unique_ptr<WitnessSearch>> witness_;
-  std::vector<std::vector<std::pair<VertexId, double>>> neighbor_scratch_;
-  std::vector<std::vector<std::pair<VertexId, double>>> target_scratch_;
+  WitnessSearch witness_;
+  std::vector<std::pair<VertexId, double>> neighbors_;
+  std::vector<std::pair<VertexId, double>> targets_;
 };
 
 // Vertices above this remaining degree get an approximate priority
@@ -278,14 +262,10 @@ class ChBuilder {
 // (a) simulation is quadratic in the degree and (b) the approximation is
 // the dominant term anyway, so selection order barely changes while
 // priority recomputation stops being the build bottleneck on grid-like
-// networks. Purely a function of round-start state — serial and parallel
-// builds still match bitwise.
+// networks.
 constexpr int kPrioritySimulationDegreeCap = 16;
 
 void ChBuilder::Run() {
-  n_ = g_.num_vertices();
-  lanes_ = PreprocessLaneCap(options_.scheduler, options_.build_max_lanes);
-
   rank.assign(n_, -1);
   adj_.assign(n_, {});
   for (EdgeId e = 0; e < g_.num_edges(); ++e) {
@@ -307,16 +287,9 @@ void ChBuilder::Run() {
 
   contracted_.assign(n_, 0);
   selected_flag_.assign(n_, 0);
-  min_flag_.assign(n_, 0);
   dirty_flag_.assign(n_, 0);
   deleted_neighbors_.assign(n_, 0);
   priority_.assign(n_, 0);
-  witness_.resize(lanes_);
-  neighbor_scratch_.resize(lanes_);
-  target_scratch_.resize(lanes_);
-  for (int lane = 0; lane < lanes_; ++lane) {
-    witness_[lane] = std::make_unique<WitnessSearch>(n_);
-  }
 
   alive_.resize(n_);
   for (VertexId v = 0; v < n_; ++v) alive_[v] = v;
@@ -328,29 +301,20 @@ void ChBuilder::Run() {
 
     // Phase A: recompute priorities of vertices whose neighbourhood
     // changed last round (all vertices in round 1).
-    ParallelPhase(dirty_.size(), 64, [this](int lane, size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) {
-        const VertexId v = dirty_[i];
-        const int degree = UncontractedDegree(v);
-        const int needed =
-            degree > kPrioritySimulationDegreeCap
-                ? degree * (degree - 1) / 2
-                : SimulateContraction(v, lane, false, nullptr);
-        priority_[v] = needed - degree + deleted_neighbors_[v];
-      }
-    });
+    for (const VertexId v : dirty_) {
+      const int degree = UncontractedDegree(v);
+      const int needed = degree > kPrioritySimulationDegreeCap
+                             ? degree * (degree - 1) / 2
+                             : SimulateContraction(v, false, nullptr);
+      priority_[v] = needed - degree + deleted_neighbors_[v];
+    }
 
     // Phase B: independent set = alive vertices that are local minima of
-    // (priority, id) among their alive neighbours.
-    ParallelPhase(alive_.size(), 512, [this](int, size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) {
-        const VertexId v = alive_[i];
-        min_flag_[v] = IsLocalMinimum(v) ? 1 : 0;
-      }
-    });
+    // (priority, id) among their alive neighbours. IsLocalMinimum reads
+    // nothing selection writes, so selecting in the same pass is safe.
     selected_.clear();
     for (const VertexId v : alive_) {
-      if (min_flag_[v] != 0) {
+      if (IsLocalMinimum(v)) {
         selected_.push_back(v);
         selected_flag_[v] = 1;
       }
@@ -363,14 +327,12 @@ void ChBuilder::Run() {
     // round-start graph. Witness searches skip the whole selected set, so
     // each witness path survives the entire round.
     round_shortcuts_.resize(selected_.size());
-    for (auto& recs : round_shortcuts_) recs.clear();
-    ParallelPhase(selected_.size(), 8, [this](int lane, size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) {
-        SimulateContraction(selected_[i], lane, true, &round_shortcuts_[i]);
-      }
-    });
+    for (size_t i = 0; i < selected_.size(); ++i) {
+      round_shortcuts_[i].clear();
+      SimulateContraction(selected_[i], true, &round_shortcuts_[i]);
+    }
 
-    // Phase D: apply serially in id order (selected_ is id-ascending).
+    // Phase D: apply in id order (selected_ is id-ascending).
     for (const VertexId v : selected_) {
       contracted_[v] = 1;
       rank[v] = next_rank++;

@@ -9,13 +9,10 @@
 // Construction is ROUND-BASED: each round recomputes priorities for dirty
 // vertices, selects the priority-local-minima (an independent set — no two
 // selected vertices are adjacent), simulates every selected contraction
-// with witness searches that treat ALL round-selected vertices as removed,
-// and applies the results serially in vertex-id order. Because selection
-// and simulation are pure functions of the round-start graph, the rounds
-// are data-parallel: with a TaskScheduler in ChOptions the priority /
-// selection / simulation phases fan out as morsel chunks, and the built
-// hierarchy is BITWISE IDENTICAL at every worker count (the serial path
-// runs the same rounds on one lane).
+// against the round-start graph with witness searches that treat ALL
+// round-selected vertices as removed, and then applies the results in
+// vertex-id order. The rounds define the hierarchy, and with it the bytes
+// of every index file (roadnet/index_io.h).
 //
 // Witness searches skipping the whole selected set is what makes
 // simultaneous contraction sound: a witness path found this round avoids
@@ -49,19 +46,12 @@
 
 namespace gpssn {
 
-class TaskScheduler;
-
 struct ChOptions {
   /// Hop limit of the witness searches during contraction (higher = fewer
   /// shortcuts, slower preprocessing).
   int witness_hop_limit = 8;
   /// Settled-vertex budget per witness search.
   int witness_settle_limit = 64;
-  /// Optional scheduler for morselized parallel construction. nullptr
-  /// builds serially. The hierarchy is bitwise identical either way.
-  TaskScheduler* scheduler = nullptr;
-  /// Cap on concurrent build lanes (0 = scheduler workers + caller).
-  int build_max_lanes = 0;
 };
 
 /// Preprocessed hierarchy. Build once (seconds for 10^5-vertex graphs),

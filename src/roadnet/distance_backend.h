@@ -125,9 +125,8 @@ std::unique_ptr<DistanceBackend> MakeDijkstraBackend(
     const RoadNetwork* graph, const std::vector<Poi>* pois);
 
 /// The CH-accelerated backend. Builds a ContractionHierarchy once
-/// (seconds for 10^5-vertex graphs; pass a scheduler in `options` for the
-/// morselized parallel build); engines answer SourceToTargets with the
-/// bucket many-to-many algorithm, PositionToPosition with the
+/// (seconds for 10^5-vertex graphs); engines answer SourceToTargets with
+/// the bucket many-to-many algorithm, PositionToPosition with the
 /// bidirectional upward search, and BallWithDistances with the reference
 /// bounded Dijkstra.
 ///

@@ -40,8 +40,7 @@ ServingCluster::ServingCluster(const GpssnDatabase& db,
   // Shards own their caches; never inherit the database's.
   shard_query_options_.distance_cache = nullptr;
 
-  transport_ = std::make_unique<InProcessTransport>(options_.num_shards,
-                                                    options_.mailbox_capacity);
+  transport_ = std::make_unique<InProcessTransport>(options_.num_shards);
   shards_.reserve(options_.num_shards);
   for (int s = 0; s < options_.num_shards; ++s) {
     ShardConfig config;
@@ -58,8 +57,8 @@ ServingCluster::ServingCluster(const GpssnDatabase& db,
 }
 
 ServingCluster::~ServingCluster() {
-  // Close the fabric first: shard pumps exit, then the shard destructors
-  // join them and drain their schedulers.
+  // Close the fabric first: shard workers drain their inboxes and exit,
+  // then the shard destructors join them.
   transport_->Close();
 }
 

@@ -54,11 +54,10 @@ struct ServingOptions {
   /// Number of shards (>= 1). Trailing shards may own empty scopes when
   /// the indexes have fewer subtrees than shards.
   int num_shards = 4;
-  /// Per-endpoint transport queue depth.
-  size_t mailbox_capacity = 64;
   /// Queries pipelined by the coordinator at once (>= 1). This is what
   /// scales batch QPS: while one query waits on its wave-1 refine, other
-  /// queries' gathers and refines keep the remaining shards busy.
+  /// queries' gathers and refines keep the remaining shards busy. It is
+  /// also the flow control: the mailboxes are unbounded.
   int max_inflight = 8;
   /// Base processor options for every shard. `distance_backend` left null
   /// is filled from the database (CH when the database built one);
@@ -68,7 +67,7 @@ struct ServingOptions {
   /// Deadline applied to every query (seconds; <= 0 = none), armed at
   /// submit and re-encoded as seconds-remaining on each shard request.
   double default_deadline_seconds = 0.0;
-  /// Scheduler workers (= pooled processors) per shard.
+  /// Worker threads (= processors) per shard.
   int shard_num_workers = 1;
   /// Entry budget of each shard-private distance cache; 0 disables.
   size_t shard_distance_cache_entries = 1u << 18;
@@ -76,8 +75,7 @@ struct ServingOptions {
 
 /// An in-process N-shard serving cluster over one GpssnDatabase's indexes.
 /// Not thread-safe: one thread drives Query/QueryBatch (the shard workers
-/// and pump threads are internal). CancelAll() may be called from any
-/// thread.
+/// are internal). CancelAll() may be called from any thread.
 class ServingCluster {
  public:
   /// Builds the partition, transport fabric, and shard processes over the

@@ -1,43 +1,37 @@
 #include "serving/shard.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace gpssn::serving {
 
 ShardProcess::ShardProcess(const ShardConfig& config,
                            InProcessTransport* transport)
-    : config_(config),
-      transport_(transport),
-      scheduler_(config.num_workers < 1 ? 1 : config.num_workers) {
+    : config_(config), transport_(transport) {
   if (config_.distance_cache_entries > 0) {
     DistanceCacheOptions cache_options;
     cache_options.max_entries = config_.distance_cache_entries;
     distance_cache_ = std::make_unique<DistanceCache>(cache_options);
   }
-  processors_.reserve(scheduler_.num_threads());
-  for (int w = 0; w < scheduler_.num_threads(); ++w) {
-    processors_.push_back(std::make_unique<GpssnProcessor>(
-        config_.poi_index, config_.social_index));
+  const int num_workers = std::max(config_.num_workers, 1);
+  workers_.reserve(num_workers);
+  for (int w = 0; w < num_workers; ++w) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
-  pump_ = std::thread([this] { PumpLoop(); });
 }
 
 ShardProcess::~ShardProcess() {
-  // The owner closed the transport, so the pump's Recv fails and it exits;
-  // the scheduler destructor then drains any still-queued requests (their
-  // replies fail to send into the closed fabric, which is fine).
-  if (pump_.joinable()) pump_.join();
+  // The owner closed the transport, so each worker's Recv fails once the
+  // inbox is drained (replies to the drained requests fail to send into
+  // the closed fabric, which is fine).
+  for (std::thread& worker : workers_) worker.join();
 }
 
-void ShardProcess::PumpLoop() {
+void ShardProcess::WorkerLoop() {
+  GpssnProcessor processor(config_.poi_index, config_.social_index);
   TransportMessage message;
   while (transport_->RecvAtShard(config_.shard_id, &message)) {
-    // Hand the request to the shard's scheduler so several queries can be
-    // in flight on this shard at once; the pump goes straight back to the
-    // inbox.
-    auto shared = std::make_shared<TransportMessage>(std::move(message));
-    scheduler_.Submit(
-        [this, shared](int worker) { Handle(worker, *shared); });
+    Handle(&processor, message);
   }
 }
 
@@ -55,9 +49,9 @@ void ShardProcess::Reply(MessageKind kind, uint64_t query_id,
   (void)transport_->SendToCoordinator(std::move(reply));
 }
 
-void ShardProcess::Handle(int worker, const TransportMessage& message) {
+void ShardProcess::Handle(GpssnProcessor* processor,
+                          const TransportMessage& message) {
   const uint64_t query_id = message.header.query_id;
-  GpssnProcessor& processor = *processors_[worker];
 
   QueryOptions options = config_.query;
   options.distance_cache = distance_cache_.get();
@@ -82,7 +76,7 @@ void ShardProcess::Handle(int worker, const TransportMessage& message) {
       }
       arm(request->deadline_seconds);
       CandidatesReply reply;
-      auto candidates = processor.GatherCandidates(
+      auto candidates = processor->GatherCandidates(
           request->query, options, config_.scope, &reply.stats);
       if (!candidates.ok()) {
         Reply(MessageKind::kCandidates, query_id, candidates.status(), {});
@@ -101,7 +95,7 @@ void ShardProcess::Handle(int worker, const TransportMessage& message) {
       }
       arm(request->deadline_seconds);
       AnswerReply reply;
-      auto result = processor.RefineCandidates(
+      auto result = processor->RefineCandidates(
           request->query, options, request->centers, request->groups,
           request->incumbent, &reply.stats);
       if (!result.ok()) {

@@ -1,18 +1,19 @@
 // Copyright 2026 The gpssn Authors.
 //
 // ShardProcess: one serving shard (DESIGN.md §12). Owns its slice of the
-// candidate space (a ShardScope from the partitioner), its own
-// TaskScheduler with a pooled GpssnProcessor per worker, and its own
-// DistanceCache — the same per-node resources a standalone GpssnDatabase
-// instance would own — over the shared immutable indexes and distance
-// backend. A pump thread drains the shard's transport inbox and submits
-// each request as a scheduler task, so one shard serves multiple in-flight
-// queries concurrently (the coordinator pipelines a batch).
+// candidate space (a ShardScope from the partitioner), its worker threads
+// with one GpssnProcessor each, and its own DistanceCache — the same
+// per-node resources a standalone GpssnDatabase instance would own — over
+// the shared immutable indexes and distance backend. Every worker reads
+// the shard's transport inbox itself and handles each request it
+// receives, so one shard serves up to num_workers in-flight queries
+// concurrently (the coordinator pipelines a batch).
 //
 // Liveness contract: a shard ALWAYS replies — success payload or error
 // status (deadline, cancel, malformed request) — so the coordinator may
-// block on its inbox without timeouts. The pump exits when the transport
-// closes; destruction joins the pump and drains the scheduler.
+// block on its inbox without timeouts. Once the transport closes, the
+// workers handle what is still buffered in the inbox and exit;
+// destruction joins them.
 
 #ifndef GPSSN_SERVING_SHARD_H_
 #define GPSSN_SERVING_SHARD_H_
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "common/task_scheduler.h"
 #include "core/query.h"
 #include "roadnet/distance_cache.h"
 #include "serving/transport.h"
@@ -40,7 +40,7 @@ struct ShardConfig {
   /// shared engine (CH or built-in Dijkstra) exactly as on the single-node
   /// path.
   QueryOptions query;
-  /// Scheduler worker count (= pooled processors); >= 1.
+  /// Worker threads (= processors); values below 1 run one.
   int num_workers = 1;
   /// Item budget of the shard-private DistanceCache; 0 disables caching.
   size_t distance_cache_entries = 1u << 18;
@@ -53,26 +53,25 @@ struct ShardConfig {
 
 class ShardProcess {
  public:
-  /// Starts the pump thread immediately. `transport` must outlive the
+  /// Starts the worker threads immediately. `transport` must outlive the
   /// shard and must be Close()d before the shard is destroyed (that is
-  /// what makes the pump exit).
+  /// what makes the workers exit).
   ShardProcess(const ShardConfig& config, InProcessTransport* transport);
   ~ShardProcess();
 
   GPSSN_DISALLOW_COPY_AND_MOVE(ShardProcess);
 
  private:
-  void PumpLoop();
-  void Handle(int worker, const TransportMessage& message);
+  void WorkerLoop();
+  void Handle(GpssnProcessor* processor, const TransportMessage& message);
   void Reply(MessageKind kind, uint64_t query_id, const Status& status,
              std::vector<uint8_t> payload);
 
   const ShardConfig config_;
   InProcessTransport* const transport_;
   std::unique_ptr<DistanceCache> distance_cache_;
-  std::vector<std::unique_ptr<GpssnProcessor>> processors_;  // One per worker.
-  TaskScheduler scheduler_;
-  std::thread pump_;  // Last member: joined before the state above dies.
+  // Last member: joined before the state above dies.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace gpssn::serving

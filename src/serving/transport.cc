@@ -4,13 +4,8 @@
 
 namespace gpssn::serving {
 
-Mailbox::Mailbox(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
-
 bool Mailbox::Send(TransportMessage message) {
   MutexLock lock(mu_);
-  while (!closed_ && queue_.size() >= capacity_) {
-    not_full_.Wait(mu_);
-  }
   if (closed_) return false;
   queue_.push_back(std::move(message));
   not_empty_.NotifyOne();
@@ -25,7 +20,6 @@ bool Mailbox::Recv(TransportMessage* out) {
   if (queue_.empty()) return false;  // Closed and drained.
   *out = std::move(queue_.front());
   queue_.pop_front();
-  not_full_.NotifyOne();
   return true;
 }
 
@@ -33,14 +27,13 @@ void Mailbox::Close() {
   MutexLock lock(mu_);
   closed_ = true;
   not_empty_.NotifyAll();
-  not_full_.NotifyAll();
 }
 
-InProcessTransport::InProcessTransport(int num_shards, size_t mailbox_capacity)
-    : num_shards_(num_shards), coordinator_inbox_(mailbox_capacity) {
+InProcessTransport::InProcessTransport(int num_shards)
+    : num_shards_(num_shards) {
   shard_inboxes_.reserve(num_shards);
   for (int s = 0; s < num_shards; ++s) {
-    shard_inboxes_.push_back(std::make_unique<Mailbox>(mailbox_capacity));
+    shard_inboxes_.push_back(std::make_unique<Mailbox>());
   }
 }
 

@@ -3,20 +3,26 @@
 // Transport abstraction of the sharded serving layer (DESIGN.md §12). The
 // coordinator and the shards exchange TransportMessages (wire.h) through
 // endpoint mailboxes; this file provides the in-process implementation —
-// bounded MPSC queues on the capability-annotated sync layer. Because the
+// unbounded MPMC queues on the capability-annotated sync layer. Because the
 // payloads are already flat bytes, a socket transport is a drop-in: same
 // envelope, same payload, different carrier.
 //
-// Topology: one inbox per shard (coordinator -> shard requests) plus one
-// coordinator inbox (shard -> coordinator replies, multi-producer). Close()
-// tears the whole fabric down: blocked senders and receivers wake up and
-// observe `false`, which is the shard pump threads' exit signal.
+// Topology: one inbox per shard (coordinator -> shard requests, read by
+// every worker of that shard) plus one coordinator inbox (shard ->
+// coordinator replies, multi-producer). Close() tears the whole fabric
+// down: blocked receivers wake up and observe `false`, which is the shard
+// workers' exit signal.
+//
+// Send never blocks. A bounded inbox would deadlock: the coordinator
+// blocks sending into a full shard inbox while that shard's workers block
+// replying into the full coordinator inbox. What is outstanding is bounded
+// instead by the coordinator's max_inflight window plus the stale replies
+// of queries it already completed.
 
 #ifndef GPSSN_SERVING_TRANSPORT_H_
 #define GPSSN_SERVING_TRANSPORT_H_
 
 #include <atomic>
-#include <cstddef>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -27,31 +33,29 @@
 
 namespace gpssn::serving {
 
-/// Bounded MPSC (in practice MPMC-safe) queue of TransportMessages.
-/// Send blocks while full, Recv blocks while empty; both return false once
-/// the mailbox is closed (Recv drains buffered messages first).
+/// Unbounded MPMC queue of TransportMessages. Send never blocks, Recv
+/// blocks while empty; both return false once the mailbox is closed (Recv
+/// drains buffered messages first).
 class Mailbox {
  public:
-  explicit Mailbox(size_t capacity);
+  Mailbox() = default;
   GPSSN_DISALLOW_COPY_AND_MOVE(Mailbox);
 
-  /// Enqueues `message`, blocking while the mailbox is at capacity.
-  /// Returns false (message dropped) if the mailbox is or becomes closed.
+  /// Enqueues `message`. Returns false (message dropped) if the mailbox is
+  /// closed.
   bool Send(TransportMessage message) GPSSN_EXCLUDES(mu_);
 
   /// Dequeues into `*out`, blocking while the mailbox is empty. Returns
   /// false only when the mailbox is closed AND drained.
   bool Recv(TransportMessage* out) GPSSN_EXCLUDES(mu_);
 
-  /// Closes the mailbox: wakes every blocked sender and receiver. Messages
-  /// already buffered remain receivable. Idempotent.
+  /// Closes the mailbox: wakes every blocked receiver. Messages already
+  /// buffered remain receivable. Idempotent.
   void Close() GPSSN_EXCLUDES(mu_);
 
  private:
-  const size_t capacity_;
   Mutex mu_;
   CondVar not_empty_;
-  CondVar not_full_;
   std::deque<TransportMessage> queue_ GPSSN_GUARDED_BY(mu_);
   bool closed_ GPSSN_GUARDED_BY(mu_) = false;
 };
@@ -61,7 +65,7 @@ class Mailbox {
 /// acquisition and one vector move per hop.
 class InProcessTransport {
  public:
-  InProcessTransport(int num_shards, size_t mailbox_capacity);
+  explicit InProcessTransport(int num_shards);
   GPSSN_DISALLOW_COPY_AND_MOVE(InProcessTransport);
 
   int num_shards() const { return num_shards_; }
@@ -71,7 +75,7 @@ class InProcessTransport {
   /// Shard -> coordinator reply. False if the fabric is closed.
   bool SendToCoordinator(TransportMessage message);
 
-  /// Blocking receive on shard `shard`'s inbox (its pump thread's loop).
+  /// Blocking receive on shard `shard`'s inbox (its workers' loop).
   bool RecvAtShard(int shard, TransportMessage* out);
   /// Blocking receive on the coordinator inbox (the event loop).
   bool RecvAtCoordinator(TransportMessage* out);

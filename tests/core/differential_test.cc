@@ -4,7 +4,8 @@
 // indexed GpssnProcessor must return exactly the oracle's feasibility
 // verdict and objective max_dist. Any divergence is a soundness bug in a
 // pruning rule, a bound, or the δ-cut fallback. A second suite repeats the
-// comparison on dense social graphs under both social kernels.
+// comparison on dense social graphs under both social kernels, and a third
+// pins a network where only Refine's δ cut removes the answers.
 
 #include <string>
 
@@ -178,6 +179,43 @@ TEST_P(DenseDifferentialTest, BothSocialKernelsMatchOracle) {
 // 6 dense networks × 3 metrics × 3 queries × 2 kernels.
 INSTANTIATE_TEST_SUITE_P(Seeds, DenseDifferentialTest,
                          ::testing::Range<uint64_t>(1, 7));
+
+// The δ cut has more sites than the traversal: the δ user filter and the
+// issuer's δ-bounded search in Refine drop users and centers too. On this
+// network some queries lose every answer to Refine's cut alone, with no
+// road node or POI pruned; the exact rerun must still run for them.
+TEST(DeltaCutTest, EveryCutSiteTriggersTheExactRerun) {
+  SyntheticSsnOptions data;
+  data.num_road_vertices = 120;
+  data.num_pois = 40;
+  data.num_users = 60;
+  data.seed = 25;
+  GpssnBuildOptions build;
+  build.poi_index.r_min = 0.3;
+  build.poi_index.r_max = 4.5;
+  GpssnDatabase db(MakeSynthetic(data), build);
+
+  Rng rng(55);
+  uint64_t reruns = 0;
+  for (int i = 0; i < 300; ++i) {
+    GpssnQuery q;
+    q.issuer = static_cast<UserId>(rng.NextBounded(db.ssn().num_users()));
+    q.tau = 2 + static_cast<int>(rng.NextBounded(3));
+    q.gamma = rng.UniformDouble(0.05, 0.4);
+    q.theta = rng.UniformDouble(0.05, 0.5);
+    q.radius = rng.UniformDouble(0.5, 3.5);
+    QueryStats stats;
+    auto got = db.Query(q, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    reruns += stats.delta_reruns;
+    const GpssnAnswer oracle = BruteForceGpssn(db.ssn(), q);
+    ASSERT_EQ(got->found, oracle.found) << "query " << i;
+    if (oracle.found) {
+      ASSERT_NEAR(got->max_dist, oracle.max_dist, 1e-9) << "query " << i;
+    }
+  }
+  EXPECT_GT(reruns, 0u);
+}
 
 }  // namespace
 }  // namespace gpssn

@@ -2,7 +2,7 @@
 // query-for-query, deadline-expired queries must report DeadlineExceeded
 // without poisoning the pooled processors, aggregated BatchStats must equal
 // the sum of the per-query stats, and degenerate shapes (0-query batch,
-// 1-worker pool) must be well-behaved.
+// 1-worker pool, a worker count below 1) must be well-behaved.
 
 #include <algorithm>
 #include <atomic>
@@ -276,6 +276,26 @@ TEST(BatchExecutorTest, SingleWorkerPoolMatchesSerial) {
     ASSERT_TRUE(want.ok());
     ExpectSameAnswer(batch[i], *want, static_cast<int>(i));
     EXPECT_EQ(batch[i].worker, 0);
+  }
+}
+
+TEST(BatchExecutorTest, NonPositiveWorkerCountRunsOneWorker) {
+  GpssnDatabase* db = SharedDb();
+  const std::vector<GpssnQuery> queries = MakeWorkload(6);
+  for (const int workers : {0, -3}) {
+    BatchExecutorOptions options;
+    options.num_workers = workers;
+    BatchStats stats;
+    std::vector<BatchQueryResult> batch =
+        db->QueryBatch(queries, options, &stats);
+    ASSERT_EQ(batch.size(), queries.size()) << "num_workers=" << workers;
+    EXPECT_EQ(stats.succeeded, queries.size()) << "num_workers=" << workers;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto want = db->Query(queries[i]);
+      ASSERT_TRUE(want.ok());
+      ExpectSameAnswer(batch[i], *want, static_cast<int>(i));
+      EXPECT_EQ(batch[i].worker, 0) << "num_workers=" << workers;
+    }
   }
 }
 

@@ -3,9 +3,10 @@
 // through its racy corners — CancelAll landing mid-gather, deadlines
 // expiring during refine, and shards answering after the coordinator
 // already completed (and abandoned) their query. The invariants are
-// liveness (every batch returns; nothing deadlocks on the bounded
-// mailboxes) and sane terminal statuses; answers are checked only for
-// queries that completed OK.
+// liveness (every batch returns; nothing deadlocks when the coordinator
+// keeps more requests outstanding than a shard has workers) and sane
+// terminal statuses; answers are checked only for queries that completed
+// OK.
 
 #include <gtest/gtest.h>
 
@@ -151,6 +152,44 @@ TEST(ServingStressTest, StaleRepliesAfterErrorShortCircuitAreDropped) {
   }
 }
 
+TEST(ServingStressTest, WideInflightWindowOnOneShardCompletes) {
+  // 256 queries in flight on one single-worker shard: far more requests
+  // than the shard can take at once sit in its inbox while its worker
+  // replies into the coordinator's. Both sends must go through.
+  GpssnDatabase db = MakeDb(25);
+  const std::vector<GpssnQuery> workload = MakeWorkload(db, 55, 300);
+  ServingOptions options;
+  options.num_shards = 1;
+  options.max_inflight = 256;
+  auto cluster = ServingCluster::Create(db, options);
+  ASSERT_TRUE(cluster.ok());
+  BatchStats stats;
+  auto results = (*cluster)->QueryBatch(workload, &stats);
+  ASSERT_EQ(results.size(), workload.size());
+  EXPECT_EQ(stats.succeeded, workload.size());
+  for (size_t i = 0; i < workload.size(); ++i) {
+    auto want = db.Query(workload[i]);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(results[i].status.ok()) << results[i].status.ToString();
+    EXPECT_EQ(results[i].answer.found, want->found) << "query " << i;
+    EXPECT_EQ(results[i].answer.users, want->users) << "query " << i;
+    EXPECT_EQ(results[i].answer.center, want->center) << "query " << i;
+    EXPECT_EQ(results[i].answer.pois, want->pois) << "query " << i;
+    EXPECT_EQ(results[i].answer.max_dist, want->max_dist) << "query " << i;
+  }
+
+  options.default_deadline_seconds = 1e-4;
+  auto tight = ServingCluster::Create(db, options);
+  ASSERT_TRUE(tight.ok());
+  results = (*tight)->QueryBatch(workload, &stats);
+  ASSERT_EQ(results.size(), workload.size());
+  for (const auto& r : results) {
+    EXPECT_TRUE(r.status.ok() || r.status.IsDeadlineExceeded())
+        << r.status.ToString();
+  }
+  EXPECT_EQ(stats.succeeded + stats.deadline_exceeded, workload.size());
+}
+
 TEST(ServingStressTest, ClusterTeardownWithPendingWorkIsClean) {
   GpssnDatabase db = MakeDb(24);
   for (int round = 0; round < 4; ++round) {
@@ -161,9 +200,8 @@ TEST(ServingStressTest, ClusterTeardownWithPendingWorkIsClean) {
     auto cluster = ServingCluster::Create(db, options);
     ASSERT_TRUE(cluster.ok());
     (void)(*cluster)->QueryBatch(MakeWorkload(db, 41 + round, 6));
-    // Destructor closes the transport while shard schedulers may still
-    // hold queued work; must join cleanly (TSAN checks the shutdown
-    // ordering).
+    // Destructor closes the transport while shard inboxes may still hold
+    // requests; must join cleanly (TSAN checks the shutdown ordering).
   }
 }
 

@@ -1,11 +1,12 @@
-// Transport-layer unit tests: mailbox blocking/close semantics, lossless
-// encode/decode roundtrips of every serving wire message, and every
-// truncation and single-byte flip of each (src/serving/transport.h,
+// Transport-layer unit tests: mailbox MPMC delivery and close semantics,
+// lossless encode/decode roundtrips of every serving wire message, and
+// every truncation and single-byte flip of each (src/serving/transport.h,
 // src/serving/wire.h).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstring>
 #include <functional>
@@ -62,7 +63,7 @@ void ExpectSameStats(const QueryStats& got, const QueryStats& want) {
 }
 
 TEST(MailboxTest, FifoDelivery) {
-  Mailbox box(8);
+  Mailbox box;
   ASSERT_TRUE(box.Send(Msg(1)));
   ASSERT_TRUE(box.Send(Msg(2)));
   TransportMessage out;
@@ -72,26 +73,8 @@ TEST(MailboxTest, FifoDelivery) {
   EXPECT_EQ(out.header.query_id, 2u);
 }
 
-TEST(MailboxTest, SendBlocksAtCapacityUntilRecv) {
-  Mailbox box(1);
-  ASSERT_TRUE(box.Send(Msg(1)));
-  std::atomic<bool> second_sent{false};
-  std::thread sender([&] {
-    ASSERT_TRUE(box.Send(Msg(2)));
-    second_sent.store(true);
-  });
-  // The second Send must be parked until we drain one slot.
-  TransportMessage out;
-  ASSERT_TRUE(box.Recv(&out));
-  EXPECT_EQ(out.header.query_id, 1u);
-  sender.join();
-  EXPECT_TRUE(second_sent.load());
-  ASSERT_TRUE(box.Recv(&out));
-  EXPECT_EQ(out.header.query_id, 2u);
-}
-
 TEST(MailboxTest, CloseWakesBlockedReceiverAndFailsSends) {
-  Mailbox box(4);
+  Mailbox box;
   std::thread closer([&] { box.Close(); });
   TransportMessage out;
   EXPECT_FALSE(box.Recv(&out));  // Wakes on Close, empty queue.
@@ -100,7 +83,7 @@ TEST(MailboxTest, CloseWakesBlockedReceiverAndFailsSends) {
 }
 
 TEST(MailboxTest, CloseDrainsBufferedMessagesFirst) {
-  Mailbox box(4);
+  Mailbox box;
   ASSERT_TRUE(box.Send(Msg(7)));
   box.Close();
   TransportMessage out;
@@ -109,20 +92,58 @@ TEST(MailboxTest, CloseDrainsBufferedMessagesFirst) {
   EXPECT_FALSE(box.Recv(&out));  // Then closed-and-drained.
 }
 
-TEST(MailboxTest, CloseWakesBlockedSender) {
-  Mailbox box(1);
-  ASSERT_TRUE(box.Send(Msg(1)));
-  std::atomic<bool> send_failed{false};
-  std::thread sender([&] {
-    if (!box.Send(Msg(2))) send_failed.store(true);
-  });
+TEST(MailboxTest, ConcurrentReceiversGetEveryMessageExactlyOnce) {
+  // A shard's workers all read its one inbox: 4 receivers and 2 senders
+  // over 20k messages. Then Close must wake every receiver left blocked
+  // on the drained mailbox.
+  constexpr int kSenders = 2;
+  constexpr int kReceivers = 4;
+  constexpr uint64_t kPerSender = 10000;
+  constexpr uint64_t kTotal = kSenders * kPerSender;
+  Mailbox box;
+  std::atomic<uint64_t> received{0};
+  std::vector<std::vector<uint64_t>> got(kReceivers);
+  std::vector<std::thread> receivers;
+  for (int r = 0; r < kReceivers; ++r) {
+    receivers.emplace_back([&box, &received, &mine = got[r]] {
+      TransportMessage out;
+      while (box.Recv(&out)) {
+        mine.push_back(out.header.query_id);
+        ++received;
+      }
+    });
+  }
+  std::atomic<int> failed_sends{0};
+  std::vector<std::thread> senders;
+  for (int s = 0; s < kSenders; ++s) {
+    senders.emplace_back([&box, &failed_sends, s] {
+      for (uint64_t i = 0; i < kPerSender; ++i) {
+        if (!box.Send(Msg(s * kPerSender + i))) ++failed_sends;
+      }
+    });
+  }
+  for (std::thread& sender : senders) sender.join();
+  EXPECT_EQ(failed_sends.load(), 0);
+  while (received.load() < kTotal) std::this_thread::yield();
+  // Every receiver is back in Recv on an empty mailbox (or about to be).
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   box.Close();
-  sender.join();
-  EXPECT_TRUE(send_failed.load());
+  for (std::thread& receiver : receivers) receiver.join();
+
+  std::vector<int> times(kTotal, 0);
+  for (const std::vector<uint64_t>& ids : got) {
+    for (const uint64_t id : ids) {
+      ASSERT_LT(id, kTotal);
+      ++times[id];
+    }
+  }
+  for (uint64_t id = 0; id < kTotal; ++id) {
+    ASSERT_EQ(times[id], 1) << "message " << id;
+  }
 }
 
 TEST(InProcessTransportTest, RoutesAndCounts) {
-  InProcessTransport transport(2, 8);
+  InProcessTransport transport(2);
   ASSERT_TRUE(transport.SendToShard(0, Msg(1)));
   ASSERT_TRUE(transport.SendToShard(1, Msg(2)));
   ASSERT_TRUE(transport.SendToCoordinator(Msg(3)));
