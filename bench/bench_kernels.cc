@@ -1,5 +1,6 @@
 // google-benchmark micro-benchmarks for the substrate kernels: Dijkstra,
-// BFS, R*-tree operations, score computations, and pruning predicates.
+// BFS, R*-tree operations, score computations, pruning predicates, and the
+// simulated buffer pool.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/pagestore.h"
 #include "core/pruning.h"
 #include "core/refinement.h"
 #include "core/scores.h"
@@ -458,6 +460,34 @@ void BM_Corollary2MemoOn(benchmark::State& state) {
   RunCorollary2(state, /*memo=*/true);
 }
 BENCHMARK(BM_Corollary2MemoOn)->Arg(8)->Arg(32)->Arg(128);
+
+// ----- Simulated I/O -----
+
+// Replays one fixed page trace through a fresh 64-page pool (the query
+// default) per iteration: 64% of the accesses go to a 24-page hot set and
+// the rest scatter over 2^20 cold pages, so about 0.4 of them miss, near
+// the miss ratio of a query's gather.
+void BM_BufferPoolAccess(benchmark::State& state) {
+  Rng rng(19);
+  std::vector<PageId> trace(16384);
+  for (PageId& page : trace) {
+    page = static_cast<PageId>(rng.Bernoulli(0.64)
+                                   ? rng.NextBounded(24)
+                                   : 24 + rng.NextBounded(uint64_t{1} << 20));
+  }
+  IoStats stats;
+  for (auto _ : state) {
+    BufferPool pool(64);
+    for (PageId page : trace) pool.Access(page);
+    stats = pool.stats();
+    benchmark::DoNotOptimize(stats);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(trace.size()));
+  state.counters["miss_ratio"] = static_cast<double>(stats.page_misses) /
+                                 static_cast<double>(stats.logical_accesses);
+}
+BENCHMARK(BM_BufferPoolAccess);
 
 void BM_PruningRegionVectorTest(benchmark::State& state) {
   Rng rng(17);

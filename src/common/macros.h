@@ -20,6 +20,18 @@
     }                                                                        \
   } while (0)
 
+// GPSSN_DCHECK(cond): GPSSN_CHECK in debug and GPSSN_AUDIT builds, for
+// invariants on paths too hot for an always-on check. Elsewhere `cond` is
+// still compiled but never evaluated.
+#if !defined(NDEBUG) || defined(GPSSN_AUDIT)
+#define GPSSN_DCHECK(cond) GPSSN_CHECK(cond)
+#else
+#define GPSSN_DCHECK(cond) \
+  do {                     \
+    if (false) (void)(cond); \
+  } while (0)
+#endif
+
 // Materializes a copy: binding a reference here would dangle when `expr` is
 // `result.status()` of a temporary Result (the temporary dies at the end of
 // the declaration statement, before the ok() test below).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <span>
 #include <tuple>
 
 #include "common/macros.h"
@@ -27,20 +28,6 @@ struct HeapGreater {
 };
 using RoadHeap =
     std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapGreater>;
-
-// Per-center refinement data of a center whose ball the issuer matches.
-struct CenterInfo {
-  PoiId id;
-  std::vector<PoiId> ball;                 // R = B(o_i, r), sorted.
-  std::vector<KeywordId> union_keywords;   // ∪_{o∈R} o.K.
-};
-
-// A candidate center in the pair loop's visit order.
-struct RankedCenter {
-  double worst;  // Exact issuer-side objective contribution.
-  PoiId id;
-  const CenterInfo* info;
-};
 
 // Accrues elapsed wall time into *out on destruction; attributes phase
 // time across the multiple exit paths of the stages.
@@ -149,6 +136,9 @@ void GpssnProcessor::RefineScratch::BeginQuery(size_t num_users,
   }
   needed.clear();
   needed_positions.clear();
+  centers.clear();
+  balls.clear();
+  masks.clear();
   num_members = 0;
   rows.clear();
 }
@@ -505,12 +495,13 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
       return !social_index_->node(id).is_leaf();
     });
   };
+  std::vector<SNodeId> level;
   while (!aborted && has_internal()) {
     if (InterruptRequested(options)) {
       aborted = true;
       break;
     }
-    std::vector<SNodeId> level = std::move(s_frontier);
+    level.swap(s_frontier);  // Both buffers keep their capacity.
     s_frontier.clear();
     for (SNodeId id : level) {
       const SocialIndexNode& node = social_index_->node(id);
@@ -642,31 +633,40 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   // before the first distance row is computed: a row covers every needed
   // POI, and an infinite entry is a proof, not a gap. B(c, r) is read from
   // I_R: the members of the stored B(c, r_max) within r, in the order the
-  // reference bounded search emits them. Only a ball whose keyword union
-  // the issuer matches can hold an answer, so only its center is kept and
-  // only its members take slots.
+  // reference bounded search emits them, with ∪_{o∈R} o.K built as a
+  // keyword mask alongside. Only a ball whose keyword union the issuer
+  // matches can hold an answer, so only its center is kept (its ball
+  // sorted and its mask, both in the flat scratch arrays) and only its
+  // members take slots.
   std::vector<std::pair<double, PoiId>> by_lb;
   by_lb.reserve(plan->pois.size());
   for (PoiId c : plan->pois) {
     by_lb.emplace_back(LbDistToPoi(ctx, poi_index_->poi_aug(c)), c);
   }
   std::sort(by_lb.begin(), by_lb.end());
-  std::vector<CenterInfo> infos;
-  infos.reserve(by_lb.size());
-  std::vector<PoiId> ball;
+  const int num_topics = ssn.num_topics();
+  const size_t mask_words = KeywordMaskWords(num_topics);
   for (const auto& [lb, c] : by_lb) {
     if (InterruptRequested(options)) return InterruptStatus(options);
     const ScopedPhaseTimer ball_phase(&stats->ball_seconds);
     ++stats->ball_queries;
-    ball.clear();
+    const size_t ball_begin = scr.balls.size();
+    const size_t mask_begin = scr.masks.size();
+    scr.masks.resize(mask_begin + mask_words, 0);
+    uint64_t* mask = scr.masks.data() + mask_begin;
     for (const auto& [id, dist] : poi_index_->poi_aug(c).ball) {
       if (dist > query.radius) continue;
-      ball.push_back(id);
+      scr.balls.push_back(id);
       pool.Access(poi_index_->poi_page(id));
+      AddToKeywordMask(ssn.poi(id).keywords, num_topics, mask);
     }
-    std::vector<KeywordId> union_keywords = UnionKeywords(ssn, ball);
-    if (MatchScore(ctx.w_q, union_keywords) < query.theta) continue;
-    for (PoiId id : ball) {
+    if (MatchScoreOverMask(ctx.w_q, {mask, mask_words}) < query.theta) {
+      scr.balls.resize(ball_begin);
+      scr.masks.resize(mask_begin);
+      continue;
+    }
+    for (size_t i = ball_begin; i < scr.balls.size(); ++i) {
+      const PoiId id = scr.balls[i];
       if (scr.poi_stamp[id] != scr.generation) {
         scr.poi_stamp[id] = scr.generation;
         scr.poi_slot[id] = static_cast<int32_t>(scr.needed.size());
@@ -674,9 +674,16 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
         scr.needed_positions.push_back(ssn.poi(id).position);
       }
     }
-    std::sort(ball.begin(), ball.end());
-    infos.push_back({c, ball, std::move(union_keywords)});
+    std::sort(scr.balls.begin() + static_cast<ptrdiff_t>(ball_begin),
+              scr.balls.end());
+    scr.centers.push_back({/*worst=*/0.0, c, static_cast<uint32_t>(ball_begin),
+                           static_cast<uint32_t>(scr.balls.size()),
+                           static_cast<uint32_t>(mask_begin)});
   }
+  auto ball_of = [&](const RefineCenter& center) {
+    return std::span<const PoiId>(scr.balls.data() + center.ball_begin,
+                                  center.ball_end - center.ball_begin);
+  };
   // The cache keeps a user's items in ascending POI id order: sort the
   // needed POIs that way once per query, with each one's slot, so a row
   // lookup or insert is one linear merge plus a gather. The slots keep
@@ -752,27 +759,28 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   // any pair at center c is at least that, since u_q ∈ S. Centers beyond
   // the bound are dropped outright (they cannot beat the incumbent, and a
   // center δ drops is a δ cut, covered by the a-posteriori δ check).
-  std::vector<RankedCenter> centers;
   {
     const bool bound_is_delta = plan->delta < incumbent;
     const double* issuer_dists =
         user_dists(query.issuer, std::min(plan->delta, incumbent));
-    for (const CenterInfo& info : infos) {
-      double worst = 0.0;
-      bool in_range = !info.ball.empty();
-      for (PoiId o : info.ball) {
+    size_t kept = 0;
+    for (size_t i = 0; i < scr.centers.size(); ++i) {
+      RefineCenter center = scr.centers[i];
+      bool in_range = center.ball_end > center.ball_begin;
+      for (PoiId o : ball_of(center)) {
         const double d = issuer_dists[scr.poi_slot[o]];
         if (d >= kInfDistance) {
           in_range = false;  // Beyond the bound (or unreachable).
           if (bound_is_delta) plan->delta_cut = true;
           break;
         }
-        worst = std::max(worst, d);
+        center.worst = std::max(center.worst, d);
       }
-      if (in_range) centers.push_back({worst, info.id, &info});
+      if (in_range) scr.centers[kept++] = center;
     }
-    std::sort(centers.begin(), centers.end(),
-              [](const RankedCenter& a, const RankedCenter& b) {
+    scr.centers.resize(kept);
+    std::sort(scr.centers.begin(), scr.centers.end(),
+              [](const RefineCenter& a, const RefineCenter& b) {
                 return std::tie(a.worst, a.id) < std::tie(b.worst, b.id);
               });
   }
@@ -795,12 +803,14 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   int64_t pair_budget = options.max_refine_pairs;
   uint32_t poll_stride = 0;
   uint32_t visit = 0;
-  for (const RankedCenter& center : centers) {
+  for (const RefineCenter& center : scr.centers) {
     if (InterruptRequested(options)) return InterruptStatus(options);
     // Centers ascend by `worst` and the threshold only tightens, so every
     // later center is rejected too.
     if (reject(center.worst)) break;
-    const CenterInfo& info = *center.info;
+    const std::span<const PoiId> ball = ball_of(center);
+    const std::span<const uint64_t> mask(scr.masks.data() + center.mask_begin,
+                                         mask_words);
     const PoiAug& center_aug = poi_index_->poi_aug(center.id);
     ++visit;
     // User u's entry at this center, its Lemma 5 bound computed on first
@@ -822,8 +832,8 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     auto matches = [&](UserId u) {
       CenterCell& entry = cell(u);
       if (entry.match < 0) {
-        entry.match = MatchScore(ssn.social().Interests(u),
-                                 info.union_keywords) >= query.theta;
+        entry.match =
+            MatchScoreOverMask(ssn.social().Interests(u), mask) >= query.theta;
       }
       return entry.match == 1;
     };
@@ -855,7 +865,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
       bool feasible = true;
       for (UserId u : group) {
         const double* dists = user_dists(u, bound());
-        for (PoiId o : info.ball) {
+        for (PoiId o : ball) {
           const double d = dists[scr.poi_slot[o]];
           if (d >= kInfDistance) {
             feasible = false;  // Distance beyond the bound: cannot win.
@@ -869,11 +879,10 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
         }
       }
       if (!feasible) continue;
+      // S and R are copied once the loop ends, for the answers still kept.
       RankedAnswer ranked;
       ranked.answer.found = true;
-      ranked.answer.users = group;
       ranked.answer.center = center.id;
-      ranked.answer.pois = info.ball;
       ranked.answer.max_dist = obj;
       ranked.center_worst = center.worst;
       ranked.group_index = static_cast<int64_t>(gi);
@@ -883,6 +892,14 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
       if (static_cast<int>(best->size()) > top_k) best->pop_back();
     }
     if (pair_budget < 0) break;
+  }
+  for (RankedAnswer& ranked : *best) {
+    ranked.answer.users = groups[static_cast<size_t>(ranked.group_index)];
+    const auto center = std::find_if(
+        scr.centers.begin(), scr.centers.end(),
+        [&](const RefineCenter& c) { return c.id == ranked.answer.center; });
+    const std::span<const PoiId> ball = ball_of(*center);
+    ranked.answer.pois.assign(ball.begin(), ball.end());
   }
   return Status::OK();
 }

@@ -230,10 +230,23 @@ class GpssnProcessor {
     int8_t match = -1;
   };
 
+  /// A candidate center whose ball the issuer matches. Its sorted ball
+  /// B(c, r) is balls[ball_begin, ball_end) and its keyword-union mask
+  /// (∪_{o∈R} o.K over [0, num_topics)) starts at masks[mask_begin], both
+  /// in RefineScratch.
+  struct RefineCenter {
+    double worst;  // Exact issuer-side objective contribution.
+    PoiId id;
+    uint32_t ball_begin;
+    uint32_t ball_end;
+    uint32_t mask_begin;
+  };
+
   /// Flat stamped scratch for the refinement phase, reused across queries:
-  /// generation-stamped slot and member arrays, one flat row-major
-  /// distance table, and the per-center member table, so a warm
-  /// refinement allocates nothing per pair.
+  /// generation-stamped slot and member arrays, the matched centers with
+  /// their balls and keyword masks, one flat row-major distance table, and
+  /// the per-center member table, so a warm refinement allocates nothing
+  /// per center or pair.
   struct RefineScratch {
     uint32_t generation = 0;
     // POI id -> slot in `needed` (valid when poi_stamp matches).
@@ -254,6 +267,11 @@ class GpssnProcessor {
     std::vector<int32_t> user_member;
     int32_t num_members = 0;
     std::vector<int32_t> member_row;
+    // The matched centers, in pair-loop order once ranked, and their
+    // balls and masks back to back.
+    std::vector<RefineCenter> centers;
+    std::vector<PoiId> balls;
+    std::vector<uint64_t> masks;
     // Member -> its entry at the visited center, filled lazily.
     std::vector<CenterCell> at_center;
     // Row-major |rows| x |needed| distance table; kInfDistance = beyond

@@ -183,8 +183,12 @@ namespace {
 /// Each step takes the last extension vertex w (sibling branches never see
 /// it again — ESU uniqueness), tests it against every member, adds its
 /// exclusive (never-seen) candidate neighbours to the extension, recurses,
-/// then un-sees the vertices the branch introduced. The view supplies the
-/// three operations its representation does its own way:
+/// then un-sees the vertices the branch introduced. Every level's
+/// extension set lives in one stack, `ext_`: a level owns the suffix from
+/// its offset, and a child's set (the parent's remaining set, then w's
+/// exclusive neighbours) is appended after it and truncated on return.
+/// The view supplies the three operations its representation does its own
+/// way:
 ///   ForEachUnseenNeighbor(w, seen, fn)  fn(v) for every candidate
 ///       neighbour v of w outside `seen`, in CSR Friends() order;
 ///   PairPasses(a, b)  the pairwise Interest_Score >= γ test;
@@ -204,21 +208,23 @@ class EsuEnumerator {
   /// false when truncated by max_groups.
   bool Run(int root) {
     seen_.Set(static_cast<size_t>(root));
-    return Extend({root});
+    ext_.assign(1, root);
+    return Extend(0);
   }
 
  private:
-  // Appends w's never-seen candidate neighbours to *ext, marking each one
-  // seen and recording it for rollback.
-  void AppendExclusiveNeighbors(int w, std::vector<int>* ext) {
+  // Appends w's never-seen candidate neighbours to the extension stack,
+  // marking each one seen and recording it for rollback.
+  void AppendExclusiveNeighbors(int w) {
     view_->ForEachUnseenNeighbor(w, seen_, [&](int v) {
       seen_.Set(static_cast<size_t>(v));
       rollback_.push_back(v);
-      ext->push_back(v);
+      ext_.push_back(v);
     });
   }
 
-  bool Extend(std::vector<int> ext) {
+  // Grows sub_ from the extension set ext_[begin, end of stack).
+  bool Extend(size_t begin) {
     if (static_cast<int>(sub_.size()) == tau_) {
       std::vector<UserId> group;
       group.reserve(sub_.size());
@@ -227,20 +233,25 @@ class EsuEnumerator {
       out_->push_back(std::move(group));
       return static_cast<int64_t>(out_->size()) < max_groups_;
     }
-    while (!ext.empty()) {
-      const int w = ext.back();
-      ext.pop_back();
+    while (ext_.size() > begin) {
+      const int w = ext_.back();
+      ext_.pop_back();
       // Pairwise interest predicate: any group containing w must pass γ
       // against every current member.
       const auto passes = [&](int m) { return view_->PairPasses(w, m); };
       if (!std::all_of(sub_.begin(), sub_.end(), passes)) continue;
 
+      const size_t end = ext_.size();
       const size_t rollback_mark = rollback_.size();
-      std::vector<int> next = ext;
-      AppendExclusiveNeighbors(w, &next);
+      for (size_t i = begin; i < end; ++i) {
+        const int v = ext_[i];  // push_back may reallocate under ext_[i].
+        ext_.push_back(v);
+      }
+      AppendExclusiveNeighbors(w);
       sub_.push_back(w);
-      const bool keep_going = Extend(std::move(next));
+      const bool keep_going = Extend(end);
       sub_.pop_back();
+      ext_.resize(end);
       // w itself stays seen for the remaining siblings (ESU uniqueness).
       while (rollback_.size() > rollback_mark) {
         seen_.Clear(static_cast<size_t>(rollback_.back()));
@@ -257,6 +268,7 @@ class EsuEnumerator {
   std::vector<std::vector<UserId>>* out_;
   DynamicBitset seen_;
   std::vector<int> sub_;
+  std::vector<int> ext_;  // Every level's extension set, stacked.
   std::vector<int> rollback_;
 };
 

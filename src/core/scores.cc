@@ -1,6 +1,7 @@
 #include "core/scores.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/macros.h"
 #include "geom/pruning_region.h"
@@ -92,6 +93,28 @@ double MatchScore(std::span<const double> interests,
   for (KeywordId kw : keywords) {
     if (kw >= 0 && static_cast<size_t>(kw) < interests.size()) {
       s += interests[kw];
+    }
+  }
+  return s;
+}
+
+void AddToKeywordMask(const std::vector<KeywordId>& keywords, int num_topics,
+                      uint64_t* mask) {
+  for (KeywordId kw : keywords) {
+    if (kw >= 0 && kw < num_topics) {
+      mask[kw / 64] |= uint64_t{1} << (kw % 64);
+    }
+  }
+}
+
+double MatchScoreOverMask(std::span<const double> interests,
+                          std::span<const uint64_t> mask) {
+  double s = 0.0;
+  for (size_t word = 0; word < mask.size(); ++word) {
+    for (uint64_t bits = mask[word]; bits != 0; bits &= bits - 1) {
+      const size_t f = word * 64 + static_cast<size_t>(std::countr_zero(bits));
+      if (f >= interests.size()) return s;
+      s += interests[f];
     }
   }
   return s;

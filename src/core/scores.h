@@ -18,6 +18,7 @@
 #ifndef GPSSN_CORE_SCORES_H_
 #define GPSSN_CORE_SCORES_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -67,6 +68,24 @@ double UbHammingBox(std::span<const double> q, std::span<const double> lb,
 /// must be sorted unique keyword ids (the union over the POI set R).
 double MatchScore(std::span<const double> interests,
                   const std::vector<KeywordId>& keywords);
+
+/// Words of a keyword mask over [0, num_topics): bit f of word f / 64 is
+/// keyword f.
+inline size_t KeywordMaskWords(int num_topics) {
+  return (static_cast<size_t>(num_topics) + 63) / 64;
+}
+
+/// ORs the keywords of `keywords` that lie in [0, num_topics) into `mask`
+/// (KeywordMaskWords(num_topics) words). Others are dropped: no interest
+/// vector has a weight for them, so MatchScore ignores them too.
+void AddToKeywordMask(const std::vector<KeywordId>& keywords, int num_topics,
+                      uint64_t* mask);
+
+/// Eq. 2 over a keyword mask: Σ w_f over the set bits f < |interests|, in
+/// ascending f. That is the order MatchScore sums a sorted keyword list
+/// in, so for the same set both return the same bits.
+double MatchScoreOverMask(std::span<const double> interests,
+                          std::span<const uint64_t> mask);
 
 /// Eq. 15: upper bound of the matching score via a hashed keyword
 /// signature. Never smaller than MatchScore against the summarized set.

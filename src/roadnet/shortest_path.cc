@@ -37,12 +37,17 @@ void DijkstraEngine::Relax(VertexId v, double dist) {
 
 void DijkstraEngine::Run(const std::vector<std::pair<VertexId, double>>& seeds,
                          double bound) {
-  RunWithTargets(seeds, bound, {});
+  Search(seeds, bound, {});
 }
 
 void DijkstraEngine::RunWithTargets(
     const std::vector<std::pair<VertexId, double>>& seeds, double bound,
     const std::vector<VertexId>& targets) {
+  Search(seeds, bound, targets);
+}
+
+void DijkstraEngine::Search(std::span<const std::pair<VertexId, double>> seeds,
+                            double bound, std::span<const VertexId> targets) {
   Reset();
   for (const auto& [v, d] : seeds) {
     GPSSN_CHECK(v >= 0 && v < graph_->num_vertices());
@@ -81,13 +86,16 @@ void DijkstraEngine::RunWithTargets(
 }
 
 void DijkstraEngine::RunFromVertex(VertexId source, double bound) {
-  Run({{source, 0.0}}, bound);
+  const std::pair<VertexId, double> seeds[] = {{source, 0.0}};
+  Search(seeds, bound, {});
 }
 
 void DijkstraEngine::RunFromPosition(const EdgePosition& pos, double bound) {
   const VertexId u = graph_->edge_u(pos.edge);
   const VertexId v = graph_->edge_v(pos.edge);
-  Run({{u, graph_->OffsetTo(pos, u)}, {v, graph_->OffsetTo(pos, v)}}, bound);
+  const std::pair<VertexId, double> seeds[] = {{u, graph_->OffsetTo(pos, u)},
+                                               {v, graph_->OffsetTo(pos, v)}};
+  Search(seeds, bound, {});
 }
 
 double DijkstraEngine::Distance(VertexId v) const {
@@ -116,15 +124,19 @@ double DijkstraEngine::PositionToPosition(const EdgePosition& a,
   const VertexId bv = graph_->edge_v(b.edge);
   const VertexId au = graph_->edge_u(a.edge);
   const VertexId av = graph_->edge_v(a.edge);
-  RunWithTargets({{au, graph_->OffsetTo(a, au)}, {av, graph_->OffsetTo(a, av)}},
-                 effective_bound, {bu, bv});
+  const std::pair<VertexId, double> seeds[] = {{au, graph_->OffsetTo(a, au)},
+                                               {av, graph_->OffsetTo(a, av)}};
+  const VertexId targets[] = {bu, bv};
+  Search(seeds, effective_bound, targets);
   const double via_network = DistanceToPosition(b);
   const double result = std::min(direct, via_network);
   return result <= bound ? result : kInfDistance;
 }
 
 double DijkstraEngine::VertexToVertex(VertexId s, VertexId t, double bound) {
-  RunWithTargets({{s, 0.0}}, bound, {t});
+  const std::pair<VertexId, double> seeds[] = {{s, 0.0}};
+  const VertexId targets[] = {t};
+  Search(seeds, bound, targets);
   const double d = Distance(t);
   return d <= bound ? d : kInfDistance;
 }

@@ -13,6 +13,7 @@
 #define GPSSN_ROADNET_SHORTEST_PATH_H_
 
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -78,6 +79,10 @@ class DijkstraEngine {
     }
   };
 
+  // Run and RunWithTargets over spans: the convenience entry points seed
+  // it from stack arrays, so a search allocates nothing once warm.
+  void Search(std::span<const std::pair<VertexId, double>> seeds,
+              double bound, std::span<const VertexId> targets);
   void Reset();
   void Relax(VertexId v, double dist);
 

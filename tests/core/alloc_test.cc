@@ -1,0 +1,146 @@
+// Heap-allocation regression tests for the query hot path. This binary
+// replaces the global operator new / delete with counting versions, armed
+// only inside the measured regions:
+//   - a BufferPool allocates nothing after construction;
+//   - a warm GpssnProcessor::Execute allocates per query and per emitted
+//     group, never per page access, candidate center or ESU step.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "common/pagestore.h"
+#include "common/rng.h"
+#include "core/database.h"
+#include "core/query.h"
+#include "ssn/dataset.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<int64_t> g_allocations{0};
+
+}  // namespace
+
+// gcc flags free() on memory from operator new once it inlines these
+// replacements into a caller; they are a matched malloc/free pair.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t size) {
+  if (g_counting.load()) g_allocations.fetch_add(1);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+#pragma GCC diagnostic pop
+
+namespace gpssn {
+namespace {
+
+// Counts the allocations `fn` makes.
+template <typename Fn>
+int64_t CountAllocations(Fn&& fn) {
+  g_allocations.store(0);
+  g_counting.store(true);
+  fn();
+  g_counting.store(false);
+  return g_allocations.load();
+}
+
+TEST(AllocationTest, CounterSeesAVectorGrow) {
+  const int64_t n = CountAllocations([] {
+    std::vector<int> v(16);
+    v.resize(64);
+  });
+  EXPECT_EQ(n, 2);
+}
+
+TEST(AllocationTest, BufferPoolNeverAllocatesAfterConstruction) {
+  BufferPool pool(64);
+  // A fixed trace over 96 pages with a hot set, so hits, MRU hits and
+  // evictions all occur.
+  std::vector<PageId> trace(100000);
+  Rng rng(5);
+  for (PageId& page : trace) {
+    page = static_cast<PageId>(rng.NextBounded(2) == 0 ? rng.NextBounded(32)
+                                                       : rng.NextBounded(96));
+  }
+  const int64_t n = CountAllocations([&] {
+    for (PageId page : trace) pool.Access(page);
+    pool.AccessRun(1000, 8);
+    pool.Clear();
+    for (PageId page : trace) pool.Access(page | 0xFF000000u);
+  });
+  EXPECT_EQ(n, 0);
+  EXPECT_GT(pool.stats().page_misses, 64u);
+  EXPECT_LT(pool.stats().page_misses, pool.stats().logical_accesses);
+}
+
+// C, the allocations of one warm Execute beyond one per emitted group:
+// the query's own vectors (the plan's candidate lists and buffer pool, the
+// Corollary 2 and ESU arrays, the answer), several of them grown a few
+// times. Measured at 77–85 over the queries below (gcc 12, libstdc++,
+// x86-64); the bound leaves a little room for another standard library.
+// Before the buffer pool moved to flat arrays, Refine built keyword unions
+// as masks and the ESU stacked its extension sets in place, the same
+// queries made 3109–3781 allocations against 244–251 page misses.
+constexpr int64_t kPerQueryAllocations = 90;
+
+TEST(AllocationTest, WarmQueryAllocatesPerQueryAndPerGroupOnly) {
+#ifdef GPSSN_AUDIT
+  GTEST_SKIP() << "the audit build's default pruning auditor allocates";
+#endif
+  SyntheticSsnOptions data;
+  data.num_road_vertices = 1500;
+  data.num_pois = 600;
+  data.num_users = 1500;
+  data.num_topics = 15;
+  data.space_size = 40.0;
+  data.community_size = 100;
+  data.seed = 11;
+  GpssnBuildOptions build;
+  build.num_road_pivots = 3;
+  build.num_social_pivots = 3;
+  build.social_index.leaf_cell_size = 16;
+  build.poi_index.r_min = 0.5;
+  build.poi_index.r_max = 4.0;
+  build.seed = 11;
+  GpssnDatabase db(MakeSynthetic(data), build);
+  GpssnProcessor processor(&db.poi_index(), &db.social_index());
+
+  int queries_with_groups = 0;
+  for (UserId issuer = 0; issuer < 200; issuer += 10) {
+    GpssnQuery query;
+    query.issuer = issuer;
+    query.tau = 3;
+    query.gamma = 0.2;
+    query.theta = 0.3;
+    query.radius = 2.0;
+    QueryOptions options;
+    QueryStats stats;
+    // Warm the processor's scratch on this query first.
+    ASSERT_TRUE(processor.Execute(query, options, &stats).ok());
+    bool ok = false;
+    const int64_t allocations = CountAllocations(
+        [&] { ok = processor.Execute(query, options, &stats).ok(); });
+    ASSERT_TRUE(ok);
+    const int64_t groups = static_cast<int64_t>(stats.groups_enumerated);
+    if (groups > 0) ++queries_with_groups;
+    EXPECT_LE(allocations, groups + kPerQueryAllocations)
+        << "issuer " << issuer << ", " << stats.io.page_misses
+        << " page misses";
+  }
+  EXPECT_GT(queries_with_groups, 0);
+}
+
+}  // namespace
+}  // namespace gpssn

@@ -109,5 +109,59 @@ TEST(UnionKeywordsTest, SortedUniqueUnion) {
   }
 }
 
+// Match_Score over the keyword-union mask Refine builds must equal
+// MatchScore over the sorted UnionKeywords vector bit for bit (== on the
+// doubles): both sum the same weights in ascending keyword id. Balls are
+// random POI subsets, some empty; some POIs carry keywords at and beyond
+// num_topics, which both paths ignore.
+TEST(MatchScoreOverMaskTest, EqualsMatchScoreOverUnionKeywords) {
+  for (int num_topics : {10, 64, 100, 150}) {
+    SCOPED_TRACE(num_topics);
+    SyntheticSsnOptions data;
+    data.num_road_vertices = 100;
+    data.num_pois = 60;
+    data.num_users = 40;
+    data.num_topics = num_topics;
+    data.max_keywords_per_poi = 6;
+    data.seed = 91 + static_cast<uint64_t>(num_topics);
+    const SpatialSocialNetwork base = MakeSynthetic(data);
+    std::vector<Poi> pois = base.pois();
+    for (size_t i = 0; i < pois.size(); i += 3) {
+      std::vector<KeywordId>& kws = pois[i].keywords;
+      kws.push_back(num_topics);
+      if (i % 2 == 0) kws.push_back(num_topics + 1 + static_cast<int>(i));
+    }
+    std::vector<EdgePosition> homes;
+    for (UserId u = 0; u < base.num_users(); ++u) {
+      homes.push_back(base.user_home(u));
+    }
+    const SpatialSocialNetwork ssn(base.road(), base.social(), homes, pois);
+
+    Rng rng(static_cast<uint64_t>(num_topics));
+    const size_t words = KeywordMaskWords(num_topics);
+    for (int trial = 0; trial < 400; ++trial) {
+      std::vector<PoiId> ball;
+      const uint64_t size = rng.NextBounded(8);  // 0 = an empty ball.
+      for (uint64_t i = 0; i < size; ++i) {
+        ball.push_back(static_cast<PoiId>(rng.NextBounded(pois.size())));
+      }
+      std::vector<uint64_t> mask(words, 0);
+      for (PoiId id : ball) {
+        AddToKeywordMask(ssn.poi(id).keywords, num_topics, mask.data());
+      }
+      std::vector<double> w(static_cast<size_t>(num_topics), 0.0);
+      for (double& x : w) {
+        if (rng.NextBounded(3) != 0) x = rng.UniformDouble(0.0, 1.0);
+      }
+      const double expected = MatchScore(w, UnionKeywords(ssn, ball));
+      ASSERT_EQ(MatchScoreOverMask(w, mask), expected)
+          << "trial " << trial << ", |ball| " << ball.size();
+      if (ball.empty()) {
+        ASSERT_EQ(expected, 0.0);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gpssn
