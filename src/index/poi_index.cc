@@ -176,8 +176,9 @@ void PoiIndex::RebuildNodeAugmentations() {
   }
 
   // --- Page layout: nodes first (breadth-first from the root, the order a
-  // bulk writer would emit them), then POI payload records.
-  PageAllocator alloc(options_.page_size);
+  // bulk writer would emit them), then POI payload records, in I_R's page
+  // range above I_S's.
+  PageAllocator alloc(options_.page_size, kPoiIndexFirstPage);
   {
     std::vector<RNodeId> queue = {tree_.root()};
     std::vector<bool> seen(tree_.num_nodes(), false);

@@ -199,8 +199,9 @@ SocialIndex::SocialIndex(const SpatialSocialNetwork* ssn,
     for (UserId u : nodes_[id].users) leaf_of_user_[u] = id;
   }
 
-  // --- Page layout: nodes breadth-first from the root, then user records.
-  PageAllocator alloc(options.page_size);
+  // --- Page layout: nodes breadth-first from the root, then user records,
+  // below I_R's page range.
+  PageAllocator alloc(options.page_size, /*first_page=*/0, kPoiIndexFirstPage);
   {
     std::vector<SNodeId> queue = {root_};
     for (size_t head = 0; head < queue.size(); ++head) {

@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/baseline.h"
 #include "core/database.h"
 #include "index/poi_index.h"
+#include "index/social_index.h"
 #include "roadnet/distance_backend.h"
 #include "roadnet/distance_cache.h"
 #include "ssn/dataset.h"
@@ -228,6 +233,64 @@ TEST(DynamicPoiTest, NewPoiCanBecomeTheAnswer) {
   ASSERT_TRUE(after->found);
   EXPECT_LE(after->max_dist, before->found ? before->max_dist : kInfDistance);
   EXPECT_NEAR(after->max_dist, 0.0, 1e-6);  // The new POI sits at home.
+}
+
+// A query charges I_S and I_R pages to one buffer pool, so no page id may
+// belong to both: I_S node and user pages lie below kPoiIndexFirstPage and
+// I_R node and POI pages at or above it, after the build and after AddPoi
+// lays out I_R again.
+TEST(DynamicPoiTest, SocialAndPoiIndexPagesAreDisjoint) {
+  GpssnBuildOptions build;
+  build.num_road_pivots = 2;
+  build.num_social_pivots = 2;
+  build.social_index.leaf_cell_size = 16;
+  GpssnDatabase db(MakeSynthetic(SmallData(8)), build);
+  auto social_pages = [&] {
+    const SocialIndex& index = db.social_index();
+    std::set<PageId> pages;
+    for (SNodeId id = 0; id < index.num_nodes(); ++id) {
+      pages.insert(index.node(id).page);
+    }
+    for (UserId u = 0; u < db.ssn().num_users(); ++u) {
+      pages.insert(index.user_page(u));
+    }
+    return pages;
+  };
+  auto poi_pages = [&] {
+    const PoiIndex& index = db.poi_index();
+    std::set<PageId> pages;
+    std::vector<RNodeId> queue = {index.tree().root()};
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const RTreeNode& node = index.tree().node(queue[head]);
+      pages.insert(index.node_aug(queue[head]).page);
+      if (node.is_leaf()) continue;
+      for (const RTreeEntry& e : node.entries) queue.push_back(e.id);
+    }
+    for (PoiId id = 0; id < db.ssn().num_pois(); ++id) {
+      pages.insert(index.poi_page(id));
+    }
+    return pages;
+  };
+  auto expect_disjoint = [&](const std::string& when) {
+    const std::set<PageId> social = social_pages();
+    const std::set<PageId> road = poi_pages();
+    EXPECT_LT(*social.rbegin(), kPoiIndexFirstPage) << when;
+    EXPECT_GE(*road.begin(), kPoiIndexFirstPage) << when;
+    std::vector<PageId> shared;
+    std::set_intersection(social.begin(), social.end(), road.begin(),
+                          road.end(), std::back_inserter(shared));
+    EXPECT_TRUE(shared.empty())
+        << when << ": " << shared.size() << " pages in both indexes";
+  };
+  expect_disjoint("after the build");
+  Rng rng(9);
+  for (int i = 0; i < 5; ++i) {
+    const EdgePosition pos{
+        static_cast<EdgeId>(rng.NextBounded(db.ssn().road().num_edges())),
+        rng.UniformDouble()};
+    ASSERT_TRUE(db.AddPoi(pos, {static_cast<KeywordId>(i)}).ok());
+    expect_disjoint("after AddPoi " + std::to_string(i));
+  }
 }
 
 }  // namespace
