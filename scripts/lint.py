@@ -37,11 +37,6 @@ Rules (each finding prints `path:line: [rule] message`, exit status 1):
                    same-file static_asserts: std::is_trivially_copyable_v
                    and sizeof == N. Without them a refactor can silently
                    change the on-disk layout or make memcpy/mmap UB.
-  serving-wire     Serving transport message structs (struct Wire* under
-                   src/serving/) must carry the gpssn-serialized marker —
-                   and therefore its pinned-layout static_asserts — so the
-                   bytes a future socket transport carries are exactly the
-                   in-process ones (see src/serving/wire.h).
   lock-order       Named mutexes declare their acquisition order in
                    `gpssn-lock-order: a -> b -> c` comments (collected from
                    the scanned tree). Nested MutexLock / ReaderMutexLock /
@@ -65,7 +60,7 @@ import sys
 
 RULES = ("raw-new-delete", "ignored-status", "include-hygiene",
          "header-guard", "naked-mutex", "relaxed-justification",
-         "serialized-struct", "serving-wire", "lock-order")
+         "serialized-struct", "lock-order")
 
 # Directories scanned in a normal run, relative to the repo root.
 SCAN_DIRS = ("src", "tests", "bench", "examples")
@@ -459,35 +454,6 @@ def check_serialized_struct(path, root, raw_lines, code_lines, findings):
 
 
 # --------------------------------------------------------------------------
-# Rule: serving-wire
-# --------------------------------------------------------------------------
-
-WIRE_STRUCT_RE = re.compile(r"\bstruct\s+(Wire\w*)\b")
-
-
-def check_serving_wire(path, root, raw_lines, code_lines, findings):
-    rel = relpath(path, root)
-    if not rel.startswith("src/serving/"):
-        return
-    for lineno, (raw, code) in enumerate(zip(raw_lines, code_lines), 1):
-        m = WIRE_STRUCT_RE.search(code)
-        if not m:
-            continue
-        if "serving-wire" in allowed_rules(raw):
-            continue
-        # The marker sits on the declaration line or within the few raw
-        # lines above it (doc comments between marker and struct are fine).
-        window = raw_lines[max(0, lineno - 6):lineno]
-        if any(SERIALIZED_RE.search(prev) for prev in window):
-            continue
-        findings.append(Finding(
-            rel, lineno, "serving-wire",
-            f"serving message struct `{m.group(1)}` has no "
-            "`gpssn-serialized(bytes=N)` marker — wire structs cross the "
-            "transport verbatim and must pin their layout"))
-
-
-# --------------------------------------------------------------------------
 # Rule: lock-order
 # --------------------------------------------------------------------------
 
@@ -618,7 +584,6 @@ def lint_tree(root):
         check_relaxed_justification(path, root, raw_lines, code_lines,
                                     findings)
         check_serialized_struct(path, root, raw_lines, code_lines, findings)
-        check_serving_wire(path, root, raw_lines, code_lines, findings)
         check_lock_order(path, root, raw_lines, code_lines, findings,
                          lock_order)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))

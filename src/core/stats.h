@@ -17,8 +17,8 @@ namespace gpssn {
 // The QueryStats schema: the one list of its members, one row each,
 // X(type, name, merge, kind), in declaration order. The struct body,
 // MergeFrom, ChargeWorkFrom and ToString are generated from it, so a new
-// row merges, prints, crosses the serving wire (a trivially copyable
-// blob) and reaches BatchStats with no other edit.
+// row merges, prints, travels in a serving shard's reply and reaches
+// BatchStats with no other edit.
 //   merge: Sum adds (IoStats adds both of its counters); Or ORs a flag.
 //   kind:  Funnel rows count the candidates each pruning rule visited,
 //          pruned or kept (the Fig. 7 numbers); Work rows measure cost.

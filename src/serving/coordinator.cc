@@ -1,7 +1,7 @@
 #include "serving/coordinator.h"
 
 #include <algorithm>
-#include <chrono>
+#include <memory>
 #include <utility>
 
 #include "core/refinement.h"
@@ -62,46 +62,29 @@ ServingCluster::~ServingCluster() {
   transport_->Close();
 }
 
-double ServingCluster::DeadlineSecondsRemaining(const QueryState& state) const {
-  if (!state.deadline.armed()) return -1.0;
-  // May be <= 0 (already expired): the shard arms an expired deadline and
-  // replies DeadlineExceeded at its first poll.
-  return std::chrono::duration<double>(state.deadline.at() -
-                                       std::chrono::steady_clock::now())
-      .count();
-}
-
 bool ServingCluster::SendGather(QueryState* state, uint64_t query_id,
                                 int shard) {
-  GatherRequest request;
+  ShardRequest request;
+  request.kind = ShardRequest::Kind::kGather;
+  request.query_id = query_id;
   request.query = state->query;
-  request.deadline_seconds = DeadlineSecondsRemaining(*state);
-  TransportMessage message;
-  message.header.kind = static_cast<uint32_t>(MessageKind::kGatherRequest);
-  message.header.shard = shard;
-  message.header.query_id = query_id;
-  message.payload = EncodeGatherRequest(request);
-  message.header.payload_bytes = message.payload.size();
+  request.deadline = state->deadline;
   ++state->stats.shard_msgs;
-  return transport_->SendToShard(shard, std::move(message));
+  return transport_->SendToShard(shard, std::move(request));
 }
 
 bool ServingCluster::SendRefine(QueryState* state, uint64_t query_id,
                                 int shard, double incumbent) {
-  RefineRequest request;
+  ShardRequest request;
+  request.kind = ShardRequest::Kind::kRefine;
+  request.query_id = query_id;
   request.query = state->query;
-  request.deadline_seconds = DeadlineSecondsRemaining(*state);
+  request.deadline = state->deadline;
   request.incumbent = incumbent;
   request.centers = state->per_shard[shard].pois;
   request.groups = state->groups;
-  TransportMessage message;
-  message.header.kind = static_cast<uint32_t>(MessageKind::kRefineRequest);
-  message.header.shard = shard;
-  message.header.query_id = query_id;
-  message.payload = EncodeRefineRequest(request);
-  message.header.payload_bytes = message.payload.size();
   ++state->stats.shard_msgs;
-  return transport_->SendToShard(shard, std::move(message));
+  return transport_->SendToShard(shard, std::move(request));
 }
 
 void ServingCluster::StartQuery(uint64_t query_id, size_t slot,
@@ -157,35 +140,31 @@ void ServingCluster::Plan(QueryState* state) {
     candidates.push_back(state->query.issuer);
   }
 
+  std::vector<std::vector<UserId>> groups;
   PlanGroups(db_.ssn().social(), state->query, shard_query_options_,
-             &plan_scratch_, &candidates, &state->groups, &state->stats);
+             &plan_scratch_, &candidates, &groups, &state->stats);
+  state->groups = std::make_shared<const std::vector<std::vector<UserId>>>(
+      std::move(groups));
   state->stats.serve_plan_seconds = state->phase_timer.ElapsedSeconds();
   state->phase_timer.Restart();
 }
 
-bool ServingCluster::HandleReply(QueryState* state,
-                                 const TransportMessage& message,
+bool ServingCluster::HandleReply(QueryState* state, ShardReply* reply,
                                  std::vector<BatchQueryResult>* results) {
-  const uint64_t query_id = message.header.query_id;
-  const Status shard_status = StatusFromWire(message.header.status_code);
-  if (!shard_status.ok()) {
+  const uint64_t query_id = reply->query_id;
+  if (!reply->status.ok()) {
     // Error short-circuit: the query completes now; replies still
     // outstanding from other shards arrive stale and are dropped by
     // query_id.
-    Complete(state, shard_status, results);
+    Complete(state, std::move(reply->status), results);
     return true;
   }
+  ++state->stats.shard_msgs;
+  state->stats.MergeFrom(reply->stats);
 
   switch (state->phase) {
     case Phase::kGather: {
-      auto reply = DecodeCandidatesReply(message.payload);
-      if (!reply.ok()) {
-        Complete(state, reply.status(), results);
-        return true;
-      }
-      ++state->stats.shard_msgs;
-      state->stats.MergeFrom(reply->stats);
-      state->per_shard[message.header.shard] = std::move(reply->candidates);
+      state->per_shard[reply->shard] = std::move(reply->candidates);
       if (--state->outstanding > 0) return false;
 
       Plan(state);
@@ -202,7 +181,7 @@ bool ServingCluster::HandleReply(QueryState* state,
           wave1 = s;
         }
       }
-      if (wave1 == -1 || state->groups.empty()) {
+      if (wave1 == -1 || state->groups->empty()) {
         state->stats.serve_refine_seconds = state->phase_timer.ElapsedSeconds();
         Complete(state, Status::OK(), results);
         return true;
@@ -220,15 +199,8 @@ bool ServingCluster::HandleReply(QueryState* state,
     }
 
     case Phase::kRefineWave1: {
-      auto reply = DecodeAnswerReply(message.payload);
-      if (!reply.ok()) {
-        Complete(state, reply.status(), results);
-        return true;
-      }
-      ++state->stats.shard_msgs;
-      state->stats.MergeFrom(reply->stats);
-      if (reply->result.answer.found) {
-        state->best = std::move(reply->result);
+      if (reply->answer.answer.found) {
+        state->best = std::move(reply->answer);
         state->incumbent = state->best.answer.max_dist;
       }
 
@@ -263,22 +235,15 @@ bool ServingCluster::HandleReply(QueryState* state,
     }
 
     case Phase::kRefineWave2: {
-      auto reply = DecodeAnswerReply(message.payload);
-      if (!reply.ok()) {
-        Complete(state, reply.status(), results);
-        return true;
-      }
-      ++state->stats.shard_msgs;
-      state->stats.MergeFrom(reply->stats);
       // Discovery-rank merge: the first answer in rank order wins — exactly
       // the first-encountered minimum of the single-node pair loop.
       // Wave-2 shards report ties with the incumbent (their reject is
       // strict against it) precisely so this comparison can decide them
       // by rank.
-      if (reply->result.answer.found &&
+      if (reply->answer.answer.found &&
           (!state->best.answer.found ||
-           RanksBefore(reply->result, state->best))) {
-        state->best = std::move(reply->result);
+           RanksBefore(reply->answer, state->best))) {
+        state->best = std::move(reply->answer);
         state->incumbent = state->best.answer.max_dist;
       }
       if (--state->outstanding > 0) return false;
@@ -310,8 +275,8 @@ std::vector<BatchQueryResult> ServingCluster::QueryBatch(
     }
     if (inflight_.empty()) continue;
 
-    TransportMessage message;
-    if (!transport_->RecvAtCoordinator(&message)) {
+    ShardReply reply;
+    if (!transport_->RecvAtCoordinator(&reply)) {
       // Fabric closed under us: fail everything still in flight.
       for (auto& [id, state] : inflight_) {
         Complete(&state, Status::Internal("transport closed"), &results);
@@ -320,9 +285,9 @@ std::vector<BatchQueryResult> ServingCluster::QueryBatch(
       inflight_.clear();
       break;
     }
-    auto it = inflight_.find(message.header.query_id);
+    auto it = inflight_.find(reply.query_id);
     if (it == inflight_.end()) continue;  // Stale reply: drop.
-    if (HandleReply(&it->second, message, &results)) {
+    if (HandleReply(&it->second, &reply, &results)) {
       inflight_.erase(it);
       ++completed;
     }

@@ -2,8 +2,8 @@
 //
 // ServingCluster: the scatter-gather coordinator of the sharded serving
 // layer (DESIGN.md §12). Splits a GpssnDatabase's candidate space across N
-// ShardProcesses (partition.h), carries Query/Candidates/Refine/Answer
-// messages over an in-process Transport (transport.h, wire.h), and merges
+// ShardProcesses (partition.h), passes them typed gather and refine
+// requests over an in-process transport (transport.h), and merges
 // per-shard answers with CROSS-SHARD INCUMBENT PRUNING:
 //
 //   1. GATHER   broadcast the query; every shard descends its own index
@@ -12,7 +12,8 @@
 //   2. PLAN     (driver thread) concatenate the shard candidate lists in
 //               shard order — reproducing the single-node candidate order —
 //               then PlanGroups (core/refinement.h), the Plan stage
-//               Execute() runs, under the same options.
+//               Execute() runs, under the same options. Every refine
+//               request of the query shares the one planned group list.
 //   3. REFINE   wave 1: the shard with the SMALLEST lower bound refines
 //               first (unbounded) and establishes the global incumbent.
 //               Wave 2: every other shard whose bound exceeds the incumbent
@@ -46,7 +47,6 @@
 #include "serving/partition.h"
 #include "serving/shard.h"
 #include "serving/transport.h"
-#include "serving/wire.h"
 
 namespace gpssn::serving {
 
@@ -65,7 +65,8 @@ struct ServingOptions {
   /// partitions, and serving rejects it per query with InvalidArgument.
   QueryOptions query;
   /// Deadline applied to every query (seconds; <= 0 = none), armed at
-  /// submit and re-encoded as seconds-remaining on each shard request.
+  /// submit; every shard request carries it as is, so time a request waits
+  /// in a shard inbox counts against it.
   double default_deadline_seconds = 0.0;
   /// Worker threads (= processors) per shard.
   int shard_num_workers = 1;
@@ -119,7 +120,8 @@ class ServingCluster {
     Phase phase = Phase::kGather;
     int outstanding = 0;  // Replies still expected in this phase.
     std::vector<ShardCandidates> per_shard;  // Indexed by shard.
-    std::vector<std::vector<UserId>> groups;
+    // Planned once, then shared by every refine request of the query.
+    std::shared_ptr<const std::vector<std::vector<UserId>>> groups;
     double incumbent = kInfDistance;
     RankedAnswer best;  // The discovery-rank-first shard answer so far.
     int wave1_shard = -1;
@@ -134,7 +136,7 @@ class ServingCluster {
   void StartQuery(uint64_t query_id, size_t slot, const GpssnQuery& query,
                   std::vector<BatchQueryResult>* results);
   /// Processes one shard reply; returns true when the query completed.
-  bool HandleReply(QueryState* state, const TransportMessage& message,
+  bool HandleReply(QueryState* state, ShardReply* reply,
                    std::vector<BatchQueryResult>* results);
   void Plan(QueryState* state);
   bool SendRefine(QueryState* state, uint64_t query_id, int shard,
@@ -142,8 +144,6 @@ class ServingCluster {
   bool SendGather(QueryState* state, uint64_t query_id, int shard);
   void Complete(QueryState* state, Status status,
                 std::vector<BatchQueryResult>* results);
-
-  double DeadlineSecondsRemaining(const QueryState& state) const;
 
   const ServingOptions options_;
   const GpssnDatabase& db_;

@@ -29,91 +29,48 @@ ShardProcess::~ShardProcess() {
 
 void ShardProcess::WorkerLoop() {
   GpssnProcessor processor(config_.poi_index, config_.social_index);
-  TransportMessage message;
-  while (transport_->RecvAtShard(config_.shard_id, &message)) {
-    Handle(&processor, message);
+  ShardRequest request;
+  while (transport_->RecvAtShard(config_.shard_id, &request)) {
+    Handle(&processor, request);
   }
-}
-
-void ShardProcess::Reply(MessageKind kind, uint64_t query_id,
-                         const Status& status, std::vector<uint8_t> payload) {
-  TransportMessage reply;
-  reply.header.kind = static_cast<uint32_t>(kind);
-  reply.header.shard = config_.shard_id;
-  reply.header.query_id = query_id;
-  reply.header.status_code = static_cast<int32_t>(status.code());
-  reply.payload = std::move(payload);
-  reply.header.payload_bytes = reply.payload.size();
-  // A false return means the fabric is closed — the coordinator is gone
-  // and nobody is waiting for this reply.
-  (void)transport_->SendToCoordinator(std::move(reply));
 }
 
 void ShardProcess::Handle(GpssnProcessor* processor,
-                          const TransportMessage& message) {
-  const uint64_t query_id = message.header.query_id;
-
+                          const ShardRequest& request) {
   QueryOptions options = config_.query;
   options.distance_cache = distance_cache_.get();
   options.cancel = config_.cancel;
+  options.deadline = request.deadline;
 
-  auto arm = [&options](double deadline_seconds) {
-    // Re-arming from seconds-remaining loses the request's transport
-    // latency, so the shard's deadline is never EARLIER than the
-    // coordinator's (the coordinator, not the shard, is the authority on
-    // expiring a query).
-    options.deadline = deadline_seconds >= 0.0
-                           ? QueryDeadline::After(deadline_seconds)
-                           : QueryDeadline();
-  };
-
-  switch (static_cast<MessageKind>(message.header.kind)) {
-    case MessageKind::kGatherRequest: {
-      auto request = DecodeGatherRequest(message.payload);
-      if (!request.ok()) {
-        Reply(MessageKind::kCandidates, query_id, request.status(), {});
-        return;
-      }
-      arm(request->deadline_seconds);
-      CandidatesReply reply;
+  ShardReply reply;
+  reply.shard = config_.shard_id;
+  reply.query_id = request.query_id;
+  switch (request.kind) {
+    case ShardRequest::Kind::kGather: {
       auto candidates = processor->GatherCandidates(
-          request->query, options, config_.scope, &reply.stats);
-      if (!candidates.ok()) {
-        Reply(MessageKind::kCandidates, query_id, candidates.status(), {});
-        return;
+          request.query, options, config_.scope, &reply.stats);
+      if (candidates.ok()) {
+        reply.candidates = std::move(*candidates);
+      } else {
+        reply.status = candidates.status();
       }
-      reply.candidates = std::move(*candidates);
-      Reply(MessageKind::kCandidates, query_id, Status::OK(),
-            EncodeCandidatesReply(reply));
-      return;
+      break;
     }
-    case MessageKind::kRefineRequest: {
-      auto request = DecodeRefineRequest(message.payload);
-      if (!request.ok()) {
-        Reply(MessageKind::kAnswer, query_id, request.status(), {});
-        return;
+    case ShardRequest::Kind::kRefine: {
+      auto answer = processor->RefineCandidates(
+          request.query, options, request.centers, *request.groups,
+          request.incumbent, &reply.stats);
+      if (answer.ok()) {
+        reply.answer = std::move(*answer);
+      } else {
+        reply.status = answer.status();
       }
-      arm(request->deadline_seconds);
-      AnswerReply reply;
-      auto result = processor->RefineCandidates(
-          request->query, options, request->centers, request->groups,
-          request->incumbent, &reply.stats);
-      if (!result.ok()) {
-        Reply(MessageKind::kAnswer, query_id, result.status(), {});
-        return;
-      }
-      reply.result = std::move(*result);
-      Reply(MessageKind::kAnswer, query_id, Status::OK(),
-            EncodeAnswerReply(reply));
-      return;
+      break;
     }
-    default:
-      // A reply kind (or garbage) landed in a shard inbox; answer so the
-      // coordinator never hangs on a miscounted gather.
-      Reply(MessageKind::kAnswer, query_id,
-            Status::InvalidArgument("unexpected message kind at shard"), {});
-      return;
   }
+  // A false return means the fabric is closed — the coordinator is gone
+  // and nobody is waiting for this reply.
+  (void)transport_->SendToCoordinator(std::move(reply));
 }
 
 }  // namespace gpssn::serving

@@ -9,10 +9,10 @@
 // receives, so one shard serves up to num_workers in-flight queries
 // concurrently (the coordinator pipelines a batch).
 //
-// Liveness contract: a shard ALWAYS replies — success payload or error
-// status (deadline, cancel, malformed request) — so the coordinator may
-// block on its inbox without timeouts. Once the transport closes, the
-// workers handle what is still buffered in the inbox and exit;
+// Liveness contract: a shard ALWAYS replies — its candidates or answer, or
+// the error status of the stage (invalid query, deadline, cancel) — so the
+// coordinator may block on its inbox without timeouts. Once the transport
+// closes, the workers handle what is still buffered in the inbox and exit;
 // destruction joins them.
 
 #ifndef GPSSN_SERVING_SHARD_H_
@@ -27,7 +27,6 @@
 #include "core/query.h"
 #include "roadnet/distance_cache.h"
 #include "serving/transport.h"
-#include "serving/wire.h"
 
 namespace gpssn::serving {
 
@@ -63,9 +62,7 @@ class ShardProcess {
 
  private:
   void WorkerLoop();
-  void Handle(GpssnProcessor* processor, const TransportMessage& message);
-  void Reply(MessageKind kind, uint64_t query_id, const Status& status,
-             std::vector<uint8_t> payload);
+  void Handle(GpssnProcessor* processor, const ShardRequest& request);
 
   const ShardConfig config_;
   InProcessTransport* const transport_;

@@ -1,11 +1,11 @@
 // Copyright 2026 The gpssn Authors.
 //
-// Transport abstraction of the sharded serving layer (DESIGN.md §12). The
-// coordinator and the shards exchange TransportMessages (wire.h) through
-// endpoint mailboxes; this file provides the in-process implementation —
-// unbounded MPMC queues on the capability-annotated sync layer. Because the
-// payloads are already flat bytes, a socket transport is a drop-in: same
-// envelope, same payload, different carrier.
+// Transport of the sharded serving layer (DESIGN.md §12). The coordinator
+// and the shards are threads of one process over the same immutable
+// indexes, so they exchange typed messages — ShardRequest one way,
+// ShardReply the other — moved through endpoint mailboxes: unbounded MPMC
+// queues on the capability-annotated sync layer. Nothing is encoded; a
+// socket transport would encode these two structs at the socket boundary.
 //
 // Topology: one inbox per shard (coordinator -> shard requests, read by
 // every worker of that shard) plus one coordinator inbox (shard ->
@@ -23,19 +23,52 @@
 #define GPSSN_SERVING_TRANSPORT_H_
 
 #include <atomic>
+#include <cstdint>
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
+#include "common/status.h"
 #include "common/sync.h"
-#include "serving/wire.h"
+#include "core/query.h"
 
 namespace gpssn::serving {
 
-/// Unbounded MPMC queue of TransportMessages. Send never blocks, Recv
-/// blocks while empty; both return false once the mailbox is closed (Recv
-/// drains buffered messages first).
+/// Coordinator -> shard: run the Gather or the Refine stage of one query.
+struct ShardRequest {
+  enum class Kind { kGather, kRefine };
+  Kind kind = Kind::kGather;
+  uint64_t query_id = 0;  // Coordinator-assigned, never reused.
+  GpssnQuery query;
+  /// The coordinator's own deadline, so time the request waits in the
+  /// shard's inbox counts against it.
+  QueryDeadline deadline;
+  // Refine only: the global incumbent, this shard's candidate centers, and
+  // the query's planned group list, which all its refine requests share.
+  double incumbent = kInfDistance;
+  std::vector<PoiId> centers;
+  std::shared_ptr<const std::vector<std::vector<UserId>>> groups;
+};
+
+/// Shard -> coordinator: the stage's status and, when it is OK, the
+/// shard's gather candidates or its refine answer, with the stage's stats.
+/// A shard replies to every request, so the coordinator may block on its
+/// inbox; stale replies are dropped by `query_id`.
+struct ShardReply {
+  int shard = -1;
+  uint64_t query_id = 0;
+  Status status;
+  ShardCandidates candidates;  // Gather.
+  ShardRefineResult answer;    // Refine.
+  QueryStats stats;
+};
+
+/// Unbounded MPMC queue. Send never blocks, Recv blocks while empty; both
+/// return false once the mailbox is closed (Recv drains buffered messages
+/// first).
+template <typename Message>
 class Mailbox {
  public:
   Mailbox() = default;
@@ -43,42 +76,59 @@ class Mailbox {
 
   /// Enqueues `message`. Returns false (message dropped) if the mailbox is
   /// closed.
-  bool Send(TransportMessage message) GPSSN_EXCLUDES(mu_);
+  bool Send(Message message) GPSSN_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (closed_) return false;
+    queue_.push_back(std::move(message));
+    not_empty_.NotifyOne();
+    return true;
+  }
 
   /// Dequeues into `*out`, blocking while the mailbox is empty. Returns
   /// false only when the mailbox is closed AND drained.
-  bool Recv(TransportMessage* out) GPSSN_EXCLUDES(mu_);
+  bool Recv(Message* out) GPSSN_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    while (queue_.empty() && !closed_) {
+      not_empty_.Wait(mu_);
+    }
+    if (queue_.empty()) return false;  // Closed and drained.
+    *out = std::move(queue_.front());
+    queue_.pop_front();
+    return true;
+  }
 
   /// Closes the mailbox: wakes every blocked receiver. Messages already
   /// buffered remain receivable. Idempotent.
-  void Close() GPSSN_EXCLUDES(mu_);
+  void Close() GPSSN_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    closed_ = true;
+    not_empty_.NotifyAll();
+  }
 
  private:
   Mutex mu_;
   CondVar not_empty_;
-  std::deque<TransportMessage> queue_ GPSSN_GUARDED_BY(mu_);
+  std::deque<Message> queue_ GPSSN_GUARDED_BY(mu_);
   bool closed_ GPSSN_GUARDED_BY(mu_) = false;
 };
 
 /// The in-process transport fabric: `num_shards` shard inboxes plus the
 /// coordinator inbox. Thread-safe; the per-message cost is one lock
-/// acquisition and one vector move per hop.
+/// acquisition and two moves per hop.
 class InProcessTransport {
  public:
   explicit InProcessTransport(int num_shards);
   GPSSN_DISALLOW_COPY_AND_MOVE(InProcessTransport);
 
-  int num_shards() const { return num_shards_; }
-
   /// Coordinator -> shard request. False if the fabric is closed.
-  bool SendToShard(int shard, TransportMessage message);
+  bool SendToShard(int shard, ShardRequest request);
   /// Shard -> coordinator reply. False if the fabric is closed.
-  bool SendToCoordinator(TransportMessage message);
+  bool SendToCoordinator(ShardReply reply);
 
   /// Blocking receive on shard `shard`'s inbox (its workers' loop).
-  bool RecvAtShard(int shard, TransportMessage* out);
+  bool RecvAtShard(int shard, ShardRequest* out);
   /// Blocking receive on the coordinator inbox (the event loop).
-  bool RecvAtCoordinator(TransportMessage* out);
+  bool RecvAtCoordinator(ShardReply* out);
 
   /// Closes every mailbox; all blocked parties wake and observe false.
   void Close();
@@ -90,9 +140,8 @@ class InProcessTransport {
   }
 
  private:
-  const int num_shards_;
-  std::vector<std::unique_ptr<Mailbox>> shard_inboxes_;
-  Mailbox coordinator_inbox_;
+  std::vector<std::unique_ptr<Mailbox<ShardRequest>>> shard_inboxes_;
+  Mailbox<ShardReply> coordinator_inbox_;
   std::atomic<uint64_t> messages_sent_{0};
 };
 

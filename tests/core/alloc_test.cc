@@ -3,7 +3,9 @@
 // only inside the measured regions:
 //   - a BufferPool allocates nothing after construction;
 //   - a warm GpssnProcessor::Execute allocates per query and per emitted
-//     group, never per page access, candidate center or ESU step.
+//     group, never per page access, candidate center or ESU step;
+//   - a warm ServingCluster::Query allocates its groups once, not once per
+//     shard that refines them.
 
 #include <gtest/gtest.h>
 
@@ -11,11 +13,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "common/pagestore.h"
 #include "common/rng.h"
 #include "core/database.h"
 #include "core/query.h"
+#include "serving/coordinator.h"
 #include "ssn/dataset.h"
 
 namespace {
@@ -95,10 +99,8 @@ TEST(AllocationTest, BufferPoolNeverAllocatesAfterConstruction) {
 // queries made 3109–3781 allocations against 244–251 page misses.
 constexpr int64_t kPerQueryAllocations = 90;
 
-TEST(AllocationTest, WarmQueryAllocatesPerQueryAndPerGroupOnly) {
-#ifdef GPSSN_AUDIT
-  GTEST_SKIP() << "the audit build's default pruning auditor allocates";
-#endif
+// The network and queries of the warm-query cases.
+GpssnDatabase MakeDatabase() {
   SyntheticSsnOptions data;
   data.num_road_vertices = 1500;
   data.num_pois = 600;
@@ -114,10 +116,11 @@ TEST(AllocationTest, WarmQueryAllocatesPerQueryAndPerGroupOnly) {
   build.poi_index.r_min = 0.5;
   build.poi_index.r_max = 4.0;
   build.seed = 11;
-  GpssnDatabase db(MakeSynthetic(data), build);
-  GpssnProcessor processor(&db.poi_index(), &db.social_index());
+  return GpssnDatabase(MakeSynthetic(data), build);
+}
 
-  int queries_with_groups = 0;
+std::vector<GpssnQuery> WarmQueries() {
+  std::vector<GpssnQuery> queries;
   for (UserId issuer = 0; issuer < 200; issuer += 10) {
     GpssnQuery query;
     query.issuer = issuer;
@@ -125,6 +128,20 @@ TEST(AllocationTest, WarmQueryAllocatesPerQueryAndPerGroupOnly) {
     query.gamma = 0.2;
     query.theta = 0.3;
     query.radius = 2.0;
+    queries.push_back(query);
+  }
+  return queries;
+}
+
+TEST(AllocationTest, WarmQueryAllocatesPerQueryAndPerGroupOnly) {
+#ifdef GPSSN_AUDIT
+  GTEST_SKIP() << "the audit build's default pruning auditor allocates";
+#endif
+  const GpssnDatabase db = MakeDatabase();
+  GpssnProcessor processor(&db.poi_index(), &db.social_index());
+
+  int queries_with_groups = 0;
+  for (const GpssnQuery& query : WarmQueries()) {
     QueryOptions options;
     QueryStats stats;
     // Warm the processor's scratch on this query first.
@@ -136,8 +153,47 @@ TEST(AllocationTest, WarmQueryAllocatesPerQueryAndPerGroupOnly) {
     const int64_t groups = static_cast<int64_t>(stats.groups_enumerated);
     if (groups > 0) ++queries_with_groups;
     EXPECT_LE(allocations, groups + kPerQueryAllocations)
-        << "issuer " << issuer << ", " << stats.io.page_misses
+        << "issuer " << query.issuer << ", " << stats.io.page_misses
         << " page misses";
+  }
+  EXPECT_GT(queries_with_groups, 0);
+}
+
+// C for one warm ServingCluster::Query on 2 shards, the allocations beyond
+// one per emitted group: the coordinator's query state, requests, replies
+// and mailbox nodes, the plan's candidate list, and each shard's Gather
+// and Refine vectors; they grow with the shards, not the groups. Measured
+// at 123–145 over the queries below (gcc 12, libstdc++, x86-64). When each
+// refine request carried its own encoded copy of the group list, the same
+// queries made 157–399, about four more per group.
+constexpr int64_t kPerClusterQueryAllocations = 155;
+
+TEST(AllocationTest, WarmClusterQueryAllocatesItsGroupsOnce) {
+#ifdef GPSSN_AUDIT
+  GTEST_SKIP() << "the audit build's default pruning auditor allocates";
+#endif
+  const GpssnDatabase db = MakeDatabase();
+  serving::ServingOptions options;
+  options.num_shards = 2;
+  options.shard_num_workers = 1;
+  options.shard_distance_cache_entries = 0;
+  auto cluster = serving::ServingCluster::Create(db, options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+
+  int queries_with_groups = 0;
+  for (const GpssnQuery& query : WarmQueries()) {
+    QueryStats stats;
+    // Warm the shards' processors on this query first.
+    ASSERT_TRUE((*cluster)->Query(query, &stats).ok());
+    bool ok = false;
+    const int64_t allocations = CountAllocations(
+        [&] { ok = (*cluster)->Query(query, &stats).ok(); });
+    ASSERT_TRUE(ok);
+    const int64_t groups = static_cast<int64_t>(stats.groups_enumerated);
+    if (groups > 0) ++queries_with_groups;
+    EXPECT_LE(allocations, groups + kPerClusterQueryAllocations)
+        << "issuer " << query.issuer << ", " << stats.refined_shards
+        << " refined shards";
   }
   EXPECT_GT(queries_with_groups, 0);
 }

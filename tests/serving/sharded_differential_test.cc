@@ -175,19 +175,26 @@ TEST(ServingClusterTest, InvalidQueriesFailPerQueryNotPerBatch) {
   bad.issuer = static_cast<UserId>(db.ssn().num_users() + 100);
   GpssnQuery nan_gamma = good;
   nan_gamma.gamma = std::numeric_limits<double>::quiet_NaN();
+  GpssnQuery wide = good;
+  wide.radius = build.poi_index.r_max * 2.0;
 
   // The invalid queries fail on their first shard reply and later (stale)
   // replies for them must be dropped without disturbing the good queries.
-  std::vector<GpssnQuery> batch{good, bad, good, nan_gamma};
+  std::vector<GpssnQuery> batch{good, bad, good, nan_gamma, wide};
   BatchStats stats;
   auto results = (*cluster)->QueryBatch(batch, &stats);
-  ASSERT_EQ(results.size(), 4u);
+  ASSERT_EQ(results.size(), 5u);
   EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
-  EXPECT_TRUE(results[1].status.IsInvalidArgument());
   EXPECT_TRUE(results[2].status.ok()) << results[2].status.ToString();
-  EXPECT_TRUE(results[3].status.IsInvalidArgument());
+  // A failed query reports the shard's own status, message included: the
+  // one the single node returns.
+  for (size_t i : {1, 3, 4}) {
+    const Status single = db.Query(batch[i]).status();
+    EXPECT_TRUE(single.IsInvalidArgument()) << single.ToString();
+    EXPECT_EQ(results[i].status.ToString(), single.ToString()) << "query " << i;
+  }
   EXPECT_EQ(stats.succeeded, 2u);
-  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.failed, 3u);
 
   // The cluster stays serviceable after the failure.
   auto after = (*cluster)->Query(good);
