@@ -15,7 +15,8 @@
 //     results from a fresh engine of that backend, at fixed POI centers
 //     and radii drawn from their own seed (so the query mix is unchanged);
 //   - one 2-shard ServingCluster::QueryBatch over kClusterQueries queries
-//     (one query in flight, so every shard's cache sees a fixed order).
+//     (one query in flight, so the shards fill the database's cache in a
+//     fixed order).
 // Doubles print as %a (exact bits). Every double QueryStats row is a wall
 // time and is left out; everything else is deterministic.
 
@@ -228,7 +229,6 @@ void RunDataset(const Dataset& dataset) {
   serving::ServingOptions options;
   options.num_shards = 2;
   options.max_inflight = 1;
-  options.shard_distance_cache_entries = dataset.cache_entries;
   auto cluster = serving::ServingCluster::Create(db, options);
   PrintStatus(std::string(dataset.name) + " cluster", cluster.status());
   if (!cluster.ok()) return;

@@ -90,11 +90,12 @@ GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn,
       std::make_unique<GpssnProcessor>(poi_index_.get(), social_index_.get());
 }
 
-QueryOptions GpssnDatabase::WithDatabaseDefaults(QueryOptions options) {
+QueryOptions GpssnDatabase::WithDatabaseDefaults(QueryOptions options) const {
   if (options.distance_backend == nullptr) {
     options.distance_backend = backend_.get();
   }
-  if (options.distance_cache == nullptr) {
+  if (options.distance_cache == nullptr &&
+      options.distance_backend == backend_.get()) {
     options.distance_cache = distance_cache_.get();
   }
   return options;

@@ -52,8 +52,9 @@ struct GpssnBuildOptions {
   std::string ch_index_path;
   /// Capacity, in (user, POI) items, of the shared cross-query distance
   /// row cache (roadnet/distance_cache.h); 0 disables it. The cache is
-  /// shared by every query and batch worker of this database and is
-  /// invalidated automatically on AddPoi.
+  /// shared by every query, batch worker and serving shard of this
+  /// database that runs on its distance backend, and is invalidated
+  /// automatically on AddPoi.
   size_t distance_cache_entries = 0;
 };
 
@@ -83,8 +84,18 @@ class GpssnDatabase {
   /// The database-level distance backend (null when the build options
   /// selected kDijkstra: the processor's built-in engine is used).
   const DistanceBackend* distance_backend() const { return backend_.get(); }
-  /// The shared cross-query distance cache (null when disabled).
-  DistanceCache* distance_cache() { return distance_cache_.get(); }
+  /// The shared cross-query distance cache (null when disabled). It is
+  /// internally synchronized, so a const database hands it out too.
+  DistanceCache* distance_cache() const { return distance_cache_.get(); }
+
+  /// `options` with the database's defaults filled in: a null
+  /// `distance_backend` becomes the database's backend, and a null
+  /// `distance_cache` becomes the database's cache when the query then
+  /// runs on the database's backend. A cache holds one engine's rows,
+  /// and engines may differ in the last bit, so a caller's own backend
+  /// gets no cache unless it brings one. Every entry point (Query,
+  /// QueryTopK, QueryBatch, serving::ServingCluster) applies this.
+  QueryOptions WithDatabaseDefaults(QueryOptions options) const;
 
   /// Answers a GP-SSN query (see GpssnProcessor::Execute).
   Result<GpssnAnswer> Query(const GpssnQuery& query,
@@ -123,10 +134,6 @@ class GpssnDatabase {
       GPSSN_EXCLUDES(maintenance_mu_);
 
  private:
-  /// Fills the distance backend / cache fields of `options` from the
-  /// database-level defaults when the caller left them null.
-  QueryOptions WithDatabaseDefaults(QueryOptions options);
-
   // Serializes the dynamic-maintenance mutators (AddPoi,
   // UpdateUserInterests) against EACH OTHER: two concurrent AddPoi calls
   // used to interleave their ssn_ append / I_R patch / processor swap with

@@ -32,14 +32,10 @@ Result<std::unique_ptr<ServingCluster>> ServingCluster::Create(
 ServingCluster::ServingCluster(const GpssnDatabase& db,
                                const ServingOptions& options,
                                ServingPartition partition)
-    : options_(options), db_(db), partition_(std::move(partition)) {
-  shard_query_options_ = options_.query;
-  if (shard_query_options_.distance_backend == nullptr) {
-    shard_query_options_.distance_backend = db_.distance_backend();
-  }
-  // Shards own their caches; never inherit the database's.
-  shard_query_options_.distance_cache = nullptr;
-
+    : options_(options),
+      db_(db),
+      partition_(std::move(partition)),
+      shard_query_options_(db.WithDatabaseDefaults(options.query)) {
   transport_ = std::make_unique<InProcessTransport>(options_.num_shards);
   shards_.reserve(options_.num_shards);
   for (int s = 0; s < options_.num_shards; ++s) {
@@ -48,7 +44,6 @@ ServingCluster::ServingCluster(const GpssnDatabase& db,
     config.scope = partition_.scopes[s];
     config.query = shard_query_options_;
     config.num_workers = options_.shard_num_workers;
-    config.distance_cache_entries = options_.shard_distance_cache_entries;
     config.poi_index = &db_.poi_index();
     config.social_index = &db_.social_index();
     config.cancel = &cancel_;

@@ -59,10 +59,14 @@ struct ServingOptions {
   /// queries' gathers and refines keep the remaining shards busy. It is
   /// also the flow control: the mailboxes are unbounded.
   int max_inflight = 8;
-  /// Base processor options for every shard. `distance_backend` left null
-  /// is filled from the database (CH when the database built one);
-  /// `subset_sampling` must be off — sampling is nondeterministic across
-  /// partitions, and serving rejects it per query with InvalidArgument.
+  /// Base processor options for every shard, with the database's
+  /// defaults filled in (GpssnDatabase::WithDatabaseDefaults): a null
+  /// `distance_backend` runs the database's backend, and a null
+  /// `distance_cache` on that backend reads and fills the database's
+  /// cache, the one the serial path and batch workers share. A cache set
+  /// here is used instead. `subset_sampling` must be off — sampling is
+  /// nondeterministic across partitions, and serving rejects it per query
+  /// with InvalidArgument.
   QueryOptions query;
   /// Deadline applied to every query (seconds; <= 0 = none), armed at
   /// submit; every shard request carries it as is, so time a request waits
@@ -70,8 +74,9 @@ struct ServingOptions {
   double default_deadline_seconds = 0.0;
   /// Worker threads (= processors) per shard.
   int shard_num_workers = 1;
-  /// Entry budget of each shard-private distance cache; 0 disables.
-  size_t shard_distance_cache_entries = 1u << 18;
+  /// Ignored: shards have no private cache (see `query`). Kept only while
+  /// perfbench still sets it; the ROADMAP lists its deletion.
+  size_t shard_distance_cache_entries = 0;
 };
 
 /// An in-process N-shard serving cluster over one GpssnDatabase's indexes.
@@ -80,9 +85,10 @@ struct ServingOptions {
 class ServingCluster {
  public:
   /// Builds the partition, transport fabric, and shard processes over the
-  /// database's immutable indexes (which must outlive the cluster; dynamic
-  /// maintenance must be quiesced while a cluster is attached, as for
-  /// queries). Fails on an invalid partition or options.
+  /// database's immutable indexes, backend and distance cache (which must
+  /// outlive the cluster; dynamic maintenance must be quiesced while a
+  /// cluster is attached, as for queries). Fails on an invalid partition
+  /// or options.
   static Result<std::unique_ptr<ServingCluster>> Create(
       const GpssnDatabase& db, const ServingOptions& options = {});
 
@@ -148,8 +154,8 @@ class ServingCluster {
   const ServingOptions options_;
   const GpssnDatabase& db_;
   ServingPartition partition_;
-  QueryOptions shard_query_options_;  // Backend default filled in.
-  SocialScratch plan_scratch_;        // Plan's social scratch (PlanGroups).
+  const QueryOptions shard_query_options_;  // Database defaults filled in.
+  SocialScratch plan_scratch_;  // Plan's social scratch (PlanGroups).
   std::atomic<bool> cancel_{false};
   uint64_t next_query_id_ = 1;  // Never reused (stale-reply detection).
   std::unordered_map<uint64_t, QueryState> inflight_;

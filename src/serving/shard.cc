@@ -8,11 +8,6 @@ namespace gpssn::serving {
 ShardProcess::ShardProcess(const ShardConfig& config,
                            InProcessTransport* transport)
     : config_(config), transport_(transport) {
-  if (config_.distance_cache_entries > 0) {
-    DistanceCacheOptions cache_options;
-    cache_options.max_entries = config_.distance_cache_entries;
-    distance_cache_ = std::make_unique<DistanceCache>(cache_options);
-  }
   const int num_workers = std::max(config_.num_workers, 1);
   workers_.reserve(num_workers);
   for (int w = 0; w < num_workers; ++w) {
@@ -38,7 +33,6 @@ void ShardProcess::WorkerLoop() {
 void ShardProcess::Handle(GpssnProcessor* processor,
                           const ShardRequest& request) {
   QueryOptions options = config_.query;
-  options.distance_cache = distance_cache_.get();
   options.cancel = config_.cancel;
   options.deadline = request.deadline;
 

@@ -1,10 +1,9 @@
 // Copyright 2026 The gpssn Authors.
 //
 // ShardProcess: one serving shard (DESIGN.md §12). Owns its slice of the
-// candidate space (a ShardScope from the partitioner), its worker threads
-// with one GpssnProcessor each, and its own DistanceCache — the same
-// per-node resources a standalone GpssnDatabase instance would own — over
-// the shared immutable indexes and distance backend. Every worker reads
+// candidate space (a ShardScope from the partitioner) and its worker
+// threads with one GpssnProcessor each, over the shared immutable indexes,
+// distance backend and distance cache of the process. Every worker reads
 // the shard's transport inbox itself and handles each request it
 // receives, so one shard serves up to num_workers in-flight queries
 // concurrently (the coordinator pipelines a batch).
@@ -19,13 +18,11 @@
 #define GPSSN_SERVING_SHARD_H_
 
 #include <atomic>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/macros.h"
 #include "core/query.h"
-#include "roadnet/distance_cache.h"
 #include "serving/transport.h"
 
 namespace gpssn::serving {
@@ -34,15 +31,14 @@ struct ShardConfig {
   int shard_id = 0;
   /// The index subtrees this shard owns (from MakeServingPartition).
   ShardScope scope;
-  /// Base processor options; the shard layers per-request deadline/cancel
-  /// and its own distance cache on top. `distance_backend` selects the
-  /// shared engine (CH or built-in Dijkstra) exactly as on the single-node
-  /// path.
+  /// Base processor options; the shard layers per-request deadline and
+  /// cancel on top. `distance_backend` and `distance_cache` are shared by
+  /// every shard (the coordinator fills in the database's defaults) and
+  /// used exactly as on the single-node path; a shard has no cache of its
+  /// own.
   QueryOptions query;
   /// Worker threads (= processors); values below 1 run one.
   int num_workers = 1;
-  /// Item budget of the shard-private DistanceCache; 0 disables caching.
-  size_t distance_cache_entries = 1u << 18;
   /// Shared immutable indexes (must outlive the shard).
   const PoiIndex* poi_index = nullptr;
   const SocialIndex* social_index = nullptr;
@@ -66,7 +62,6 @@ class ShardProcess {
 
   const ShardConfig config_;
   InProcessTransport* const transport_;
-  std::unique_ptr<DistanceCache> distance_cache_;
   // Last member: joined before the state above dies.
   std::vector<std::thread> workers_;
 };

@@ -176,7 +176,6 @@ TEST(AllocationTest, WarmClusterQueryAllocatesItsGroupsOnce) {
   serving::ServingOptions options;
   options.num_shards = 2;
   options.shard_num_workers = 1;
-  options.shard_distance_cache_entries = 0;
   auto cluster = serving::ServingCluster::Create(db, options);
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/database.h"
 #include "roadnet/distance_backend.h"
 #include "roadnet/distance_cache.h"
@@ -139,6 +141,74 @@ TEST(BackendDatabaseTest, DatabaseLevelChAndCacheProduceSameAnswers) {
   }
   // The warm cache must have produced row hits by now on repeat issuers.
   EXPECT_GT(fast_db.distance_cache()->GetStats().insertions, 0u);
+}
+
+// A cache holds one engine's rows, and CH and Dijkstra distances may
+// differ in the last bit: a query on a caller's backend must neither read
+// nor fill the database's cache, so its answers equal a cache-less run.
+TEST(BackendDatabaseTest, CallerBackendNeverUsesTheDatabaseCache) {
+  SyntheticSsnOptions data;
+  data.num_road_vertices = 150;
+  data.num_pois = 50;
+  data.num_users = 70;
+  data.seed = 34;
+  GpssnBuildOptions build;
+  build.poi_index.r_min = 0.3;
+  build.poi_index.r_max = 4.5;
+  build.distance_cache_entries = 1u << 16;
+  GpssnDatabase db(MakeSynthetic(data), build);
+  ASSERT_EQ(db.distance_backend(), nullptr);
+  const DistanceCache* cache = db.distance_cache();
+  ASSERT_NE(cache, nullptr);
+  const auto ch_backend = MakeChBackend(&db.ssn().road(), &db.ssn().pois());
+  GpssnProcessor uncached(&db.poi_index(), &db.social_index());
+  QueryOptions with_ch;
+  with_ch.distance_backend = ch_backend.get();
+
+  Rng rng(8);
+  std::vector<GpssnQuery> answered;
+  for (int trial = 0; trial < 6; ++trial) {
+    GpssnQuery q;
+    q.issuer = static_cast<UserId>(rng.NextBounded(db.ssn().num_users()));
+    q.tau = 2 + static_cast<int>(rng.NextBounded(3));
+    q.gamma = rng.UniformDouble(0.05, 0.4);
+    q.theta = rng.UniformDouble(0.05, 0.5);
+    q.radius = rng.UniformDouble(0.5, 4.0);
+    // Dijkstra rows for this query's users go into the database's cache.
+    ASSERT_TRUE(db.Query(q).ok());
+    const DistanceCache::Stats before = cache->GetStats();
+
+    QueryStats stats;
+    auto got = db.Query(q, with_ch, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const DistanceCache::Stats after = cache->GetStats();
+    EXPECT_EQ(after.hits, before.hits) << "trial " << trial;
+    EXPECT_EQ(after.misses, before.misses) << "trial " << trial;
+    EXPECT_EQ(after.insertions, before.insertions) << "trial " << trial;
+    EXPECT_EQ(after.entries, before.entries) << "trial " << trial;
+    EXPECT_EQ(stats.dist_cache_row_hits + stats.dist_cache_row_misses, 0u);
+
+    auto want = uncached.Execute(q, with_ch);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_EQ(want->found, got->found) << "trial " << trial;
+    if (!want->found) continue;
+    answered.push_back(q);
+    EXPECT_EQ(want->users, got->users) << "trial " << trial;
+    EXPECT_EQ(want->center, got->center) << "trial " << trial;
+    EXPECT_EQ(want->pois, got->pois) << "trial " << trial;
+    EXPECT_EQ(want->max_dist, got->max_dist) << "trial " << trial;
+  }
+  ASSERT_FALSE(answered.empty()) << "no answer, so no rows were compared";
+  EXPECT_GT(cache->GetStats().insertions, 0u);
+
+  // A cache the caller brings with its backend is still used.
+  DistanceCache ch_cache;
+  QueryOptions ch_with_cache = with_ch;
+  ch_with_cache.distance_cache = &ch_cache;
+  const DistanceCache::Stats before = cache->GetStats();
+  ASSERT_TRUE(db.Query(answered.front(), ch_with_cache).ok());
+  EXPECT_GT(ch_cache.GetStats().insertions, 0u);
+  EXPECT_EQ(cache->GetStats().misses, before.misses);
 }
 
 // 20 random networks × 4 queries × 6 configurations.
