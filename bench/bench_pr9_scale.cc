@@ -2,7 +2,7 @@
 // synthetic grid it measures
 //
 //   1. CH construction;
-//   2. index persistence — SaveRoadIndex once, then mmap cold-start
+//   2. index persistence — SaveRoadIndex once, then loading the file back
 //      (LoadRoadIndex) vs rebuilding the hierarchy from scratch. The
 //      rebuild must be bitwise identical to the first build (the build is
 //      deterministic) and to the loaded index.
@@ -100,7 +100,7 @@ void Run() {
               build_serial_s, static_cast<long long>(serial.num_shortcuts()),
               serial.build_rounds());
 
-  // --- 2. Persistence: save once, mmap cold-start vs rebuild -----------
+  // --- 2. Persistence: save once, load vs rebuild ---------------------
   const char* index_env = std::getenv("GPSSN_BENCH_PR9_INDEX");
   const std::string path =
       index_env != nullptr ? index_env : "bench_pr9.gpssnidx";
@@ -119,7 +119,7 @@ void Run() {
   rebuilt.Build(&g);
   const double rebuild_s = Now() - t0;
   const bool build_identical = BitIdentical(serial, rebuilt);
-  std::printf("persistence:          save %.3f s, mmap load %.3f s, "
+  std::printf("persistence:          save %.3f s, load %.3f s, "
               "rebuild %.2f s (load %.0fx faster; rebuild identical: %s)\n",
               save_s, load_s, rebuild_s,
               load_s > 0.0 ? rebuild_s / load_s : 0.0,

@@ -11,8 +11,9 @@
 #     GPSSN_BENCH_PR9_SIDE=1000 runs it at 10^6 vertices):
 #       * the CH build is deterministic: building twice gives bitwise
 #         identical hierarchies
-#       * mmap cold-start (LoadRoadIndex) strictly faster than rebuilding
-#         the hierarchy
+#       * loading the index file (LoadRoadIndex) strictly faster than
+#         rebuilding the hierarchy (check mmap_load_beats_rebuild, a name
+#         kept from when the loader mapped the file)
 #
 #   - PR 10 (sharded scatter-gather serving, BENCH_PR10.json):
 #       * sharded answers byte-identical to single-node at shard counts
@@ -119,7 +120,7 @@ EOF
 
 PR9_OUT="$(dirname "$OUT")/BENCH_PR9.json"
 
-echo "=== bench_pr9_scale: CH build / mmap load ==="
+echo "=== bench_pr9_scale: CH build / index load ==="
 GPSSN_BENCH_PR9_SIDE="${GPSSN_BENCH_PR9_SIDE:-220}" \
   GPSSN_BENCH_PR9_JSON="$TMP/pr9.json" \
   GPSSN_BENCH_PR9_INDEX="$TMP/pr9.gpssnidx" \

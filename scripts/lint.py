@@ -32,11 +32,11 @@ Rules (each finding prints `path:line: [rule] message`, exit status 1):
                    flag with an external barrier, ...).
   serialized-struct
                    A struct marked `// gpssn-serialized(bytes=N)` (the
-                   convention for structs written to / mmap'd from index
+                   convention for structs written to / read from index
                    files, see roadnet/index_io.h) must be pinned by two
                    same-file static_asserts: std::is_trivially_copyable_v
                    and sizeof == N. Without them a refactor can silently
-                   change the on-disk layout or make memcpy/mmap UB.
+                   change the on-disk layout or make memcpy UB.
   lock-order       Named mutexes declare their acquisition order in
                    `gpssn-lock-order: a -> b -> c` comments (collected from
                    the scanned tree). Nested MutexLock / ReaderMutexLock /

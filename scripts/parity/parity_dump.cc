@@ -7,7 +7,9 @@
 // 2^19-entry shared distance cache, as perfbench's uni-ch and zipf-maint):
 //   - a fresh ContractionHierarchy of the road network under default
 //     ChOptions: FNV-1a digests of its ranks(), up_offsets() and up_arcs()
-//     bytes, its shortcut count and its round count;
+//     bytes, its shortcut count and its round count; then the same digests
+//     and shortcut count of that hierarchy after SaveRoadIndex to a
+//     temporary file and LoadRoadIndex back;
 //   - kQueries queries: Query at a random radius and τ, then QueryTopK(3)
 //     of the same query, with an AddPoi every kAddPoiEvery queries;
 //   - on a database that owns a backend (the CH one), after the build and
@@ -20,9 +22,12 @@
 // Doubles print as %a (exact bits). Every double QueryStats row is a wall
 // time and is left out; everything else is deterministic.
 
+#include <unistd.h>
+
 #include <cinttypes>
 #include <cstddef>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
@@ -31,6 +36,7 @@
 #include "common/rng.h"
 #include "core/database.h"
 #include "roadnet/contraction_hierarchy.h"
+#include "roadnet/index_io.h"
 #include "serving/coordinator.h"
 #include "ssn/dataset.h"
 
@@ -136,6 +142,24 @@ void PrintHierarchy(const char* dataset, const RoadNetwork& road) {
               " up_arcs=%016" PRIx64 " shortcuts=%d rounds=%d\n",
               dataset, Fnv1a(ch.ranks()), Fnv1a(ch.up_offsets()),
               Fnv1a(ch.up_arcs()), ch.num_shortcuts(), ch.build_rounds());
+
+  // The same hierarchy through the index file's save and load path.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("gpssn-parity-" + std::to_string(::getpid()) + "-" + dataset +
+        ".gpssnidx"))
+          .string();
+  const Status saved = SaveRoadIndex(road, ch, path);
+  const Result<RoadIndexBundle> loaded =
+      saved.ok() ? LoadRoadIndex(path) : Result<RoadIndexBundle>(saved);
+  std::filesystem::remove(path);
+  PrintStatus(std::string(dataset) + " loaded_ch", loaded.status());
+  if (!loaded.ok()) return;
+  const ContractionHierarchy& back = *loaded->ch;
+  std::printf("%s loaded_ch ranks=%016" PRIx64 " up_offsets=%016" PRIx64
+              " up_arcs=%016" PRIx64 " shortcuts=%d\n",
+              dataset, Fnv1a(back.ranks()), Fnv1a(back.up_offsets()),
+              Fnv1a(back.up_arcs()), back.num_shortcuts());
 }
 
 struct BallProbe {

@@ -1,13 +1,6 @@
 #include "common/pagestore.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 
 namespace gpssn {
 
@@ -149,57 +142,6 @@ void BufferPool::Clear() {
   std::fill(table_.begin(), table_.end(), Bucket());
   used_ = 0;
   head_ = tail_ = kNoSlot;
-}
-
-MappedFile::~MappedFile() {
-  if (addr_ != nullptr) ::munmap(addr_, size_);
-}
-
-MappedFile::MappedFile(MappedFile&& other) noexcept
-    : addr_(other.addr_), size_(other.size_) {
-  other.addr_ = nullptr;
-  other.size_ = 0;
-}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this != &other) {
-    if (addr_ != nullptr) ::munmap(addr_, size_);
-    addr_ = other.addr_;
-    size_ = other.size_;
-    other.addr_ = nullptr;
-    other.size_ = 0;
-  }
-  return *this;
-}
-
-Result<MappedFile> MappedFile::Open(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  struct ::stat st {};
-  if (::fstat(fd, &st) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::IoError("cannot stat " + path + ": " + err);
-  }
-  MappedFile mapped;
-  if (st.st_size <= 0) {  // mmap rejects a zero length.
-    ::close(fd);
-    return mapped;
-  }
-  const size_t bytes = static_cast<size_t>(st.st_size);
-  void* addr = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
-  // The mapping holds its own reference to the file; the descriptor can go.
-  ::close(fd);
-  if (addr == MAP_FAILED) {
-    return Status::IoError("cannot mmap " + path + ": " +
-                           std::strerror(errno));
-  }
-  mapped.addr_ = addr;
-  mapped.size_ = bytes;
-  return mapped;
 }
 
 }  // namespace gpssn

@@ -12,12 +12,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/macros.h"
-#include "common/result.h"
-#include "common/status.h"
 
 namespace gpssn {
 
@@ -125,36 +122,6 @@ class BufferPool {
   int shift_ = 0;            // 64 − log2(table size).
   std::vector<Slot> slots_;
   std::vector<Bucket> table_;
-};
-
-/// Read-only memory mapping of a whole file — the real-disk counterpart of
-/// the simulated page store above. Index loaders (roadnet/index_io) map a
-/// preprocessed index file and hand out zero-copy spans into it, so a
-/// multi-million-vertex network cold-starts without materializing the
-/// hierarchy in anonymous memory and can stay partially out-of-core (pages
-/// fault in on first touch). Move-only RAII; the mapping lives until
-/// destruction.
-class MappedFile {
- public:
-  MappedFile() = default;
-  ~MappedFile();
-
-  MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  /// Maps `path` read-only. Fails with IoError for missing or unreadable
-  /// files. An empty file opens unmapped: size() 0, data() null.
-  static Result<MappedFile> Open(const std::string& path);
-
-  bool valid() const { return addr_ != nullptr; }
-  const uint8_t* data() const { return static_cast<const uint8_t*>(addr_); }
-  size_t size() const { return size_; }
-
- private:
-  void* addr_ = nullptr;
-  size_t size_ = 0;
 };
 
 }  // namespace gpssn

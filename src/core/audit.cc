@@ -169,7 +169,7 @@ AuditReport AuditPoiIndex(const PoiIndex& index) {
   const SpatialSocialNetwork& ssn = index.ssn();
   const double r_max = index.options().r_max;
   DijkstraEngine engine(&ssn.road());
-  const PoiLocator locator(&ssn.road(), &ssn.pois());
+  PoiLocator locator(&ssn.road(), &ssn.pois());
   const int num_pois = ssn.num_pois();
   for (PoiId id = 0; id < num_pois; ++id) {
     const PoiAug& aug = index.poi_aug(id);
@@ -435,6 +435,22 @@ AuditReport AuditSocialIndex(const SocialIndex& index) {
     }
   }
   return report;
+}
+
+void AuditIndexesOrDie(const PoiIndex& poi_index,
+                       const SocialIndex& social_index) {
+  const AuditReport poi_report = AuditPoiIndex(poi_index);
+  if (!poi_report.ok()) {
+    std::fprintf(stderr, "I_R audit failed:\n%s\n",
+                 poi_report.ToString().c_str());
+    std::abort();
+  }
+  const AuditReport social_report = AuditSocialIndex(social_index);
+  if (!social_report.ok()) {
+    std::fprintf(stderr, "I_S audit failed:\n%s\n",
+                 social_report.ToString().c_str());
+    std::abort();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@
 //     lemma, the candidate, and both sides of the violated inequality.
 //
 // In GPSSN_AUDIT builds (cmake -DGPSSN_AUDIT=ON, preset "audit") every
-// GpssnProcessor validates both indexes at construction and installs a
+// GpssnProcessor validates both indexes at construction, as does every
+// GpssnDatabase::AddPoi after patching I_R, and every processor installs a
 // default auditor that aborts on the first unsound prune. In normal builds
 // the layer compiles but costs one null-pointer test per prune event;
 // tests can install an auditor explicitly via QueryOptions::auditor.
@@ -86,6 +87,12 @@ AuditReport AuditPoiIndex(const PoiIndex& index);
 /// interest (Eqs. 9-10), social-pivot (Eqs. 11-12) and road-pivot
 /// (Eqs. 13-14) lb/ub boxes contain every member user.
 AuditReport AuditSocialIndex(const SocialIndex& index);
+
+/// Runs AuditPoiIndex and AuditSocialIndex and aborts with the failing
+/// report on any issue. GPSSN_AUDIT builds call it when a processor is
+/// constructed and after every GpssnDatabase::AddPoi.
+void AuditIndexesOrDie(const PoiIndex& poi_index,
+                       const SocialIndex& social_index);
 
 /// The pruning rule behind an audited event (names match the lemmas of
 /// Sections 3-4, see core/pruning.h).

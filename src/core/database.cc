@@ -1,6 +1,9 @@
 #include "core/database.h"
 
+#include <utility>
+
 #include "common/macros.h"
+#include "core/audit.h"
 
 namespace gpssn {
 
@@ -9,67 +12,55 @@ GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn)
 
 GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn,
                              const GpssnBuildOptions& options)
-    : ssn_(std::move(ssn)) {
-  GPSSN_CHECK_OK(ssn_.Validate());
-  GPSSN_CHECK(options.num_road_pivots >= 1);
-  GPSSN_CHECK(options.num_social_pivots >= 1);
-
-  PivotSelectOptions select = options.pivot_select;
-  select.seed = options.seed;
-  std::vector<VertexId> road_pivot_ids;
-  std::vector<UserId> social_pivot_ids;
-  if (options.optimize_pivots) {
-    road_pivot_ids =
-        SelectRoadPivots(ssn_.road(), options.num_road_pivots, select);
-    social_pivot_ids =
-        SelectSocialPivots(ssn_.social(), options.num_social_pivots, select);
-  } else {
-    road_pivot_ids =
-        RandomRoadPivots(ssn_.road(), options.num_road_pivots, options.seed);
-    social_pivot_ids = RandomSocialPivots(
-        ssn_.social(), options.num_social_pivots, options.seed);
-  }
-  road_pivots_ = RoadPivotTable(ssn_.road(), std::move(road_pivot_ids));
-  social_pivots_ = SocialPivotTable(ssn_.social(), std::move(social_pivot_ids));
-
-  PoiIndexOptions poi_options = options.poi_index;
-  poi_options.seed = options.seed;
-  poi_index_ = std::make_unique<PoiIndex>(&ssn_, &road_pivots_, poi_options);
-
-  SocialIndexOptions social_options = options.social_index;
-  social_options.seed = options.seed;
-  social_index_ = std::make_unique<SocialIndex>(&ssn_, &social_pivots_,
-                                                &road_pivots_, social_options);
-
-  if (options.distance_backend == DistanceBackendKind::kContractionHierarchy) {
-    backend_ = MakeChBackend(&ssn_.road(), &ssn_.pois(), options.ch,
-                             options.ch_index_path);
-  }
-  if (options.distance_cache_entries > 0) {
-    DistanceCacheOptions cache_options;
-    cache_options.max_entries = options.distance_cache_entries;
-    distance_cache_ = std::make_unique<DistanceCache>(cache_options);
-  }
-
-  processor_ =
-      std::make_unique<GpssnProcessor>(poi_index_.get(), social_index_.get());
-}
+    : GpssnDatabase(std::move(ssn), options, std::nullopt) {}
 
 GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn,
                              const GpssnBuildOptions& options,
                              std::vector<VertexId> road_pivot_ids,
                              std::vector<UserId> social_pivot_ids,
                              std::vector<PoiAug> poi_augs)
-    : ssn_(std::move(ssn)) {
+    : GpssnDatabase(std::move(ssn), options,
+                    Restored{std::move(road_pivot_ids),
+                             std::move(social_pivot_ids),
+                             std::move(poi_augs)}) {}
+
+GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn,
+                             const GpssnBuildOptions& options,
+                             std::optional<Restored> restored)
+    : ssn_(std::move(ssn)), options_(options) {
   GPSSN_CHECK_OK(ssn_.Validate());
+  std::vector<VertexId> road_pivot_ids;
+  std::vector<UserId> social_pivot_ids;
+  if (restored.has_value()) {
+    road_pivot_ids = std::move(restored->road_pivot_ids);
+    social_pivot_ids = std::move(restored->social_pivot_ids);
+  } else {
+    GPSSN_CHECK(options.num_road_pivots >= 1);
+    GPSSN_CHECK(options.num_social_pivots >= 1);
+    PivotSelectOptions select = options.pivot_select;
+    select.seed = options.seed;
+    if (options.optimize_pivots) {
+      road_pivot_ids =
+          SelectRoadPivots(ssn_.road(), options.num_road_pivots, select);
+      social_pivot_ids =
+          SelectSocialPivots(ssn_.social(), options.num_social_pivots, select);
+    } else {
+      road_pivot_ids =
+          RandomRoadPivots(ssn_.road(), options.num_road_pivots, options.seed);
+      social_pivot_ids = RandomSocialPivots(
+          ssn_.social(), options.num_social_pivots, options.seed);
+    }
+  }
   road_pivots_ = RoadPivotTable(ssn_.road(), std::move(road_pivot_ids));
-  social_pivots_ =
-      SocialPivotTable(ssn_.social(), std::move(social_pivot_ids));
+  social_pivots_ = SocialPivotTable(ssn_.social(), std::move(social_pivot_ids));
 
   PoiIndexOptions poi_options = options.poi_index;
   poi_options.seed = options.seed;
-  poi_index_ = std::make_unique<PoiIndex>(&ssn_, &road_pivots_, poi_options,
-                                          std::move(poi_augs));
+  poi_index_ =
+      restored.has_value()
+          ? std::make_unique<PoiIndex>(&ssn_, &road_pivots_, poi_options,
+                                       std::move(restored->poi_augs))
+          : std::make_unique<PoiIndex>(&ssn_, &road_pivots_, poi_options);
 
   SocialIndexOptions social_options = options.social_index;
   social_options.seed = options.seed;
@@ -143,13 +134,9 @@ Result<PoiId> GpssnDatabase::AddPoi(const EdgePosition& position,
   GPSSN_ASSIGN_OR_RETURN(const PoiId id,
                          ssn_.AddPoi(position, std::move(keywords)));
   GPSSN_RETURN_NOT_OK(poi_index_->InsertPoi(id));
-  // Bump the backend's generation so every cached engine — processor-
-  // plugged or batch-lane — is recreated, with a PoiLocator over the grown
-  // POI set, before its next use.
-  if (backend_ != nullptr) backend_->NotifyPoisMutated();
-  // The processor caches a POI locator; rebuild it over the grown set.
-  processor_ =
-      std::make_unique<GpssnProcessor>(poi_index_.get(), social_index_.get());
+#ifdef GPSSN_AUDIT
+  AuditIndexesOrDie(*poi_index_, *social_index_);
+#endif
   // Cached (user, poi) distances to OTHER POIs stay valid (the road graph
   // is unchanged — the new POI only lands on an existing edge), so a
   // wholesale Clear() would throw away every hit the batch workers have

@@ -9,6 +9,7 @@
 #define GPSSN_CORE_DATABASE_H_
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,7 +46,7 @@ struct GpssnBuildOptions {
   /// CH construction knobs (used only for kContractionHierarchy).
   ChOptions ch;
   /// Persistence path for the graph + CH index (kContractionHierarchy
-  /// only; empty = always build in-process). When set, construction mmaps
+  /// only; empty = always build in-process). When set, construction loads
   /// a previously saved index from this file if its checksums validate
   /// and it matches the road network, and otherwise builds and saves one
   /// (see roadnet/index_io.h).
@@ -76,6 +77,8 @@ class GpssnDatabase {
 
   GPSSN_DISALLOW_COPY_AND_MOVE(GpssnDatabase);
 
+  /// The options the database was built with (a snapshot saves them).
+  const GpssnBuildOptions& build_options() const { return options_; }
   const SpatialSocialNetwork& ssn() const { return ssn_; }
   const RoadPivotTable& road_pivots() const { return road_pivots_; }
   const SocialPivotTable& social_pivots() const { return social_pivots_; }
@@ -119,8 +122,8 @@ class GpssnDatabase {
       const BatchExecutorOptions& options = {}, BatchStats* stats = nullptr);
 
   /// Dynamic maintenance: a new facility opens on an existing road edge.
-  /// Appends the POI, patches I_R (see PoiIndex::InsertPoi), and refreshes
-  /// the query processor. Returns the new POI id. Maintenance calls
+  /// Appends the POI, patches I_R (see PoiIndex::InsertPoi), and drops the
+  /// new id's column from the distance cache. Returns the new POI id. Maintenance calls
   /// serialize on maintenance_mu_ (single-writer); they must still not
   /// overlap concurrent queries — see the class comment.
   Result<PoiId> AddPoi(const EdgePosition& position,
@@ -134,16 +137,28 @@ class GpssnDatabase {
       GPSSN_EXCLUDES(maintenance_mu_);
 
  private:
+  /// What a snapshot restores instead of recomputing.
+  struct Restored {
+    std::vector<VertexId> road_pivot_ids;
+    std::vector<UserId> social_pivot_ids;
+    std::vector<PoiAug> poi_augs;
+  };
+  /// The body of both public constructors: selects the pivots and computes
+  /// I_R's augmentations unless `restored` carries them.
+  GpssnDatabase(SpatialSocialNetwork ssn, const GpssnBuildOptions& options,
+                std::optional<Restored> restored);
+
   // Serializes the dynamic-maintenance mutators (AddPoi,
   // UpdateUserInterests) against EACH OTHER: two concurrent AddPoi calls
-  // used to interleave their ssn_ append / I_R patch / processor swap with
-  // no lock at all. Queries are NOT covered — the reader side of
+  // used to interleave their ssn_ append and I_R patch with no lock at
+  // all. Queries are NOT covered — the reader side of
   // maintenance-vs-query isolation is the ROADMAP's snapshot-isolation
   // item; until then callers must quiesce queries around maintenance,
   // exactly as before.
   Mutex maintenance_mu_;
 
   SpatialSocialNetwork ssn_;
+  GpssnBuildOptions options_;
   RoadPivotTable road_pivots_;
   SocialPivotTable social_pivots_;
   std::unique_ptr<PoiIndex> poi_index_;

@@ -83,18 +83,7 @@ GpssnProcessor::GpssnProcessor(const PoiIndex* poi_index,
 #ifdef GPSSN_AUDIT
   // Audit builds: refuse to run queries over structurally corrupt indexes,
   // and default every query to the abort-on-violation soundness sampler.
-  const AuditReport poi_report = AuditPoiIndex(*poi_index);
-  if (!poi_report.ok()) {
-    std::fprintf(stderr, "I_R audit failed:\n%s\n",
-                 poi_report.ToString().c_str());
-    std::abort();
-  }
-  const AuditReport social_report = AuditSocialIndex(*social_index);
-  if (!social_report.ok()) {
-    std::fprintf(stderr, "I_S audit failed:\n%s\n",
-                 social_report.ToString().c_str());
-    std::abort();
-  }
+  AuditIndexesOrDie(*poi_index, *social_index);
   default_auditor_ =
       std::make_unique<PruningAuditor>(poi_index, social_index);
 #endif
@@ -104,12 +93,9 @@ GpssnProcessor::~GpssnProcessor() = default;
 
 DistanceEngine* GpssnProcessor::EngineFor(const QueryOptions& options) {
   if (options.distance_backend == nullptr) return default_engine_.get();
-  const uint64_t generation = options.distance_backend->poi_generation();
-  if (plugged_source_ != options.distance_backend ||
-      plugged_generation_ != generation) {
+  if (plugged_source_ != options.distance_backend) {
     plugged_engine_ = options.distance_backend->CreateEngine();
     plugged_source_ = options.distance_backend;
-    plugged_generation_ = generation;
   }
   return plugged_engine_.get();
 }

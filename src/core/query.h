@@ -294,12 +294,8 @@ class GpssnProcessor {
   // (bit-exact with the seed query path).
   std::unique_ptr<DistanceBackend> default_backend_;
   std::unique_ptr<DistanceEngine> default_engine_;
-  // Engine created from the last non-null options.distance_backend, plus
-  // the backend POI generation it was created under — the engine is
-  // recreated when the backend reports a POI mutation, so its PoiLocator
-  // never serves a stale POI set.
+  // Engine created from the last non-null options.distance_backend.
   const DistanceBackend* plugged_source_ = nullptr;
-  uint64_t plugged_generation_ = 0;
   std::unique_ptr<DistanceEngine> plugged_engine_;
   RefineScratch scratch_;
   // Per-query social scratch (candidate index, adjacency bitsets,

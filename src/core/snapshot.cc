@@ -9,8 +9,11 @@
 namespace gpssn {
 
 namespace {
-constexpr char kSnapshotMagic[] = "gpssn-snapshot-v1";
+constexpr char kSnapshotMagic[] = "gpssn-snapshot-v2";
 constexpr size_t kMaxKeywords = 1u << 20;
+// Far above any useful CH witness limit, and low enough that the CH build's
+// scaled settle budget cannot overflow an int.
+constexpr int kMaxWitnessLimit = 1 << 20;
 }  // namespace
 
 Status SaveSnapshot(const GpssnDatabase& db, const std::string& path) {
@@ -19,14 +22,16 @@ Status SaveSnapshot(const GpssnDatabase& db, const std::string& path) {
   out << kSnapshotMagic << "\n";
   GPSSN_RETURN_NOT_OK(WriteSsnBody(out, db.ssn()));
 
-  const PoiIndexOptions& poi_options = db.poi_index().options();
-  const SocialIndexOptions& social_options = db.social_index().options();
-  out << "build " << poi_options.r_min << " " << poi_options.r_max << " "
-      << poi_options.sub_samples_per_node << " " << poi_options.page_size
-      << " " << poi_options.rtree.max_entries << " "
-      << poi_options.rtree.reinsert_fraction << " "
-      << social_options.leaf_cell_size << " " << social_options.fanout << " "
-      << social_options.page_size << " " << poi_options.seed << "\n";
+  const GpssnBuildOptions& build = db.build_options();
+  out << "build " << build.poi_index.r_min << " " << build.poi_index.r_max
+      << " " << build.poi_index.sub_samples_per_node << " "
+      << build.poi_index.page_size << " " << build.poi_index.rtree.max_entries
+      << " " << build.poi_index.rtree.reinsert_fraction << " "
+      << build.social_index.leaf_cell_size << " " << build.social_index.fanout
+      << " " << build.social_index.page_size << " " << build.seed << " "
+      << static_cast<int>(build.distance_backend) << " "
+      << build.ch.witness_hop_limit << " " << build.ch.witness_settle_limit
+      << " " << build.distance_cache_entries << "\n";
 
   const auto& road_pivots = db.road_pivots().pivots();
   const auto& social_pivots = db.social_pivots().pivots();
@@ -55,20 +60,36 @@ Result<std::unique_ptr<GpssnDatabase>> LoadSnapshot(const std::string& path) {
   if (!in) return Status::IoError("cannot open for reading: " + path);
   std::string magic;
   if (!(in >> magic) || magic != kSnapshotMagic) {
-    return Status::IoError("bad snapshot magic in " + path);
+    return Status::IoError("unsupported snapshot version '" + magic +
+                           "' in " + path + " (this build reads " +
+                           kSnapshotMagic + ")");
   }
   GPSSN_ASSIGN_OR_RETURN(SpatialSocialNetwork ssn, ReadSsnBody(in));
 
   std::string section;
   GpssnBuildOptions build;
+  int backend = -1;
   if (!(in >> section >> build.poi_index.r_min >> build.poi_index.r_max >>
         build.poi_index.sub_samples_per_node >> build.poi_index.page_size >>
         build.poi_index.rtree.max_entries >>
         build.poi_index.rtree.reinsert_fraction >>
         build.social_index.leaf_cell_size >> build.social_index.fanout >>
-        build.social_index.page_size >> build.seed) ||
+        build.social_index.page_size >> build.seed >> backend >>
+        build.ch.witness_hop_limit >> build.ch.witness_settle_limit >>
+        build.distance_cache_entries) ||
       section != "build") {
     return Status::IoError("malformed snapshot build section");
+  }
+  if (backend != static_cast<int>(DistanceBackendKind::kDijkstra) &&
+      backend != static_cast<int>(DistanceBackendKind::kContractionHierarchy)) {
+    return Status::IoError("unknown distance backend in snapshot");
+  }
+  build.distance_backend = static_cast<DistanceBackendKind>(backend);
+  for (const int limit :
+       {build.ch.witness_hop_limit, build.ch.witness_settle_limit}) {
+    if (limit < 0 || limit > kMaxWitnessLimit) {
+      return Status::IoError("CH witness limit out of range in snapshot");
+    }
   }
 
   size_t num_road_pivots = 0, num_social_pivots = 0;

@@ -12,7 +12,7 @@
 namespace gpssn {
 
 /// A point in the 2D data space of the spatial road network. Stored
-/// verbatim in road-index files and read back through mmap (see
+/// verbatim in road-index files and copied back out of them (see
 /// roadnet/index_io.h), so the layout is fixed.
 // gpssn-serialized(bytes=16)
 struct Point {

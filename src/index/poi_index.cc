@@ -225,7 +225,6 @@ Status PoiIndex::InsertPoi(PoiId id) {
 
   // Fresh augmentations for the new POI.
   poi_aug_.emplace_back();
-  locator_.AppendPoi(id);
   const auto reverse = ComputePoiAug(id);
 
   // Reverse ball update: the new POI now appears inside the precomputed

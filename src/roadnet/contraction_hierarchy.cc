@@ -426,12 +426,21 @@ void ChBuilder::BuildUpwardGraph() {
 ContractionHierarchy::ContractionHierarchy(ChOptions options)
     : options_(options) {}
 
-void ContractionHierarchy::AdoptOwned(OwnedStorage owned) {
-  auto shared = std::make_shared<OwnedStorage>(std::move(owned));
-  rank_ = shared->rank;
-  up_offsets_ = shared->up_offsets;
-  up_arcs_ = shared->up_arcs;
-  payload_ = std::move(shared);
+ContractionHierarchy::ContractionHierarchy(const RoadNetwork* graph,
+                                           const ChOptions& options,
+                                           std::vector<int32_t> rank,
+                                           std::vector<int64_t> up_offsets,
+                                           std::vector<UpArc> up_arcs,
+                                           int num_shortcuts)
+    : options_(options),
+      graph_(graph),
+      rank_(std::move(rank)),
+      up_offsets_(std::move(up_offsets)),
+      up_arcs_(std::move(up_arcs)),
+      num_shortcuts_(num_shortcuts) {
+  GPSSN_CHECK(graph != nullptr);
+  GPSSN_CHECK(static_cast<int>(rank_.size()) == graph->num_vertices());
+  GPSSN_CHECK(up_offsets_.size() == rank_.size() + 1);
 }
 
 void ContractionHierarchy::Build(const RoadNetwork* graph) {
@@ -441,27 +450,9 @@ void ContractionHierarchy::Build(const RoadNetwork* graph) {
   builder.Run();
   num_shortcuts_ = builder.num_shortcuts;
   build_rounds_ = builder.rounds;
-  AdoptOwned(OwnedStorage{std::move(builder.rank),
-                          std::move(builder.up_offsets),
-                          std::move(builder.up_arcs)});
-}
-
-ContractionHierarchy ContractionHierarchy::AdoptStorage(
-    const RoadNetwork* graph, const ChOptions& options,
-    std::span<const int32_t> rank, std::span<const int64_t> up_offsets,
-    std::span<const UpArc> up_arcs, int num_shortcuts,
-    std::shared_ptr<const void> payload) {
-  GPSSN_CHECK(graph != nullptr);
-  GPSSN_CHECK(static_cast<int>(rank.size()) == graph->num_vertices());
-  GPSSN_CHECK(up_offsets.size() == rank.size() + 1);
-  ContractionHierarchy ch(options);
-  ch.graph_ = graph;
-  ch.rank_ = rank;
-  ch.up_offsets_ = up_offsets;
-  ch.up_arcs_ = up_arcs;
-  ch.num_shortcuts_ = num_shortcuts;
-  ch.payload_ = std::move(payload);
-  return ch;
+  rank_ = std::move(builder.rank);
+  up_offsets_ = std::move(builder.up_offsets);
+  up_arcs_ = std::move(builder.up_arcs);
 }
 
 ChQuery::ChQuery(const ContractionHierarchy* ch) : ch_(ch) {

@@ -21,10 +21,9 @@
 // unchanged (skipping extra vertices can only add redundant shortcuts,
 // never lose a needed one).
 //
-// The preprocessed arrays (rank permutation + CSR upward graph) live
-// behind spans over a shared payload, so a hierarchy can be backed either
-// by vectors built in-process or by a read-only file mapping
-// (roadnet/index_io.h) with zero copies.
+// The preprocessed arrays (rank permutation + CSR upward graph) are three
+// vectors the hierarchy owns; roadnet/index_io.h saves them to a file and
+// copies them back out of one.
 //
 // This is the substrate a production deployment of GP-SSN uses for the
 // exact maxdist evaluations of the refinement phase on continental road
@@ -35,7 +34,6 @@
 #define GPSSN_ROADNET_CONTRACTION_HIERARCHY_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -55,15 +53,14 @@ struct ChOptions {
 };
 
 /// Preprocessed hierarchy. Build once (seconds for 10^5-vertex graphs),
-/// then query from any number of ChQuery engines. Copyable: copies share
-/// the (immutable) preprocessed payload.
+/// then query from any number of ChQuery engines.
 class ContractionHierarchy {
  public:
   /// Upward arc: original road edge (middle == kInvalidVertex) or shortcut
   /// bypassing its contracted `middle` vertex. No query reads `middle`; it
   /// stays because the version-1 index file layout stores it. Fixed-width
   /// and trivially copyable — this struct is stored verbatim in index
-  /// files and read back through mmap (see roadnet/index_io.h).
+  /// files (see roadnet/index_io.h).
   // gpssn-serialized(bytes=16)
   struct UpArc {
     VertexId to = kInvalidVertex;
@@ -74,17 +71,16 @@ class ContractionHierarchy {
   ContractionHierarchy() : ContractionHierarchy(ChOptions{}) {}
   explicit ContractionHierarchy(ChOptions options);
 
+  /// A hierarchy over `graph` from the arrays a Build produced, as
+  /// LoadRoadIndex reads them back after checking their structure.
+  /// `graph` must outlive the hierarchy.
+  ContractionHierarchy(const RoadNetwork* graph, const ChOptions& options,
+                       std::vector<int32_t> rank,
+                       std::vector<int64_t> up_offsets,
+                       std::vector<UpArc> up_arcs, int num_shortcuts);
+
   /// Preprocesses `graph` (kept by pointer; must outlive the hierarchy).
   void Build(const RoadNetwork* graph);
-
-  /// Internal (index_io): wraps already-preprocessed storage, e.g. spans
-  /// into a file mapping. `payload` keeps the spans' backing memory alive;
-  /// `graph` must outlive the hierarchy.
-  static ContractionHierarchy AdoptStorage(
-      const RoadNetwork* graph, const ChOptions& options,
-      std::span<const int32_t> rank, std::span<const int64_t> up_offsets,
-      std::span<const UpArc> up_arcs, int num_shortcuts,
-      std::shared_ptr<const void> payload);
 
   bool built() const { return graph_ != nullptr; }
   const RoadNetwork& graph() const { return *graph_; }
@@ -96,15 +92,14 @@ class ContractionHierarchy {
   /// Number of shortcut edges added during preprocessing.
   int num_shortcuts() const { return num_shortcuts_; }
 
-  /// Number of contraction rounds the build ran (0 for adopted storage).
+  /// Number of contraction rounds the build ran (0 for a loaded index).
   int build_rounds() const { return build_rounds_; }
 
   /// Upward adjacency (arcs from v to higher-ranked vertices, original or
   /// shortcut), sorted by target id; used by the query engines.
   std::span<const UpArc> up(VertexId v) const {
-    return up_arcs_.subspan(
-        static_cast<size_t>(up_offsets_[v]),
-        static_cast<size_t>(up_offsets_[v + 1] - up_offsets_[v]));
+    return {up_arcs_.data() + up_offsets_[v],
+            up_arcs_.data() + up_offsets_[v + 1]};
   }
 
   /// Flat storage views (serialization + arc-indexed traversals).
@@ -113,23 +108,11 @@ class ContractionHierarchy {
   std::span<const UpArc> up_arcs() const { return up_arcs_; }
 
  private:
-  friend class ChQuery;
-
-  struct OwnedStorage {
-    std::vector<int32_t> rank;
-    std::vector<int64_t> up_offsets;
-    std::vector<UpArc> up_arcs;
-  };
-  void AdoptOwned(OwnedStorage owned);
-
   ChOptions options_;
   const RoadNetwork* graph_ = nullptr;
-  std::span<const int32_t> rank_;
-  std::span<const int64_t> up_offsets_;
-  std::span<const UpArc> up_arcs_;
-  // Keeps the span targets alive: OwnedStorage for in-process builds, a
-  // MappedFile for index files loaded by roadnet/index_io.
-  std::shared_ptr<const void> payload_;
+  std::vector<int32_t> rank_;
+  std::vector<int64_t> up_offsets_;
+  std::vector<UpArc> up_arcs_;
   int num_shortcuts_ = 0;
   int build_rounds_ = 0;
 };

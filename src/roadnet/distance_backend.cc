@@ -22,16 +22,6 @@ class DijkstraDistanceEngine final : public DistanceEngine {
                          const std::vector<Poi>* pois)
       : graph_(graph), engine_(graph), locator_(graph, pois) {}
 
-  DistanceBackendKind kind() const override {
-    return DistanceBackendKind::kDijkstra;
-  }
-  const char* name() const override { return "dijkstra"; }
-
-  double PositionToPosition(const EdgePosition& a, const EdgePosition& b,
-                            double bound) override {
-    return engine_.PositionToPosition(a, b, bound);
-  }
-
   std::vector<std::pair<PoiId, double>> BallWithDistances(
       const EdgePosition& center, double radius) override {
     return locator_.BallWithDistances(center, radius, &engine_);
@@ -40,8 +30,6 @@ class DijkstraDistanceEngine final : public DistanceEngine {
   void SetTargets(std::span<const EdgePosition> targets) override {
     targets_.assign(targets.begin(), targets.end());
   }
-
-  size_t num_targets() const override { return targets_.size(); }
 
   void SourceToTargets(const EdgePosition& source, double bound,
                        double* out) override {
@@ -67,11 +55,6 @@ class DijkstraBackend final : public DistanceBackend {
     GPSSN_CHECK(graph != nullptr && pois != nullptr);
   }
 
-  DistanceBackendKind kind() const override {
-    return DistanceBackendKind::kDijkstra;
-  }
-  const char* name() const override { return "dijkstra"; }
-
   std::unique_ptr<DistanceEngine> CreateEngine() const override {
     return std::make_unique<DijkstraDistanceEngine>(graph_, pois_);
   }
@@ -90,8 +73,8 @@ class DijkstraBackend final : public DistanceBackend {
 /// combines its label with v's bucket entries: because the hierarchy
 /// preserves shortest paths, min over meeting vertices of
 /// d_up(source, v) + d_up(target, v) is the exact road distance (the same
-/// invariant ChQuery relies on — one forward frontier now amortizes over
-/// ALL targets instead of paying one bidirectional query each).
+/// invariant ChQuery relies on — one forward frontier amortizes over ALL
+/// targets instead of paying one bidirectional query each).
 class ChDistanceEngine final : public DistanceEngine {
  public:
   ChDistanceEngine(const ContractionHierarchy* ch,
@@ -99,23 +82,11 @@ class ChDistanceEngine final : public DistanceEngine {
       : ch_(ch),
         graph_(&ch->graph()),
         dijkstra_(graph_),
-        locator_(graph_, pois),
-        p2p_(ch) {
+        locator_(graph_, pois) {
     const int n = graph_->num_vertices();
     dist_.resize(n, kInfDistance);
     stamp_.resize(n, 0);
     buckets_.resize(n);
-  }
-
-  DistanceBackendKind kind() const override {
-    return DistanceBackendKind::kContractionHierarchy;
-  }
-  const char* name() const override { return "ch-bucket"; }
-
-  double PositionToPosition(const EdgePosition& a, const EdgePosition& b,
-                            double bound) override {
-    const double d = p2p_.PositionToPosition(a, b);
-    return d <= bound ? d : kInfDistance;
   }
 
   std::vector<std::pair<PoiId, double>> BallWithDistances(
@@ -139,8 +110,6 @@ class ChDistanceEngine final : public DistanceEngine {
                    });
     }
   }
-
-  size_t num_targets() const override { return targets_.size(); }
 
   void SourceToTargets(const EdgePosition& source, double bound,
                        double* out) override {
@@ -206,7 +175,6 @@ class ChDistanceEngine final : public DistanceEngine {
   const RoadNetwork* graph_;
   DijkstraEngine dijkstra_;  // Radius-bounded ball queries.
   PoiLocator locator_;
-  ChQuery p2p_;
 
   // Upward-search arena (shared by target and source searches).
   std::vector<double> dist_;
@@ -249,11 +217,6 @@ class ChBackend final : public DistanceBackend {
     }
   }
 
-  DistanceBackendKind kind() const override {
-    return DistanceBackendKind::kContractionHierarchy;
-  }
-  const char* name() const override { return "ch-bucket"; }
-
   std::unique_ptr<DistanceEngine> CreateEngine() const override {
     return std::make_unique<ChDistanceEngine>(ch_.get(), pois_);
   }
@@ -262,7 +225,7 @@ class ChBackend final : public DistanceBackend {
 
  private:
   const std::vector<Poi>* pois_ = nullptr;
-  RoadIndexBundle bundle_;  // Keeps a loaded mapping (and graph) alive.
+  RoadIndexBundle bundle_;  // Keeps a loaded hierarchy's graph alive.
   std::shared_ptr<const ContractionHierarchy> ch_;
   bool loaded_from_disk_ = false;
 };

@@ -21,8 +21,6 @@
 #ifndef GPSSN_ROADNET_DISTANCE_BACKEND_H_
 #define GPSSN_ROADNET_DISTANCE_BACKEND_H_
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -48,20 +46,14 @@ class DistanceEngine {
  public:
   virtual ~DistanceEngine() = default;
 
-  virtual DistanceBackendKind kind() const = 0;
-  virtual const char* name() const = 0;
-
-  /// Exact dist_RN between two edge positions, with early termination:
-  /// returns kInfDistance when the distance exceeds `bound`.
-  virtual double PositionToPosition(const EdgePosition& a,
-                                    const EdgePosition& b, double bound) = 0;
-
   /// All POIs with dist_RN(center, poi) <= radius, with exact distances.
   /// Both backends answer with the reference bounded search
-  /// (PoiLocator::BallWithDistances). The query path does not call this:
-  /// it reads its balls from I_R (PoiAug::ball). The oracle and the r/θ
-  /// estimators call it on a private Dijkstra backend, and perfbench's
-  /// answer checker and traced ball replay on the workload's backend.
+  /// (PoiLocator::BallWithDistances), which also covers POIs appended to
+  /// the backend's vector after the engine was created. The query path
+  /// does not call this: it reads its balls from I_R (PoiAug::ball). The
+  /// oracle and the r/θ estimators call it on a private Dijkstra backend,
+  /// and perfbench's answer checker and traced ball replay on the
+  /// workload's backend.
   virtual std::vector<std::pair<PoiId, double>> BallWithDistances(
       const EdgePosition& center, double radius) = 0;
 
@@ -72,12 +64,10 @@ class DistanceEngine {
   /// the next SetTargets call.
   virtual void SetTargets(std::span<const EdgePosition> targets) = 0;
 
-  virtual size_t num_targets() const = 0;
-
   /// Exact distances from `source` to every registered target, in one
   /// forward search. out[i] receives dist_RN(source, targets[i]) when it
-  /// is <= bound, kInfDistance otherwise. `out` must have room for
-  /// num_targets() entries.
+  /// is <= bound, kInfDistance otherwise. `out` must have room for one
+  /// entry per registered target.
   virtual void SourceToTargets(const EdgePosition& source, double bound,
                                double* out) = 0;
 };
@@ -92,31 +82,11 @@ class DistanceBackend {
  public:
   virtual ~DistanceBackend() = default;
 
-  virtual DistanceBackendKind kind() const = 0;
-  virtual const char* name() const = 0;
   virtual std::unique_ptr<DistanceEngine> CreateEngine() const = 0;
-
-  /// Generation counter bumped by NotifyPoisMutated. Engines are bound to
-  /// the generation they were created under; a holder that caches an
-  /// engine must recreate it when the backend's generation moves on.
-  uint64_t poi_generation() const {
-    return poi_generation_.load(std::memory_order_acquire);
-  }
-
-  /// Must be called (with queries quiesced) after POIs are appended to the
-  /// backing vector. Bumps the generation: every engine holds a PoiLocator
-  /// built over the POI set it was created under, so a cached engine would
-  /// miss the new POIs in BallWithDistances.
-  void NotifyPoisMutated() {
-    poi_generation_.fetch_add(1, std::memory_order_release);
-  }
 
   /// True when the preprocessed index was loaded from an index file
   /// rather than built in-process (see MakeChBackend's index_path).
   virtual bool loaded_from_disk() const { return false; }
-
- private:
-  std::atomic<uint64_t> poi_generation_{0};
 };
 
 /// The reference backend: bounded Dijkstra with reusable arenas. Engines
@@ -126,11 +96,10 @@ std::unique_ptr<DistanceBackend> MakeDijkstraBackend(
 
 /// The CH-accelerated backend. Builds a ContractionHierarchy once
 /// (seconds for 10^5-vertex graphs); engines answer SourceToTargets with
-/// the bucket many-to-many algorithm, PositionToPosition with the
-/// bidirectional upward search, and BallWithDistances with the reference
-/// bounded Dijkstra.
+/// the bucket many-to-many algorithm and BallWithDistances with the
+/// reference bounded Dijkstra.
 ///
-/// When `index_path` is non-empty, the backend tries to mmap a previously
+/// When `index_path` is non-empty, the backend tries to load a previously
 /// saved graph+CH index from that file (validating its checksums, its
 /// structure, and that its fingerprint matches `graph`); on any mismatch
 /// it rebuilds from `graph` and best-effort saves the result back to

@@ -1,5 +1,6 @@
 #include "roadnet/index_io.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -7,7 +8,6 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "common/pagestore.h"
 
 namespace gpssn {
 
@@ -34,12 +34,26 @@ struct SectionPayload {
   size_t count;
 };
 
-// Keeps everything the adopted hierarchy's spans point into alive: the
-// file mapping plus the materialized graph the hierarchy references.
-struct LoadedIndexPayload {
-  MappedFile file;
-  std::shared_ptr<const RoadNetwork> graph;
-};
+// Reads the whole file in chunks. No size is asked for (a stat or a
+// seek), so a path that is no regular file, such as a directory, fails in
+// fread instead of sizing a buffer from a bogus length.
+Result<std::vector<uint8_t>> ReadWholeFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::IoError("cannot open " + path + ": " +
+                           std::strerror(errno));
+  }
+  std::vector<uint8_t> bytes;
+  std::vector<uint8_t> chunk(size_t{1} << 20);
+  size_t got = 0;
+  while ((got = std::fread(chunk.data(), 1, chunk.size(), f)) > 0) {
+    bytes.insert(bytes.end(), chunk.begin(), chunk.begin() + got);
+  }
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed) return Status::IoError("cannot read " + path);
+  return bytes;
+}
 
 }  // namespace
 
@@ -145,7 +159,7 @@ Status SaveRoadIndex(const RoadNetwork& graph, const ContractionHierarchy& ch,
 }
 
 Result<RoadIndexBundle> LoadRoadIndex(const std::string& path) {
-  GPSSN_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
+  GPSSN_ASSIGN_OR_RETURN(const std::vector<uint8_t> file, ReadWholeFile(path));
   const uint8_t* base = file.data();
   const size_t size = file.size();
   if (size < sizeof(IndexFileHeader)) {
@@ -233,7 +247,8 @@ Result<RoadIndexBundle> LoadRoadIndex(const std::string& path) {
                            path);
   }
 
-  // Materialize the graph (its CSR adjacency must be rebuilt regardless).
+  // Copy the arrays out of the file; the graph's CSR adjacency is rebuilt
+  // from its edge list.
   auto copy_array = [&](IndexSectionKind kind, auto* out) {
     const IndexSectionEntry& entry = *section(kind);
     out->resize(entry.count);
@@ -259,37 +274,25 @@ Result<RoadIndexBundle> LoadRoadIndex(const std::string& path) {
                              path);
     }
   }
-  auto payload = std::make_shared<LoadedIndexPayload>();
-  payload->graph = std::make_shared<RoadNetwork>(RoadNetwork::FromParts(
+  auto graph = std::make_shared<RoadNetwork>(RoadNetwork::FromParts(
       std::move(points), std::move(edge_u), std::move(edge_v),
       std::move(edge_w)));
-  if (RoadNetworkFingerprint(*payload->graph) != meta.graph_fingerprint) {
+  if (RoadNetworkFingerprint(*graph) != meta.graph_fingerprint) {
     return Status::IoError("corrupted road index file (graph fingerprint): " +
                            path);
   }
 
-  // The hierarchy's arrays alias the mapping — move it into the payload
-  // AFTER the last use of `base` derived pointers is re-derived below.
-  const IndexSectionEntry& rank_entry = *section(IndexSectionKind::kChRank);
-  const IndexSectionEntry& offs_entry =
-      *section(IndexSectionKind::kChUpOffsets);
   const IndexSectionEntry& arcs_entry = *section(IndexSectionKind::kChUpArcs);
   if (!sized(arcs_entry, sizeof(ContractionHierarchy::UpArc))) {
     return Status::IoError("corrupted road index file (section counts): " +
                            path);
   }
-  payload->file = std::move(file);
-  const uint8_t* mapped = payload->file.data();
-  const std::span<const int32_t> rank(
-      reinterpret_cast<const int32_t*>(mapped + rank_entry.offset),
-      static_cast<size_t>(rank_entry.count));
-  const std::span<const int64_t> up_offsets(
-      reinterpret_cast<const int64_t*>(mapped + offs_entry.offset),
-      static_cast<size_t>(offs_entry.count));
-  const std::span<const ContractionHierarchy::UpArc> up_arcs(
-      reinterpret_cast<const ContractionHierarchy::UpArc*>(mapped +
-                                                           arcs_entry.offset),
-      static_cast<size_t>(arcs_entry.count));
+  std::vector<int32_t> rank;
+  std::vector<int64_t> up_offsets;
+  std::vector<ContractionHierarchy::UpArc> up_arcs;
+  copy_array(IndexSectionKind::kChRank, &rank);
+  copy_array(IndexSectionKind::kChUpOffsets, &up_offsets);
+  copy_array(IndexSectionKind::kChUpArcs, &up_arcs);
   // Checksums only show the file is the one its table describes; anyone
   // who edits it can recompute them. Searches index per-vertex arrays by
   // arc targets and trust the upward order, so the structure is checked
@@ -328,11 +331,10 @@ Result<RoadIndexBundle> LoadRoadIndex(const std::string& path) {
   options.witness_hop_limit = meta.witness_hop_limit;
   options.witness_settle_limit = meta.witness_settle_limit;
   RoadIndexBundle bundle;
-  bundle.graph = payload->graph;
   bundle.ch = std::make_shared<ContractionHierarchy>(
-      ContractionHierarchy::AdoptStorage(
-          payload->graph.get(), options, rank, up_offsets, up_arcs,
-          static_cast<int>(meta.num_shortcuts), payload));
+      graph.get(), options, std::move(rank), std::move(up_offsets),
+      std::move(up_arcs), static_cast<int>(meta.num_shortcuts));
+  bundle.graph = std::move(graph);
   return bundle;
 }
 

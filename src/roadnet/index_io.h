@@ -1,10 +1,8 @@
 // Copyright 2026 The gpssn Authors.
 //
-// Versioned binary persistence for the road graph + contraction hierarchy,
-// designed for mmap loading: a continental-scale CH takes minutes to build
-// but milliseconds to map back in, and the big preprocessed arrays (CSR
-// upward graph, rank permutation) are used directly out of the read-only
-// mapping with zero copies.
+// Versioned binary persistence for the road graph + contraction hierarchy:
+// a continental-scale CH takes minutes to build but one file read and one
+// copy of each array to load back.
 //
 // File layout (all integers little-endian, payloads 8-byte aligned):
 //
@@ -100,9 +98,8 @@ static_assert(sizeof(IndexMeta) == 40,
 /// is only valid for the exact graph it was built from.
 uint64_t RoadNetworkFingerprint(const RoadNetwork& graph);
 
-/// A graph + hierarchy pair loaded from one index file. The hierarchy's
-/// arrays alias the file mapping (kept alive by the hierarchy's payload);
-/// the graph is materialized (its CSR adjacency must be rebuilt anyway).
+/// A graph + hierarchy pair loaded from one index file. The hierarchy
+/// points into the graph, so keep the graph alive as long as it.
 struct RoadIndexBundle {
   std::shared_ptr<const RoadNetwork> graph;
   std::shared_ptr<const ContractionHierarchy> ch;
@@ -112,7 +109,7 @@ struct RoadIndexBundle {
 Status SaveRoadIndex(const RoadNetwork& graph, const ContractionHierarchy& ch,
                      const std::string& path);
 
-/// Maps `path` and reconstructs the bundle, validating magic, version,
+/// Reads `path` and reconstructs the bundle, validating magic, version,
 /// section table, payload checksums, and that the arrays form a valid
 /// graph and hierarchy (finite non-negative weights, a rank permutation,
 /// CSR offsets within the arc array, every up-arc in range and upward).

@@ -145,18 +145,16 @@ PoiLocator::PoiLocator(const RoadNetwork* graph, const std::vector<Poi>* pois)
     : graph_(graph), pois_(pois) {
   GPSSN_CHECK(graph != nullptr && pois != nullptr);
   pois_on_edge_.resize(graph->num_edges());
-  for (const Poi& poi : *pois) AppendPoi(poi.id);
-}
-
-void PoiLocator::AppendPoi(PoiId id) {
-  GPSSN_CHECK(id >= 0 && id < static_cast<PoiId>(pois_->size()));
-  const EdgeId edge = (*pois_)[id].position.edge;
-  GPSSN_CHECK(edge >= 0 && edge < graph_->num_edges());
-  pois_on_edge_[edge].push_back(id);
 }
 
 std::vector<std::pair<PoiId, double>> PoiLocator::BallWithDistances(
-    const EdgePosition& center, double radius, DijkstraEngine* engine) const {
+    const EdgePosition& center, double radius, DijkstraEngine* engine) {
+  GPSSN_CHECK(num_registered_ <= pois_->size());
+  for (; num_registered_ < pois_->size(); ++num_registered_) {
+    const EdgeId edge = (*pois_)[num_registered_].position.edge;
+    GPSSN_CHECK(edge >= 0 && edge < graph_->num_edges());
+    pois_on_edge_[edge].push_back(static_cast<PoiId>(num_registered_));
+  }
   std::vector<std::pair<PoiId, double>> out;
   engine->RunFromPosition(center, radius);
 
@@ -193,7 +191,7 @@ std::vector<std::pair<PoiId, double>> PoiLocator::BallWithDistances(
 }
 
 std::vector<PoiId> PoiLocator::Ball(const EdgePosition& center, double radius,
-                                    DijkstraEngine* engine) const {
+                                    DijkstraEngine* engine) {
   std::vector<PoiId> out;
   for (const auto& [id, d] : BallWithDistances(center, radius, engine)) {
     out.push_back(id);

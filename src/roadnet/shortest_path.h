@@ -103,29 +103,30 @@ double SameEdgeDistance(const RoadNetwork& graph, const EdgePosition& a,
                         const EdgePosition& b);
 
 /// An index from road edges to the POIs located on them, enabling exact
-/// network ball queries over POIs.
+/// network ball queries over POIs. POI i of the backing vector has id i,
+/// and the vector may only grow: each ball first registers the POIs
+/// appended since the last one, in id order, so every POI takes the slot a
+/// locator built over the grown vector gives it. Not thread-safe; one
+/// locator per thread.
 class PoiLocator {
  public:
   PoiLocator(const RoadNetwork* graph, const std::vector<Poi>* pois);
-
-  /// Registers POI `id`, the one just appended to the backing vector, on
-  /// its edge: the slot a locator built over the grown vector gives it.
-  void AppendPoi(PoiId id);
 
   /// Returns ids of all POIs with dist_RN(center, poi) <= radius, using a
   /// bounded Dijkstra from `center`. Exact: a network path to a POI on edge
   /// (u, v) must pass u or v, or start on the same edge.
   std::vector<PoiId> Ball(const EdgePosition& center, double radius,
-                          DijkstraEngine* engine) const;
+                          DijkstraEngine* engine);
 
   /// As Ball, but also reports each POI's exact distance from the center.
   std::vector<std::pair<PoiId, double>> BallWithDistances(
-      const EdgePosition& center, double radius, DijkstraEngine* engine) const;
+      const EdgePosition& center, double radius, DijkstraEngine* engine);
 
  private:
   const RoadNetwork* graph_;
   const std::vector<Poi>* pois_;
   std::vector<std::vector<PoiId>> pois_on_edge_;
+  size_t num_registered_ = 0;  // pois_[0, num_registered_) are on an edge.
 };
 
 }  // namespace gpssn

@@ -21,7 +21,7 @@ Result<UserId> SocialNetworkBuilder::AddUser(std::span<const double> interests) 
     return Status::InvalidArgument("interest vector has wrong dimensionality");
   }
   for (double p : interests) {
-    if (p < 0.0 || p > 1.0) {
+    if (!(p >= 0.0 && p <= 1.0)) {  // Negated: NaN fails too.
       return Status::InvalidArgument("interest probability outside [0, 1]");
     }
   }
@@ -57,7 +57,7 @@ Status SocialNetwork::SetInterests(UserId u, std::span<const double> interests) 
     return Status::InvalidArgument("interest vector has wrong dimensionality");
   }
   for (double p : interests) {
-    if (p < 0.0 || p > 1.0) {
+    if (!(p >= 0.0 && p <= 1.0)) {  // Negated: NaN fails too.
       return Status::InvalidArgument("interest probability outside [0, 1]");
     }
   }

@@ -10,6 +10,9 @@ namespace gpssn {
 
 namespace {
 constexpr char kMagic[] = "gpssn-v1";
+// Bound on a POI's keyword count and on the topic count, so a hostile
+// header cannot make the loader allocate wildly.
+constexpr size_t kMaxListLength = size_t{1} << 20;
 }  // namespace
 
 Status WriteSsnBody(std::ostream& out, const SpatialSocialNetwork& ssn) {
@@ -88,6 +91,9 @@ Result<SpatialSocialNetwork> ReadSsnBody(std::istream& in) {
     VertexId a, b;
     double w;
     if (!(in >> a >> b >> w)) return Status::IoError("truncated edge list");
+    // Negated so that NaN fails too. RoadNetworkBuilder::AddEdge would
+    // give a negative weight the edge's Euclidean length.
+    if (!(w >= 0.0)) return Status::IoError("negative edge weight");
     auto added = road_builder.AddEdge(a, b, w);
     if (!added.ok()) return added.status();
   }
@@ -97,8 +103,7 @@ Result<SpatialSocialNetwork> ReadSsnBody(std::istream& in) {
   if (!(in >> section >> num_pois) || section != "pois" || num_pois < 0) {
     return Status::IoError("malformed pois header");
   }
-  std::vector<Poi> pois;
-  pois.reserve(num_pois);
+  std::vector<Poi> pois;  // Not reserved: num_pois is unchecked.
   for (int i = 0; i < num_pois; ++i) {
     Poi poi;
     poi.id = static_cast<PoiId>(i);
@@ -106,7 +111,7 @@ Result<SpatialSocialNetwork> ReadSsnBody(std::istream& in) {
     if (!(in >> poi.position.edge >> poi.position.t >> kw_count)) {
       return Status::IoError("truncated POI list");
     }
-    if (kw_count > (1u << 20)) {
+    if (kw_count > kMaxListLength) {
       return Status::IoError("implausible POI keyword count");
     }
     poi.keywords.resize(kw_count);
@@ -125,7 +130,8 @@ Result<SpatialSocialNetwork> ReadSsnBody(std::istream& in) {
       section != "social") {
     return Status::IoError("malformed social header");
   }
-  if (num_users < 0 || num_friendships < 0 || num_topics < 1) {
+  if (num_users < 0 || num_friendships < 0 || num_topics < 1 ||
+      static_cast<size_t>(num_topics) > kMaxListLength) {
     return Status::IoError("bad social sizes");
   }
   SocialNetworkBuilder social_builder(num_topics);

@@ -25,7 +25,7 @@ Status SpatialSocialNetwork::Validate() const {
     if (home.edge < 0 || home.edge >= road_.num_edges()) {
       return Status::Internal("user home on invalid edge");
     }
-    if (home.t < 0.0 || home.t > 1.0) {
+    if (!(home.t >= 0.0 && home.t <= 1.0)) {  // Negated: NaN fails too.
       return Status::Internal("user home offset outside [0, 1]");
     }
   }
@@ -37,7 +37,7 @@ Status SpatialSocialNetwork::Validate() const {
     if (poi.position.edge < 0 || poi.position.edge >= road_.num_edges()) {
       return Status::Internal("POI on invalid edge");
     }
-    if (poi.position.t < 0.0 || poi.position.t > 1.0) {
+    if (!(poi.position.t >= 0.0 && poi.position.t <= 1.0)) {
       return Status::Internal("POI offset outside [0, 1]");
     }
     for (KeywordId kw : poi.keywords) {
@@ -57,7 +57,7 @@ Result<PoiId> SpatialSocialNetwork::AddPoi(const EdgePosition& position,
   if (position.edge < 0 || position.edge >= road_.num_edges()) {
     return Status::InvalidArgument("POI edge out of range");
   }
-  if (position.t < 0.0 || position.t > 1.0) {
+  if (!(position.t >= 0.0 && position.t <= 1.0)) {  // NaN fails too.
     return Status::InvalidArgument("POI offset outside [0, 1]");
   }
   std::sort(keywords.begin(), keywords.end());

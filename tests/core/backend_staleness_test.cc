@@ -1,10 +1,9 @@
 // Regression tests for backend/POI-set coherence: every DistanceEngine
-// holds a PoiLocator over the POI set it was created under, so an engine
-// cached across AddPoi would answer ball queries from the pre-insert set.
-// AddPoi calls DistanceBackend::NotifyPoisMutated, which bumps the
-// backend's POI generation, and every cached engine is recreated at its
-// next use. Queries read their balls from I_R, which AddPoi patches, so
-// the CH database must agree with the Dijkstra one and the oracle.
+// holds a PoiLocator over the backend's POI vector, which AddPoi grows. A
+// locator registers the POIs appended since its last ball before each new
+// one, so an engine kept across AddPoi must answer like a fresh one.
+// Queries read their balls from I_R, which AddPoi patches, so the CH
+// database must agree with the Dijkstra one and the oracle.
 
 #include <gtest/gtest.h>
 
@@ -37,15 +36,27 @@ GpssnBuildOptions ChBuild() {
   return build;
 }
 
-TEST(BackendStalenessTest, NotifyPoisMutatedBumpsGeneration) {
+TEST(BackendStalenessTest, KeptEngineBallsMatchFreshEngineAfterAddPoi) {
   GpssnDatabase db(MakeSynthetic(SmallData(3)), ChBuild());
-  const DistanceBackend* backend = db.distance_backend();
-  ASSERT_NE(backend, nullptr);
-  const uint64_t before = backend->poi_generation();
-  auto id = db.AddPoi({0, 0.5}, {1});
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  EXPECT_GT(backend->poi_generation(), before)
-      << "AddPoi did not notify the distance backend";
+  ASSERT_NE(db.distance_backend(), nullptr);
+  const auto dijkstra = MakeDijkstraBackend(&db.ssn().road(), &db.ssn().pois());
+  const EdgePosition center = db.ssn().poi(0).position;
+  // Every POI on the center's own edge lies within this radius.
+  const double radius = db.ssn().road().edge_weight(center.edge) + 1.0;
+  const DistanceBackend* backends[] = {db.distance_backend(), dijkstra.get()};
+  for (const DistanceBackend* backend : backends) {
+    const std::unique_ptr<DistanceEngine> kept = backend->CreateEngine();
+    kept->BallWithDistances(center, radius);
+    Rng rng(9);
+    for (int i = 0; i < 4; ++i) {
+      auto id = db.AddPoi({center.edge, rng.UniformDouble()}, {1});
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      const auto fresh = backend->CreateEngine()->BallWithDistances(center,
+                                                                    radius);
+      ASSERT_EQ(kept->BallWithDistances(center, radius), fresh)
+          << "a kept engine missed the POI AddPoi added";
+    }
+  }
 }
 
 TEST(BackendStalenessTest, ChQueriesSeeInsertedPois) {

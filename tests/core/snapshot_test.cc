@@ -70,7 +70,55 @@ TEST(SnapshotTest, RoundTripPreservesEveryAnswer) {
     if (a->found) {
       EXPECT_EQ(a->users, b->users) << "query " << i;
       EXPECT_EQ(a->center, b->center) << "query " << i;
-      EXPECT_DOUBLE_EQ(a->max_dist, b->max_dist) << "query " << i;
+      EXPECT_EQ(a->max_dist, b->max_dist) << "query " << i;
+    }
+  }
+}
+
+TEST(SnapshotTest, RestoresDistanceBackendAndCache) {
+  SyntheticSsnOptions data;
+  data.num_road_vertices = 800;
+  data.num_pois = 400;
+  data.num_users = 1200;
+  data.seed = 4;
+  GpssnBuildOptions build;
+  build.distance_backend = DistanceBackendKind::kContractionHierarchy;
+  build.ch.witness_hop_limit = 6;
+  build.ch.witness_settle_limit = 48;
+  build.distance_cache_entries = size_t{1} << 16;
+  build.seed = 4;
+  GpssnDatabase original(MakeSynthetic(data), build);
+  const std::string path = TempPath("db-ch.snapshot");
+  ASSERT_TRUE(SaveSnapshot(original, path).ok());
+  auto restored = LoadSnapshot(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  GpssnDatabase& copy = **restored;
+  ASSERT_NE(copy.distance_backend(), nullptr);
+  ASSERT_NE(copy.distance_cache(), nullptr);
+  EXPECT_EQ(copy.distance_cache()->max_entries(),
+            original.distance_cache()->max_entries());
+  EXPECT_EQ(copy.build_options().ch.witness_hop_limit, 6);
+  EXPECT_EQ(copy.build_options().ch.witness_settle_limit, 48);
+
+  // CH and Dijkstra distances differ in the last bit, so equal max_dist
+  // bits show the copy runs the same engine.
+  Rng rng(5);
+  for (int i = 0; i < 60; ++i) {
+    GpssnQuery q;
+    q.issuer = static_cast<UserId>(rng.NextBounded(data.num_users));
+    q.tau = static_cast<int>(rng.UniformInt(2, 4));
+    q.gamma = 0.25;
+    q.theta = 0.25;
+    q.radius = rng.UniformDouble(0.5, 4.0);
+    auto a = original.Query(q);
+    auto b = copy.Query(q);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ASSERT_EQ(a->found, b->found) << "query " << i;
+    if (a->found) {
+      EXPECT_EQ(a->users, b->users) << "query " << i;
+      EXPECT_EQ(a->center, b->center) << "query " << i;
+      EXPECT_EQ(a->max_dist, b->max_dist) << "query " << i;
     }
   }
 }
@@ -100,7 +148,7 @@ TEST(SnapshotTest, SnapshotAfterDynamicInsertsStaysConsistent) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->found, b->found);
   if (a->found) {
-    EXPECT_DOUBLE_EQ(a->max_dist, b->max_dist);
+    EXPECT_EQ(a->max_dist, b->max_dist);
   }
 }
 
@@ -112,6 +160,14 @@ TEST(SnapshotTest, RejectsMalformedSnapshots) {
   }
   EXPECT_TRUE(
       LoadSnapshot(TempPath("badmagic.snapshot")).status().IsIoError());
+  {
+    std::ofstream out(TempPath("v1.snapshot"));
+    out << "gpssn-snapshot-v1\n";
+  }
+  const Status v1 = LoadSnapshot(TempPath("v1.snapshot")).status();
+  EXPECT_TRUE(v1.IsIoError());
+  EXPECT_NE(v1.message().find("gpssn-snapshot-v1"), std::string::npos)
+      << v1.ToString();
 
   // Truncate a valid snapshot at several points.
   auto db = BuildSmall(3);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -44,6 +45,16 @@ TEST(DynamicPoiTest, InsertRejectsBadArguments) {
   // Keywords were deduplicated and sorted.
   EXPECT_EQ(ssn.poi(*ok).keywords, (std::vector<KeywordId>{1, 3}));
   EXPECT_TRUE(ssn.Validate().ok());
+}
+
+TEST(DynamicPoiTest, DatabaseRejectsNaNOffset) {
+  GpssnDatabase db(MakeSynthetic(SmallData(1)));
+  const int num_pois = db.ssn().num_pois();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(db.AddPoi({0, nan}, {1}).status().IsInvalidArgument());
+  EXPECT_EQ(db.ssn().num_pois(), num_pois);
+  EXPECT_EQ(db.poi_index().tree().size(), num_pois);
+  EXPECT_TRUE(db.ssn().Validate().ok());
 }
 
 TEST(DynamicPoiTest, IncrementalIndexMatchesFreshRebuild) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/baseline.h"
 #include "core/database.h"
 #include "ssn/dataset.h"
@@ -36,6 +39,14 @@ TEST(DynamicUserTest, RejectsBadUpdates) {
   EXPECT_TRUE(db.UpdateUserInterests(0, wrong_dim).IsInvalidArgument());
   const std::vector<double> out_of_range(12, 1.5);
   EXPECT_TRUE(db.UpdateUserInterests(0, out_of_range).IsInvalidArgument());
+  // NaN compares false against both ends of [0, 1].
+  const auto row = db.ssn().social().Interests(0);
+  const std::vector<double> before(row.begin(), row.end());
+  std::vector<double> with_nan(12, 0.5);
+  with_nan[3] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(db.UpdateUserInterests(0, with_nan).IsInvalidArgument());
+  const auto after = db.ssn().social().Interests(0);
+  EXPECT_EQ(std::vector<double>(after.begin(), after.end()), before);
   std::vector<double> ok(12, 0.5);
   EXPECT_TRUE(db.UpdateUserInterests(-1, ok).IsInvalidArgument());
   EXPECT_TRUE(db.UpdateUserInterests(0, ok).ok());

@@ -1,8 +1,8 @@
 // Kernel-level equivalence tests for the pluggable distance backends: the
 // CH bucket engine must agree with the reference bounded Dijkstra on
-// one-to-many (SourceToTargets), point-to-point, and ball queries, on
-// random road-like networks. Finite distances match to 1e-9 (CH shortcut
-// weights sum in a different floating-point association order).
+// one-to-many (SourceToTargets) and ball queries, on random road-like
+// networks. Finite distances match to 1e-9 (CH shortcut weights sum in a
+// different floating-point association order).
 
 #include "roadnet/distance_backend.h"
 
@@ -59,8 +59,6 @@ TEST_P(BackendEquivalenceTest, SourceToTargetsMatchesDijkstra) {
 
   const auto dij_backend = MakeDijkstraBackend(&g, &pois);
   const auto ch_backend = MakeChBackend(&g, &pois);
-  EXPECT_EQ(dij_backend->kind(), DistanceBackendKind::kDijkstra);
-  EXPECT_EQ(ch_backend->kind(), DistanceBackendKind::kContractionHierarchy);
   const auto dij = dij_backend->CreateEngine();
   const auto ch = ch_backend->CreateEngine();
 
@@ -71,8 +69,6 @@ TEST_P(BackendEquivalenceTest, SourceToTargetsMatchesDijkstra) {
   targets.push_back(targets.front());
   dij->SetTargets(targets);
   ch->SetTargets(targets);
-  ASSERT_EQ(dij->num_targets(), targets.size());
-  ASSERT_EQ(ch->num_targets(), targets.size());
 
   std::vector<double> a(targets.size()), b(targets.size());
   for (int trial = 0; trial < 30; ++trial) {
@@ -92,35 +88,11 @@ TEST_P(BackendEquivalenceTest, SourceToTargetsMatchesDijkstra) {
   const std::vector<EdgePosition> fewer(targets.begin(), targets.begin() + 5);
   dij->SetTargets(fewer);
   ch->SetTargets(fewer);
-  ASSERT_EQ(ch->num_targets(), 5u);
   const EdgePosition src = RandomPosition(g, &rng);
   dij->SourceToTargets(src, kInfDistance, a.data());
   ch->SourceToTargets(src, kInfDistance, b.data());
   for (size_t i = 0; i < fewer.size(); ++i) {
     ExpectEquivalent(a[i], b[i], kInfDistance);
-  }
-}
-
-TEST_P(BackendEquivalenceTest, PositionToPositionMatchesDijkstra) {
-  RoadGenOptions gen;
-  gen.num_vertices = 300;
-  gen.seed = GetParam() ^ 0x5a;
-  const RoadNetwork g = GenerateRoadNetwork(gen);
-  Rng rng(GetParam() + 11);
-  const std::vector<Poi> pois = RandomPois(g, 10, &rng);
-  // Engines must not outlive their backend (the CH backend owns the
-  // hierarchy its engines search).
-  const auto dij_backend = MakeDijkstraBackend(&g, &pois);
-  const auto ch_backend = MakeChBackend(&g, &pois);
-  const auto dij = dij_backend->CreateEngine();
-  const auto ch = ch_backend->CreateEngine();
-  for (int trial = 0; trial < 40; ++trial) {
-    const EdgePosition a = RandomPosition(g, &rng);
-    const EdgePosition b = RandomPosition(g, &rng);
-    const double bound =
-        trial % 4 == 0 ? kInfDistance : rng.UniformDouble(0.5, 10.0);
-    ExpectEquivalent(dij->PositionToPosition(a, b, bound),
-                     ch->PositionToPosition(a, b, bound), bound);
   }
 }
 

@@ -1,5 +1,5 @@
 // Round-trip and corruption tests for the road-index file format: a saved
-// graph + CH must load back (through mmap) into a hierarchy that answers
+// graph + CH must load back into a hierarchy that answers
 // identically to the in-process build, and damaged files — truncated at
 // every length, flipped at every byte, wrong version, wrong magic, or
 // edited with their checksums recomputed — must be rejected with the
@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -382,6 +383,16 @@ TEST(IndexIoTest, MissingFileIsAnError) {
   ASSERT_FALSE(loaded.ok());
 }
 
+TEST(IndexIoTest, DirectoryIsAnIoError) {
+  // A path that exists but is no regular file: opening it may succeed,
+  // and its size query may fail or report a bogus length.
+  const std::string dir = TempPath("index_dir.gpssnidx");
+  std::filesystem::create_directories(dir);
+  auto loaded = LoadRoadIndex(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsIoError()) << loaded.status().ToString();
+}
+
 TEST(IndexIoTest, BackendLoadsSavedIndexAndRejectsMismatchedGraph) {
   const RoadNetwork g = MakeGraph(11, 200);
   Rng rng(23);
@@ -399,20 +410,24 @@ TEST(IndexIoTest, BackendLoadsSavedIndexAndRejectsMismatchedGraph) {
   // First construction: no file yet -> builds and saves.
   const auto first = MakeChBackend(&g, &pois, ChOptions{}, path);
   EXPECT_FALSE(first->loaded_from_disk());
-  // Second construction: mmap-loads the saved index.
+  // Second construction: loads the saved index.
   const auto second = MakeChBackend(&g, &pois, ChOptions{}, path);
   EXPECT_TRUE(second->loaded_from_disk());
 
   // Engines from the built and loaded backends answer identically.
   const auto e1 = first->CreateEngine();
   const auto e2 = second->CreateEngine();
+  std::vector<EdgePosition> targets;
+  for (const Poi& poi : pois) targets.push_back(poi.position);
+  e1->SetTargets(targets);
+  e2->SetTargets(targets);
+  std::vector<double> d1(targets.size()), d2(targets.size());
   for (int trial = 0; trial < 20; ++trial) {
     const EdgePosition a{static_cast<EdgeId>(rng.NextBounded(g.num_edges())),
                          rng.UniformDouble()};
-    const EdgePosition b{static_cast<EdgeId>(rng.NextBounded(g.num_edges())),
-                         rng.UniformDouble()};
-    ASSERT_EQ(e1->PositionToPosition(a, b, kInfDistance),
-              e2->PositionToPosition(a, b, kInfDistance));
+    e1->SourceToTargets(a, kInfDistance, d1.data());
+    e2->SourceToTargets(a, kInfDistance, d2.data());
+    ASSERT_EQ(d1, d2);
     const double radius = rng.UniformDouble(0.3, 6.0);
     ASSERT_EQ(e1->BallWithDistances(a, radius), e2->BallWithDistances(a, radius));
   }

@@ -106,6 +106,13 @@ TEST(SerializeFuzzTest, HostileSizesRejected) {
            "gpssn-v1\nroad 2 1\n0 0\n1 1\n0 1 1.0\npois -3\n",
            "gpssn-v1\nroad 2 1\n0 0\n1 1\n0 1 1.0\npois 0\nsocial -1 0 5\n",
            "gpssn-v1\nroad 2 1\n0 0\n1 1\n0 1 1.0\npois 0\nsocial 1 0 0\n",
+           // Counts no reservation or vector may be sized from.
+           "gpssn-v1\nroad 2 1\n0 0\n1 1\n0 1 1.0\npois 2000000000\n",
+           "gpssn-v1\nroad 2 1\n0 0\n1 1\n0 1 1.0\npois 0\n"
+           "social 0 0 2000000000\n",
+           // A well-formed file but for a negative edge weight.
+           "gpssn-v1\nroad 2 1\n0 0\n1 1\n0 1 -7\npois 0\nsocial 0 0 1\n"
+           "homes\n",
        }) {
     const std::string path = TempPath("fuzz-hostile.gpssn");
     {
