@@ -1,9 +1,12 @@
 #include "roadnet/index_io.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -34,24 +37,34 @@ struct SectionPayload {
   size_t count;
 };
 
-// Reads the whole file in chunks. No size is asked for (a stat or a
-// seek), so a path that is no regular file, such as a directory, fails in
-// fread instead of sizing a buffer from a bogus length.
+// Reads the whole file. A regular file's size only sizes the buffer; the
+// loop reads to EOF whatever it says, and a path with no size, such as a
+// directory, starts empty and fails in fread, so a failed or stale size
+// query is never trusted as the length.
 Result<std::vector<uint8_t>> ReadWholeFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::IoError("cannot open " + path + ": " +
                            std::strerror(errno));
   }
-  std::vector<uint8_t> bytes;
-  std::vector<uint8_t> chunk(size_t{1} << 20);
-  size_t got = 0;
-  while ((got = std::fread(chunk.data(), 1, chunk.size(), f)) > 0) {
-    bytes.insert(bytes.end(), chunk.begin(), chunk.begin() + got);
+  std::error_code size_error;
+  const uintmax_t size_hint = std::filesystem::file_size(path, size_error);
+  // One byte past the expected end, so EOF shows without growing.
+  std::vector<uint8_t> bytes(size_error ? 0 : size_hint + 1);
+  size_t size = 0;
+  for (;;) {
+    if (size == bytes.size()) {
+      bytes.resize(std::max<size_t>(2 * size, size_t{1} << 16));
+    }
+    const size_t got =
+        std::fread(bytes.data() + size, 1, bytes.size() - size, f);
+    if (got == 0) break;
+    size += got;
   }
   const bool failed = std::ferror(f) != 0;
   std::fclose(f);
   if (failed) return Status::IoError("cannot read " + path);
+  bytes.resize(size);
   return bytes;
 }
 
