@@ -1,7 +1,8 @@
 // Copyright 2026 The gpssn Authors.
 //
-// TaskScheduler: the worker pool behind the batch executor, one task per
-// query. Tasks Submit()ted from anywhere enter one global injector, a
+// TaskScheduler: the worker pool behind the batch executor (one task per
+// query) and the serving cluster (one task per shard gather or refine
+// stage). Tasks Submit()ted from anywhere enter one global injector, a
 // deadline-aware priority queue: earliest deadline first, and unarmed
 // tasks follow every armed one in FIFO submission order. Under overload
 // this is admission control: the queries that can still make their

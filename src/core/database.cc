@@ -137,13 +137,9 @@ Result<PoiId> GpssnDatabase::AddPoi(const EdgePosition& position,
 #ifdef GPSSN_AUDIT
   AuditIndexesOrDie(*poi_index_, *social_index_);
 #endif
-  // Cached (user, poi) distances to OTHER POIs stay valid (the road graph
-  // is unchanged — the new POI only lands on an existing edge), so a
-  // wholesale Clear() would throw away every hit the batch workers have
-  // paid for. Invalidate surgically instead: bump the new id's generation
-  // bucket so any stale column under a recycled or colliding id can never
-  // serve, and let everything else keep hitting.
-  if (distance_cache_ != nullptr) distance_cache_->InvalidatePoi(id);
+  // The distance cache stays as it is: the road graph is unchanged (the
+  // new POI lands on an existing edge), so every cached distance is still
+  // exact, and no cached row holds the new, never-used id.
   return id;
 }
 

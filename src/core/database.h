@@ -54,8 +54,8 @@ struct GpssnBuildOptions {
   /// Capacity, in (user, POI) items, of the shared cross-query distance
   /// row cache (roadnet/distance_cache.h); 0 disables it. The cache is
   /// shared by every query, batch worker and serving shard of this
-  /// database that runs on its distance backend, and is invalidated
-  /// automatically on AddPoi.
+  /// database that runs on its distance backend, and AddPoi leaves its
+  /// rows valid (see AddPoi).
   size_t distance_cache_entries = 0;
 };
 
@@ -122,8 +122,9 @@ class GpssnDatabase {
       const BatchExecutorOptions& options = {}, BatchStats* stats = nullptr);
 
   /// Dynamic maintenance: a new facility opens on an existing road edge.
-  /// Appends the POI, patches I_R (see PoiIndex::InsertPoi), and drops the
-  /// new id's column from the distance cache. Returns the new POI id. Maintenance calls
+  /// Appends the POI under the next unused id and patches I_R (see
+  /// PoiIndex::InsertPoi); the distance cache keeps every row, since no
+  /// cached distance changes. Returns the new POI id. Maintenance calls
   /// serialize on maintenance_mu_ (single-writer); they must still not
   /// overlap concurrent queries — see the class comment.
   Result<PoiId> AddPoi(const EdgePosition& position,

@@ -126,10 +126,9 @@ struct QueryOptions {
   /// (user, POI) items. Hits and misses (the cache's and QueryStats'
   /// dist_cache_row_*) count rows; insertions, evictions and entries count
   /// items. Thread-safe: one cache may be shared by all workers of a batch
-  /// executor. Null disables caching. The pointee must outlive the query;
-  /// dynamic maintenance invalidates per POI column (GpssnDatabase::AddPoi
-  /// calls InvalidatePoi, and stale items are dropped lazily), so a row
-  /// over unrelated POIs survives inserts.
+  /// executor. Null disables caching. The pointee must outlive the query.
+  /// GpssnDatabase::AddPoi leaves the road graph and every existing POI id
+  /// as they are, so cached rows stay valid across it.
   DistanceCache* distance_cache = nullptr;
   /// Optional pruning-soundness auditor (core/audit.h): the processor
   /// notifies it on every pruned candidate and it re-tests a sample against

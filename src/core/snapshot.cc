@@ -85,10 +85,35 @@ Result<std::unique_ptr<GpssnDatabase>> LoadSnapshot(const std::string& path) {
     return Status::IoError("unknown distance backend in snapshot");
   }
   build.distance_backend = static_cast<DistanceBackendKind>(backend);
-  for (const int limit :
-       {build.ch.witness_hop_limit, build.ch.witness_settle_limit}) {
-    if (limit < 0 || limit > kMaxWitnessLimit) {
-      return Status::IoError("CH witness limit out of range in snapshot");
+  // What the index constructors, the partitioner and the page allocator
+  // GPSSN_CHECK: a snapshot outside it fails to load instead of aborting.
+  const PoiIndexOptions& poi = build.poi_index;
+  const SocialIndexOptions& social = build.social_index;
+  const ChOptions& ch = build.ch;
+  const struct {
+    const char* field;
+    bool ok;
+  } ranges[] = {
+      {"r_min", poi.r_min > 0.0},
+      {"r_max", poi.r_max >= poi.r_min},
+      {"sub_samples_per_node", poi.sub_samples_per_node >= 0},
+      {"poi page_size", poi.page_size > 0},
+      {"rtree.max_entries", poi.rtree.max_entries >= 4},
+      {"rtree.reinsert_fraction", poi.rtree.reinsert_fraction > 0.0 &&
+                                      poi.rtree.reinsert_fraction < 0.5},
+      {"leaf_cell_size", social.leaf_cell_size >= 1},
+      {"fanout", social.fanout >= 2},
+      {"social page_size", social.page_size > 0},
+      {"ch.witness_hop_limit",
+       ch.witness_hop_limit >= 0 && ch.witness_hop_limit <= kMaxWitnessLimit},
+      {"ch.witness_settle_limit",
+       ch.witness_settle_limit >= 0 &&
+           ch.witness_settle_limit <= kMaxWitnessLimit},
+  };
+  for (const auto& range : ranges) {
+    if (!range.ok) {
+      return Status::IoError(std::string("snapshot build option ") +
+                             range.field + " out of range");
     }
   }
 

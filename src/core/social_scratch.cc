@@ -11,7 +11,6 @@ namespace gpssn {
 void SocialScratch::Build(const SocialNetwork& social, const GpssnQuery& query,
                           std::span<const UserId> candidates) {
   social_ = &social;
-  built_version_ = social.interests_version();
   metric_ = query.metric;
   gamma_ = query.gamma;
 

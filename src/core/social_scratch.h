@@ -38,19 +38,11 @@ class SocialScratch {
 
   /// Rebuilds the scratch for one query over `candidates` (unique user
   /// ids; any order — they are sorted internally). Reuses buffers across
-  /// queries. Records social.interests_version() for staleness checks.
+  /// queries.
   void Build(const SocialNetwork& social, const GpssnQuery& query,
              std::span<const UserId> candidates);
 
   bool built() const { return built_; }
-
-  /// True when the underlying network's interest vectors changed after
-  /// Build (SetInterests / WithInterests bump interests_version). A stale
-  /// scratch must not serve another query.
-  bool StaleFor(const SocialNetwork& social) const {
-    return !built_ || &social != social_ ||
-           social.interests_version() != built_version_;
-  }
 
   int size() const { return static_cast<int>(users_.size()); }
   UserId UserAt(int i) const { return users_[i]; }
@@ -82,7 +74,6 @@ class SocialScratch {
 
   bool built_ = false;
   const SocialNetwork* social_ = nullptr;
-  uint64_t built_version_ = 0;
   InterestMetric metric_ = InterestMetric::kDotProduct;
   double gamma_ = 0.0;
 

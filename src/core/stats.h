@@ -91,7 +91,7 @@ namespace gpssn {
      Lemma-style prune), over the shards that held candidate centers. */     \
   X(uint64_t, skipped_shards, Sum, Work)                                     \
   X(uint64_t, refined_shards, Sum, Work)                                     \
-  /* Transport envelopes exchanged for this query (requests + replies). */   \
+  /* Shard messages exchanged for this query (requests + replies). */       \
   X(uint64_t, shard_msgs, Sum, Work)                                         \
   /* Coordinator-side wall time per serving phase: scatter/gather round,     \
      central planning (merge + Corollary 2 + group enumeration), and the     \

@@ -26,10 +26,6 @@ DistanceCache::DistanceCache(const DistanceCacheOptions& options)
     shards_[i].budget = max_entries_ / shards_.size() +
                         (i < max_entries_ % shards_.size() ? 1 : 0);
   }
-  poi_gen_ = std::make_unique<std::atomic<uint32_t>[]>(kPoiGenBuckets);
-  for (size_t i = 0; i < kPoiGenBuckets; ++i) {
-    poi_gen_[i].store(0, std::memory_order_relaxed);  // gpssn-lint: relaxed(construction; not yet shared)
-  }
 }
 
 uint32_t DistanceCache::Shard::AddRow(UserId user) {
@@ -69,21 +65,6 @@ void DistanceCache::Shard::PushFront(uint32_t r) {
   lru_head = r;
 }
 
-void DistanceCache::DropStaleItems(Shard& shard, uint32_t r) {
-  std::vector<Item>& items = shard.slab[r].items;
-  const auto kept =
-      std::remove_if(items.begin(), items.end(),
-                     [&](const Item& item) { return Stale(item); });
-  const size_t dropped = static_cast<size_t>(items.end() - kept);
-  shard.stale_drops += dropped;
-  if (kept == items.begin()) {
-    shard.RemoveRow(r);
-    return;
-  }
-  items.erase(kept, items.end());
-  shard.items -= dropped;
-}
-
 bool DistanceCache::LookupRow(UserId user, std::span<const PoiId> pois,
                               double bound, double* out) {
   Shard& shard = ShardFor(user);
@@ -103,13 +84,6 @@ bool DistanceCache::LookupRow(UserId user, std::span<const PoiId> pois,
   for (size_t i = 0; i < pois.size(); ++i) {
     while (it != items.end() && it->poi < pois[i]) ++it;
     if (it == items.end() || it->poi != pois[i]) {
-      ++shard.misses;
-      return false;
-    }
-    if (Stale(*it)) {
-      // The POI's bucket was invalidated after this item was cached (e.g.
-      // AddPoi rewired edges near it): drop lazily and miss.
-      DropStaleItems(shard, r);
       ++shard.misses;
       return false;
     }
@@ -135,44 +109,34 @@ void DistanceCache::InsertRow(UserId user, std::span<const PoiId> pois,
   MutexLock lock(shard.mu);
   uint32_t r = shard.Find(user);
   // Merge the cached items and the new row, both ascending by POI id, into
-  // the shard's buffer; stale items the row does not replace are dropped.
+  // the shard's buffer.
   std::vector<Item>& merged = shard.merged;
   merged.clear();
   const std::span<const Item> old =
       r == kNone ? std::span<const Item>() : shard.slab[r].items;
   uint64_t added = 0;
-  uint64_t dropped = 0;
-  auto keep = [&](const Item& item) {
-    if (Stale(item)) {
-      ++dropped;
-    } else {
-      merged.push_back(item);
-    }
-  };
   size_t i = 0;
   for (size_t j = 0; j < pois.size(); ++j) {
-    for (; i < old.size() && old[i].poi < pois[j]; ++i) keep(old[i]);
-    const Item fresh{pois[j], PoiGen(pois[j]).load(std::memory_order_acquire),
-                     dists[j], bound};
+    for (; i < old.size() && old[i].poi < pois[j]; ++i) {
+      merged.push_back(old[i]);
+    }
     if (i == old.size() || old[i].poi != pois[j]) {
-      merged.push_back(fresh);
+      merged.push_back(Item{pois[j], dists[j], bound});
       ++added;
       continue;
     }
     Item e = old[i++];
-    if (e.poi_gen != fresh.poi_gen) {
-      e = fresh;  // Stale survivor: the fresh value simply replaces it.
-    } else if (std::isfinite(fresh.dist)) {
+    if (std::isfinite(dists[j])) {
       // Finite (exact) beats inf; among inf tags the larger bound is
       // strictly more informative.
-      e.dist = fresh.dist;
+      e.dist = dists[j];
       e.bound = bound;
     } else if (!std::isfinite(e.dist) && bound > e.bound) {
       e.bound = bound;
     }
     merged.push_back(e);
   }
-  for (; i < old.size(); ++i) keep(old[i]);
+  merged.insert(merged.end(), old.begin() + i, old.end());
   if (merged.size() > shard.budget) return;
 
   // Evict whole least-recently-used rows, never this user's, until the
@@ -189,15 +153,6 @@ void DistanceCache::InsertRow(UserId user, std::span<const PoiId> pois,
   shard.items = shard.items - old_size + merged.size();
   shard.PushFront(r);
   shard.insertions += added;
-  shard.stale_drops += dropped;
-}
-
-void DistanceCache::InvalidatePoi(PoiId poi) {
-  // Release pairs with the acquire loads under the stripe locks: a reader
-  // that sees the new generation also sees every network mutation
-  // sequenced before this call (the caller mutates the network first,
-  // then invalidates).
-  PoiGen(poi).fetch_add(1, std::memory_order_release);
 }
 
 DistanceCache::Stats DistanceCache::GetStats() const {
@@ -208,7 +163,6 @@ DistanceCache::Stats DistanceCache::GetStats() const {
     stats.misses += shard.misses;
     stats.insertions += shard.insertions;
     stats.evictions += shard.evictions;
-    stats.stale_drops += shard.stale_drops;
     stats.entries += shard.items;
   }
   return stats;
@@ -231,15 +185,14 @@ std::string DistanceCache::Stats::ToString() const {
   const uint64_t total = hits + misses;
   std::snprintf(buf, sizeof(buf),
                 "entries=%zu row-hits=%llu row-misses=%llu (%.1f%% hit) "
-                "insertions=%llu evictions=%llu stale-drops=%llu",
+                "insertions=%llu evictions=%llu",
                 entries, static_cast<unsigned long long>(hits),
                 static_cast<unsigned long long>(misses),
                 total > 0 ? 100.0 * static_cast<double>(hits) /
                                 static_cast<double>(total)
                           : 0.0,
                 static_cast<unsigned long long>(insertions),
-                static_cast<unsigned long long>(evictions),
-                static_cast<unsigned long long>(stale_drops));
+                static_cast<unsigned long long>(evictions));
   return buf;
 }
 

@@ -25,20 +25,15 @@
 // of what was ever cached for its user. See DESIGN.md "Distance backends
 // & caching".
 //
-// Dynamic maintenance invalidates SURGICALLY, not wholesale: items are
-// stamped with the generation of their POI's bucket in a fixed table of
-// atomic counters, and InvalidatePoi(poi) just bumps that bucket. A row
-// that needs a stale item misses, and the stale items are dropped lazily
-// (by that lookup or by the next InsertRow for the user), so an AddPoi
-// only costs the cache the columns that share the mutated POI's bucket.
+// Dynamic maintenance needs no invalidation: GpssnDatabase::AddPoi gives
+// the new POI the next unused id and leaves the road graph as it is, so
+// no cached distance goes stale and no cached row holds the new id.
 // Clear() remains for full resets.
 
 #ifndef GPSSN_ROADNET_DISTANCE_CACHE_H_
 #define GPSSN_ROADNET_DISTANCE_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -75,17 +70,16 @@ class DistanceCache {
   /// distance to pois[i] as a search under `bound` would report it (the
   /// exact distance when <= bound, kInfDistance otherwise). An inf item
   /// tagged with a smaller bound than `bound` is NOT usable, and neither is
-  /// a stale or missing one. On false, `out` is unspecified. An empty
-  /// `pois` hits. A hit allocates nothing.
+  /// a missing one. On false, `out` is unspecified. An empty `pois` hits.
+  /// A hit allocates nothing.
   bool LookupRow(UserId user, std::span<const PoiId> pois, double bound,
                  double* out);
 
   /// Merges a row computed under `bound` into `user`'s entry: dists[i] is
   /// dist_RN(user, pois[i]) when <= bound and kInfDistance ("> bound")
   /// otherwise; `pois` ascends strictly. Per item, finite wins over inf,
-  /// among inf items the larger bound wins, and an item whose POI was
-  /// invalidated is replaced. A merged row wider than its shard's budget
-  /// is not cached (the entry stays as it was).
+  /// and among inf items the larger bound wins. A merged row wider than
+  /// its shard's budget is not cached (the entry stays as it was).
   void InsertRow(UserId user, std::span<const PoiId> pois, double bound,
                  const double* dists);
 
@@ -95,7 +89,6 @@ class DistanceCache {
     uint64_t misses = 0;       // LookupRow calls not served.
     uint64_t insertions = 0;   // Items added for a (user, POI) not cached.
     uint64_t evictions = 0;    // Items dropped with their evicted rows.
-    uint64_t stale_drops = 0;  // Items dropped by generation mismatch.
     size_t entries = 0;        // Items cached now.
     std::string ToString() const;
   };
@@ -103,27 +96,14 @@ class DistanceCache {
 
   size_t max_entries() const { return max_entries_; }
 
-  /// Invalidates every cached (*, poi) distance by bumping the generation
-  /// of `poi`'s bucket; a row needing a stale item misses, and stale items
-  /// are dropped lazily. POIs sharing the bucket (id mod kPoiGenBuckets)
-  /// are conservatively invalidated too — safe, and with 4096 buckets the
-  /// collateral is 1/4096th of the id space per AddPoi instead of the
-  /// whole cache. O(1), no locks.
-  void InvalidatePoi(PoiId poi);
-
   void Clear();
 
  private:
-  /// Generation-table size (power of two). Small distinct POI ids map to
-  /// distinct buckets, which keeps invalidation exact in tests and small
-  /// datasets.
-  static constexpr size_t kPoiGenBuckets = 4096;
   /// Null slab index: no row, or the end of a list.
   static constexpr uint32_t kNone = ~uint32_t{0};
 
   struct Item {
     PoiId poi = 0;
-    uint32_t poi_gen = 0;        // Bucket generation at insert time.
     double dist = kInfDistance;  // Exact when finite.
     double bound = 0.0;          // Tag: the bound `dist` was computed under.
   };
@@ -153,7 +133,6 @@ class DistanceCache {
     uint64_t misses GPSSN_GUARDED_BY(mu) = 0;
     uint64_t insertions GPSSN_GUARDED_BY(mu) = 0;
     uint64_t evictions GPSSN_GUARDED_BY(mu) = 0;
-    uint64_t stale_drops GPSSN_GUARDED_BY(mu) = 0;
 
     /// `user`'s slab index, or kNone.
     uint32_t Find(UserId user) const GPSSN_REQUIRES(mu) {
@@ -176,22 +155,9 @@ class DistanceCache {
     return shards_[(h >> 32) & shard_mask_];
   }
 
-  std::atomic<uint32_t>& PoiGen(PoiId poi) {
-    return poi_gen_[static_cast<uint32_t>(poi) & (kPoiGenBuckets - 1)];
-  }
-  bool Stale(const Item& item) {
-    return item.poi_gen != PoiGen(item.poi).load(std::memory_order_acquire);
-  }
-
-  /// Drops row `r`'s stale items (and the row when none is left).
-  void DropStaleItems(Shard& shard, uint32_t r) GPSSN_REQUIRES(shard.mu);
-
   size_t max_entries_;
   uint64_t shard_mask_;
   std::vector<Shard> shards_;
-  // Per-bucket POI generations (see InvalidatePoi). unique_ptr-to-array
-  // because std::atomic is neither copyable nor movable.
-  std::unique_ptr<std::atomic<uint32_t>[]> poi_gen_;
 };
 
 }  // namespace gpssn

@@ -35,56 +35,83 @@ ServingCluster::ServingCluster(const GpssnDatabase& db,
     : options_(options),
       db_(db),
       partition_(std::move(partition)),
-      shard_query_options_(db.WithDatabaseDefaults(options.query)) {
-  transport_ = std::make_unique<InProcessTransport>(options_.num_shards);
-  shards_.reserve(options_.num_shards);
-  for (int s = 0; s < options_.num_shards; ++s) {
-    ShardConfig config;
-    config.shard_id = s;
-    config.scope = partition_.scopes[s];
-    config.query = shard_query_options_;
-    config.num_workers = options_.shard_num_workers;
-    config.poi_index = &db_.poi_index();
-    config.social_index = &db_.social_index();
-    config.cancel = &cancel_;
-    shards_.push_back(std::make_unique<ShardProcess>(config, transport_.get()));
+      shard_query_options_(db.WithDatabaseDefaults(options.query)),
+      scheduler_(options.num_shards * std::max(options.shard_num_workers, 1)) {
+  processors_.reserve(scheduler_.num_threads());
+  for (int w = 0; w < scheduler_.num_threads(); ++w) {
+    processors_.push_back(std::make_unique<GpssnProcessor>(
+        &db_.poi_index(), &db_.social_index()));
   }
 }
 
-ServingCluster::~ServingCluster() {
-  // Close the fabric first: shard workers drain their inboxes and exit,
-  // then the shard destructors join them.
-  transport_->Close();
-}
-
-bool ServingCluster::SendGather(QueryState* state, uint64_t query_id,
-                                int shard) {
+void ServingCluster::Send(QueryState* state, uint64_t query_id, int shard,
+                          ShardRequest::Kind kind) {
   ShardRequest request;
-  request.kind = ShardRequest::Kind::kGather;
+  request.kind = kind;
+  request.shard = shard;
   request.query_id = query_id;
   request.query = state->query;
   request.deadline = state->deadline;
+  if (kind == ShardRequest::Kind::kRefine) {
+    request.incumbent = state->incumbent;  // kInfDistance for wave 1.
+    request.centers = state->per_shard[shard].pois;
+    request.groups = state->groups;
+  }
+  const TaskPriority priority =
+      state->deadline.armed() ? TaskPriority::DeadlineAt(state->deadline.at())
+                              : TaskPriority::None();
   ++state->stats.shard_msgs;
-  return transport_->SendToShard(shard, std::move(request));
+  messages_sent_.fetch_add(
+      1, std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stat counter)
+  scheduler_.Submit(
+      [this, request = std::move(request)](int worker) {
+        RunStage(worker, request);
+      },
+      priority);
 }
 
-bool ServingCluster::SendRefine(QueryState* state, uint64_t query_id,
-                                int shard, double incumbent) {
-  ShardRequest request;
-  request.kind = ShardRequest::Kind::kRefine;
-  request.query_id = query_id;
-  request.query = state->query;
-  request.deadline = state->deadline;
-  request.incumbent = incumbent;
-  request.centers = state->per_shard[shard].pois;
-  request.groups = state->groups;
-  ++state->stats.shard_msgs;
-  return transport_->SendToShard(shard, std::move(request));
+void ServingCluster::RunStage(int worker, const ShardRequest& request) {
+  QueryOptions options = shard_query_options_;
+  options.cancel = &cancel_;
+  options.deadline = request.deadline;
+
+  GpssnProcessor& processor = *processors_[worker];
+  ShardReply reply;
+  reply.shard = request.shard;
+  reply.query_id = request.query_id;
+  switch (request.kind) {
+    case ShardRequest::Kind::kGather: {
+      auto candidates = processor.GatherCandidates(
+          request.query, options, partition_.scopes[request.shard],
+          &reply.stats);
+      if (candidates.ok()) {
+        reply.candidates = std::move(*candidates);
+      } else {
+        reply.status = candidates.status();
+      }
+      break;
+    }
+    case ShardRequest::Kind::kRefine: {
+      auto answer = processor.RefineCandidates(
+          request.query, options, request.centers, *request.groups,
+          request.incumbent, &reply.stats);
+      if (answer.ok()) {
+        reply.answer = std::move(*answer);
+      } else {
+        reply.status = answer.status();
+      }
+      break;
+    }
+  }
+  // Counted before the send, so the event loop that receives the reply
+  // also sees it counted.
+  messages_sent_.fetch_add(
+      1, std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stat counter)
+  replies_.Send(std::move(reply));
 }
 
 void ServingCluster::StartQuery(uint64_t query_id, size_t slot,
-                                const GpssnQuery& query,
-                                std::vector<BatchQueryResult>* results) {
+                                const GpssnQuery& query) {
   QueryState& state = inflight_[query_id];
   state.slot = slot;
   state.query = query;
@@ -97,12 +124,7 @@ void ServingCluster::StartQuery(uint64_t query_id, size_t slot,
   state.submit_timer.Restart();
   state.phase_timer.Restart();
   for (int s = 0; s < options_.num_shards; ++s) {
-    if (!SendGather(&state, query_id, s)) {
-      Complete(&state, Status::Internal("transport closed during gather"),
-               results);
-      inflight_.erase(query_id);
-      return;
-    }
+    Send(&state, query_id, s, ShardRequest::Kind::kGather);
   }
 }
 
@@ -185,11 +207,7 @@ bool ServingCluster::HandleReply(QueryState* state, ShardReply* reply,
       state->phase = Phase::kRefineWave1;
       state->outstanding = 1;
       ++state->stats.refined_shards;
-      if (!SendRefine(state, query_id, wave1, kInfDistance)) {
-        Complete(state, Status::Internal("transport closed during refine"),
-                 results);
-        return true;
-      }
+      Send(state, query_id, wave1, ShardRequest::Kind::kRefine);
       return false;
     }
 
@@ -215,11 +233,7 @@ bool ServingCluster::HandleReply(QueryState* state, ShardReply* reply,
         }
         ++state->stats.refined_shards;
         ++state->outstanding;
-        if (!SendRefine(state, query_id, s, state->incumbent)) {
-          Complete(state, Status::Internal("transport closed during refine"),
-                   results);
-          return true;
-        }
+        Send(state, query_id, s, ShardRequest::Kind::kRefine);
       }
       if (state->outstanding == 0) {
         state->stats.serve_refine_seconds = state->phase_timer.ElapsedSeconds();
@@ -253,7 +267,7 @@ bool ServingCluster::HandleReply(QueryState* state, ShardReply* reply,
 std::vector<BatchQueryResult> ServingCluster::QueryBatch(
     std::span<const GpssnQuery> queries, BatchStats* stats) {
   cancel_.store(false, std::memory_order_relaxed);  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
-  const uint64_t msgs_base = transport_->messages_sent();
+  const uint64_t msgs_base = messages_sent();
   WallTimer batch_timer;
 
   std::vector<BatchQueryResult> results(queries.size());
@@ -263,23 +277,11 @@ std::vector<BatchQueryResult> ServingCluster::QueryBatch(
   while (completed < queries.size()) {
     while (next_submit < queries.size() &&
            inflight_.size() < static_cast<size_t>(options_.max_inflight)) {
-      const uint64_t query_id = next_query_id_++;
-      StartQuery(query_id, next_submit, queries[next_submit], &results);
+      StartQuery(next_query_id_++, next_submit, queries[next_submit]);
       ++next_submit;
-      if (inflight_.find(query_id) == inflight_.end()) ++completed;
     }
-    if (inflight_.empty()) continue;
 
-    ShardReply reply;
-    if (!transport_->RecvAtCoordinator(&reply)) {
-      // Fabric closed under us: fail everything still in flight.
-      for (auto& [id, state] : inflight_) {
-        Complete(&state, Status::Internal("transport closed"), &results);
-        ++completed;
-      }
-      inflight_.clear();
-      break;
-    }
+    ShardReply reply = replies_.Recv();
     auto it = inflight_.find(reply.query_id);
     if (it == inflight_.end()) continue;  // Stale reply: drop.
     if (HandleReply(&it->second, &reply, &results)) {
@@ -293,11 +295,10 @@ std::vector<BatchQueryResult> ServingCluster::QueryBatch(
     for (const BatchQueryResult& r : results) tally.Add(r);
     *stats = tally.Finish(batch_timer.ElapsedSeconds());
     // Cross-check: the per-query shard_msgs counters must cover every
-    // message the fabric carried for this batch (stale replies included —
-    // they were counted when sent).
+    // request and reply of this batch (stale replies included — they were
+    // counted when sent).
     stats->totals.shard_msgs =
-        std::max(stats->totals.shard_msgs,
-                 transport_->messages_sent() - msgs_base);
+        std::max(stats->totals.shard_msgs, messages_sent() - msgs_base);
   }
   return results;
 }

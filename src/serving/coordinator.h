@@ -1,10 +1,10 @@
 // Copyright 2026 The gpssn Authors.
 //
 // ServingCluster: the scatter-gather coordinator of the sharded serving
-// layer (DESIGN.md §12). Splits a GpssnDatabase's candidate space across N
-// ShardProcesses (partition.h), passes them typed gather and refine
-// requests over an in-process transport (transport.h), and merges
-// per-shard answers with CROSS-SHARD INCUMBENT PRUNING:
+// layer (DESIGN.md §12). Splits a GpssnDatabase's candidate space into N
+// shard scopes (partition.h), runs each shard's gather and refine stages
+// as tasks on one worker pool, and merges per-shard answers with
+// CROSS-SHARD INCUMBENT PRUNING:
 //
 //   1. GATHER   broadcast the query; every shard descends its own index
 //               slice and returns candidate users/POIs plus an objective
@@ -24,10 +24,17 @@
 //               is provably the exact answer the single-node pair loop
 //               returns. Answers are byte-identical at any shard count.
 //
-// The coordinator is a single-threaded event loop over its transport inbox
-// that PIPELINES up to max_inflight queries (per-query state machines keyed
-// by a never-reused query_id), so a batch keeps every shard busy even
-// though each individual query serializes wave 1. Stale replies — a shard
+// A shard owns nothing but its scope: every stage runs on whichever pool
+// worker pops it, on that worker's GpssnProcessor, over the process's
+// shared indexes, distance backend and distance cache. Each ShardRequest
+// (transport.h) is one task on the TaskScheduler, prioritized by its
+// query's deadline as in the batch executor, and the task sends its
+// ShardReply into the coordinator's mailbox.
+//
+// The coordinator is a single-threaded event loop over that mailbox that
+// PIPELINES up to max_inflight queries (per-query state machines keyed by
+// a never-reused query_id), so a batch keeps every worker busy even
+// though each individual query serializes wave 1. Stale replies — a stage
 // answering after an error already completed its query — are dropped by
 // query_id.
 
@@ -42,10 +49,10 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "common/task_scheduler.h"
 #include "core/database.h"
 #include "core/social_scratch.h"
 #include "serving/partition.h"
-#include "serving/shard.h"
 #include "serving/transport.h"
 
 namespace gpssn::serving {
@@ -56,8 +63,9 @@ struct ServingOptions {
   int num_shards = 4;
   /// Queries pipelined by the coordinator at once (>= 1). This is what
   /// scales batch QPS: while one query waits on its wave-1 refine, other
-  /// queries' gathers and refines keep the remaining shards busy. It is
-  /// also the flow control: the mailboxes are unbounded.
+  /// queries' gathers and refines keep the remaining workers busy. It is
+  /// also the flow control: the pool's queue and the reply mailbox are
+  /// unbounded.
   int max_inflight = 8;
   /// Base processor options for every shard, with the database's
   /// defaults filled in (GpssnDatabase::WithDatabaseDefaults): a null
@@ -70,9 +78,11 @@ struct ServingOptions {
   QueryOptions query;
   /// Deadline applied to every query (seconds; <= 0 = none), armed at
   /// submit; every shard request carries it as is, so time a request waits
-  /// in a shard inbox counts against it.
+  /// in the pool's queue counts against it.
   double default_deadline_seconds = 0.0;
-  /// Worker threads (= processors) per shard.
+  /// Worker threads (= processors) per shard: the pool runs num_shards ×
+  /// shard_num_workers of them (values below 1 count as 1), and any worker
+  /// runs any shard's stage.
   int shard_num_workers = 1;
   /// Ignored: shards have no private cache (see `query`). Kept only while
   /// perfbench still sets it; the ROADMAP lists its deletion.
@@ -80,19 +90,17 @@ struct ServingOptions {
 };
 
 /// An in-process N-shard serving cluster over one GpssnDatabase's indexes.
-/// Not thread-safe: one thread drives Query/QueryBatch (the shard workers
+/// Not thread-safe: one thread drives Query/QueryBatch (the pool workers
 /// are internal). CancelAll() may be called from any thread.
 class ServingCluster {
  public:
-  /// Builds the partition, transport fabric, and shard processes over the
-  /// database's immutable indexes, backend and distance cache (which must
-  /// outlive the cluster; dynamic maintenance must be quiesced while a
-  /// cluster is attached, as for queries). Fails on an invalid partition
-  /// or options.
+  /// Builds the partition and the worker pool over the database's
+  /// immutable indexes, backend and distance cache (which must outlive the
+  /// cluster; dynamic maintenance must be quiesced while a cluster is
+  /// attached, as for queries). Fails on an invalid partition or options.
   static Result<std::unique_ptr<ServingCluster>> Create(
       const GpssnDatabase& db, const ServingOptions& options = {});
 
-  ~ServingCluster();
   GPSSN_DISALLOW_COPY_AND_MOVE(ServingCluster);
 
   int num_shards() const { return options_.num_shards; }
@@ -110,8 +118,8 @@ class ServingCluster {
   std::vector<BatchQueryResult> QueryBatch(std::span<const GpssnQuery> queries,
                                            BatchStats* stats = nullptr);
 
-  /// Raises the cluster-wide cancel flag: in-flight shard work finishes
-  /// with Cancelled at its next cooperative poll. Cleared when the next
+  /// Raises the cluster-wide cancel flag: queued and running stages finish
+  /// with Cancelled at their next cooperative poll. Cleared when the next
   /// batch starts.
   void CancelAll() { cancel_.store(true, std::memory_order_relaxed); }  // gpssn-lint: relaxed(cooperative cancel flag; latency not ordering)
 
@@ -139,17 +147,26 @@ class ServingCluster {
   ServingCluster(const GpssnDatabase& db, const ServingOptions& options,
                  ServingPartition partition);
 
-  void StartQuery(uint64_t query_id, size_t slot, const GpssnQuery& query,
-                  std::vector<BatchQueryResult>* results);
+  void StartQuery(uint64_t query_id, size_t slot, const GpssnQuery& query);
   /// Processes one shard reply; returns true when the query completed.
   bool HandleReply(QueryState* state, ShardReply* reply,
                    std::vector<BatchQueryResult>* results);
   void Plan(QueryState* state);
-  bool SendRefine(QueryState* state, uint64_t query_id, int shard,
-                  double incumbent);
-  bool SendGather(QueryState* state, uint64_t query_id, int shard);
+  /// Submits shard `shard`'s gather, or its refine under the query's
+  /// incumbent, to the pool as one task at the query's deadline priority.
+  void Send(QueryState* state, uint64_t query_id, int shard,
+            ShardRequest::Kind kind);
+  /// The task: runs `request`'s stage on `worker`'s processor and sends
+  /// the reply into `replies_`.
+  void RunStage(int worker, const ShardRequest& request);
   void Complete(QueryState* state, Status status,
                 std::vector<BatchQueryResult>* results);
+
+  /// Requests submitted plus replies sent (the `shard_msgs` cross-check).
+  uint64_t messages_sent() const {
+    return messages_sent_.load(
+        std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stat counter)
+  }
 
   const ServingOptions options_;
   const GpssnDatabase& db_;
@@ -157,10 +174,14 @@ class ServingCluster {
   const QueryOptions shard_query_options_;  // Database defaults filled in.
   SocialScratch plan_scratch_;  // Plan's social scratch (PlanGroups).
   std::atomic<bool> cancel_{false};
+  std::atomic<uint64_t> messages_sent_{0};
   uint64_t next_query_id_ = 1;  // Never reused (stale-reply detection).
   std::unordered_map<uint64_t, QueryState> inflight_;
-  std::unique_ptr<InProcessTransport> transport_;
-  std::vector<std::unique_ptr<ShardProcess>> shards_;  // After transport_.
+  std::vector<std::unique_ptr<GpssnProcessor>> processors_;  // One per worker.
+  Mailbox<ShardReply> replies_;
+  // Last member: its destructor runs every queued stage, whose reply still
+  // finds `replies_` and the state above alive.
+  TaskScheduler scheduler_;
 };
 
 }  // namespace gpssn::serving

@@ -3,7 +3,7 @@
 // Index partitioner for the sharded serving layer (DESIGN.md §12): splits
 // the candidate space of a GpssnDatabase into N disjoint ShardScopes —
 // users by social partition-tree subtree, POIs by R*-tree region — so each
-// ShardProcess descends only its own slice of I_S / I_R.
+// shard's gather stage descends only its own slice of I_S / I_R.
 //
 // Partitioning invariants (validated by ValidateServingPartition and
 // tests/serving/partitioner_test.cc):

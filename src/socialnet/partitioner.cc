@@ -1,6 +1,5 @@
 #include "socialnet/partitioner.h"
 
-#include <algorithm>
 #include <numeric>
 #include <unordered_map>
 
@@ -230,8 +229,8 @@ PartitionResult PartitionSocialNetwork(const SocialNetwork& graph,
   const int m = graph.num_users();
   PartitionResult result;
   if (m == 0) return result;
-  const int k = std::max(1, (m + options.target_cell_size - 1) /
-                                options.target_cell_size);
+  // ceil(m / target) for m >= 1, without overflowing at a huge target.
+  const int k = (m - 1) / options.target_cell_size + 1;
   result.num_cells = k;
   if (k == 1) {
     result.cell.assign(m, 0);

@@ -63,7 +63,6 @@ Status SocialNetwork::SetInterests(UserId u, std::span<const double> interests) 
   }
   std::copy(interests.begin(), interests.end(),
             interests_.begin() + static_cast<size_t>(u) * num_topics_);
-  ++interests_version_;
   return Status::OK();
 }
 
@@ -76,7 +75,6 @@ SocialNetwork WithInterests(const SocialNetwork& g,
   SocialNetwork out = g;
   out.num_topics_ = num_topics;
   out.interests_ = std::move(row_major_interests);
-  ++out.interests_version_;
   return out;
 }
 

@@ -55,12 +55,6 @@ class SocialNetwork {
   /// SocialIndex::UpdateUserInterests).
   Status SetInterests(UserId u, std::span<const double> interests);
 
-  /// Monotone counter bumped by every successful SetInterests (and by
-  /// WithInterests). Consumers holding derived interest state — e.g. the
-  /// per-query SocialScratch pairwise-score memo — record the version they
-  /// were built from and treat a mismatch as staleness.
-  uint64_t interests_version() const { return interests_version_; }
-
  private:
   friend class SocialNetworkBuilder;
   friend SocialNetwork WithInterests(const SocialNetwork& g,
@@ -71,7 +65,6 @@ class SocialNetwork {
   std::vector<int> offsets_;
   std::vector<UserId> adjacency_;       // Sorted within each user's range.
   std::vector<double> interests_;       // Row-major m × d.
-  uint64_t interests_version_ = 0;      // Bumped on interest mutation.
 };
 
 /// Accumulates users/friendships, then finalizes the CSR representation.

@@ -160,12 +160,14 @@ TEST(AllocationTest, WarmQueryAllocatesPerQueryAndPerGroupOnly) {
 }
 
 // C for one warm ServingCluster::Query on 2 shards, the allocations beyond
-// one per emitted group: the coordinator's query state, requests, replies
-// and mailbox nodes, the plan's candidate list, and each shard's Gather
-// and Refine vectors; they grow with the shards, not the groups. Measured
-// at 123–145 over the queries below (gcc 12, libstdc++, x86-64). When each
-// refine request carried its own encoded copy of the group list, the same
-// queries made 157–399, about four more per group.
+// one per emitted group: the coordinator's query state, requests, replies,
+// the pool's task per stage and the mailbox nodes, the plan's candidate
+// list, and each stage's Gather and Refine vectors; they grow with the
+// shards, not the groups. Measured at 125–147 over the queries below
+// (gcc 12, libstdc++, x86-64), and at 122–144 when each shard ran its own
+// threads, without a task per stage. When each refine request carried its
+// own encoded copy of the group list, the same queries made 157–399, about
+// four more per group.
 constexpr int64_t kPerClusterQueryAllocations = 155;
 
 TEST(AllocationTest, WarmClusterQueryAllocatesItsGroupsOnce) {
@@ -179,11 +181,16 @@ TEST(AllocationTest, WarmClusterQueryAllocatesItsGroupsOnce) {
   auto cluster = serving::ServingCluster::Create(db, options);
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
 
+  // Any pool worker may run any shard's stage, so warm every worker's
+  // processor on every query: two passes over the whole set.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const GpssnQuery& query : WarmQueries()) {
+      ASSERT_TRUE((*cluster)->Query(query).ok());
+    }
+  }
   int queries_with_groups = 0;
   for (const GpssnQuery& query : WarmQueries()) {
     QueryStats stats;
-    // Warm the shards' processors on this query first.
-    ASSERT_TRUE((*cluster)->Query(query, &stats).ok());
     bool ok = false;
     const int64_t allocations = CountAllocations(
         [&] { ok = (*cluster)->Query(query, &stats).ok(); });

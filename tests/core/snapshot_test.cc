@@ -5,6 +5,10 @@
 #include "core/snapshot.h"
 
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -209,6 +213,61 @@ TEST(SnapshotTest, RejectsMalformedSnapshots) {
   EXPECT_TRUE(load_with_first_line("2 1 3 2 3 3").IsIoError());
   // sub_K must be a subset of sup_K.
   EXPECT_TRUE(load_with_first_line("2 1 3 1 2").IsIoError());
+
+  // Build options the index constructors would GPSSN_CHECK fail to load,
+  // naming the field. The build line's fields are "build r_min r_max
+  // sub_samples_per_node poi_page_size rtree.max_entries
+  // rtree.reinsert_fraction leaf_cell_size fanout social_page_size ...".
+  const size_t build_begin = contents.find("\nbuild ") + 1;
+  ASSERT_NE(build_begin, 0u);
+  const size_t build_end = contents.find('\n', build_begin);
+  std::vector<std::string> fields;
+  {
+    std::istringstream line(
+        contents.substr(build_begin, build_end - build_begin));
+    for (std::string field; line >> field;) fields.push_back(field);
+  }
+  ASSERT_GE(fields.size(), 10u);
+  using Edits = std::vector<std::pair<int, const char*>>;
+  auto load_with_build = [&](const Edits& edits) {
+    std::vector<std::string> edited = fields;
+    for (const auto& [index, value] : edits) edited[index] = value;
+    std::string line;
+    for (const std::string& field : edited) {
+      line += (line.empty() ? "" : " ") + field;
+    }
+    const std::string bad_path = TempPath("bad-build.snapshot");
+    {
+      std::ofstream out(bad_path);
+      out << contents.substr(0, build_begin) << line
+          << contents.substr(build_end);
+    }
+    return LoadSnapshot(bad_path).status();
+  };
+  ASSERT_TRUE(load_with_build({}).ok());
+  const struct {
+    Edits edits;
+    const char* field;
+  } bad_builds[] = {
+      {{{8, "1"}}, "fanout"},
+      {{{5, "3"}}, "rtree.max_entries"},
+      {{{6, "0.6"}}, "rtree.reinsert_fraction"},
+      {{{7, "0"}}, "leaf_cell_size"},
+      {{{4, "0"}}, "poi page_size"},
+      {{{9, "0"}}, "social page_size"},
+      {{{1, "-1"}}, "r_min"},
+      {{{1, "3"}, {2, "2"}}, "r_max"},
+      {{{3, "-3"}}, "sub_samples_per_node"},
+  };
+  for (const auto& bad : bad_builds) {
+    const Status status = load_with_build(bad.edits);
+    EXPECT_TRUE(status.IsIoError()) << bad.field << ": " << status.ToString();
+    EXPECT_NE(status.message().find(bad.field), std::string::npos)
+        << status.ToString();
+  }
+  // The largest leaf cell is in range: every user in one cell, with no
+  // signed overflow on the way (the UBSan build checks).
+  EXPECT_TRUE(load_with_build({{7, "2147483647"}}).ok());
 }
 
 }  // namespace

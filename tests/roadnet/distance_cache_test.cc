@@ -145,55 +145,6 @@ TEST(DistanceCacheTest, ClearDropsEverythingAndKeepsCounters) {
   EXPECT_FALSE(stats.ToString().empty());
 }
 
-TEST(DistanceCacheTest, InvalidatePoiDropsOnlyThatColumn) {
-  DistanceCache cache;
-  // Three users × two POIs (small distinct ids land in distinct
-  // generation buckets, so the invalidation is exact here).
-  for (UserId u = 1; u <= 3; ++u) {
-    Insert(cache, u, 10, 10.0, static_cast<double>(u));
-    Insert(cache, u, 20, 10.0, static_cast<double>(u) + 0.5);
-  }
-  cache.InvalidatePoi(10);
-  double d = 0.0;
-  for (UserId u = 1; u <= 3; ++u) {
-    // The invalidated column misses (and drops its entries lazily)...
-    EXPECT_FALSE(Lookup(cache, u, 10, 10.0, &d)) << "user " << u;
-    // ...while the unrelated column keeps serving hits.
-    ASSERT_TRUE(Lookup(cache, u, 20, 10.0, &d)) << "user " << u;
-    EXPECT_EQ(d, static_cast<double>(u) + 0.5);
-  }
-  const auto stats = cache.GetStats();
-  EXPECT_EQ(stats.stale_drops, 3u);
-  EXPECT_EQ(stats.entries, 3u);  // Only the surviving column remains.
-}
-
-TEST(DistanceCacheTest, InsertAfterInvalidateServesFreshValue) {
-  DistanceCache cache;
-  Insert(cache, 7, 5, 10.0, 2.0);
-  cache.InvalidatePoi(5);
-  // A fresh insert after the bump carries the new generation: it must
-  // serve, and it must replace the stale entry rather than merge with it
-  // (an inf insert would otherwise lose to the stale finite value).
-  Insert(cache, 7, 5, 4.0, kInfDistance);
-  double d = 0.0;
-  ASSERT_TRUE(Lookup(cache, 7, 5, 4.0, &d));
-  EXPECT_EQ(d, kInfDistance);
-  EXPECT_FALSE(Lookup(cache, 7, 5, 9.0, &d));  // dist > 4 says nothing here.
-}
-
-TEST(DistanceCacheTest, RepeatedInvalidationsKeepCounting) {
-  DistanceCache cache;
-  for (int round = 0; round < 5; ++round) {
-    Insert(cache, 1, 3, 10.0, 1.0 + round);
-    double d = 0.0;
-    ASSERT_TRUE(Lookup(cache, 1, 3, 10.0, &d));
-    EXPECT_EQ(d, 1.0 + round);
-    cache.InvalidatePoi(3);
-    EXPECT_FALSE(Lookup(cache, 1, 3, 10.0, &d));
-  }
-  EXPECT_EQ(cache.GetStats().stale_drops, 5u);
-}
-
 TEST(DistanceCacheTest, RowServesAnySubsetOfItsMergedItems) {
   DistanceCache cache;
   const std::vector<PoiId> first = {2, 5, 9};
@@ -222,12 +173,13 @@ TEST(DistanceCacheTest, RowServesAnySubsetOfItsMergedItems) {
 }
 
 TEST(DistanceCacheTest, RowsMatchPerItemReferenceModel) {
-  // Random InsertRow / LookupRow / InvalidatePoi sequences under a budget
-  // that never evicts, checked against a per-(user, POI) reference of the
-  // item rules. A row must hit exactly when every item would, and a hit
-  // must return the reference's values bit for bit.
+  // Random InsertRow / LookupRow sequences under a budget that never
+  // evicts, checked against a per-(user, POI) reference of the item rules.
+  // A row must hit exactly when every item would, and a hit must return
+  // the reference's values bit for bit.
   constexpr int kUsers = 24;
-  constexpr int kPois = 48;  // Distinct generation buckets: exact model.
+  // Wide enough that rows stay sparse and bound-tag misses keep coming.
+  constexpr int kPois = 480;
   DistanceCacheOptions options;
   options.max_entries = 1 << 16;
   DistanceCache cache(options);
@@ -235,16 +187,12 @@ TEST(DistanceCacheTest, RowsMatchPerItemReferenceModel) {
   struct RefItem {
     double dist;
     double bound;
-    uint32_t gen;
   };
   std::map<std::pair<UserId, PoiId>, RefItem> ref;
-  std::vector<uint32_t> gen(kPois, 0);
   std::vector<std::vector<PoiId>> last_row(kUsers);
   const double bounds[] = {0.5, 2.0, 4.0, 6.0, 9.0, kInfDistance};
-  auto true_dist = [&](UserId u, PoiId o) {
-    // Moves with the POI's generation, as a rewired edge would.
-    return static_cast<double>((u * 37 + o * 11 + gen[o] * 5) % 97) / 10.0 +
-           0.05;
+  auto true_dist = [](UserId u, PoiId o) {
+    return static_cast<double>((u * 37 + o * 11) % 97) / 10.0 + 0.05;
   };
 
   Rng rng(20260417);
@@ -254,12 +202,6 @@ TEST(DistanceCacheTest, RowsMatchPerItemReferenceModel) {
     const UserId u = static_cast<UserId>(rng.NextBounded(kUsers));
     const double bound = bounds[rng.NextBounded(std::size(bounds))];
     const uint64_t op = rng.NextBounded(10);
-    if (op == 0) {
-      const PoiId o = static_cast<PoiId>(rng.NextBounded(kPois));
-      cache.InvalidatePoi(o);
-      ++gen[o];
-      continue;
-    }
     std::vector<PoiId> row;
     if (op <= 4 || last_row[u].empty()) {
       row = RandomRow(&rng, kPois, static_cast<int>(rng.NextBounded(11)));
@@ -280,8 +222,8 @@ TEST(DistanceCacheTest, RowsMatchPerItemReferenceModel) {
       for (size_t i = 0; i < row.size(); ++i) {
         const auto key = std::make_pair(u, row[i]);
         auto it = ref.find(key);
-        if (it == ref.end() || it->second.gen != gen[row[i]]) {
-          ref[key] = {dists[i], bound, gen[row[i]]};
+        if (it == ref.end()) {
+          ref[key] = {dists[i], bound};
         } else if (std::isfinite(dists[i])) {
           it->second.dist = dists[i];
           it->second.bound = bound;
@@ -295,7 +237,7 @@ TEST(DistanceCacheTest, RowsMatchPerItemReferenceModel) {
       std::vector<double> want;
       for (PoiId o : row) {
         auto it = ref.find({u, o});
-        if (it == ref.end() || it->second.gen != gen[o] ||
+        if (it == ref.end() ||
             (!std::isfinite(it->second.dist) && it->second.bound < bound)) {
           want_hit = false;
           break;
@@ -418,10 +360,10 @@ TEST(DistanceCacheTest, RowWiderThanShardBudgetIsNotCached) {
 }
 
 TEST(DistanceCacheTest, ConcurrentHammerKeepsEntriesConsistent) {
-  // 8 threads × overlapping users and multi-POI rows, with invalidations
-  // racing. Every thread inserts the canonical value f(u, o) and checks
-  // that any hit returns exactly those values — never a torn or foreign
-  // value. The budget is small enough that whole rows are evicted too.
+  // 8 threads × overlapping users and multi-POI rows. Every thread
+  // inserts the canonical value f(u, o) and checks that any hit returns
+  // exactly those values — never a torn or foreign value. The budget is
+  // small enough that whole rows are evicted too.
   DistanceCacheOptions options;
   options.max_entries = 1024;
   options.num_shards = 8;
@@ -445,11 +387,6 @@ TEST(DistanceCacheTest, ConcurrentHammerKeepsEntriesConsistent) {
         const UserId u = static_cast<UserId>(rng.NextBounded(kUsers));
         const std::vector<PoiId> row =
             RandomRow(&rng, kPois, 1 + static_cast<int>(rng.NextBounded(8)));
-        if (rng.NextBounded(24) == 0) {
-          // Races generation bumps against lookups/inserts; the canonical
-          // value per item is fixed, so hits stay checkable afterwards.
-          cache.InvalidatePoi(row.front());
-        }
         switch (rng.NextBounded(3)) {
           case 0:
             dists.clear();

@@ -1,12 +1,12 @@
 // Serving concurrency hammer (runs under the TSAN preset via
-// scripts/check.sh): drives the transport/coordinator/shard machinery
-// through its racy corners — CancelAll landing mid-gather, deadlines
-// expiring during refine, and shards answering after the coordinator
-// already completed (and abandoned) their query. The invariants are
-// liveness (every batch returns; nothing deadlocks when the coordinator
-// keeps more requests outstanding than a shard has workers) and sane
-// terminal statuses; answers are checked only for queries that completed
-// OK.
+// scripts/check.sh): drives the coordinator, its worker pool and its
+// reply mailbox through their racy corners — CancelAll landing
+// mid-gather, deadlines expiring during refine, and shard stages
+// answering after the coordinator already completed (and abandoned) their
+// query. The invariants are liveness (every batch returns; nothing
+// deadlocks when the coordinator keeps more stages outstanding than the
+// pool has workers) and sane terminal statuses; answers are checked only
+// for queries that completed OK.
 
 #include <gtest/gtest.h>
 
@@ -153,9 +153,9 @@ TEST(ServingStressTest, StaleRepliesAfterErrorShortCircuitAreDropped) {
 }
 
 TEST(ServingStressTest, WideInflightWindowOnOneShardCompletes) {
-  // 256 queries in flight on one single-worker shard: far more requests
-  // than the shard can take at once sit in its inbox while its worker
-  // replies into the coordinator's. Both sends must go through.
+  // 256 queries in flight on one single-worker shard: far more stages
+  // than the pool can run at once wait in its queue while its worker
+  // replies into the coordinator's mailbox. Both must go through.
   GpssnDatabase db = MakeDb(25);
   const std::vector<GpssnQuery> workload = MakeWorkload(db, 55, 300);
   ServingOptions options;
@@ -200,8 +200,9 @@ TEST(ServingStressTest, ClusterTeardownWithPendingWorkIsClean) {
     auto cluster = ServingCluster::Create(db, options);
     ASSERT_TRUE(cluster.ok());
     (void)(*cluster)->QueryBatch(MakeWorkload(db, 41 + round, 6));
-    // Destructor closes the transport while shard inboxes may still hold
-    // requests; must join cleanly (TSAN checks the shutdown ordering).
+    // Stale stages of failed queries may still be queued: the destructor
+    // runs them, and their replies land in a mailbox that is still alive,
+    // before the workers join (TSAN checks the shutdown ordering).
   }
 }
 
