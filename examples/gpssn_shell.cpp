@@ -5,6 +5,8 @@
 // Commands:
 //   gen <BriCal|GowCol|UNI|ZIPF> <scale>   generate + index a dataset
 //   load <path>                            load a saved .gpssn file + index
+//   save <path>                            write a database snapshot
+//   restore <path>                         load a database snapshot
 //   stat                                   dataset statistics
 //   tune [percentile]                      data-driven (gamma, theta, r)
 //   set <gamma|theta|r|metric> <value>     set query parameters
@@ -102,8 +104,28 @@ int main() {
                   db->ssn().num_users(), db->ssn().num_pois());
       continue;
     }
+    if (cmd == "restore") {
+      std::string path;
+      if (!(in >> path)) {
+        std::printf("usage: restore <path>\n");
+        continue;
+      }
+      WallTimer timer;
+      auto restored = LoadSnapshot(path);
+      if (!restored.ok()) {
+        std::printf("restore failed: %s\n",
+                    restored.status().ToString().c_str());
+        continue;
+      }
+      db = std::move(restored).value();
+      std::printf("restored in %.2f s (%d users, %d POIs)\n",
+                  timer.ElapsedSeconds(), db->ssn().num_users(),
+                  db->ssn().num_pois());
+      continue;
+    }
     if (db == nullptr) {
-      std::printf("no dataset loaded — use 'gen' or 'load' first\n");
+      std::printf(
+          "no dataset loaded — use 'gen', 'load' or 'restore' first\n");
       continue;
     }
     if (cmd == "stat") {
@@ -207,25 +229,6 @@ int main() {
       const Status saved = SaveSnapshot(*db, path);
       std::printf("%s\n", saved.ok() ? "snapshot written" :
                                        saved.ToString().c_str());
-      continue;
-    }
-    if (cmd == "restore") {
-      std::string path;
-      if (!(in >> path)) {
-        std::printf("usage: restore <path>\n");
-        continue;
-      }
-      WallTimer timer;
-      auto restored = LoadSnapshot(path);
-      if (!restored.ok()) {
-        std::printf("restore failed: %s\n",
-                    restored.status().ToString().c_str());
-        continue;
-      }
-      db = std::move(restored).value();
-      std::printf("restored in %.2f s (%d users, %d POIs)\n",
-                  timer.ElapsedSeconds(), db->ssn().num_users(),
-                  db->ssn().num_pois());
       continue;
     }
     if (cmd == "addpoi") {

@@ -7,13 +7,10 @@
 #   - CH bucket one-to-many beats bounded Dijkstra at the largest road size
 #   - 4-lane library social score >= 1.5x over a sequential loop at d=128
 #
-#   - PR 9 (continental-scale CH build and index file, BENCH_PR9.json;
+#   - PR 9 (continental-scale CH build, BENCH_PR9.json;
 #     GPSSN_BENCH_PR9_SIDE=1000 runs it at 10^6 vertices):
 #       * the CH build is deterministic: building twice gives bitwise
 #         identical hierarchies
-#       * loading the index file (LoadRoadIndex) strictly faster than
-#         rebuilding the hierarchy (check mmap_load_beats_rebuild, a name
-#         kept from when the loader mapped the file)
 #
 #   - PR 10 (sharded scatter-gather serving, BENCH_PR10.json):
 #       * sharded answers byte-identical to single-node at shard counts
@@ -120,10 +117,9 @@ EOF
 
 PR9_OUT="$(dirname "$OUT")/BENCH_PR9.json"
 
-echo "=== bench_pr9_scale: CH build / index load ==="
+echo "=== bench_pr9_scale: CH build and rebuild ==="
 GPSSN_BENCH_PR9_SIDE="${GPSSN_BENCH_PR9_SIDE:-220}" \
   GPSSN_BENCH_PR9_JSON="$TMP/pr9.json" \
-  GPSSN_BENCH_PR9_INDEX="$TMP/pr9.gpssnidx" \
   ./build/bench/bench_pr9_scale
 
 python3 - "$TMP/pr9.json" "$PR9_OUT" <<'EOF'
@@ -139,8 +135,6 @@ cores = os.cpu_count() or 1
 
 checks = {
     "build_bitwise_identical": pr9.get("build_identical") is True,
-    "mmap_load_beats_rebuild":
-        pr9.get("load_seconds", float("inf")) < pr9.get("rebuild_seconds", 0.0),
 }
 
 report = {

@@ -30,13 +30,6 @@ Rules (each finding prints `path:line: [rule] message`, exit status 1):
                    `// gpssn-lint: relaxed(<reason>)` tag saying why relaxed
                    ordering is sound there (monotone counter, cooperative
                    flag with an external barrier, ...).
-  serialized-struct
-                   A struct marked `// gpssn-serialized(bytes=N)` (the
-                   convention for structs written to / read from index
-                   files, see roadnet/index_io.h) must be pinned by two
-                   same-file static_asserts: std::is_trivially_copyable_v
-                   and sizeof == N. Without them a refactor can silently
-                   change the on-disk layout or make memcpy UB.
   lock-order       Named mutexes declare their acquisition order in
                    `gpssn-lock-order: a -> b -> c` comments (collected from
                    the scanned tree). Nested MutexLock / ReaderMutexLock /
@@ -60,7 +53,7 @@ import sys
 
 RULES = ("raw-new-delete", "ignored-status", "include-hygiene",
          "header-guard", "naked-mutex", "relaxed-justification",
-         "serialized-struct", "lock-order")
+         "lock-order")
 
 # Directories scanned in a normal run, relative to the repo root.
 SCAN_DIRS = ("src", "tests", "bench", "examples")
@@ -401,59 +394,6 @@ def check_relaxed_justification(path, root, raw_lines, code_lines, findings):
 
 
 # --------------------------------------------------------------------------
-# Rule: serialized-struct
-# --------------------------------------------------------------------------
-
-SERIALIZED_RE = re.compile(r"gpssn-serialized\(bytes=(\d+)\)")
-STRUCT_DECL_RE = re.compile(r"\bstruct\s+([A-Za-z_]\w*)")
-# Asserts may name the struct with enclosing-class qualifiers
-# (`ContractionHierarchy::UpArc`).
-QUAL = r"(?:[A-Za-z_]\w*\s*::\s*)*"
-
-
-def check_serialized_struct(path, root, raw_lines, code_lines, findings):
-    rel = relpath(path, root)
-    code_text = "\n".join(code_lines)
-    for lineno, (raw, code) in enumerate(zip(raw_lines, code_lines), 1):
-        m = SERIALIZED_RE.search(raw)
-        if not m:
-            continue
-        if "serialized-struct" in allowed_rules(raw):
-            continue
-        nbytes = int(m.group(1))
-        # The struct opens on the marker line or within the next few lines
-        # (doc comments between marker and declaration are fine).
-        name = None
-        for later in code_lines[lineno - 1:lineno + 4]:
-            dm = STRUCT_DECL_RE.search(later)
-            if dm:
-                name = dm.group(1)
-                break
-        if name is None:
-            findings.append(Finding(
-                rel, lineno, "serialized-struct",
-                "gpssn-serialized(bytes=N) marker is not followed by a "
-                "struct declaration"))
-            continue
-        trivial_re = re.compile(
-            r"static_assert\s*\(\s*std\s*::\s*is_trivially_copyable_v\s*<\s*"
-            + QUAL + re.escape(name) + r"\s*>")
-        sizeof_re = re.compile(
-            r"static_assert\s*\(\s*sizeof\s*\(\s*" + QUAL + re.escape(name)
-            + r"\s*\)\s*==\s*" + str(nbytes) + r"\b")
-        if not trivial_re.search(code_text):
-            findings.append(Finding(
-                rel, lineno, "serialized-struct",
-                f"`{name}` is gpssn-serialized but has no same-file "
-                f"static_assert(std::is_trivially_copyable_v<{name}>)"))
-        if not sizeof_re.search(code_text):
-            findings.append(Finding(
-                rel, lineno, "serialized-struct",
-                f"`{name}` is gpssn-serialized(bytes={nbytes}) but has no "
-                f"same-file static_assert(sizeof({name}) == {nbytes})"))
-
-
-# --------------------------------------------------------------------------
 # Rule: lock-order
 # --------------------------------------------------------------------------
 
@@ -583,7 +523,6 @@ def lint_tree(root):
         check_naked_mutex(path, root, raw_lines, code_lines, findings)
         check_relaxed_justification(path, root, raw_lines, code_lines,
                                     findings)
-        check_serialized_struct(path, root, raw_lines, code_lines, findings)
         check_lock_order(path, root, raw_lines, code_lines, findings,
                          lock_order)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))

@@ -6,10 +6,9 @@
 // Per dataset (UNI x0.2 on the CH backend; ZIPF x0.2 on Dijkstra with a
 // 2^19-entry shared distance cache, as perfbench's uni-ch and zipf-maint):
 //   - a fresh ContractionHierarchy of the road network under default
-//     ChOptions: FNV-1a digests of its ranks(), up_offsets() and up_arcs()
-//     bytes, its shortcut count and its round count; then the same digests
-//     and shortcut count of that hierarchy after SaveRoadIndex to a
-//     temporary file and LoadRoadIndex back;
+//     ChOptions: FNV-1a digests of its ranks() and up_offsets() bytes and
+//     of its up_arcs() field by field, its shortcut count and its round
+//     count;
 //   - kQueries queries: Query at a random radius and τ, then QueryTopK(3)
 //     of the same query, with an AddPoi every kAddPoiEvery queries;
 //   - on a database that owns a backend (the CH one), after the build and
@@ -22,12 +21,9 @@
 // Doubles print as %a (exact bits). Every double QueryStats row is a wall
 // time and is left out; everything else is deterministic.
 
-#include <unistd.h>
-
 #include <cinttypes>
 #include <cstddef>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
@@ -36,7 +32,6 @@
 #include "common/rng.h"
 #include "core/database.h"
 #include "roadnet/contraction_hierarchy.h"
-#include "roadnet/index_io.h"
 #include "serving/coordinator.h"
 #include "ssn/dataset.h"
 
@@ -124,13 +119,25 @@ std::string QueryTag(const char* dataset, const char* path, int i,
   return buf;
 }
 
-// 64-bit FNV-1a over the bytes of `values`.
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+// 64-bit FNV-1a over the bytes of `values`, continuing from `hash`.
 template <typename T>
-uint64_t Fnv1a(std::span<const T> values) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
+uint64_t Fnv1a(std::span<const T> values, uint64_t hash = kFnvOffset) {
   for (const std::byte b : std::as_bytes(values)) {
     hash ^= static_cast<uint64_t>(b);
     hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// The up arcs field by field: an UpArc has padding bytes, which hold
+// whatever the build left there.
+uint64_t UpArcsDigest(const ContractionHierarchy& ch) {
+  uint64_t hash = kFnvOffset;
+  for (const ContractionHierarchy::UpArc& arc : ch.up_arcs()) {
+    hash = Fnv1a(std::span(&arc.to, 1), hash);
+    hash = Fnv1a(std::span(&arc.weight, 1), hash);
   }
   return hash;
 }
@@ -141,25 +148,7 @@ void PrintHierarchy(const char* dataset, const RoadNetwork& road) {
   std::printf("%s ch ranks=%016" PRIx64 " up_offsets=%016" PRIx64
               " up_arcs=%016" PRIx64 " shortcuts=%d rounds=%d\n",
               dataset, Fnv1a(ch.ranks()), Fnv1a(ch.up_offsets()),
-              Fnv1a(ch.up_arcs()), ch.num_shortcuts(), ch.build_rounds());
-
-  // The same hierarchy through the index file's save and load path.
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("gpssn-parity-" + std::to_string(::getpid()) + "-" + dataset +
-        ".gpssnidx"))
-          .string();
-  const Status saved = SaveRoadIndex(road, ch, path);
-  const Result<RoadIndexBundle> loaded =
-      saved.ok() ? LoadRoadIndex(path) : Result<RoadIndexBundle>(saved);
-  std::filesystem::remove(path);
-  PrintStatus(std::string(dataset) + " loaded_ch", loaded.status());
-  if (!loaded.ok()) return;
-  const ContractionHierarchy& back = *loaded->ch;
-  std::printf("%s loaded_ch ranks=%016" PRIx64 " up_offsets=%016" PRIx64
-              " up_arcs=%016" PRIx64 " shortcuts=%d\n",
-              dataset, Fnv1a(back.ranks()), Fnv1a(back.up_offsets()),
-              Fnv1a(back.up_arcs()), back.num_shortcuts());
+              UpArcsDigest(ch), ch.num_shortcuts(), ch.build_rounds());
 }
 
 struct BallProbe {

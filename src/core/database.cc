@@ -68,8 +68,7 @@ GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn,
                                                 &road_pivots_, social_options);
 
   if (options.distance_backend == DistanceBackendKind::kContractionHierarchy) {
-    backend_ = MakeChBackend(&ssn_.road(), &ssn_.pois(), options.ch,
-                             options.ch_index_path);
+    backend_ = MakeChBackend(&ssn_.road(), &ssn_.pois(), options.ch);
   }
   if (options.distance_cache_entries > 0) {
     DistanceCacheOptions cache_options;

@@ -11,7 +11,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/sync.h"
@@ -45,12 +44,6 @@ struct GpssnBuildOptions {
   DistanceBackendKind distance_backend = DistanceBackendKind::kDijkstra;
   /// CH construction knobs (used only for kContractionHierarchy).
   ChOptions ch;
-  /// Persistence path for the graph + CH index (kContractionHierarchy
-  /// only; empty = always build in-process). When set, construction loads
-  /// a previously saved index from this file if its checksums validate
-  /// and it matches the road network, and otherwise builds and saves one
-  /// (see roadnet/index_io.h).
-  std::string ch_index_path;
   /// Capacity, in (user, POI) items, of the shared cross-query distance
   /// row cache (roadnet/distance_cache.h); 0 disables it. The cache is
   /// shared by every query, batch worker and serving shard of this

@@ -7,14 +7,10 @@
 #define GPSSN_GEOM_POINT_H_
 
 #include <cmath>
-#include <type_traits>
 
 namespace gpssn {
 
-/// A point in the 2D data space of the spatial road network. Stored
-/// verbatim in road-index files and copied back out of them (see
-/// roadnet/index_io.h), so the layout is fixed.
-// gpssn-serialized(bytes=16)
+/// A point in the 2D data space of the spatial road network.
 struct Point {
   double x = 0.0;
   double y = 0.0;
@@ -23,10 +19,6 @@ struct Point {
     return a.x == b.x && a.y == b.y;
   }
 };
-
-static_assert(std::is_trivially_copyable_v<Point>,
-              "Point is stored verbatim in index files");
-static_assert(sizeof(Point) == 16, "Point file layout is fixed at 16 bytes");
 
 inline double SquaredDistance(const Point& a, const Point& b) {
   const double dx = a.x - b.x;

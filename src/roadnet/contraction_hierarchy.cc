@@ -10,11 +10,8 @@ namespace gpssn {
 namespace {
 
 // One directed half of a remaining-graph edge during construction.
-// `middle` is the contracted vertex a shortcut bypasses (kInvalidVertex
-// for original road edges).
 struct BuildArc {
   VertexId to = kInvalidVertex;
-  VertexId middle = kInvalidVertex;
   double weight = 0.0;
 };
 
@@ -24,7 +21,6 @@ struct BuildArc {
 struct EdgeRec {
   VertexId u = kInvalidVertex;
   VertexId v = kInvalidVertex;
-  VertexId middle = kInvalidVertex;
   double weight = 0.0;
 };
 
@@ -213,19 +209,18 @@ class ChBuilder {
     return count;
   }
 
-  /// Inserts (or improves) the directed half (from -> to) of a shortcut
-  /// through `middle`. Returns true when the adjacency changed.
-  bool RelaxAdj(VertexId from, VertexId to, double weight, VertexId middle) {
+  /// Inserts (or improves) the directed half (from -> to) of a shortcut.
+  /// Returns true when the adjacency changed.
+  bool RelaxAdj(VertexId from, VertexId to, double weight) {
     for (BuildArc& arc : adj_[from]) {
       if (arc.to != to) continue;
       if (weight < arc.weight) {
         arc.weight = weight;
-        arc.middle = middle;
         return true;
       }
       return false;
     }
-    adj_[from].push_back(BuildArc{to, middle, weight});
+    adj_[from].push_back(BuildArc{to, weight});
     return true;
   }
 
@@ -273,14 +268,14 @@ void ChBuilder::Run() {
     const double w = g_.edge_weight(e);
     // The builder rejects self-loops and parallel edges, so every (u, v)
     // appears exactly once — original arcs carry the exact edge weight.
-    adj_[u].push_back(BuildArc{v, kInvalidVertex, w});
-    adj_[v].push_back(BuildArc{u, kInvalidVertex, w});
+    adj_[u].push_back(BuildArc{v, w});
+    adj_[v].push_back(BuildArc{u, w});
   }
   all_edges_.reserve(static_cast<size_t>(g_.num_edges()) * 2);
   for (VertexId u = 0; u < n_; ++u) {
     for (const BuildArc& arc : adj_[u]) {
       if (u < arc.to) {
-        all_edges_.push_back(EdgeRec{u, arc.to, kInvalidVertex, arc.weight});
+        all_edges_.push_back(EdgeRec{u, arc.to, arc.weight});
       }
     }
   }
@@ -346,10 +341,10 @@ void ChBuilder::Run() {
         }
       }
       for (const ShortcutRec& sc : round_shortcuts_[i]) {
-        const bool fresh = RelaxAdj(sc.a, sc.b, sc.weight, v);
-        RelaxAdj(sc.b, sc.a, sc.weight, v);
+        const bool fresh = RelaxAdj(sc.a, sc.b, sc.weight);
+        RelaxAdj(sc.b, sc.a, sc.weight);
         if (fresh) {
-          all_edges_.push_back(EdgeRec{sc.a, sc.b, v, sc.weight});
+          all_edges_.push_back(EdgeRec{sc.a, sc.b, sc.weight});
           ++num_shortcuts;
         }
         MarkDirty(sc.a);
@@ -389,9 +384,9 @@ void ChBuilder::Run() {
 
 void ChBuilder::BuildUpwardGraph() {
   // Every surviving edge points from the lower-ranked to the higher-ranked
-  // endpoint; keep the minimum weight per (from, to) — stable sort keeps
-  // the earliest insertion among exact ties, so an original edge always
-  // beats a later equal-weight shortcut and unpacking terminates.
+  // endpoint; keep the minimum weight per (from, to). Among exact ties the
+  // stable sort keeps the earliest insertion, so the arrays do not depend
+  // on the sort implementation.
   for (EdgeRec& rec : all_edges_) {
     if (rank[rec.u] > rank[rec.v]) std::swap(rec.u, rec.v);
   }
@@ -416,8 +411,7 @@ void ChBuilder::BuildUpwardGraph() {
   up_arcs.resize(kept);
   std::vector<int64_t> cursor(up_offsets.begin(), up_offsets.end() - 1);
   for (const EdgeRec& rec : all_edges_) {
-    up_arcs[cursor[rec.u]++] =
-        ContractionHierarchy::UpArc{rec.v, rec.middle, rec.weight};
+    up_arcs[cursor[rec.u]++] = ContractionHierarchy::UpArc{rec.v, rec.weight};
   }
 }
 
@@ -425,23 +419,6 @@ void ChBuilder::BuildUpwardGraph() {
 
 ContractionHierarchy::ContractionHierarchy(ChOptions options)
     : options_(options) {}
-
-ContractionHierarchy::ContractionHierarchy(const RoadNetwork* graph,
-                                           const ChOptions& options,
-                                           std::vector<int32_t> rank,
-                                           std::vector<int64_t> up_offsets,
-                                           std::vector<UpArc> up_arcs,
-                                           int num_shortcuts)
-    : options_(options),
-      graph_(graph),
-      rank_(std::move(rank)),
-      up_offsets_(std::move(up_offsets)),
-      up_arcs_(std::move(up_arcs)),
-      num_shortcuts_(num_shortcuts) {
-  GPSSN_CHECK(graph != nullptr);
-  GPSSN_CHECK(static_cast<int>(rank_.size()) == graph->num_vertices());
-  GPSSN_CHECK(up_offsets_.size() == rank_.size() + 1);
-}
 
 void ContractionHierarchy::Build(const RoadNetwork* graph) {
   GPSSN_CHECK(graph != nullptr);

@@ -11,8 +11,8 @@
 // selected vertices are adjacent), simulates every selected contraction
 // against the round-start graph with witness searches that treat ALL
 // round-selected vertices as removed, and then applies the results in
-// vertex-id order. The rounds define the hierarchy, and with it the bytes
-// of every index file (roadnet/index_io.h).
+// vertex-id order. The rounds define the hierarchy, so building twice gives
+// bitwise identical arrays.
 //
 // Witness searches skipping the whole selected set is what makes
 // simultaneous contraction sound: a witness path found this round avoids
@@ -22,8 +22,7 @@
 // never lose a needed one).
 //
 // The preprocessed arrays (rank permutation + CSR upward graph) are three
-// vectors the hierarchy owns; roadnet/index_io.h saves them to a file and
-// copies them back out of one.
+// vectors the hierarchy owns.
 //
 // This is the substrate a production deployment of GP-SSN uses for the
 // exact maxdist evaluations of the refinement phase on continental road
@@ -35,7 +34,6 @@
 
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "common/macros.h"
@@ -56,35 +54,21 @@ struct ChOptions {
 /// then query from any number of ChQuery engines.
 class ContractionHierarchy {
  public:
-  /// Upward arc: original road edge (middle == kInvalidVertex) or shortcut
-  /// bypassing its contracted `middle` vertex. No query reads `middle`; it
-  /// stays because the version-1 index file layout stores it. Fixed-width
-  /// and trivially copyable — this struct is stored verbatim in index
-  /// files (see roadnet/index_io.h).
-  // gpssn-serialized(bytes=16)
+  /// Upward arc: an original road edge or a shortcut, to a higher-ranked
+  /// vertex.
   struct UpArc {
     VertexId to = kInvalidVertex;
-    VertexId middle = kInvalidVertex;
     double weight = 0.0;
   };
 
   ContractionHierarchy() : ContractionHierarchy(ChOptions{}) {}
   explicit ContractionHierarchy(ChOptions options);
 
-  /// A hierarchy over `graph` from the arrays a Build produced, as
-  /// LoadRoadIndex reads them back after checking their structure.
-  /// `graph` must outlive the hierarchy.
-  ContractionHierarchy(const RoadNetwork* graph, const ChOptions& options,
-                       std::vector<int32_t> rank,
-                       std::vector<int64_t> up_offsets,
-                       std::vector<UpArc> up_arcs, int num_shortcuts);
-
   /// Preprocesses `graph` (kept by pointer; must outlive the hierarchy).
   void Build(const RoadNetwork* graph);
 
   bool built() const { return graph_ != nullptr; }
   const RoadNetwork& graph() const { return *graph_; }
-  const ChOptions& options() const { return options_; }
 
   /// Contraction rank of a vertex (higher = more important).
   int rank(VertexId v) const { return rank_[v]; }
@@ -92,7 +76,7 @@ class ContractionHierarchy {
   /// Number of shortcut edges added during preprocessing.
   int num_shortcuts() const { return num_shortcuts_; }
 
-  /// Number of contraction rounds the build ran (0 for a loaded index).
+  /// Number of contraction rounds the build ran.
   int build_rounds() const { return build_rounds_; }
 
   /// Upward adjacency (arcs from v to higher-ranked vertices, original or
@@ -102,7 +86,7 @@ class ContractionHierarchy {
             up_arcs_.data() + up_offsets_[v + 1]};
   }
 
-  /// Flat storage views (serialization + arc-indexed traversals).
+  /// Flat storage views (build digests and bitwise comparisons).
   std::span<const int32_t> ranks() const { return rank_; }
   std::span<const int64_t> up_offsets() const { return up_offsets_; }
   std::span<const UpArc> up_arcs() const { return up_arcs_; }
@@ -116,11 +100,6 @@ class ContractionHierarchy {
   int num_shortcuts_ = 0;
   int build_rounds_ = 0;
 };
-
-static_assert(std::is_trivially_copyable_v<ContractionHierarchy::UpArc>,
-              "UpArc is stored verbatim in index files");
-static_assert(sizeof(ContractionHierarchy::UpArc) == 16,
-              "UpArc file layout is fixed at 16 bytes");
 
 /// Query engine over a built hierarchy. Reusable arenas; not thread-safe
 /// (one engine per thread).

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "common/macros.h"
-#include "roadnet/index_io.h"
 
 namespace gpssn {
 
@@ -191,43 +190,22 @@ class ChDistanceEngine final : public DistanceEngine {
 class ChBackend final : public DistanceBackend {
  public:
   ChBackend(const RoadNetwork* graph, const std::vector<Poi>* pois,
-            const ChOptions& options, const std::string& index_path) {
+            const ChOptions& options)
+      : pois_(pois), ch_(options) {
     GPSSN_CHECK(graph != nullptr && pois != nullptr);
-    pois_ = pois;
-    // Load path: a saved index is only trusted when it checksums clean AND
-    // was built from this exact graph.
-    if (!index_path.empty()) {
-      Result<RoadIndexBundle> loaded = LoadRoadIndex(index_path);
-      if (loaded.ok() &&
-          RoadNetworkFingerprint(*loaded.value().graph) ==
-              RoadNetworkFingerprint(*graph)) {
-        bundle_ = std::move(loaded.value());
-        ch_ = bundle_.ch;
-        loaded_from_disk_ = true;
-      }
-    }
-    if (ch_ == nullptr) {
-      auto built = std::make_shared<ContractionHierarchy>(options);
-      built->Build(graph);
-      if (!index_path.empty()) {
-        // Best effort: a failed save just means the next start rebuilds.
-        SaveRoadIndex(*graph, *built, index_path).ok();
-      }
-      ch_ = std::move(built);
-    }
+    ch_.Build(graph);
   }
+
+  // Engines point into ch_.
+  GPSSN_DISALLOW_COPY_AND_MOVE(ChBackend);
 
   std::unique_ptr<DistanceEngine> CreateEngine() const override {
-    return std::make_unique<ChDistanceEngine>(ch_.get(), pois_);
+    return std::make_unique<ChDistanceEngine>(&ch_, pois_);
   }
 
-  bool loaded_from_disk() const override { return loaded_from_disk_; }
-
  private:
-  const std::vector<Poi>* pois_ = nullptr;
-  RoadIndexBundle bundle_;  // Keeps a loaded hierarchy's graph alive.
-  std::shared_ptr<const ContractionHierarchy> ch_;
-  bool loaded_from_disk_ = false;
+  const std::vector<Poi>* pois_;
+  ContractionHierarchy ch_;
 };
 
 }  // namespace
@@ -239,9 +217,8 @@ std::unique_ptr<DistanceBackend> MakeDijkstraBackend(
 
 std::unique_ptr<DistanceBackend> MakeChBackend(const RoadNetwork* graph,
                                                const std::vector<Poi>* pois,
-                                               const ChOptions& options,
-                                               const std::string& index_path) {
-  return std::make_unique<ChBackend>(graph, pois, options, index_path);
+                                               const ChOptions& options) {
+  return std::make_unique<ChBackend>(graph, pois, options);
 }
 
 }  // namespace gpssn

@@ -23,7 +23,6 @@
 
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -83,10 +82,6 @@ class DistanceBackend {
   virtual ~DistanceBackend() = default;
 
   virtual std::unique_ptr<DistanceEngine> CreateEngine() const = 0;
-
-  /// True when the preprocessed index was loaded from an index file
-  /// rather than built in-process (see MakeChBackend's index_path).
-  virtual bool loaded_from_disk() const { return false; }
 };
 
 /// The reference backend: bounded Dijkstra with reusable arenas. Engines
@@ -98,15 +93,9 @@ std::unique_ptr<DistanceBackend> MakeDijkstraBackend(
 /// (seconds for 10^5-vertex graphs); engines answer SourceToTargets with
 /// the bucket many-to-many algorithm and BallWithDistances with the
 /// reference bounded Dijkstra.
-///
-/// When `index_path` is non-empty, the backend tries to load a previously
-/// saved graph+CH index from that file (validating its checksums, its
-/// structure, and that its fingerprint matches `graph`); on any mismatch
-/// it rebuilds from `graph` and best-effort saves the result back to
-/// `index_path`.
-std::unique_ptr<DistanceBackend> MakeChBackend(
-    const RoadNetwork* graph, const std::vector<Poi>* pois,
-    const ChOptions& options = {}, const std::string& index_path = {});
+std::unique_ptr<DistanceBackend> MakeChBackend(const RoadNetwork* graph,
+                                               const std::vector<Poi>* pois,
+                                               const ChOptions& options = {});
 
 }  // namespace gpssn
 

@@ -54,21 +54,6 @@ void RoadNetwork::BuildCsr() {
   }
 }
 
-RoadNetwork RoadNetwork::FromParts(std::vector<Point> points,
-                                   std::vector<VertexId> edge_u,
-                                   std::vector<VertexId> edge_v,
-                                   std::vector<double> edge_w) {
-  GPSSN_CHECK(edge_u.size() == edge_v.size() &&
-              edge_u.size() == edge_w.size());
-  RoadNetwork g;
-  g.points_ = std::move(points);
-  g.edge_u_ = std::move(edge_u);
-  g.edge_v_ = std::move(edge_v);
-  g.edge_w_ = std::move(edge_w);
-  g.BuildCsr();
-  return g;
-}
-
 VertexId RoadNetworkBuilder::AddVertex(Point p) {
   points_.push_back(p);
   adjacency_.emplace_back();

@@ -39,21 +39,6 @@ class RoadNetwork {
   VertexId edge_v(EdgeId e) const { return edge_v_[e]; }
   double edge_weight(EdgeId e) const { return edge_w_[e]; }
 
-  /// Flat storage views (serialization).
-  std::span<const Point> points() const { return points_; }
-  std::span<const VertexId> edge_sources() const { return edge_u_; }
-  std::span<const VertexId> edge_targets() const { return edge_v_; }
-  std::span<const double> edge_weights() const { return edge_w_; }
-
-  /// Reassembles a network from its flat arrays (deserialization). The
-  /// arrays must describe a valid network (in-range endpoints, no
-  /// self-loops or parallel edges) — index files are validated by
-  /// checksum, not re-checked edge by edge.
-  static RoadNetwork FromParts(std::vector<Point> points,
-                               std::vector<VertexId> edge_u,
-                               std::vector<VertexId> edge_v,
-                               std::vector<double> edge_w);
-
   /// Outgoing arcs of `v` (each undirected edge appears once per endpoint).
   std::span<const RoadArc> Neighbors(VertexId v) const {
     return std::span<const RoadArc>(arcs_.data() + offsets_[v],
