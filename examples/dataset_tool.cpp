@@ -1,5 +1,7 @@
 // Dataset utility: generate the evaluation datasets, save/load them in the
-// gpssn-v1 text format, and print their Table 2 statistics.
+// gpssn-v2 text format (ssn/serialize.h: a text network ending in a 64-bit
+// FNV-1a checksum line, so a truncated or corrupted file fails to load),
+// and print their Table 2 statistics.
 //
 //   ./examples/dataset_tool gen <BriCal|GowCol|UNI|ZIPF> <scale> <path>
 //   ./examples/dataset_tool stat <path>

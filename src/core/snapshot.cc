@@ -1,12 +1,8 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <fstream>
 #include <functional>
 #include <sstream>
-#include <string_view>
 
 #include "ssn/serialize.h"
 
@@ -18,20 +14,6 @@ constexpr size_t kMaxKeywords = 1u << 20;
 // Far above any useful CH witness limit, and low enough that the CH build's
 // scaled settle budget cannot overflow an int.
 constexpr int kMaxWitnessLimit = 1 << 20;
-// "checksum " + 16 hex digits + "\n".
-constexpr size_t kChecksumLineBytes = 26;
-
-// The last line of a snapshot: the 64-bit FNV-1a of every byte before it.
-std::string ChecksumLine(std::string_view body) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : body) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  char line[kChecksumLineBytes + 1];
-  std::snprintf(line, sizeof(line), "checksum %016" PRIx64 "\n", hash);
-  return line;
-}
 }  // namespace
 
 Status SaveSnapshot(const GpssnDatabase& db, const std::string& path) {
@@ -68,33 +50,12 @@ Status SaveSnapshot(const GpssnDatabase& db, const std::string& path) {
   }
   out << "end\n";
 
-  std::ofstream file(path);
-  if (!file) return Status::IoError("cannot open for writing: " + path);
-  file << out.view() << ChecksumLine(out.view());
-  file.flush();
-  if (!file) return Status::IoError("write failed: " + path);
-  return Status::OK();
+  return WriteSealedFile(path, out.view());
 }
 
 Result<std::unique_ptr<GpssnDatabase>> LoadSnapshot(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return Status::IoError("cannot open for reading: " + path);
   std::stringstream in;
-  in << file.rdbuf();
-  // The magic first, so that a file of another version fails naming it;
-  // then the checksum, before anything is parsed.
-  std::string magic;
-  if (!(in >> magic) || magic != kSnapshotMagic) {
-    return Status::IoError("unsupported snapshot version '" + magic +
-                           "' in " + path + " (this build reads " +
-                           kSnapshotMagic + ")");
-  }
-  const std::string_view text = in.view();
-  const size_t body_bytes =
-      text.size() - std::min(text.size(), kChecksumLineBytes);
-  if (text.substr(body_bytes) != ChecksumLine(text.substr(0, body_bytes))) {
-    return Status::IoError("snapshot checksum mismatch: " + path);
-  }
+  GPSSN_RETURN_NOT_OK(ReadSealedFile(path, kSnapshotMagic, &in));
   GPSSN_ASSIGN_OR_RETURN(SpatialSocialNetwork ssn, ReadSsnBody(in));
 
   std::string section;

@@ -2,12 +2,13 @@
 //
 // Database snapshots: persist a built GpssnDatabase so a process restart
 // skips the expensive parts of the offline build. A gpssn-snapshot-v3 file
-// stores the network (gpssn-v1 body), the selected pivot ids, the build
-// options that shape the indexes, the distance backend with its CH witness
-// limits, the distance cache capacity, and the per-POI sup_K / sub_K
-// keyword sets (the n bounded 2·r_max ball queries that dominate build
-// time). Its last line, `checksum <16 hex digits>`, is the 64-bit FNV-1a
-// of every byte before it, so any changed byte fails the load. On load,
+// stores the network (the gpssn-v2 body of ssn/serialize.h), the selected
+// pivot ids, the build options that shape the indexes, the distance
+// backend with its CH witness limits, the distance cache capacity, and the
+// per-POI sup_K / sub_K keyword sets (the n bounded 2·r_max ball queries
+// that dominate build time). It is sealed like the network file: its last
+// line, `checksum <16 hex digits>`, is the 64-bit FNV-1a of every byte
+// before it, so any changed byte fails the load. On load,
 // pivot tables, tree shapes, and node aggregates are recomputed
 // deterministically from the stored seed, each POI's B(o, r_max) with one
 // bounded search of radius r_max, and a CH backend's hierarchy is built

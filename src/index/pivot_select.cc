@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/macros.h"
 #include "common/rng.h"
@@ -83,11 +84,91 @@ std::vector<int> RunLocalSearch(const SelectionProblem& problem, int k,
   return global_best;
 }
 
+// The sample every Algorithm 1 run scores against: `pairs` pairs of
+// random vertices or users, pair s joining endpoints 2s and 2s + 1.
+template <typename Id>
+std::vector<Id> SampleEndpoints(int num_ids, int pairs, Rng* rng) {
+  GPSSN_CHECK(pairs >= 0);
+  std::vector<Id> endpoints(2 * static_cast<size_t>(pairs));
+  for (auto& e : endpoints) e = static_cast<Id>(rng->NextBounded(num_ids));
+  return endpoints;
+}
+
+// Road distances of the sample. A search stops once the vertices it is read
+// at have settled; until then it takes the full search's steps, so each
+// label keeps its bits. Every search keeps its direction: one from the
+// other end sums the weights in another order.
+SelectionProblem RoadProblem(const RoadNetwork& graph,
+                             const std::vector<VertexId>& candidates,
+                             const std::vector<VertexId>& endpoints) {
+  SelectionProblem problem;
+  DijkstraEngine engine(&graph);
+  problem.cand_dist.resize(candidates.size());
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    engine.RunWithTargets({{candidates[c], 0.0}}, kInfDistance, endpoints);
+    for (VertexId e : endpoints) {
+      problem.cand_dist[c].push_back(engine.Distance(e));
+    }
+  }
+  for (size_t s = 0; 2 * s < endpoints.size(); ++s) {
+    problem.pair_dist.push_back(
+        engine.VertexToVertex(endpoints[2 * s], endpoints[2 * s + 1]));
+  }
+  return problem;
+}
+
+// Hop distances of the sample, from two multi-source sweeps: candidates to
+// endpoints, and each pair's first endpoint to the second ones.
+SelectionProblem SocialProblem(const SocialNetwork& graph,
+                               const std::vector<UserId>& candidates,
+                               const std::vector<UserId>& endpoints) {
+  auto hops_or_inf = [](int hops) {
+    return hops == kUnreachableHops ? std::numeric_limits<double>::infinity()
+                                    : static_cast<double>(hops);
+  };
+  SelectionProblem problem;
+  for (const auto& row : MultiSourceHops(graph, candidates, endpoints)) {
+    auto& dist = problem.cand_dist.emplace_back();
+    for (int hops : row) dist.push_back(hops_or_inf(hops));
+  }
+  std::vector<UserId> firsts, seconds;
+  for (size_t e = 0; e < endpoints.size(); e += 2) {
+    firsts.push_back(endpoints[e]);
+    seconds.push_back(endpoints[e + 1]);
+  }
+  const auto pair_hops = MultiSourceHops(graph, firsts, seconds);
+  for (size_t s = 0; s < firsts.size(); ++s) {
+    problem.pair_dist.push_back(hops_or_inf(pair_hops[s][s]));
+  }
+  return problem;
+}
+
+// Average lower-bound tightness of all candidates together over the sample
+// pairs with a finite, positive distance.
+double Tightness(const SelectionProblem& problem) {
+  std::vector<int> all(problem.cand_dist.size());
+  std::iota(all.begin(), all.end(), 0);
+  const auto counted = std::count_if(
+      problem.pair_dist.begin(), problem.pair_dist.end(),
+      [](double d) { return std::isfinite(d) && d > 0.0; });
+  return counted > 0 ? CostOf(problem, all) / static_cast<double>(counted)
+                     : 0.0;
+}
+
+// The ranges PivotSelectOptions documents.
+void CheckOptions(const PivotSelectOptions& options) {
+  GPSSN_CHECK(options.candidate_pool >= 1);
+  GPSSN_CHECK(options.sample_pairs >= 0);
+  GPSSN_CHECK(options.global_iter >= 1);
+  GPSSN_CHECK(options.swap_iter >= 0);
+}
+
 }  // namespace
 
 std::vector<VertexId> SelectRoadPivots(const RoadNetwork& graph, int h,
                                        const PivotSelectOptions& options) {
   GPSSN_CHECK(h >= 1 && h <= graph.num_vertices());
+  CheckOptions(options);
   Rng rng(options.seed);
   const int pool =
       std::min(std::max(options.candidate_pool, h), graph.num_vertices());
@@ -95,29 +176,9 @@ std::vector<VertexId> SelectRoadPivots(const RoadNetwork& graph, int h,
   for (size_t idx : rng.SampleWithoutReplacement(graph.num_vertices(), pool)) {
     candidates.push_back(static_cast<VertexId>(idx));
   }
-
-  const int pairs = options.sample_pairs;
-  std::vector<VertexId> endpoints(2 * pairs);
-  for (auto& e : endpoints) {
-    e = static_cast<VertexId>(rng.NextBounded(graph.num_vertices()));
-  }
-
-  SelectionProblem problem;
-  DijkstraEngine engine(&graph);
-  problem.cand_dist.resize(pool);
-  for (int c = 0; c < pool; ++c) {
-    engine.RunFromVertex(candidates[c]);
-    problem.cand_dist[c].resize(2 * pairs);
-    for (int e = 0; e < 2 * pairs; ++e) {
-      problem.cand_dist[c][e] = engine.Distance(endpoints[e]);
-    }
-  }
-  problem.pair_dist.resize(pairs);
-  for (int s = 0; s < pairs; ++s) {
-    engine.RunFromVertex(endpoints[2 * s]);
-    problem.pair_dist[s] = engine.Distance(endpoints[2 * s + 1]);
-  }
-
+  const auto endpoints = SampleEndpoints<VertexId>(
+      graph.num_vertices(), options.sample_pairs, &rng);
+  const SelectionProblem problem = RoadProblem(graph, candidates, endpoints);
   std::vector<VertexId> out;
   for (int c : RunLocalSearch(problem, h, options, &rng)) {
     out.push_back(candidates[c]);
@@ -128,6 +189,7 @@ std::vector<VertexId> SelectRoadPivots(const RoadNetwork& graph, int h,
 std::vector<UserId> SelectSocialPivots(const SocialNetwork& graph, int l,
                                        const PivotSelectOptions& options) {
   GPSSN_CHECK(l >= 1 && l <= graph.num_users());
+  CheckOptions(options);
   Rng rng(options.seed ^ 0x9e37ULL);
   const int pool =
       std::min(std::max(options.candidate_pool, l), graph.num_users());
@@ -135,33 +197,9 @@ std::vector<UserId> SelectSocialPivots(const SocialNetwork& graph, int l,
   for (size_t idx : rng.SampleWithoutReplacement(graph.num_users(), pool)) {
     candidates.push_back(static_cast<UserId>(idx));
   }
-
-  const int pairs = options.sample_pairs;
-  std::vector<UserId> endpoints(2 * pairs);
-  for (auto& e : endpoints) {
-    e = static_cast<UserId>(rng.NextBounded(graph.num_users()));
-  }
-
-  SelectionProblem problem;
-  BfsEngine engine(&graph);
-  auto hops_or_inf = [](int hops) {
-    return hops == kUnreachableHops ? std::numeric_limits<double>::infinity()
-                                    : static_cast<double>(hops);
-  };
-  problem.cand_dist.resize(pool);
-  for (int c = 0; c < pool; ++c) {
-    engine.Run(candidates[c]);
-    problem.cand_dist[c].resize(2 * pairs);
-    for (int e = 0; e < 2 * pairs; ++e) {
-      problem.cand_dist[c][e] = hops_or_inf(engine.Hops(endpoints[e]));
-    }
-  }
-  problem.pair_dist.resize(pairs);
-  for (int s = 0; s < pairs; ++s) {
-    engine.Run(endpoints[2 * s]);
-    problem.pair_dist[s] = hops_or_inf(engine.Hops(endpoints[2 * s + 1]));
-  }
-
+  const auto endpoints =
+      SampleEndpoints<UserId>(graph.num_users(), options.sample_pairs, &rng);
+  const SelectionProblem problem = SocialProblem(graph, candidates, endpoints);
   std::vector<UserId> out;
   for (int c : RunLocalSearch(problem, l, options, &rng)) {
     out.push_back(candidates[c]);
@@ -173,69 +211,18 @@ double MeasureRoadPivotTightness(const RoadNetwork& graph,
                                  const std::vector<VertexId>& pivots,
                                  int sample_pairs, uint64_t seed) {
   Rng rng(seed);
-  DijkstraEngine engine(&graph);
-  // Pivot distance rows.
-  std::vector<std::vector<double>> rows(pivots.size());
-  for (size_t k = 0; k < pivots.size(); ++k) {
-    engine.RunFromVertex(pivots[k]);
-    rows[k].resize(graph.num_vertices());
-    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-      rows[k][v] = engine.Distance(v);
-    }
-  }
-  double total = 0.0;
-  int counted = 0;
-  for (int s = 0; s < sample_pairs; ++s) {
-    const VertexId a = static_cast<VertexId>(rng.NextBounded(graph.num_vertices()));
-    const VertexId b = static_cast<VertexId>(rng.NextBounded(graph.num_vertices()));
-    if (a == b) continue;
-    engine.RunFromVertex(a);
-    const double true_dist = engine.Distance(b);
-    if (!std::isfinite(true_dist) || true_dist <= 0.0) continue;
-    double lb = 0.0;
-    for (size_t k = 0; k < pivots.size(); ++k) {
-      if (std::isfinite(rows[k][a]) && std::isfinite(rows[k][b])) {
-        lb = std::max(lb, std::abs(rows[k][a] - rows[k][b]));
-      }
-    }
-    total += std::min(lb / true_dist, 1.0);
-    ++counted;
-  }
-  return counted > 0 ? total / counted : 0.0;
+  const auto endpoints =
+      SampleEndpoints<VertexId>(graph.num_vertices(), sample_pairs, &rng);
+  return Tightness(RoadProblem(graph, pivots, endpoints));
 }
 
 double MeasureSocialPivotTightness(const SocialNetwork& graph,
                                    const std::vector<UserId>& pivots,
                                    int sample_pairs, uint64_t seed) {
   Rng rng(seed);
-  BfsEngine engine(&graph);
-  std::vector<std::vector<int>> rows(pivots.size());
-  for (size_t k = 0; k < pivots.size(); ++k) {
-    engine.Run(pivots[k]);
-    rows[k].resize(graph.num_users());
-    for (UserId u = 0; u < graph.num_users(); ++u) {
-      rows[k][u] = engine.Hops(u);
-    }
-  }
-  double total = 0.0;
-  int counted = 0;
-  for (int s = 0; s < sample_pairs; ++s) {
-    const UserId a = static_cast<UserId>(rng.NextBounded(graph.num_users()));
-    const UserId b = static_cast<UserId>(rng.NextBounded(graph.num_users()));
-    if (a == b) continue;
-    engine.Run(a);
-    const int true_dist = engine.Hops(b);
-    if (true_dist == kUnreachableHops || true_dist == 0) continue;
-    int lb = 0;
-    for (size_t k = 0; k < pivots.size(); ++k) {
-      if (rows[k][a] != kUnreachableHops && rows[k][b] != kUnreachableHops) {
-        lb = std::max(lb, std::abs(rows[k][a] - rows[k][b]));
-      }
-    }
-    total += std::min(1.0, static_cast<double>(lb) / true_dist);
-    ++counted;
-  }
-  return counted > 0 ? total / counted : 0.0;
+  const auto endpoints =
+      SampleEndpoints<UserId>(graph.num_users(), sample_pairs, &rng);
+  return Tightness(SocialProblem(graph, pivots, endpoints));
 }
 
 }  // namespace gpssn

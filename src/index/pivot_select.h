@@ -9,8 +9,12 @@
 //
 // — exactly the "tighter distance lower bound" objective Section 3.2 states.
 // Candidates are drawn from a random pool whose distances to the sample
-// endpoints are precomputed (one Dijkstra/BFS per candidate), so each swap
-// evaluation is O(|pool| · pairs).
+// endpoints are precomputed, so each swap evaluation is O(|pool| · pairs).
+// On the road side each candidate's Dijkstra stops once every endpoint has
+// settled, and each pair's once its far end has; on the social side two
+// bit-parallel BFS sweeps (MultiSourceHops) cover every candidate and every
+// pair. Both return the labels one full search per source would, so the
+// pivots do not depend on how the distances were gathered.
 
 #ifndef GPSSN_INDEX_PIVOT_SELECT_H_
 #define GPSSN_INDEX_PIVOT_SELECT_H_
@@ -22,6 +26,9 @@
 
 namespace gpssn {
 
+/// Select*Pivots GPSSN_CHECK candidate_pool >= 1, sample_pairs >= 0,
+/// global_iter >= 1 and swap_iter >= 0: with no restart the pivot set would
+/// stay empty, and a negative count sizes no sample.
 struct PivotSelectOptions {
   /// Size of the random candidate pool pivots are drawn from.
   int candidate_pool = 48;

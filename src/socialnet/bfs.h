@@ -2,13 +2,16 @@
 //
 // Hop-distance BFS on the social network: dist_SN(u, v) is the number of
 // friendship hops on the shortest path (Lemma 4 and Eq. 19 operate on it).
-// The engine owns a generation-stamped label arena for allocation-free reuse.
+// The engine owns a generation-stamped label arena for allocation-free reuse;
+// MultiSourceHops shares one traversal among up to 64 sources, for the
+// offline tables that need hops from many users at once.
 
 #ifndef GPSSN_SOCIALNET_BFS_H_
 #define GPSSN_SOCIALNET_BFS_H_
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "socialnet/social_graph.h"
@@ -46,6 +49,18 @@ class BfsEngine {
   uint32_t generation_ = 0;
   std::vector<UserId> visited_;  // Doubles as the BFS queue.
 };
+
+/// Hop distances from every source to every target: row i, column j is
+/// dist_SN(sources[i], targets[j]), or kUnreachableHops when they lie in
+/// different components — exactly what BfsEngine::Run(sources[i]) followed
+/// by Hops(targets[j]) returns. Runs one bit-parallel BFS per batch of 64
+/// sources (Then et al., "The More the Merrier", PVLDB 8(4), 2014): bit i
+/// of a user's word is set once source i has reached that user, so one
+/// pass over the friend lists grows every source of the batch by a level.
+/// Sources may repeat and may be targets.
+std::vector<std::vector<int>> MultiSourceHops(const SocialNetwork& graph,
+                                              std::span<const UserId> sources,
+                                              std::span<const UserId> targets);
 
 }  // namespace gpssn
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 
 #include "common/macros.h"
 #include "common/rng.h"
@@ -11,17 +12,9 @@ namespace gpssn {
 SocialPivotTable::SocialPivotTable(const SocialNetwork& graph,
                                    std::vector<UserId> pivots)
     : pivots_(std::move(pivots)) {
-  BfsEngine engine(&graph);
-  tables_.resize(pivots_.size());
-  for (size_t k = 0; k < pivots_.size(); ++k) {
-    GPSSN_CHECK(pivots_[k] >= 0 && pivots_[k] < graph.num_users());
-    engine.Run(pivots_[k]);
-    auto& table = tables_[k];
-    table.resize(graph.num_users());
-    for (UserId u = 0; u < graph.num_users(); ++u) {
-      table[u] = engine.Hops(u);
-    }
-  }
+  std::vector<UserId> users(graph.num_users());
+  std::iota(users.begin(), users.end(), 0);
+  tables_ = MultiSourceHops(graph, pivots_, users);
 }
 
 int SocialPivotTable::LowerBound(UserId a, UserId b) const {

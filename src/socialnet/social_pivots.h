@@ -2,7 +2,8 @@
 //
 // Social-network pivot hop tables (Sections 3.2 and 4.1): l users are chosen
 // as pivots sp_1..sp_l; exact hop distances dist_SN(u, sp_k) are precomputed
-// by one BFS per pivot. The triangle inequality then yields the lower bound
+// by one bit-parallel BFS sweep over the pivots (MultiSourceHops). The
+// triangle inequality then yields the lower bound
 // lb_dist_SN(u_k, u_q) = max_k |dist_SN(u_k, sp_k) − dist_SN(sp_k, u_q)|
 // used by the social-network distance pruning (Lemma 4, Eq. 19).
 
@@ -22,7 +23,7 @@ class SocialPivotTable {
  public:
   SocialPivotTable() = default;
 
-  /// Runs one full BFS per pivot.
+  /// Fills every pivot's row from one multi-source sweep.
   SocialPivotTable(const SocialNetwork& graph, std::vector<UserId> pivots);
 
   int num_pivots() const { return static_cast<int>(pivots_.size()); }

@@ -1,5 +1,6 @@
 #include "ssn/serialize.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -9,7 +10,9 @@
 namespace gpssn {
 
 namespace {
-constexpr char kMagic[] = "gpssn-v1";
+constexpr char kMagic[] = "gpssn-v2";
+// "checksum " + 16 hex digits + "\n".
+constexpr size_t kChecksumLineBytes = 26;
 // Bound on a POI's keyword count and on the topic count, so a hostile
 // header cannot make the loader allocate wildly.
 constexpr size_t kMaxListLength = size_t{1} << 20;
@@ -66,10 +69,10 @@ Status WriteSsnBody(std::ostream& out, const SpatialSocialNetwork& ssn) {
 }
 
 Status SaveSsn(const SpatialSocialNetwork& ssn, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
+  std::ostringstream out;
   out << kMagic << "\n";
-  return WriteSsnBody(out, ssn);
+  GPSSN_RETURN_NOT_OK(WriteSsnBody(out, ssn));
+  return WriteSealedFile(path, out.view());
 }
 
 Result<SpatialSocialNetwork> ReadSsnBody(std::istream& in) {
@@ -165,13 +168,48 @@ Result<SpatialSocialNetwork> ReadSsnBody(std::istream& in) {
 }
 
 Result<SpatialSocialNetwork> LoadSsn(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::string magic;
-  if (!(in >> magic) || magic != kMagic) {
-    return Status::IoError("bad magic in " + path);
-  }
+  std::stringstream in;
+  GPSSN_RETURN_NOT_OK(ReadSealedFile(path, kMagic, &in));
   return ReadSsnBody(in);
+}
+
+std::string ChecksumLine(std::string_view text) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  char line[kChecksumLineBytes + 1];
+  std::snprintf(line, sizeof(line), "checksum %016" PRIx64 "\n", hash);
+  return line;
+}
+
+Status WriteSealedFile(const std::string& path, std::string_view text) {
+  std::ofstream file(path);
+  if (!file) return Status::IoError("cannot open for writing: " + path);
+  file << text << ChecksumLine(text);
+  file.flush();
+  if (!file) return Status::IoError("write failed: " + path);
+  return Status::OK();
+}
+
+Status ReadSealedFile(const std::string& path, std::string_view magic,
+                      std::stringstream* in) {
+  std::ifstream file(path);
+  if (!file) return Status::IoError("cannot open for reading: " + path);
+  *in << file.rdbuf();
+  std::string found;
+  if (!(*in >> found) || found != magic) {
+    return Status::IoError("unsupported version '" + found + "' in " + path +
+                           " (this build reads " + std::string(magic) + ")");
+  }
+  const std::string_view text = in->view();
+  const size_t body_bytes =
+      text.size() - std::min(text.size(), kChecksumLineBytes);
+  if (text.substr(body_bytes) != ChecksumLine(text.substr(0, body_bytes))) {
+    return Status::IoError("checksum mismatch: " + path);
+  }
+  return Status::OK();
 }
 
 }  // namespace gpssn

@@ -3,6 +3,9 @@
 
 #include "roadnet/shortest_path.h"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -130,6 +133,40 @@ TEST_P(DijkstraPropertyTest, PositionToPositionSymmetricAndConsistent) {
       ASSERT_EQ(ab, kInfDistance);
     }
   }
+}
+
+// A search that stops early (RunWithTargets, VertexToVertex) must return
+// the very bits of the full search's label: Algorithm 1 compares costs
+// summed from these labels, so a last-bit change can move its pivots. A
+// tolerance against Floyd–Warshall cannot see that, so this compares bit
+// patterns.
+TEST_P(DijkstraPropertyTest, EarlyExitKeepsTheFullSearchBits) {
+  const TestGraph t = RandomGraph(60, 0.05, GetParam() ^ 0xb175);
+  const int n = t.g.num_vertices();
+  DijkstraEngine full(&t.g);
+  DijkstraEngine early(&t.g);
+  Rng rng(GetParam() + 11);
+  auto bits = [](double d) { return std::bit_cast<uint64_t>(d); };
+  int unreachable = 0;
+  for (VertexId s = 0; s < n; ++s) {
+    full.RunFromVertex(s);
+    std::vector<VertexId> targets = {s};  // The source is a target too.
+    for (int i = 0; i < 6; ++i) {
+      targets.push_back(static_cast<VertexId>(rng.NextBounded(n)));
+    }
+    targets.push_back(targets.back());
+    early.RunWithTargets({{s, 0.0}}, kInfDistance, targets);
+    for (VertexId v : targets) {
+      ASSERT_EQ(bits(early.Distance(v)), bits(full.Distance(v)))
+          << s << "->" << v;
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      ASSERT_EQ(bits(early.VertexToVertex(s, v)), bits(full.Distance(v)))
+          << s << "->" << v;
+      unreachable += !std::isfinite(full.Distance(v));
+    }
+  }
+  EXPECT_GT(unreachable, 0) << "the graph should have several components";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DijkstraPropertyTest,

@@ -70,7 +70,62 @@ TEST_P(BfsPropertyTest, BoundedRunIsExactWithinBound) {
   }
 }
 
+// MultiSourceHops must return exactly the labels one BfsEngine run per
+// source gives: 130 sources make three batches (64, 64, 2), and the sparse
+// graph has several components.
+TEST_P(BfsPropertyTest, MultiSourceHopsMatchesOneRunPerSource) {
+  const SocialNetwork g = RandomSocial(300, 0.005, GetParam() ^ 0x77);
+  Rng rng(GetParam());
+  std::vector<UserId> sources;
+  for (int i = 0; i < 130; ++i) {
+    sources.push_back(static_cast<UserId>(rng.NextBounded(g.num_users())));
+  }
+  sources[1] = sources[0];    // A repeated source in the first batch.
+  sources[129] = sources[5];  // And one across batches.
+  std::vector<UserId> targets;
+  for (int i = 0; i < 90; ++i) {
+    targets.push_back(static_cast<UserId>(rng.NextBounded(g.num_users())));
+  }
+  targets.push_back(sources[0]);       // A source that is also a target.
+  targets.push_back(targets.front());  // A repeated target.
+
+  const auto hops = MultiSourceHops(g, sources, targets);
+  ASSERT_EQ(hops.size(), sources.size());
+  BfsEngine engine(&g);
+  int unreachable = 0;
+  for (size_t i = 0; i < sources.size(); ++i) {
+    engine.Run(sources[i]);
+    ASSERT_EQ(hops[i].size(), targets.size());
+    for (size_t j = 0; j < targets.size(); ++j) {
+      ASSERT_EQ(hops[i][j], engine.Hops(targets[j]))
+          << "source " << sources[i] << " target " << targets[j];
+      unreachable += hops[i][j] == kUnreachableHops;
+    }
+  }
+  EXPECT_GT(unreachable, 0) << "the graph should have several components";
+  EXPECT_EQ(hops[0][targets.size() - 2], 0);
+}
+
+TEST_P(BfsPropertyTest, MultiSourceHopsToEveryUser) {
+  const SocialNetwork g = RandomSocial(120, 0.03, GetParam() ^ 0x99);
+  std::vector<UserId> users(g.num_users());
+  for (UserId u = 0; u < g.num_users(); ++u) users[u] = u;
+  const auto hops = MultiSourceHops(g, users, users);
+  for (UserId s = 0; s < g.num_users(); ++s) {
+    ASSERT_EQ(hops[s], BruteHops(g, s)) << "source " << s;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BfsPropertyTest, ::testing::Values(1, 5, 9));
+
+TEST(BfsTest, MultiSourceHopsWithNoTargetsOrNoSources) {
+  const SocialNetwork g = RandomSocial(30, 0.1, 3);
+  const std::vector<UserId> sources = {0, 7, 7};
+  const auto no_targets = MultiSourceHops(g, sources, {});
+  ASSERT_EQ(no_targets.size(), sources.size());
+  for (const auto& row : no_targets) EXPECT_TRUE(row.empty());
+  EXPECT_TRUE(MultiSourceHops(g, {}, sources).empty());
+}
 
 TEST(BfsTest, VisitedInBfsOrder) {
   SocialNetworkBuilder b(1);

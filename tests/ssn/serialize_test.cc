@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -102,6 +104,74 @@ TEST(SerializeTest, TruncatedFileRejected) {
   }
   auto result = LoadSsn(path);
   ASSERT_FALSE(result.ok());
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& contents) {
+  std::ofstream out(path);
+  out << contents;
+}
+
+TEST(SerializeTest, OlderVersionFailsNamingIt) {
+  const std::string path = TempPath("v1.gpssn");
+  ASSERT_TRUE(SaveSsn(SmallNetwork(4), path).ok());
+  std::string contents = ReadFile(path);
+  ASSERT_EQ(contents.rfind("gpssn-v2\n", 0), 0u);
+  contents[7] = '1';
+  WriteFile(path, contents);
+  const Status status = LoadSsn(path).status();
+  EXPECT_TRUE(status.IsIoError()) << status.ToString();
+  EXPECT_NE(status.message().find("gpssn-v1"), std::string::npos)
+      << status.ToString();
+}
+
+// Every truncation and every byte XOR 0x01 and 0xFF of a network file must
+// fail with an IoError, whatever the byte held: the checksum line catches
+// what the parser would load as another network or reject with a
+// builder's status.
+TEST(SerializeTest, RejectsEveryTruncationAndFlippedByte) {
+  SyntheticSsnOptions o;
+  o.num_road_vertices = 24;
+  o.num_pois = 8;
+  o.num_users = 16;
+  o.num_topics = 4;
+  o.space_size = 5.0;
+  o.seed = 6;
+  const std::string path = TempPath("sweep-src.gpssn");
+  ASSERT_TRUE(SaveSsn(MakeSynthetic(o), path).ok());
+  ASSERT_TRUE(LoadSsn(path).ok());
+  const std::string contents = ReadFile(path);
+
+  std::vector<std::string> accepted;
+  const std::string bad_path = TempPath("sweep.gpssn");
+  auto expect_rejected = [&](const std::string& bytes, std::string what) {
+    WriteFile(bad_path, bytes);
+    const Status status = LoadSsn(bad_path).status();
+    if (!status.IsIoError()) {
+      accepted.push_back(std::move(what) + " -> " + status.ToString());
+    }
+  };
+  for (size_t length = 0; length < contents.size(); ++length) {
+    expect_rejected(contents.substr(0, length),
+                    "truncated to " + std::to_string(length));
+  }
+  for (size_t i = 0; i < contents.size(); ++i) {
+    for (const int mask : {0x01, 0xFF}) {
+      std::string flipped = contents;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      expect_rejected(flipped, "byte " + std::to_string(i) + " ^ " +
+                                   std::to_string(mask));
+    }
+  }
+  EXPECT_TRUE(accepted.empty())
+      << accepted.size() << " of " << 3 * contents.size()
+      << " corrupt network files were not rejected, first: "
+      << accepted.front();
 }
 
 TEST(SerializeTest, UnwritablePathIsIoError) {
