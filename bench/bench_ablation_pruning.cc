@@ -23,12 +23,11 @@ void Run() {
     PruningFlags flags;
   };
   const Row rows[] = {
-      {"all rules on", {true, true, true, true}},
-      {"no interest-score pruning", {false, true, true, true}},
-      {"no social-distance pruning", {true, false, true, true}},
-      {"no matching-score pruning", {true, true, false, true}},
-      {"no road-distance pruning", {true, true, true, false}},
-      {"no pruning at all", {false, false, false, false}},
+      {"all rules on", {true, true, true}},
+      {"no interest-score pruning", {false, true, true}},
+      {"no social-distance pruning", {true, false, true}},
+      {"no matching-score pruning", {true, true, false}},
+      {"no switchable pruning", {false, false, false}},
   };
   for (const Row& row : rows) {
     QueryOptions options;

@@ -26,7 +26,7 @@ void Run() {
       table.AddRow({name, TablePrinter::Num(theta, 2),
                     TablePrinter::Num(agg.avg_cpu_seconds, 3),
                     TablePrinter::Num(agg.avg_page_ios, 4),
-                    Pct(agg.PoiMatchPower()),
+                    Pct(agg.PoiMatchPower(db->ssn().num_pois())),
                     std::to_string(agg.answers_found) + "/" +
                         std::to_string(agg.queries)});
     }

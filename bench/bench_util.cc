@@ -181,17 +181,19 @@ double Aggregate::UserDistancePower() const {
   return seen > 0 ? total.users_pruned_distance / seen : 0.0;
 }
 
-double Aggregate::PoiMatchPower() const {
-  const double seen = static_cast<double>(total.pois_seen);
-  return seen > 0 ? total.pois_pruned_match / seen : 0.0;
+double Aggregate::PoiMatchPower(int num_pois) const {
+  const double total_pois =
+      static_cast<double>(num_pois) * std::max(1, queries);
+  if (total_pois == 0) return 0.0;
+  return (total.pois_pruned_match + total.pois_pruned_at_index_level) /
+         total_pois;
 }
 
 double Aggregate::PoiDistancePower(int num_pois) const {
   const double total_pois =
       static_cast<double>(num_pois) * std::max(1, queries);
   if (total_pois == 0) return 0.0;
-  return (total.pois_pruned_distance + total.pois_pruned_at_index_level) /
-         total_pois;
+  return total.pois_pruned_distance / total_pois;
 }
 
 std::string Pct(double fraction) {

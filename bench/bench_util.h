@@ -62,7 +62,9 @@ struct Aggregate {
   double RoadObjectLevelPower() const;
   double UserInterestPower() const;
   double UserDistancePower() const;
-  double PoiMatchPower() const;
+  // Shares of all POIs × queries: match = Lemmas 1 and 6 (object and
+  // index level), distance = Lemma 7 (centers Refine never visits).
+  double PoiMatchPower(int num_pois) const;
   double PoiDistancePower(int num_pois) const;
 };
 

@@ -79,8 +79,9 @@ void PrintRow(const std::string& /*tag*/, const char* /*name*/,
               double /*wall_time*/) {}
 
 void PrintStats(const std::string& tag, const QueryStats& stats) {
-#define GPSSN_PARITY_ROW(type, name, merge, kind) \
-  PrintRow(tag, #name, stats.name);
+// Variadic: the program is built against other revisions' schemas too,
+// whose rows may carry more columns.
+#define GPSSN_PARITY_ROW(type, name, ...) PrintRow(tag, #name, stats.name);
   GPSSN_QUERY_STATS(GPSSN_PARITY_ROW)
 #undef GPSSN_PARITY_ROW
 }

@@ -165,7 +165,7 @@ AuditReport AuditPoiIndex(const PoiIndex& index) {
 
   // Per-POI invariants: the stored B(o, r_max) holds o at distance 0,
   // every distance lies in [0, r_max], and it equals a fresh reference
-  // search in ids, distances and order; sub_K ⊆ sup_K; pivot vector arity.
+  // search in ids, distances and order; pivot vector arity.
   const SpatialSocialNetwork& ssn = index.ssn();
   const double r_max = index.options().r_max;
   DijkstraEngine engine(&ssn.road());
@@ -201,18 +201,11 @@ AuditReport AuditPoiIndex(const PoiIndex& index) {
                "poi " + std::to_string(id) + " carries " +
                    std::to_string(aug.pivot_dist.size()) + " pivot distances, " +
                    std::to_string(h) + " pivots exist");
-      continue;
-    }
-    if (!std::includes(aug.sup_keywords.begin(), aug.sup_keywords.end(),
-                       aug.sub_keywords.begin(), aug.sub_keywords.end())) {
-      AddIssue(&report, "poi-sub-in-sup", -1,
-               "poi " + std::to_string(id) +
-                   ": sub_K is not a subset of sup_K");
     }
   }
 
-  // Node aggregates, bottom-up via DFS: pivot boxes contain member POI
-  // distances, signatures cover member keywords, counts add up.
+  // Node aggregates, bottom-up via DFS: signatures cover member keywords,
+  // counts add up.
   struct Frame {
     RNodeId id;
     bool expanded;
@@ -234,28 +227,11 @@ AuditReport AuditPoiIndex(const PoiIndex& index) {
     const RNodeId id = frame.id;
     stack.pop_back();
     const PoiNodeAug& aug = index.node_aug(id);
-    if (static_cast<int>(aug.lb_pivot.size()) != h ||
-        static_cast<int>(aug.ub_pivot.size()) != h) {
-      AddIssue(&report, "poi-node-pivot-arity", id, "pivot bound arity wrong");
-      continue;
-    }
     int64_t count = 0;
     if (node.is_leaf()) {
       count = static_cast<int64_t>(node.entries.size());
       for (const RTreeEntry& entry : node.entries) {
         const PoiAug& poi = index.poi_aug(entry.id);
-        for (int k = 0; k < h; ++k) {
-          const double d = poi.pivot_dist[k];
-          if (!std::isfinite(d)) continue;
-          if (d < aug.lb_pivot[k] - DistanceSlack(d) ||
-              d > aug.ub_pivot[k] + DistanceSlack(d)) {
-            std::ostringstream os;
-            os << "poi " << entry.id << " pivot " << k << " distance " << d
-               << " outside node box [" << aug.lb_pivot[k] << ", "
-               << aug.ub_pivot[k] << "]";
-            AddIssue(&report, "poi-node-pivot-box", id, os.str());
-          }
-        }
         for (KeywordId kw : poi.sup_keywords) {
           if (!aug.v_sup.MayContain(kw)) {
             AddIssue(&report, "poi-node-signature", id,
@@ -268,15 +244,6 @@ AuditReport AuditPoiIndex(const PoiIndex& index) {
     } else {
       for (const RTreeEntry& entry : node.entries) {
         count += subtree_count[entry.id];
-        const PoiNodeAug& child = index.node_aug(entry.id);
-        for (int k = 0; k < h; ++k) {
-          if (child.lb_pivot[k] < aug.lb_pivot[k] - DistanceSlack(1.0) ||
-              child.ub_pivot[k] > aug.ub_pivot[k] + DistanceSlack(1.0)) {
-            AddIssue(&report, "poi-node-pivot-nesting", id,
-                     "child " + std::to_string(entry.id) + " pivot " +
-                         std::to_string(k) + " box not nested in parent");
-          }
-        }
       }
     }
     subtree_count[id] = count;
@@ -296,7 +263,6 @@ AuditReport AuditSocialIndex(const SocialIndex& index) {
   const int m = social.num_users();
   const int d = social.num_topics();
   const int l = index.social_pivots().num_pivots();
-  const int h = index.road_pivots().num_pivots();
 
   // --- Partition disjointness / completeness over the leaf user lists.
   std::vector<SNodeId> owner(m, -1);
@@ -375,11 +341,9 @@ AuditReport AuditSocialIndex(const SocialIndex& index) {
     if (static_cast<int>(node.lb_w.size()) != d ||
         static_cast<int>(node.ub_w.size()) != d ||
         static_cast<int>(node.lb_sp.size()) != l ||
-        static_cast<int>(node.ub_sp.size()) != l ||
-        static_cast<int>(node.lb_rp.size()) != h ||
-        static_cast<int>(node.ub_rp.size()) != h) {
+        static_cast<int>(node.ub_sp.size()) != l) {
       AddIssue(&report, "social-bound-arity", id,
-               "lb/ub vector arity does not match (d, l, h)");
+               "lb/ub vector arity does not match (d, l)");
       continue;
     }
     members.clear();
@@ -417,18 +381,6 @@ AuditReport AuditSocialIndex(const SocialIndex& index) {
           AddIssue(&report, "social-pivot-hop-box", id,
                    "user " + std::to_string(u) + " pivot " +
                        std::to_string(k) + " hops outside box (Eqs. 11-12)");
-          break;
-        }
-      }
-      const std::vector<double>& rp = index.user_road_pivot_dists(u);
-      for (int k = 0; k < h; ++k) {
-        if (!std::isfinite(rp[k])) continue;
-        if (rp[k] < node.lb_rp[k] - DistanceSlack(rp[k]) ||
-            rp[k] > node.ub_rp[k] + DistanceSlack(rp[k])) {
-          AddIssue(&report, "social-road-pivot-box", id,
-                   "user " + std::to_string(u) + " road pivot " +
-                       std::to_string(k) + " distance outside box "
-                       "(Eqs. 13-14)");
           break;
         }
       }

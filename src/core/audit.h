@@ -9,13 +9,12 @@
 //     every broken invariant with the exact offending node:
 //       * R*-tree: MBR containment, fan-out / minimum-fill bounds, level
 //         coherence (uniform leaf depth), object count.
-//       * I_R augmentations: pivot lb/ub boxes contain every member POI's
-//         exact pivot distances, node signatures cover member signatures,
+//       * I_R augmentations: node signatures cover member signatures,
 //         subtree POI counts add up, stored balls equal a fresh search.
 //       * I_S partition tree: leaves partition the user set (disjoint,
-//         complete, consistent with leaf_of_user), interest / social-pivot /
-//         road-pivot lb/ub boxes contain every member, subtree counts and
-//         levels are coherent.
+//         complete, consistent with leaf_of_user), interest / social-pivot
+//         lb/ub boxes contain every member, subtree counts and levels are
+//         coherent.
 //
 //  2. PruningAuditor — a sampling recorder the query processor notifies on
 //     every pruned candidate. Sampled events are re-tested against the
@@ -72,10 +71,10 @@ struct AuditReport {
 /// entries add up to tree.size().
 AuditReport AuditRStarTree(const RStarTree& tree);
 
-/// AuditRStarTree plus the I_R augmentation invariants: per-node pivot
-/// lb/ub boxes contain the exact pivot distances of every POI underneath,
-/// node keyword signatures cover member signatures (sup_K ⊇ sub_K per POI),
-/// subtree_pois counts are exact, and each POI's stored B(o, r_max) holds
+/// AuditRStarTree plus the I_R augmentation invariants: node keyword
+/// signatures cover the sup_K of every POI underneath, each POI carries one
+/// distance per road pivot, subtree_pois counts are exact, and each POI's
+/// stored B(o, r_max) holds
 /// o at distance 0, keeps every distance in [0, r_max] and equals a fresh
 /// PoiLocator::BallWithDistances(position, r_max) ("poi-ball"; one bounded
 /// search per POI).
@@ -84,8 +83,8 @@ AuditReport AuditPoiIndex(const PoiIndex& index);
 /// Validates the I_S partition tree: leaf user lists are disjoint and cover
 /// every user exactly once (consistent with leaf_of_user), levels decrease
 /// by one toward the leaves, subtree_users counts are exact, and the
-/// interest (Eqs. 9-10), social-pivot (Eqs. 11-12) and road-pivot
-/// (Eqs. 13-14) lb/ub boxes contain every member user.
+/// interest (Eqs. 9-10) and social-pivot (Eqs. 11-12) lb/ub boxes contain
+/// every member user.
 AuditReport AuditSocialIndex(const SocialIndex& index);
 
 /// Runs AuditPoiIndex and AuditSocialIndex and aborts with the failing

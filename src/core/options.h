@@ -19,7 +19,7 @@ class DistanceBackend;  // roadnet/distance_backend.h
 class DistanceCache;    // roadnet/distance_cache.h
 
 /// Cooperative per-query deadline. The processor polls Expired() at its
-/// descent-loop, heap-round, and refinement boundaries and abandons the
+/// descent-loop, index-node, and refinement boundaries and abandons the
 /// query with a DeadlineExceeded status once it fires. Default-constructed
 /// deadlines never expire; cheap to copy.
 class QueryDeadline {
@@ -81,12 +81,13 @@ struct GpssnQuery {
 };
 
 /// Individual pruning rules, switchable for ablation studies. All default
-/// on; disabling a rule never changes answers, only cost.
+/// on; disabling a rule never changes answers, only cost. The road-distance
+/// prunes (Lemma 5 per pair, Lemma 7 against the incumbent) are part of
+/// Refine's search and always run.
 struct PruningFlags {
   bool interest_score = true;   // Lemma 3 / Corollary 1 / Lemma 8.
   bool social_distance = true;  // Lemma 4 / Lemma 9.
   bool match_score = true;      // Lemma 1 / Lemma 6.
-  bool road_distance = true;    // Lemma 5 / Lemma 7 / δ-based heap cut.
 };
 
 /// Processor knobs. The social kernel is not one: PlanGroups

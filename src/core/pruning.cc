@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/macros.h"
 #include "core/scores.h"
 
 namespace gpssn {
@@ -11,12 +10,6 @@ namespace gpssn {
 namespace {
 
 // Distance from a point value to a closed interval [lo, hi] (0 inside).
-double GapToRange(double v, double lo, double hi) {
-  if (v < lo) return lo - v;
-  if (v > hi) return v - hi;
-  return 0.0;
-}
-
 int GapToRangeInt(int v, int lo, int hi) {
   if (v < lo) return lo - v;
   if (v > hi) return v - hi;
@@ -104,19 +97,6 @@ bool PruneRoadNodeMatch(const QueryUserContext& ctx, const PoiNodeAug& aug) {
   return UbMatchScore(ctx.w_q, aug.v_sup) < ctx.query.theta;
 }
 
-double LbMaxDistToRoadNode(const QueryUserContext& ctx,
-                           const std::vector<double>& lb_pivot,
-                           const std::vector<double>& ub_pivot) {
-  double lb = 0.0;
-  for (size_t k = 0; k < ctx.rp_dist.size(); ++k) {
-    if (!std::isfinite(ctx.rp_dist[k]) || !std::isfinite(lb_pivot[k])) {
-      continue;
-    }
-    lb = std::max(lb, GapToRange(ctx.rp_dist[k], lb_pivot[k], ub_pivot[k]));
-  }
-  return lb;
-}
-
 double LbDistToPoi(const QueryUserContext& ctx, const PoiAug& aug) {
   double lb = 0.0;
   for (size_t k = 0; k < ctx.rp_dist.size(); ++k) {
@@ -128,16 +108,6 @@ double LbDistToPoi(const QueryUserContext& ctx, const PoiAug& aug) {
   return lb;
 }
 
-double UbMaxDistViaCenter(const std::vector<double>& s_ub_rp,
-                          const PoiAug& aug, double radius) {
-  GPSSN_CHECK(s_ub_rp.size() == aug.pivot_dist.size());
-  double best = kInfDistance;
-  for (size_t k = 0; k < s_ub_rp.size(); ++k) {
-    best = std::min(best, s_ub_rp[k] + aug.pivot_dist[k]);
-  }
-  return best + radius;
-}
-
 double LbUserPoiDist(const std::vector<double>& user_rp, const PoiAug& aug) {
   double lb = 0.0;
   for (size_t k = 0; k < user_rp.size(); ++k) {
@@ -147,14 +117,6 @@ double LbUserPoiDist(const std::vector<double>& user_rp, const PoiAug& aug) {
     lb = std::max(lb, std::abs(user_rp[k] - aug.pivot_dist[k]));
   }
   return lb;
-}
-
-double UbUserPoiDist(const std::vector<double>& user_rp, const PoiAug& aug) {
-  double ub = kInfDistance;
-  for (size_t k = 0; k < user_rp.size(); ++k) {
-    ub = std::min(ub, user_rp[k] + aug.pivot_dist[k]);
-  }
-  return ub;
 }
 
 }  // namespace gpssn

@@ -8,12 +8,14 @@
 //   Lemma 1  match-score (POI)        Lemma 6  match-score (I_R node)
 //   Lemma 3  interest-score (user)    Lemma 8  interest-score (I_S node)
 //   Corollary 1 pruning region        Lemma 9  social-distance (I_S node)
-//   Corollary 2 count-based           Lemma 7 / δ  road-distance (I_R node)
+//   Corollary 2 count-based
 //   Lemma 4  social-distance (user)
 //   Lemma 5  road-distance (pair)
 //
 // All predicates answer "can this candidate be SAFELY discarded for the
-// given query user u_q?".
+// given query user u_q?". Lemma 7 (road distance) prunes centers in
+// Refine, against the incumbent and the issuer's exact distances, so it
+// needs no index bound here (DESIGN.md §5).
 
 #ifndef GPSSN_CORE_PRUNING_H_
 #define GPSSN_CORE_PRUNING_H_
@@ -75,25 +77,12 @@ bool PrunePoiMatch(const QueryUserContext& ctx, const PoiAug& aug);
 /// the matching score w.r.t. u_q is below θ.
 bool PruneRoadNodeMatch(const QueryUserContext& ctx, const PoiNodeAug& aug);
 
-/// Eq. 17 (node form): pivot lower bound of max-distance between u_q and
-/// any POI under a node with per-pivot bounds [lb_pivot, ub_pivot].
-double LbMaxDistToRoadNode(const QueryUserContext& ctx,
-                           const std::vector<double>& lb_pivot,
-                           const std::vector<double>& ub_pivot);
-
 /// Eq. 17 (object form): pivot lower bound of dist_RN(u_q, o_i).
 double LbDistToPoi(const QueryUserContext& ctx, const PoiAug& aug);
 
-/// Eq. 16 (object form): pivot upper bound of maxdist(S, B(o_i, radius)),
-/// where `s_ub_rp[k]` upper-bounds the distance of every candidate user to
-/// pivot k.
-double UbMaxDistViaCenter(const std::vector<double>& s_ub_rp,
-                          const PoiAug& aug, double radius);
-
-/// Exact-table pair bounds (Lemma 5 helpers used in refinement):
-/// lower/upper bounds of dist_RN(user, o_i) via pivots.
+/// Lemma 5 (pair form, used in refinement): pivot lower bound of
+/// dist_RN(user, o_i) from the user's exact road-pivot distances.
 double LbUserPoiDist(const std::vector<double>& user_rp, const PoiAug& aug);
-double UbUserPoiDist(const std::vector<double>& user_rp, const PoiAug& aug);
 
 }  // namespace gpssn
 

@@ -1,8 +1,6 @@
 #include "core/query.h"
 
 #include <algorithm>
-#include <cmath>
-#include <queue>
 #include <span>
 #include <tuple>
 
@@ -17,17 +15,6 @@
 namespace gpssn {
 
 namespace {
-
-// Min-heap entry of the I_R traversal: (key, node), key = lb of the
-// maximum distance (Eq. 17).
-using HeapEntry = std::pair<double, RNodeId>;
-struct HeapGreater {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    return a.first > b.first;
-  }
-};
-using RoadHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapGreater>;
 
 // Accrues elapsed wall time into *out on destruction; attributes phase
 // time across the multiple exit paths of the stages.
@@ -184,41 +171,28 @@ Result<std::vector<GpssnAnswer>> GpssnProcessor::ExecuteTopK(
   QueryStats* out = stats != nullptr ? stats : &local;
   *out = QueryStats();
   WallTimer timer;
-
-  // The δ cut is only safe for the single optimum; disable it for k > 1.
-  QueryOptions run = options;
-  if (k > 1) run.pruning.road_distance = false;
+  QueryPlan plan(query, *social_index_, options.buffer_pool_pages);
+  ShardScope whole;
+  whole.social_roots = {social_index_->root()};
+  whole.road_roots = {poi_index_->tree().root()};
   std::vector<RankedAnswer> best;
-  double final_delta = kInfDistance;
-  bool delta_cut = false;
-  Status status = RunPipeline(query, run, k, out, &final_delta, &delta_cut,
-                              &best);
-
-  // δ-cut exactness check (see the header comment): if the cut removed a
-  // candidate and the best found objective exceeds the final δ — or
-  // nothing was found — re-run without the cut.
-  if (status.ok() && delta_cut &&
-      (best.empty() ||
-       best.front().answer.max_dist > final_delta + 1e-12)) {
-    run.pruning.road_distance = false;
-    QueryStats rerun_stats;
-    std::vector<RankedAnswer> exact;
-    status = RunPipeline(query, run, /*top_k=*/1, &rerun_stats, &final_delta,
-                         &delta_cut, &exact);
-    // Keep the first run's funnel (it describes the indexed fast path) but
-    // charge all of the rerun's work.
-    out->ChargeWorkFrom(rerun_stats);
-    ++out->delta_reruns;
-    // Non-strict: on an exact objective tie the rerun's answer wins — it is
-    // the discovery-order winner over the FULL (δ-free) candidate set, the
-    // same set the sharded serving path evaluates, keeping the two paths'
-    // answers identical in the (measure-zero) tie-at-fallback case.
-    if (!exact.empty() &&
-        (best.empty() ||
-         exact.front().answer.max_dist <= best.front().answer.max_dist)) {
-      best = std::move(exact);
+  Status status = Gather(options, whole, &plan, out);
+  if (status.ok()) {
+    // u_q is in S by definition: on the whole index it joins the
+    // candidates even when its leaf was node-pruned (the serving
+    // coordinator does the same after merging the shards' lists).
+    if (std::find(plan.users.begin(), plan.users.end(), query.issuer) ==
+        plan.users.end()) {
+      plan.users.push_back(query.issuer);
+      ++out->users_candidates;
     }
+    const ScopedPhaseTimer refine_phase(&out->refine_seconds);
+    PlanGroups(poi_index_->ssn().social(), query, options, &social_scratch_,
+               &plan.users, &plan.groups, out);
+    status = Refine(options, plan.groups, k, kInfDistance, &plan, out, &best);
   }
+  out->io.logical_accesses += plan.pool.stats().logical_accesses;
+  out->io.page_misses += plan.pool.stats().page_misses;
   out->cpu_seconds = timer.ElapsedSeconds();
   GPSSN_RETURN_NOT_OK(status);
   std::vector<GpssnAnswer> answers;
@@ -236,7 +210,7 @@ Result<ShardCandidates> GpssnProcessor::GatherCandidates(
   *out = QueryStats();
   WallTimer timer;
   QueryPlan plan(query, *social_index_, options.buffer_pool_pages);
-  Status status = Gather(options, scope, /*single_node=*/false, &plan, out);
+  Status status = Gather(options, scope, &plan, out);
   out->io.logical_accesses += plan.pool.stats().logical_accesses;
   out->io.page_misses += plan.pool.stats().page_misses;
   out->cpu_seconds = timer.ElapsedSeconds();
@@ -291,42 +265,16 @@ Result<ShardRefineResult> GpssnProcessor::RefineCandidates(
   return best.empty() ? ShardRefineResult() : std::move(best.front());
 }
 
-Status GpssnProcessor::RunPipeline(const GpssnQuery& query,
-                                   const QueryOptions& options, int top_k,
-                                   QueryStats* stats, double* final_delta,
-                                   bool* delta_cut,
-                                   std::vector<RankedAnswer>* best) {
-  QueryPlan plan(query, *social_index_, options.buffer_pool_pages);
-  ShardScope whole;
-  whole.social_roots = {social_index_->root()};
-  whole.road_roots = {poi_index_->tree().root()};
-  Status status = Gather(options, whole, /*single_node=*/true, &plan, stats);
-  if (status.ok()) {
-    const ScopedPhaseTimer refine_phase(&stats->refine_seconds);
-    PlanGroups(poi_index_->ssn().social(), query, options, &social_scratch_,
-               &plan.users, &plan.groups, stats);
-    status = Refine(options, plan.groups, top_k, kInfDistance, &plan, stats,
-                    best);
-  }
-  stats->io.logical_accesses += plan.pool.stats().logical_accesses;
-  stats->io.page_misses += plan.pool.stats().page_misses;
-  *final_delta = plan.delta;
-  *delta_cut = plan.delta_cut;
-  return status;
-}
-
 Status GpssnProcessor::Gather(const QueryOptions& options,
-                              const ShardScope& scope, bool single_node,
-                              QueryPlan* plan, QueryStats* stats) {
+                              const ShardScope& scope, QueryPlan* plan,
+                              QueryStats* stats) {
   if (InterruptRequested(options)) return InterruptStatus(options);
   const QueryUserContext& ctx = plan->ctx;
   const GpssnQuery& query = ctx.query;
   const SocialNetwork& social = poi_index_->ssn().social();
   const PruningFlags& flags = options.pruning;
-  const bool use_delta = single_node && flags.road_distance;
   BufferPool& pool = plan->pool;
   PruningAuditor* auditor = AuditorFor(options);
-  double& delta = plan->delta;
   WallTimer descent_timer;
 
   // Exact hop labels around u_q (Lemma 4 with exact distances): any member
@@ -339,8 +287,9 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
     bfs_.Run(query.issuer, query.tau - 1);
   }
 
-  // I_S frontier. A scope root other than the index root is prune-tested
-  // like any child: the single-node descent tests it as its parent's child.
+  // I_S, level by level (Algorithm 2 lines 4-10). A scope root other than
+  // the index root is prune-tested like any child: the single-node descent
+  // tests it as its parent's child.
   std::vector<SNodeId> s_frontier;
   auto admit_social = [&](SNodeId id) {
     const SocialIndexNode& node = social_index_->node(id);
@@ -366,130 +315,22 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
     }
     s_frontier.push_back(id);
   };
-
-  // Upper bound of dist(candidate user, rp_k) over the current S-side
-  // frontier (used by Eq. 16 / δ updates). Always covers u_q.
-  const int h = poi_index_->pivots().num_pivots();
-  std::vector<double> s_ub_rp;
-  auto refresh_s_ub = [&]() {
-    s_ub_rp = ctx.rp_dist;
-    for (SNodeId id : s_frontier) {
-      const SocialIndexNode& node = social_index_->node(id);
-      for (int k = 0; k < h; ++k) {
-        s_ub_rp[k] = std::max(s_ub_rp[k], node.ub_rp[k]);
-      }
-    }
-  };
-
-  // I_R heap. Like the I_S side, only the index root enters untested.
-  RoadHeap heap;
-  auto admit_road = [&](RNodeId id, RoadHeap* into) {
-    const PoiNodeAug& aug = poi_index_->node_aug(id);
-    if (flags.match_score && PruneRoadNodeMatch(ctx, aug)) {
-      ++stats->road_nodes_pruned_match;
-      stats->pois_pruned_at_index_level += aug.subtree_pois;
-      if (auditor != nullptr) auditor->OnRoadNodeMatchPruned(ctx, id);
-      return;
-    }
-    const double lb = LbMaxDistToRoadNode(ctx, aug.lb_pivot, aug.ub_pivot);
-    if (use_delta && lb > delta) {
-      plan->delta_cut = true;
-      ++stats->road_nodes_pruned_distance;
-      stats->pois_pruned_at_index_level += aug.subtree_pois;
-      return;
-    }
-    into->push({lb, id});
-  };
-
-  // One "round" of the I_R traversal: drains the heap into the next-level
-  // heap (Algorithm 2 lines 11-26), pruning with the CURRENT S-side bounds.
-  bool aborted = false;
-  auto process_ir_round = [&]() {
-    RoadHeap next;
-    while (!heap.empty()) {
-      if (InterruptRequested(options)) {
-        aborted = true;
-        return;
-      }
-      const auto [key, node_id] = heap.top();
-      heap.pop();
-      if (use_delta && key > delta) {
-        // Line 14: every remaining entry has key >= this one.
-        plan->delta_cut = true;
-        ++stats->road_nodes_pruned_distance;
-        stats->pois_pruned_at_index_level +=
-            poi_index_->node_aug(node_id).subtree_pois;
-        while (!heap.empty()) {
-          ++stats->road_nodes_pruned_distance;
-          stats->pois_pruned_at_index_level +=
-              poi_index_->node_aug(heap.top().second).subtree_pois;
-          heap.pop();
-        }
-        break;
-      }
-      const RTreeNode& node = poi_index_->tree().node(node_id);
-      ++stats->road_nodes_visited;
-      pool.Access(poi_index_->node_aug(node_id).page);
-      if (!node.is_leaf()) {
-        for (const RTreeEntry& e : node.entries) admit_road(e.id, &next);
-        continue;
-      }
-      for (const RTreeEntry& e : node.entries) {
-        ++stats->pois_seen;
-        pool.Access(poi_index_->poi_page(e.id));
-        const PoiAug& aug = poi_index_->poi_aug(e.id);
-        if (flags.match_score && PrunePoiMatch(ctx, aug)) {
-          ++stats->pois_pruned_match;
-          if (auditor != nullptr) auditor->OnPoiMatchPruned(ctx, e.id);
-          continue;
-        }
-        const double lb = LbDistToPoi(ctx, aug);
-        if (use_delta && lb > delta) {
-          plan->delta_cut = true;
-          ++stats->pois_pruned_distance;
-          if (auditor != nullptr) auditor->OnPoiDistanceBound(ctx, e.id, lb);
-          continue;
-        }
-        plan->pois.push_back(e.id);
-        plan->lower_bound = std::min(plan->lower_bound, lb);
-        // δ update (line 20), guarded by the Eq. 18-style lower-bound
-        // feasibility check: u_q must already match the inner ball.
-        if (use_delta && MatchScore(ctx.w_q, aug.sub_keywords) >= query.theta) {
-          delta = std::min(delta,
-                           UbMaxDistViaCenter(s_ub_rp, aug, query.radius));
-        }
-      }
-    }
-    heap = std::move(next);
-  };
-
   for (SNodeId id : scope.social_roots) admit_social(id);
-  refresh_s_ub();
-  for (RNodeId id : scope.road_roots) {
-    if (id == poi_index_->tree().root()) {
-      heap.push({0.0, id});
-    } else {
-      admit_road(id, &heap);
-    }
-  }
 
-  // Descend I_S level by level (lines 4-10), one I_R round per level. All
-  // I_S leaves sit at level 0; a shard's frontier may mix levels, so leaves
-  // keep their place until the internal nodes beside them are expanded.
+  // All I_S leaves sit at level 0; a shard's frontier may mix levels, so
+  // leaves keep their place until the internal nodes beside them are
+  // expanded. Candidate users thus come out in leaf (left-to-right) order.
   auto has_internal = [&]() {
     return std::any_of(s_frontier.begin(), s_frontier.end(), [&](SNodeId id) {
       return !social_index_->node(id).is_leaf();
     });
   };
-  std::vector<SNodeId> level;
-  while (!aborted && has_internal()) {
-    if (InterruptRequested(options)) {
-      aborted = true;
-      break;
-    }
-    level.swap(s_frontier);  // Both buffers keep their capacity.
+  std::vector<SNodeId> s_level;
+  while (has_internal()) {
+    if (InterruptRequested(options)) return InterruptStatus(options);
+    s_level.swap(s_frontier);  // Both buffers keep their capacity.
     s_frontier.clear();
-    for (SNodeId id : level) {
+    for (SNodeId id : s_level) {
       const SocialIndexNode& node = social_index_->node(id);
       if (node.is_leaf()) {
         s_frontier.push_back(id);
@@ -497,18 +338,14 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
       }
       for (SNodeId child_id : node.children) admit_social(child_id);
     }
-    refresh_s_ub();
-    process_ir_round();
   }
 
   // I_S leaf level: object-level user pruning (Section 3.2).
   uint32_t poll_stride = 0;
   for (SNodeId id : s_frontier) {
-    if (aborted) break;
     for (UserId u : social_index_->node(id).users) {
       if ((++poll_stride & 255u) == 0 && InterruptRequested(options)) {
-        aborted = true;
-        break;
+        return InterruptStatus(options);
       }
       ++stats->users_seen;
       pool.Access(social_index_->user_page(u));
@@ -542,48 +379,58 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
     }
   }
 
-  // Remaining I_R levels (lines 27-28).
-  int guard = poi_index_->height() + 2;
-  while (!heap.empty() && guard-- > 0 && !aborted) process_ir_round();
-  if (aborted) return InterruptStatus(options);
-
-  // u_q is in S by definition: on the whole index it survives even when
-  // its leaf was node-pruned (a shard leaves that to the coordinator).
-  if (single_node && std::find(plan->users.begin(), plan->users.end(),
-                               query.issuer) == plan->users.end()) {
-    plan->users.push_back(query.issuer);
+  // I_R, level by level (lines 11-28). Like the I_S side, only the index
+  // root enters untested. Algorithm 2's δ cut (lines 14 and 20) is not
+  // applied: δ bounds the objective only if the δ-defining center admits a
+  // feasible group, which the descent cannot know, so Refine's incumbent
+  // is the one road-distance prune (DESIGN.md §5).
+  std::vector<RNodeId> r_frontier;
+  auto admit_road = [&](RNodeId id) {
+    const PoiNodeAug& aug = poi_index_->node_aug(id);
+    if (id != poi_index_->tree().root() && flags.match_score &&
+        PruneRoadNodeMatch(ctx, aug)) {
+      ++stats->road_nodes_pruned_match;
+      stats->pois_pruned_at_index_level += aug.subtree_pois;
+      if (auditor != nullptr) auditor->OnRoadNodeMatchPruned(ctx, id);
+      return;
+    }
+    r_frontier.push_back(id);
+  };
+  for (RNodeId id : scope.road_roots) admit_road(id);
+  std::vector<RNodeId> r_level;
+  while (!r_frontier.empty()) {
+    r_level.swap(r_frontier);
+    r_frontier.clear();
+    for (RNodeId node_id : r_level) {
+      if (InterruptRequested(options)) return InterruptStatus(options);
+      const RTreeNode& node = poi_index_->tree().node(node_id);
+      ++stats->road_nodes_visited;
+      pool.Access(poi_index_->node_aug(node_id).page);
+      if (!node.is_leaf()) {
+        for (const RTreeEntry& e : node.entries) admit_road(e.id);
+        continue;
+      }
+      for (const RTreeEntry& e : node.entries) {
+        ++stats->pois_seen;
+        pool.Access(poi_index_->poi_page(e.id));
+        const PoiAug& aug = poi_index_->poi_aug(e.id);
+        if (flags.match_score && PrunePoiMatch(ctx, aug)) {
+          ++stats->pois_pruned_match;
+          if (auditor != nullptr) auditor->OnPoiMatchPruned(ctx, e.id);
+          continue;
+        }
+        // Eq. 17 (object form) bounds the issuer's share of any objective
+        // centered here; the least bound is the one a serving coordinator
+        // skips a shard by.
+        const double lb = LbDistToPoi(ctx, aug);
+        if (auditor != nullptr) auditor->OnPoiDistanceBound(ctx, e.id, lb);
+        plan->pois.push_back(e.id);
+        plan->lower_bound = std::min(plan->lower_bound, lb);
+      }
+    }
   }
   stats->users_candidates = plan->users.size();
   stats->pois_candidates = plan->pois.size();
-
-  // δ-based user filter (Lemma 5 applied user-side): any member u of a
-  // group achieving objective <= δ satisfies dist(u, center) <= δ for the
-  // answer's center (the center lies in its own ball), so users whose
-  // pivot lower bound exceeds δ against EVERY candidate center cannot
-  // appear in a δ-beating answer. Safe under the same a-posteriori δ check
-  // as the traversal cut (ExecuteTopK re-runs without road-distance
-  // pruning when the check fails).
-  if (use_delta && std::isfinite(delta) && !plan->pois.empty()) {
-    std::vector<UserId> kept;
-    kept.reserve(plan->users.size());
-    for (UserId u : plan->users) {
-      const auto& rp = social_index_->user_road_pivot_dists(u);
-      const bool reachable =
-          u == query.issuer ||
-          std::any_of(plan->pois.begin(), plan->pois.end(), [&](PoiId c) {
-            const double lb = LbUserPoiDist(rp, poi_index_->poi_aug(c));
-            if (auditor != nullptr) auditor->OnPairDistanceBound(ctx, u, c, lb);
-            return lb <= delta;
-          });
-      if (reachable) {
-        kept.push_back(u);
-      } else {
-        plan->delta_cut = true;
-        ++stats->users_pruned_distance;
-      }
-    }
-    plan->users = std::move(kept);
-  }
   stats->descent_seconds += descent_timer.ElapsedSeconds();
   return Status::OK();
 }
@@ -614,8 +461,9 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   scr.member_row.assign(static_cast<size_t>(scr.num_members), -1);
   scr.at_center.assign(static_cast<size_t>(scr.num_members), CenterCell());
 
-  // Candidate centers ordered by the issuer's pivot lower bound. Every
-  // ball materializes up front so the needed-POI slot table is complete
+  // Candidate centers ordered by (the issuer's pivot lower bound, id), so
+  // the order Gather found them in cannot reach an answer. Every ball
+  // materializes up front so the needed-POI slot table is complete
   // before the first distance row is computed: a row covers every needed
   // POI, and an infinite entry is a proof, not a gap. B(c, r) is read from
   // I_R: the members of the stored B(c, r_max) within r, in the order the
@@ -739,16 +587,13 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     return row;
   };
 
-  // One exact search from the issuer, bounded by δ (single node) or the
-  // incumbent (shard), upgrades the center order to the exact issuer-side
-  // objective contribution max_{o∈ball} dist(u_q, o): the objective of
-  // any pair at center c is at least that, since u_q ∈ S. Centers beyond
-  // the bound are dropped outright (they cannot beat the incumbent, and a
-  // center δ drops is a δ cut, covered by the a-posteriori δ check).
+  // One exact search from the issuer, bounded by the incumbent, upgrades
+  // the center order to the exact issuer-side objective contribution
+  // max_{o∈ball} dist(u_q, o): the objective of any pair at center c is at
+  // least that, since u_q ∈ S. A center beyond the bound cannot beat the
+  // incumbent, so it is dropped outright.
   {
-    const bool bound_is_delta = plan->delta < incumbent;
-    const double* issuer_dists =
-        user_dists(query.issuer, std::min(plan->delta, incumbent));
+    const double* issuer_dists = user_dists(query.issuer, incumbent);
     size_t kept = 0;
     for (size_t i = 0; i < scr.centers.size(); ++i) {
       RefineCenter center = scr.centers[i];
@@ -757,13 +602,13 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
         const double d = issuer_dists[scr.poi_slot[o]];
         if (d >= kInfDistance) {
           in_range = false;  // Beyond the bound (or unreachable).
-          if (bound_is_delta) plan->delta_cut = true;
           break;
         }
         center.worst = std::max(center.worst, d);
       }
       if (in_range) scr.centers[kept++] = center;
     }
+    stats->pois_pruned_distance += scr.centers.size() - kept;
     scr.centers.resize(kept);
     std::sort(scr.centers.begin(), scr.centers.end(),
               [](const RefineCenter& a, const RefineCenter& b) {
@@ -789,11 +634,16 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   int64_t pair_budget = options.max_refine_pairs;
   uint32_t poll_stride = 0;
   uint32_t visit = 0;
-  for (const RefineCenter& center : scr.centers) {
+  for (size_t ci = 0; ci < scr.centers.size(); ++ci) {
     if (InterruptRequested(options)) return InterruptStatus(options);
-    // Centers ascend by `worst` and the threshold only tightens, so every
-    // later center is rejected too.
-    if (reject(center.worst)) break;
+    const RefineCenter& center = scr.centers[ci];
+    // Lemma 7 with the issuer's exact distances: centers ascend by `worst`
+    // and the threshold only tightens, so every later center is rejected
+    // too. These are the road-distance prunes the funnel counts.
+    if (reject(center.worst)) {
+      stats->pois_pruned_distance += scr.centers.size() - ci;
+      break;
+    }
     const std::span<const PoiId> ball = ball_of(center);
     const std::span<const uint64_t> mask(scr.masks.data() + center.mask_begin,
                                          mask_words);

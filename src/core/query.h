@@ -1,27 +1,24 @@
 // Copyright 2026 The gpssn Authors.
 //
-// The GP-SSN query answering algorithm (Algorithm 2): a level-synchronized
-// descent of the social index I_S interleaved with a best-first (min-heap)
-// traversal of the POI index I_R, followed by refinement of the surviving
-// candidate user/POI sets. Returns the pair (S, R) minimizing
-// maxdist_RN(S, R) subject to every predicate of Definition 5.
+// The GP-SSN query answering algorithm (Algorithm 2): a level-by-level
+// descent of the social index I_S, then of the POI index I_R, followed by
+// refinement of the surviving candidate user/POI sets. Returns the pair
+// (S, R) minimizing maxdist_RN(S, R) subject to every predicate of
+// Definition 5.
 //
 // Every entry point runs the same three stages over one QueryPlan:
-//   GATHER  the synchronized I_S/I_R descent over a scope (the two index
-//           roots on a single node, a shard's subtrees when serving);
+//   GATHER  the I_S and I_R descents over a scope (the two index roots on
+//           a single node, a shard's subtrees when serving);
 //   PLAN    Corollary 2 + group enumeration (PlanGroups, core/refinement.h);
 //   REFINE  ball materialization, per-member distance rows, and the
 //           ranked pair loop over (center, group) candidates.
 // Execute/ExecuteTopK run all three; the serving shards run GATHER and
 // REFINE while the coordinator runs PLAN (serving/coordinator.h).
 //
-// Exactness: every pruning rule except the δ-based road-distance cut is
-// individually safe. The δ cut (line 14 of Algorithm 2) is safe whenever
-// the δ-defining candidate admits a feasible group; the processor verifies
-// this a posteriori (best found objective <= final δ) and transparently
-// re-executes with the cut disabled in the rare case the check fails, so
-// answers are always exact (unless a refinement cap was hit, which is
-// reported via QueryStats::truncated).
+// Exact by construction: every prune is sound on its own, so no query
+// runs twice. The road-distance prune is Refine's incumbent (Lemma 7 over
+// the issuer's exact distances, DESIGN.md §5). Answers are exact unless a
+// refinement cap was hit, which is reported via QueryStats::truncated.
 
 #ifndef GPSSN_CORE_QUERY_H_
 #define GPSSN_CORE_QUERY_H_
@@ -123,21 +120,17 @@ class GpssnProcessor {
                               QueryStats* stats = nullptr);
 
   /// Top-k extension: the k best (S, R) pairs ordered by ascending
-  /// maxdist_RN (fewer when fewer feasible pairs exist). For k > 1 the
-  /// δ-based road-distance cut is disabled internally (it is only safe for
-  /// the single optimum), so top-k queries trade some pruning for
-  /// completeness. Validates the query exactly as Execute() does.
+  /// maxdist_RN (fewer when fewer feasible pairs exist). Validates the
+  /// query exactly as Execute() does.
   Result<std::vector<GpssnAnswer>> ExecuteTopK(const GpssnQuery& query, int k,
                                                const QueryOptions& options,
                                                QueryStats* stats = nullptr);
 
   /// Serving scatter phase: the Gather stage over the index subtrees in
   /// `scope`, returning the surviving candidate users/POIs plus the
-  /// shard's objective lower bound. Runs the same node- and object-level
-  /// prunes as Execute() except the δ road-distance cut, which is never
-  /// applied here (δ is a global property; a shard-local δ would be
-  /// unsound), so no a-posteriori re-execution is ever needed on the
-  /// sharded path. Deadline/cancel are polled as in Execute().
+  /// shard's objective lower bound. The same Gather as Execute(), so the
+  /// shards of a cluster together gather exactly what a single node
+  /// gathers. Deadline/cancel are polled as in Execute().
   Result<ShardCandidates> GatherCandidates(const GpssnQuery& query,
                                            const QueryOptions& options,
                                            const ShardScope& scope,
@@ -169,15 +162,10 @@ class GpssnProcessor {
     QueryUserContext ctx;  // The query and the issuer's pruning bounds.
     BufferPool pool;       // Page buffer behind the I/O metric.
     // Gather: candidate users in I_S leaf-traversal order, candidate ball
-    // centers, the final δ of the heap cut (kInfDistance when off), and
-    // the least issuer-side lower bound over the centers.
+    // centers, and the least issuer-side lower bound over the centers.
     std::vector<UserId> users;
     std::vector<PoiId> pois;
-    double delta = kInfDistance;
     double lower_bound = kInfDistance;
-    // Set when a δ cut removed a road node, POI, user (Gather) or center
-    // (Refine): only then can the cut have removed the optimum.
-    bool delta_cut = false;
     // Plan: the candidate groups.
     std::vector<std::vector<UserId>> groups;
   };
@@ -185,14 +173,11 @@ class GpssnProcessor {
   /// InvalidArgument unless `query` is well formed for these indexes.
   Status ValidateQuery(const GpssnQuery& query) const;
 
-  /// Gather stage: descends I_S and I_R from the roots in `scope`
+  /// Gather stage: descends I_S and then I_R from the roots in `scope`
   /// (Algorithm 2 lines 1-28), filling plan->users/pois/lower_bound.
-  /// `single_node` marks a whole-index run: the issuer joins the
-  /// candidates even when its leaf was node-pruned, and, when
-  /// options.pruning.road_distance is on, the δ heap cut and the δ user
-  /// filter run. Returns Cancelled/DeadlineExceeded when interrupted.
+  /// Returns Cancelled/DeadlineExceeded when interrupted.
   Status Gather(const QueryOptions& options, const ShardScope& scope,
-                bool single_node, QueryPlan* plan, QueryStats* stats);
+                QueryPlan* plan, QueryStats* stats);
 
   /// Refine stage: materializes the ball of every center in plan->pois,
   /// keeps the centers whose keyword union the issuer matches, orders them
@@ -204,13 +189,6 @@ class GpssnProcessor {
                 const std::vector<std::vector<UserId>>& groups, int top_k,
                 double incumbent, QueryPlan* plan, QueryStats* stats,
                 std::vector<RankedAnswer>* best);
-
-  /// Gather over the whole index, Plan, then Refine; `final_delta`
-  /// receives the δ the heap cut ended with and `delta_cut` whether a δ
-  /// cut removed anything (QueryPlan::delta_cut).
-  Status RunPipeline(const GpssnQuery& query, const QueryOptions& options,
-                     int top_k, QueryStats* stats, double* final_delta,
-                     bool* delta_cut, std::vector<RankedAnswer>* best);
 
   /// Engine for `options.distance_backend` (the built-in Dijkstra engine
   /// when null). Plugged-backend engines are cached so repeated queries

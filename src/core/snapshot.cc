@@ -9,7 +9,7 @@
 namespace gpssn {
 
 namespace {
-constexpr char kSnapshotMagic[] = "gpssn-snapshot-v3";
+constexpr char kSnapshotMagic[] = "gpssn-snapshot-v4";
 constexpr size_t kMaxKeywords = 1u << 20;
 // Far above any useful CH witness limit, and low enough that the CH build's
 // scaled settle budget cannot overflow an int.
@@ -23,8 +23,8 @@ Status SaveSnapshot(const GpssnDatabase& db, const std::string& path) {
 
   const GpssnBuildOptions& build = db.build_options();
   out << "build " << build.poi_index.r_min << " " << build.poi_index.r_max
-      << " " << build.poi_index.sub_samples_per_node << " "
-      << build.poi_index.page_size << " " << build.poi_index.rtree.max_entries
+      << " " << build.poi_index.page_size << " "
+      << build.poi_index.rtree.max_entries
       << " " << build.poi_index.rtree.reinsert_fraction << " "
       << build.social_index.leaf_cell_size << " " << build.social_index.fanout
       << " " << build.social_index.page_size << " " << build.seed << " "
@@ -44,8 +44,6 @@ Status SaveSnapshot(const GpssnDatabase& db, const std::string& path) {
     const PoiAug& aug = db.poi_index().poi_aug(id);
     out << aug.sup_keywords.size();
     for (KeywordId kw : aug.sup_keywords) out << " " << kw;
-    out << " " << aug.sub_keywords.size();
-    for (KeywordId kw : aug.sub_keywords) out << " " << kw;
     out << "\n";
   }
   out << "end\n";
@@ -62,8 +60,7 @@ Result<std::unique_ptr<GpssnDatabase>> LoadSnapshot(const std::string& path) {
   GpssnBuildOptions build;
   int backend = -1;
   if (!(in >> section >> build.poi_index.r_min >> build.poi_index.r_max >>
-        build.poi_index.sub_samples_per_node >> build.poi_index.page_size >>
-        build.poi_index.rtree.max_entries >>
+        build.poi_index.page_size >> build.poi_index.rtree.max_entries >>
         build.poi_index.rtree.reinsert_fraction >>
         build.social_index.leaf_cell_size >> build.social_index.fanout >>
         build.social_index.page_size >> build.seed >> backend >>
@@ -88,7 +85,6 @@ Result<std::unique_ptr<GpssnDatabase>> LoadSnapshot(const std::string& path) {
   } ranges[] = {
       {"r_min", poi.r_min > 0.0},
       {"r_max", poi.r_max >= poi.r_min},
-      {"sub_samples_per_node", poi.sub_samples_per_node >= 0},
       {"poi page_size", poi.page_size > 0},
       {"rtree.max_entries", poi.rtree.max_entries >= 4},
       {"rtree.reinsert_fraction", poi.rtree.reinsert_fraction > 0.0 &&
@@ -149,7 +145,7 @@ Result<std::unique_ptr<GpssnDatabase>> LoadSnapshot(const std::string& path) {
       }
     }
     // Strictly increasing: the PoiIndex constructor takes sorted-unique
-    // sets, and a repeated sub_K id would count twice in MatchScore.
+    // sets, and a repeated sup_K id would count twice in MatchScore.
     if (std::adjacent_find(out_kws->begin(), out_kws->end(),
                            std::greater_equal<KeywordId>()) !=
         out_kws->end()) {
@@ -158,14 +154,8 @@ Result<std::unique_ptr<GpssnDatabase>> LoadSnapshot(const std::string& path) {
     }
     return Status::OK();
   };
-  for (PoiId id = 0; id < num_pois; ++id) {
-    PoiAug& aug = augs[id];
+  for (PoiAug& aug : augs) {
     GPSSN_RETURN_NOT_OK(read_keywords(&aug.sup_keywords));
-    GPSSN_RETURN_NOT_OK(read_keywords(&aug.sub_keywords));
-    if (!std::includes(aug.sup_keywords.begin(), aug.sup_keywords.end(),
-                       aug.sub_keywords.begin(), aug.sub_keywords.end())) {
-      return Status::IoError("snapshot sub_K is not a subset of sup_K");
-    }
   }
   if (!(in >> section) || section != "end") {
     return Status::IoError("missing snapshot trailer");

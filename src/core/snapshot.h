@@ -1,12 +1,12 @@
 // Copyright 2026 The gpssn Authors.
 //
 // Database snapshots: persist a built GpssnDatabase so a process restart
-// skips the expensive parts of the offline build. A gpssn-snapshot-v3 file
+// skips the expensive parts of the offline build. A gpssn-snapshot-v4 file
 // stores the network (the gpssn-v2 body of ssn/serialize.h), the selected
 // pivot ids, the build options that shape the indexes, the distance
 // backend with its CH witness limits, the distance cache capacity, and the
-// per-POI sup_K / sub_K keyword sets (the n bounded 2·r_max ball queries
-// that dominate build time). It is sealed like the network file: its last
+// per-POI sup_K keyword sets (the n bounded 2·r_max ball queries that
+// dominate build time). It is sealed like the network file: its last
 // line, `checksum <16 hex digits>`, is the 64-bit FNV-1a of every byte
 // before it, so any changed byte fails the load. On load,
 // pivot tables, tree shapes, and node aggregates are recomputed
@@ -14,9 +14,9 @@
 // bounded search of radius r_max, and a CH backend's hierarchy is built
 // again. A checksum is no seal, since whoever edits a file can recompute
 // it, so the content is checked too: keyword sets must be strictly
-// increasing and sub_K must be a subset of sup_K, and build options must
-// be in range, or the load fails with IoError; so does a file of another
-// snapshot version, naming it.
+// increasing and build options must be in range, or the load fails with
+// IoError; so does a file of another snapshot version (v1 to v3 included),
+// naming it.
 
 #ifndef GPSSN_CORE_SNAPSHOT_H_
 #define GPSSN_CORE_SNAPSHOT_H_

@@ -7,8 +7,6 @@ namespace gpssn {
 
 namespace {
 
-enum class StatKind { kFunnel, kWork };
-
 void MergeSum(uint64_t* into, uint64_t from) { *into += from; }
 void MergeSum(double* into, double from) { *into += from; }
 void MergeSum(IoStats* into, const IoStats& from) {
@@ -46,7 +44,7 @@ constexpr size_t CountMembers(Init... init) {
   }
 }
 
-#define GPSSN_STATS_COUNT(type, name, merge, kind) +1
+#define GPSSN_STATS_COUNT(type, name, merge) +1
 static_assert(CountMembers<QueryStats>() ==
                   0 GPSSN_QUERY_STATS(GPSSN_STATS_COUNT),
               "declare every QueryStats member as a GPSSN_QUERY_STATS row");
@@ -55,23 +53,15 @@ static_assert(CountMembers<QueryStats>() ==
 }  // namespace
 
 void QueryStats::MergeFrom(const QueryStats& other) {
-#define GPSSN_STATS_MERGE(type, name, merge, kind) \
+#define GPSSN_STATS_MERGE(type, name, merge) \
   Merge##merge(&this->name, other.name);
   GPSSN_QUERY_STATS(GPSSN_STATS_MERGE)
 #undef GPSSN_STATS_MERGE
 }
 
-void QueryStats::ChargeWorkFrom(const QueryStats& rerun) {
-#define GPSSN_STATS_CHARGE(type, name, merge, kind)   \
-  if constexpr (StatKind::k##kind == StatKind::kWork) \
-    Merge##merge(&this->name, rerun.name);
-  GPSSN_QUERY_STATS(GPSSN_STATS_CHARGE)
-#undef GPSSN_STATS_CHARGE
-}
-
 std::string QueryStats::ToString() const {
   std::ostringstream out;
-#define GPSSN_STATS_PRINT(type, name, merge, kind) AppendRow(&out, #name, name);
+#define GPSSN_STATS_PRINT(type, name, merge) AppendRow(&out, #name, name);
   GPSSN_QUERY_STATS(GPSSN_STATS_PRINT)
 #undef GPSSN_STATS_PRINT
   return out.str().substr(1);

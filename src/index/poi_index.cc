@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/macros.h"
+#include "common/rng.h"
 
 namespace gpssn {
 
@@ -39,7 +40,6 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
       pivots_(pivots),
       options_(options),
       tree_(options.rtree),
-      rng_(options.seed),
       engine_(&ssn->road()),
       locator_(&ssn->road(), &ssn->pois()) {
   GPSSN_CHECK(ssn != nullptr && pivots != nullptr);
@@ -50,7 +50,7 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
   // the tree shape for sorted inputs).
   std::vector<PoiId> order(n);
   for (int i = 0; i < n; ++i) order[i] = i;
-  rng_.Shuffle(&order);
+  Rng(options.seed).Shuffle(&order);
   for (PoiId id : order) {
     tree_.Insert(ssn->poi(id).location, id);
   }
@@ -70,7 +70,6 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
       pivots_(pivots),
       options_(options),
       tree_(options.rtree),
-      rng_(options.seed),
       engine_(&ssn->road()),
       locator_(&ssn->road(), &ssn->pois()) {
   GPSSN_CHECK(ssn != nullptr && pivots != nullptr);
@@ -80,7 +79,7 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
 
   std::vector<PoiId> order(n);
   for (int i = 0; i < n; ++i) order[i] = i;
-  rng_.Shuffle(&order);
+  Rng(options.seed).Shuffle(&order);
   for (PoiId id : order) {
     tree_.Insert(ssn->poi(id).location, id);
   }
@@ -100,19 +99,17 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
 std::vector<std::pair<PoiId, double>> PoiIndex::ComputePoiAug(PoiId id) {
   PoiAug& aug = poi_aug_[id];
   const Poi& poi = ssn_->poi(id);
-  // One ball query at the outer radius gives sup_K, sub_K and B(o, r_max):
-  // each inner ball is a distance filter over the same result.
+  // One ball query at the outer radius gives sup_K and B(o, r_max): the
+  // inner ball is a distance filter over the same result.
   auto outer = locator_.BallWithDistances(poi.position, 2.0 * options_.r_max,
                                           &engine_);
-  std::vector<PoiId> sup_ids, sub_ids;
+  std::vector<PoiId> sup_ids;
   aug.ball.clear();
   for (const auto& [other, dist] : outer) {
     sup_ids.push_back(other);
-    if (dist <= options_.r_min) sub_ids.push_back(other);
     if (dist <= options_.r_max) aug.ball.emplace_back(other, dist);
   }
   aug.sup_keywords = KeywordUnion(*ssn_, sup_ids);
-  aug.sub_keywords = KeywordUnion(*ssn_, sub_ids);
   aug.v_sup = KeywordBitVector::FromKeywords(
       std::vector<int>(aug.sup_keywords.begin(), aug.sup_keywords.end()));
   aug.pivot_dist = pivots_->PositionDistances(poi.position);
@@ -125,7 +122,6 @@ void PoiIndex::RefreshBall(PoiId id) {
 }
 
 void PoiIndex::RebuildNodeAugmentations() {
-  const int h = pivots_->num_pivots();
   node_aug_.assign(tree_.num_nodes(), PoiNodeAug{});
 
   // Children before parents; node ids do not encode level, so order by
@@ -138,39 +134,16 @@ void PoiIndex::RebuildNodeAugmentations() {
   for (RNodeId id : by_level) {
     const RTreeNode& node = tree_.node(id);
     PoiNodeAug& aug = node_aug_[id];
-    aug.lb_pivot.assign(h, kInfDistance);
-    aug.ub_pivot.assign(h, 0.0);
-    std::vector<PoiId> sample_pool;
     if (node.is_leaf()) {
       aug.subtree_pois = static_cast<int>(node.entries.size());
       for (const RTreeEntry& e : node.entries) {
-        const PoiAug& poi = poi_aug_[e.id];
-        aug.v_sup.UnionWith(poi.v_sup);
-        for (int k = 0; k < h; ++k) {
-          aug.lb_pivot[k] = std::min(aug.lb_pivot[k], poi.pivot_dist[k]);
-          aug.ub_pivot[k] = std::max(aug.ub_pivot[k], poi.pivot_dist[k]);
-        }
-        sample_pool.push_back(e.id);
+        aug.v_sup.UnionWith(poi_aug_[e.id].v_sup);
       }
     } else {
       for (const RTreeEntry& e : node.entries) {
         const PoiNodeAug& child = node_aug_[e.id];
         aug.subtree_pois += child.subtree_pois;
         aug.v_sup.UnionWith(child.v_sup);
-        for (int k = 0; k < h; ++k) {
-          aug.lb_pivot[k] = std::min(aug.lb_pivot[k], child.lb_pivot[k]);
-          aug.ub_pivot[k] = std::max(aug.ub_pivot[k], child.ub_pivot[k]);
-        }
-        sample_pool.insert(sample_pool.end(), child.sub_samples.begin(),
-                           child.sub_samples.end());
-      }
-    }
-    if (!sample_pool.empty()) {
-      const int want = std::min<int>(options_.sub_samples_per_node,
-                                     static_cast<int>(sample_pool.size()));
-      for (size_t idx :
-           rng_.SampleWithoutReplacement(sample_pool.size(), want)) {
-        aug.sub_samples.push_back(sample_pool[idx]);
       }
     }
   }
@@ -186,11 +159,9 @@ void PoiIndex::RebuildNodeAugmentations() {
     for (size_t head = 0; head < queue.size(); ++head) {
       const RNodeId id = queue[head];
       const RTreeNode& node = tree_.node(id);
-      // Entry bytes: MBR (32) + id (4); aug: bit vector (32), pivot bounds
-      // (16h), samples (~8 each).
-      const uint32_t bytes = static_cast<uint32_t>(
-          node.entries.size() * 36 + 32 + 16 * h +
-          node_aug_[id].sub_samples.size() * 8 + 16);
+      // Entry bytes: MBR (32) + id (4); aug: bit vector (32).
+      const uint32_t bytes =
+          static_cast<uint32_t>(node.entries.size() * 36 + 32 + 16);
       node_aug_[id].page = alloc.Place(bytes);
       if (!node.is_leaf()) {
         for (const RTreeEntry& e : node.entries) {
@@ -207,8 +178,7 @@ void PoiIndex::RebuildNodeAugmentations() {
   for (PoiId id = 0; id < n; ++id) {
     const PoiAug& aug = poi_aug_[id];
     const uint32_t bytes = static_cast<uint32_t>(
-        24 + 4 * (aug.sup_keywords.size() + aug.sub_keywords.size()) +
-        8 * aug.pivot_dist.size() + 32);
+        24 + 4 * aug.sup_keywords.size() + 8 * aug.pivot_dist.size() + 32);
     poi_page_[id] = alloc.Place(bytes);
   }
 }
@@ -228,8 +198,8 @@ Status PoiIndex::InsertPoi(PoiId id) {
   const auto reverse = ComputePoiAug(id);
 
   // Reverse ball update: the new POI now appears inside the precomputed
-  // balls of every POI within 2·r_max (sup) / r_min (sub) — road distances
-  // are symmetric, so its own ball IS the reverse ball. A stored B(o,
+  // 2·r_max balls (sup_K) of every POI within 2·r_max — road distances are
+  // symmetric, so its own ball IS the reverse ball. A stored B(o,
   // r_max) must hold d(o, id) bit for bit, which may differ from d(id, o)
   // in the last bit, so those balls are searched again from o's side; the
   // slack only widens the choice (a search that does not reach the new
@@ -241,9 +211,6 @@ Status PoiIndex::InsertPoi(PoiId id) {
     PoiAug& aug = poi_aug_[other];
     MergeSorted(&aug.sup_keywords, poi.keywords);
     for (KeywordId kw : poi.keywords) aug.v_sup.Add(kw);
-    if (dist <= options_.r_min) {
-      MergeSorted(&aug.sub_keywords, poi.keywords);
-    }
     if (dist <= refresh_radius) RefreshBall(other);
   }
 

@@ -5,14 +5,13 @@
 //
 //   * per POI o_i:   sup_K = union of keywords of POIs within road distance
 //                    2·r_max of o_i (candidate superset R' of Fig. 2);
-//                    sub_K = union of keywords within r_min (used for match-
-//                    score LOWER bounds, Eq. 18, therefore stored exactly);
 //                    the ball B(o_i, r_max) with exact distances, from which
 //                    a query reads every candidate ball B(o_i, r), r <= r_max;
 //                    exact road distances to the h road pivots.
-//   * per node e_R:  V_sup bit vector (OR of children, Lemma 6 / Eq. 15);
-//                    sampled POIs with exact sub_K sets (Eq. 18);
-//                    per-pivot lb/ub road distances (Eqs. 7-8).
+//   * per node e_R:  V_sup bit vector (OR of children, Lemma 6 / Eq. 15).
+//
+// The paper's node pivot boxes (Eqs. 7-8) and sub_K sets (Eq. 18) are not
+// stored: no prune that is sound on its own reads them (DESIGN.md §5).
 //
 // Nodes are mapped onto simulated disk pages so queries can charge the
 // paper's I/O metric. The ball table stays outside that layout: a query
@@ -26,7 +25,6 @@
 
 #include "common/bitvector.h"
 #include "common/pagestore.h"
-#include "common/rng.h"
 #include "index/rstar_tree.h"
 #include "roadnet/road_pivots.h"
 #include "roadnet/shortest_path.h"
@@ -36,13 +34,10 @@ namespace gpssn {
 
 struct PoiIndexOptions {
   RStarTree::Options rtree;
-  /// Smallest / largest radius r a query may specify; sub_K / sup_K are
-  /// precomputed against these extremes (Section 4.1).
+  /// Smallest / largest radius r a query may specify; sup_K and the
+  /// stored balls are precomputed against r_max (Section 4.1).
   double r_min = 0.5;
   double r_max = 4.0;
-  /// How many sampled POIs (with exact sub_K sets) each node keeps for the
-  /// match-score lower bound of Eq. 18.
-  int sub_samples_per_node = 2;
   /// Simulated page size in bytes.
   uint32_t page_size = 4096;
   uint64_t seed = 1;
@@ -52,7 +47,6 @@ struct PoiIndexOptions {
 struct PoiAug {
   KeywordBitVector v_sup;                // Hash signature of sup_K.
   std::vector<KeywordId> sup_keywords;   // Exact sup_K (sorted).
-  std::vector<KeywordId> sub_keywords;   // Exact sub_K (sorted).
   std::vector<double> pivot_dist;        // dist_RN(o_i, rp_k), k = 1..h.
   // B(o_i, r_max): every POI within road distance r_max of o_i with that
   // distance, bit-identical to PoiLocator::BallWithDistances(position,
@@ -64,11 +58,8 @@ struct PoiAug {
 
 /// Augmentations of one R*-tree node of I_R.
 struct PoiNodeAug {
-  KeywordBitVector v_sup;          // OR of member signatures.
-  std::vector<PoiId> sub_samples;  // Sampled POIs (their sub_K is exact).
-  std::vector<double> lb_pivot;    // Eq. 7, per pivot.
-  std::vector<double> ub_pivot;    // Eq. 8, per pivot.
-  int subtree_pois = 0;            // POIs under this node (pruning power).
+  KeywordBitVector v_sup;  // OR of member signatures.
+  int subtree_pois = 0;    // POIs under this node (pruning power).
   PageId page = kInvalidPage;
 };
 
@@ -76,16 +67,16 @@ struct PoiNodeAug {
 class PoiIndex {
  public:
   /// Builds the index. `pivots` must outlive the index. Runs one bounded
-  /// Dijkstra ball query per POI (radius 2·r_max) and keeps sup_K, sub_K
-  /// and B(o, r_max) from it.
+  /// Dijkstra ball query per POI (radius 2·r_max) and keeps sup_K and
+  /// B(o, r_max) from it.
   PoiIndex(const SpatialSocialNetwork* ssn, const RoadPivotTable* pivots,
            const PoiIndexOptions& options);
 
-  /// Snapshot-loading constructor: takes the sup_K / sub_K keyword sets
+  /// Snapshot-loading constructor: takes the sup_K keyword sets
   /// precomputed by a previous build, so the 2·r_max ball queries are
   /// skipped; bit vectors and pivot distances are recomputed, and each
   /// POI's ball with one bounded search of radius r_max. The `precomputed`
-  /// vector must have one entry per POI with sorted-unique keyword sets;
+  /// vector must have one entry per POI with a sorted-unique sup_K;
   /// everything else in it is ignored.
   PoiIndex(const SpatialSocialNetwork* ssn, const RoadPivotTable* pivots,
            const PoiIndexOptions& options, std::vector<PoiAug> precomputed);
@@ -115,8 +106,8 @@ class PoiIndex {
 
   /// Dynamic maintenance: registers the POI `id` that was just appended to
   /// the underlying network via SpatialSocialNetwork::AddPoi. Updates the
-  /// new POI's augmentations, patches the sup_K / sub_K sets of every POI
-  /// whose precomputed balls now contain it (reverse ball update), searches
+  /// new POI's augmentations, patches the sup_K set of every POI whose
+  /// precomputed 2·r_max ball now contains it (reverse ball update), searches
   /// the ball of every POI within r_max of it again from that POI's side,
   /// inserts it into the R*-tree, and rebuilds the node aggregates and page
   /// layout (O(n) — suitable for occasional facility openings, not bulk
@@ -129,15 +120,14 @@ class PoiIndex {
   std::vector<std::pair<PoiId, double>> ComputePoiAug(PoiId id);
   /// Recomputes B(id, r_max) with one bounded search from `id`.
   void RefreshBall(PoiId id);
-  /// Recomputes every node's aggregates (bit vectors, pivot bounds,
-  /// samples, subtree counts) and the page layout from the current tree.
+  /// Recomputes every node's aggregates (bit vectors, subtree counts) and
+  /// the page layout from the current tree.
   void RebuildNodeAugmentations();
 
   const SpatialSocialNetwork* ssn_;
   const RoadPivotTable* pivots_;
   PoiIndexOptions options_;
   RStarTree tree_;
-  Rng rng_;
   std::vector<PoiAug> poi_aug_;
   std::vector<PoiNodeAug> node_aug_;
   std::vector<PageId> poi_page_;

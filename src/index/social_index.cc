@@ -58,8 +58,6 @@ SocialIndex::SocialIndex(const SpatialSocialNetwork* ssn,
     node->ub_w.assign(d, -std::numeric_limits<double>::infinity());
     node->lb_sp.assign(l, std::numeric_limits<int>::max());
     node->ub_sp.assign(l, std::numeric_limits<int>::min());
-    node->lb_rp.assign(h, std::numeric_limits<double>::infinity());
-    node->ub_rp.assign(h, -std::numeric_limits<double>::infinity());
   };
 
   // Materialize only non-empty cells (the partitioner may leave some cell
@@ -91,10 +89,6 @@ SocialIndex::SocialIndex(const SpatialSocialNetwork* ssn,
       const int hops = social_pivots->UserToPivot(u, k);
       leaf.lb_sp[k] = std::min(leaf.lb_sp[k], hops);
       leaf.ub_sp[k] = std::max(leaf.ub_sp[k], hops);
-    }
-    for (int k = 0; k < h; ++k) {
-      leaf.lb_rp[k] = std::min(leaf.lb_rp[k], user_rp_[u][k]);
-      leaf.ub_rp[k] = std::max(leaf.ub_rp[k], user_rp_[u][k]);
     }
   }
   for (SNodeId id : current_level) {
@@ -184,7 +178,6 @@ SocialIndex::SocialIndex(const SpatialSocialNetwork* ssn,
       parent.subtree_users += child.subtree_users;
       MergeBounds(&parent.lb_w, &parent.ub_w, child.lb_w, child.ub_w);
       MergeBounds(&parent.lb_sp, &parent.ub_sp, child.lb_sp, child.ub_sp);
-      MergeBounds(&parent.lb_rp, &parent.ub_rp, child.lb_rp, child.ub_rp);
     }
     current_level = std::move(next_level);
     ++level;
@@ -208,7 +201,7 @@ SocialIndex::SocialIndex(const SpatialSocialNetwork* ssn,
       const SNodeId id = queue[head];
       SocialIndexNode& node = nodes_[id];
       const uint32_t bytes = static_cast<uint32_t>(
-          16 + 16 * d + 8 * l + 16 * h + 4 * node.children.size() +
+          16 + 16 * d + 8 * l + 4 * node.children.size() +
           4 * node.users.size());
       node.page = alloc.Place(bytes);
       queue.insert(queue.end(), node.children.begin(), node.children.end());

@@ -6,9 +6,10 @@
 // non-leaf nodes until a root remains. Every node stores
 //   * lb/ub interest vectors over its users (Eqs. 9-10),
 //   * lb/ub hop distances to the l social pivots (Eqs. 11-12),
-//   * lb/ub road distances of its users' homes to the h road pivots
-//     (Eqs. 13-14),
-// and is mapped onto simulated disk pages for the I/O metric.
+// and is mapped onto simulated disk pages for the I/O metric. The paper's
+// node road-pivot boxes (Eqs. 13-14) are not stored: no prune that is sound
+// on its own reads them (DESIGN.md §5). Each user's exact road-pivot
+// distances stay at leaf granularity.
 
 #ifndef GPSSN_INDEX_SOCIAL_INDEX_H_
 #define GPSSN_INDEX_SOCIAL_INDEX_H_
@@ -45,7 +46,6 @@ struct SocialIndexNode {
   std::vector<UserId> users;      // Leaf only.
   std::vector<double> lb_w, ub_w; // Eqs. 9-10 (length d).
   std::vector<int> lb_sp, ub_sp;  // Eqs. 11-12 (length l).
-  std::vector<double> lb_rp, ub_rp;  // Eqs. 13-14 (length h).
   int subtree_users = 0;  // Users under this node (pruning power).
   PageId page = kInvalidPage;
 

@@ -8,7 +8,8 @@
 //
 //   1. GATHER   broadcast the query; every shard descends its own index
 //               slice and returns candidate users/POIs plus an objective
-//               lower bound (no δ cut — δ is a global property).
+//               lower bound. The shards together gather exactly what
+//               Execute() gathers over the whole index.
 //   2. PLAN     (driver thread) concatenate the shard candidate lists in
 //               shard order — reproducing the single-node candidate order —
 //               then PlanGroups (core/refinement.h), the Plan stage

@@ -71,7 +71,7 @@ void ExpectTotalsArePerQuerySums(const BatchStats& stats,
                                  const std::vector<BatchQueryResult>& batch) {
   QueryStats expected;
   for (const BatchQueryResult& r : batch) expected.MergeFrom(r.stats);
-#define GPSSN_TEST_ROW(type, name, merge, kind) \
+#define GPSSN_TEST_ROW(type, name, merge) \
   ExpectRowEq(#name, stats.totals.name, expected.name);
   GPSSN_QUERY_STATS(GPSSN_TEST_ROW)
 #undef GPSSN_TEST_ROW

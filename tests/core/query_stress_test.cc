@@ -3,7 +3,6 @@
 // query parameters, and metrics. This is the widest net in the suite.
 
 #include <memory>
-#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -83,7 +82,7 @@ TEST_P(QueryStressTest, RandomInstancesMatchOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryStressTest,
                          ::testing::Range<uint64_t>(kFirstSeed, kEndSeed));
 
-// Builds one random small database for the δ-cut / top-k stress tests.
+// Builds one random small database for the top-k stress tests.
 std::unique_ptr<GpssnDatabase> RandomSmallDb(Rng* rng) {
   SyntheticSsnOptions data;
   data.num_road_vertices = 120 + static_cast<int>(rng->NextBounded(130));
@@ -113,95 +112,6 @@ GpssnQuery RandomQuery(const GpssnDatabase& db, Rng* rng) {
   q.theta = rng->UniformDouble(0.05, 0.6);
   q.radius = rng->UniformDouble(0.4, 4.0);
   return q;
-}
-
-// A counted work row of the δ-cut run must cover the no-cut run's: that
-// run is exactly the fallback's rerun, whose work the cut run is charged.
-// Timers vary from run to run and are not compared.
-void ExpectCoversWork(const char* name, uint64_t got, uint64_t want) {
-  EXPECT_GE(got, want) << name;
-}
-void ExpectCoversWork(const char* name, bool got, bool want) {
-  EXPECT_GE(got, want) << name;
-}
-void ExpectCoversWork(const char* name, const IoStats& got,
-                      const IoStats& want) {
-  EXPECT_GE(got.page_misses, want.page_misses) << name;
-  EXPECT_GE(got.logical_accesses, want.logical_accesses) << name;
-}
-void ExpectCoversWork(const char* /*name*/, double /*got*/, double /*want*/) {}
-
-// The δ-based road-distance cut is the only heuristic rule: it is repaired
-// a posteriori by re-executing with the cut disabled (the fallback path in
-// GpssnProcessor::Execute). Running the cut+fallback pipeline against a
-// reference execution that never uses the cut exercises exactly that
-// repair logic: any divergence means the fallback failed to fire (or fired
-// and still returned a non-optimal answer). Adds the number of fallbacks
-// taken to *fallbacks.
-void CheckDeltaCutAgainstUnpruned(uint64_t seed, int* fallbacks) {
-  Rng rng(seed * 104729 + 3);
-  for (int instance = 0; instance < 2; ++instance) {
-    auto db = RandomSmallDb(&rng);
-    for (int trial = 0; trial < 4; ++trial) {
-      const GpssnQuery q = RandomQuery(*db, &rng);
-
-      QueryStats cut_stats;
-      auto with_cut = db->Query(q, QueryOptions{}, &cut_stats);
-      ASSERT_TRUE(with_cut.ok()) << with_cut.status().ToString();
-
-      QueryOptions no_cut;
-      no_cut.pruning.road_distance = false;
-      QueryStats reference_stats;
-      auto reference = db->Query(q, no_cut, &reference_stats);
-      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-      ASSERT_EQ(with_cut->found, reference->found)
-          << "instance=" << instance << " trial=" << trial
-          << " issuer=" << q.issuer << " tau=" << q.tau << " gamma=" << q.gamma
-          << " theta=" << q.theta << " r=" << q.radius << "\nstats: "
-          << cut_stats.ToString();
-      if (reference->found) {
-        ASSERT_NEAR(with_cut->max_dist, reference->max_dist, 1e-9)
-            << "instance=" << instance << " trial=" << trial
-            << " issuer=" << q.issuer;
-      }
-      if (cut_stats.delta_reruns == 1) {
-        ++*fallbacks;
-        SCOPED_TRACE(::testing::Message()
-                     << "instance=" << instance << " trial=" << trial
-                     << " issuer=" << q.issuer);
-#define GPSSN_TEST_WORK(type, name, merge, kind)                      \
-  if (std::string_view(#kind) == "Work") {                            \
-    ExpectCoversWork(#name, cut_stats.name, reference_stats.name);    \
-  }
-        GPSSN_QUERY_STATS(GPSSN_TEST_WORK)
-#undef GPSSN_TEST_WORK
-        // The δ cut acts on the road side and, user-side, only through the
-        // δ user filter. When that filter removed no user (equal user
-        // funnels), the first pass planned the rerun's candidates, so the
-        // plan's interest pairs are charged exactly twice.
-        if (cut_stats.users_pruned_distance ==
-            reference_stats.users_pruned_distance) {
-          EXPECT_EQ(cut_stats.interest_pairs_scored,
-                    2 * reference_stats.interest_pairs_scored);
-        }
-      }
-    }
-  }
-}
-
-TEST_P(QueryStressTest, DeltaCutWithFallbackMatchesUnprunedExecution) {
-  int fallbacks = 0;
-  CheckDeltaCutAgainstUnpruned(GetParam(), &fallbacks);
-}
-
-// The fallback checks above are vacuous unless some seed takes it.
-TEST(QueryStressFallbackTest, SomeSeedTakesTheDeltaFallback) {
-  int fallbacks = 0;
-  for (uint64_t seed = kFirstSeed; seed < kEndSeed; ++seed) {
-    CheckDeltaCutAgainstUnpruned(seed, &fallbacks);
-  }
-  EXPECT_GT(fallbacks, 0);
 }
 
 // ExecuteTopK with k > 1 under randomized inputs: answers must be sorted

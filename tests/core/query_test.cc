@@ -113,16 +113,13 @@ TEST_P(QueryOracleTest, DisablingPruningNeverChangesAnswers) {
   QueryOptions all_on;
   auto reference = db->Query(q, all_on, nullptr);
   ASSERT_TRUE(reference.ok());
-  for (int rule = 0; rule < 5; ++rule) {
+  for (int rule = 0; rule < 4; ++rule) {
     QueryOptions options;
     switch (rule) {
       case 0: options.pruning.interest_score = false; break;
       case 1: options.pruning.social_distance = false; break;
       case 2: options.pruning.match_score = false; break;
-      case 3: options.pruning.road_distance = false; break;
-      case 4:
-        options.pruning = PruningFlags{false, false, false, false};
-        break;
+      case 3: options.pruning = PruningFlags{false, false, false}; break;
     }
     auto got = db->Query(q, options, nullptr);
     ASSERT_TRUE(got.ok());
@@ -260,6 +257,10 @@ TEST(QueryStatsTest, CountersAreCoherent) {
   EXPECT_LE(stats.users_pruned_interest + stats.users_pruned_distance,
             stats.users_seen);
   EXPECT_LE(stats.users_candidates, stats.users_seen + 1);
+  // Every POI the descent reaches is either match-pruned or a candidate
+  // center, and Refine's road-distance prunes are candidates it skips.
+  EXPECT_EQ(stats.pois_pruned_match + stats.pois_candidates, stats.pois_seen);
+  EXPECT_LE(stats.pois_pruned_distance, stats.pois_candidates);
   EXPECT_LE(stats.io.page_misses, stats.io.logical_accesses);
   EXPECT_LE(stats.users_pruned_at_index_level + stats.users_seen,
             static_cast<uint64_t>(db->ssn().num_users()) + 1);

@@ -82,7 +82,6 @@ TEST(SnapshotTest, RoundTripPreservesEveryAnswer) {
     const PoiAug& loaded = (*restored)->poi_index().poi_aug(id);
     const PoiAug& built = original->poi_index().poi_aug(id);
     EXPECT_EQ(loaded.sup_keywords, built.sup_keywords) << "poi " << id;
-    EXPECT_EQ(loaded.sub_keywords, built.sub_keywords) << "poi " << id;
     EXPECT_EQ(loaded.ball, built.ball) << "poi " << id;
   }
 
@@ -190,7 +189,8 @@ TEST(SnapshotTest, RejectsMalformedSnapshots) {
   EXPECT_TRUE(
       LoadSnapshot(TempPath("badmagic.snapshot")).status().IsIoError());
   // Files of older versions fail naming their version.
-  for (const char* version : {"gpssn-snapshot-v1", "gpssn-snapshot-v2"}) {
+  for (const char* version :
+       {"gpssn-snapshot-v1", "gpssn-snapshot-v2", "gpssn-snapshot-v3"}) {
     const std::string old_path = TempPath("old.snapshot");
     WriteFile(old_path, std::string(version) + "\n");
     const Status old = LoadSnapshot(old_path).status();
@@ -204,7 +204,7 @@ TEST(SnapshotTest, RejectsMalformedSnapshots) {
   ASSERT_TRUE(SaveSnapshot(*db, path).ok());
   const std::string contents = ReadFile(path);
 
-  // Rewrite the first POI's keyword line: "<n> sup... <m> sub...".
+  // Rewrite the first POI's keyword line: "<n> sup...".
   const size_t section = contents.find("\npoiaug ");
   ASSERT_NE(section, std::string::npos);
   const size_t line_begin = contents.find('\n', section + 1) + 1;
@@ -215,17 +215,15 @@ TEST(SnapshotTest, RejectsMalformedSnapshots) {
                                  contents.substr(line_end)));
     return LoadSnapshot(bad_path).status();
   };
-  ASSERT_TRUE(load_with_first_line("2 1 3 1 3").ok());
+  ASSERT_TRUE(load_with_first_line("2 1 3").ok());
   // A repeated id passes a sortedness check but not the loader.
-  EXPECT_TRUE(load_with_first_line("2 3 3 1 3").IsIoError());
-  EXPECT_TRUE(load_with_first_line("2 1 3 2 3 3").IsIoError());
-  // sub_K must be a subset of sup_K.
-  EXPECT_TRUE(load_with_first_line("2 1 3 1 2").IsIoError());
+  EXPECT_TRUE(load_with_first_line("2 3 3").IsIoError());
+  EXPECT_TRUE(load_with_first_line("3 1 3 2").IsIoError());
 
   // Build options the index constructors would GPSSN_CHECK fail to load,
   // naming the field. The build line's fields are "build r_min r_max
-  // sub_samples_per_node poi_page_size rtree.max_entries
-  // rtree.reinsert_fraction leaf_cell_size fanout social_page_size ...".
+  // poi_page_size rtree.max_entries rtree.reinsert_fraction leaf_cell_size
+  // fanout social_page_size ...".
   const size_t build_begin = contents.find("\nbuild ") + 1;
   ASSERT_NE(build_begin, 0u);
   const size_t build_end = contents.find('\n', build_begin);
@@ -254,15 +252,14 @@ TEST(SnapshotTest, RejectsMalformedSnapshots) {
     Edits edits;
     const char* field;
   } bad_builds[] = {
-      {{{8, "1"}}, "fanout"},
-      {{{5, "3"}}, "rtree.max_entries"},
-      {{{6, "0.6"}}, "rtree.reinsert_fraction"},
-      {{{7, "0"}}, "leaf_cell_size"},
-      {{{4, "0"}}, "poi page_size"},
-      {{{9, "0"}}, "social page_size"},
+      {{{7, "1"}}, "fanout"},
+      {{{4, "3"}}, "rtree.max_entries"},
+      {{{5, "0.6"}}, "rtree.reinsert_fraction"},
+      {{{6, "0"}}, "leaf_cell_size"},
+      {{{3, "0"}}, "poi page_size"},
+      {{{8, "0"}}, "social page_size"},
       {{{1, "-1"}}, "r_min"},
       {{{1, "3"}, {2, "2"}}, "r_max"},
-      {{{3, "-3"}}, "sub_samples_per_node"},
   };
   for (const auto& bad : bad_builds) {
     const Status status = load_with_build(bad.edits);
@@ -272,7 +269,7 @@ TEST(SnapshotTest, RejectsMalformedSnapshots) {
   }
   // The largest leaf cell is in range: every user in one cell, with no
   // signed overflow on the way (the UBSan build checks).
-  EXPECT_TRUE(load_with_build({{7, "2147483647"}}).ok());
+  EXPECT_TRUE(load_with_build({{6, "2147483647"}}).ok());
 }
 
 TEST(SnapshotTest, RejectsEveryTruncationAndFlippedByte) {

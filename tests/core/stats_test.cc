@@ -26,7 +26,7 @@ void SetDistinct(IoStats* v, int k) {
 QueryStats DistinctStats(int salt) {
   QueryStats stats;
   int k = salt;
-#define GPSSN_TEST_FILL(type, name, merge, kind) SetDistinct(&stats.name, k++);
+#define GPSSN_TEST_FILL(type, name, merge) SetDistinct(&stats.name, k++);
   GPSSN_QUERY_STATS(GPSSN_TEST_FILL)
 #undef GPSSN_TEST_FILL
   return stats;
@@ -102,37 +102,17 @@ TEST(QueryStatsTest, MergeFromAppliesEveryRowsRule) {
                              std::pair{a, zero}}) {
     QueryStats merged = x;
     merged.MergeFrom(y);
-#define GPSSN_TEST_MERGE(type, name, merge, kind) \
+#define GPSSN_TEST_MERGE(type, name, merge) \
   ExpectRowEq(#name, merged.name, Merged##merge(x.name, y.name));
     GPSSN_QUERY_STATS(GPSSN_TEST_MERGE)
 #undef GPSSN_TEST_MERGE
   }
 }
 
-TEST(QueryStatsTest, DeltaFallbackChargeAddsExactlyTheWorkRows) {
-  const QueryStats zero;
-  const QueryStats a = DistinctStats(0);
-  const QueryStats b = DistinctStats(100);
-  for (const auto& [first, rerun] : {std::pair{a, b}, std::pair{zero, b}}) {
-    QueryStats charged = first;
-    charged.ChargeWorkFrom(rerun);
-#define GPSSN_TEST_CHARGE(type, name, merge, kind)                   \
-  if (std::string(#kind) == "Work") {                                \
-    ExpectRowEq(#name, charged.name,                                 \
-                Merged##merge(first.name, rerun.name));              \
-  } else {                                                           \
-    EXPECT_EQ(std::string(#kind), "Funnel") << #name;                \
-    ExpectRowEq(#name, charged.name, first.name);                    \
-  }
-    GPSSN_QUERY_STATS(GPSSN_TEST_CHARGE)
-#undef GPSSN_TEST_CHARGE
-  }
-}
-
 TEST(QueryStatsTest, ToStringPrintsEveryRowAsNameEqualsValue) {
   const QueryStats stats = DistinctStats(3);
   const std::string text = Spaced(stats.ToString());
-#define GPSSN_TEST_PRINT(type, name, merge, kind)                      \
+#define GPSSN_TEST_PRINT(type, name, merge)                            \
   EXPECT_NE(text.find(Spaced(RowText(#name, stats.name))),             \
             std::string::npos)                                         \
       << RowText(#name, stats.name) << " missing from " << text;

@@ -78,15 +78,14 @@ TEST(DynamicPoiTest, IncrementalIndexMatchesFreshRebuild) {
     ASSERT_TRUE(incremental.InsertPoi(*id).ok());
   }
 
-  // A from-scratch index over the grown network must agree on every
-  // deterministic augmentation (samples are random and excluded).
+  // A from-scratch index over the grown network must agree on every POI
+  // augmentation (the bit vectors up to extra bits, below).
   PoiIndex fresh(&ssn, &pivots, options);
   ASSERT_EQ(ssn.num_pois(), 92);
   for (PoiId id = 0; id < ssn.num_pois(); ++id) {
     const PoiAug& a = incremental.poi_aug(id);
     const PoiAug& b = fresh.poi_aug(id);
     EXPECT_EQ(a.sup_keywords, b.sup_keywords) << "poi " << id;
-    EXPECT_EQ(a.sub_keywords, b.sub_keywords) << "poi " << id;
     // The stored B(o, r_max) tables agree exactly: ids, distances, order.
     EXPECT_EQ(a.ball, b.ball) << "poi " << id;
     ASSERT_EQ(a.pivot_dist.size(), b.pivot_dist.size());

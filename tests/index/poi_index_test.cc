@@ -1,5 +1,5 @@
-// Tests for the POI index I_R: sup/sub keyword sets, pivot distance
-// bounds, node aggregation, and page layout.
+// Tests for the POI index I_R: sup keyword sets, stored balls, pivot
+// distances, node aggregation, and page layout.
 
 #include "index/poi_index.h"
 
@@ -37,18 +37,13 @@ class PoiIndexTest : public ::testing::Test {
   std::unique_ptr<PoiIndex> index_;
 };
 
-TEST_F(PoiIndexTest, SupIsSupersetOfSubAndOwnKeywords) {
+TEST_F(PoiIndexTest, SupCoversOwnKeywords) {
   for (PoiId id = 0; id < ssn_->num_pois(); ++id) {
     const PoiAug& aug = index_->poi_aug(id);
-    ASSERT_TRUE(std::includes(aug.sup_keywords.begin(), aug.sup_keywords.end(),
-                              aug.sub_keywords.begin(), aug.sub_keywords.end()))
-        << "sub_K must be a subset of sup_K for poi " << id;
     const auto& own = ssn_->poi(id).keywords;
     ASSERT_TRUE(std::includes(aug.sup_keywords.begin(), aug.sup_keywords.end(),
-                              own.begin(), own.end()));
-    // The POI is inside its own r_min ball, so sub_K covers its keywords.
-    ASSERT_TRUE(std::includes(aug.sub_keywords.begin(), aug.sub_keywords.end(),
-                              own.begin(), own.end()));
+                              own.begin(), own.end()))
+        << "poi " << id;
   }
 }
 
@@ -69,21 +64,6 @@ TEST_F(PoiIndexTest, SupCoversAnyBallWithinEnvelope) {
         << "center " << center << " r " << r;
     // Bit-vector signature also covers everything.
     for (KeywordId kw : ball_kws) ASSERT_TRUE(aug.v_sup.MayContain(kw));
-  }
-}
-
-TEST_F(PoiIndexTest, SubIsSubsetOfAnyBallKeywords) {
-  DijkstraEngine engine(&ssn_->road());
-  PoiLocator locator(&ssn_->road(), &ssn_->pois());
-  Rng rng(10);
-  for (int trial = 0; trial < 40; ++trial) {
-    const PoiId center = rng.NextBounded(ssn_->num_pois());
-    const double r = rng.UniformDouble(options_.r_min, options_.r_max);
-    const auto ball = locator.Ball(ssn_->poi(center).position, r, &engine);
-    const auto ball_kws = UnionKeywords(*ssn_, ball);
-    const PoiAug& aug = index_->poi_aug(center);
-    ASSERT_TRUE(std::includes(ball_kws.begin(), ball_kws.end(),
-                              aug.sub_keywords.begin(), aug.sub_keywords.end()));
   }
 }
 
@@ -128,8 +108,8 @@ TEST_F(PoiIndexTest, PivotDistancesAreExact) {
   }
 }
 
-TEST_F(PoiIndexTest, NodeBoundsContainMemberDistances) {
-  // Eqs. 7-8: node per-pivot bounds must sandwich every member POI.
+TEST_F(PoiIndexTest, NodeSignaturesCoverMemberKeywords) {
+  // Lemma 6: a node's signature covers the sup_K of every POI under it.
   const RStarTree& tree = index_->tree();
   std::vector<RNodeId> stack = {tree.root()};
   while (!stack.empty()) {
@@ -140,20 +120,17 @@ TEST_F(PoiIndexTest, NodeBoundsContainMemberDistances) {
     if (node.is_leaf()) {
       for (const RTreeEntry& e : node.entries) {
         const PoiAug& poi = index_->poi_aug(e.id);
-        for (int k = 0; k < pivots_->num_pivots(); ++k) {
-          ASSERT_LE(aug.lb_pivot[k], poi.pivot_dist[k] + 1e-9);
-          ASSERT_GE(aug.ub_pivot[k], poi.pivot_dist[k] - 1e-9);
-        }
         for (KeywordId kw : poi.sup_keywords) {
           ASSERT_TRUE(aug.v_sup.MayContain(kw));
         }
       }
     } else {
       for (const RTreeEntry& e : node.entries) {
-        const PoiNodeAug& child = index_->node_aug(e.id);
-        for (int k = 0; k < pivots_->num_pivots(); ++k) {
-          ASSERT_LE(aug.lb_pivot[k], child.lb_pivot[k] + 1e-9);
-          ASSERT_GE(aug.ub_pivot[k], child.ub_pivot[k] - 1e-9);
+        const KeywordBitVector& child = index_->node_aug(e.id).v_sup;
+        for (int kw = 0; kw < ssn_->num_topics(); ++kw) {
+          if (child.MayContain(kw)) {
+            ASSERT_TRUE(aug.v_sup.MayContain(kw)) << "node " << id;
+          }
         }
         stack.push_back(e.id);
       }
@@ -164,18 +141,6 @@ TEST_F(PoiIndexTest, NodeBoundsContainMemberDistances) {
 TEST_F(PoiIndexTest, SubtreeCountsSumToAllPois) {
   EXPECT_EQ(index_->node_aug(index_->tree().root()).subtree_pois,
             ssn_->num_pois());
-}
-
-TEST_F(PoiIndexTest, SamplesAreValidPois) {
-  for (RNodeId id = 0; id < index_->tree().num_nodes(); ++id) {
-    const PoiNodeAug& aug = index_->node_aug(id);
-    EXPECT_LE(static_cast<int>(aug.sub_samples.size()),
-              options_.sub_samples_per_node);
-    for (PoiId s : aug.sub_samples) {
-      EXPECT_GE(s, 0);
-      EXPECT_LT(s, ssn_->num_pois());
-    }
-  }
 }
 
 TEST_F(PoiIndexTest, PagesAssigned) {

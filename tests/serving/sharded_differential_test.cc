@@ -277,9 +277,9 @@ TEST(ServingClusterTest, ShardsFillTheDatabaseCache) {
   ASSERT_NE(cache, nullptr);
   const std::vector<GpssnQuery> workload = Workload(db, 3, 8);
 
-  // One shard gathers without the δ cut and computes its issuer row with
-  // no bound, so that row covers every POI the single node needs: the
-  // single node's issuer row must hit.
+  // One shard gathers what the single node gathers and, in refine wave 1,
+  // computes its issuer row with no bound, so that row covers every POI
+  // the single node needs: the single node's issuer row must hit.
   ServingOptions options;
   options.num_shards = 1;
   auto cluster = ServingCluster::Create(db, options);
@@ -301,6 +301,39 @@ TEST(ServingClusterTest, ShardsFillTheDatabaseCache) {
                         static_cast<int>(k));
   EXPECT_GT(stats.dist_cache_row_hits, 0u) << stats.ToString();
   ExpectSameAsSingleNode(&db, workload, results, 1, "db cache");
+}
+
+// The single node and a cluster's shards run one Gather, so the shards'
+// merged POI funnel equals the single node's, query for query.
+TEST(ServingClusterTest, ClusterGathersTheSingleNodeCandidates) {
+  SyntheticSsnOptions data;
+  data.num_road_vertices = 200;
+  data.num_pois = 100;
+  data.num_users = 150;
+  data.seed = 25;
+  GpssnDatabase db(MakeSynthetic(data), CachedBuild(0));
+  const std::vector<GpssnQuery> workload = Workload(db, 5, 40);
+  for (int shards : {1, 3}) {
+    ServingOptions options;
+    options.num_shards = shards;
+    auto cluster = ServingCluster::Create(db, options);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    const std::vector<BatchQueryResult> results =
+        (*cluster)->QueryBatch(workload);
+    ASSERT_EQ(results.size(), workload.size());
+    for (size_t i = 0; i < workload.size(); ++i) {
+      ASSERT_TRUE(results[i].status.ok()) << results[i].status.ToString();
+      QueryStats want;
+      ASSERT_TRUE(db.Query(workload[i], &want).ok());
+      const QueryStats& got = results[i].stats;
+      EXPECT_EQ(got.pois_seen, want.pois_seen)
+          << "shards=" << shards << " query " << i;
+      EXPECT_EQ(got.pois_pruned_match, want.pois_pruned_match)
+          << "shards=" << shards << " query " << i;
+      EXPECT_EQ(got.pois_candidates, want.pois_candidates)
+          << "shards=" << shards << " query " << i;
+    }
+  }
 }
 
 TEST(ServingClusterTest, CallerCacheTakesTheShardRows) {
