@@ -343,8 +343,9 @@ void BM_SocialScoreScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_SocialScoreScalar)->Arg(8)->Arg(32)->Arg(128);
 
-// The same scoring through the library kernel (UserSimilarity, 4 lanes),
-// as SocialScratch::PairPasses and the oracle call it.
+// The same scoring through the library's dense kernel (UserSimilarity, 4
+// lanes), as the oracle and the auditor call it; Lemma 8's box test runs
+// the same Dot.
 void BM_SocialScoreSoa(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const auto rows = RandomSocialRows(d);
@@ -359,6 +360,42 @@ void BM_SocialScoreSoa(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kSocialRows);
 }
 BENCHMARK(BM_SocialScoreSoa)->Arg(8)->Arg(32)->Arg(128);
+
+// One user scored against kSocialRows users through the run kernels the
+// query path calls, at d = 100 with 2-4 topics per user (DESIGN.md §3):
+// arg 0 merges two runs (RunSimilarity: Corollary 2, the ESU pair test),
+// arg 1 reads a dense row at a run's topics (InterestScore: Lemma 3).
+void BM_SocialScoreRun(benchmark::State& state) {
+  constexpr int kTopics = 100;
+  Rng rng(29);
+  SocialNetworkBuilder builder(kTopics);
+  std::vector<double> w(kTopics);
+  for (int i = 0; i < kSocialRows; ++i) {
+    std::fill(w.begin(), w.end(), 0.0);
+    const int held = static_cast<int>(rng.UniformInt(2, 4));
+    for (int k = 0; k < held; ++k) {
+      w[rng.NextBounded(kTopics)] = rng.UniformDouble(0.05, 1.0);
+    }
+    GPSSN_CHECK_OK(builder.AddUser(w).status());
+  }
+  const SocialNetwork g = builder.Build();
+  const std::span<const double> q_row = g.Interests(0);
+  const InterestRun q_run = g.Run(0);
+  const bool dense_issuer = state.range(0) == 1;
+  std::vector<double> out(kSocialRows);
+  for (auto _ : state) {
+    for (int i = 0; i < kSocialRows; ++i) {
+      out[i] = dense_issuer
+                   ? InterestScore(q_row, g.Run(i))
+                   : RunSimilarity(InterestMetric::kDotProduct, q_run,
+                                   g.Run(i), kTopics);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kSocialRows);
+  state.SetLabel(dense_issuer ? "dense x run" : "run x run");
+}
+BENCHMARK(BM_SocialScoreRun)->Arg(0)->Arg(1);
 
 // ESU extension probe, sparse-path shape: walk a candidate's CSR friend
 // list and test candidate membership and seen-ness through std::vector<bool>

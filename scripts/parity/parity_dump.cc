@@ -10,7 +10,11 @@
 //     of its up_arcs() field by field, its shortcut count and its round
 //     count;
 //   - kQueries queries: Query at a random radius and τ, then QueryTopK(3)
-//     of the same query, with an AddPoi every kAddPoiEvery queries;
+//     of the same query, with an AddPoi every kAddPoiEvery queries and an
+//     UpdateUserInterests every kDriftEvery (one user, a hot issuer half
+//     the time, drifting kDrift of the way to another user's interests,
+//     as perfbench's write bursts do). A third of the queries score
+//     interests by weighted Jaccard or Hamming instead of the dot product;
 //   - on a database that owns a backend (the CH one), after the build and
 //     after every AddPoi, kEngineBalls DistanceEngine::BallWithDistances
 //     results from a fresh engine of that backend, at fixed POI centers
@@ -59,6 +63,8 @@ constexpr Dataset kDatasets[] = {
 constexpr double kScale = 0.2;  // Of the paper's Table 2 sizes.
 constexpr int kQueries = 400;
 constexpr int kAddPoiEvery = 40;
+constexpr int kDriftEvery = 10;
+constexpr double kDrift = 0.1;  // perfbench's kDrift.
 constexpr int kClusterQueries = 120;
 constexpr int kHotIssuers = 24;  // Half the issuers come from here.
 constexpr int kEngineBalls = 16;
@@ -99,24 +105,42 @@ void PrintStatus(const std::string& tag, const Status& status) {
   std::printf("%s status=%s\n", tag.c_str(), status.ToString().c_str());
 }
 
+// A hot issuer half the time, otherwise any user.
+UserId RandomIssuer(const GpssnDatabase& db, Rng* rng) {
+  return static_cast<UserId>(rng->Bernoulli(0.5)
+                                 ? rng->NextBounded(kHotIssuers)
+                                 : rng->NextBounded(db.ssn().num_users()));
+}
+
 GpssnQuery RandomQuery(const GpssnDatabase& db, Rng* rng) {
   GpssnQuery q;
-  const int num_users = db.ssn().num_users();
-  q.issuer = static_cast<UserId>(rng->Bernoulli(0.5)
-                                     ? rng->NextBounded(kHotIssuers)
-                                     : rng->NextBounded(num_users));
+  q.issuer = RandomIssuer(db, rng);
   q.tau = static_cast<int>(rng->UniformInt(2, 5));
   q.gamma = rng->UniformDouble(0.2, 0.4);
   q.theta = rng->UniformDouble(0.2, 0.4);
   q.radius = rng->UniformDouble(0.5, 4.0);
+  // Users hold a few of 100 topics, so nearly every Hamming similarity
+  // lies in [0.92, 1]; γ is drawn where it passes some pairs and not all.
+  switch (rng->NextBounded(6)) {
+    case 0:
+      q.metric = InterestMetric::kJaccard;
+      break;
+    case 1:
+      q.metric = InterestMetric::kHamming;
+      q.gamma = rng->UniformDouble(0.95, 0.99);
+      break;
+    default:
+      break;
+  }
   return q;
 }
 
 std::string QueryTag(const char* dataset, const char* path, int i,
                      const GpssnQuery& q) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%s %s q%d issuer=%d tau=%d r=%a", dataset,
-                path, i, q.issuer, q.tau, q.radius);
+  char buf[192];
+  std::snprintf(buf, sizeof(buf), "%s %s q%d issuer=%d tau=%d r=%a metric=%d",
+                dataset, path, i, q.issuer, q.tau, q.radius,
+                static_cast<int>(q.metric));
   return buf;
 }
 
@@ -197,6 +221,22 @@ void AddRandomPoi(GpssnDatabase* db, Rng* rng) {
               id.ok() ? *id : -1);
 }
 
+// User u's interests move kDrift of the way towards user v's.
+void DriftRandomUser(GpssnDatabase* db, Rng* rng) {
+  const SocialNetwork& social = db->ssn().social();
+  const UserId u = RandomIssuer(*db, rng);
+  const auto v = static_cast<UserId>(rng->NextBounded(social.num_users()));
+  const std::span<const double> a = social.Interests(u);
+  const std::span<const double> b = social.Interests(v);
+  std::vector<double> mixed(a.size());
+  for (size_t f = 0; f < a.size(); ++f) {
+    mixed[f] = (1.0 - kDrift) * a[f] + kDrift * b[f];
+  }
+  const Status status = db->UpdateUserInterests(u, mixed);
+  std::printf("drift user=%d towards=%d status=%s\n", u, v,
+              status.ToString().c_str());
+}
+
 void RunDataset(const Dataset& dataset) {
   SyntheticSsnOptions data;
   data.distribution = dataset.distribution;
@@ -222,6 +262,7 @@ void RunDataset(const Dataset& dataset) {
                            std::to_string(i),
                        db, probes);
     }
+    if (i > 0 && i % kDriftEvery == 0) DriftRandomUser(&db, &rng);
     const GpssnQuery q = RandomQuery(db, &rng);
     QueryStats stats;
     const std::string tag = QueryTag(dataset.name, "query", i, q);

@@ -20,6 +20,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace gpssn {
@@ -60,6 +61,31 @@ class KeywordBitVector {
   std::array<uint64_t, kWords> words_;
 };
 
+/// Words of an exact keyword mask over [0, num_topics): bit f of word
+/// f / 64 is keyword f.
+inline size_t KeywordMaskWords(int num_topics) {
+  return (static_cast<size_t>(num_topics) + 63) / 64;
+}
+
+/// ORs the keywords of `keywords` that lie in [0, num_topics) into `mask`
+/// (KeywordMaskWords(num_topics) words). Others are dropped: no interest
+/// vector has a weight for them, so no match score counts them.
+void AddToKeywordMask(std::span<const int> keywords, int num_topics,
+                      uint64_t* mask);
+
+/// Set bits of `words`.
+size_t CountSetBits(std::span<const uint64_t> words);
+
+/// Calls `fn(i)` for every set bit i of `words`, ascending.
+template <typename Fn>
+void ForEachSetBit(std::span<const uint64_t> words, Fn&& fn) {
+  for (size_t w = 0; w < words.size(); ++w) {
+    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      fn(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+    }
+  }
+}
+
 /// Exact variable-width bitset over ids in [0, size). Unlike
 /// KeywordBitVector there is no hashing: bit i means exactly "i is in the
 /// set". Word-level access is exposed so callers can fuse set algebra with
@@ -88,23 +114,12 @@ class DynamicBitset {
   uint64_t Word(size_t w) const { return words_[w]; }
   const uint64_t* words() const { return words_.data(); }
 
-  size_t PopCount() const {
-    size_t n = 0;
-    for (uint64_t w : words_) n += static_cast<size_t>(std::popcount(w));
-    return n;
-  }
+  size_t PopCount() const { return CountSetBits(words_); }
 
   /// Calls `fn(i)` for every set bit, ascending.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (size_t w = 0; w < words_.size(); ++w) {
-      uint64_t bits = words_[w];
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        fn(w * 64 + static_cast<size_t>(b));
-        bits &= bits - 1;
-      }
-    }
+    ForEachSetBit(words_, fn);
   }
 
  private:

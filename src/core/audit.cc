@@ -231,15 +231,15 @@ AuditReport AuditPoiIndex(const PoiIndex& index) {
     if (node.is_leaf()) {
       count = static_cast<int64_t>(node.entries.size());
       for (const RTreeEntry& entry : node.entries) {
-        const PoiAug& poi = index.poi_aug(entry.id);
-        for (KeywordId kw : poi.sup_keywords) {
-          if (!aug.v_sup.MayContain(kw)) {
+        bool covered = true;
+        ForEachSetBit(index.sup_mask(entry.id), [&](size_t kw) {
+          if (covered && !aug.v_sup.MayContain(static_cast<int>(kw))) {
+            covered = false;
             AddIssue(&report, "poi-node-signature", id,
                      "node signature misses keyword " + std::to_string(kw) +
                          " of poi " + std::to_string(entry.id));
-            break;
           }
-        }
+        });
       }
     } else {
       for (const RTreeEntry& entry : node.entries) {
@@ -612,7 +612,7 @@ void PruningAuditor::OnRoadNodeMatchPruned(const QueryUserContext& ctx,
       members.size(), options_.max_members_checked, [&](size_t i) {
         const PoiId o = members[i];
         const double score =
-            MatchScore(ctx.w_q, poi_index_->poi_aug(o).sup_keywords);
+            MatchScoreOverMask(ctx.w_q, poi_index_->sup_mask(o));
         if (score >= ctx.query.theta) {
           std::ostringstream os;
           os << "node pruned by signature bound but member poi " << o

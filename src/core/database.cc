@@ -18,11 +18,11 @@ GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn,
                              const GpssnBuildOptions& options,
                              std::vector<VertexId> road_pivot_ids,
                              std::vector<UserId> social_pivot_ids,
-                             std::vector<PoiAug> poi_augs)
+                             std::vector<uint64_t> sup_masks)
     : GpssnDatabase(std::move(ssn), options,
                     Restored{std::move(road_pivot_ids),
                              std::move(social_pivot_ids),
-                             std::move(poi_augs)}) {}
+                             std::move(sup_masks)}) {}
 
 GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn,
                              const GpssnBuildOptions& options,
@@ -59,7 +59,7 @@ GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn,
   poi_index_ =
       restored.has_value()
           ? std::make_unique<PoiIndex>(&ssn_, &road_pivots_, poi_options,
-                                       std::move(restored->poi_augs))
+                                       std::move(restored->sup_masks))
           : std::make_unique<PoiIndex>(&ssn_, &road_pivots_, poi_options);
 
   SocialIndexOptions social_options = options.social_index;

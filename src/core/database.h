@@ -61,12 +61,12 @@ class GpssnDatabase {
   GpssnDatabase(SpatialSocialNetwork ssn, const GpssnBuildOptions& options);
 
   /// Snapshot-loading constructor (see core/snapshot.h): reuses the pivot
-  /// ids and per-POI keyword sets of a previous build instead of
-  /// recomputing them.
+  /// ids and per-POI sup_K masks (PoiIndex's snapshot constructor) of a
+  /// previous build instead of recomputing them.
   GpssnDatabase(SpatialSocialNetwork ssn, const GpssnBuildOptions& options,
                 std::vector<VertexId> road_pivot_ids,
                 std::vector<UserId> social_pivot_ids,
-                std::vector<PoiAug> poi_augs);
+                std::vector<uint64_t> sup_masks);
 
   GPSSN_DISALLOW_COPY_AND_MOVE(GpssnDatabase);
 
@@ -135,7 +135,7 @@ class GpssnDatabase {
   struct Restored {
     std::vector<VertexId> road_pivot_ids;
     std::vector<UserId> social_pivot_ids;
-    std::vector<PoiAug> poi_augs;
+    std::vector<uint64_t> sup_masks;
   };
   /// The body of both public constructors: selects the pivots and computes
   /// I_R's augmentations unless `restored` carries them.

@@ -24,6 +24,9 @@ QueryUserContext::QueryUserContext(const GpssnQuery& q, const SocialIndex& is)
           is.ssn().social().Interests(q.issuer).end()),
       region(w_q, q.gamma),
       rp_dist(is.user_road_pivot_dists(q.issuer)) {
+  const InterestRun run = is.ssn().social().Run(q.issuer);
+  q_topics.assign(run.topics.begin(), run.topics.end());
+  q_weights.assign(run.weights.begin(), run.weights.end());
   const SocialPivotTable& sp = is.social_pivots();
   sp_hops.resize(sp.num_pivots());
   for (int k = 0; k < sp.num_pivots(); ++k) {
@@ -31,9 +34,13 @@ QueryUserContext::QueryUserContext(const GpssnQuery& q, const SocialIndex& is)
   }
 }
 
-bool PruneUserInterest(const QueryUserContext& ctx,
-                       std::span<const double> w_k) {
-  return UserSimilarity(ctx.query.metric, ctx.w_q, w_k) < ctx.query.gamma;
+bool PruneUserInterest(const QueryUserContext& ctx, InterestRun w_k) {
+  const double score =
+      ctx.query.metric == InterestMetric::kDotProduct
+          ? InterestScore(ctx.w_q, w_k)
+          : RunSimilarity(ctx.query.metric, ctx.q_run(), w_k,
+                          static_cast<int>(ctx.w_q.size()));
+  return score < ctx.query.gamma;
 }
 
 bool PruneUserSocialDistance(const QueryUserContext& ctx,
@@ -89,12 +96,13 @@ bool PruneSocialNodeDistance(const QueryUserContext& ctx,
   return LbHopsToSocialNode(ctx, node) >= ctx.query.tau;
 }
 
-bool PrunePoiMatch(const QueryUserContext& ctx, const PoiAug& aug) {
-  return MatchScore(ctx.w_q, aug.sup_keywords) < ctx.query.theta;
+bool PrunePoiMatch(const QueryUserContext& ctx,
+                   std::span<const uint64_t> sup_mask) {
+  return MatchScoreOverMask(ctx.q_run(), sup_mask) < ctx.query.theta;
 }
 
 bool PruneRoadNodeMatch(const QueryUserContext& ctx, const PoiNodeAug& aug) {
-  return UbMatchScore(ctx.w_q, aug.v_sup) < ctx.query.theta;
+  return UbMatchScore(ctx.q_run(), aug.v_sup) < ctx.query.theta;
 }
 
 double LbDistToPoi(const QueryUserContext& ctx, const PoiAug& aug) {

@@ -33,19 +33,26 @@ namespace gpssn {
 struct QueryUserContext {
   GpssnQuery query;
   std::vector<double> w_q;        // u_q's interest vector.
+  // u_q's run (socialnet/social_graph.h): its nonzero topics, ascending,
+  // and their weights.
+  std::vector<KeywordId> q_topics;
+  std::vector<double> q_weights;
   PruningRegion region;           // PR(u_q, γ) of Section 3.2.
   std::vector<int> sp_hops;       // dist_SN(u_q, sp_k), k = 1..l.
   std::vector<double> rp_dist;    // dist_RN(u_q's home, rp_k), k = 1..h.
 
   QueryUserContext(const GpssnQuery& q, const SocialIndex& is);
+
+  InterestRun q_run() const { return {q_topics, q_weights}; }
 };
 
 // ----- Social side -----
 
 /// Lemma 3 / Corollary 1: prune candidate u_k when
-/// Interest_Score(u_q, u_k) < γ (equivalently u_k.w ∈ PR(u_q)).
-bool PruneUserInterest(const QueryUserContext& ctx,
-                       std::span<const double> w_k);
+/// Interest_Score(u_q, u_k) < γ (equivalently u_k.w ∈ PR(u_q)), scored
+/// over u_k's run: the dot product against u_q's dense row, the other
+/// metrics against u_q's run.
+bool PruneUserInterest(const QueryUserContext& ctx, InterestRun w_k);
 
 /// Lemma 4: prune u_k when the pivot lower bound of dist_SN(u_k, u_q) is
 /// >= τ (a connected τ-group containing both cannot exist).
@@ -68,13 +75,14 @@ bool PruneSocialNodeDistance(const QueryUserContext& ctx,
 // ----- Road side -----
 
 /// Lemma 1 (object level, exact sup_K set): prune POI o_i as a ball center
-/// when Match_Score(u_q, sup_K(o_i)) < θ. sup_K covers B(o_i, 2·r_max) ⊇
-/// any answer ball containing o_i, so this never discards a feasible
-/// center.
-bool PrunePoiMatch(const QueryUserContext& ctx, const PoiAug& aug);
+/// when Match_Score(u_q, sup_K(o_i)) < θ, u_q's run against the sup_K
+/// mask. sup_K covers B(o_i, 2·r_max) ⊇ any answer ball containing o_i, so
+/// this never discards a feasible center.
+bool PrunePoiMatch(const QueryUserContext& ctx,
+                   std::span<const uint64_t> sup_mask);
 
 /// Lemma 6 / Eq. 15: prune I_R node e_R when the bit-vector upper bound of
-/// the matching score w.r.t. u_q is below θ.
+/// the matching score w.r.t. u_q (over its run) is below θ.
 bool PruneRoadNodeMatch(const QueryUserContext& ctx, const PoiNodeAug& aug);
 
 /// Eq. 17 (object form): pivot lower bound of dist_RN(u_q, o_i).

@@ -353,22 +353,19 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
         plan->users.push_back(u);
         continue;
       }
-      // The hop filter is cheaper (two array lookups) than the interest dot
-      // product, so it runs first. Only the pivot lower bound (Lemma 4) is
-      // audit-relevant; the BFS labels are exact by construction.
-      if (flags.social_distance) {
-        const bool pivot_pruned =
-            PruneUserSocialDistance(ctx, social_index_->social_pivots(), u);
-        if (pivot_pruned || bfs_.Hops(u) >= query.tau) {
-          ++stats->users_pruned_distance;
-          if (pivot_pruned && auditor != nullptr) {
-            auditor->OnUserPruned(ctx, u, PruneRule::kUserSocialDistance);
-          }
-          continue;
+      // The exact hop test (one array lookup) runs before the interest
+      // score. It prunes every user Lemma 4's pivot bound prunes, since
+      // that bound never exceeds the true hop count, so the bound is
+      // evaluated only for the auditor, which samples its prunes.
+      if (flags.social_distance && bfs_.Hops(u) >= query.tau) {
+        ++stats->users_pruned_distance;
+        if (auditor != nullptr &&
+            PruneUserSocialDistance(ctx, social_index_->social_pivots(), u)) {
+          auditor->OnUserPruned(ctx, u, PruneRule::kUserSocialDistance);
         }
+        continue;
       }
-      if (flags.interest_score &&
-          PruneUserInterest(ctx, social.Interests(u))) {
+      if (flags.interest_score && PruneUserInterest(ctx, social.Run(u))) {
         ++stats->users_pruned_interest;
         if (auditor != nullptr) {
           auditor->OnUserPruned(ctx, u, PruneRule::kUserInterest);
@@ -414,7 +411,8 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
         ++stats->pois_seen;
         pool.Access(poi_index_->poi_page(e.id));
         const PoiAug& aug = poi_index_->poi_aug(e.id);
-        if (flags.match_score && PrunePoiMatch(ctx, aug)) {
+        if (flags.match_score &&
+            PrunePoiMatch(ctx, poi_index_->sup_mask(e.id))) {
           ++stats->pois_pruned_match;
           if (auditor != nullptr) auditor->OnPoiMatchPruned(ctx, e.id);
           continue;
@@ -494,7 +492,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
       pool.Access(poi_index_->poi_page(id));
       AddToKeywordMask(ssn.poi(id).keywords, num_topics, mask);
     }
-    if (MatchScoreOverMask(ctx.w_q, {mask, mask_words}) < query.theta) {
+    if (MatchScoreOverMask(ctx.q_run(), {mask, mask_words}) < query.theta) {
       scr.balls.resize(ball_begin);
       scr.masks.resize(mask_begin);
       continue;
@@ -669,7 +667,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
       CenterCell& entry = cell(u);
       if (entry.match < 0) {
         entry.match =
-            MatchScoreOverMask(ssn.social().Interests(u), mask) >= query.theta;
+            MatchScoreOverMask(ssn.social().Run(u), mask) >= query.theta;
       }
       return entry.match == 1;
     };

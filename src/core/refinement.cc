@@ -13,76 +13,6 @@ namespace gpssn {
 
 namespace {
 
-// Sparse view of an interest vector: the nonzero (topic, weight) entries.
-// Real interest vectors hold a handful of topics, so pairwise scores via
-// sorted-merge are ~25x cheaper than dense loops.
-struct SparseInterests {
-  std::vector<std::pair<int, double>> entries;  // Sorted by topic.
-  int dim = 0;
-
-  static SparseInterests From(std::span<const double> w) {
-    SparseInterests out;
-    out.dim = static_cast<int>(w.size());
-    for (size_t f = 0; f < w.size(); ++f) {
-      if (w[f] > 0.0) out.entries.emplace_back(static_cast<int>(f), w[f]);
-    }
-    return out;
-  }
-};
-
-// UserSimilarity over two sparse vectors, bit for bit. A topic outside
-// both supports contributes a zero term, and adding zero leaves a lane
-// unchanged, so accumulating the remaining terms into lane f mod
-// kScoreLanes in ascending f reproduces the dense 4-lane order. The
-// Jaccard denominator sums max over the union of the two supports.
-double SparseSimilarity(InterestMetric metric, const SparseInterests& a,
-                        const SparseInterests& b) {
-  double dot[kScoreLanes] = {};
-  double min_sum[kScoreLanes] = {};
-  double max_sum[kScoreLanes] = {};
-  int common_support = 0;
-  auto one_sided = [&](const std::pair<int, double>& e) {
-    max_sum[e.first % kScoreLanes] += e.second;
-  };
-  size_t i = 0, j = 0;
-  while (i < a.entries.size() && j < b.entries.size()) {
-    const auto& [fa, wa] = a.entries[i];
-    const auto& [fb, wb] = b.entries[j];
-    if (fa < fb) {
-      one_sided(a.entries[i++]);
-    } else if (fa > fb) {
-      one_sided(b.entries[j++]);
-    } else {
-      const size_t lane = fa % kScoreLanes;
-      dot[lane] += wa * wb;
-      min_sum[lane] += std::min(wa, wb);
-      max_sum[lane] += std::max(wa, wb);
-      ++common_support;
-      ++i;
-      ++j;
-    }
-  }
-  for (; i < a.entries.size(); ++i) one_sided(a.entries[i]);
-  for (; j < b.entries.size(); ++j) one_sided(b.entries[j]);
-  auto combine = [](const double* l) { return (l[0] + l[1]) + (l[2] + l[3]); };
-  switch (metric) {
-    case InterestMetric::kDotProduct:
-      return combine(dot);
-    case InterestMetric::kJaccard: {
-      const double den = combine(max_sum);
-      return den > 0.0 ? combine(min_sum) / den : 1.0;
-    }
-    case InterestMetric::kHamming: {
-      if (a.dim == 0) return 1.0;
-      const int mismatches = static_cast<int>(a.entries.size()) +
-                             static_cast<int>(b.entries.size()) -
-                             2 * common_support;
-      return 1.0 - static_cast<double>(mismatches) / a.dim;
-    }
-  }
-  return 0.0;
-}
-
 // The count-based core of Corollary 2 with per-user early termination.
 // `fails(i, j)` evaluates the pairwise predicate for candidate positions
 // i < j. A user's decision is FINAL as soon as its failure count reaches
@@ -152,15 +82,13 @@ void ApplyCorollary2(const SocialNetwork& social, const GpssnQuery& query,
         },
         &failures);
   } else {
-    std::vector<SparseInterests> sparse(count);
-    for (size_t i = 0; i < count; ++i) {
-      sparse[i] = SparseInterests::From(social.Interests((*candidates)[i]));
-    }
+    const std::vector<UserId>& users = *candidates;
     Corollary2Counts(
-        query, *candidates, fail_threshold,
+        query, users, fail_threshold,
         [&](size_t i, size_t j) {
-          return SparseSimilarity(query.metric, sparse[i], sparse[j]) <
-                 query.gamma;
+          return RunSimilarity(query.metric, social.Run(users[i]),
+                               social.Run(users[j]),
+                               social.num_topics()) < query.gamma;
         },
         &failures);
   }
@@ -273,21 +201,16 @@ class EsuEnumerator {
 };
 
 /// CSR view: vertices are user ids, neighbours are the Friends() that are
-/// candidates, and pairs run the sparse merge.
+/// candidates, and pairs merge the two users' runs.
 class SparseView {
  public:
   SparseView(const SocialNetwork& social, const GpssnQuery& query,
              const std::vector<UserId>& candidates)
       : social_(social),
         query_(query),
-        in_candidates_(social.num_users(), false),
-        sparse_(social.num_users()) {
-    auto add = [&](UserId u) {
-      in_candidates_[u] = true;
-      sparse_[u] = SparseInterests::From(social.Interests(u));
-    };
-    for (UserId u : candidates) add(u);
-    add(query.issuer);
+        in_candidates_(social.num_users(), false) {
+    for (UserId u : candidates) in_candidates_[u] = true;
+    in_candidates_[query.issuer] = true;
   }
 
   size_t num_vertices() const { return in_candidates_.size(); }
@@ -301,8 +224,8 @@ class SparseView {
   }
 
   bool PairPasses(int a, int b) const {
-    return SparseSimilarity(query_.metric, sparse_[a], sparse_[b]) >=
-           query_.gamma;
+    return RunSimilarity(query_.metric, social_.Run(a), social_.Run(b),
+                         social_.num_topics()) >= query_.gamma;
   }
 
   UserId UserOf(int v) const { return v; }
@@ -311,7 +234,6 @@ class SparseView {
   const SocialNetwork& social_;
   const GpssnQuery& query_;
   std::vector<bool> in_candidates_;
-  std::vector<SparseInterests> sparse_;
 };
 
 /// Bitset view over a SocialScratch: vertices are candidate-local indices,
@@ -412,9 +334,10 @@ void SampleGroups(const SocialNetwork& social, const GpssnQuery& query,
       frontier.erase(frontier.begin() + pick);
       if (std::find(group.begin(), group.end(), w) != group.end()) continue;
       bool compatible = true;
-      const auto ww = social.Interests(w);
+      const InterestRun ww = social.Run(w);
       for (UserId member : group) {
-        if (UserSimilarity(query.metric, ww, social.Interests(member)) < query.gamma) {
+        if (RunSimilarity(query.metric, ww, social.Run(member),
+                          social.num_topics()) < query.gamma) {
           compatible = false;
           break;
         }

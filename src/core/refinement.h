@@ -29,8 +29,8 @@ namespace gpssn {
 /// the removed set is provably the one full evaluation would produce.
 /// When `scratch` is non-null (built over a superset of `candidates`),
 /// pair tests go through its memo and stay cached for the group
-/// enumeration; null runs the sparse-merge kernels. Both compute
-/// Interest_Score in the 4-lane order of core/scores.h, so they remove the
+/// enumeration; null scores every pair afresh. Both merge the two users'
+/// interest runs in the 4-lane order of core/scores.h, so they remove the
 /// same users.
 void ApplyCorollary2(const SocialNetwork& social, const GpssnQuery& query,
                      std::vector<UserId>* candidates, QueryStats* stats,
@@ -68,10 +68,10 @@ inline constexpr size_t kScratchMaxCandidates = 4096;
 /// the n(n−1)/2 candidate pairs, so when it runs over at most
 /// kScratchMaxCandidates users PlanGroups first builds `scratch` over them
 /// and both stages share its pair memo and adjacency bitsets; otherwise
-/// the enumerator touches few pairs and the sparse kernels run. Either way
-/// the groups are the same. Records groups_enumerated,
-/// interest_pairs_scored and a max_groups truncation in `stats`
-/// (required).
+/// the enumerator touches few pairs and scores each one afresh over the
+/// CSR friend lists. Either way the groups are the same. Records
+/// groups_enumerated, interest_pairs_scored and a max_groups truncation in
+/// `stats` (required).
 void PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
                 const QueryOptions& options, SocialScratch* scratch,
                 std::vector<UserId>* users,

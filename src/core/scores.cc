@@ -10,6 +10,10 @@ namespace gpssn {
 
 namespace {
 
+double CombineLanes(const double* lanes) {
+  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+}
+
 // Σ_f min(a_f, x_f) / Σ_f max(a_f, y_f), both sums in the 4-lane order (1.0
 // when the denominator is 0). WeightedJaccard is x = y = b; the box bound
 // takes x = ub, y = lb.
@@ -30,8 +34,35 @@ double JaccardRatio(std::span<const double> a, std::span<const double> x,
     num[l] += std::min(a[f + l], x[f + l]);
     den[l] += std::max(a[f + l], y[f + l]);
   }
-  const double total = (den[0] + den[1]) + (den[2] + den[3]);
-  return total > 0.0 ? ((num[0] + num[1]) + (num[2] + num[3])) / total : 1.0;
+  const double total = CombineLanes(den);
+  return total > 0.0 ? CombineLanes(num) / total : 1.0;
+}
+
+// Walks two runs in ascending topic order, calling both(lane, wa, wb) for
+// a topic both hold and one(lane, w) for a topic only one holds, where
+// lane = topic mod kScoreLanes.
+template <typename Both, typename One>
+void MergeRuns(InterestRun a, InterestRun b, Both&& both, One&& one) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const KeywordId fa = a.topics[i];
+    const KeywordId fb = b.topics[j];
+    if (fa < fb) {
+      one(static_cast<size_t>(fa) % kScoreLanes, a.weights[i++]);
+    } else if (fa > fb) {
+      one(static_cast<size_t>(fb) % kScoreLanes, b.weights[j++]);
+    } else {
+      both(static_cast<size_t>(fa) % kScoreLanes, a.weights[i++],
+           b.weights[j++]);
+    }
+  }
+  for (; i < a.size(); ++i) {
+    one(static_cast<size_t>(a.topics[i]) % kScoreLanes, a.weights[i]);
+  }
+  for (; j < b.size(); ++j) {
+    one(static_cast<size_t>(b.topics[j]) % kScoreLanes, b.weights[j]);
+  }
 }
 
 }  // namespace
@@ -68,6 +99,53 @@ double UserSimilarity(InterestMetric metric, std::span<const double> a,
   return 0.0;
 }
 
+double InterestScore(std::span<const double> a, InterestRun b) {
+  double lanes[kScoreLanes] = {};
+  for (size_t i = 0; i < b.size(); ++i) {
+    const auto f = static_cast<size_t>(b.topics[i]);
+    lanes[f % kScoreLanes] += a[f] * b.weights[i];
+  }
+  return CombineLanes(lanes);
+}
+
+double RunSimilarity(InterestMetric metric, InterestRun a, InterestRun b,
+                     int num_topics) {
+  const auto none = [](size_t /*lane*/, double /*w*/) {};
+  switch (metric) {
+    case InterestMetric::kDotProduct: {
+      double dot[kScoreLanes] = {};
+      MergeRuns(
+          a, b,
+          [&](size_t lane, double wa, double wb) { dot[lane] += wa * wb; },
+          none);
+      return CombineLanes(dot);
+    }
+    case InterestMetric::kJaccard: {
+      double min_sum[kScoreLanes] = {};
+      double max_sum[kScoreLanes] = {};
+      MergeRuns(
+          a, b,
+          [&](size_t lane, double wa, double wb) {
+            min_sum[lane] += std::min(wa, wb);
+            max_sum[lane] += std::max(wa, wb);
+          },
+          [&](size_t lane, double w) { max_sum[lane] += w; });
+      const double den = CombineLanes(max_sum);
+      return den > 0.0 ? CombineLanes(min_sum) / den : 1.0;
+    }
+    case InterestMetric::kHamming: {
+      if (num_topics == 0) return 1.0;
+      size_t common_support = 0;
+      MergeRuns(
+          a, b, [&](size_t, double, double) { ++common_support; }, none);
+      const size_t mismatches = a.size() + b.size() - 2 * common_support;
+      return 1.0 - static_cast<double>(mismatches) /
+                       static_cast<double>(num_topics);
+    }
+  }
+  return 0.0;
+}
+
 double UbJaccardBox(std::span<const double> q, std::span<const double> lb,
                     std::span<const double> ub) {
   return JaccardRatio(q, ub, lb);
@@ -98,15 +176,6 @@ double MatchScore(std::span<const double> interests,
   return s;
 }
 
-void AddToKeywordMask(const std::vector<KeywordId>& keywords, int num_topics,
-                      uint64_t* mask) {
-  for (KeywordId kw : keywords) {
-    if (kw >= 0 && kw < num_topics) {
-      mask[kw / 64] |= uint64_t{1} << (kw % 64);
-    }
-  }
-}
-
 double MatchScoreOverMask(std::span<const double> interests,
                           std::span<const uint64_t> mask) {
   double s = 0.0;
@@ -120,6 +189,16 @@ double MatchScoreOverMask(std::span<const double> interests,
   return s;
 }
 
+double MatchScoreOverMask(InterestRun interests,
+                          std::span<const uint64_t> mask) {
+  double s = 0.0;
+  for (size_t i = 0; i < interests.size(); ++i) {
+    const auto f = static_cast<size_t>(interests.topics[i]);
+    if ((mask[f / 64] >> (f % 64)) & 1) s += interests.weights[i];
+  }
+  return s;
+}
+
 double UbMatchScore(std::span<const double> interests,
                     const KeywordBitVector& signature) {
   double s = 0.0;
@@ -127,6 +206,14 @@ double UbMatchScore(std::span<const double> interests,
     if (interests[f] > 0.0 && signature.MayContain(static_cast<int>(f))) {
       s += interests[f];
     }
+  }
+  return s;
+}
+
+double UbMatchScore(InterestRun interests, const KeywordBitVector& signature) {
+  double s = 0.0;
+  for (size_t i = 0; i < interests.size(); ++i) {
+    if (signature.MayContain(interests.topics[i])) s += interests.weights[i];
   }
   return s;
 }

@@ -9,11 +9,17 @@
 // f, and the lanes combine as (l0 + l1) + (l2 + l3). A vector of any length
 // qualifies; a tail term goes to its own lane, which equals zero padding.
 // The order is part of the definition, not an implementation detail: the
-// SocialScratch rows (core/social_scratch.h), the sparse merge of
-// core/refinement.cc, the box bounds below, the Lemma 8 region
+// dense kernels, the run kernels below (over a user's nonzero topics,
+// socialnet/social_graph.h), the box bounds, the Lemma 8 region
 // (geom/pruning_region.h) and the oracle all compute it, so every kernel
 // returns the same bits and no γ tie can split them. Four independent
 // lanes also let the compiler keep the accumulators in vector registers.
+//
+// A run kernel skips the topics a run does not hold. Their dense terms are
+// zeros, and adding a zero leaves a lane's value unchanged (a lane starts at
+// +0.0, so even a -0.0 term cannot flip its sign), so accumulating the
+// held terms into lane f mod 4 in ascending f returns the dense kernel's
+// bits.
 
 #ifndef GPSSN_CORE_SCORES_H_
 #define GPSSN_CORE_SCORES_H_
@@ -49,6 +55,17 @@ double HammingSimilarity(std::span<const double> a, std::span<const double> b);
 double UserSimilarity(InterestMetric metric, std::span<const double> a,
                       std::span<const double> b);
 
+/// InterestScore(a, b) for a dense row `a` and a run `b` of the same
+/// vocabulary, bit for bit: one multiply-add per topic b holds.
+double InterestScore(std::span<const double> a, InterestRun b);
+
+/// UserSimilarity over two runs of a `num_topics`-topic vocabulary, bit for
+/// bit: a merge of the two topic lists. The Jaccard denominator sums max
+/// over the union of the supports; the Hamming mismatches are the topics
+/// exactly one run holds.
+double RunSimilarity(InterestMetric metric, InterestRun a, InterestRun b,
+                     int num_topics);
+
 /// Upper bound of the weighted Jaccard between `q` and ANY vector inside
 /// the box [lb, ub]: Σ min(q, ub) / Σ max(q, lb). Used for node-level
 /// pruning under the Jaccard metric (the half-space region of Section 3.2
@@ -69,28 +86,25 @@ double UbHammingBox(std::span<const double> q, std::span<const double> lb,
 double MatchScore(std::span<const double> interests,
                   const std::vector<KeywordId>& keywords);
 
-/// Words of a keyword mask over [0, num_topics): bit f of word f / 64 is
-/// keyword f.
-inline size_t KeywordMaskWords(int num_topics) {
-  return (static_cast<size_t>(num_topics) + 63) / 64;
-}
-
-/// ORs the keywords of `keywords` that lie in [0, num_topics) into `mask`
-/// (KeywordMaskWords(num_topics) words). Others are dropped: no interest
-/// vector has a weight for them, so MatchScore ignores them too.
-void AddToKeywordMask(const std::vector<KeywordId>& keywords, int num_topics,
-                      uint64_t* mask);
-
-/// Eq. 2 over a keyword mask: Σ w_f over the set bits f < |interests|, in
-/// ascending f. That is the order MatchScore sums a sorted keyword list
-/// in, so for the same set both return the same bits.
+/// Eq. 2 over a keyword mask (common/bitvector.h): Σ w_f over the set bits
+/// f < |interests|, in ascending f. That is the order MatchScore sums a
+/// sorted keyword list in, so for the same set both return the same bits.
 double MatchScoreOverMask(std::span<const double> interests,
+                          std::span<const uint64_t> mask);
+
+/// MatchScoreOverMask over a run, bit for bit: Σ w_f over the held topics
+/// whose bit is set, in ascending f. `mask` spans the run's vocabulary
+/// (KeywordMaskWords(d) words).
+double MatchScoreOverMask(InterestRun interests,
                           std::span<const uint64_t> mask);
 
 /// Eq. 15: upper bound of the matching score via a hashed keyword
 /// signature. Never smaller than MatchScore against the summarized set.
 double UbMatchScore(std::span<const double> interests,
                     const KeywordBitVector& signature);
+
+/// UbMatchScore over a run, bit for bit.
+double UbMatchScore(InterestRun interests, const KeywordBitVector& signature);
 
 /// Union of the keyword sets of the given POIs, sorted unique.
 std::vector<KeywordId> UnionKeywords(const SpatialSocialNetwork& ssn,

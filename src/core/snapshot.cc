@@ -41,9 +41,9 @@ Status SaveSnapshot(const GpssnDatabase& db, const std::string& path) {
 
   out << "poiaug " << db.ssn().num_pois() << "\n";
   for (PoiId id = 0; id < db.ssn().num_pois(); ++id) {
-    const PoiAug& aug = db.poi_index().poi_aug(id);
-    out << aug.sup_keywords.size();
-    for (KeywordId kw : aug.sup_keywords) out << " " << kw;
+    const std::span<const uint64_t> sup_mask = db.poi_index().sup_mask(id);
+    out << CountSetBits(sup_mask);
+    ForEachSetBit(sup_mask, [&](size_t kw) { out << " " << kw; });
     out << "\n";
   }
   out << "end\n";
@@ -132,30 +132,34 @@ Result<std::unique_ptr<GpssnDatabase>> LoadSnapshot(const std::string& path) {
       num_pois != ssn.num_pois()) {
     return Status::IoError("malformed snapshot poiaug section");
   }
-  std::vector<PoiAug> augs(num_pois);
-  auto read_keywords = [&](std::vector<KeywordId>* out_kws) -> Status {
+  // A sup_K set is its size and then its keyword ids, strictly increasing
+  // (as a build writes it: the set bits of its mask in ascending order).
+  const size_t mask_words = KeywordMaskWords(ssn.num_topics());
+  std::vector<uint64_t> sup_masks(static_cast<size_t>(num_pois) * mask_words,
+                                  0);
+  std::vector<KeywordId> keywords;
+  auto read_keywords = [&](uint64_t* mask) -> Status {
     size_t count = 0;
     if (!(in >> count) || count > kMaxKeywords) {
       return Status::IoError("bad keyword count in snapshot");
     }
-    out_kws->resize(count);
-    for (auto& kw : *out_kws) {
+    keywords.resize(count);
+    for (auto& kw : keywords) {
       if (!(in >> kw) || kw < 0 || kw >= ssn.num_topics()) {
         return Status::IoError("bad keyword id in snapshot");
       }
     }
-    // Strictly increasing: the PoiIndex constructor takes sorted-unique
-    // sets, and a repeated sup_K id would count twice in MatchScore.
-    if (std::adjacent_find(out_kws->begin(), out_kws->end(),
+    if (std::adjacent_find(keywords.begin(), keywords.end(),
                            std::greater_equal<KeywordId>()) !=
-        out_kws->end()) {
+        keywords.end()) {
       return Status::IoError(
           "snapshot keyword sets must be strictly increasing");
     }
+    AddToKeywordMask(keywords, ssn.num_topics(), mask);
     return Status::OK();
   };
-  for (PoiAug& aug : augs) {
-    GPSSN_RETURN_NOT_OK(read_keywords(&aug.sup_keywords));
+  for (size_t i = 0; i < static_cast<size_t>(num_pois); ++i) {
+    GPSSN_RETURN_NOT_OK(read_keywords(sup_masks.data() + i * mask_words));
   }
   if (!(in >> section) || section != "end") {
     return Status::IoError("missing snapshot trailer");
@@ -164,7 +168,7 @@ Result<std::unique_ptr<GpssnDatabase>> LoadSnapshot(const std::string& path) {
   return std::make_unique<GpssnDatabase>(std::move(ssn), build,
                                          std::move(road_pivots),
                                          std::move(social_pivots),
-                                         std::move(augs));
+                                         std::move(sup_masks));
 }
 
 }  // namespace gpssn

@@ -65,7 +65,10 @@ bool SocialScratch::PairPasses(int i, int j) {
   uint8_t& state = memo_[TriIndex(i, j)];
   if (state == 0) {
     ++pairs_scored_;
-    state = UserSimilarity(metric_, Row(i), Row(j)) >= gamma_ ? 1 : 2;
+    const double score =
+        RunSimilarity(metric_, social_->Run(users_[i]),
+                      social_->Run(users_[j]), social_->num_topics());
+    state = score >= gamma_ ? 1 : 2;
   }
   return state == 1;
 }

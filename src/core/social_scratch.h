@@ -7,8 +7,9 @@
 // and shares it between ApplyCorollary2 and the ESU group enumerator, so:
 //
 //   - every pairwise Interest_Score (Eq. 1) is evaluated at most once per
-//     query, by UserSimilarity (core/scores.h) on the network's interest
-//     rows — the same function, hence the same bits, as every other path;
+//     query, by RunSimilarity (core/scores.h) over the two users' interest
+//     runs (their nonzero topics, socialnet/social_graph.h) — the 4-lane
+//     order, hence the same bits, as every other path;
 //   - ESU connectivity / extension tests become word-parallel
 //     AND / ANDNOT loops over candidate-local adjacency bitsets instead of
 //     per-edge CSR probes.
@@ -49,11 +50,6 @@ class SocialScratch {
   /// Candidate index of user `u`, or -1 when u is not a candidate.
   int IndexOf(UserId u) const {
     return index_stamp_[u] == generation_ ? index_of_[u] : -1;
-  }
-
-  /// Interest vector of candidate `i` (a view into the network).
-  std::span<const double> Row(int i) const {
-    return social_->Interests(users_[i]);
   }
 
   /// Memoized pairwise predicate Interest_Score(i, j) >= γ under the

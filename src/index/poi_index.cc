@@ -9,26 +9,11 @@ namespace gpssn {
 
 namespace {
 
-// Union of the keyword sets of `pois` (ids), sorted unique.
-std::vector<KeywordId> KeywordUnion(const SpatialSocialNetwork& ssn,
-                                    const std::vector<PoiId>& ids) {
-  std::vector<KeywordId> out;
-  for (PoiId id : ids) {
-    const auto& kws = ssn.poi(id).keywords;
-    out.insert(out.end(), kws.begin(), kws.end());
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-// Inserts the elements of `add` into the sorted-unique vector `into`.
-void MergeSorted(std::vector<KeywordId>* into,
-                 const std::vector<KeywordId>& add) {
-  for (KeywordId kw : add) {
-    auto it = std::lower_bound(into->begin(), into->end(), kw);
-    if (it == into->end() || *it != kw) into->insert(it, kw);
-  }
+// The hashed signature of an exact sup_K mask.
+KeywordBitVector SignatureOf(std::span<const uint64_t> mask) {
+  KeywordBitVector v;
+  ForEachSetBit(mask, [&](size_t kw) { v.Add(static_cast<int>(kw)); });
+  return v;
 }
 
 }  // namespace
@@ -40,6 +25,7 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
       pivots_(pivots),
       options_(options),
       tree_(options.rtree),
+      mask_words_(KeywordMaskWords(ssn->num_topics())),
       engine_(&ssn->road()),
       locator_(&ssn->road(), &ssn->pois()) {
   GPSSN_CHECK(ssn != nullptr && pivots != nullptr);
@@ -57,6 +43,8 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
 
   // --- Per-POI augmentations.
   poi_aug_.resize(n);
+  sup_masks_.assign(static_cast<size_t>(n) * mask_words_, 0);
+  sup_sizes_.resize(n);
   for (PoiId id = 0; id < n; ++id) ComputePoiAug(id);
 
   RebuildNodeAugmentations();
@@ -65,17 +53,19 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
 PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
                    const RoadPivotTable* pivots,
                    const PoiIndexOptions& options,
-                   std::vector<PoiAug> precomputed)
+                   std::vector<uint64_t> sup_masks)
     : ssn_(ssn),
       pivots_(pivots),
       options_(options),
       tree_(options.rtree),
+      mask_words_(KeywordMaskWords(ssn->num_topics())),
+      sup_masks_(std::move(sup_masks)),
       engine_(&ssn->road()),
       locator_(&ssn->road(), &ssn->pois()) {
   GPSSN_CHECK(ssn != nullptr && pivots != nullptr);
   GPSSN_CHECK(options.r_min > 0.0 && options.r_min <= options.r_max);
   const int n = ssn->num_pois();
-  GPSSN_CHECK(static_cast<int>(precomputed.size()) == n);
+  GPSSN_CHECK(sup_masks_.size() == static_cast<size_t>(n) * mask_words_);
 
   std::vector<PoiId> order(n);
   for (int i = 0; i < n; ++i) order[i] = i;
@@ -84,11 +74,12 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
     tree_.Insert(ssn->poi(id).location, id);
   }
 
-  poi_aug_ = std::move(precomputed);
+  poi_aug_.resize(n);
+  sup_sizes_.resize(n);
   for (PoiId id = 0; id < n; ++id) {
     PoiAug& aug = poi_aug_[id];
-    aug.v_sup = KeywordBitVector::FromKeywords(
-        std::vector<int>(aug.sup_keywords.begin(), aug.sup_keywords.end()));
+    aug.v_sup = SignatureOf(sup_mask(id));
+    sup_sizes_[id] = static_cast<uint32_t>(CountSetBits(sup_mask(id)));
     aug.pivot_dist = pivots->PositionDistances(ssn->poi(id).position);
     RefreshBall(id);
   }
@@ -103,15 +94,14 @@ std::vector<std::pair<PoiId, double>> PoiIndex::ComputePoiAug(PoiId id) {
   // inner ball is a distance filter over the same result.
   auto outer = locator_.BallWithDistances(poi.position, 2.0 * options_.r_max,
                                           &engine_);
-  std::vector<PoiId> sup_ids;
+  uint64_t* mask = mutable_sup_mask(id);
   aug.ball.clear();
   for (const auto& [other, dist] : outer) {
-    sup_ids.push_back(other);
+    AddToKeywordMask(ssn_->poi(other).keywords, ssn_->num_topics(), mask);
     if (dist <= options_.r_max) aug.ball.emplace_back(other, dist);
   }
-  aug.sup_keywords = KeywordUnion(*ssn_, sup_ids);
-  aug.v_sup = KeywordBitVector::FromKeywords(
-      std::vector<int>(aug.sup_keywords.begin(), aug.sup_keywords.end()));
+  aug.v_sup = SignatureOf(sup_mask(id));
+  sup_sizes_[id] = static_cast<uint32_t>(CountSetBits(sup_mask(id)));
   aug.pivot_dist = pivots_->PositionDistances(poi.position);
   return outer;
 }
@@ -176,9 +166,9 @@ void PoiIndex::RebuildNodeAugmentations() {
   const int n = static_cast<int>(poi_aug_.size());
   poi_page_.resize(n);
   for (PoiId id = 0; id < n; ++id) {
-    const PoiAug& aug = poi_aug_[id];
+    // The payload record holds sup_K as 4-byte keyword ids.
     const uint32_t bytes = static_cast<uint32_t>(
-        24 + 4 * aug.sup_keywords.size() + 8 * aug.pivot_dist.size() + 32);
+        24 + 4 * sup_sizes_[id] + 8 * poi_aug_[id].pivot_dist.size() + 32);
     poi_page_[id] = alloc.Place(bytes);
   }
 }
@@ -195,6 +185,8 @@ Status PoiIndex::InsertPoi(PoiId id) {
 
   // Fresh augmentations for the new POI.
   poi_aug_.emplace_back();
+  sup_masks_.resize(sup_masks_.size() + mask_words_, 0);
+  sup_sizes_.push_back(0);
   const auto reverse = ComputePoiAug(id);
 
   // Reverse ball update: the new POI now appears inside the precomputed
@@ -209,7 +201,9 @@ Status PoiIndex::InsertPoi(PoiId id) {
   for (const auto& [other, dist] : reverse) {
     if (other == id) continue;
     PoiAug& aug = poi_aug_[other];
-    MergeSorted(&aug.sup_keywords, poi.keywords);
+    AddToKeywordMask(poi.keywords, ssn_->num_topics(),
+                     mutable_sup_mask(other));
+    sup_sizes_[other] = static_cast<uint32_t>(CountSetBits(sup_mask(other)));
     for (KeywordId kw : poi.keywords) aug.v_sup.Add(kw);
     if (dist <= refresh_radius) RefreshBall(other);
   }

@@ -4,7 +4,8 @@
 // whose leaf objects and internal entries carry the paper's augmentations:
 //
 //   * per POI o_i:   sup_K = union of keywords of POIs within road distance
-//                    2·r_max of o_i (candidate superset R' of Fig. 2);
+//                    2·r_max of o_i (candidate superset R' of Fig. 2), as
+//                    an exact topic mask and a hashed signature;
 //                    the ball B(o_i, r_max) with exact distances, from which
 //                    a query reads every candidate ball B(o_i, r), r <= r_max;
 //                    exact road distances to the h road pivots.
@@ -20,6 +21,7 @@
 #ifndef GPSSN_INDEX_POI_INDEX_H_
 #define GPSSN_INDEX_POI_INDEX_H_
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -46,7 +48,6 @@ struct PoiIndexOptions {
 /// Augmentations of one POI (leaf object of I_R).
 struct PoiAug {
   KeywordBitVector v_sup;                // Hash signature of sup_K.
-  std::vector<KeywordId> sup_keywords;   // Exact sup_K (sorted).
   std::vector<double> pivot_dist;        // dist_RN(o_i, rp_k), k = 1..h.
   // B(o_i, r_max): every POI within road distance r_max of o_i with that
   // distance, bit-identical to PoiLocator::BallWithDistances(position,
@@ -72,14 +73,13 @@ class PoiIndex {
   PoiIndex(const SpatialSocialNetwork* ssn, const RoadPivotTable* pivots,
            const PoiIndexOptions& options);
 
-  /// Snapshot-loading constructor: takes the sup_K keyword sets
-  /// precomputed by a previous build, so the 2·r_max ball queries are
-  /// skipped; bit vectors and pivot distances are recomputed, and each
-  /// POI's ball with one bounded search of radius r_max. The `precomputed`
-  /// vector must have one entry per POI with a sorted-unique sup_K;
-  /// everything else in it is ignored.
+  /// Snapshot-loading constructor: takes the sup_K masks of a previous
+  /// build (KeywordMaskWords(d) words per POI, in id order), so the
+  /// 2·r_max ball queries are skipped; bit vectors and pivot distances are
+  /// recomputed, and each POI's ball with one bounded search of radius
+  /// r_max.
   PoiIndex(const SpatialSocialNetwork* ssn, const RoadPivotTable* pivots,
-           const PoiIndexOptions& options, std::vector<PoiAug> precomputed);
+           const PoiIndexOptions& options, std::vector<uint64_t> sup_masks);
 
   const RStarTree& tree() const { return tree_; }
   const RoadPivotTable& pivots() const { return *pivots_; }
@@ -87,6 +87,15 @@ class PoiIndex {
   const PoiIndexOptions& options() const { return options_; }
 
   const PoiAug& poi_aug(PoiId id) const { return poi_aug_[id]; }
+
+  /// Exact sup_K of POI `id` as a topic mask: bit f of word f / 64 is
+  /// topic f, KeywordMaskWords(d) words (common/bitvector.h). The masks of
+  /// all POIs sit in one array, so a pass over them reads memory in order.
+  std::span<const uint64_t> sup_mask(PoiId id) const {
+    return {sup_masks_.data() + static_cast<size_t>(id) * mask_words_,
+            mask_words_};
+  }
+
   const PoiNodeAug& node_aug(RNodeId id) const { return node_aug_[id]; }
 
   /// Page of the (single) leaf page holding POI object payloads for `id`
@@ -116,10 +125,13 @@ class PoiIndex {
 
  private:
   /// Fills the augmentations of `id` from one ball query at 2·r_max and
-  /// returns that query's result.
+  /// returns that query's result. `id`'s sup_K mask must be clear.
   std::vector<std::pair<PoiId, double>> ComputePoiAug(PoiId id);
   /// Recomputes B(id, r_max) with one bounded search from `id`.
   void RefreshBall(PoiId id);
+  uint64_t* mutable_sup_mask(PoiId id) {
+    return sup_masks_.data() + static_cast<size_t>(id) * mask_words_;
+  }
   /// Recomputes every node's aggregates (bit vectors, subtree counts) and
   /// the page layout from the current tree.
   void RebuildNodeAugmentations();
@@ -129,6 +141,9 @@ class PoiIndex {
   PoiIndexOptions options_;
   RStarTree tree_;
   std::vector<PoiAug> poi_aug_;
+  size_t mask_words_;                // KeywordMaskWords(d).
+  std::vector<uint64_t> sup_masks_;  // mask_words_ per POI, in id order.
+  std::vector<uint32_t> sup_sizes_;  // |sup_K| per POI, for the layout.
   std::vector<PoiNodeAug> node_aug_;
   std::vector<PageId> poi_page_;
   // The index's own ball searches (build and InsertPoi); queries never

@@ -223,19 +223,29 @@ Status SocialIndex::UpdateUserInterests(UserId u) {
   const int d = ssn_->num_topics();
   const SocialNetwork& social = ssn_->social();
   // Exact recomputation of the interest boxes along the leaf-to-root path.
+  // The leaf reads its members' runs: a topic some member does not hold
+  // has lower bound 0, and one no member holds has upper bound 0 too.
   for (SNodeId id = leaf_of_user_[u]; id != -1; id = parent_[id]) {
     SocialIndexNode& node = nodes_[id];
-    node.lb_w.assign(d, std::numeric_limits<double>::infinity());
-    node.ub_w.assign(d, -std::numeric_limits<double>::infinity());
     if (node.is_leaf()) {
+      node.lb_w.assign(d, std::numeric_limits<double>::infinity());
+      node.ub_w.assign(d, 0.0);
+      holders_.assign(d, 0);
       for (UserId member : node.users) {
-        const auto w = social.Interests(member);
-        for (int f = 0; f < d; ++f) {
-          node.lb_w[f] = std::min(node.lb_w[f], w[f]);
-          node.ub_w[f] = std::max(node.ub_w[f], w[f]);
+        const InterestRun run = social.Run(member);
+        for (size_t i = 0; i < run.size(); ++i) {
+          const KeywordId f = run.topics[i];
+          node.lb_w[f] = std::min(node.lb_w[f], run.weights[i]);
+          node.ub_w[f] = std::max(node.ub_w[f], run.weights[i]);
+          ++holders_[f];
         }
       }
+      for (int f = 0; f < d; ++f) {
+        if (holders_[f] < node.users.size()) node.lb_w[f] = 0.0;
+      }
     } else {
+      node.lb_w.assign(d, std::numeric_limits<double>::infinity());
+      node.ub_w.assign(d, -std::numeric_limits<double>::infinity());
       for (SNodeId child : node.children) {
         const SocialIndexNode& c = nodes_[child];
         for (int f = 0; f < d; ++f) {

@@ -91,7 +91,10 @@ class SocialIndex {
   /// Dynamic maintenance: user u's interest vector changed in the
   /// underlying network (SpatialSocialNetwork::UpdateUserInterests).
   /// Recomputes the interest lb/ub boxes exactly along the leaf-to-root
-  /// path (O(cell size + d·height)).
+  /// path, the leaf from its members' interest runs (O(Σ run lengths +
+  /// d·height)). A zero bound is +0.0, which equals a build's bound bit
+  /// for bit unless a member's row holds -0.0; then only the zero's sign
+  /// differs, which no box test can tell apart.
   Status UpdateUserInterests(UserId u);
 
  private:
@@ -105,6 +108,7 @@ class SocialIndex {
   std::vector<SNodeId> leaf_of_user_;  // Leaf node per user.
   std::vector<std::vector<double>> user_rp_;
   std::vector<PageId> user_page_;
+  std::vector<size_t> holders_;  // UpdateUserInterests' per-topic counts.
 };
 
 }  // namespace gpssn

@@ -1,6 +1,7 @@
 #include "socialnet/social_graph.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/macros.h"
 
@@ -63,7 +64,68 @@ Status SocialNetwork::SetInterests(UserId u, std::span<const double> interests) 
   }
   std::copy(interests.begin(), interests.end(),
             interests_.begin() + static_cast<size_t>(u) * num_topics_);
+
+  const size_t held = static_cast<size_t>(
+      std::count_if(interests.begin(), interests.end(),
+                    [](double p) { return p > 0.0; }));
+  RunRange& run = runs_[u];
+  const size_t old_size = run.end - run.begin;
+  if (held > old_size) {  // Append; the old entries go dead.
+    GPSSN_CHECK(run_topics_.size() + held <= UINT32_MAX);
+    run.begin = static_cast<uint32_t>(run_topics_.size());
+    run_topics_.resize(run_topics_.size() + held);
+    run_weights_.resize(run_weights_.size() + held);
+  }
+  size_t at = run.begin;
+  for (size_t f = 0; f < interests.size(); ++f) {
+    if (interests[f] > 0.0) {
+      run_topics_[at] = static_cast<KeywordId>(f);
+      run_weights_[at] = interests[f];
+      ++at;
+    }
+  }
+  run.end = static_cast<uint32_t>(at);
+  live_run_entries_ = live_run_entries_ - old_size + held;
+  if (run_topics_.size() - live_run_entries_ > live_run_entries_) {
+    CompactRuns();
+  }
   return Status::OK();
+}
+
+void SocialNetwork::BuildRuns() {
+  runs_.assign(static_cast<size_t>(num_users()), RunRange{});
+  run_topics_.clear();
+  run_weights_.clear();
+  for (UserId u = 0; u < num_users(); ++u) {
+    const std::span<const double> row = Interests(u);
+    runs_[u].begin = static_cast<uint32_t>(run_topics_.size());
+    for (size_t f = 0; f < row.size(); ++f) {
+      if (row[f] > 0.0) {
+        run_topics_.push_back(static_cast<KeywordId>(f));
+        run_weights_.push_back(row[f]);
+      }
+    }
+    GPSSN_CHECK(run_topics_.size() <= UINT32_MAX);
+    runs_[u].end = static_cast<uint32_t>(run_topics_.size());
+  }
+  live_run_entries_ = run_topics_.size();
+}
+
+void SocialNetwork::CompactRuns() {
+  std::vector<KeywordId> topics;
+  std::vector<double> weights;
+  topics.reserve(live_run_entries_);
+  weights.reserve(live_run_entries_);
+  for (RunRange& run : runs_) {
+    const auto begin = static_cast<uint32_t>(topics.size());
+    topics.insert(topics.end(), run_topics_.begin() + run.begin,
+                  run_topics_.begin() + run.end);
+    weights.insert(weights.end(), run_weights_.begin() + run.begin,
+                   run_weights_.begin() + run.end);
+    run = {begin, static_cast<uint32_t>(topics.size())};
+  }
+  run_topics_ = std::move(topics);
+  run_weights_ = std::move(weights);
 }
 
 SocialNetwork WithInterests(const SocialNetwork& g,
@@ -75,6 +137,7 @@ SocialNetwork WithInterests(const SocialNetwork& g,
   SocialNetwork out = g;
   out.num_topics_ = num_topics;
   out.interests_ = std::move(row_major_interests);
+  out.BuildRuns();
   return out;
 }
 
@@ -92,6 +155,7 @@ SocialNetwork SocialNetworkBuilder::Build() {
     g.adjacency_.insert(g.adjacency_.end(), adjacency_[u].begin(),
                         adjacency_[u].end());
   }
+  g.BuildRuns();
   *this = SocialNetworkBuilder(num_topics_);
   return g;
 }

@@ -2,7 +2,9 @@
 //
 // The social network G_s (Definition 3): users as vertices, friendships as
 // edges, and a d-dimensional interest (topic) probability vector u_j.w per
-// user. Immutable after building; CSR adjacency.
+// user. CSR adjacency, immutable after building. Interests are kept twice:
+// as dense rows, and as each user's run of nonzero (topic, weight) entries,
+// which the query-path kernels read (core/scores.h).
 
 #ifndef GPSSN_SOCIALNET_SOCIAL_GRAPH_H_
 #define GPSSN_SOCIALNET_SOCIAL_GRAPH_H_
@@ -16,6 +18,16 @@
 #include "roadnet/types.h"
 
 namespace gpssn {
+
+/// One user's nonzero interests: the topics f with u.w_f > 0, ascending,
+/// and weights[i] the weight of topics[i]. A view into the network, valid
+/// until the next SetInterests.
+struct InterestRun {
+  std::span<const KeywordId> topics;
+  std::span<const double> weights;
+
+  size_t size() const { return topics.size(); }
+};
 
 /// Immutable social network. Construct with SocialNetworkBuilder.
 class SocialNetwork {
@@ -49,10 +61,20 @@ class SocialNetwork {
                                    num_topics_);
   }
 
+  /// The nonzero entries of Interests(u), ascending by topic. Users hold a
+  /// few of d topics, so the query-path kernels score these instead.
+  InterestRun Run(UserId u) const {
+    const RunRange r = runs_[u];
+    return {{run_topics_.data() + r.begin, r.end - r.begin},
+            {run_weights_.data() + r.begin, r.end - r.begin}};
+  }
+
   /// Dynamic maintenance: replaces one user's interest vector (profile
   /// drift as new check-ins accumulate). The friendship topology stays
-  /// immutable. Indexes built over this network must be informed (see
-  /// SocialIndex::UpdateUserInterests).
+  /// immutable. The user's run is rewritten in place when the new one is
+  /// no longer, and appended otherwise; the run arrays are compacted once
+  /// their dead entries outnumber the live ones. Indexes built over this
+  /// network must be informed (see SocialIndex::UpdateUserInterests).
   Status SetInterests(UserId u, std::span<const double> interests);
 
  private:
@@ -61,10 +83,25 @@ class SocialNetwork {
                                      std::vector<double> row_major_interests,
                                      int num_topics);
 
+  // A user's run: [begin, end) of run_topics_ / run_weights_.
+  struct RunRange {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+
+  // Lays every user's run out afresh from the dense rows, in user order.
+  void BuildRuns();
+  // Drops the dead entries, keeping the runs in user order.
+  void CompactRuns();
+
   int num_topics_ = 0;
   std::vector<int> offsets_;
   std::vector<UserId> adjacency_;       // Sorted within each user's range.
   std::vector<double> interests_;       // Row-major m × d.
+  std::vector<KeywordId> run_topics_;   // Every run's topics, ascending.
+  std::vector<double> run_weights_;     // Their weights, all > 0.
+  std::vector<RunRange> runs_;          // One per user.
+  size_t live_run_entries_ = 0;         // Σ run lengths; the rest is dead.
 };
 
 /// Accumulates users/friendships, then finalizes the CSR representation.

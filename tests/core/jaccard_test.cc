@@ -175,7 +175,7 @@ TEST(JaccardPruningTest, NodePruningImpliesMemberPruning) {
     if (!node.is_leaf() || !PruneSocialNodeInterest(ctx, node)) continue;
     for (UserId u : node.users) {
       ASSERT_TRUE(
-          PruneUserInterest(ctx, db->ssn().social().Interests(u)))
+          PruneUserInterest(ctx, db->ssn().social().Run(u)))
           << "node pruning must imply member pruning";
     }
   }

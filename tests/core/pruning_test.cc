@@ -60,7 +60,7 @@ TEST_F(PruningTest, UserInterestPruningMatchesDefinition) {
   const QueryUserContext ctx(q, *social_index_);
   for (UserId u = 0; u < ssn_->num_users(); ++u) {
     const auto w = ssn_->social().Interests(u);
-    const bool pruned = PruneUserInterest(ctx, w);
+    const bool pruned = PruneUserInterest(ctx, ssn_->social().Run(u));
     const bool fails = InterestScore(ctx.w_q, w) < q.gamma;
     ASSERT_EQ(pruned, fails) << "user " << u;
   }
@@ -95,7 +95,7 @@ TEST_F(PruningTest, SocialNodeInterestPruningIsSound) {
         inner.pop_back();
         if (n.is_leaf()) {
           for (UserId u : n.users) {
-            ASSERT_TRUE(PruneUserInterest(ctx, ssn_->social().Interests(u)));
+            ASSERT_TRUE(PruneUserInterest(ctx, ssn_->social().Run(u)));
           }
         } else {
           inner.insert(inner.end(), n.children.begin(), n.children.end());
@@ -133,7 +133,7 @@ TEST_F(PruningTest, PoiMatchPruningIsSoundForAnyRadius) {
   Rng rng(3);
   for (int trial = 0; trial < 30; ++trial) {
     const PoiId center = rng.NextBounded(ssn_->num_pois());
-    if (!PrunePoiMatch(ctx, poi_index_->poi_aug(center))) continue;
+    if (!PrunePoiMatch(ctx, poi_index_->sup_mask(center))) continue;
     // Pruned center: the true match score of u_q against ANY ball within
     // the envelope must be below θ.
     const double r = rng.UniformDouble(0.5, 3.0);
@@ -151,7 +151,7 @@ TEST_F(PruningTest, RoadNodeMatchPruningImpliesPoiPruning) {
     if (!node.is_leaf()) continue;
     if (!PruneRoadNodeMatch(ctx, poi_index_->node_aug(id))) continue;
     for (const RTreeEntry& e : node.entries) {
-      ASSERT_TRUE(PrunePoiMatch(ctx, poi_index_->poi_aug(e.id)))
+      ASSERT_TRUE(PrunePoiMatch(ctx, poi_index_->sup_mask(e.id)))
           << "node-level pruning must imply object-level pruning";
     }
   }

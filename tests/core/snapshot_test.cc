@@ -4,6 +4,7 @@
 
 #include "core/snapshot.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -81,7 +82,9 @@ TEST(SnapshotTest, RoundTripPreservesEveryAnswer) {
   for (PoiId id = 0; id < original->ssn().num_pois(); ++id) {
     const PoiAug& loaded = (*restored)->poi_index().poi_aug(id);
     const PoiAug& built = original->poi_index().poi_aug(id);
-    EXPECT_EQ(loaded.sup_keywords, built.sup_keywords) << "poi " << id;
+    EXPECT_TRUE(std::ranges::equal((*restored)->poi_index().sup_mask(id),
+                                   original->poi_index().sup_mask(id)))
+        << "poi " << id;
     EXPECT_EQ(loaded.ball, built.ball) << "poi " << id;
   }
 

@@ -1,7 +1,8 @@
 // Tests of the one Interest_Score summation order and the per-query
 // SocialScratch:
 //   * UserSimilarity equals a reference spelling out the 4-lane split bit
-//     for bit, for every metric and every length, tails included;
+//     for bit, for every metric and every length, tails included, and
+//     every run kernel equals its dense kernel bit for bit;
 //   * a scratch rebuilt after SetInterests sees the new interests;
 //   * the scratch-backed and sparse ApplyCorollary2 / EnumerateGroups
 //     produce identical removed sets and group sequences under all three
@@ -9,6 +10,7 @@
 //     exactly the users full evaluation removes, on 20 random networks.
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,28 +58,69 @@ double LaneSplitReference(InterestMetric metric, const std::vector<double>& a,
   return 0.0;
 }
 
+// Zeros are -0.0 a fifth of the time: a run holds neither sign of zero,
+// and skipping a -0.0 term must not change a score's bits.
 std::vector<double> RandomInterests(Rng* rng, size_t dim, double density) {
   std::vector<double> w(dim, 0.0);
   for (double& x : w) {
-    if (rng->Bernoulli(density)) x = rng->UniformDouble();
+    if (rng->Bernoulli(density)) {
+      x = rng->UniformDouble();
+    } else if (rng->Bernoulli(0.2)) {
+      x = -0.0;
+    }
   }
   return w;
 }
 
+// The dense kernels against the reference, and the run kernels over the
+// same two users against the dense ones. Every comparison is bit for bit:
+// exact double equality, not NEAR.
 TEST(UserSimilarityTest, BitIdenticalToLaneSplitReference) {
   Rng rng(12345);
   std::vector<size_t> dims;
   for (size_t dim = 1; dim <= 13; ++dim) dims.push_back(dim);
   dims.push_back(100);
+  // Density 0 gives empty runs; 1 gives full ones.
+  constexpr double kDensities[] = {0.0, 0.05, 0.3, 0.6, 1.0};
   for (size_t dim : dims) {
+    const int d = static_cast<int>(dim);
     for (int trial = 0; trial < 50; ++trial) {
-      const auto a = RandomInterests(&rng, dim, 0.6);
-      const auto b = RandomInterests(&rng, dim, 0.6);
+      const auto a = RandomInterests(&rng, dim, kDensities[trial % 5]);
+      const auto b = RandomInterests(&rng, dim, kDensities[(trial / 5) % 5]);
+      SocialNetworkBuilder builder(d);
+      ASSERT_TRUE(builder.AddUser(a).ok());
+      ASSERT_TRUE(builder.AddUser(b).ok());
+      const SocialNetwork g = builder.Build();
+      const InterestRun ra = g.Run(0);
+      const InterestRun rb = g.Run(1);
+      const std::string where = "dim=" + std::to_string(dim) +
+                                " trial=" + std::to_string(trial);
       for (InterestMetric m : kMetrics) {
-        // Bit for bit: exact double equality, not NEAR.
-        EXPECT_EQ(UserSimilarity(m, a, b), LaneSplitReference(m, a, b))
-            << "dim=" << dim << " metric=" << static_cast<int>(m);
+        const double want = LaneSplitReference(m, a, b);
+        EXPECT_EQ(UserSimilarity(m, a, b), want)
+            << where << " metric=" << static_cast<int>(m);
+        EXPECT_EQ(RunSimilarity(m, ra, rb, d), want)
+            << where << " metric=" << static_cast<int>(m);
       }
+      EXPECT_EQ(InterestScore(a, rb), InterestScore(a, b)) << where;
+
+      // A random keyword set, as a sorted list, a mask and a signature.
+      std::vector<KeywordId> keywords;
+      for (int f = 0; f < d; ++f) {
+        if (rng.Bernoulli(0.3)) keywords.push_back(f);
+      }
+      std::vector<uint64_t> mask(KeywordMaskWords(d), 0);
+      AddToKeywordMask(keywords, d, mask.data());
+      const KeywordBitVector signature =
+          KeywordBitVector::FromKeywords(keywords);
+      EXPECT_EQ(MatchScoreOverMask(rb, mask), MatchScoreOverMask(b, mask))
+          << where;
+      EXPECT_EQ(UbMatchScore(rb, signature), UbMatchScore(b, signature))
+          << where;
+      // Lemma 1: a run against the sup_K mask, as the dense row against
+      // the sorted sup_K list.
+      EXPECT_EQ(MatchScoreOverMask(rb, mask), MatchScore(b, keywords))
+          << where;
     }
   }
 }
@@ -113,14 +156,16 @@ TEST(SocialScratchTest, StaleAfterSetInterests) {
   EXPECT_EQ(scratch.IndexOf(3), 3);
   EXPECT_EQ(scratch.IndexOf(9), -1);
 
-  std::vector<double> w(g.num_topics(), 0.5);
-  ASSERT_TRUE(g.SetInterests(2, w).ok());
-
+  // Users 2 and 3 share every topic at 0.5 (score 1.5 >= γ), then user 3
+  // holds none (score 0 < γ): each rebuilt scratch scores the pair anew.
+  const std::vector<double> full(g.num_topics(), 0.5);
+  ASSERT_TRUE(g.SetInterests(2, full).ok());
+  ASSERT_TRUE(g.SetInterests(3, full).ok());
   scratch.Build(g, q, cands);
-  // The rebuilt row reflects the new interests.
-  const auto row = scratch.Row(scratch.IndexOf(2));
-  EXPECT_EQ(row.size(), static_cast<size_t>(g.num_topics()));
-  for (double x : row) EXPECT_EQ(x, 0.5);
+  EXPECT_TRUE(scratch.PairPasses(scratch.IndexOf(2), scratch.IndexOf(3)));
+  ASSERT_TRUE(g.SetInterests(3, std::vector<double>(g.num_topics())).ok());
+  scratch.Build(g, q, cands);
+  EXPECT_FALSE(scratch.PairPasses(scratch.IndexOf(2), scratch.IndexOf(3)));
 }
 
 TEST(SocialScratchTest, PairMemoScoresEachPairOnce) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -52,17 +54,22 @@ TEST(DynamicUserTest, RejectsBadUpdates) {
   EXPECT_TRUE(db.UpdateUserInterests(0, ok).ok());
 }
 
+// Every leaf box must equal a dense min/max over its members' rows bit for
+// bit (no slack left behind, no member outside), though an update rebuilds
+// it from the members' runs. The updates add and drop topics, and some
+// empty a row or fill all of it.
 TEST(DynamicUserTest, BoxesStayExactAfterUpdates) {
   GpssnBuildOptions build;
   build.social_index.leaf_cell_size = 16;
   GpssnDatabase db(MakeSynthetic(SmallData(2)), build);
   Rng rng(5);
-  for (int round = 0; round < 30; ++round) {
+  for (int round = 0; round < 60; ++round) {
     const UserId u = rng.NextBounded(db.ssn().num_users());
-    ASSERT_TRUE(db.UpdateUserInterests(u, RandomInterests(12, &rng)).ok());
+    std::vector<double> w = RandomInterests(12, &rng);
+    if (round % 10 == 3) w.assign(12, 0.0);
+    if (round % 10 == 7) w.assign(12, rng.UniformDouble(0.1, 1.0));
+    ASSERT_TRUE(db.UpdateUserInterests(u, w).ok());
   }
-  // Every node's box must exactly bound its members (no slack left behind,
-  // no member outside).
   const SocialIndex& index = db.social_index();
   const SocialNetwork& social = db.ssn().social();
   for (SNodeId id = 0; id < index.num_nodes(); ++id) {
@@ -75,8 +82,12 @@ TEST(DynamicUserTest, BoxesStayExactAfterUpdates) {
         lo = std::min(lo, social.Interests(u)[f]);
         hi = std::max(hi, social.Interests(u)[f]);
       }
-      EXPECT_DOUBLE_EQ(node.lb_w[f], lo) << "node " << id << " topic " << f;
-      EXPECT_DOUBLE_EQ(node.ub_w[f], hi) << "node " << id << " topic " << f;
+      EXPECT_EQ(std::bit_cast<uint64_t>(node.lb_w[f]),
+                std::bit_cast<uint64_t>(lo))
+          << "node " << id << " topic " << f;
+      EXPECT_EQ(std::bit_cast<uint64_t>(node.ub_w[f]),
+                std::bit_cast<uint64_t>(hi))
+          << "node " << id << " topic " << f;
     }
   }
 }

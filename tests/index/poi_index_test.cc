@@ -37,12 +37,19 @@ class PoiIndexTest : public ::testing::Test {
   std::unique_ptr<PoiIndex> index_;
 };
 
+// True when every keyword of `keywords` is set in the sup_K mask.
+bool MaskCovers(std::span<const uint64_t> mask,
+                const std::vector<KeywordId>& keywords) {
+  return std::all_of(keywords.begin(), keywords.end(), [&](KeywordId kw) {
+    return (mask[kw / 64] >> (kw % 64)) & 1;
+  });
+}
+
 TEST_F(PoiIndexTest, SupCoversOwnKeywords) {
   for (PoiId id = 0; id < ssn_->num_pois(); ++id) {
-    const PoiAug& aug = index_->poi_aug(id);
-    const auto& own = ssn_->poi(id).keywords;
-    ASSERT_TRUE(std::includes(aug.sup_keywords.begin(), aug.sup_keywords.end(),
-                              own.begin(), own.end()))
+    const std::span<const uint64_t> mask = index_->sup_mask(id);
+    ASSERT_EQ(mask.size(), KeywordMaskWords(ssn_->num_topics()));
+    ASSERT_TRUE(MaskCovers(mask, ssn_->poi(id).keywords))
         << "poi " << id;
   }
 }
@@ -59,8 +66,7 @@ TEST_F(PoiIndexTest, SupCoversAnyBallWithinEnvelope) {
     const auto ball = locator.Ball(ssn_->poi(center).position, r, &engine);
     const auto ball_kws = UnionKeywords(*ssn_, ball);
     const PoiAug& aug = index_->poi_aug(center);
-    ASSERT_TRUE(std::includes(aug.sup_keywords.begin(), aug.sup_keywords.end(),
-                              ball_kws.begin(), ball_kws.end()))
+    ASSERT_TRUE(MaskCovers(index_->sup_mask(center), ball_kws))
         << "center " << center << " r " << r;
     // Bit-vector signature also covers everything.
     for (KeywordId kw : ball_kws) ASSERT_TRUE(aug.v_sup.MayContain(kw));
@@ -119,10 +125,9 @@ TEST_F(PoiIndexTest, NodeSignaturesCoverMemberKeywords) {
     const PoiNodeAug& aug = index_->node_aug(id);
     if (node.is_leaf()) {
       for (const RTreeEntry& e : node.entries) {
-        const PoiAug& poi = index_->poi_aug(e.id);
-        for (KeywordId kw : poi.sup_keywords) {
-          ASSERT_TRUE(aug.v_sup.MayContain(kw));
-        }
+        ForEachSetBit(index_->sup_mask(e.id), [&](size_t kw) {
+          EXPECT_TRUE(aug.v_sup.MayContain(static_cast<int>(kw)));
+        });
       }
     } else {
       for (const RTreeEntry& e : node.entries) {

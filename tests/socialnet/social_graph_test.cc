@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace gpssn {
 namespace {
 
@@ -85,6 +87,86 @@ TEST(SocialNetworkTest, WithInterestsReplacesVectors) {
   EXPECT_DOUBLE_EQ(h.Interests(2)[1], 0.6);
   // Original untouched.
   EXPECT_DOUBLE_EQ(g.Interests(1)[1], 0.5);
+}
+
+// Every user's run must list exactly the nonzero entries of its dense row,
+// in ascending topic order.
+void ExpectRunsMatchRows(const SocialNetwork& g) {
+  for (UserId u = 0; u < g.num_users(); ++u) {
+    std::vector<KeywordId> topics;
+    std::vector<double> weights;
+    const auto row = g.Interests(u);
+    for (size_t f = 0; f < row.size(); ++f) {
+      if (row[f] != 0.0) {
+        topics.push_back(static_cast<KeywordId>(f));
+        weights.push_back(row[f]);
+      }
+    }
+    const InterestRun run = g.Run(u);
+    EXPECT_EQ(std::vector<KeywordId>(run.topics.begin(), run.topics.end()),
+              topics)
+        << "user " << u;
+    EXPECT_EQ(std::vector<double>(run.weights.begin(), run.weights.end()),
+              weights)
+        << "user " << u;
+  }
+}
+
+TEST(SocialNetworkTest, RunsFollowTheDenseRows) {
+  constexpr int kTopics = 8;
+  SocialNetworkBuilder b(kTopics);
+  // Six users holding topics {u, u+2, u+4, u+6} mod 8, and one -0.0,
+  // which no run holds.
+  for (int u = 0; u < 6; ++u) {
+    std::vector<double> w(kTopics, 0.0);
+    for (int k = 0; k < 4; ++k) w[(u + 2 * k) % kTopics] = 0.1 * (k + 1);
+    w[(u + 1) % kTopics] = -0.0;
+    ASSERT_TRUE(b.AddUser(w).ok());
+  }
+  ASSERT_TRUE(b.AddFriendship(0, 1).ok());
+  SocialNetwork g = b.Build();
+  ExpectRunsMatchRows(g);
+
+  const SocialNetwork replaced =
+      WithInterests(g, std::vector<double>(6 * kTopics, 0.25), kTopics);
+  ExpectRunsMatchRows(replaced);
+  EXPECT_EQ(replaced.Run(3).size(), static_cast<size_t>(kTopics));
+
+  // Growing a run appends it after every other; shrinking it rewrites it
+  // where it stands.
+  std::vector<double> w(kTopics, 0.0);
+  w[1] = w[2] = w[3] = w[5] = w[6] = w[7] = 0.5;
+  ASSERT_TRUE(g.SetInterests(0, w).ok());
+  const KeywordId* grown = g.Run(0).topics.data();
+  EXPECT_GT(grown, g.Run(5).topics.data());
+  ExpectRunsMatchRows(g);
+  w.assign(kTopics, 0.0);
+  w[4] = 0.9;
+  w[6] = 0.3;
+  ASSERT_TRUE(g.SetInterests(0, w).ok());
+  EXPECT_EQ(g.Run(0).topics.data(), grown);
+  ExpectRunsMatchRows(g);
+
+  // A copy is independent of the original.
+  SocialNetwork copy = g;
+  ExpectRunsMatchRows(copy);
+  ASSERT_TRUE(copy.SetInterests(1, std::vector<double>(kTopics, 1.0)).ok());
+  ExpectRunsMatchRows(copy);
+  ExpectRunsMatchRows(g);
+  EXPECT_EQ(g.Run(1).size(), 4u);
+
+  // Empty runs and runs of all d topics; the dead entries these leave
+  // behind outnumber the live ones, so the runs are compacted on the way.
+  for (UserId u = 1; u < 6; ++u) {
+    ASSERT_TRUE(g.SetInterests(u, std::vector<double>(kTopics, 0.0)).ok());
+    EXPECT_EQ(g.Run(u).size(), 0u);
+    ExpectRunsMatchRows(g);
+  }
+  for (UserId u = 0; u < 6; u += 2) {
+    ASSERT_TRUE(g.SetInterests(u, std::vector<double>(kTopics, 0.75)).ok());
+    EXPECT_EQ(g.Run(u).size(), static_cast<size_t>(kTopics));
+    ExpectRunsMatchRows(g);
+  }
 }
 
 TEST(SocialNetworkTest, EmptyNetwork) {
