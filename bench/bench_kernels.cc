@@ -19,6 +19,7 @@
 #include "core/scores.h"
 #include "core/social_scratch.h"
 #include "core/stats.h"
+#include "geom/pruning_region.h"
 #include "index/rstar_tree.h"
 #include "roadnet/contraction_hierarchy.h"
 #include "roadnet/distance_backend.h"

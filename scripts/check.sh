@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Per-PR machine check. Modes mirror the CI jobs (.github/workflows/ci.yml):
 #
-#   tier-1  build + full test suite
+#   tier-1  build (warnings as errors) + full test suite
 #   tsan    ThreadSanitizer build of the concurrency-related tests
 #   ubsan   UndefinedBehaviorSanitizer build + full test suite
 #   asan    AddressSanitizer build (the `asan` preset) + full test suite
@@ -50,7 +50,8 @@ esac
 
 run_tier1() {
   echo "=== tier-1: build + full test suite ==="
-  cmake -B build -S .
+  # Warnings are errors, as in the CI tier1 job.
+  cmake -B build -S . -DGPSSN_WERROR=ON
   cmake --build build -j "$JOBS"
   (cd build && ctest --output-on-failure -j "$JOBS")
 }

@@ -22,7 +22,6 @@ QueryUserContext::QueryUserContext(const GpssnQuery& q, const SocialIndex& is)
     : query(q),
       w_q(is.ssn().social().Interests(q.issuer).begin(),
           is.ssn().social().Interests(q.issuer).end()),
-      region(w_q, q.gamma),
       rp_dist(is.user_road_pivot_dists(q.issuer)) {
   const InterestRun run = is.ssn().social().Run(q.issuer);
   q_topics.assign(run.topics.begin(), run.topics.end());
@@ -63,8 +62,11 @@ bool PruneSocialNodeInterest(const QueryUserContext& ctx,
                              const SocialIndexNode& node) {
   switch (ctx.query.metric) {
     case InterestMetric::kDotProduct:
-      // The half-space pruning region of Section 3.2 (Lemma 8).
-      return ctx.region.PrunesBox(node.lb_w, node.ub_w);
+      // The half-space pruning region of Section 3.2 (Lemma 8): every box
+      // member scores at most the `ub` corner, since u_q's weights are
+      // non-negative. Over u_q's run this is PruningRegion::PrunesBox's
+      // test, bit for bit.
+      return InterestScore(node.ub_w, ctx.q_run()) < ctx.query.gamma;
     case InterestMetric::kJaccard:
       return UbJaccardBox(ctx.w_q, node.lb_w, node.ub_w) < ctx.query.gamma;
     case InterestMetric::kHamming:

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/options.h"
-#include "geom/pruning_region.h"
 #include "index/poi_index.h"
 #include "index/social_index.h"
 
@@ -37,7 +36,6 @@ struct QueryUserContext {
   // and their weights.
   std::vector<KeywordId> q_topics;
   std::vector<double> q_weights;
-  PruningRegion region;           // PR(u_q, γ) of Section 3.2.
   std::vector<int> sp_hops;       // dist_SN(u_q, sp_k), k = 1..l.
   std::vector<double> rp_dist;    // dist_RN(u_q's home, rp_k), k = 1..h.
 
@@ -60,7 +58,8 @@ bool PruneUserSocialDistance(const QueryUserContext& ctx,
                              const SocialPivotTable& pivots, UserId u_k);
 
 /// Lemma 8: prune node e_S when every interest vector in its lb/ub box is
-/// inside PR(u_q).
+/// inside PR(u_q), the pruning region of geom/pruning_region.h (under the
+/// dot product, scored over u_q's run).
 bool PruneSocialNodeInterest(const QueryUserContext& ctx,
                              const SocialIndexNode& node);
 

@@ -1,6 +1,7 @@
 #include "core/query.h"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <tuple>
 
@@ -116,10 +117,34 @@ void GpssnProcessor::RefineScratch::BeginQuery(size_t num_users,
   rows.clear();
 }
 
-void GpssnProcessor::RefineScratch::AddMember(UserId u) {
-  if (user_stamp[u] != generation) {
-    user_stamp[u] = generation;
-    user_member[u] = num_members++;
+void GpssnProcessor::RefineScratch::AddMembers(
+    UserId issuer, const std::vector<std::vector<UserId>>& groups) {
+  // Numbers a user on first sight; its entry counts its groups first.
+  member_group_begin.clear();
+  auto number = [&](UserId u) -> uint32_t& {
+    if (user_stamp[u] != generation) {
+      user_stamp[u] = generation;
+      user_member[u] = num_members++;
+      member_group_begin.push_back(0);
+    }
+    return member_group_begin[static_cast<size_t>(user_member[u])];
+  };
+  number(issuer);
+  for (const std::vector<UserId>& group : groups) {
+    for (UserId u : group) ++number(u);
+  }
+  // Running sums leave each member's end in its entry; filling the groups
+  // in descending index order moves it back to the member's start and
+  // leaves each list ascending.
+  uint32_t total = 0;
+  for (uint32_t& entry : member_group_begin) entry = total += entry;
+  member_group_begin.push_back(total);
+  member_groups.resize(total);
+  for (size_t gi = groups.size(); gi-- > 0;) {
+    for (UserId u : groups[gi]) {
+      member_groups[--member_group_begin[static_cast<size_t>(
+          user_member[u])]] = static_cast<uint32_t>(gi);
+    }
   }
 }
 
@@ -217,7 +242,8 @@ Result<ShardCandidates> GpssnProcessor::GatherCandidates(
   GPSSN_RETURN_NOT_OK(status);
   ShardCandidates result;
   result.users = std::move(plan.users);
-  result.pois = std::move(plan.pois);
+  result.pois.reserve(plan.pois.size());
+  for (const auto& [lb, id] : plan.pois) result.pois.push_back(id);
   std::sort(result.pois.begin(), result.pois.end());
   result.lower_bound = plan.lower_bound;
   return result;
@@ -248,7 +274,10 @@ Result<ShardRefineResult> GpssnProcessor::RefineCandidates(
   *out = QueryStats();
   WallTimer timer;
   QueryPlan plan(query, *social_index_, options.buffer_pool_pages);
-  plan.pois = centers;
+  plan.pois.reserve(centers.size());
+  for (PoiId c : centers) {
+    plan.pois.emplace_back(LbDistToPoi(plan.ctx, poi_index_->poi_aug(c)), c);
+  }
   std::vector<RankedAnswer> best;
   Status status;
   {
@@ -418,11 +447,11 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
           continue;
         }
         // Eq. 17 (object form) bounds the issuer's share of any objective
-        // centered here; the least bound is the one a serving coordinator
-        // skips a shard by.
+        // centered here; Refine orders the centers by it, and the least
+        // bound is the one a serving coordinator skips a shard by.
         const double lb = LbDistToPoi(ctx, aug);
         if (auditor != nullptr) auditor->OnPoiDistanceBound(ctx, e.id, lb);
-        plan->pois.push_back(e.id);
+        plan->pois.emplace_back(lb, e.id);
         plan->lower_bound = std::min(plan->lower_bound, lb);
       }
     }
@@ -450,12 +479,10 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
                       static_cast<size_t>(ssn.num_pois()));
   RefineScratch& scr = scratch_;
 
-  // Number the issuer and the groups' users once; the distance rows and
-  // the per-center table below are indexed by member number.
-  scr.AddMember(query.issuer);
-  for (const std::vector<UserId>& group : groups) {
-    for (UserId u : group) scr.AddMember(u);
-  }
+  // Number the issuer and the groups' users once; the distance rows, the
+  // per-center table and the member -> groups lists below are indexed by
+  // member number.
+  scr.AddMembers(query.issuer, groups);
   scr.member_row.assign(static_cast<size_t>(scr.num_members), -1);
   scr.at_center.assign(static_cast<size_t>(scr.num_members), CenterCell());
 
@@ -470,15 +497,10 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   // matches can hold an answer, so only its center is kept (its ball
   // sorted and its mask, both in the flat scratch arrays) and only its
   // members take slots.
-  std::vector<std::pair<double, PoiId>> by_lb;
-  by_lb.reserve(plan->pois.size());
-  for (PoiId c : plan->pois) {
-    by_lb.emplace_back(LbDistToPoi(ctx, poi_index_->poi_aug(c)), c);
-  }
-  std::sort(by_lb.begin(), by_lb.end());
+  std::sort(plan->pois.begin(), plan->pois.end());
   const int num_topics = ssn.num_topics();
   const size_t mask_words = KeywordMaskWords(num_topics);
-  for (const auto& [lb, c] : by_lb) {
+  for (const auto& [lb, c] : plan->pois) {
     if (InterruptRequested(options)) return InterruptStatus(options);
     const ScopedPhaseTimer ball_phase(&stats->ball_seconds);
     ++stats->ball_queries;
@@ -629,6 +651,37 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   };
   auto reject = [&](double v) { return full() ? v >= bound() : v > incumbent; };
 
+  // A member whose Lemma 5 bound or θ match fails at a center fails every
+  // group that holds it there, now or later at that center, since the
+  // threshold only tightens. So the loop marks all of those groups dead at
+  // once and visits only live ones, in index order: the groups that reach
+  // the exact objective, and their order, are the same as if each group
+  // had been bounded member by member.
+  const size_t num_groups = groups.size();
+  const size_t group_words = (num_groups + 63) / 64;
+  auto kill = [&](UserId u) {
+    const auto m = static_cast<size_t>(scr.user_member[u]);
+    for (uint32_t i = scr.member_group_begin[m];
+         i < scr.member_group_begin[m + 1]; ++i) {
+      const uint32_t g = scr.member_groups[i];
+      scr.dead_groups[g >> 6] |= uint64_t{1} << (g & 63u);
+    }
+  };
+  // The first live group at index >= `from` (num_groups when none is left),
+  // read from the bitmap a word at a time.
+  auto next_live = [&](size_t from) {
+    size_t w = from >> 6;
+    if (w == group_words) return num_groups;
+    uint64_t live = ~scr.dead_groups[w] & (~uint64_t{0} << (from & 63u));
+    while (live == 0) {
+      if (++w == group_words) return num_groups;
+      live = ~scr.dead_groups[w];
+    }
+    return (w << 6) + static_cast<size_t>(std::countr_zero(live));
+  };
+
+  // The pair loop's timer also covers the copy of the kept answers below.
+  const ScopedPhaseTimer pair_loop_phase(&stats->pair_loop_seconds);
   int64_t pair_budget = options.max_refine_pairs;
   uint32_t poll_stride = 0;
   uint32_t visit = 0;
@@ -647,6 +700,10 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
                                          mask_words);
     const PoiAug& center_aug = poi_index_->poi_aug(center.id);
     ++visit;
+    scr.dead_groups.assign(group_words, 0);
+    if (num_groups % 64 != 0) {
+      scr.dead_groups.back() = ~uint64_t{0} << (num_groups % 64);
+    }
     // User u's entry at this center, its Lemma 5 bound computed on first
     // use: once per (member, center), however many groups share u.
     auto cell = [&](UserId u) -> CenterCell& {
@@ -663,6 +720,9 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
       }
       return entry;
     };
+    auto bound_fails = [&](UserId u) {
+      return reject(std::max(center.worst, cell(u).lb));
+    };
     auto matches = [&](UserId u) {
       CenterCell& entry = cell(u);
       if (entry.match < 0) {
@@ -672,20 +732,25 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
       return entry.match == 1;
     };
 
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
+    for (size_t gi = next_live(0); gi < num_groups; gi = next_live(gi + 1)) {
       if ((++poll_stride & 63u) == 0 && InterruptRequested(options)) {
         return InterruptStatus(options);
       }
+      // Once an answer here ties `worst`, every group here is rejected; the
+      // next center is then rejected by Lemma 7.
+      if (reject(center.worst)) break;
+      // Pivot lower bound of the pair objective (Lemma 5), member by
+      // member, then the θ test; the first member to fail either kills
+      // its groups.
       const std::vector<UserId>& group = groups[gi];
-      // Pivot lower bound of the pair objective (Lemma 5). It only grows
-      // member by member, so the member that lifts it past the threshold
-      // rejects the pair without bounding the rest.
-      double pair_lb = center.worst;
-      for (size_t j = 0; j < group.size() && !reject(pair_lb); ++j) {
-        pair_lb = std::max(pair_lb, cell(group[j]).lb);
+      auto failed = std::find_if(group.begin(), group.end(), bound_fails);
+      if (failed == group.end()) {
+        failed = std::find_if_not(group.begin(), group.end(), matches);
       }
-      if (reject(pair_lb)) continue;
-      if (!std::all_of(group.begin(), group.end(), matches)) continue;
+      if (failed != group.end()) {
+        kill(*failed);
+        continue;
+      }
 
       // Exact objective: maxdist_RN(S, B(c, r)). The budget caps only
       // these expensive evaluations; lower-bound skips above are O(h) and

@@ -24,6 +24,7 @@
 #define GPSSN_CORE_QUERY_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -162,9 +163,10 @@ class GpssnProcessor {
     QueryUserContext ctx;  // The query and the issuer's pruning bounds.
     BufferPool pool;       // Page buffer behind the I/O metric.
     // Gather: candidate users in I_S leaf-traversal order, candidate ball
-    // centers, and the least issuer-side lower bound over the centers.
+    // centers as (the issuer's Eq. 17 lower bound, id), in the order
+    // Gather found them, and the least of those bounds.
     std::vector<UserId> users;
-    std::vector<PoiId> pois;
+    std::vector<std::pair<double, PoiId>> pois;
     double lower_bound = kInfDistance;
     // Plan: the candidate groups.
     std::vector<std::vector<UserId>> groups;
@@ -179,10 +181,11 @@ class GpssnProcessor {
   Status Gather(const QueryOptions& options, const ShardScope& scope,
                 QueryPlan* plan, QueryStats* stats);
 
-  /// Refine stage: materializes the ball of every center in plan->pois,
-  /// keeps the centers whose keyword union the issuer matches, orders them
-  /// by the issuer's exact distances, and runs the pair loop over `groups`
-  /// (plan->groups on a single node, the coordinator's list on a shard).
+  /// Refine stage: materializes the ball of every center in plan->pois
+  /// (sorting them by bound, then id), keeps the centers whose keyword
+  /// union the issuer matches, orders them by the issuer's exact
+  /// distances, and runs the pair loop over `groups` (plan->groups on a
+  /// single node, the coordinator's list on a shard).
   /// `best` receives up to `top_k` answers in discovery-rank order; only
   /// answers with objective <= `incumbent` are kept.
   Status Refine(const QueryOptions& options,
@@ -221,10 +224,11 @@ class GpssnProcessor {
   };
 
   /// Flat stamped scratch for the refinement phase, reused across queries:
-  /// generation-stamped slot and member arrays, the matched centers with
-  /// their balls and keyword masks, one flat row-major distance table, and
-  /// the per-center member table, so a warm refinement allocates nothing
-  /// per center or pair.
+  /// generation-stamped slot and member arrays, each member's list of the
+  /// groups that hold it, the matched centers with their balls and keyword
+  /// masks, one flat row-major distance table, the per-center member table
+  /// and dead-group bitmap, so a warm refinement allocates nothing per
+  /// center or pair.
   struct RefineScratch {
     uint32_t generation = 0;
     // POI id -> slot in `needed` (valid when poi_stamp matches).
@@ -245,6 +249,10 @@ class GpssnProcessor {
     std::vector<int32_t> user_member;
     int32_t num_members = 0;
     std::vector<int32_t> member_row;
+    // Member m's groups, by ascending index into the refined list, are
+    // member_groups[member_group_begin[m], member_group_begin[m + 1]).
+    std::vector<uint32_t> member_group_begin;
+    std::vector<uint32_t> member_groups;
     // The matched centers, in pair-loop order once ranked, and their
     // balls and masks back to back.
     std::vector<RefineCenter> centers;
@@ -252,6 +260,10 @@ class GpssnProcessor {
     std::vector<uint64_t> masks;
     // Member -> its entry at the visited center, filled lazily.
     std::vector<CenterCell> at_center;
+    // Bit g set: group g is dead at the visited center, because one of its
+    // members failed its Lemma 5 bound or θ match there. The bits past the
+    // last group are set too.
+    std::vector<uint64_t> dead_groups;
     // Row-major |rows| x |needed| distance table; kInfDistance = beyond
     // the bound the row was computed under.
     std::vector<double> rows;
@@ -261,8 +273,10 @@ class GpssnProcessor {
     /// capacity.
     void BeginQuery(size_t num_users, size_t num_pois);
 
-    /// Numbers `u` as the next member unless it already has a number.
-    void AddMember(UserId u);
+    /// Numbers `issuer` and then every user of `groups` as members, and
+    /// lists each member's groups.
+    void AddMembers(UserId issuer,
+                    const std::vector<std::vector<UserId>>& groups);
   };
 
   const PoiIndex* poi_index_;

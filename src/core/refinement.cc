@@ -7,6 +7,7 @@
 #include "common/bitvector.h"
 #include "common/macros.h"
 #include "common/rng.h"
+#include "common/timer.h"
 #include "core/scores.h"
 
 namespace gpssn {
@@ -359,6 +360,7 @@ void PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
                 std::vector<UserId>* users,
                 std::vector<std::vector<UserId>>* groups, QueryStats* stats) {
   SocialScratch* kernels = nullptr;
+  WallTimer timer;
   if (options.pruning.interest_score) {
     if (users->size() <= kScratchMaxCandidates) {
       scratch->Build(social, query, *users);
@@ -366,6 +368,8 @@ void PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
     }
     ApplyCorollary2(social, query, users, stats, kernels);
   }
+  stats->corollary2_seconds += timer.ElapsedSeconds();
+  timer.Restart();
   if (options.subset_sampling) {
     SampleGroups(social, query, *users, options.subset_samples, options.seed,
                  groups);
@@ -373,6 +377,7 @@ void PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
                               groups, kernels)) {
     stats->truncated = true;
   }
+  stats->enumerate_seconds += timer.ElapsedSeconds();
   stats->groups_enumerated = groups->size();
   if (kernels != nullptr) {
     stats->interest_pairs_scored += kernels->pairs_scored();

@@ -70,8 +70,9 @@ inline constexpr size_t kScratchMaxCandidates = 4096;
 /// and both stages share its pair memo and adjacency bitsets; otherwise
 /// the enumerator touches few pairs and scores each one afresh over the
 /// CSR friend lists. Either way the groups are the same. Records
-/// groups_enumerated, interest_pairs_scored and a max_groups truncation in
-/// `stats` (required).
+/// groups_enumerated, interest_pairs_scored, a max_groups truncation and
+/// the two stages' wall times (corollary2_seconds, which includes the
+/// scratch build, and enumerate_seconds) in `stats` (required).
 void PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
                 const QueryOptions& options, SocialScratch* scratch,
                 std::vector<UserId>* users,

@@ -55,14 +55,23 @@ namespace gpssn {
   X(uint64_t, exact_distance_evals, Sum)                                     \
   X(bool, truncated, Or) /* A refinement cap was hit. */                     \
   /* --- Per-phase wall time (attributes backend/cache wins to the phase     \
-     they land in; the four do not sum to cpu_seconds — exact_dist and       \
-     ball are subsets of refine). Phase 1: index descent. */                 \
+     they land in; they do not sum to cpu_seconds — ball and the rows after  \
+     refine are parts of refine, though on a cluster the two PlanGroups rows \
+     are parts of serve_plan_seconds). Phase 1: index descent. */            \
   X(double, descent_seconds, Sum)                                            \
   X(double, ball_seconds, Sum) /* Ball materialization (B(o_i, r)). */       \
   /* Phase 2 total (includes the below). */                                  \
   X(double, refine_seconds, Sum)                                             \
-  /* Exact user→POI distance evaluations. */                                 \
+  /* Exact user→POI distance evaluations (the issuer's row and the pair      \
+     loop's member rows). */                                                 \
   X(double, exact_dist_seconds, Sum)                                         \
+  /* PlanGroups: Corollary 2 (with the SocialScratch build), then the        \
+     group enumeration or sampling. */                                       \
+  X(double, corollary2_seconds, Sum)                                         \
+  X(double, enumerate_seconds, Sum)                                          \
+  /* Refine's center loop over (center, group) pairs, including the member   \
+     rows it computes (part of exact_dist_seconds). */                       \
+  X(double, pair_loop_seconds, Sum)                                          \
   /* --- Shared distance cache (roadnet/distance_cache.h), counted at        \
      user-row granularity: a hit means one whole per-user distance           \
      evaluation (one bounded Dijkstra / CH forward search) was skipped. */   \

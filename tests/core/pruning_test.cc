@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
+#include "common/rng.h"
 #include "core/scores.h"
+#include "geom/pruning_region.h"
 #include "roadnet/shortest_path.h"
 #include "socialnet/bfs.h"
 #include "ssn/dataset.h"
@@ -103,6 +109,59 @@ TEST_F(PruningTest, SocialNodeInterestPruningIsSound) {
       }
     } else if (!node.is_leaf()) {
       stack.insert(stack.end(), node.children.begin(), node.children.end());
+    }
+  }
+}
+
+// Under the dot product, Lemma 8 scores a node's `ub` corner over u_q's run;
+// PruningRegion::PrunesBox takes the dense Dot over all d topics. A topic
+// the run skips adds a zero term, so both forms decide alike, γ ties
+// included, with +0.0 and -0.0 in the issuer's row and in the box.
+TEST_F(PruningTest, SocialNodeInterestOverRunEqualsRegionBoxTest) {
+  QueryUserContext ctx(MakeQuery(7), *social_index_);
+  Rng rng(17);
+  SocialIndexNode node;
+  for (int d : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 100}) {
+    for (int trial = 0; trial < 300; ++trial) {
+      // Weights: zeros of both signs, and nonzeros at a per-row density.
+      const double density = 0.25 * static_cast<double>(trial % 5);
+      auto draw = [&]() {
+        if (rng.UniformDouble() >= density) {
+          return rng.NextBounded(2) == 0 ? 0.0 : -0.0;
+        }
+        return rng.UniformDouble(0.01, 1.0);
+      };
+      ctx.w_q.assign(d, 0.0);
+      ctx.q_topics.clear();
+      ctx.q_weights.clear();
+      for (int f = 0; f < d; ++f) {
+        ctx.w_q[f] = draw();
+        if (ctx.w_q[f] != 0.0) {
+          ctx.q_topics.push_back(f);
+          ctx.q_weights.push_back(ctx.w_q[f]);
+        }
+      }
+      node.lb_w.assign(d, 0.0);
+      node.ub_w.resize(d);
+      for (int f = 0; f < d; ++f) {
+        node.ub_w[f] = draw();
+        if (node.ub_w[f] != 0.0) {
+          node.lb_w[f] = node.ub_w[f] * rng.UniformDouble();
+        }
+      }
+      const double dense = Dot(node.ub_w, ctx.w_q);
+      ASSERT_EQ(std::bit_cast<uint64_t>(InterestScore(node.ub_w, ctx.q_run())),
+                std::bit_cast<uint64_t>(dense))
+          << "d=" << d << " trial=" << trial;
+      const double inf = std::numeric_limits<double>::infinity();
+      for (double gamma : {dense, std::nextafter(dense, -inf),
+                           std::nextafter(dense, inf), rng.UniformDouble()}) {
+        ctx.query.gamma = gamma;
+        ASSERT_EQ(PruneSocialNodeInterest(ctx, node),
+                  PruningRegion(ctx.w_q, gamma).PrunesBox(node.lb_w,
+                                                          node.ub_w))
+            << "d=" << d << " trial=" << trial << " gamma=" << gamma;
+      }
     }
   }
 }

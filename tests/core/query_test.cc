@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "core/baseline.h"
 #include "core/database.h"
+#include "core/pruning.h"
 #include "core/scores.h"
 #include "ssn/dataset.h"
 
@@ -191,6 +193,74 @@ TEST(QueryValidationTest, RefineCandidatesRejectsOutOfRangeIds) {
   EXPECT_TRUE(refine({num_pois}, {{0, 1}}).IsInvalidArgument());
   EXPECT_TRUE(refine({0}, {{0, -1}}).IsInvalidArgument());
   EXPECT_TRUE(refine({0}, {{num_users, 0}}).IsInvalidArgument());
+}
+
+// A member whose Lemma 5 bound fails at a center fails every group that
+// holds it there. Over the groups {u_q, x_i, f}, i = 1..n, at a center
+// where only f's bound exceeds the incumbent, the pair loop bounds u_q,
+// x_1 and f in the first group and then skips every other group. Bounding
+// group by group would also bound x_2..x_n: n + 2 bounds.
+TEST(QueryRefineTest, FailedMemberBoundRejectsEveryGroupHoldingIt) {
+  auto db = SmallDatabase(7);
+  const SpatialSocialNetwork& ssn = db->ssn();
+  GpssnProcessor processor(&db->poi_index(), &db->social_index());
+  DijkstraEngine engine(&ssn.road());
+  GpssnQuery q;
+  q.tau = 3;
+  q.gamma = 0.0;
+  q.theta = 0.0;  // Every ball matches every member.
+  q.radius = 0.5;
+  constexpr int kN = 8;
+  for (q.issuer = 0; q.issuer < 40; ++q.issuer) {
+    // The center nearest the issuer, and the issuer's exact share of any
+    // objective there.
+    PoiId center = kInvalidPoi;
+    double nearest = kInfDistance;
+    for (PoiId o = 0; o < ssn.num_pois(); ++o) {
+      const double d = engine.PositionToPosition(ssn.user_home(q.issuer),
+                                                 ssn.poi(o).position);
+      if (d < nearest) {
+        nearest = d;
+        center = o;
+      }
+    }
+    ASSERT_NE(center, kInvalidPoi);
+    const PoiAug& aug = db->poi_index().poi_aug(center);
+    double worst = 0.0;
+    for (const auto& [o, dist] : aug.ball) {
+      if (dist > q.radius) continue;
+      worst = std::max(worst,
+                       engine.PositionToPosition(ssn.user_home(q.issuer),
+                                                 ssn.poi(o).position));
+    }
+    // f: the user with the largest Lemma 5 bound; x_i: the n smallest.
+    auto lb = [&](UserId u) {
+      return LbUserPoiDist(db->social_index().user_road_pivot_dists(u), aug);
+    };
+    std::vector<std::pair<double, UserId>> by_lb;
+    for (UserId u = 0; u < ssn.num_users(); ++u) {
+      if (u != q.issuer) by_lb.emplace_back(lb(u), u);
+    }
+    std::sort(by_lb.begin(), by_lb.end());
+    const UserId f = by_lb.back().second;
+    const double low = std::max({worst, lb(q.issuer), by_lb[kN - 1].first});
+    const double high = by_lb.back().first;
+    if (!(high > low + 1e-6)) continue;
+    std::vector<std::vector<UserId>> groups;
+    for (int i = 0; i < kN; ++i) {
+      groups.push_back({q.issuer, by_lb[i].second, f});
+    }
+    QueryStats stats;
+    auto refined = processor.RefineCandidates(
+        q, QueryOptions(), {center}, groups, (low + high) / 2, &stats);
+    ASSERT_TRUE(refined.ok());
+    EXPECT_EQ(stats.pair_bounds, 3u) << "issuer " << q.issuer;
+    EXPECT_EQ(stats.pairs_examined, 0u);
+    // Every group holds f, so no answer may be returned.
+    EXPECT_FALSE(refined->answer.found);
+    return;
+  }
+  FAIL() << "no issuer has a center where one bound stands out";
 }
 
 TEST(QueryAnswerTest, AnswerSatisfiesAllPredicates) {
