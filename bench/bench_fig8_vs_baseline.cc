@@ -33,7 +33,7 @@ void Run() {
     SpatialSocialNetwork ssn = MakeDataset(name, config.scale);
     GpssnQuery q = base;
     q.issuer = 1;
-    const BaselineEstimate est = EstimateBaselineCost(ssn, q, 100, 17);
+    const BaselineEstimate est = EstimateBaselineCost(ssn, q, 100, 17).value();
     auto db = BuildDatabase(std::move(ssn));
     const Aggregate agg =
         RunWorkload(db.get(), base, config.queries, QueryOptions{}, 9);

@@ -21,7 +21,6 @@
 #include "core/stats.h"
 #include "geom/pruning_region.h"
 #include "index/rstar_tree.h"
-#include "roadnet/contraction_hierarchy.h"
 #include "roadnet/distance_backend.h"
 #include "roadnet/distance_cache.h"
 #include "roadnet/road_generator.h"
@@ -94,8 +93,7 @@ void BM_BfsFullGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_BfsFullGraph)->Arg(1000)->Arg(10000);
 
-// Point-to-point engine shoot-out on the same 20K-vertex road network:
-// plain Dijkstra (early exit) vs contraction hierarchies.
+// Point-to-point Dijkstra (early exit) on the 20K-vertex road network.
 void BM_PointToPointDijkstra(benchmark::State& state) {
   const RoadNetwork& g = SharedRoad(20000);
   DijkstraEngine engine(&g);
@@ -107,24 +105,6 @@ void BM_PointToPointDijkstra(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PointToPointDijkstra);
-
-void BM_PointToPointCh(benchmark::State& state) {
-  const RoadNetwork& g = SharedRoad(20000);
-  static auto* ch_cache = new std::map<const RoadNetwork*, ContractionHierarchy>();
-  auto it = ch_cache->find(&g);
-  if (it == ch_cache->end()) {
-    it = ch_cache->emplace(&g, ContractionHierarchy()).first;
-    it->second.Build(&g);
-  }
-  ChQuery engine(&it->second);
-  Rng rng(21);
-  for (auto _ : state) {
-    const VertexId a = rng.NextBounded(g.num_vertices());
-    const VertexId b = rng.NextBounded(g.num_vertices());
-    benchmark::DoNotOptimize(engine.VertexToVertex(a, b));
-  }
-}
-BENCHMARK(BM_PointToPointCh);
 
 // One-to-many kernel shoot-out behind the pluggable DistanceBackend
 // interface: the refinement loop's inner operation (one user home -> all
@@ -286,19 +266,6 @@ void BM_MatchScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatchScore);
-
-void BM_UbMatchScoreBitVector(benchmark::State& state) {
-  Rng rng(15);
-  std::vector<double> w(100);
-  for (double& p : w) p = rng.Bernoulli(0.1) ? rng.UniformDouble() : 0.0;
-  std::vector<int> kws;
-  for (int f = 0; f < 100; f += 4) kws.push_back(f);
-  const KeywordBitVector sig = KeywordBitVector::FromKeywords(kws);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(UbMatchScore(w, sig));
-  }
-}
-BENCHMARK(BM_UbMatchScoreBitVector);
 
 // ----- Social scoring kernels -----
 //

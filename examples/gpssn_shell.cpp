@@ -95,8 +95,11 @@ int main() {
         continue;
       }
       auto loaded = LoadSsn(path);
-      if (!loaded.ok()) {
-        std::printf("load failed: %s\n", loaded.status().ToString().c_str());
+      const Status indexable =
+          loaded.ok() ? CheckPivotCounts(*loaded, GpssnBuildOptions{})
+                      : loaded.status();
+      if (!indexable.ok()) {
+        std::printf("load failed: %s\n", indexable.ToString().c_str());
         continue;
       }
       db = std::make_unique<GpssnDatabase>(std::move(loaded).value());
@@ -259,11 +262,15 @@ int main() {
       GpssnQuery q = defaults;
       q.issuer = issuer;
       q.tau = tau;
-      const BaselineEstimate est = EstimateBaselineCost(db->ssn(), q, 50);
+      const auto est = EstimateBaselineCost(db->ssn(), q, 50);
+      if (!est.ok()) {
+        std::printf("error: %s\n", est.status().ToString().c_str());
+        continue;
+      }
       std::printf("candidate pairs: 10^%.1f; estimated Baseline cost: "
                   "%.3g days, %.3g I/Os\n",
-                  est.log10_candidate_pairs, est.estimated_total_days,
-                  est.estimated_total_ios);
+                  est->log10_candidate_pairs, est->estimated_total_days,
+                  est->estimated_total_ios);
       continue;
     }
     std::printf("unknown command '%s' — type 'help'\n", cmd.c_str());

@@ -1,22 +1,20 @@
 // Copyright 2026 The gpssn Authors.
 //
-// Fixed-width keyword bit vectors (Section 4.1 of the paper): each keyword
-// of a POI's sup_K / sub_K set is hashed into a position of a bit vector so
-// index nodes can summarize keyword sets in constant space. A set bit may be
-// a hash collision, so membership tests only ever *over*-estimate — which is
-// exactly what the matching-score *upper* bounds (Lemmas 1 and 6) need.
-// Lower bounds (Eq. 18) must not use these vectors; they use exact keyword
-// sets of sampled objects instead.
+// Exact bit sets over small integer ids, a bit per id and no hashing.
 //
-// DynamicBitset is the exact (collision-free) sibling: a plain variable-
-// width bitset over small integer ids, used for candidate-local adjacency
-// and keyword-union masks in the refinement phase, where set operations
-// become word-parallel AND / ANDNOT loops.
+// A keyword mask summarizes a keyword set over the d topics in
+// KeywordMaskWords(d) words. I_R keeps one per POI (its sup_K) and one per
+// R*-tree node (the OR of its entries' masks): the paper's Eq. 15 bit
+// vector with an identity hash, so a set bit is never a collision and the
+// matching-score bounds of Lemmas 1 and 6 read the exact set.
+//
+// DynamicBitset is a plain variable-width bitset, used for candidate-local
+// adjacency and keyword-union masks in the refinement phase, where set
+// operations become word-parallel AND / ANDNOT loops.
 
 #ifndef GPSSN_COMMON_BITVECTOR_H_
 #define GPSSN_COMMON_BITVECTOR_H_
 
-#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -24,42 +22,6 @@
 #include <vector>
 
 namespace gpssn {
-
-/// 256-bit keyword signature. Keywords are small integer ids (positions in
-/// the global topic vocabulary); each id is hashed to one bit position.
-class KeywordBitVector {
- public:
-  static constexpr int kBits = 256;
-  static constexpr int kWords = kBits / 64;
-
-  KeywordBitVector() : words_{} {}
-
-  /// Builds a signature covering every keyword in `keywords`.
-  static KeywordBitVector FromKeywords(const std::vector<int>& keywords);
-
-  /// Hash position of keyword id `kw` (stable across runs).
-  static int BitFor(int kw);
-
-  void Add(int kw);
-
-  /// True when keyword `kw` MAY be present (false positives possible,
-  /// false negatives impossible).
-  bool MayContain(int kw) const;
-
-  /// Bitwise OR (union of summarized sets), used to aggregate child
-  /// signatures into non-leaf index entries.
-  void UnionWith(const KeywordBitVector& other);
-
-  bool empty() const;
-  int PopCount() const;
-
-  friend bool operator==(const KeywordBitVector& a, const KeywordBitVector& b) {
-    return a.words_ == b.words_;
-  }
-
- private:
-  std::array<uint64_t, kWords> words_;
-};
 
 /// Words of an exact keyword mask over [0, num_topics): bit f of word
 /// f / 64 is keyword f.
@@ -86,11 +48,10 @@ void ForEachSetBit(std::span<const uint64_t> words, Fn&& fn) {
   }
 }
 
-/// Exact variable-width bitset over ids in [0, size). Unlike
-/// KeywordBitVector there is no hashing: bit i means exactly "i is in the
-/// set". Word-level access is exposed so callers can fuse set algebra with
-/// iteration (adjacency ∧ active ∧ ¬seen in the ESU enumerator, masked row
-/// sums in MatchScore).
+/// Exact variable-width bitset over ids in [0, size): bit i means exactly
+/// "i is in the set". Word-level access is exposed so callers can fuse set
+/// algebra with iteration (adjacency ∧ active ∧ ¬seen in the ESU
+/// enumerator, masked row sums in MatchScore).
 class DynamicBitset {
  public:
   DynamicBitset() = default;

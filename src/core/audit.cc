@@ -1,6 +1,7 @@
 #include "core/audit.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -204,14 +205,18 @@ AuditReport AuditPoiIndex(const PoiIndex& index) {
     }
   }
 
-  // Node aggregates, bottom-up via DFS: signatures cover member keywords,
-  // counts add up.
+  // Node aggregates, bottom-up via DFS: each node's mask is the OR of its
+  // entries' masks and its count the sum of theirs, both recomputed, so a
+  // wrong aggregate names its own node and no ancestor.
   struct Frame {
     RNodeId id;
     bool expanded;
   };
   std::vector<Frame> stack = {{tree.root(), false}};
   std::vector<int64_t> subtree_count(tree.num_nodes(), 0);
+  const size_t words = KeywordMaskWords(ssn.num_topics());
+  std::vector<uint64_t> subtree_mask(
+      static_cast<size_t>(tree.num_nodes()) * words, 0);
   while (!stack.empty()) {
     Frame& frame = stack.back();
     const RTreeNode& node = tree.node(frame.id);
@@ -228,25 +233,35 @@ AuditReport AuditPoiIndex(const PoiIndex& index) {
     stack.pop_back();
     const PoiNodeAug& aug = index.node_aug(id);
     int64_t count = 0;
-    if (node.is_leaf()) {
-      count = static_cast<int64_t>(node.entries.size());
-      for (const RTreeEntry& entry : node.entries) {
-        bool covered = true;
-        ForEachSetBit(index.sup_mask(entry.id), [&](size_t kw) {
-          if (covered && !aug.v_sup.MayContain(static_cast<int>(kw))) {
-            covered = false;
-            AddIssue(&report, "poi-node-signature", id,
-                     "node signature misses keyword " + std::to_string(kw) +
-                         " of poi " + std::to_string(entry.id));
-          }
-        });
+    uint64_t* mask = subtree_mask.data() + static_cast<size_t>(id) * words;
+    for (const RTreeEntry& entry : node.entries) {
+      // An id out of range is read nowhere: "rtree-child-id" reports a
+      // child's, and a POI's leaves its node's count short.
+      if (entry.id < 0 ||
+          entry.id >= (node.is_leaf() ? num_pois : tree.num_nodes())) {
+        continue;
       }
-    } else {
-      for (const RTreeEntry& entry : node.entries) {
-        count += subtree_count[entry.id];
-      }
+      const uint64_t* entry_mask =
+          node.is_leaf()
+              ? index.sup_mask(entry.id).data()
+              : subtree_mask.data() + static_cast<size_t>(entry.id) * words;
+      for (size_t w = 0; w < words; ++w) mask[w] |= entry_mask[w];
+      count += node.is_leaf() ? 1 : subtree_count[entry.id];
     }
     subtree_count[id] = count;
+    const std::span<const uint64_t> stored = index.node_mask(id);
+    for (size_t w = 0; w < words; ++w) {
+      const uint64_t diff = stored[w] ^ mask[w];
+      if (diff == 0) continue;
+      const int bit = std::countr_zero(diff);
+      const bool set = (stored[w] >> bit) & 1;
+      AddIssue(&report, "poi-node-mask", id,
+               "node mask " + std::string(set ? "sets" : "clears") +
+                   " keyword " + std::to_string(w * 64 + bit) +
+                   ", the OR of its entries' masks " +
+                   (set ? "clears" : "sets") + " it");
+      break;
+    }
     if (aug.subtree_pois != count) {
       AddIssue(&report, "poi-node-subtree-count", id,
                "subtree_pois = " + std::to_string(aug.subtree_pois) +
@@ -604,8 +619,8 @@ void PruningAuditor::OnPoiMatchPruned(const QueryUserContext& ctx, PoiId poi) {
 void PruningAuditor::OnRoadNodeMatchPruned(const QueryUserContext& ctx,
                                            RNodeId node) {
   if (!Sample(PruneRule::kRoadNodeMatch)) return;
-  // Lemma 6: if the node's bit-vector upper bound is below θ, then every
-  // POI underneath must have an exact sup_K match score below θ.
+  // Lemma 6: if the node mask scores below θ, then every POI underneath
+  // must have an exact sup_K match score below θ.
   std::vector<PoiId> members;
   CollectSubtreePois(node, &members);
   ForSampledIndices(
@@ -615,7 +630,7 @@ void PruningAuditor::OnRoadNodeMatchPruned(const QueryUserContext& ctx,
             MatchScoreOverMask(ctx.w_q, poi_index_->sup_mask(o));
         if (score >= ctx.query.theta) {
           std::ostringstream os;
-          os << "node pruned by signature bound but member poi " << o
+          os << "node pruned by its mask's match score but member poi " << o
              << " has exact sup_K score " << score << " >= theta "
              << ctx.query.theta;
           Report(PruneRule::kRoadNodeMatch, node, os.str());

@@ -9,8 +9,9 @@
 //     every broken invariant with the exact offending node:
 //       * R*-tree: MBR containment, fan-out / minimum-fill bounds, level
 //         coherence (uniform leaf depth), object count.
-//       * I_R augmentations: node signatures cover member signatures,
-//         subtree POI counts add up, stored balls equal a fresh search.
+//       * I_R augmentations: each node mask is the OR of its entries'
+//         masks, subtree POI counts add up, stored balls equal a fresh
+//         search.
 //       * I_S partition tree: leaves partition the user set (disjoint,
 //         complete, consistent with leaf_of_user), interest / social-pivot
 //         lb/ub boxes contain every member, subtree counts and levels are
@@ -71,13 +72,12 @@ struct AuditReport {
 /// entries add up to tree.size().
 AuditReport AuditRStarTree(const RStarTree& tree);
 
-/// AuditRStarTree plus the I_R augmentation invariants: node keyword
-/// signatures cover the sup_K of every POI underneath, each POI carries one
-/// distance per road pivot, subtree_pois counts are exact, and each POI's
-/// stored B(o, r_max) holds
-/// o at distance 0, keeps every distance in [0, r_max] and equals a fresh
-/// PoiLocator::BallWithDistances(position, r_max) ("poi-ball"; one bounded
-/// search per POI).
+/// AuditRStarTree plus the I_R augmentation invariants: every node mask
+/// equals the OR of its entries' masks ("poi-node-mask"), each POI carries
+/// one distance per road pivot, subtree_pois counts are exact, and each
+/// POI's stored B(o, r_max) holds o at distance 0, keeps every distance in
+/// [0, r_max] and equals a fresh PoiLocator::BallWithDistances(position,
+/// r_max) ("poi-ball"; one bounded search per POI).
 AuditReport AuditPoiIndex(const PoiIndex& index);
 
 /// Validates the I_S partition tree: leaf user lists are disjoint and cover
@@ -140,7 +140,7 @@ class PruningAuditor {
                           PruneRule rule);
   /// Lemma 1: POI discarded as a ball center by the sup_K match score.
   void OnPoiMatchPruned(const QueryUserContext& ctx, PoiId poi);
-  /// Lemma 6: I_R node discarded by the bit-vector match upper bound.
+  /// Lemma 6: I_R node discarded by its mask's match score.
   void OnRoadNodeMatchPruned(const QueryUserContext& ctx, RNodeId node);
   /// Eq. 17 object form: the traversal claimed dist_RN(u_q, poi) >= lb.
   void OnPoiDistanceBound(const QueryUserContext& ctx, PoiId poi, double lb);

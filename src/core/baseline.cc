@@ -103,13 +103,22 @@ GpssnAnswer BruteForceGpssn(const SpatialSocialNetwork& ssn,
   return answer;
 }
 
-BaselineEstimate EstimateBaselineCost(const SpatialSocialNetwork& ssn,
-                                      const GpssnQuery& query, int samples,
-                                      uint64_t seed) {
+Result<BaselineEstimate> EstimateBaselineCost(const SpatialSocialNetwork& ssn,
+                                              const GpssnQuery& query,
+                                              int samples, uint64_t seed) {
   GPSSN_CHECK(samples > 0);
   const SocialNetwork& social = ssn.social();
   const int m = social.num_users();
   const int n = ssn.num_pois();
+  if (query.issuer < 0 || query.issuer >= m) {
+    return Status::InvalidArgument("issuer outside [0, |users|)");
+  }
+  if (query.tau < 1 || query.tau > m) {
+    return Status::InvalidArgument("tau outside [1, |users|]");
+  }
+  if (n == 0) {
+    return Status::InvalidArgument("no POI to center a ball on");
+  }
   Rng rng(seed);
   DijkstraEngine engine(&ssn.road());
   PoiLocator locator(&ssn.road(), &ssn.pois());
@@ -124,7 +133,7 @@ BaselineEstimate EstimateBaselineCost(const SpatialSocialNetwork& ssn,
   for (int s = 0; s < samples; ++s) {
     // One candidate pair (S, R): τ−1 random partners + a random center.
     std::vector<UserId> group = {query.issuer};
-    while (static_cast<int>(group.size()) < query.tau && m > query.tau) {
+    while (static_cast<int>(group.size()) < query.tau) {
       const UserId u = static_cast<UserId>(rng.NextBounded(m));
       if (std::find(group.begin(), group.end(), u) == group.end()) {
         group.push_back(u);

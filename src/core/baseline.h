@@ -15,6 +15,7 @@
 #ifndef GPSSN_CORE_BASELINE_H_
 #define GPSSN_CORE_BASELINE_H_
 
+#include "common/result.h"
 #include "core/options.h"
 #include "core/query.h"
 #include "core/stats.h"
@@ -46,9 +47,13 @@ struct BaselineEstimate {
   double estimated_total_days = 0.0;
 };
 
-BaselineEstimate EstimateBaselineCost(const SpatialSocialNetwork& ssn,
-                                      const GpssnQuery& query,
-                                      int samples = 100, uint64_t seed = 1);
+/// Samples `samples` random pairs (S, R) for `query`. InvalidArgument when
+/// the issuer is outside [0, |users|), τ outside [1, |users|], or the
+/// network has no POI to center R on.
+Result<BaselineEstimate> EstimateBaselineCost(const SpatialSocialNetwork& ssn,
+                                              const GpssnQuery& query,
+                                              int samples = 100,
+                                              uint64_t seed = 1);
 
 /// log10 of the binomial coefficient C(n, k) (exact via lgamma).
 double Log10Binomial(int64_t n, int64_t k);

@@ -1,11 +1,27 @@
 #include "core/database.h"
 
+#include <string>
 #include <utility>
 
 #include "common/macros.h"
 #include "core/audit.h"
 
 namespace gpssn {
+
+Status CheckPivotCounts(const SpatialSocialNetwork& ssn,
+                        const GpssnBuildOptions& options) {
+  if (options.num_road_pivots < 1 ||
+      options.num_road_pivots > ssn.road().num_vertices() ||
+      options.num_social_pivots < 1 ||
+      options.num_social_pivots > ssn.num_users()) {
+    return Status::InvalidArgument(
+        "cannot pick " + std::to_string(options.num_road_pivots) +
+        " road and " + std::to_string(options.num_social_pivots) +
+        " social pivots from " + std::to_string(ssn.road().num_vertices()) +
+        " road vertices and " + std::to_string(ssn.num_users()) + " users");
+  }
+  return Status::OK();
+}
 
 GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn)
     : GpssnDatabase(std::move(ssn), GpssnBuildOptions{}) {}
@@ -35,8 +51,7 @@ GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn,
     road_pivot_ids = std::move(restored->road_pivot_ids);
     social_pivot_ids = std::move(restored->social_pivot_ids);
   } else {
-    GPSSN_CHECK(options.num_road_pivots >= 1);
-    GPSSN_CHECK(options.num_social_pivots >= 1);
+    GPSSN_CHECK_OK(CheckPivotCounts(ssn_, options));
     PivotSelectOptions select = options.pivot_select;
     select.seed = options.seed;
     if (options.optimize_pivots) {

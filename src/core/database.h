@@ -52,6 +52,14 @@ struct GpssnBuildOptions {
   size_t distance_cache_entries = 0;
 };
 
+/// OK when `ssn` has room for the pivots `options` asks for: between 1 and
+/// |road vertices| road pivots and between 1 and |users| social pivots, as
+/// pivot selection requires (it aborts otherwise). Whatever builds a
+/// database from a file calls it first: LoadSnapshot on the counts it
+/// read, the shell on a loaded network.
+Status CheckPivotCounts(const SpatialSocialNetwork& ssn,
+                        const GpssnBuildOptions& options);
+
 /// Owns the network, the pivot tables, both indexes, and a processor.
 class GpssnDatabase {
  public:

@@ -103,10 +103,6 @@ bool PrunePoiMatch(const QueryUserContext& ctx,
   return MatchScoreOverMask(ctx.q_run(), sup_mask) < ctx.query.theta;
 }
 
-bool PruneRoadNodeMatch(const QueryUserContext& ctx, const PoiNodeAug& aug) {
-  return UbMatchScore(ctx.q_run(), aug.v_sup) < ctx.query.theta;
-}
-
 double LbDistToPoi(const QueryUserContext& ctx, const PoiAug& aug) {
   double lb = 0.0;
   for (size_t k = 0; k < ctx.rp_dist.size(); ++k) {

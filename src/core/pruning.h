@@ -77,12 +77,12 @@ bool PruneSocialNodeDistance(const QueryUserContext& ctx,
 /// when Match_Score(u_q, sup_K(o_i)) < θ, u_q's run against the sup_K
 /// mask. sup_K covers B(o_i, 2·r_max) ⊇ any answer ball containing o_i, so
 /// this never discards a feasible center.
+///
+/// Lemma 6 / Eq. 15 is the same test over an I_R node's mask
+/// (PoiIndex::node_mask): the union of sup_K over the subtree scores at
+/// least every member's sup_K, so a node below θ holds no feasible center.
 bool PrunePoiMatch(const QueryUserContext& ctx,
                    std::span<const uint64_t> sup_mask);
-
-/// Lemma 6 / Eq. 15: prune I_R node e_R when the bit-vector upper bound of
-/// the matching score w.r.t. u_q (over its run) is below θ.
-bool PruneRoadNodeMatch(const QueryUserContext& ctx, const PoiNodeAug& aug);
 
 /// Eq. 17 (object form): pivot lower bound of dist_RN(u_q, o_i).
 double LbDistToPoi(const QueryUserContext& ctx, const PoiAug& aug);

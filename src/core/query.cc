@@ -412,11 +412,11 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
   // is the one road-distance prune (DESIGN.md §5).
   std::vector<RNodeId> r_frontier;
   auto admit_road = [&](RNodeId id) {
-    const PoiNodeAug& aug = poi_index_->node_aug(id);
     if (id != poi_index_->tree().root() && flags.match_score &&
-        PruneRoadNodeMatch(ctx, aug)) {
+        PrunePoiMatch(ctx, poi_index_->node_mask(id))) {
       ++stats->road_nodes_pruned_match;
-      stats->pois_pruned_at_index_level += aug.subtree_pois;
+      stats->pois_pruned_at_index_level +=
+          poi_index_->node_aug(id).subtree_pois;
       if (auditor != nullptr) auditor->OnRoadNodeMatchPruned(ctx, id);
       return;
     }

@@ -199,25 +199,6 @@ double MatchScoreOverMask(InterestRun interests,
   return s;
 }
 
-double UbMatchScore(std::span<const double> interests,
-                    const KeywordBitVector& signature) {
-  double s = 0.0;
-  for (size_t f = 0; f < interests.size(); ++f) {
-    if (interests[f] > 0.0 && signature.MayContain(static_cast<int>(f))) {
-      s += interests[f];
-    }
-  }
-  return s;
-}
-
-double UbMatchScore(InterestRun interests, const KeywordBitVector& signature) {
-  double s = 0.0;
-  for (size_t i = 0; i < interests.size(); ++i) {
-    if (signature.MayContain(interests.topics[i])) s += interests.weights[i];
-  }
-  return s;
-}
-
 std::vector<KeywordId> UnionKeywords(const SpatialSocialNetwork& ssn,
                                      const std::vector<PoiId>& pois) {
   std::vector<KeywordId> out;

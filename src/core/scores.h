@@ -1,8 +1,8 @@
 // Copyright 2026 The gpssn Authors.
 //
 // The two scores of Definition 5: the common-interest score between users
-// (Eq. 1) and the user-vs-POI-set matching score (Eq. 2), plus the
-// bit-vector upper bound of Eq. 15.
+// (Eq. 1) and the user-vs-POI-set matching score (Eq. 2), the latter also
+// over a keyword mask, which is how Lemmas 1 and 6 score sup_K.
 //
 // Every interest score sums its per-topic terms in one order, the 4-lane
 // order: term f goes to lane f mod 4, each lane adds its terms in ascending
@@ -28,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "common/bitvector.h"
 #include "core/options.h"
 #include "roadnet/types.h"
 #include "ssn/spatial_social_network.h"
@@ -97,14 +96,6 @@ double MatchScoreOverMask(std::span<const double> interests,
 /// (KeywordMaskWords(d) words).
 double MatchScoreOverMask(InterestRun interests,
                           std::span<const uint64_t> mask);
-
-/// Eq. 15: upper bound of the matching score via a hashed keyword
-/// signature. Never smaller than MatchScore against the summarized set.
-double UbMatchScore(std::span<const double> interests,
-                    const KeywordBitVector& signature);
-
-/// UbMatchScore over a run, bit for bit.
-double UbMatchScore(InterestRun interests, const KeywordBitVector& signature);
 
 /// Union of the keyword sets of the given POIs, sorted unique.
 std::vector<KeywordId> UnionKeywords(const SpatialSocialNetwork& ssn,

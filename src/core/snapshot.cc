@@ -105,22 +105,17 @@ Result<std::unique_ptr<GpssnDatabase>> LoadSnapshot(const std::string& path) {
     }
   }
 
-  size_t num_road_pivots = 0, num_social_pivots = 0;
-  if (!(in >> section >> num_road_pivots >> num_social_pivots) ||
-      section != "pivots" || num_road_pivots == 0 || num_social_pivots == 0 ||
-      num_road_pivots > static_cast<size_t>(ssn.road().num_vertices()) ||
-      num_social_pivots > static_cast<size_t>(ssn.num_users())) {
+  if (!(in >> section >> build.num_road_pivots >> build.num_social_pivots) ||
+      section != "pivots" || !CheckPivotCounts(ssn, build).ok()) {
     return Status::IoError("malformed snapshot pivots section");
   }
-  build.num_road_pivots = static_cast<int>(num_road_pivots);
-  build.num_social_pivots = static_cast<int>(num_social_pivots);
-  std::vector<VertexId> road_pivots(num_road_pivots);
+  std::vector<VertexId> road_pivots(build.num_road_pivots);
   for (auto& v : road_pivots) {
     if (!(in >> v) || v < 0 || v >= ssn.road().num_vertices()) {
       return Status::IoError("bad road pivot id");
     }
   }
-  std::vector<UserId> social_pivots(num_social_pivots);
+  std::vector<UserId> social_pivots(build.num_social_pivots);
   for (auto& u : social_pivots) {
     if (!(in >> u) || u < 0 || u >= ssn.num_users()) {
       return Status::IoError("bad social pivot id");

@@ -7,17 +7,6 @@
 
 namespace gpssn {
 
-namespace {
-
-// The hashed signature of an exact sup_K mask.
-KeywordBitVector SignatureOf(std::span<const uint64_t> mask) {
-  KeywordBitVector v;
-  ForEachSetBit(mask, [&](size_t kw) { v.Add(static_cast<int>(kw)); });
-  return v;
-}
-
-}  // namespace
-
 PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
                    const RoadPivotTable* pivots,
                    const PoiIndexOptions& options)
@@ -44,7 +33,6 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
   // --- Per-POI augmentations.
   poi_aug_.resize(n);
   sup_masks_.assign(static_cast<size_t>(n) * mask_words_, 0);
-  sup_sizes_.resize(n);
   for (PoiId id = 0; id < n; ++id) ComputePoiAug(id);
 
   RebuildNodeAugmentations();
@@ -75,12 +63,8 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
   }
 
   poi_aug_.resize(n);
-  sup_sizes_.resize(n);
   for (PoiId id = 0; id < n; ++id) {
-    PoiAug& aug = poi_aug_[id];
-    aug.v_sup = SignatureOf(sup_mask(id));
-    sup_sizes_[id] = static_cast<uint32_t>(CountSetBits(sup_mask(id)));
-    aug.pivot_dist = pivots->PositionDistances(ssn->poi(id).position);
+    poi_aug_[id].pivot_dist = pivots->PositionDistances(ssn->poi(id).position);
     RefreshBall(id);
   }
 
@@ -100,8 +84,6 @@ std::vector<std::pair<PoiId, double>> PoiIndex::ComputePoiAug(PoiId id) {
     AddToKeywordMask(ssn_->poi(other).keywords, ssn_->num_topics(), mask);
     if (dist <= options_.r_max) aug.ball.emplace_back(other, dist);
   }
-  aug.v_sup = SignatureOf(sup_mask(id));
-  sup_sizes_[id] = static_cast<uint32_t>(CountSetBits(sup_mask(id)));
   aug.pivot_dist = pivots_->PositionDistances(poi.position);
   return outer;
 }
@@ -113,6 +95,7 @@ void PoiIndex::RefreshBall(PoiId id) {
 
 void PoiIndex::RebuildNodeAugmentations() {
   node_aug_.assign(tree_.num_nodes(), PoiNodeAug{});
+  node_masks_.assign(static_cast<size_t>(tree_.num_nodes()) * mask_words_, 0);
 
   // Children before parents; node ids do not encode level, so order by
   // level explicitly.
@@ -124,17 +107,12 @@ void PoiIndex::RebuildNodeAugmentations() {
   for (RNodeId id : by_level) {
     const RTreeNode& node = tree_.node(id);
     PoiNodeAug& aug = node_aug_[id];
-    if (node.is_leaf()) {
-      aug.subtree_pois = static_cast<int>(node.entries.size());
-      for (const RTreeEntry& e : node.entries) {
-        aug.v_sup.UnionWith(poi_aug_[e.id].v_sup);
-      }
-    } else {
-      for (const RTreeEntry& e : node.entries) {
-        const PoiNodeAug& child = node_aug_[e.id];
-        aug.subtree_pois += child.subtree_pois;
-        aug.v_sup.UnionWith(child.v_sup);
-      }
+    uint64_t* mask = node_masks_.data() + static_cast<size_t>(id) * mask_words_;
+    for (const RTreeEntry& e : node.entries) {
+      const std::span<const uint64_t> entry =
+          node.is_leaf() ? sup_mask(e.id) : node_mask(e.id);
+      for (size_t w = 0; w < mask_words_; ++w) mask[w] |= entry[w];
+      aug.subtree_pois += node.is_leaf() ? 1 : node_aug_[e.id].subtree_pois;
     }
   }
 
@@ -149,9 +127,9 @@ void PoiIndex::RebuildNodeAugmentations() {
     for (size_t head = 0; head < queue.size(); ++head) {
       const RNodeId id = queue[head];
       const RTreeNode& node = tree_.node(id);
-      // Entry bytes: MBR (32) + id (4); aug: bit vector (32).
-      const uint32_t bytes =
-          static_cast<uint32_t>(node.entries.size() * 36 + 32 + 16);
+      // Entry bytes: MBR (32) + id (4); aug: the node mask.
+      const uint32_t bytes = static_cast<uint32_t>(
+          node.entries.size() * 36 + 8 * mask_words_ + 16);
       node_aug_[id].page = alloc.Place(bytes);
       if (!node.is_leaf()) {
         for (const RTreeEntry& e : node.entries) {
@@ -166,9 +144,9 @@ void PoiIndex::RebuildNodeAugmentations() {
   const int n = static_cast<int>(poi_aug_.size());
   poi_page_.resize(n);
   for (PoiId id = 0; id < n; ++id) {
-    // The payload record holds sup_K as 4-byte keyword ids.
+    // The payload record holds sup_K as its mask, as a node holds V_sup.
     const uint32_t bytes = static_cast<uint32_t>(
-        24 + 4 * sup_sizes_[id] + 8 * poi_aug_[id].pivot_dist.size() + 32);
+        24 + 8 * mask_words_ + 8 * poi_aug_[id].pivot_dist.size());
     poi_page_[id] = alloc.Place(bytes);
   }
 }
@@ -186,7 +164,6 @@ Status PoiIndex::InsertPoi(PoiId id) {
   // Fresh augmentations for the new POI.
   poi_aug_.emplace_back();
   sup_masks_.resize(sup_masks_.size() + mask_words_, 0);
-  sup_sizes_.push_back(0);
   const auto reverse = ComputePoiAug(id);
 
   // Reverse ball update: the new POI now appears inside the precomputed
@@ -200,11 +177,8 @@ Status PoiIndex::InsertPoi(PoiId id) {
       options_.r_max + 1e-9 * std::max(1.0, options_.r_max);
   for (const auto& [other, dist] : reverse) {
     if (other == id) continue;
-    PoiAug& aug = poi_aug_[other];
     AddToKeywordMask(poi.keywords, ssn_->num_topics(),
                      mutable_sup_mask(other));
-    sup_sizes_[other] = static_cast<uint32_t>(CountSetBits(sup_mask(other)));
-    for (KeywordId kw : poi.keywords) aug.v_sup.Add(kw);
     if (dist <= refresh_radius) RefreshBall(other);
   }
 

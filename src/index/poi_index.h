@@ -5,11 +5,12 @@
 //
 //   * per POI o_i:   sup_K = union of keywords of POIs within road distance
 //                    2·r_max of o_i (candidate superset R' of Fig. 2), as
-//                    an exact topic mask and a hashed signature;
+//                    an exact topic mask;
 //                    the ball B(o_i, r_max) with exact distances, from which
 //                    a query reads every candidate ball B(o_i, r), r <= r_max;
 //                    exact road distances to the h road pivots.
-//   * per node e_R:  V_sup bit vector (OR of children, Lemma 6 / Eq. 15).
+//   * per node e_R:  V_sup, the OR of its entries' masks (Lemma 6 / Eq. 15
+//                    with one bit per topic, so no bit is a collision).
 //
 // The paper's node pivot boxes (Eqs. 7-8) and sub_K sets (Eq. 18) are not
 // stored: no prune that is sound on its own reads them (DESIGN.md §5).
@@ -47,7 +48,6 @@ struct PoiIndexOptions {
 
 /// Augmentations of one POI (leaf object of I_R).
 struct PoiAug {
-  KeywordBitVector v_sup;                // Hash signature of sup_K.
   std::vector<double> pivot_dist;        // dist_RN(o_i, rp_k), k = 1..h.
   // B(o_i, r_max): every POI within road distance r_max of o_i with that
   // distance, bit-identical to PoiLocator::BallWithDistances(position,
@@ -59,7 +59,6 @@ struct PoiAug {
 
 /// Augmentations of one R*-tree node of I_R.
 struct PoiNodeAug {
-  KeywordBitVector v_sup;  // OR of member signatures.
   int subtree_pois = 0;    // POIs under this node (pruning power).
   PageId page = kInvalidPage;
 };
@@ -75,7 +74,7 @@ class PoiIndex {
 
   /// Snapshot-loading constructor: takes the sup_K masks of a previous
   /// build (KeywordMaskWords(d) words per POI, in id order), so the
-  /// 2·r_max ball queries are skipped; bit vectors and pivot distances are
+  /// 2·r_max ball queries are skipped; node masks and pivot distances are
   /// recomputed, and each POI's ball with one bounded search of radius
   /// r_max.
   PoiIndex(const SpatialSocialNetwork* ssn, const RoadPivotTable* pivots,
@@ -96,6 +95,15 @@ class PoiIndex {
             mask_words_};
   }
 
+  /// V_sup of R*-tree node `id`: the OR of its entries' masks (the sup_K
+  /// masks of a leaf's POIs, the node masks of an internal node's
+  /// children), so it is the union of sup_K over the subtree, in
+  /// sup_mask's layout.
+  std::span<const uint64_t> node_mask(RNodeId id) const {
+    return {node_masks_.data() + static_cast<size_t>(id) * mask_words_,
+            mask_words_};
+  }
+
   const PoiNodeAug& node_aug(RNodeId id) const { return node_aug_[id]; }
 
   /// Page of the (single) leaf page holding POI object payloads for `id`
@@ -111,6 +119,10 @@ class PoiIndex {
   /// outside tests.
   PoiAug& mutable_poi_aug_for_test(PoiId id) { return poi_aug_[id]; }
   PoiNodeAug& mutable_node_aug_for_test(RNodeId id) { return node_aug_[id]; }
+  std::span<uint64_t> mutable_node_mask_for_test(RNodeId id) {
+    return {node_masks_.data() + static_cast<size_t>(id) * mask_words_,
+            mask_words_};
+  }
   RStarTree& mutable_tree_for_test() { return tree_; }
 
   /// Dynamic maintenance: registers the POI `id` that was just appended to
@@ -132,8 +144,8 @@ class PoiIndex {
   uint64_t* mutable_sup_mask(PoiId id) {
     return sup_masks_.data() + static_cast<size_t>(id) * mask_words_;
   }
-  /// Recomputes every node's aggregates (bit vectors, subtree counts) and
-  /// the page layout from the current tree.
+  /// Recomputes every node's aggregates (masks, subtree counts) and the
+  /// page layout from the current tree.
   void RebuildNodeAugmentations();
 
   const SpatialSocialNetwork* ssn_;
@@ -142,8 +154,8 @@ class PoiIndex {
   RStarTree tree_;
   std::vector<PoiAug> poi_aug_;
   size_t mask_words_;                // KeywordMaskWords(d).
-  std::vector<uint64_t> sup_masks_;  // mask_words_ per POI, in id order.
-  std::vector<uint32_t> sup_sizes_;  // |sup_K| per POI, for the layout.
+  std::vector<uint64_t> sup_masks_;   // mask_words_ per POI, in id order.
+  std::vector<uint64_t> node_masks_;  // mask_words_ per node, in id order.
   std::vector<PoiNodeAug> node_aug_;
   std::vector<PageId> poi_page_;
   // The index's own ball searches (build and InsertPoi); queries never

@@ -432,87 +432,4 @@ void ContractionHierarchy::Build(const RoadNetwork* graph) {
   up_arcs_ = std::move(builder.up_arcs);
 }
 
-ChQuery::ChQuery(const ContractionHierarchy* ch) : ch_(ch) {
-  GPSSN_CHECK(ch != nullptr && ch->built());
-  const int n = ch->graph().num_vertices();
-  for (int side = 0; side < 2; ++side) {
-    dist_[side].resize(n, kInfDistance);
-    stamp_[side].resize(n, 0);
-  }
-}
-
-double ChQuery::VertexToVertex(VertexId s, VertexId t) {
-  const int n = ch_->graph().num_vertices();
-  GPSSN_CHECK(s >= 0 && s < n && t >= 0 && t < n);
-  if (s == t) return 0.0;
-  ++generation_;
-  if (generation_ == 0) {
-    for (int side = 0; side < 2; ++side) {
-      std::fill(stamp_[side].begin(), stamp_[side].end(), 0);
-    }
-    generation_ = 1;
-  }
-  heap_[0].clear();
-  heap_[1].clear();
-  last_settled_ = 0;
-  auto greater = [](const std::pair<double, VertexId>& a,
-                    const std::pair<double, VertexId>& b) {
-    return a.first > b.first;
-  };
-  auto relax = [&](int side, VertexId v, double d) {
-    if (stamp_[side][v] == generation_ && dist_[side][v] <= d) return;
-    dist_[side][v] = d;
-    stamp_[side][v] = generation_;
-    heap_[side].emplace_back(d, v);
-    std::push_heap(heap_[side].begin(), heap_[side].end(), greater);
-  };
-  relax(0, s, 0.0);
-  relax(1, t, 0.0);
-
-  double best = kInfDistance;
-  // Both searches run to exhaustion of keys below `best` (upward graphs are
-  // small, so this stays cheap).
-  for (int side = 0; side < 2; ++side) {
-    while (!heap_[side].empty()) {
-      std::pop_heap(heap_[side].begin(), heap_[side].end(), greater);
-      const auto [d, v] = heap_[side].back();
-      heap_[side].pop_back();
-      if (stamp_[side][v] != generation_ || d > dist_[side][v]) continue;
-      if (d >= best) continue;
-      ++last_settled_;
-      const int other = 1 - side;
-      if (stamp_[other][v] == generation_) {
-        best = std::min(best, d + dist_[other][v]);
-      }
-      for (const auto& arc : ch_->up(v)) {
-        relax(side, arc.to, d + arc.weight);
-      }
-    }
-  }
-  // The meeting minimum must be re-checked after both sides finished (a
-  // backward label may have been written after the forward side visited).
-  // Scan the smaller frontier's touched vertices via the heaps is no longer
-  // possible (drained), so recompute over the meeting candidates lazily:
-  // labels survive in dist_/stamp_, and every settled forward vertex was
-  // compared when popped; vertices settled backward AFTER the forward pop
-  // are covered because the backward pop also compares. Hence `best` is
-  // already exact here.
-  return best;
-}
-
-double ChQuery::PositionToPosition(const EdgePosition& a,
-                                   const EdgePosition& b) {
-  const RoadNetwork& g = ch_->graph();
-  double best = SameEdgeDistance(g, a, b);
-  for (VertexId sa : {g.edge_u(a.edge), g.edge_v(a.edge)}) {
-    for (VertexId tb : {g.edge_u(b.edge), g.edge_v(b.edge)}) {
-      const double mid = VertexToVertex(sa, tb);
-      if (mid < kInfDistance) {
-        best = std::min(best, g.OffsetTo(a, sa) + mid + g.OffsetTo(b, tb));
-      }
-    }
-  }
-  return best;
-}
-
 }  // namespace gpssn

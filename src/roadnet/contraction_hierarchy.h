@@ -3,8 +3,10 @@
 // Contraction hierarchies (Geisberger et al. 2008) over the road network:
 // an exact distance oracle that preprocesses the graph by contracting
 // vertices in importance order (inserting shortcuts that preserve shortest
-// paths) and answers point-to-point queries with a bidirectional upward
-// search touching only a tiny fraction of the graph.
+// paths), so an upward search from each end of a shortest path meets the
+// other at the path's highest vertex, touching only a tiny fraction of the
+// graph. The bucket engine of roadnet/distance_backend.h answers the query
+// path's one-to-many distances that way.
 //
 // Construction is ROUND-BASED: each round recomputes priorities for dirty
 // vertices, selects the priority-local-minima (an independent set — no two
@@ -51,7 +53,7 @@ struct ChOptions {
 };
 
 /// Preprocessed hierarchy. Build once (seconds for 10^5-vertex graphs),
-/// then query from any number of ChQuery engines.
+/// then query from any number of MakeChBackend engines.
 class ContractionHierarchy {
  public:
   /// Upward arc: an original road edge or a shortcut, to a higher-ranked
@@ -99,32 +101,6 @@ class ContractionHierarchy {
   std::vector<UpArc> up_arcs_;
   int num_shortcuts_ = 0;
   int build_rounds_ = 0;
-};
-
-/// Query engine over a built hierarchy. Reusable arenas; not thread-safe
-/// (one engine per thread).
-class ChQuery {
- public:
-  explicit ChQuery(const ContractionHierarchy* ch);
-
-  /// Exact dist_RN(s, t) (kInfDistance when disconnected).
-  double VertexToVertex(VertexId s, VertexId t);
-
-  /// Exact distance between positions on edges (same-edge shortcut
-  /// included).
-  double PositionToPosition(const EdgePosition& a, const EdgePosition& b);
-
-  /// Vertices settled by the last query (both directions).
-  size_t last_settled() const { return last_settled_; }
-
- private:
-  const ContractionHierarchy* ch_;
-  // Two-sided upward Dijkstra state.
-  std::vector<double> dist_[2];
-  std::vector<uint32_t> stamp_[2];
-  uint32_t generation_ = 0;
-  std::vector<std::pair<double, VertexId>> heap_[2];
-  size_t last_settled_ = 0;
 };
 
 }  // namespace gpssn

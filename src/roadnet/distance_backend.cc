@@ -71,9 +71,9 @@ class DijkstraBackend final : public DistanceBackend {
 /// single upward search from the source and, at each settled vertex v,
 /// combines its label with v's bucket entries: because the hierarchy
 /// preserves shortest paths, min over meeting vertices of
-/// d_up(source, v) + d_up(target, v) is the exact road distance (the same
-/// invariant ChQuery relies on — one forward frontier amortizes over ALL
-/// targets instead of paying one bidirectional query each).
+/// d_up(source, v) + d_up(target, v) is the exact road distance (one
+/// forward frontier amortizes over ALL targets instead of paying one
+/// bidirectional query each).
 class ChDistanceEngine final : public DistanceEngine {
  public:
   ChDistanceEngine(const ContractionHierarchy* ch,

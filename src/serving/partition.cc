@@ -106,110 +106,44 @@ Result<ServingPartition> MakeServingPartition(const SocialIndex& social,
     partition.scopes[s].road_roots = std::move(r_groups[s]);
   }
 
-  // --- Ownership maps (and, implicitly, the coverage invariant).
-  partition.user_shard.assign(social.ssn().num_users(), -1);
-  partition.poi_shard.assign(social.ssn().num_pois(), -1);
-  for (int s = 0; s < num_shards; ++s) {
-    std::vector<SNodeId> stack(partition.scopes[s].social_roots);
+  // --- COVERAGE: one walk over the scopes, each user and POI met once.
+  std::vector<uint8_t> user_seen(social.ssn().num_users(), 0);
+  std::vector<uint8_t> poi_seen(social.ssn().num_pois(), 0);
+  size_t users_seen = 0, pois_seen = 0;
+  for (const ShardScope& scope : partition.scopes) {
+    std::vector<SNodeId> stack(scope.social_roots);
     while (!stack.empty()) {
-      const SNodeId id = stack.back();
+      const SocialIndexNode& node = social.node(stack.back());
       stack.pop_back();
-      const SocialIndexNode& node = social.node(id);
-      if (node.is_leaf()) {
-        for (UserId u : node.users) {
-          if (partition.user_shard[u] != -1) {
-            return Status::Internal("user owned by two shards");
-          }
-          partition.user_shard[u] = s;
-        }
-      } else {
-        for (SNodeId child : node.children) stack.push_back(child);
+      for (SNodeId child : node.children) stack.push_back(child);
+      for (UserId u : node.users) {
+        if (user_seen[u]) return Status::Internal("user owned by two shards");
+        user_seen[u] = 1;
+        ++users_seen;
       }
     }
-    std::vector<RNodeId> r_stack(partition.scopes[s].road_roots);
+    std::vector<RNodeId> r_stack(scope.road_roots);
     while (!r_stack.empty()) {
-      const RNodeId id = r_stack.back();
+      const RTreeNode& node = tree.node(r_stack.back());
       r_stack.pop_back();
-      const RTreeNode& node = tree.node(id);
       for (const RTreeEntry& e : node.entries) {
-        if (node.is_leaf()) {
-          if (partition.poi_shard[e.id] != -1) {
-            return Status::Internal("poi owned by two shards");
-          }
-          partition.poi_shard[e.id] = s;
-        } else {
+        if (!node.is_leaf()) {
           r_stack.push_back(e.id);
+          continue;
         }
+        if (poi_seen[e.id]) return Status::Internal("poi owned by two shards");
+        poi_seen[e.id] = 1;
+        ++pois_seen;
       }
     }
   }
-  for (int32_t s : partition.user_shard) {
-    if (s == -1) return Status::Internal("user not covered by any shard");
+  if (users_seen != user_seen.size()) {
+    return Status::Internal("user not covered by any shard");
   }
-  for (int32_t s : partition.poi_shard) {
-    if (s == -1) return Status::Internal("poi not covered by any shard");
+  if (pois_seen != poi_seen.size()) {
+    return Status::Internal("poi not covered by any shard");
   }
   return partition;
-}
-
-Status ValidateServingPartition(const ServingPartition& partition,
-                                const SocialIndex& social,
-                                const PoiIndex& poi) {
-  // MakeServingPartition already proves coverage while deriving the
-  // ownership maps; re-derive and cross-check here so a hand-built or
-  // mutated partition is caught too.
-  auto rebuilt = MakeServingPartition(
-      social, poi, static_cast<int>(partition.scopes.size()));
-  if (!rebuilt.ok()) return rebuilt.status();
-  if (partition.user_shard.size() !=
-          static_cast<size_t>(social.ssn().num_users()) ||
-      partition.poi_shard.size() !=
-          static_cast<size_t>(social.ssn().num_pois())) {
-    return Status::InvalidArgument("ownership map size mismatch");
-  }
-  std::vector<int32_t> user_seen(partition.user_shard.size(), -1);
-  std::vector<int32_t> poi_seen(partition.poi_shard.size(), -1);
-  for (size_t s = 0; s < partition.scopes.size(); ++s) {
-    std::vector<SNodeId> stack(partition.scopes[s].social_roots);
-    while (!stack.empty()) {
-      const SNodeId id = stack.back();
-      stack.pop_back();
-      const SocialIndexNode& node = social.node(id);
-      if (node.is_leaf()) {
-        for (UserId u : node.users) {
-          if (user_seen[u] != -1) {
-            return Status::Internal("user in two scopes");
-          }
-          user_seen[u] = static_cast<int32_t>(s);
-        }
-      } else {
-        for (SNodeId child : node.children) stack.push_back(child);
-      }
-    }
-    std::vector<RNodeId> r_stack(partition.scopes[s].road_roots);
-    while (!r_stack.empty()) {
-      const RNodeId id = r_stack.back();
-      r_stack.pop_back();
-      const RTreeNode& node = poi.tree().node(id);
-      for (const RTreeEntry& e : node.entries) {
-        if (node.is_leaf()) {
-          if (poi_seen[e.id] != -1) {
-            return Status::Internal("poi in two scopes");
-          }
-          poi_seen[e.id] = static_cast<int32_t>(s);
-        } else {
-          r_stack.push_back(e.id);
-        }
-      }
-    }
-  }
-  if (user_seen != partition.user_shard) {
-    return Status::Internal("user ownership map disagrees with scopes");
-  }
-  if (poi_seen != partition.poi_shard) {
-    return Status::Internal("poi ownership map disagrees with scopes");
-  }
-  return Status::OK();
 }
 
 }  // namespace gpssn::serving

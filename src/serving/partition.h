@@ -5,8 +5,8 @@
 // users by social partition-tree subtree, POIs by R*-tree region — so each
 // shard's gather stage descends only its own slice of I_S / I_R.
 //
-// Partitioning invariants (validated by ValidateServingPartition and
-// tests/serving/partitioner_test.cc):
+// Partitioning invariants (COVERAGE is checked by MakeServingPartition,
+// all three by tests/serving/partitioner_test.cc):
 //   * COVERAGE: every user / POI is under exactly one shard's scope.
 //   * ORDER: concatenating the shards' scopes in shard order visits the
 //     index leaves in the same left-to-right order a single-node descent
@@ -34,28 +34,18 @@ namespace gpssn::serving {
 struct ServingPartition {
   /// Per-shard index scopes, in shard order (size = num_shards).
   std::vector<ShardScope> scopes;
-  /// Owning shard per user / POI (derived from the scopes; used by tests
-  /// and by the coordinator to route candidate-specific work).
-  std::vector<int32_t> user_shard;
-  std::vector<int32_t> poi_shard;
 };
 
 /// Splits both indexes into `num_shards` scopes. The frontier is grown
 /// level-synchronously from each root (internal nodes replaced by their
 /// children, leaves kept in place — preserving left-to-right order) until
 /// it holds at least `num_shards` nodes or only leaves remain, then packed
-/// contiguously into shards balanced by subtree weight. Returns
-/// InvalidArgument for num_shards < 1.
+/// contiguously into shards balanced by subtree weight. One walk over the
+/// scopes then checks COVERAGE. Returns InvalidArgument for
+/// num_shards < 1, and Internal if a user or POI is in no scope or in two.
 Result<ServingPartition> MakeServingPartition(const SocialIndex& social,
                                               const PoiIndex& poi,
                                               int num_shards);
-
-/// Checks the coverage/disjointness invariants (every user and POI in
-/// exactly one scope, scope lists within each tree disjoint). Used by
-/// tests and debug builds; O(index size).
-Status ValidateServingPartition(const ServingPartition& partition,
-                                const SocialIndex& social,
-                                const PoiIndex& poi);
 
 }  // namespace gpssn::serving
 

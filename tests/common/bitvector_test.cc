@@ -1,95 +1,59 @@
-// Tests for the keyword bit-vector signatures: the load-bearing property is
-// NO FALSE NEGATIVES — a signature must never deny a keyword that was added
-// (upper-bound soundness of Lemmas 1/6 depends on it).
+// Tests for the exact bit sets: a keyword mask holds exactly the keywords
+// added to it (Lemmas 1 and 6 score it as the keyword set itself), and
+// the set-bit walks and counts see exactly the set bits.
 
 #include "common/bitvector.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <vector>
 
 #include "common/rng.h"
 
 namespace gpssn {
 namespace {
 
-TEST(KeywordBitVectorTest, EmptyByDefault) {
-  KeywordBitVector v;
-  EXPECT_TRUE(v.empty());
-  EXPECT_EQ(v.PopCount(), 0);
-  EXPECT_FALSE(v.MayContain(0));
-  EXPECT_FALSE(v.MayContain(12345));
-}
-
-TEST(KeywordBitVectorTest, AddedKeywordsAlwaysFound) {
-  KeywordBitVector v;
-  for (int kw : {0, 1, 5, 99, 255, 256, 100000}) {
-    v.Add(kw);
-    EXPECT_TRUE(v.MayContain(kw)) << kw;
-  }
-}
-
-TEST(KeywordBitVectorTest, NoFalseNegativesProperty) {
+TEST(KeywordMaskTest, HoldsExactlyTheKeywordsInRange) {
   Rng rng(7);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<int> kws;
-    const int count = 1 + static_cast<int>(rng.NextBounded(40));
-    for (int i = 0; i < count; ++i) {
-      kws.push_back(static_cast<int>(rng.NextBounded(100000)));
+  for (int num_topics : {1, 63, 64, 65, 100, 130}) {
+    const size_t words = KeywordMaskWords(num_topics);
+    ASSERT_EQ(words, static_cast<size_t>((num_topics + 63) / 64));
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<int> keywords;
+      std::set<size_t> in_range;
+      for (int i = 0; i < 12; ++i) {
+        // Ids up to 2 · num_topics: the ones outside the vocabulary drop.
+        const int kw = static_cast<int>(rng.NextBounded(2 * num_topics)) - 1;
+        keywords.push_back(kw);
+        if (kw >= 0 && kw < num_topics) in_range.insert(kw);
+      }
+      std::vector<uint64_t> mask(words, 0);
+      AddToKeywordMask(keywords, num_topics, mask.data());
+      std::vector<size_t> walked;
+      ForEachSetBit(mask, [&](size_t kw) { walked.push_back(kw); });
+      ASSERT_EQ(walked, std::vector<size_t>(in_range.begin(), in_range.end()))
+          << "num_topics " << num_topics;
+      ASSERT_EQ(CountSetBits(mask), in_range.size());
     }
-    const KeywordBitVector v = KeywordBitVector::FromKeywords(kws);
-    for (int kw : kws) ASSERT_TRUE(v.MayContain(kw));
   }
 }
 
-TEST(KeywordBitVectorTest, FalsePositiveRateIsBounded) {
-  Rng rng(11);
-  // 20 keywords in 256 bits: false-positive rate should be well under 20%.
-  std::vector<int> kws;
-  for (int i = 0; i < 20; ++i) kws.push_back(static_cast<int>(rng.NextBounded(1 << 20)));
-  const KeywordBitVector v = KeywordBitVector::FromKeywords(kws);
-  int fp = 0;
-  const int probes = 5000;
-  for (int i = 0; i < probes; ++i) {
-    const int probe = (1 << 20) + static_cast<int>(rng.NextBounded(1 << 20));
-    if (v.MayContain(probe)) ++fp;
-  }
-  EXPECT_LT(fp, probes / 5);
-}
-
-TEST(KeywordBitVectorTest, UnionIsSupersetOfBoth) {
-  Rng rng(13);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<int> a, b;
-    for (int i = 0; i < 10; ++i) {
-      a.push_back(static_cast<int>(rng.NextBounded(1000)));
-      b.push_back(static_cast<int>(rng.NextBounded(1000)));
-    }
-    KeywordBitVector va = KeywordBitVector::FromKeywords(a);
-    const KeywordBitVector vb = KeywordBitVector::FromKeywords(b);
-    va.UnionWith(vb);
-    for (int kw : a) ASSERT_TRUE(va.MayContain(kw));
-    for (int kw : b) ASSERT_TRUE(va.MayContain(kw));
-  }
-}
-
-TEST(KeywordBitVectorTest, PopCountMatchesDistinctBits) {
-  KeywordBitVector v;
-  v.Add(1);
-  const int after_one = v.PopCount();
-  EXPECT_EQ(after_one, 1);
-  v.Add(1);  // Re-adding is idempotent.
-  EXPECT_EQ(v.PopCount(), 1);
-  v.Add(2);
-  EXPECT_GE(v.PopCount(), 1);
-  EXPECT_LE(v.PopCount(), 2);
-}
-
-TEST(KeywordBitVectorTest, EqualityAndDeterminism) {
-  const std::vector<int> kws = {3, 14, 15, 92, 65};
-  EXPECT_TRUE(KeywordBitVector::FromKeywords(kws) ==
-              KeywordBitVector::FromKeywords(kws));
-  EXPECT_EQ(KeywordBitVector::BitFor(42), KeywordBitVector::BitFor(42));
-  EXPECT_GE(KeywordBitVector::BitFor(42), 0);
-  EXPECT_LT(KeywordBitVector::BitFor(42), KeywordBitVector::kBits);
+TEST(DynamicBitsetTest, SetClearTestAndWalk) {
+  DynamicBitset bits(130);
+  EXPECT_EQ(bits.size(), 130u);
+  EXPECT_EQ(bits.num_words(), 3u);
+  for (size_t i : {0, 63, 64, 129}) bits.Set(i);
+  bits.Clear(63);
+  EXPECT_TRUE(bits.Test(64));
+  EXPECT_FALSE(bits.Test(63));
+  EXPECT_EQ(bits.PopCount(), 3u);
+  std::vector<size_t> walked;
+  bits.ForEach([&](size_t i) { walked.push_back(i); });
+  EXPECT_EQ(walked, (std::vector<size_t>{0, 64, 129}));
+  bits.Reset(10);
+  EXPECT_EQ(bits.num_words(), 1u);
+  EXPECT_EQ(bits.PopCount(), 0u);
 }
 
 }  // namespace

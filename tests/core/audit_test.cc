@@ -116,6 +116,34 @@ TEST_F(AuditTest, PoiSubtreeCountCorruptionIsLocalizedToNode) {
       << report.ToString();
 }
 
+TEST_F(AuditTest, PoiNodeMaskCorruptionIsLocalizedToNode) {
+  // Flip one bit of a non-root node's mask. The check recomputes each
+  // node's OR from its entries, so it names that node and no ancestor.
+  const RTreeNode& root = poi_index_->tree().node(poi_index_->tree().root());
+  ASSERT_FALSE(root.is_leaf()) << "fixture too small: root is a leaf";
+  const RNodeId victim = root.entries.back().id;
+  for (int bit : {0, ssn_->num_topics()}) {
+    // Bit d is past the vocabulary, so no POI holds it: a check that ORed
+    // the stored child masks would name the root as well.
+    ASSERT_LT(bit, 64);
+    poi_index_->mutable_node_mask_for_test(victim)[0] ^= uint64_t{1} << bit;
+    const AuditReport report = AuditPoiIndex(*poi_index_);
+    ASSERT_EQ(report.issues.size(), 1u) << report.ToString();
+    EXPECT_TRUE(HasIssue(report, "poi-node-mask", victim))
+        << report.ToString();
+    poi_index_->mutable_node_mask_for_test(victim)[0] ^= uint64_t{1} << bit;
+  }
+}
+
+TEST_F(AuditTest, OutOfRangeChildIdIsReportedNotRead) {
+  RStarTree& tree = poi_index_->mutable_tree_for_test();
+  const RNodeId root = tree.root();
+  ASSERT_FALSE(tree.node(root).is_leaf()) << "fixture too small";
+  tree.mutable_node_for_test(root).entries[0].id = tree.num_nodes() + 1000;
+  const AuditReport report = AuditPoiIndex(*poi_index_);
+  EXPECT_TRUE(HasIssue(report, "rtree-child-id", root)) << report.ToString();
+}
+
 TEST_F(AuditTest, PoiBallCorruptionIsLocalizedToPoi) {
   // Drop one member (not the POI itself) from a stored B(o, r_max).
   PoiId victim = kInvalidPoi;

@@ -4,6 +4,8 @@
 #include "core/baseline.h"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -103,7 +105,8 @@ TEST(EstimateBaselineTest, ProducesAstronomicalCostAtScale) {
   GpssnQuery q;
   q.issuer = 1;
   q.tau = 5;
-  const BaselineEstimate est = EstimateBaselineCost(ssn, q, /*samples=*/20, 3);
+  const BaselineEstimate est =
+      EstimateBaselineCost(ssn, q, /*samples=*/20, 3).value();
   // C(119, 4) * 80 pairs ~ 1.1e9; per-pair cost is > 1 I/O, so the total
   // must be huge.
   EXPECT_GT(est.log10_candidate_pairs, 8.0);
@@ -120,8 +123,39 @@ TEST(EstimateBaselineTest, MorePairsForLargerTau) {
   small.issuer = large.issuer = 0;
   small.tau = 2;
   large.tau = 6;
-  EXPECT_LT(EstimateBaselineCost(ssn, small, 5, 1).log10_candidate_pairs,
-            EstimateBaselineCost(ssn, large, 5, 1).log10_candidate_pairs);
+  EXPECT_LT(EstimateBaselineCost(ssn, small, 5, 1)->log10_candidate_pairs,
+            EstimateBaselineCost(ssn, large, 5, 1)->log10_candidate_pairs);
+}
+
+TEST(EstimateBaselineTest, RejectsQueriesItCannotSample) {
+  const SpatialSocialNetwork ssn = SmallNetwork(13);
+  const int m = ssn.num_users();
+  GpssnQuery q;
+  q.tau = 3;
+  for (UserId issuer : {-100000000, -1, m}) {
+    q.issuer = issuer;
+    EXPECT_TRUE(EstimateBaselineCost(ssn, q, 2, 1).status().IsInvalidArgument())
+        << "issuer " << issuer;
+  }
+  q.issuer = 0;
+  for (int tau : {0, -3, m + 1}) {
+    q.tau = tau;
+    EXPECT_TRUE(EstimateBaselineCost(ssn, q, 2, 1).status().IsInvalidArgument())
+        << "tau " << tau;
+  }
+  // τ = |users|: every user is in the one sampled group.
+  q.tau = m;
+  EXPECT_TRUE(EstimateBaselineCost(ssn, q, 2, 1).ok());
+
+  // A network with users and no POI has no ball to center.
+  std::vector<EdgePosition> homes(m);
+  for (UserId u = 0; u < m; ++u) homes[u] = ssn.user_home(u);
+  const SpatialSocialNetwork no_pois(RoadNetwork(ssn.road()),
+                                     SocialNetwork(ssn.social()),
+                                     std::move(homes), {});
+  q.tau = 3;
+  EXPECT_TRUE(
+      EstimateBaselineCost(no_pois, q, 2, 1).status().IsInvalidArgument());
 }
 
 }  // namespace

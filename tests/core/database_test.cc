@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "ssn/dataset.h"
+#include "ssn/serialize.h"
 
 namespace gpssn {
 namespace {
@@ -18,6 +23,42 @@ SyntheticSsnOptions MediumData(uint64_t seed) {
   data.num_topics = 40;
   data.seed = seed;
   return data;
+}
+
+TEST(DatabaseTest, CheckPivotCountsNeedsRoomForThePivots) {
+  SyntheticSsnOptions data;
+  data.num_road_vertices = 64;
+  data.num_pois = 10;
+  data.num_users = 12;
+  data.seed = 3;
+  const SpatialSocialNetwork ssn = MakeSynthetic(data);
+  GpssnBuildOptions build;
+  EXPECT_TRUE(CheckPivotCounts(ssn, build).ok());
+  build.num_social_pivots = ssn.num_users();
+  build.num_road_pivots = ssn.road().num_vertices();
+  EXPECT_TRUE(CheckPivotCounts(ssn, build).ok());
+  for (const auto& [road, social] :
+       {std::pair{0, 5}, std::pair{5, 0}, std::pair{-1, 5},
+        std::pair{ssn.road().num_vertices() + 1, 5},
+        std::pair{5, ssn.num_users() + 1}}) {
+    build.num_road_pivots = road;
+    build.num_social_pivots = social;
+    EXPECT_TRUE(CheckPivotCounts(ssn, build).IsInvalidArgument())
+        << road << " road, " << social << " social pivots";
+  }
+
+  // A network file with no users loads, and cannot be indexed.
+  std::vector<EdgePosition> no_homes;
+  const SpatialSocialNetwork no_users(RoadNetwork(ssn.road()),
+                                      SocialNetworkBuilder(4).Build(),
+                                      no_homes, {});
+  const std::string path =
+      std::string(::testing::TempDir()) + "/no_users.gpssn";
+  ASSERT_TRUE(SaveSsn(no_users, path).ok());
+  const auto loaded = LoadSsn(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(CheckPivotCounts(*loaded, GpssnBuildOptions{})
+                  .IsInvalidArgument());
 }
 
 TEST(DatabaseTest, BuildsAllComponents) {

@@ -203,17 +203,34 @@ TEST_F(PruningTest, PoiMatchPruningIsSoundForAnyRadius) {
 }
 
 TEST_F(PruningTest, RoadNodeMatchPruningImpliesPoiPruning) {
-  const GpssnQuery q = MakeQuery(5);
-  const QueryUserContext ctx(q, *social_index_);
-  for (RNodeId id = 0; id < poi_index_->tree().num_nodes(); ++id) {
-    const RTreeNode& node = poi_index_->tree().node(id);
-    if (!node.is_leaf()) continue;
-    if (!PruneRoadNodeMatch(ctx, poi_index_->node_aug(id))) continue;
-    for (const RTreeEntry& e : node.entries) {
-      ASSERT_TRUE(PrunePoiMatch(ctx, poi_index_->sup_mask(e.id)))
-          << "node-level pruning must imply object-level pruning";
+  // Lemma 6: a node whose mask scores below θ holds no POI that Lemma 1
+  // keeps, at every level of I_R.
+  const RStarTree& tree = poi_index_->tree();
+  int pruned_nodes = 0;
+  for (UserId issuer = 0; issuer < 40; ++issuer) {
+    GpssnQuery q = MakeQuery(issuer);
+    q.theta = 0.6;
+    const QueryUserContext ctx(q, *social_index_);
+    for (RNodeId id = 0; id < tree.num_nodes(); ++id) {
+      if (!PrunePoiMatch(ctx, poi_index_->node_mask(id))) continue;
+      ++pruned_nodes;
+      std::vector<RNodeId> stack = {id};
+      while (!stack.empty()) {
+        const RTreeNode& node = tree.node(stack.back());
+        stack.pop_back();
+        for (const RTreeEntry& e : node.entries) {
+          if (!node.is_leaf()) {
+            stack.push_back(e.id);
+            continue;
+          }
+          ASSERT_TRUE(PrunePoiMatch(ctx, poi_index_->sup_mask(e.id)))
+              << "issuer " << issuer << ": node " << id << " pruned, poi "
+              << e.id << " kept";
+        }
+      }
     }
   }
+  EXPECT_GT(pruned_nodes, 0);
 }
 
 TEST_F(PruningTest, LbDistToPoiNeverExceedsTrueDistance) {

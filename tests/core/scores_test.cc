@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitvector.h"
 #include "common/rng.h"
 #include "ssn/dataset.h"
 
@@ -71,22 +72,6 @@ TEST(MatchScoreTest, MonotoneInKeywordSet) {
       }
     }
     ASSERT_LE(MatchScore(w, small), MatchScore(w, big) + 1e-12);
-  }
-}
-
-TEST(UbMatchScoreTest, UpperBoundsExactScore) {
-  // Eq. 15: the signature-based score never underestimates.
-  Rng rng(5);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<double> w(40);
-    for (double& p : w) p = rng.Bernoulli(0.3) ? rng.UniformDouble() : 0.0;
-    std::vector<KeywordId> kws;
-    for (KeywordId kw = 0; kw < 40; ++kw) {
-      if (rng.Bernoulli(0.25)) kws.push_back(kw);
-    }
-    const KeywordBitVector sig = KeywordBitVector::FromKeywords(
-        std::vector<int>(kws.begin(), kws.end()));
-    ASSERT_GE(UbMatchScore(w, sig) + 1e-12, MatchScore(w, kws));
   }
 }
 

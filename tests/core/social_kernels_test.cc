@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitvector.h"
 #include "common/rng.h"
 #include "core/refinement.h"
 #include "core/scores.h"
@@ -104,18 +105,14 @@ TEST(UserSimilarityTest, BitIdenticalToLaneSplitReference) {
       }
       EXPECT_EQ(InterestScore(a, rb), InterestScore(a, b)) << where;
 
-      // A random keyword set, as a sorted list, a mask and a signature.
+      // A random keyword set, as a sorted list and a mask.
       std::vector<KeywordId> keywords;
       for (int f = 0; f < d; ++f) {
         if (rng.Bernoulli(0.3)) keywords.push_back(f);
       }
       std::vector<uint64_t> mask(KeywordMaskWords(d), 0);
       AddToKeywordMask(keywords, d, mask.data());
-      const KeywordBitVector signature =
-          KeywordBitVector::FromKeywords(keywords);
       EXPECT_EQ(MatchScoreOverMask(rb, mask), MatchScoreOverMask(b, mask))
-          << where;
-      EXPECT_EQ(UbMatchScore(rb, signature), UbMatchScore(b, signature))
           << where;
       // Lemma 1: a run against the sup_K mask, as the dense row against
       // the sorted sup_K list.

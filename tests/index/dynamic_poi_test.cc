@@ -79,7 +79,7 @@ TEST(DynamicPoiTest, IncrementalIndexMatchesFreshRebuild) {
   }
 
   // A from-scratch index over the grown network must agree on every POI
-  // augmentation (the bit vectors up to extra bits, below).
+  // augmentation and on the node masks.
   PoiIndex fresh(&ssn, &pivots, options);
   ASSERT_EQ(ssn.num_pois(), 92);
   for (PoiId id = 0; id < ssn.num_pois(); ++id) {
@@ -94,11 +94,28 @@ TEST(DynamicPoiTest, IncrementalIndexMatchesFreshRebuild) {
     for (size_t k = 0; k < a.pivot_dist.size(); ++k) {
       EXPECT_NEAR(a.pivot_dist[k], b.pivot_dist[k], 1e-9);
     }
-    // The incremental bit vector may carry extra bits from superseded
-    // states, but must cover the exact sup set.
-    ForEachSetBit(fresh.sup_mask(id), [&](size_t kw) {
-      EXPECT_TRUE(a.v_sup.MayContain(static_cast<int>(kw)));
-    });
+  }
+  // The trees differ in shape (insertion order), so each incremental node
+  // mask is compared with the OR of the fresh sup_K masks under it.
+  const RStarTree& tree = incremental.tree();
+  const size_t words = KeywordMaskWords(ssn.num_topics());
+  for (RNodeId id = 0; id < tree.num_nodes(); ++id) {
+    std::vector<uint64_t> expected(words, 0);
+    std::vector<RNodeId> stack = {id};
+    while (!stack.empty()) {
+      const RTreeNode& node = tree.node(stack.back());
+      stack.pop_back();
+      for (const RTreeEntry& e : node.entries) {
+        if (!node.is_leaf()) {
+          stack.push_back(e.id);
+          continue;
+        }
+        const std::span<const uint64_t> sup = fresh.sup_mask(e.id);
+        for (size_t w = 0; w < words; ++w) expected[w] |= sup[w];
+      }
+    }
+    EXPECT_TRUE(std::ranges::equal(incremental.node_mask(id), expected))
+        << "node " << id;
   }
   EXPECT_TRUE(incremental.tree().CheckInvariants());
   EXPECT_EQ(incremental.tree().size(), ssn.num_pois());

@@ -1,13 +1,15 @@
 // Tests for the POI index I_R: sup keyword sets, stored balls, pivot
-// distances, node aggregation, and page layout.
+// distances, node masks and counts, and page layout.
 
 #include "index/poi_index.h"
 
 #include <algorithm>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/scores.h"
+#include "core/snapshot.h"
 #include "roadnet/distance_backend.h"
 #include "ssn/dataset.h"
 
@@ -65,11 +67,8 @@ TEST_F(PoiIndexTest, SupCoversAnyBallWithinEnvelope) {
     const double r = rng.UniformDouble(options_.r_min, options_.r_max);
     const auto ball = locator.Ball(ssn_->poi(center).position, r, &engine);
     const auto ball_kws = UnionKeywords(*ssn_, ball);
-    const PoiAug& aug = index_->poi_aug(center);
     ASSERT_TRUE(MaskCovers(index_->sup_mask(center), ball_kws))
         << "center " << center << " r " << r;
-    // Bit-vector signature also covers everything.
-    for (KeywordId kw : ball_kws) ASSERT_TRUE(aug.v_sup.MayContain(kw));
   }
 }
 
@@ -114,32 +113,51 @@ TEST_F(PoiIndexTest, PivotDistancesAreExact) {
   }
 }
 
-TEST_F(PoiIndexTest, NodeSignaturesCoverMemberKeywords) {
-  // Lemma 6: a node's signature covers the sup_K of every POI under it.
-  const RStarTree& tree = index_->tree();
-  std::vector<RNodeId> stack = {tree.root()};
-  while (!stack.empty()) {
-    const RNodeId id = stack.back();
-    stack.pop_back();
+// Every node mask of `index` equals the OR of its entries' masks: the
+// sup_K masks of a leaf's POIs, the node masks of an internal node's
+// children. Lemma 6 reads it, so no bit may be missing or extra.
+void ExpectNodeMasksAreExact(const PoiIndex& index) {
+  const RStarTree& tree = index.tree();
+  for (RNodeId id = 0; id < tree.num_nodes(); ++id) {
     const RTreeNode& node = tree.node(id);
-    const PoiNodeAug& aug = index_->node_aug(id);
-    if (node.is_leaf()) {
-      for (const RTreeEntry& e : node.entries) {
-        ForEachSetBit(index_->sup_mask(e.id), [&](size_t kw) {
-          EXPECT_TRUE(aug.v_sup.MayContain(static_cast<int>(kw)));
-        });
-      }
-    } else {
-      for (const RTreeEntry& e : node.entries) {
-        const KeywordBitVector& child = index_->node_aug(e.id).v_sup;
-        for (int kw = 0; kw < ssn_->num_topics(); ++kw) {
-          if (child.MayContain(kw)) {
-            ASSERT_TRUE(aug.v_sup.MayContain(kw)) << "node " << id;
-          }
-        }
-        stack.push_back(e.id);
-      }
+    std::vector<uint64_t> expected(index.node_mask(id).size(), 0);
+    for (const RTreeEntry& e : node.entries) {
+      const std::span<const uint64_t> entry =
+          node.is_leaf() ? index.sup_mask(e.id) : index.node_mask(e.id);
+      ASSERT_EQ(entry.size(), expected.size());
+      for (size_t w = 0; w < expected.size(); ++w) expected[w] |= entry[w];
     }
+    ASSERT_TRUE(std::ranges::equal(index.node_mask(id), expected))
+        << "node " << id;
+  }
+}
+
+TEST_F(PoiIndexTest, NodeMasksAreTheOrOfTheirEntries) {
+  ASSERT_EQ(index_->node_mask(index_->tree().root()).size(),
+            KeywordMaskWords(ssn_->num_topics()));
+  ExpectNodeMasksAreExact(*index_);
+}
+
+TEST_F(PoiIndexTest, NodeMasksAreExactAfterSnapshotRoundTrip) {
+  SyntheticSsnOptions data;
+  data.num_road_vertices = 300;
+  data.num_pois = 150;
+  data.num_users = 120;
+  data.num_topics = 70;  // Two mask words.
+  data.seed = 23;
+  const GpssnDatabase original(MakeSynthetic(data));
+  const std::string path =
+      std::string(::testing::TempDir()) + "/poi_index_masks.snapshot";
+  ASSERT_TRUE(SaveSnapshot(original, path).ok());
+  auto restored = LoadSnapshot(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const PoiIndex& index = (*restored)->poi_index();
+  ExpectNodeMasksAreExact(index);
+  ASSERT_EQ(index.tree().num_nodes(), original.poi_index().tree().num_nodes());
+  for (RNodeId id = 0; id < index.tree().num_nodes(); ++id) {
+    EXPECT_TRUE(std::ranges::equal(index.node_mask(id),
+                                   original.poi_index().node_mask(id)))
+        << "node " << id;
   }
 }
 

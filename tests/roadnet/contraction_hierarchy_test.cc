@@ -1,11 +1,15 @@
 // Equivalence tests for the contraction-hierarchy distance oracle: every
-// query must match plain Dijkstra exactly, on random and generated graphs.
+// distance the CH backend's engine returns must match plain Dijkstra, on
+// random and generated graphs.
 
 #include "roadnet/contraction_hierarchy.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
+#include "roadnet/distance_backend.h"
 #include "roadnet/road_generator.h"
 
 namespace gpssn {
@@ -27,26 +31,55 @@ RoadNetwork RandomWeightedGraph(int n, double p, uint64_t seed) {
   return b.Build();
 }
 
+// `count` random positions; `at_vertices` puts each on an edge's end
+// (t = 0 or 1), so the engine starts and stops exactly at a vertex.
+std::vector<EdgePosition> RandomPositions(const RoadNetwork& g, int count,
+                                          bool at_vertices, Rng* rng) {
+  std::vector<EdgePosition> out(count);
+  for (EdgePosition& p : out) {
+    p.edge = static_cast<EdgeId>(rng->NextBounded(g.num_edges()));
+    p.t = at_vertices ? static_cast<double>(rng->NextBounded(2))
+                      : rng->UniformDouble();
+  }
+  return out;
+}
+
+// Runs every source against every target through one engine of
+// MakeChBackend and compares with DijkstraEngine::PositionToPosition:
+// finite distances to 1e-9 (shortcut weights add in another order),
+// unreachable ones as kInfDistance.
+void ExpectChMatchesDijkstra(const RoadNetwork& g,
+                             const std::vector<EdgePosition>& sources,
+                             const std::vector<EdgePosition>& targets) {
+  const std::vector<Poi> no_pois;
+  const auto backend = MakeChBackend(&g, &no_pois);
+  const auto engine = backend->CreateEngine();
+  engine->SetTargets(targets);
+  DijkstraEngine dijkstra(&g);
+  std::vector<double> got(targets.size());
+  for (const EdgePosition& s : sources) {
+    engine->SourceToTargets(s, kInfDistance, got.data());
+    for (size_t j = 0; j < targets.size(); ++j) {
+      const double want = dijkstra.PositionToPosition(s, targets[j]);
+      if (std::isfinite(want)) {
+        ASSERT_NEAR(got[j], want, 1e-9)
+            << "edge " << s.edge << " t " << s.t << " -> target " << j;
+      } else {
+        ASSERT_EQ(got[j], kInfDistance)
+            << "edge " << s.edge << " t " << s.t << " -> target " << j;
+      }
+    }
+  }
+}
+
 class ChPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ChPropertyTest, MatchesDijkstraOnRandomGraphs) {
   const RoadNetwork g = RandomWeightedGraph(80, 0.06, GetParam());
-  ContractionHierarchy ch;
-  ch.Build(&g);
-  ChQuery query(&ch);
-  DijkstraEngine dijkstra(&g);
   Rng rng(GetParam() + 1);
-  for (int trial = 0; trial < 150; ++trial) {
-    const VertexId a = rng.NextBounded(g.num_vertices());
-    const VertexId b = rng.NextBounded(g.num_vertices());
-    const double want = dijkstra.VertexToVertex(a, b);
-    const double got = query.VertexToVertex(a, b);
-    if (std::isfinite(want)) {
-      ASSERT_NEAR(got, want, 1e-9) << a << "->" << b;
-    } else {
-      ASSERT_EQ(got, kInfDistance) << a << "->" << b;
-    }
-  }
+  const auto sources = RandomPositions(g, 15, /*at_vertices=*/true, &rng);
+  const auto targets = RandomPositions(g, 10, /*at_vertices=*/true, &rng);
+  ExpectChMatchesDijkstra(g, sources, targets);
 }
 
 TEST_P(ChPropertyTest, MatchesDijkstraOnRoadLikeGraphs) {
@@ -54,17 +87,10 @@ TEST_P(ChPropertyTest, MatchesDijkstraOnRoadLikeGraphs) {
   gen.num_vertices = 700;
   gen.seed = GetParam();
   const RoadNetwork g = GenerateRoadNetwork(gen);
-  ContractionHierarchy ch;
-  ch.Build(&g);
-  ChQuery query(&ch);
-  DijkstraEngine dijkstra(&g);
   Rng rng(GetParam() + 5);
-  for (int trial = 0; trial < 80; ++trial) {
-    const VertexId a = rng.NextBounded(g.num_vertices());
-    const VertexId b = rng.NextBounded(g.num_vertices());
-    ASSERT_NEAR(query.VertexToVertex(a, b), dijkstra.VertexToVertex(a, b),
-                1e-9);
-  }
+  const auto sources = RandomPositions(g, 10, /*at_vertices=*/true, &rng);
+  const auto targets = RandomPositions(g, 8, /*at_vertices=*/true, &rng);
+  ExpectChMatchesDijkstra(g, sources, targets);
 }
 
 TEST_P(ChPropertyTest, PositionQueriesMatch) {
@@ -72,19 +98,13 @@ TEST_P(ChPropertyTest, PositionQueriesMatch) {
   gen.num_vertices = 300;
   gen.seed = GetParam() ^ 0x33;
   const RoadNetwork g = GenerateRoadNetwork(gen);
-  ContractionHierarchy ch;
-  ch.Build(&g);
-  ChQuery query(&ch);
-  DijkstraEngine dijkstra(&g);
   Rng rng(GetParam() + 9);
-  for (int trial = 0; trial < 50; ++trial) {
-    const EdgePosition a{static_cast<EdgeId>(rng.NextBounded(g.num_edges())),
-                         rng.UniformDouble()};
-    const EdgePosition b{static_cast<EdgeId>(rng.NextBounded(g.num_edges())),
-                         rng.UniformDouble()};
-    ASSERT_NEAR(query.PositionToPosition(a, b),
-                dijkstra.PositionToPosition(a, b), 1e-9);
-  }
+  std::vector<EdgePosition> sources =
+      RandomPositions(g, 10, /*at_vertices=*/false, &rng);
+  const auto targets = RandomPositions(g, 5, /*at_vertices=*/false, &rng);
+  // A source on a target's edge takes the same-edge shortcut.
+  sources.push_back({targets[0].edge, rng.UniformDouble()});
+  ExpectChMatchesDijkstra(g, sources, targets);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChPropertyTest, ::testing::Values(1, 7, 21));
@@ -120,41 +140,23 @@ TEST(ChTest, UpwardArcsPointUp) {
   }
 }
 
-TEST(ChTest, QueriesSettleFarFewerVerticesThanDijkstra) {
-  RoadGenOptions gen;
-  gen.num_vertices = 4000;
-  gen.seed = 5;
-  const RoadNetwork g = GenerateRoadNetwork(gen);
-  ContractionHierarchy ch;
-  ch.Build(&g);
-  ChQuery query(&ch);
-  DijkstraEngine dijkstra(&g);
-  Rng rng(6);
-  size_t ch_settled = 0, dijkstra_settled = 0;
-  for (int trial = 0; trial < 15; ++trial) {
-    const VertexId a = rng.NextBounded(g.num_vertices());
-    const VertexId b = rng.NextBounded(g.num_vertices());
-    query.VertexToVertex(a, b);
-    ch_settled += query.last_settled();
-    dijkstra.RunWithTargets({{a, 0.0}}, kInfDistance, {b});
-    dijkstra_settled += dijkstra.Settled().size();
-  }
-  EXPECT_LT(ch_settled * 4, dijkstra_settled)
-      << "CH searches should touch a small fraction of the graph";
-}
-
 TEST(ChTest, DisconnectedComponents) {
   RoadNetworkBuilder b;
   for (int i = 0; i < 4; ++i) b.AddVertex({static_cast<double>(i), 0});
   ASSERT_TRUE(b.AddEdge(0, 1, 1.0).ok());
   ASSERT_TRUE(b.AddEdge(2, 3, 1.0).ok());
   const RoadNetwork g = b.Build();
-  ContractionHierarchy ch;
-  ch.Build(&g);
-  ChQuery query(&ch);
-  EXPECT_EQ(query.VertexToVertex(0, 2), kInfDistance);
-  EXPECT_NEAR(query.VertexToVertex(0, 1), 1.0, 1e-12);
-  EXPECT_EQ(query.VertexToVertex(1, 1), 0.0);
+  const std::vector<Poi> no_pois;
+  const auto backend = MakeChBackend(&g, &no_pois);
+  const auto engine = backend->CreateEngine();
+  // Vertex 1 (end of edge 0), vertex 2 (start of edge 1), vertex 0.
+  const std::vector<EdgePosition> targets = {{0, 1.0}, {1, 0.0}, {0, 0.0}};
+  engine->SetTargets(targets);
+  double out[3];
+  engine->SourceToTargets({0, 0.0}, kInfDistance, out);
+  EXPECT_NEAR(out[0], 1.0, 1e-12);
+  EXPECT_EQ(out[1], kInfDistance);
+  EXPECT_EQ(out[2], 0.0);
 }
 
 }  // namespace

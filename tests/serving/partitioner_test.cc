@@ -51,28 +51,34 @@ std::vector<UserId> LeafUsers(const SocialIndex& social,
   return users;
 }
 
-TEST(PartitionerTest, CoverageAndValidationAtEveryShardCount) {
+// Users and POIs under a scope's roots, from the indexes' subtree counts.
+int ScopeUsers(const SocialIndex& social, const ShardScope& scope) {
+  int users = 0;
+  for (SNodeId id : scope.social_roots) users += social.node(id).subtree_users;
+  return users;
+}
+int ScopePois(const PoiIndex& poi, const ShardScope& scope) {
+  int pois = 0;
+  for (RNodeId id : scope.road_roots) pois += poi.node_aug(id).subtree_pois;
+  return pois;
+}
+
+TEST(PartitionerTest, ScopesCoverEveryUserAndPoiAtEveryShardCount) {
   GpssnDatabase db = MakeDb(11);
   for (int shards : {1, 2, 4, 8, 16}) {
+    // MakeServingPartition walks the scopes and fails unless each user and
+    // POI is in exactly one; the subtree counts add up to the same totals.
     auto partition = MakeServingPartition(db.social_index(),
                                           db.poi_index(), shards);
     ASSERT_TRUE(partition.ok()) << partition.status().ToString();
     ASSERT_EQ(partition->scopes.size(), static_cast<size_t>(shards));
-    EXPECT_TRUE(ValidateServingPartition(*partition, db.social_index(),
-                                         db.poi_index())
-                    .ok());
-    ASSERT_EQ(partition->user_shard.size(),
-              static_cast<size_t>(db.ssn().num_users()));
-    ASSERT_EQ(partition->poi_shard.size(),
-              static_cast<size_t>(db.ssn().num_pois()));
-    for (int32_t s : partition->user_shard) {
-      EXPECT_GE(s, 0);
-      EXPECT_LT(s, shards);
+    int users = 0, pois = 0;
+    for (const ShardScope& scope : partition->scopes) {
+      users += ScopeUsers(db.social_index(), scope);
+      pois += ScopePois(db.poi_index(), scope);
     }
-    for (int32_t s : partition->poi_shard) {
-      EXPECT_GE(s, 0);
-      EXPECT_LT(s, shards);
-    }
+    EXPECT_EQ(users, db.ssn().num_users()) << "shards=" << shards;
+    EXPECT_EQ(pois, db.ssn().num_pois()) << "shards=" << shards;
   }
 }
 
@@ -101,18 +107,15 @@ TEST(PartitionerTest, MultipleShardsActuallySplitTheSpace) {
   ASSERT_TRUE(partition.ok());
   // With 80 users / 60 POIs the trees have plenty of subtrees: no single
   // shard may own everything.
-  for (size_t s = 0; s < partition->scopes.size(); ++s) {
-    size_t owned_users = 0;
-    for (int32_t owner : partition->user_shard) {
-      if (owner == static_cast<int32_t>(s)) ++owned_users;
-    }
-    EXPECT_LT(owned_users, partition->user_shard.size()) << "shard " << s;
-  }
   int shards_with_users = 0;
   int shards_with_pois = 0;
   for (size_t s = 0; s < partition->scopes.size(); ++s) {
-    if (!partition->scopes[s].social_roots.empty()) ++shards_with_users;
-    if (!partition->scopes[s].road_roots.empty()) ++shards_with_pois;
+    const int users = ScopeUsers(db.social_index(), partition->scopes[s]);
+    const int pois = ScopePois(db.poi_index(), partition->scopes[s]);
+    EXPECT_LT(users, db.ssn().num_users()) << "shard " << s;
+    EXPECT_LT(pois, db.ssn().num_pois()) << "shard " << s;
+    if (users > 0) ++shards_with_users;
+    if (pois > 0) ++shards_with_pois;
   }
   EXPECT_GT(shards_with_users, 1);
   EXPECT_GT(shards_with_pois, 1);
