@@ -16,9 +16,12 @@
 //   help / quit
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -36,7 +39,8 @@ void PrintHelp() {
       "  load <path>\n"
       "  stat\n"
       "  tune [percentile]\n"
-      "  set <gamma|theta|r|metric> <value>   (metric: dot | jaccard)\n"
+      "  set <gamma|theta|r|metric> <value>   (metric: dot | jaccard | "
+      "hamming)\n"
       "  query <issuer> <tau> [k]\n"
       "  baseline <issuer> <tau>\n"
       "  addpoi <edge> <t in [0,1]> <keyword...>\n"
@@ -44,6 +48,12 @@ void PrintHelp() {
       "  help | quit\n");
 }
 
+bool IsDataset(const std::string& name) {
+  return name == "BriCal" || name == "GowCol" || name == "UNI" ||
+         name == "ZIPF";
+}
+
+// `name` must satisfy IsDataset.
 SpatialSocialNetwork Generate(const std::string& name, double scale) {
   if (name == "BriCal") return MakeRealLike(BriCalOptions(scale));
   if (name == "GowCol") return MakeRealLike(GowColOptions(scale));
@@ -54,6 +64,35 @@ SpatialSocialNetwork Generate(const std::string& name, double scale) {
   options.num_pois = std::max(32, static_cast<int>(10000 * scale));
   options.num_users = std::max(64, static_cast<int>(30000 * scale));
   return MakeSynthetic(options);
+}
+
+// The finite number `text` spells in full, if it spells one.
+std::optional<double> ParseNumber(const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<InterestMetric> ParseMetric(const std::string& name) {
+  if (name == "dot") return InterestMetric::kDotProduct;
+  if (name == "jaccard") return InterestMetric::kJaccard;
+  if (name == "hamming") return InterestMetric::kHamming;
+  return std::nullopt;
+}
+
+const char* MetricName(InterestMetric metric) {
+  switch (metric) {
+    case InterestMetric::kDotProduct:
+      return "dot";
+    case InterestMetric::kJaccard:
+      return "jaccard";
+    case InterestMetric::kHamming:
+      return "hamming";
+  }
+  return "?";
 }
 
 }  // namespace
@@ -77,6 +116,11 @@ int main() {
       double scale = 0.05;
       if (!(in >> name >> scale) || scale <= 0 || scale > 1) {
         std::printf("usage: gen <BriCal|GowCol|UNI|ZIPF> <scale in (0,1]>\n");
+        continue;
+      }
+      if (!IsDataset(name)) {
+        std::printf("unknown dataset '%s' (BriCal|GowCol|UNI|ZIPF)\n",
+                    name.c_str());
         continue;
       }
       std::printf("generating %s at scale %.3f and building indexes...\n",
@@ -167,23 +211,33 @@ int main() {
         std::printf("usage: set <gamma|theta|r|metric> <value>\n");
         continue;
       }
-      if (key == "gamma") {
-        defaults.gamma = std::atof(value.c_str());
-      } else if (key == "theta") {
-        defaults.theta = std::atof(value.c_str());
-      } else if (key == "r") {
-        defaults.radius = std::atof(value.c_str());
-      } else if (key == "metric") {
-        defaults.metric = value == "jaccard" ? InterestMetric::kJaccard
-                                             : InterestMetric::kDotProduct;
+      if (key == "metric") {
+        const std::optional<InterestMetric> metric = ParseMetric(value);
+        if (!metric.has_value()) {
+          std::printf("unknown metric '%s' (dot|jaccard|hamming)\n",
+                      value.c_str());
+          continue;
+        }
+        defaults.metric = *metric;
       } else {
-        std::printf("unknown parameter '%s'\n", key.c_str());
-        continue;
+        double* field = key == "gamma"   ? &defaults.gamma
+                        : key == "theta" ? &defaults.theta
+                        : key == "r"     ? &defaults.radius
+                                         : nullptr;
+        if (field == nullptr) {
+          std::printf("unknown parameter '%s'\n", key.c_str());
+          continue;
+        }
+        const std::optional<double> number = ParseNumber(value);
+        if (!number.has_value()) {
+          std::printf("'%s' is not a finite number\n", value.c_str());
+          continue;
+        }
+        *field = *number;
       }
       std::printf("gamma=%.3f theta=%.3f r=%.3f metric=%s\n", defaults.gamma,
                   defaults.theta, defaults.radius,
-                  defaults.metric == InterestMetric::kJaccard ? "jaccard"
-                                                              : "dot");
+                  MetricName(defaults.metric));
       continue;
     }
     if (cmd == "query") {

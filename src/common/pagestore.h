@@ -29,6 +29,9 @@ struct IoStats {
   void Reset() { *this = IoStats(); }
 };
 
+/// Simulated page size of both indexes, in bytes.
+inline constexpr uint32_t kIndexPageSize = 4096;
+
 /// The page-id space is split between the two indexes a query charges to
 /// one buffer pool: I_S lays out its pages in [0, kPoiIndexFirstPage) and
 /// I_R in [kPoiIndexFirstPage, kInvalidPage), so no page of one index
@@ -43,7 +46,8 @@ class PageAllocator {
   /// `page_size` is the usable bytes per page; must be positive. Pages are
   /// handed out from `first_page` and must stay below `end_page`
   /// (GPSSN_CHECK).
-  explicit PageAllocator(uint32_t page_size = 4096, PageId first_page = 0,
+  explicit PageAllocator(uint32_t page_size = kIndexPageSize,
+                         PageId first_page = 0,
                          PageId end_page = kInvalidPage);
 
   /// Places an object of `nbytes` bytes and returns its page. Objects larger

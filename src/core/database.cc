@@ -28,54 +28,29 @@ GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn)
 
 GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn,
                              const GpssnBuildOptions& options)
-    : GpssnDatabase(std::move(ssn), options, std::nullopt) {}
-
-GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn,
-                             const GpssnBuildOptions& options,
-                             std::vector<VertexId> road_pivot_ids,
-                             std::vector<UserId> social_pivot_ids,
-                             std::vector<uint64_t> sup_masks)
-    : GpssnDatabase(std::move(ssn), options,
-                    Restored{std::move(road_pivot_ids),
-                             std::move(social_pivot_ids),
-                             std::move(sup_masks)}) {}
-
-GpssnDatabase::GpssnDatabase(SpatialSocialNetwork ssn,
-                             const GpssnBuildOptions& options,
-                             std::optional<Restored> restored)
     : ssn_(std::move(ssn)), options_(options) {
   GPSSN_CHECK_OK(ssn_.Validate());
+  GPSSN_CHECK_OK(CheckPivotCounts(ssn_, options));
   std::vector<VertexId> road_pivot_ids;
   std::vector<UserId> social_pivot_ids;
-  if (restored.has_value()) {
-    road_pivot_ids = std::move(restored->road_pivot_ids);
-    social_pivot_ids = std::move(restored->social_pivot_ids);
+  if (options.optimize_pivots) {
+    const PivotSelectOptions select{.seed = options.seed};
+    road_pivot_ids =
+        SelectRoadPivots(ssn_.road(), options.num_road_pivots, select);
+    social_pivot_ids =
+        SelectSocialPivots(ssn_.social(), options.num_social_pivots, select);
   } else {
-    GPSSN_CHECK_OK(CheckPivotCounts(ssn_, options));
-    PivotSelectOptions select = options.pivot_select;
-    select.seed = options.seed;
-    if (options.optimize_pivots) {
-      road_pivot_ids =
-          SelectRoadPivots(ssn_.road(), options.num_road_pivots, select);
-      social_pivot_ids =
-          SelectSocialPivots(ssn_.social(), options.num_social_pivots, select);
-    } else {
-      road_pivot_ids =
-          RandomRoadPivots(ssn_.road(), options.num_road_pivots, options.seed);
-      social_pivot_ids = RandomSocialPivots(
-          ssn_.social(), options.num_social_pivots, options.seed);
-    }
+    road_pivot_ids =
+        RandomRoadPivots(ssn_.road(), options.num_road_pivots, options.seed);
+    social_pivot_ids = RandomSocialPivots(
+        ssn_.social(), options.num_social_pivots, options.seed);
   }
   road_pivots_ = RoadPivotTable(ssn_.road(), std::move(road_pivot_ids));
   social_pivots_ = SocialPivotTable(ssn_.social(), std::move(social_pivot_ids));
 
   PoiIndexOptions poi_options = options.poi_index;
   poi_options.seed = options.seed;
-  poi_index_ =
-      restored.has_value()
-          ? std::make_unique<PoiIndex>(&ssn_, &road_pivots_, poi_options,
-                                       std::move(restored->sup_masks))
-          : std::make_unique<PoiIndex>(&ssn_, &road_pivots_, poi_options);
+  poi_index_ = std::make_unique<PoiIndex>(&ssn_, &road_pivots_, poi_options);
 
   SocialIndexOptions social_options = options.social_index;
   social_options.seed = options.seed;

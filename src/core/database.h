@@ -9,7 +9,6 @@
 #define GPSSN_CORE_DATABASE_H_
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -25,6 +24,7 @@
 
 namespace gpssn {
 
+/// Every value a build reads; a snapshot (core/snapshot.h) stores them all.
 struct GpssnBuildOptions {
   /// Number of road-network pivots h and social-network pivots l (Table 3
   /// default: 5).
@@ -32,6 +32,7 @@ struct GpssnBuildOptions {
   int num_social_pivots = 5;
   /// Use Algorithm 1's cost-model local search (true) or random pivots.
   bool optimize_pivots = true;
+  /// The build overwrites the seeds of these three with `seed`.
   PivotSelectOptions pivot_select;
   PoiIndexOptions poi_index;
   SocialIndexOptions social_index;
@@ -68,17 +69,10 @@ class GpssnDatabase {
   explicit GpssnDatabase(SpatialSocialNetwork ssn);
   GpssnDatabase(SpatialSocialNetwork ssn, const GpssnBuildOptions& options);
 
-  /// Snapshot-loading constructor (see core/snapshot.h): reuses the pivot
-  /// ids and per-POI sup_K masks (PoiIndex's snapshot constructor) of a
-  /// previous build instead of recomputing them.
-  GpssnDatabase(SpatialSocialNetwork ssn, const GpssnBuildOptions& options,
-                std::vector<VertexId> road_pivot_ids,
-                std::vector<UserId> social_pivot_ids,
-                std::vector<uint64_t> sup_masks);
-
   GPSSN_DISALLOW_COPY_AND_MOVE(GpssnDatabase);
 
-  /// The options the database was built with (a snapshot saves them).
+  /// The options the database was built with (a snapshot saves them, and
+  /// LoadSnapshot builds with them).
   const GpssnBuildOptions& build_options() const { return options_; }
   const SpatialSocialNetwork& ssn() const { return ssn_; }
   const RoadPivotTable& road_pivots() const { return road_pivots_; }
@@ -139,17 +133,6 @@ class GpssnDatabase {
       GPSSN_EXCLUDES(maintenance_mu_);
 
  private:
-  /// What a snapshot restores instead of recomputing.
-  struct Restored {
-    std::vector<VertexId> road_pivot_ids;
-    std::vector<UserId> social_pivot_ids;
-    std::vector<uint64_t> sup_masks;
-  };
-  /// The body of both public constructors: selects the pivots and computes
-  /// I_R's augmentations unless `restored` carries them.
-  GpssnDatabase(SpatialSocialNetwork ssn, const GpssnBuildOptions& options,
-                std::optional<Restored> restored);
-
   // Serializes the dynamic-maintenance mutators (AddPoi,
   // UpdateUserInterests) against EACH OTHER: two concurrent AddPoi calls
   // used to interleave their ssn_ append and I_R patch with no lock at

@@ -1,22 +1,22 @@
 // Copyright 2026 The gpssn Authors.
 //
-// Database snapshots: persist a built GpssnDatabase so a process restart
-// skips the expensive parts of the offline build. A gpssn-snapshot-v4 file
-// stores the network (the gpssn-v2 body of ssn/serialize.h), the selected
-// pivot ids, the build options that shape the indexes, the distance
-// backend with its CH witness limits, the distance cache capacity, and the
-// per-POI sup_K keyword sets (the n bounded 2·r_max ball queries that
-// dominate build time). It is sealed like the network file: its last
-// line, `checksum <16 hex digits>`, is the 64-bit FNV-1a of every byte
-// before it, so any changed byte fails the load. On load,
-// pivot tables, tree shapes, and node aggregates are recomputed
-// deterministically from the stored seed, each POI's B(o, r_max) with one
-// bounded search of radius r_max, and a CH backend's hierarchy is built
-// again. A checksum is no seal, since whoever edits a file can recompute
-// it, so the content is checked too: keyword sets must be strictly
-// increasing and build options must be in range, or the load fails with
-// IoError; so does a file of another snapshot version (v1 to v3 included),
-// naming it.
+// Database snapshots: persist a built GpssnDatabase as its inputs, so a
+// restart builds the same database again. A gpssn-snapshot-v5 file stores
+// the network (the gpssn-v2 body of ssn/serialize.h) and one `build` line
+// with every build option the build reads: the pivot counts and whether
+// Algorithm 1 selects them, r_min, r_max, the R*-tree fanout, the I_S leaf
+// size and fanout, the seed, the distance backend with its CH witness
+// limits, and the distance cache capacity. LoadSnapshot hands both to the
+// public GpssnDatabase constructor; the build is deterministic, so the
+// pivots, both indexes and every answer come back the same. Nothing
+// derived is stored: parsing the network costs about as much as the build
+// (DESIGN.md §9). The file is sealed like the network file: its last line,
+// `checksum <16 hex digits>`, is the 64-bit FNV-1a of every byte before
+// it, so any changed byte fails the load. A checksum is no seal, since
+// whoever edits a file can recompute it, so the content is checked too:
+// build options must be in range and the pivot counts must fit the
+// network, or the load fails with IoError; so does a file of another
+// snapshot version (v1 to v4 included), naming it.
 
 #ifndef GPSSN_CORE_SNAPSHOT_H_
 #define GPSSN_CORE_SNAPSHOT_H_
@@ -32,8 +32,9 @@ namespace gpssn {
 /// Writes a snapshot of `db` to `path`.
 Status SaveSnapshot(const GpssnDatabase& db, const std::string& path);
 
-/// Restores a database from a snapshot written by SaveSnapshot. Queries
-/// against the restored database are identical to the original's.
+/// Restores a database from a snapshot written by SaveSnapshot: a fresh
+/// build of the saved network under the saved options. Queries against the
+/// restored database are identical to the original's.
 Result<std::unique_ptr<GpssnDatabase>> LoadSnapshot(const std::string& path);
 
 }  // namespace gpssn

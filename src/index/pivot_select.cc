@@ -14,6 +14,14 @@ namespace gpssn {
 
 namespace {
 
+// Algorithm 1's sizes: the random candidate pool pivots are drawn from, the
+// sampled object pairs the cost model scores, the outer restarts
+// (global_iter) and the swap attempts per restart (swap_iter).
+constexpr int kCandidatePool = 48;
+constexpr int kSamplePairs = 64;
+constexpr int kGlobalIter = 3;
+constexpr int kSwapIter = 96;
+
 // Generic Algorithm 1 over a precomputed candidate/sample geometry:
 //   cand_dist[c][e]: distance from candidate c to sample endpoint e
 //   pair_dist[s]:    true distance of sample pair s = (2s, 2s+1)
@@ -43,12 +51,12 @@ double CostOf(const SelectionProblem& problem, const std::vector<int>& pivots) {
 
 // Algorithm 1: random restarts, each followed by swap local search.
 std::vector<int> RunLocalSearch(const SelectionProblem& problem, int k,
-                                const PivotSelectOptions& options, Rng* rng) {
+                                Rng* rng) {
   const int pool = static_cast<int>(problem.cand_dist.size());
   GPSSN_CHECK(k <= pool);
   double global_cost = -std::numeric_limits<double>::infinity();
   std::vector<int> global_best;
-  for (int restart = 0; restart < options.global_iter; ++restart) {
+  for (int restart = 0; restart < kGlobalIter; ++restart) {
     // Random initial pivot set P (line 3 of Algorithm 1).
     std::vector<int> in_set;
     std::vector<bool> is_pivot(pool, false);
@@ -58,7 +66,7 @@ std::vector<int> RunLocalSearch(const SelectionProblem& problem, int k,
     }
     double local_cost = CostOf(problem, in_set);
     // Swap a pivot with a non-pivot; accept improvements (lines 6-13).
-    for (int iter = 0; iter < options.swap_iter; ++iter) {
+    for (int iter = 0; iter < kSwapIter; ++iter) {
       if (k == pool) break;
       const int pos = static_cast<int>(rng->NextBounded(k));
       int replacement;
@@ -155,32 +163,22 @@ double Tightness(const SelectionProblem& problem) {
                      : 0.0;
 }
 
-// The ranges PivotSelectOptions documents.
-void CheckOptions(const PivotSelectOptions& options) {
-  GPSSN_CHECK(options.candidate_pool >= 1);
-  GPSSN_CHECK(options.sample_pairs >= 0);
-  GPSSN_CHECK(options.global_iter >= 1);
-  GPSSN_CHECK(options.swap_iter >= 0);
-}
-
 }  // namespace
 
 std::vector<VertexId> SelectRoadPivots(const RoadNetwork& graph, int h,
                                        const PivotSelectOptions& options) {
   GPSSN_CHECK(h >= 1 && h <= graph.num_vertices());
-  CheckOptions(options);
   Rng rng(options.seed);
-  const int pool =
-      std::min(std::max(options.candidate_pool, h), graph.num_vertices());
+  const int pool = std::min(std::max(kCandidatePool, h), graph.num_vertices());
   std::vector<VertexId> candidates;
   for (size_t idx : rng.SampleWithoutReplacement(graph.num_vertices(), pool)) {
     candidates.push_back(static_cast<VertexId>(idx));
   }
-  const auto endpoints = SampleEndpoints<VertexId>(
-      graph.num_vertices(), options.sample_pairs, &rng);
+  const auto endpoints =
+      SampleEndpoints<VertexId>(graph.num_vertices(), kSamplePairs, &rng);
   const SelectionProblem problem = RoadProblem(graph, candidates, endpoints);
   std::vector<VertexId> out;
-  for (int c : RunLocalSearch(problem, h, options, &rng)) {
+  for (int c : RunLocalSearch(problem, h, &rng)) {
     out.push_back(candidates[c]);
   }
   return out;
@@ -189,19 +187,17 @@ std::vector<VertexId> SelectRoadPivots(const RoadNetwork& graph, int h,
 std::vector<UserId> SelectSocialPivots(const SocialNetwork& graph, int l,
                                        const PivotSelectOptions& options) {
   GPSSN_CHECK(l >= 1 && l <= graph.num_users());
-  CheckOptions(options);
   Rng rng(options.seed ^ 0x9e37ULL);
-  const int pool =
-      std::min(std::max(options.candidate_pool, l), graph.num_users());
+  const int pool = std::min(std::max(kCandidatePool, l), graph.num_users());
   std::vector<UserId> candidates;
   for (size_t idx : rng.SampleWithoutReplacement(graph.num_users(), pool)) {
     candidates.push_back(static_cast<UserId>(idx));
   }
   const auto endpoints =
-      SampleEndpoints<UserId>(graph.num_users(), options.sample_pairs, &rng);
+      SampleEndpoints<UserId>(graph.num_users(), kSamplePairs, &rng);
   const SelectionProblem problem = SocialProblem(graph, candidates, endpoints);
   std::vector<UserId> out;
-  for (int c : RunLocalSearch(problem, l, options, &rng)) {
+  for (int c : RunLocalSearch(problem, l, &rng)) {
     out.push_back(candidates[c]);
   }
   return out;

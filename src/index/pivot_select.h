@@ -19,6 +19,7 @@
 #ifndef GPSSN_INDEX_PIVOT_SELECT_H_
 #define GPSSN_INDEX_PIVOT_SELECT_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "roadnet/road_graph.h"
@@ -26,18 +27,10 @@
 
 namespace gpssn {
 
-/// Select*Pivots GPSSN_CHECK candidate_pool >= 1, sample_pairs >= 0,
-/// global_iter >= 1 and swap_iter >= 0: with no restart the pivot set would
-/// stay empty, and a negative count sizes no sample.
+/// Algorithm 1's sizes are fixed (pivot_select.cc): a pool of 48 candidates
+/// (widened to the pivots asked for, capped at the graph), 64 sampled pairs,
+/// and 3 restarts of 96 swap attempts each. Only the seed is the caller's.
 struct PivotSelectOptions {
-  /// Size of the random candidate pool pivots are drawn from.
-  int candidate_pool = 48;
-  /// Number of sampled object pairs scored by the cost model.
-  int sample_pairs = 64;
-  /// Outer restarts (Algorithm 1: global_iter).
-  int global_iter = 3;
-  /// Swap attempts per restart (Algorithm 1: swap_iter).
-  int swap_iter = 96;
   uint64_t seed = 1;
 };
 

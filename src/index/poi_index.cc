@@ -38,39 +38,6 @@ PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
   RebuildNodeAugmentations();
 }
 
-PoiIndex::PoiIndex(const SpatialSocialNetwork* ssn,
-                   const RoadPivotTable* pivots,
-                   const PoiIndexOptions& options,
-                   std::vector<uint64_t> sup_masks)
-    : ssn_(ssn),
-      pivots_(pivots),
-      options_(options),
-      tree_(options.rtree),
-      mask_words_(KeywordMaskWords(ssn->num_topics())),
-      sup_masks_(std::move(sup_masks)),
-      engine_(&ssn->road()),
-      locator_(&ssn->road(), &ssn->pois()) {
-  GPSSN_CHECK(ssn != nullptr && pivots != nullptr);
-  GPSSN_CHECK(options.r_min > 0.0 && options.r_min <= options.r_max);
-  const int n = ssn->num_pois();
-  GPSSN_CHECK(sup_masks_.size() == static_cast<size_t>(n) * mask_words_);
-
-  std::vector<PoiId> order(n);
-  for (int i = 0; i < n; ++i) order[i] = i;
-  Rng(options.seed).Shuffle(&order);
-  for (PoiId id : order) {
-    tree_.Insert(ssn->poi(id).location, id);
-  }
-
-  poi_aug_.resize(n);
-  for (PoiId id = 0; id < n; ++id) {
-    poi_aug_[id].pivot_dist = pivots->PositionDistances(ssn->poi(id).position);
-    RefreshBall(id);
-  }
-
-  RebuildNodeAugmentations();
-}
-
 std::vector<std::pair<PoiId, double>> PoiIndex::ComputePoiAug(PoiId id) {
   PoiAug& aug = poi_aug_[id];
   const Poi& poi = ssn_->poi(id);
@@ -119,7 +86,7 @@ void PoiIndex::RebuildNodeAugmentations() {
   // --- Page layout: nodes first (breadth-first from the root, the order a
   // bulk writer would emit them), then POI payload records, in I_R's page
   // range above I_S's.
-  PageAllocator alloc(options_.page_size, kPoiIndexFirstPage);
+  PageAllocator alloc(kIndexPageSize, kPoiIndexFirstPage);
   {
     std::vector<RNodeId> queue = {tree_.root()};
     std::vector<bool> seen(tree_.num_nodes(), false);

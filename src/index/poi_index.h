@@ -41,8 +41,7 @@ struct PoiIndexOptions {
   /// stored balls are precomputed against r_max (Section 4.1).
   double r_min = 0.5;
   double r_max = 4.0;
-  /// Simulated page size in bytes.
-  uint32_t page_size = 4096;
+  /// Seeds the R*-tree's insertion order.
   uint64_t seed = 1;
 };
 
@@ -71,14 +70,6 @@ class PoiIndex {
   /// B(o, r_max) from it.
   PoiIndex(const SpatialSocialNetwork* ssn, const RoadPivotTable* pivots,
            const PoiIndexOptions& options);
-
-  /// Snapshot-loading constructor: takes the sup_K masks of a previous
-  /// build (KeywordMaskWords(d) words per POI, in id order), so the
-  /// 2·r_max ball queries are skipped; node masks and pivot distances are
-  /// recomputed, and each POI's ball with one bounded search of radius
-  /// r_max.
-  PoiIndex(const SpatialSocialNetwork* ssn, const RoadPivotTable* pivots,
-           const PoiIndexOptions& options, std::vector<uint64_t> sup_masks);
 
   const RStarTree& tree() const { return tree_; }
   const RoadPivotTable& pivots() const { return *pivots_; }

@@ -8,10 +8,13 @@
 
 namespace gpssn {
 
+namespace {
+// Fraction of entries force-reinserted on a level's first overflow.
+constexpr double kReinsertFraction = 0.3;
+}  // namespace
+
 RStarTree::RStarTree(Options options) : options_(options) {
   GPSSN_CHECK(options_.max_entries >= 4);
-  GPSSN_CHECK(options_.reinsert_fraction > 0.0 &&
-              options_.reinsert_fraction < 0.5);
   root_ = NewNode(0);
 }
 
@@ -142,7 +145,7 @@ void RStarTree::InsertEntry(const RTreeEntry& entry, int32_t target_level) {
         }
         std::sort(by_dist.begin(), by_dist.end());
         const int p = std::max(
-            1, static_cast<int>(options_.reinsert_fraction *
+            1, static_cast<int>(kReinsertFraction *
                                 static_cast<double>(node.entries.size())));
         // Remove the p farthest entries; reinsert closest-first
         // ("close reinsert").

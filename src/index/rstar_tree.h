@@ -43,11 +43,10 @@ struct RTreeNode {
 class RStarTree {
  public:
   struct Options {
-    /// Maximum entries per node (page fanout). Minimum is 40% of max, the
-    /// value recommended by the R*-tree paper.
+    /// Maximum entries per node (page fanout). Minimum is 40% of max, and
+    /// 30% of an overflowing node's entries are force-reinserted, the values
+    /// the R*-tree paper recommends.
     int max_entries = 32;
-    /// Fraction of entries force-reinserted on first overflow (paper: 30%).
-    double reinsert_fraction = 0.3;
   };
 
   RStarTree() : RStarTree(Options{}) {}

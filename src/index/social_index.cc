@@ -6,6 +6,7 @@
 
 #include "common/macros.h"
 #include "common/rng.h"
+#include "socialnet/partitioner.h"
 
 namespace gpssn {
 
@@ -48,10 +49,8 @@ SocialIndex::SocialIndex(const SpatialSocialNetwork* ssn,
   }
 
   // --- Leaf level: graph partition cells.
-  PartitionOptions part_options = options.partition;
-  part_options.target_cell_size = options.leaf_cell_size;
-  part_options.seed = options.seed;
-  const PartitionResult partition = PartitionSocialNetwork(social, part_options);
+  const PartitionResult partition =
+      PartitionSocialNetwork(social, options.leaf_cell_size, options.seed);
 
   auto init_bounds = [&](SocialIndexNode* node) {
     node->lb_w.assign(d, std::numeric_limits<double>::infinity());
@@ -194,7 +193,7 @@ SocialIndex::SocialIndex(const SpatialSocialNetwork* ssn,
 
   // --- Page layout: nodes breadth-first from the root, then user records,
   // below I_R's page range.
-  PageAllocator alloc(options.page_size, /*first_page=*/0, kPoiIndexFirstPage);
+  PageAllocator alloc(kIndexPageSize, /*first_page=*/0, kPoiIndexFirstPage);
   {
     std::vector<SNodeId> queue = {root_};
     for (size_t head = 0; head < queue.size(); ++head) {

@@ -18,7 +18,6 @@
 
 #include "common/pagestore.h"
 #include "roadnet/road_pivots.h"
-#include "socialnet/partitioner.h"
 #include "socialnet/social_pivots.h"
 #include "ssn/spatial_social_network.h"
 
@@ -29,9 +28,7 @@ struct SocialIndexOptions {
   int leaf_cell_size = 32;
   /// Child nodes grouped under one parent.
   int fanout = 8;
-  /// Simulated page size in bytes.
-  uint32_t page_size = 4096;
-  PartitionOptions partition;
+  /// Seeds the partitioner and the grouping of nodes under parents.
   uint64_t seed = 1;
 };
 

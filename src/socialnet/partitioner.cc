@@ -10,6 +10,12 @@ namespace gpssn {
 
 namespace {
 
+// Boundary-refinement passes per uncoarsening level.
+constexpr int kRefinementPasses = 3;
+// Coarsening stops once the graph has at most this many times the number
+// of cells.
+constexpr int kCoarsenStopFactor = 4;
+
 // Weighted working graph used across coarsening levels.
 struct LevelGraph {
   // CSR adjacency with edge weights.
@@ -187,7 +193,7 @@ std::vector<int> InitialPartition(const LevelGraph& g, int k, Rng* rng) {
 
 // One boundary-refinement sweep: move vertices to the adjacent cell with the
 // highest cut-gain, respecting the balance ceiling. Returns #moves.
-int RefinePass(const LevelGraph& g, int k, int64_t max_cell_weight,
+int RefinePass(const LevelGraph& g, int64_t max_cell_weight,
                std::vector<int>* cell, std::vector<int64_t>* cell_weight) {
   const int n = g.num_vertices();
   int moves = 0;
@@ -217,20 +223,19 @@ int RefinePass(const LevelGraph& g, int k, int64_t max_cell_weight,
       ++moves;
     }
   }
-  (void)k;
   return moves;
 }
 
 }  // namespace
 
 PartitionResult PartitionSocialNetwork(const SocialNetwork& graph,
-                                       const PartitionOptions& options) {
-  GPSSN_CHECK(options.target_cell_size >= 1);
+                                       int target_cell_size, uint64_t seed) {
+  GPSSN_CHECK(target_cell_size >= 1);
   const int m = graph.num_users();
   PartitionResult result;
   if (m == 0) return result;
   // ceil(m / target) for m >= 1, without overflowing at a huge target.
-  const int k = (m - 1) / options.target_cell_size + 1;
+  const int k = (m - 1) / target_cell_size + 1;
   result.num_cells = k;
   if (k == 1) {
     result.cell.assign(m, 0);
@@ -238,13 +243,13 @@ PartitionResult PartitionSocialNetwork(const SocialNetwork& graph,
     return result;
   }
 
-  Rng rng(options.seed);
+  Rng rng(seed);
 
   // --- Coarsening phase.
   std::vector<LevelGraph> levels;
   std::vector<std::vector<int>> projections;  // fine -> coarse per level.
   levels.push_back(FromSocialNetwork(graph));
-  while (levels.back().num_vertices() > options.coarsen_stop_factor * k) {
+  while (levels.back().num_vertices() > kCoarsenStopFactor * k) {
     int num_coarse = 0;
     std::vector<int> coarse = HeavyEdgeMatching(levels.back(), &rng, &num_coarse);
     if (num_coarse >= levels.back().num_vertices() * 9 / 10) break;  // Stalled.
@@ -258,15 +263,15 @@ PartitionResult PartitionSocialNetwork(const SocialNetwork& graph,
   // --- Uncoarsening with refinement.
   const int64_t total_weight = m;
   const int64_t max_cell_weight = static_cast<int64_t>(
-      (1.0 + options.balance_slack) * total_weight / k) + 1;
+      (1.0 + kPartitionBalanceSlack) * total_weight / k) + 1;
   for (int level = static_cast<int>(levels.size()) - 1; level >= 0; --level) {
     const LevelGraph& g = levels[level];
     std::vector<int64_t> cell_weight(k, 0);
     for (int u = 0; u < g.num_vertices(); ++u) {
       cell_weight[cell[u]] += g.vertex_weights[u];
     }
-    for (int pass = 0; pass < options.refinement_passes; ++pass) {
-      if (RefinePass(g, k, max_cell_weight, &cell, &cell_weight) == 0) break;
+    for (int pass = 0; pass < kRefinementPasses; ++pass) {
+      if (RefinePass(g, max_cell_weight, &cell, &cell_weight) == 0) break;
     }
     if (level > 0) {
       // Project to the finer level.

@@ -17,20 +17,9 @@
 
 namespace gpssn {
 
-struct PartitionOptions {
-  /// Desired number of users per cell (leaf node of I_S). The number of
-  /// cells is ceil(m / target_cell_size).
-  int target_cell_size = 64;
-  /// Allowed imbalance: a cell may hold up to (1 + balance_slack) times the
-  /// average weight.
-  double balance_slack = 0.30;
-  /// Boundary-refinement passes per uncoarsening level.
-  int refinement_passes = 3;
-  /// Coarsening stops once the graph has at most this many times the number
-  /// of cells.
-  int coarsen_stop_factor = 4;
-  uint64_t seed = 1;
-};
+/// Allowed imbalance: a cell may hold up to (1 + kPartitionBalanceSlack)
+/// times the average weight.
+inline constexpr double kPartitionBalanceSlack = 0.30;
 
 struct PartitionResult {
   /// cell[u] in [0, num_cells) for every user u.
@@ -40,9 +29,10 @@ struct PartitionResult {
   int64_t cut_edges = 0;
 };
 
-/// Partitions the social network into balanced, low-cut cells.
+/// Partitions the social network into ceil(m / target_cell_size) balanced,
+/// low-cut cells, with random choices drawn from `seed`.
 PartitionResult PartitionSocialNetwork(const SocialNetwork& graph,
-                                       const PartitionOptions& options);
+                                       int target_cell_size, uint64_t seed);
 
 /// Computes the edge cut of an assignment (for tests / quality reporting).
 int64_t ComputeEdgeCut(const SocialNetwork& graph,

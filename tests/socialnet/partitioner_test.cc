@@ -17,10 +17,7 @@ TEST_P(PartitionerTest, CoversEveryUserWithinBalance) {
   gen.seed = GetParam();
   const SocialNetwork g = GenerateSocialNetwork(gen);
 
-  PartitionOptions options;
-  options.target_cell_size = 64;
-  options.seed = GetParam();
-  const PartitionResult result = PartitionSocialNetwork(g, options);
+  const PartitionResult result = PartitionSocialNetwork(g, 64, GetParam());
 
   ASSERT_EQ(result.cell.size(), static_cast<size_t>(g.num_users()));
   ASSERT_GT(result.num_cells, 1);
@@ -32,7 +29,7 @@ TEST_P(PartitionerTest, CoversEveryUserWithinBalance) {
   }
   // Balance: no cell exceeds (1 + slack) x average (plus integer rounding).
   const double limit =
-      (1.0 + options.balance_slack) * g.num_users() / result.num_cells + 2;
+      (1.0 + kPartitionBalanceSlack) * g.num_users() / result.num_cells + 2;
   for (int s : sizes) EXPECT_LE(s, limit);
 }
 
@@ -42,10 +39,7 @@ TEST_P(PartitionerTest, BeatsRandomAssignmentOnEdgeCut) {
   gen.seed = 100 + GetParam();
   const SocialNetwork g = GenerateSocialNetwork(gen);
 
-  PartitionOptions options;
-  options.target_cell_size = 64;
-  options.seed = GetParam();
-  const PartitionResult result = PartitionSocialNetwork(g, options);
+  const PartitionResult result = PartitionSocialNetwork(g, 64, GetParam());
 
   // Random assignment with the same number of cells.
   Rng rng(17);
@@ -66,9 +60,7 @@ TEST(PartitionerTest, SingleCellWhenGraphFits) {
   gen.num_users = 30;
   gen.seed = 5;
   const SocialNetwork g = GenerateSocialNetwork(gen);
-  PartitionOptions options;
-  options.target_cell_size = 64;
-  const PartitionResult result = PartitionSocialNetwork(g, options);
+  const PartitionResult result = PartitionSocialNetwork(g, 64, 1);
   EXPECT_EQ(result.num_cells, 1);
   EXPECT_EQ(result.cut_edges, 0);
 }
@@ -81,10 +73,7 @@ TEST(PartitionerTest, CommunityGraphGetsLowCut) {
   gen.intra_community_edge_fraction = 0.95;
   gen.seed = 6;
   const SocialNetwork g = GenerateSocialNetwork(gen);
-  PartitionOptions options;
-  options.target_cell_size = 80;
-  options.seed = 7;
-  const PartitionResult result = PartitionSocialNetwork(g, options);
+  const PartitionResult result = PartitionSocialNetwork(g, 80, 7);
   const double cut_fraction =
       static_cast<double>(result.cut_edges) / g.num_friendships();
   EXPECT_LT(cut_fraction, 0.35);
@@ -93,8 +82,7 @@ TEST(PartitionerTest, CommunityGraphGetsLowCut) {
 TEST(PartitionerTest, EmptyGraph) {
   SocialNetworkBuilder b(1);
   const SocialNetwork g = b.Build();
-  const PartitionResult result =
-      PartitionSocialNetwork(g, PartitionOptions{});
+  const PartitionResult result = PartitionSocialNetwork(g, 64, 1);
   EXPECT_TRUE(result.cell.empty());
   EXPECT_EQ(result.num_cells, 0);
 }
