@@ -1,6 +1,8 @@
 // Interactive GP-SSN shell: load or generate a spatial-social network, then
 // issue queries and inspect results from a prompt. Reads commands from
 // stdin (scriptable: `echo "gen UNI 0.05\nquery 10 3" | gpssn_shell`).
+// A command runs only when it reads every token of its line: a missing,
+// extra or malformed token prints its usage or an error and does nothing.
 //
 // Commands:
 //   gen <BriCal|GowCol|UNI|ZIPF> <scale>   generate + index a dataset
@@ -16,14 +18,17 @@
 //   help / quit
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/timer.h"
 #include "gpssn/gpssn.h"
@@ -38,10 +43,10 @@ void PrintHelp() {
       "  gen <BriCal|GowCol|UNI|ZIPF> <scale>\n"
       "  load <path>\n"
       "  stat\n"
-      "  tune [percentile]\n"
+      "  tune [percentile in (0,1)]\n"
       "  set <gamma|theta|r|metric> <value>   (metric: dot | jaccard | "
       "hamming)\n"
-      "  query <issuer> <tau> [k]\n"
+      "  query <issuer> <tau> [k >= 1]\n"
       "  baseline <issuer> <tau>\n"
       "  addpoi <edge> <t in [0,1]> <keyword...>\n"
       "  save <path> | restore <path>         (database snapshots)\n"
@@ -76,6 +81,19 @@ std::optional<double> ParseNumber(const std::string& text) {
   return value;
 }
 
+// The int `text` spells in full, if it spells one.
+std::optional<int> ParseInt(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(value);
+}
+
 std::optional<InterestMetric> ParseMetric(const std::string& name) {
   if (name == "dot") return InterestMetric::kDotProduct;
   if (name == "jaccard") return InterestMetric::kJaccard;
@@ -104,41 +122,52 @@ int main() {
   std::string line;
   while (std::printf("> "), std::fflush(stdout), std::getline(std::cin, line)) {
     std::istringstream in(line);
-    std::string cmd;
-    if (!(in >> cmd)) continue;
-    if (cmd == "quit" || cmd == "exit") break;
+    std::vector<std::string> args;
+    for (std::string token; in >> token;) args.push_back(std::move(token));
+    if (args.empty()) continue;
+    const std::string cmd = args.front();
+    args.erase(args.begin());
+    if (cmd == "quit" || cmd == "exit") {
+      if (args.empty()) break;
+      std::printf("usage: %s\n", cmd.c_str());
+      continue;
+    }
     if (cmd == "help") {
-      PrintHelp();
+      if (args.empty()) {
+        PrintHelp();
+      } else {
+        std::printf("usage: help\n");
+      }
       continue;
     }
     if (cmd == "gen") {
-      std::string name;
-      double scale = 0.05;
-      if (!(in >> name >> scale) || scale <= 0 || scale > 1) {
+      const std::optional<double> scale =
+          args.size() == 2 ? ParseNumber(args[1]) : std::nullopt;
+      if (!scale.has_value() || *scale <= 0 || *scale > 1) {
         std::printf("usage: gen <BriCal|GowCol|UNI|ZIPF> <scale in (0,1]>\n");
         continue;
       }
+      const std::string& name = args[0];
       if (!IsDataset(name)) {
         std::printf("unknown dataset '%s' (BriCal|GowCol|UNI|ZIPF)\n",
                     name.c_str());
         continue;
       }
       std::printf("generating %s at scale %.3f and building indexes...\n",
-                  name.c_str(), scale);
+                  name.c_str(), *scale);
       WallTimer timer;
-      db = std::make_unique<GpssnDatabase>(Generate(name, scale));
+      db = std::make_unique<GpssnDatabase>(Generate(name, *scale));
       std::printf("ready in %.2f s (%d users, %d POIs)\n",
                   timer.ElapsedSeconds(), db->ssn().num_users(),
                   db->ssn().num_pois());
       continue;
     }
     if (cmd == "load") {
-      std::string path;
-      if (!(in >> path)) {
+      if (args.size() != 1) {
         std::printf("usage: load <path>\n");
         continue;
       }
-      auto loaded = LoadSsn(path);
+      auto loaded = LoadSsn(args[0]);
       const Status indexable =
           loaded.ok() ? CheckPivotCounts(*loaded, GpssnBuildOptions{})
                       : loaded.status();
@@ -152,13 +181,12 @@ int main() {
       continue;
     }
     if (cmd == "restore") {
-      std::string path;
-      if (!(in >> path)) {
+      if (args.size() != 1) {
         std::printf("usage: restore <path>\n");
         continue;
       }
       WallTimer timer;
-      auto restored = LoadSnapshot(path);
+      auto restored = LoadSnapshot(args[0]);
       if (!restored.ok()) {
         std::printf("restore failed: %s\n",
                     restored.status().ToString().c_str());
@@ -176,6 +204,10 @@ int main() {
       continue;
     }
     if (cmd == "stat") {
+      if (!args.empty()) {
+        std::printf("usage: stat\n");
+        continue;
+      }
       const SsnStats stats = ComputeStats(db->ssn());
       std::printf("|V(Gs)|=%d deg=%.2f  |V(Gr)|=%d deg=%.2f  POIs=%d d=%d\n",
                   stats.social_vertices, stats.social_avg_degree,
@@ -185,9 +217,13 @@ int main() {
     }
     if (cmd == "tune") {
       TuningOptions options;
-      in >> options.percentile;
-      if (options.percentile <= 0 || options.percentile >= 1) {
-        options.percentile = 0.5;
+      if (args.size() == 1) {
+        options.percentile = ParseNumber(args[0]).value_or(0.0);
+      }
+      if (args.size() > 1 ||
+          !(options.percentile > 0 && options.percentile < 1)) {
+        std::printf("usage: tune [percentile in (0,1)]\n");
+        continue;
       }
       ParameterSuggestion s = SuggestParameters(db->ssn(), options);
       // Keep r inside the index's precomputed envelope [r_min, r_max].
@@ -206,11 +242,12 @@ int main() {
       continue;
     }
     if (cmd == "set") {
-      std::string key, value;
-      if (!(in >> key >> value)) {
+      if (args.size() != 2) {
         std::printf("usage: set <gamma|theta|r|metric> <value>\n");
         continue;
       }
+      const std::string& key = args[0];
+      const std::string& value = args[1];
       if (key == "metric") {
         const std::optional<InterestMetric> metric = ParseMetric(value);
         if (!metric.has_value()) {
@@ -241,17 +278,20 @@ int main() {
       continue;
     }
     if (cmd == "query") {
-      int issuer = -1, tau = 0, k = 1;
-      if (!(in >> issuer >> tau)) {
-        std::printf("usage: query <issuer> <tau> [k]\n");
+      const bool arity = args.size() == 2 || args.size() == 3;
+      const std::optional<int> issuer =
+          arity ? ParseInt(args[0]) : std::nullopt;
+      const std::optional<int> tau = arity ? ParseInt(args[1]) : std::nullopt;
+      const int k = args.size() == 3 ? ParseInt(args[2]).value_or(0) : 1;
+      if (!issuer.has_value() || !tau.has_value() || k < 1) {
+        std::printf("usage: query <issuer> <tau> [k >= 1]\n");
         continue;
       }
-      in >> k;
       GpssnQuery q = defaults;
-      q.issuer = issuer;
-      q.tau = tau;
+      q.issuer = *issuer;
+      q.tau = *tau;
       QueryStats stats;
-      auto results = db->QueryTopK(q, std::max(1, k), QueryOptions{}, &stats);
+      auto results = db->QueryTopK(q, k, QueryOptions{}, &stats);
       if (!results.ok()) {
         std::printf("error: %s\n", results.status().ToString().c_str());
         continue;
@@ -278,26 +318,32 @@ int main() {
       continue;
     }
     if (cmd == "save") {
-      std::string path;
-      if (!(in >> path)) {
+      if (args.size() != 1) {
         std::printf("usage: save <path>\n");
         continue;
       }
-      const Status saved = SaveSnapshot(*db, path);
+      const Status saved = SaveSnapshot(*db, args[0]);
       std::printf("%s\n", saved.ok() ? "snapshot written" :
                                        saved.ToString().c_str());
       continue;
     }
     if (cmd == "addpoi") {
-      EdgePosition pos;
-      if (!(in >> pos.edge >> pos.t)) {
+      const std::optional<int> edge =
+          args.size() >= 2 ? ParseInt(args[0]) : std::nullopt;
+      const std::optional<double> t =
+          args.size() >= 2 ? ParseNumber(args[1]) : std::nullopt;
+      std::vector<KeywordId> kws;
+      bool keywords_ok = true;
+      for (size_t i = 2; i < args.size() && keywords_ok; ++i) {
+        const std::optional<int> kw = ParseInt(args[i]);
+        keywords_ok = kw.has_value();
+        if (keywords_ok) kws.push_back(*kw);
+      }
+      if (!edge.has_value() || !t.has_value() || !keywords_ok) {
         std::printf("usage: addpoi <edge> <t in [0,1]> <keyword...>\n");
         continue;
       }
-      std::vector<KeywordId> kws;
-      KeywordId kw;
-      while (in >> kw) kws.push_back(kw);
-      auto id = db->AddPoi(pos, std::move(kws));
+      auto id = db->AddPoi(EdgePosition{*edge, *t}, std::move(kws));
       if (!id.ok()) {
         std::printf("error: %s\n", id.status().ToString().c_str());
         continue;
@@ -308,14 +354,17 @@ int main() {
       continue;
     }
     if (cmd == "baseline") {
-      int issuer = -1, tau = 0;
-      if (!(in >> issuer >> tau)) {
+      const std::optional<int> issuer =
+          args.size() == 2 ? ParseInt(args[0]) : std::nullopt;
+      const std::optional<int> tau =
+          args.size() == 2 ? ParseInt(args[1]) : std::nullopt;
+      if (!issuer.has_value() || !tau.has_value()) {
         std::printf("usage: baseline <issuer> <tau>\n");
         continue;
       }
       GpssnQuery q = defaults;
-      q.issuer = issuer;
-      q.tau = tau;
+      q.issuer = *issuer;
+      q.tau = *tau;
       const auto est = EstimateBaselineCost(db->ssn(), q, 50);
       if (!est.ok()) {
         std::printf("error: %s\n", est.status().ToString().c_str());

@@ -5,6 +5,9 @@
 //
 // Per dataset (UNI x0.2 on the CH backend; ZIPF x0.2 on Dijkstra with a
 // 2^19-entry shared distance cache, as perfbench's uni-ch and zipf-maint):
+//   - the generated network's gpssn-v2 checksum line (ssn/serialize.h), an
+//     FNV-1a of every byte of the network body, so the generators are
+//     compared byte for byte;
 //   - a fresh ContractionHierarchy of the road network under default
 //     ChOptions: FNV-1a digests of its ranks() and up_offsets() bytes and
 //     of its up_arcs() field by field, its shortcut count and its round
@@ -30,6 +33,7 @@
 #include <cstdio>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,6 +42,7 @@
 #include "roadnet/contraction_hierarchy.h"
 #include "serving/coordinator.h"
 #include "ssn/dataset.h"
+#include "ssn/serialize.h"
 
 namespace {
 
@@ -167,6 +172,12 @@ uint64_t UpArcsDigest(const ContractionHierarchy& ch) {
   return hash;
 }
 
+void PrintNetwork(const char* dataset, const SpatialSocialNetwork& ssn) {
+  std::ostringstream body;
+  PrintStatus(std::string(dataset) + " network", WriteSsnBody(body, ssn));
+  std::printf("%s network %s", dataset, ChecksumLine(body.str()).c_str());
+}
+
 void PrintHierarchy(const char* dataset, const RoadNetwork& road) {
   ContractionHierarchy ch;
   ch.Build(&road);
@@ -250,6 +261,7 @@ void RunDataset(const Dataset& dataset) {
   GpssnDatabase db(MakeSynthetic(data), build);
   std::printf("%s users=%d pois=%d\n", dataset.name, db.ssn().num_users(),
               db.ssn().num_pois());
+  PrintNetwork(dataset.name, db.ssn());
   PrintHierarchy(dataset.name, db.ssn().road());
 
   const std::vector<BallProbe> probes = EngineBallProbes(db);

@@ -104,10 +104,6 @@ GpssnBatchExecutor::~GpssnBatchExecutor() {
   // member).
 }
 
-size_t GpssnBatchExecutor::Submit(const GpssnQuery& query) {
-  return Submit(query, options_.default_deadline_seconds);
-}
-
 size_t GpssnBatchExecutor::Submit(const GpssnQuery& query,
                                   double deadline_seconds, Callback callback) {
   if (results_.empty()) {

@@ -48,10 +48,6 @@ struct BatchExecutorOptions {
   /// Base processor options applied to every query (per-query deadlines
   /// and the batch cancel flag are layered on top).
   QueryOptions query;
-  /// Deadline applied to queries submitted without an explicit one;
-  /// <= 0 means no deadline. Deadlines are armed at SUBMIT time, so queue
-  /// waiting counts against them.
-  double default_deadline_seconds = 0.0;
 };
 
 /// Outcome of one query of a batch, in submission order.
@@ -141,12 +137,11 @@ class GpssnBatchExecutor {
 
   int num_workers() const { return scheduler_.num_threads(); }
 
-  /// Enqueues one query under the default deadline; returns its index in
-  /// the batch result vector.
-  size_t Submit(const GpssnQuery& query);
-  /// Enqueues one query with an explicit deadline (seconds from now;
-  /// <= 0 = none) and an optional completion callback.
-  size_t Submit(const GpssnQuery& query, double deadline_seconds,
+  /// Enqueues one query with a deadline (seconds from now; <= 0 = none)
+  /// and an optional completion callback; returns its index in the batch
+  /// result vector. The deadline is armed at submit time, so queue
+  /// waiting counts against it.
+  size_t Submit(const GpssnQuery& query, double deadline_seconds = 0.0,
                 Callback callback = nullptr);
 
   /// Blocks until every submitted query has finished; returns the results

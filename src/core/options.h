@@ -98,15 +98,10 @@ struct QueryOptions {
   /// LRU buffer pool capacity (pages) for the I/O metric.
   uint32_t buffer_pool_pages = 64;
   /// Refinement safety caps (exact answers are unaffected unless a cap is
-  /// hit, which is reported in QueryStats::truncated).
-  int64_t max_groups = 100000;
-  /// Caps the number of EXACT distance evaluations in refinement.
-  int64_t max_refine_pairs = 100000;
-  /// Optional subset-sampling refinement (the paper's future-work
-  /// extension): sample connected groups instead of exhaustive enumeration.
-  bool subset_sampling = false;
-  int subset_samples = 4000;
-  uint64_t seed = 1;
+  /// hit, which is reported in QueryStats::truncated): the groups the plan
+  /// enumerates, and the EXACT distance evaluations in refinement.
+  static constexpr int64_t max_groups = 100000;
+  static constexpr int64_t max_refine_pairs = 100000;
   /// Cooperative deadline (see QueryDeadline). Unarmed by default.
   QueryDeadline deadline;
   /// Optional external cancel flag (e.g. batch shutdown), polled at the

@@ -187,39 +187,48 @@ Result<GpssnAnswer> GpssnProcessor::Execute(const GpssnQuery& query,
   return top.empty() ? GpssnAnswer() : std::move(top.front());
 }
 
-Result<std::vector<GpssnAnswer>> GpssnProcessor::ExecuteTopK(
-    const GpssnQuery& query, int k, const QueryOptions& options,
-    QueryStats* stats) {
-  if (k < 1) return Status::InvalidArgument("top-k requires k >= 1");
-  GPSSN_RETURN_NOT_OK(ValidateQuery(query));
+template <typename Stages>
+Status GpssnProcessor::RunPlanned(const GpssnQuery& query,
+                                  const QueryOptions& options,
+                                  QueryStats* stats, Stages&& stages) {
   QueryStats local;
   QueryStats* out = stats != nullptr ? stats : &local;
   *out = QueryStats();
   WallTimer timer;
   QueryPlan plan(query, *social_index_, options.buffer_pool_pages);
-  ShardScope whole;
-  whole.social_roots = {social_index_->root()};
-  whole.road_roots = {poi_index_->tree().root()};
-  std::vector<RankedAnswer> best;
-  Status status = Gather(options, whole, &plan, out);
-  if (status.ok()) {
-    // u_q is in S by definition: on the whole index it joins the
-    // candidates even when its leaf was node-pruned (the serving
-    // coordinator does the same after merging the shards' lists).
-    if (std::find(plan.users.begin(), plan.users.end(), query.issuer) ==
-        plan.users.end()) {
-      plan.users.push_back(query.issuer);
-      ++out->users_candidates;
-    }
-    const ScopedPhaseTimer refine_phase(&out->refine_seconds);
-    PlanGroups(poi_index_->ssn().social(), query, options, &social_scratch_,
-               &plan.users, &plan.groups, out);
-    status = Refine(options, plan.groups, k, kInfDistance, &plan, out, &best);
-  }
+  const Status status = stages(&plan, out);
   out->io.logical_accesses += plan.pool.stats().logical_accesses;
   out->io.page_misses += plan.pool.stats().page_misses;
   out->cpu_seconds = timer.ElapsedSeconds();
-  GPSSN_RETURN_NOT_OK(status);
+  return status;
+}
+
+Result<std::vector<GpssnAnswer>> GpssnProcessor::ExecuteTopK(
+    const GpssnQuery& query, int k, const QueryOptions& options,
+    QueryStats* stats) {
+  if (k < 1) return Status::InvalidArgument("top-k requires k >= 1");
+  GPSSN_RETURN_NOT_OK(ValidateQuery(query));
+  std::vector<RankedAnswer> best;
+  GPSSN_RETURN_NOT_OK(RunPlanned(
+      query, options, stats, [&](QueryPlan* plan, QueryStats* out) {
+        ShardScope whole;
+        whole.social_roots = {social_index_->root()};
+        whole.road_roots = {poi_index_->tree().root()};
+        GPSSN_RETURN_NOT_OK(Gather(options, whole, plan, out));
+        // u_q is in S by definition: on the whole index it joins the
+        // candidates even when its leaf was node-pruned (the serving
+        // coordinator does the same after merging the shards' lists).
+        if (std::find(plan->users.begin(), plan->users.end(),
+                      query.issuer) == plan->users.end()) {
+          plan->users.push_back(query.issuer);
+          ++out->users_candidates;
+        }
+        const ScopedPhaseTimer refine_phase(&out->refine_seconds);
+        PlanGroups(poi_index_->ssn().social(), query, options,
+                   &social_scratch_, &plan->users, &plan->groups, out);
+        return Refine(options, plan->groups, k, kInfDistance, plan, out,
+                      &best);
+      }));
   std::vector<GpssnAnswer> answers;
   answers.reserve(best.size());
   for (RankedAnswer& ranked : best) answers.push_back(std::move(ranked.answer));
@@ -230,22 +239,19 @@ Result<ShardCandidates> GpssnProcessor::GatherCandidates(
     const GpssnQuery& query, const QueryOptions& options,
     const ShardScope& scope, QueryStats* stats) {
   GPSSN_RETURN_NOT_OK(ValidateQuery(query));
-  QueryStats local;
-  QueryStats* out = stats != nullptr ? stats : &local;
-  *out = QueryStats();
-  WallTimer timer;
-  QueryPlan plan(query, *social_index_, options.buffer_pool_pages);
-  Status status = Gather(options, scope, &plan, out);
-  out->io.logical_accesses += plan.pool.stats().logical_accesses;
-  out->io.page_misses += plan.pool.stats().page_misses;
-  out->cpu_seconds = timer.ElapsedSeconds();
-  GPSSN_RETURN_NOT_OK(status);
   ShardCandidates result;
-  result.users = std::move(plan.users);
-  result.pois.reserve(plan.pois.size());
-  for (const auto& [lb, id] : plan.pois) result.pois.push_back(id);
+  std::vector<std::pair<double, PoiId>> pois;
+  GPSSN_RETURN_NOT_OK(RunPlanned(
+      query, options, stats, [&](QueryPlan* plan, QueryStats* out) {
+        GPSSN_RETURN_NOT_OK(Gather(options, scope, plan, out));
+        result.users = std::move(plan->users);
+        pois = std::move(plan->pois);
+        result.lower_bound = plan->lower_bound;
+        return Status::OK();
+      }));
+  result.pois.reserve(pois.size());
+  for (const auto& [lb, id] : pois) result.pois.push_back(id);
   std::sort(result.pois.begin(), result.pois.end());
-  result.lower_bound = plan.lower_bound;
   return result;
 }
 
@@ -269,28 +275,21 @@ Result<ShardRefineResult> GpssnProcessor::RefineCandidates(
       }
     }
   }
-  QueryStats local;
-  QueryStats* out = stats != nullptr ? stats : &local;
-  *out = QueryStats();
-  WallTimer timer;
-  QueryPlan plan(query, *social_index_, options.buffer_pool_pages);
-  plan.pois.reserve(centers.size());
-  for (PoiId c : centers) {
-    plan.pois.emplace_back(LbDistToPoi(plan.ctx, poi_index_->poi_aug(c)), c);
-  }
-  std::vector<RankedAnswer> best;
-  Status status;
-  {
-    const ScopedPhaseTimer refine_phase(&out->refine_seconds);
-    status = Refine(options, groups, /*top_k=*/1, incumbent, &plan, out, &best);
-  }
   // users/pois/groups counters stay 0 here: the coordinator owns the
   // candidate-level counters (the gather stats already carry them), so the
   // merged per-query stats count each candidate exactly once.
-  out->io.logical_accesses += plan.pool.stats().logical_accesses;
-  out->io.page_misses += plan.pool.stats().page_misses;
-  out->cpu_seconds = timer.ElapsedSeconds();
-  GPSSN_RETURN_NOT_OK(status);
+  std::vector<RankedAnswer> best;
+  GPSSN_RETURN_NOT_OK(RunPlanned(
+      query, options, stats, [&](QueryPlan* plan, QueryStats* out) {
+        plan->pois.reserve(centers.size());
+        for (PoiId c : centers) {
+          plan->pois.emplace_back(
+              LbDistToPoi(plan->ctx, poi_index_->poi_aug(c)), c);
+        }
+        const ScopedPhaseTimer refine_phase(&out->refine_seconds);
+        return Refine(options, groups, /*top_k=*/1, incumbent, plan, out,
+                      &best);
+      }));
   return best.empty() ? ShardRefineResult() : std::move(best.front());
 }
 
@@ -682,7 +681,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
 
   // The pair loop's timer also covers the copy of the kept answers below.
   const ScopedPhaseTimer pair_loop_phase(&stats->pair_loop_seconds);
-  int64_t pair_budget = options.max_refine_pairs;
+  int64_t pair_budget = QueryOptions::max_refine_pairs;
   uint32_t poll_stride = 0;
   uint32_t visit = 0;
   for (size_t ci = 0; ci < scr.centers.size(); ++ci) {

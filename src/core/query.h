@@ -175,6 +175,14 @@ class GpssnProcessor {
   /// InvalidArgument unless `query` is well formed for these indexes.
   Status ValidateQuery(const GpssnQuery& query) const;
 
+  /// The frame of every entry point: resets `*stats` (a local when null),
+  /// then times `stages(&plan, stats)` over a fresh plan for `query`, the
+  /// plan's construction included, and adds the plan's page I/O and the
+  /// elapsed time into the stats. Returns what `stages` returns.
+  template <typename Stages>
+  Status RunPlanned(const GpssnQuery& query, const QueryOptions& options,
+                    QueryStats* stats, Stages&& stages);
+
   /// Gather stage: descends I_S and then I_R from the roots in `scope`
   /// (Algorithm 2 lines 1-28), filling plan->users/pois/lower_bound.
   /// Returns Cancelled/DeadlineExceeded when interrupted.

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <set>
 
 #include "common/bitvector.h"
 #include "common/macros.h"
-#include "common/rng.h"
 #include "common/timer.h"
 #include "core/scores.h"
 
@@ -303,58 +301,6 @@ bool EnumerateGroups(const SocialNetwork& social, const GpssnQuery& query,
   return EsuEnumerator(&view, query.tau, max_groups, out).Run(query.issuer);
 }
 
-void SampleGroups(const SocialNetwork& social, const GpssnQuery& query,
-                  const std::vector<UserId>& candidates, int samples,
-                  uint64_t seed, std::vector<std::vector<UserId>>* out) {
-  GPSSN_CHECK(out != nullptr);
-  out->clear();
-  if (query.tau == 1) {
-    out->push_back({query.issuer});
-    return;
-  }
-  std::vector<bool> in_candidates(social.num_users(), false);
-  for (UserId u : candidates) in_candidates[u] = true;
-  in_candidates[query.issuer] = true;
-
-  Rng rng(seed);
-  std::set<std::vector<UserId>> unique;
-  for (int s = 0; s < samples; ++s) {
-    std::vector<UserId> group = {query.issuer};
-    std::vector<UserId> frontier;
-    auto add_frontier = [&](UserId u) {
-      for (UserId v : social.Friends(u)) {
-        if (!in_candidates[v]) continue;
-        if (std::find(group.begin(), group.end(), v) != group.end()) continue;
-        frontier.push_back(v);
-      }
-    };
-    add_frontier(query.issuer);
-    while (static_cast<int>(group.size()) < query.tau && !frontier.empty()) {
-      const size_t pick = rng.NextBounded(frontier.size());
-      const UserId w = frontier[pick];
-      frontier.erase(frontier.begin() + pick);
-      if (std::find(group.begin(), group.end(), w) != group.end()) continue;
-      bool compatible = true;
-      const InterestRun ww = social.Run(w);
-      for (UserId member : group) {
-        if (RunSimilarity(query.metric, ww, social.Run(member),
-                          social.num_topics()) < query.gamma) {
-          compatible = false;
-          break;
-        }
-      }
-      if (!compatible) continue;
-      group.push_back(w);
-      add_frontier(w);
-    }
-    if (static_cast<int>(group.size()) == query.tau) {
-      std::sort(group.begin(), group.end());
-      unique.insert(std::move(group));
-    }
-  }
-  out->assign(unique.begin(), unique.end());
-}
-
 void PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
                 const QueryOptions& options, SocialScratch* scratch,
                 std::vector<UserId>* users,
@@ -370,11 +316,8 @@ void PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
   }
   stats->corollary2_seconds += timer.ElapsedSeconds();
   timer.Restart();
-  if (options.subset_sampling) {
-    SampleGroups(social, query, *users, options.subset_samples, options.seed,
-                 groups);
-  } else if (!EnumerateGroups(social, query, *users, options.max_groups,
-                              groups, kernels)) {
+  if (!EnumerateGroups(social, query, *users, QueryOptions::max_groups,
+                       groups, kernels)) {
     stats->truncated = true;
   }
   stats->enumerate_seconds += timer.ElapsedSeconds();

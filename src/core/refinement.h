@@ -3,10 +3,8 @@
 // Refinement-phase helpers of Algorithm 2 (lines 29-31): the Corollary 2
 // count-based user pruning and the enumeration of connected τ-subsets S of
 // the candidate users that contain u_q and satisfy the pairwise
-// interest-score predicate. Exhaustive enumeration uses the ESU
-// (enumerate-subgraphs) scheme, emitting every qualifying group exactly
-// once; the optional subset-sampling mode (the paper's future-work
-// extension) randomly grows connected groups instead.
+// interest-score predicate. Enumeration uses the ESU (enumerate-subgraphs)
+// scheme, emitting every qualifying group exactly once.
 
 #ifndef GPSSN_CORE_REFINEMENT_H_
 #define GPSSN_CORE_REFINEMENT_H_
@@ -49,12 +47,6 @@ bool EnumerateGroups(const SocialNetwork& social, const GpssnQuery& query,
                      std::vector<std::vector<UserId>>* out,
                      SocialScratch* scratch = nullptr);
 
-/// Subset-sampling alternative: `samples` random connected growths from
-/// u_q; deduplicated. Never truncates (sampling is inherently partial).
-void SampleGroups(const SocialNetwork& social, const GpssnQuery& query,
-                  const std::vector<UserId>& candidates, int samples,
-                  uint64_t seed, std::vector<std::vector<UserId>>* out);
-
 /// Largest candidate set PlanGroups builds a SocialScratch for: it bounds
 /// the O(n²) pair memo and adjacency bitsets at about 10 MiB.
 inline constexpr size_t kScratchMaxCandidates = 4096;
@@ -63,8 +55,8 @@ inline constexpr size_t kScratchMaxCandidates = 4096;
 /// GpssnProcessor and the serving coordinator. `users` holds the gathered
 /// candidates in I_S leaf order, the issuer included. With interest
 /// pruning on, Corollary 2 shrinks `users` in place; then `groups`
-/// receives the enumerated — or, with options.subset_sampling, sampled —
-/// groups. The social kernel follows from cost: Corollary 2 scores most of
+/// receives the enumerated groups, at most QueryOptions::max_groups of
+/// them. The social kernel follows from cost: Corollary 2 scores most of
 /// the n(n−1)/2 candidate pairs, so when it runs over at most
 /// kScratchMaxCandidates users PlanGroups first builds `scratch` over them
 /// and both stages share its pair memo and adjacency bitsets; otherwise

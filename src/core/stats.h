@@ -66,7 +66,7 @@ namespace gpssn {
      loop's member rows). */                                                 \
   X(double, exact_dist_seconds, Sum)                                         \
   /* PlanGroups: Corollary 2 (with the SocialScratch build), then the        \
-     group enumeration or sampling. */                                       \
+     group enumeration. */                                                   \
   X(double, corollary2_seconds, Sum)                                         \
   X(double, enumerate_seconds, Sum)                                          \
   /* Refine's center loop over (center, group) pairs, including the member   \

@@ -12,6 +12,10 @@ namespace gpssn {
 
 namespace {
 
+// Sample sizes: score pairs for γ and for θ, and ball centers for r.
+constexpr int kScoreSamples = 800;
+constexpr int kRadiusSamples = 200;
+
 double Percentile(std::vector<double>* values, double p) {
   if (values->empty()) return 0.0;
   std::sort(values->begin(), values->end());
@@ -39,10 +43,10 @@ ParameterSuggestion SuggestParameters(const SpatialSocialNetwork& ssn,
   // of friend pairs qualify.
   {
     std::vector<double> scores;
-    scores.reserve(options.score_samples);
+    scores.reserve(kScoreSamples);
     int guard = 0;
-    while (static_cast<int>(scores.size()) < options.score_samples &&
-           guard++ < 20 * options.score_samples) {
+    while (static_cast<int>(scores.size()) < kScoreSamples &&
+           guard++ < 20 * kScoreSamples) {
       const UserId u = static_cast<UserId>(rng.NextBounded(ssn.num_users()));
       const auto friends = social.Friends(u);
       if (friends.empty()) continue;
@@ -60,7 +64,7 @@ ParameterSuggestion SuggestParameters(const SpatialSocialNetwork& ssn,
   const std::unique_ptr<DistanceEngine> engine = backend->CreateEngine();
   {
     std::vector<double> radii;
-    for (int s = 0; s < options.radius_samples; ++s) {
+    for (int s = 0; s < kRadiusSamples; ++s) {
       const PoiId center =
           static_cast<PoiId>(rng.NextBounded(ssn.num_pois()));
       // Grow the probe radius geometrically until enough POIs fall in.
@@ -84,8 +88,8 @@ ParameterSuggestion SuggestParameters(const SpatialSocialNetwork& ssn,
   // the suggested radius produces.
   {
     std::vector<double> scores;
-    scores.reserve(options.score_samples);
-    for (int s = 0; s < options.score_samples; ++s) {
+    scores.reserve(kScoreSamples);
+    for (int s = 0; s < kScoreSamples; ++s) {
       const UserId u = static_cast<UserId>(rng.NextBounded(ssn.num_users()));
       const PoiId center =
           static_cast<PoiId>(rng.NextBounded(ssn.num_pois()));

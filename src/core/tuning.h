@@ -24,9 +24,6 @@ struct TuningOptions {
   /// The x-th percentile used for every distribution, in (0, 1). 0.5 =
   /// median: half of friend pairs / user-ball pairs qualify.
   double percentile = 0.5;
-  /// Sample sizes for each distribution.
-  int score_samples = 800;
-  int radius_samples = 200;
   /// Ball size the radius suggestion should typically gather.
   int target_ball_size = 8;
   uint64_t seed = 1;

@@ -13,6 +13,9 @@ namespace gpssn {
 
 namespace {
 
+// How many nearest neighbors of each vertex are candidate edges.
+constexpr int kCandidateNeighbors = 6;
+
 // Uniform grid over the data space for nearest-neighbor candidate lookup.
 class PointGrid {
  public:
@@ -122,9 +125,9 @@ RoadNetwork GenerateRoadNetwork(const RoadGenOptions& options) {
     int a, b;
   };
   std::vector<Candidate> candidates;
-  candidates.reserve(static_cast<size_t>(n) * options.knn);
+  candidates.reserve(static_cast<size_t>(n) * kCandidateNeighbors);
   for (int i = 0; i < n; ++i) {
-    for (int j : grid.Knn(i, options.knn)) {
+    for (int j : grid.Knn(i, kCandidateNeighbors)) {
       if (i < j) {
         candidates.push_back(
             Candidate{EuclideanDistance(points[i], points[j]), i, j});

@@ -22,8 +22,6 @@ struct RoadGenOptions {
   double avg_degree = 2.2;
   /// Side length of the square data space.
   double space_size = 100.0;
-  /// How many nearest neighbors to consider as candidate edges per vertex.
-  int knn = 6;
   uint64_t seed = 1;
 };
 

@@ -16,10 +16,6 @@ Result<std::unique_ptr<ServingCluster>> ServingCluster::Create(
   if (options.max_inflight < 1) {
     return Status::InvalidArgument("max_inflight must be >= 1");
   }
-  if (options.query.subset_sampling) {
-    return Status::InvalidArgument(
-        "subset sampling is not supported by the sharded serving path");
-  }
   auto partition = MakeServingPartition(db.social_index(), db.poi_index(),
                                         options.num_shards);
   if (!partition.ok()) return partition.status();

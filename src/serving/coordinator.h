@@ -73,9 +73,7 @@ struct ServingOptions {
   /// `distance_backend` runs the database's backend, and a null
   /// `distance_cache` on that backend reads and fills the database's
   /// cache, the one the serial path and batch workers share. A cache set
-  /// here is used instead. `subset_sampling` must be off — sampling is
-  /// nondeterministic across partitions, and serving rejects it per query
-  /// with InvalidArgument.
+  /// here is used instead.
   QueryOptions query;
   /// Deadline applied to every query (seconds; <= 0 = none), armed at
   /// submit; every shard request carries it as is, so time a request waits

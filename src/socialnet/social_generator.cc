@@ -11,6 +11,11 @@ namespace gpssn {
 
 namespace {
 
+// Topics in each community's profile, and the probability that a sparse
+// topic pick comes from the user's community profile.
+constexpr int kCommunityProfileTopics = 6;
+constexpr double kProfileAffinity = 0.92;
+
 // Connects a built adjacency list into one component by wiring a random
 // member of each extra component to a random member of another one.
 void EnsureConnected(std::vector<std::vector<UserId>>* adj, Rng* rng) {
@@ -94,19 +99,19 @@ std::vector<std::vector<UserId>> CommunityMembers(
   return members;
 }
 
-// Per-community topic profiles: `profile_topics` topics drawn by Zipf
-// popularity (popular topics recur across communities — that is what makes
-// cross-community groups still possible).
-std::vector<std::vector<KeywordId>> CommunityProfiles(
-    int num_communities, int num_topics, int profile_topics,
-    double topic_zipf, Rng* rng) {
-  ZipfSampler sampler(num_topics, topic_zipf);
+// Per-community topic profiles: kCommunityProfileTopics topics drawn by
+// Zipf popularity (popular topics recur across communities — that is what
+// makes cross-community groups still possible).
+std::vector<std::vector<KeywordId>> CommunityProfiles(int num_communities,
+                                                      int num_topics,
+                                                      Rng* rng) {
+  ZipfSampler sampler(num_topics, kTopicZipfExponent);
   std::vector<std::vector<KeywordId>> profiles(num_communities);
   for (auto& profile : profiles) {
     int guard = 0;
     while (static_cast<int>(profile.size()) <
-               std::min(profile_topics, num_topics) &&
-           guard++ < 40 * profile_topics) {
+               std::min(kCommunityProfileTopics, num_topics) &&
+           guard++ < 40 * kCommunityProfileTopics) {
       const KeywordId t = static_cast<KeywordId>(sampler.Sample(rng));
       if (std::find(profile.begin(), profile.end(), t) == profile.end()) {
         profile.push_back(t);
@@ -117,15 +122,13 @@ std::vector<std::vector<KeywordId>> CommunityProfiles(
 }
 
 // Sparse homophilous interest vector: k topics, mostly from the community
-// profile, weights in [weight_min, 1].
+// profile, weights in [kSparseWeightMin, 1].
 std::vector<double> DrawSparseInterestVector(
-    int num_topics, const InterestModel& model,
-    const std::vector<KeywordId>& profile, double profile_affinity,
-    const ZipfSampler& topic_sampler, Rng* rng) {
+    int num_topics, const std::vector<KeywordId>& profile,
+    double profile_affinity, const ZipfSampler& topic_sampler, Rng* rng) {
   std::vector<double> w(num_topics, 0.0);
-  const int k = static_cast<int>(
-      rng->UniformInt(model.topics_min,
-                      std::max(model.topics_min, model.topics_max)));
+  const int k =
+      static_cast<int>(rng->UniformInt(kSparseTopicsMin, kSparseTopicsMax));
   int placed = 0, guard = 0;
   while (placed < k && guard++ < 40 * k) {
     KeywordId topic;
@@ -135,7 +138,7 @@ std::vector<double> DrawSparseInterestVector(
       topic = static_cast<KeywordId>(topic_sampler.Sample(rng));
     }
     if (w[topic] > 0.0) continue;
-    w[topic] = rng->UniformDouble(model.weight_min, 1.0);
+    w[topic] = rng->UniformDouble(kSparseWeightMin, 1.0);
     ++placed;
   }
   return w;
@@ -171,20 +174,19 @@ SocialNetwork GenerateSocialNetwork(const SocialGenOptions& options,
   const std::vector<int> community =
       AssignCommunities(m, options.community_size, &rng);
   const auto members = CommunityMembers(community);
-  const auto profiles = CommunityProfiles(
-      static_cast<int>(members.size()), d, options.community_profile_topics,
-      options.interests.topic_zipf_exponent, &rng);
+  const auto profiles =
+      CommunityProfiles(static_cast<int>(members.size()), d, &rng);
   if (community_of != nullptr) *community_of = community;
 
   // --- Interest vectors.
-  ZipfSampler topic_sampler(d, options.interests.topic_zipf_exponent);
+  ZipfSampler topic_sampler(d, kTopicZipfExponent);
   std::vector<std::vector<double>> interests(m);
   for (UserId u = 0; u < m; ++u) {
     if (options.interests.sparse) {
       interests[u] = DrawSparseInterestVector(
-          d, options.interests, profiles[community[u]],
-          options.community_size > 0 ? options.profile_affinity : 0.0,
-          topic_sampler, &rng);
+          d, profiles[community[u]],
+          options.community_size > 0 ? kProfileAffinity : 0.0, topic_sampler,
+          &rng);
     } else {
       interests[u] = DrawDenseInterestVector(
           d, options.interest_distribution, options.zipf_exponent, &rng);
@@ -233,7 +235,7 @@ SocialNetwork GenerateSocialNetwork(const SocialGenOptions& options,
     }
   }
 
-  if (options.ensure_connected) EnsureConnected(&adj, &rng);
+  EnsureConnected(&adj, &rng);
   return BuildFromAdjacency(d, interests, &adj);
 }
 
@@ -307,7 +309,7 @@ SocialNetwork GeneratePowerLawSocialNetwork(
     }
   }
 
-  if (options.ensure_connected) EnsureConnected(&adj, &rng);
+  EnsureConnected(&adj, &rng);
   std::vector<std::vector<double>> interests(
       m, std::vector<double>(options.num_topics, 0.0));
   return BuildFromAdjacency(options.num_topics, interests, &adj);

@@ -27,18 +27,21 @@ enum class Distribution {
   kZipf,
 };
 
+/// The sparse interest model: each user cares about kSparseTopicsMin to
+/// kSparseTopicsMax topics with weights in [kSparseWeightMin, 1]; topic
+/// choice follows a Zipf(kTopicZipfExponent) popularity, which also draws
+/// the community topic profiles.
+inline constexpr int kSparseTopicsMin = 2;
+inline constexpr int kSparseTopicsMax = 4;
+inline constexpr double kSparseWeightMin = 0.2;
+inline constexpr double kTopicZipfExponent = 0.25;
+
 /// How user interest vectors are drawn.
 struct InterestModel {
-  /// Sparse (default): each user cares about [topics_min, topics_max]
-  /// topics with weights in [weight_min, 1]; topic choice follows the
-  /// popularity distribution. Dense: every entry drawn from [0, 1]
-  /// (the paper's literal synthetic recipe; scores concentrate near d/4).
+  /// Sparse (default): the model above. Dense: every entry drawn from
+  /// [0, 1] (the paper's literal synthetic recipe; scores concentrate near
+  /// d/4).
   bool sparse = true;
-  int topics_min = 2;
-  int topics_max = 4;
-  double weight_min = 0.2;
-  /// Zipf exponent of topic popularity (sparse mode).
-  double topic_zipf_exponent = 0.25;
 };
 
 struct SocialGenOptions {
@@ -57,17 +60,13 @@ struct SocialGenOptions {
   /// Community structure; 0 disables it.
   int community_size = 150;
   double intra_community_edge_fraction = 0.7;
-  int community_profile_topics = 6;
-  /// Probability that a sparse topic pick comes from the community profile.
-  double profile_affinity = 0.92;
-  /// Ensure the friendship graph is connected (adds bridging edges).
-  bool ensure_connected = true;
   uint64_t seed = 1;
 };
 
 /// Generates a social network per the paper's synthetic recipe (plus the
-/// homophily extension above). If `community_of` is non-null it receives
-/// each user's community id (all zero when community_size == 0).
+/// homophily extension above), connected by bridging edges. If
+/// `community_of` is non-null it receives each user's community id (all
+/// zero when community_size == 0).
 SocialNetwork GenerateSocialNetwork(const SocialGenOptions& options,
                                     std::vector<int>* community_of = nullptr);
 
@@ -82,15 +81,15 @@ struct PowerLawSocialOptions {
   /// Community structure (same semantics as SocialGenOptions).
   int community_size = 200;
   double intra_community_edge_fraction = 0.7;
-  bool ensure_connected = true;
   uint64_t seed = 1;
 };
 
-/// Power-law-degree generator (stub matching with community mixing) used by
-/// the Bri+Cal / Gow+Col real-data substitutes. Interest vectors are NOT
-/// assigned here (all zeros); the spatial-social dataset builder derives
-/// them from simulated check-in histories. If `community_of` is non-null it
-/// receives each user's community id.
+/// Power-law-degree generator (stub matching with community mixing, then
+/// bridging edges that connect the graph) used by the Bri+Cal / Gow+Col
+/// real-data substitutes. Interest vectors are NOT assigned here (all
+/// zeros); the spatial-social dataset builder derives them from simulated
+/// check-in histories. If `community_of` is non-null it receives each
+/// user's community id.
 SocialNetwork GeneratePowerLawSocialNetwork(
     const PowerLawSocialOptions& options,
     std::vector<int>* community_of = nullptr);

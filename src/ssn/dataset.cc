@@ -13,6 +13,12 @@ namespace gpssn {
 
 namespace {
 
+// POIs per selected road edge are drawn from [0, kMaxPoisPerEdge], and
+// each real-like user makes [kMinCheckins, kMaxCheckins] check-ins.
+constexpr int kMaxPoisPerEdge = 5;
+constexpr int kMinCheckins = 10;
+constexpr int kMaxCheckins = 60;
+
 // Draws a sorted, unique keyword set of size in [1, max_keywords] from the
 // vocabulary [0, num_topics) with the given distribution (Zipf skews toward
 // low keyword ids, making some topics far more common than others).
@@ -40,19 +46,19 @@ std::vector<KeywordId> DrawKeywords(int num_topics, int max_keywords,
 }
 
 // Places `num_pois` POIs on the road network: random edges are selected and
-// each receives a batch of w POIs (w in [0, max_per_edge], Uniform or Zipf),
-// per the paper's synthetic recipe.
+// each receives a batch of w POIs (w in [0, kMaxPoisPerEdge], Uniform or
+// Zipf), per the paper's synthetic recipe.
 std::vector<Poi> PlacePois(const RoadNetwork& road, int num_pois,
-                           int max_per_edge, int num_topics, int max_keywords,
-                           Distribution dist, double zipf_exponent, Rng* rng) {
+                           int num_topics, int max_keywords, Distribution dist,
+                           double zipf_exponent, Rng* rng) {
   std::vector<Poi> pois;
   pois.reserve(num_pois);
-  ZipfSampler batch_sampler(max_per_edge + 1, zipf_exponent);
+  ZipfSampler batch_sampler(kMaxPoisPerEdge + 1, zipf_exponent);
   while (static_cast<int>(pois.size()) < num_pois) {
     const EdgeId e = static_cast<EdgeId>(rng->NextBounded(road.num_edges()));
     int batch;
     if (dist == Distribution::kUniform) {
-      batch = static_cast<int>(rng->UniformInt(0, max_per_edge));
+      batch = static_cast<int>(rng->UniformInt(0, kMaxPoisPerEdge));
     } else {
       batch = static_cast<int>(batch_sampler.Sample(rng));
     }
@@ -82,9 +88,8 @@ SpatialSocialNetwork MakeSynthetic(const SyntheticSsnOptions& options) {
   RoadNetwork road = GenerateRoadNetwork(road_options);
 
   std::vector<Poi> pois = PlacePois(
-      road, options.num_pois, options.max_pois_per_edge, options.num_topics,
-      options.max_keywords_per_poi, options.distribution,
-      options.zipf_exponent, &rng);
+      road, options.num_pois, options.num_topics, options.max_keywords_per_poi,
+      options.distribution, options.zipf_exponent, &rng);
 
   SocialGenOptions social_options;
   social_options.num_users = options.num_users;
@@ -151,7 +156,7 @@ SpatialSocialNetwork MakeRealLike(const RealLikeSsnOptions& options) {
   // Keyword popularity is Zipf-skewed (real POI categories are: many
   // restaurants, few observatories).
   std::vector<Poi> pois =
-      PlacePois(road, options.num_pois, /*max_per_edge=*/5, options.num_topics,
+      PlacePois(road, options.num_pois, options.num_topics,
                 options.max_keywords_per_poi, Distribution::kZipf,
                 /*zipf_exponent=*/0.35, &rng);
 
@@ -237,8 +242,8 @@ SpatialSocialNetwork MakeRealLike(const RealLikeSsnOptions& options) {
     // Anchor neighbourhood: the community's window of co-located POIs.
     const int start = community_anchor[community[u]];
 
-    const int checkins = static_cast<int>(
-        rng.UniformInt(options.min_checkins, options.max_checkins));
+    const int checkins =
+        static_cast<int>(rng.UniformInt(kMinCheckins, kMaxCheckins));
     double cx = 0.0, cy = 0.0;
     int accepted = 0;
     std::vector<int> visits(d, 0);

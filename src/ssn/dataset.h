@@ -38,8 +38,6 @@ struct SyntheticSsnOptions {
   /// default thresholds (γ = θ = 0.3) selective, giving pruning powers in
   /// the bands Figure 7 reports.
   int num_topics = 100;
-  /// POIs per selected edge drawn from [0, max_pois_per_edge].
-  int max_pois_per_edge = 5;
   /// Keywords per POI drawn from [1, max_keywords_per_poi].
   int max_keywords_per_poi = 2;
   double zipf_exponent = 1.0;
@@ -64,8 +62,6 @@ struct RealLikeSsnOptions {
   double space_size = 100.0;
   int num_pois = 10000;
   int num_topics = 100;
-  int min_checkins = 10;
-  int max_checkins = 60;
   int max_keywords_per_poi = 2;
   /// Community size for the social graph; communities also share a home
   /// neighbourhood (check-in anchor region), as real LBSN friends do.

@@ -336,28 +336,6 @@ TEST(QueryStatsTest, CountersAreCoherent) {
             static_cast<uint64_t>(db->ssn().num_users()) + 1);
 }
 
-TEST(QuerySamplingTest, SubsetSamplingReturnsFeasibleAnswer) {
-  auto db = SmallDatabase(19);
-  GpssnQuery q;
-  q.issuer = 7;
-  q.tau = 3;
-  q.gamma = 0.25;
-  q.theta = 0.25;
-  q.radius = 2.0;
-  QueryOptions exact;
-  auto reference = db->Query(q, exact, nullptr);
-  ASSERT_TRUE(reference.ok());
-  QueryOptions sampling;
-  sampling.subset_sampling = true;
-  sampling.subset_samples = 3000;
-  auto got = db->Query(q, sampling, nullptr);
-  ASSERT_TRUE(got.ok());
-  if (reference->found && got->found) {
-    // Sampling may be suboptimal but never better than the exact optimum.
-    EXPECT_GE(got->max_dist + 1e-9, reference->max_dist);
-  }
-}
-
 TEST(QueryDeterminismTest, RepeatedQueriesAgree) {
   auto db = SmallDatabase(23);
   GpssnQuery q;

@@ -160,25 +160,6 @@ TEST(EnumerateGroupsTest, TauOneReturnsIssuerOnly) {
   EXPECT_EQ(got[0], std::vector<UserId>{2});
 }
 
-TEST(SampleGroupsTest, SamplesAreValidGroups) {
-  const SocialNetwork g = RandomSocial(30, 0.2, 4, 17);
-  GpssnQuery q;
-  q.issuer = 3;
-  q.tau = 3;
-  q.gamma = 0.2;
-  std::vector<UserId> cands;
-  for (UserId u = 0; u < g.num_users(); ++u) cands.push_back(u);
-  std::vector<std::vector<UserId>> sampled;
-  SampleGroups(g, q, cands, 300, 7, &sampled);
-  const auto exhaustive = BruteGroups(g, q, cands);
-  for (const auto& group : sampled) {
-    EXPECT_EQ(group.size(), 3u);
-    EXPECT_TRUE(std::binary_search(group.begin(), group.end(), q.issuer));
-    EXPECT_TRUE(exhaustive.count(group))
-        << "sampled group must be a genuine qualifying group";
-  }
-}
-
 TEST(Corollary2Test, NeverRemovesMembersOfValidGroups) {
   // Soundness: any user that belongs to SOME qualifying group must survive.
   for (uint64_t seed : {1, 2, 3}) {

@@ -146,7 +146,7 @@ TEST_P(ShardedDifferentialTest, ShardedAnswersAreByteIdenticalToSingleNode) {
   }
 }
 
-TEST(ServingClusterTest, RejectsSubsetSamplingAndBadShardCounts) {
+TEST(ServingClusterTest, RejectsBadShardCounts) {
   SyntheticSsnOptions data;
   data.num_road_vertices = 80;
   data.num_pois = 25;
@@ -156,12 +156,6 @@ TEST(ServingClusterTest, RejectsSubsetSamplingAndBadShardCounts) {
   build.poi_index.r_min = 0.3;
   build.poi_index.r_max = 4.5;
   GpssnDatabase db(MakeSynthetic(data), build);
-
-  ServingOptions sampling;
-  sampling.query.subset_sampling = true;
-  EXPECT_TRUE(ServingCluster::Create(db, sampling)
-                  .status()
-                  .IsInvalidArgument());
 
   ServingOptions zero;
   zero.num_shards = 0;

@@ -62,7 +62,7 @@ TEST(SocialGeneratorTest, SparseInterestsAreSparseAndBounded) {
       ASSERT_LE(p, 1.0);
       if (p > 0) ++nonzero;
     }
-    EXPECT_LE(nonzero, options.interests.topics_max);
+    EXPECT_LE(nonzero, kSparseTopicsMax);
   }
 }
 

@@ -5,11 +5,51 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "common/rng.h"
 #include "socialnet/bfs.h"
+#include "ssn/serialize.h"
 
 namespace gpssn {
 namespace {
+
+// The checksum line of `ssn`'s gpssn-v2 body: one FNV-1a over every road
+// vertex and edge, POI, interest weight, friendship and home, with doubles
+// written exactly.
+std::string NetworkChecksum(const SpatialSocialNetwork& ssn) {
+  std::ostringstream body;
+  EXPECT_TRUE(WriteSsnBody(body, ssn).ok());
+  return ChecksumLine(body.str());
+}
+
+// UNI or ZIPF with every size at `scale` of Table 3's defaults, as the
+// shell's and the benches' scaled synthetics are.
+SyntheticSsnOptions ScaledSynthetic(Distribution dist, double scale) {
+  SyntheticSsnOptions o;
+  o.distribution = dist;
+  o.num_road_vertices = static_cast<int>(20000 * scale);
+  o.num_pois = static_cast<int>(10000 * scale);
+  o.num_users = static_cast<int>(30000 * scale);
+  return o;
+}
+
+// Every byte the four generators write at their default seeds, so a
+// change to a generator, its constants or its random-draw order shows
+// here. The values depend on the libm behind the generators' pow and log.
+TEST(DatasetTest, NetworksArePinned) {
+  EXPECT_EQ(NetworkChecksum(MakeSynthetic(
+                ScaledSynthetic(Distribution::kUniform, 0.02))),
+            "checksum 5b3bf9f9d5f70012\n");
+  EXPECT_EQ(NetworkChecksum(
+                MakeSynthetic(ScaledSynthetic(Distribution::kZipf, 0.02))),
+            "checksum ce712adb23282fb1\n");
+  EXPECT_EQ(NetworkChecksum(MakeRealLike(BriCalOptions(0.02))),
+            "checksum 5361aa58f8a97b6a\n");
+  EXPECT_EQ(NetworkChecksum(MakeRealLike(GowColOptions(0.02))),
+            "checksum 4731851d7d930785\n");
+}
 
 SyntheticSsnOptions SmallSynthetic(Distribution dist, uint64_t seed) {
   SyntheticSsnOptions o;
