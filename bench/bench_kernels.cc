@@ -108,8 +108,9 @@ BENCHMARK(BM_PointToPointDijkstra);
 
 // One-to-many kernel shoot-out behind the pluggable DistanceBackend
 // interface: the refinement loop's inner operation (one user home -> all
-// candidate POIs), as bounded Dijkstra, as a CH bucket query, and as a
-// warm-cache row read (the cost a repeated user pays instead of either).
+// candidate POIs), as bounded Dijkstra, as a CH sweep, and as a warm-cache
+// row read (the cost a repeated user pays instead of either). These time
+// rows only; BM_OneToManyChRefine also times the registration a query pays.
 constexpr int kOneToManyTargets = 64;
 
 const std::vector<Poi>& SharedBenchPois(int n) {
@@ -172,10 +173,50 @@ void BM_OneToManyBoundedDijkstra(benchmark::State& state) {
 BENCHMARK(BM_OneToManyBoundedDijkstra)
     ->Arg(10000)->Arg(20000)->Arg(30000)->Arg(40000)->Arg(50000);
 
-void BM_OneToManyChBucket(benchmark::State& state) {
+void BM_OneToManyCh(benchmark::State& state) {
   RunOneToMany(state, DistanceBackendKind::kContractionHierarchy);
 }
-BENCHMARK(BM_OneToManyChBucket)
+BENCHMARK(BM_OneToManyCh)
+    ->Arg(10000)->Arg(20000)->Arg(30000)->Arg(40000)->Arg(50000);
+
+// What one uni-ch Refine pays the CH engine, all of it timed: register
+// about as many targets as its needed POIs (spread over the network), then
+// compute about as many rows as it has members with rows.
+void BM_OneToManyChRefine(benchmark::State& state) {
+  constexpr int kRefineTargets = 256;
+  constexpr int kRefineRows = 12;
+  const int n = static_cast<int>(state.range(0));
+  const RoadNetwork& g = SharedRoad(n);
+  const auto engine =
+      SharedBackend(DistanceBackendKind::kContractionHierarchy, n)
+          .CreateEngine();
+  // A few queries' worth of target sets and sources, drawn up front and
+  // replayed in turn.
+  constexpr int kQueries = 16;
+  Rng rng(41);
+  std::vector<EdgePosition> targets(kQueries * kRefineTargets);
+  std::vector<EdgePosition> sources(kQueries * kRefineRows);
+  for (auto* positions : {&targets, &sources}) {
+    for (EdgePosition& p : *positions) {
+      p = EdgePosition{static_cast<EdgeId>(rng.NextBounded(g.num_edges())),
+                       rng.UniformDouble()};
+    }
+  }
+  std::vector<double> row(kRefineTargets);
+  int query = 0;
+  for (auto _ : state) {
+    engine->SetTargets(std::span<const EdgePosition>(
+        targets.data() + query * kRefineTargets, kRefineTargets));
+    for (int i = 0; i < kRefineRows; ++i) {
+      engine->SourceToTargets(sources[query * kRefineRows + i], kInfDistance,
+                              row.data());
+      benchmark::DoNotOptimize(row[0]);
+    }
+    query = (query + 1) % kQueries;
+  }
+  state.SetItemsProcessed(state.iterations() * kRefineRows);
+}
+BENCHMARK(BM_OneToManyChRefine)
     ->Arg(10000)->Arg(20000)->Arg(30000)->Arg(40000)->Arg(50000);
 
 void BM_OneToManyCacheWarm(benchmark::State& state) {

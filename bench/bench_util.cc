@@ -93,6 +93,7 @@ Aggregate RunWorkload(GpssnDatabase* db, const GpssnQuery& base, int queries,
     cpu += stats.cpu_seconds;
     ios += static_cast<double>(stats.PageAccesses());
     if (answer->found) ++agg.answers_found;
+    if (stats.truncated) ++agg.truncated;
     agg.total.MergeFrom(stats);
     ++agg.queries;
   }

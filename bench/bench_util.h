@@ -53,6 +53,9 @@ struct Aggregate {
   double avg_page_ios = 0.0;
   int answers_found = 0;
   int queries = 0;
+  // Queries that hit a refinement cap (QueryStats::truncated): `total`
+  // ORs the flag, so it cannot count them.
+  int truncated = 0;
   QueryStats total;  // Counter sums across the workload.
 
   // --- Pruning-power helpers (fractions in [0, 1]) -----------------------

@@ -4,7 +4,7 @@
 # acceptance checks:
 #
 #   - warm shared-cache batch speedup >= 1.5x over the cache-off run
-#   - CH bucket one-to-many beats bounded Dijkstra at the largest road size
+#   - CH one-to-many beats bounded Dijkstra at the largest road size
 #   - 4-lane library social score >= 1.5x over a sequential loop at d=128
 #
 #   - PR 9 (continental-scale CH build, BENCH_PR9.json;
@@ -76,7 +76,7 @@ for b in kern.get("benchmarks", []):
 
 LARGEST = 50000
 dij = kernels.get(f"BM_OneToManyBoundedDijkstra/{LARGEST}")
-ch = kernels.get(f"BM_OneToManyChBucket/{LARGEST}")
+ch = kernels.get(f"BM_OneToManyCh/{LARGEST}")
 ch_speedup = (dij["real_time"] / ch["real_time"]) if (dij and ch) else None
 
 SOCIAL_DIM = 128

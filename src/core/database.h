@@ -41,7 +41,7 @@ struct GpssnBuildOptions {
   /// kDijkstra keeps the processor's built-in bounded Dijkstra (bit-exact
   /// seed behaviour, no preprocessing); kContractionHierarchy builds a CH
   /// once at database construction and answers refinement's one-to-many
-  /// evaluations with bucket queries.
+  /// evaluations with restricted downward sweeps.
   DistanceBackendKind distance_backend = DistanceBackendKind::kDijkstra;
   /// CH construction knobs (used only for kContractionHierarchy).
   ChOptions ch;

@@ -499,39 +499,44 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   std::sort(plan->pois.begin(), plan->pois.end());
   const int num_topics = ssn.num_topics();
   const size_t mask_words = KeywordMaskWords(num_topics);
-  for (const auto& [lb, c] : plan->pois) {
-    if (InterruptRequested(options)) return InterruptStatus(options);
+  {
+    // One timer spans the loop, not one per center: a query visits
+    // hundreds of centers, and each timer reads the clock twice.
     const ScopedPhaseTimer ball_phase(&stats->ball_seconds);
-    ++stats->ball_queries;
-    const size_t ball_begin = scr.balls.size();
-    const size_t mask_begin = scr.masks.size();
-    scr.masks.resize(mask_begin + mask_words, 0);
-    uint64_t* mask = scr.masks.data() + mask_begin;
-    for (const auto& [id, dist] : poi_index_->poi_aug(c).ball) {
-      if (dist > query.radius) continue;
-      scr.balls.push_back(id);
-      pool.Access(poi_index_->poi_page(id));
-      AddToKeywordMask(ssn.poi(id).keywords, num_topics, mask);
-    }
-    if (MatchScoreOverMask(ctx.q_run(), {mask, mask_words}) < query.theta) {
-      scr.balls.resize(ball_begin);
-      scr.masks.resize(mask_begin);
-      continue;
-    }
-    for (size_t i = ball_begin; i < scr.balls.size(); ++i) {
-      const PoiId id = scr.balls[i];
-      if (scr.poi_stamp[id] != scr.generation) {
-        scr.poi_stamp[id] = scr.generation;
-        scr.poi_slot[id] = static_cast<int32_t>(scr.needed.size());
-        scr.needed.push_back(id);
-        scr.needed_positions.push_back(ssn.poi(id).position);
+    for (const auto& [lb, c] : plan->pois) {
+      if (InterruptRequested(options)) return InterruptStatus(options);
+      ++stats->ball_queries;
+      const size_t ball_begin = scr.balls.size();
+      const size_t mask_begin = scr.masks.size();
+      scr.masks.resize(mask_begin + mask_words, 0);
+      uint64_t* mask = scr.masks.data() + mask_begin;
+      for (const auto& [id, dist] : poi_index_->poi_aug(c).ball) {
+        if (dist > query.radius) continue;
+        scr.balls.push_back(id);
+        pool.Access(poi_index_->poi_page(id));
+        AddToKeywordMask(ssn.poi(id).keywords, num_topics, mask);
       }
+      if (MatchScoreOverMask(ctx.q_run(), {mask, mask_words}) < query.theta) {
+        scr.balls.resize(ball_begin);
+        scr.masks.resize(mask_begin);
+        continue;
+      }
+      for (size_t i = ball_begin; i < scr.balls.size(); ++i) {
+        const PoiId id = scr.balls[i];
+        if (scr.poi_stamp[id] != scr.generation) {
+          scr.poi_stamp[id] = scr.generation;
+          scr.poi_slot[id] = static_cast<int32_t>(scr.needed.size());
+          scr.needed.push_back(id);
+          scr.needed_positions.push_back(ssn.poi(id).position);
+        }
+      }
+      std::sort(scr.balls.begin() + static_cast<ptrdiff_t>(ball_begin),
+                scr.balls.end());
+      scr.centers.push_back({/*worst=*/0.0, c,
+                             static_cast<uint32_t>(ball_begin),
+                             static_cast<uint32_t>(scr.balls.size()),
+                             static_cast<uint32_t>(mask_begin)});
     }
-    std::sort(scr.balls.begin() + static_cast<ptrdiff_t>(ball_begin),
-              scr.balls.end());
-    scr.centers.push_back({/*worst=*/0.0, c, static_cast<uint32_t>(ball_begin),
-                           static_cast<uint32_t>(scr.balls.size()),
-                           static_cast<uint32_t>(mask_begin)});
   }
   auto ball_of = [&](const RefineCenter& center) {
     return std::span<const PoiId>(scr.balls.data() + center.ball_begin,

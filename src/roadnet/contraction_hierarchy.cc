@@ -428,6 +428,10 @@ void ContractionHierarchy::Build(const RoadNetwork* graph) {
   num_shortcuts_ = builder.num_shortcuts;
   build_rounds_ = builder.rounds;
   rank_ = std::move(builder.rank);
+  by_rank_.resize(rank_.size());
+  for (size_t v = 0; v < rank_.size(); ++v) {
+    by_rank_[rank_[v]] = static_cast<VertexId>(v);
+  }
   up_offsets_ = std::move(builder.up_offsets);
   up_arcs_ = std::move(builder.up_arcs);
 }

@@ -5,8 +5,9 @@
 // vertices in importance order (inserting shortcuts that preserve shortest
 // paths), so an upward search from each end of a shortest path meets the
 // other at the path's highest vertex, touching only a tiny fraction of the
-// graph. The bucket engine of roadnet/distance_backend.h answers the query
-// path's one-to-many distances that way.
+// graph. The engine of roadnet/distance_backend.h answers the query path's
+// one-to-many distances that way: one upward search from the source, then
+// one sweep down the targets' upward closure in descending rank.
 //
 // Construction is ROUND-BASED: each round recomputes priorities for dirty
 // vertices, selects the priority-local-minima (an independent set — no two
@@ -23,8 +24,8 @@
 // unchanged (skipping extra vertices can only add redundant shortcuts,
 // never lose a needed one).
 //
-// The preprocessed arrays (rank permutation + CSR upward graph) are three
-// vectors the hierarchy owns.
+// The preprocessed arrays (rank permutation, its inverse and the CSR upward
+// graph) are four vectors the hierarchy owns.
 //
 // This is the substrate a production deployment of GP-SSN uses for the
 // exact maxdist evaluations of the refinement phase on continental road
@@ -75,6 +76,9 @@ class ContractionHierarchy {
   /// Contraction rank of a vertex (higher = more important).
   int rank(VertexId v) const { return rank_[v]; }
 
+  /// The vertex of rank `r`: ranks are a permutation of [0, n).
+  VertexId vertex_at_rank(int r) const { return by_rank_[r]; }
+
   /// Number of shortcut edges added during preprocessing.
   int num_shortcuts() const { return num_shortcuts_; }
 
@@ -97,6 +101,7 @@ class ContractionHierarchy {
   ChOptions options_;
   const RoadNetwork* graph_ = nullptr;
   std::vector<int32_t> rank_;
+  std::vector<VertexId> by_rank_;
   std::vector<int64_t> up_offsets_;
   std::vector<UpArc> up_arcs_;
   int num_shortcuts_ = 0;

@@ -1,6 +1,7 @@
 #include "roadnet/distance_backend.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include "common/macros.h"
@@ -63,17 +64,20 @@ class DijkstraBackend final : public DistanceBackend {
   const std::vector<Poi>* pois_;
 };
 
-// -------------------------------------------------------------- CH buckets
+// ------------------------------------------------------------ CH sweeps
 
-/// CH bucket many-to-many engine. SetTargets runs one upward Dijkstra per
-/// target (seeding both endpoints of its edge) and records (target, dist)
-/// pairs in a bucket at every settled vertex. SourceToTargets then runs a
-/// single upward search from the source and, at each settled vertex v,
-/// combines its label with v's bucket entries: because the hierarchy
-/// preserves shortest paths, min over meeting vertices of
-/// d_up(source, v) + d_up(target, v) is the exact road distance (one
-/// forward frontier amortizes over ALL targets instead of paying one
-/// bidirectional query each).
+/// CH one-to-many engine, by one restricted downward sweep per source
+/// (RPHAST: Delling, Goldberg and Werneck, ATMOS 2011). SetTargets marks
+/// the upward closure of the targets' edge endpoints, every vertex an
+/// upward path from one reaches, and lists it in descending rank with its
+/// upward arcs renumbered into the list. SourceToTargets runs one upward
+/// search from the source, seeds the closure with its labels, then passes
+/// once over the list: each vertex takes the min of its seed and d(y) + w
+/// over its upward arcs, whose heads rank higher and so are final. Because
+/// the hierarchy preserves shortest paths, an endpoint's value is the exact
+/// road distance. The closure is closed under upward arcs, so a vertex's
+/// value depends on the source and that vertex alone, not on the other
+/// targets registered with it.
 class ChDistanceEngine final : public DistanceEngine {
  public:
   ChDistanceEngine(const ContractionHierarchy* ch,
@@ -85,7 +89,9 @@ class ChDistanceEngine final : public DistanceEngine {
     const int n = graph_->num_vertices();
     dist_.resize(n, kInfDistance);
     stamp_.resize(n, 0);
-    buckets_.resize(n);
+    slot_.resize(n, -1);
+    marked_.resize((static_cast<size_t>(n) + 63) / 64, 0);
+    first_on_edge_.resize(graph_->num_edges(), -1);
   }
 
   std::vector<std::pair<PoiId, double>> BallWithDistances(
@@ -94,53 +100,110 @@ class ChDistanceEngine final : public DistanceEngine {
   }
 
   void SetTargets(std::span<const EdgePosition> targets) override {
-    // Clear the previous target set's buckets.
-    for (VertexId v : bucketed_) buckets_[v].clear();
-    bucketed_.clear();
+    for (VertexId w : closure_) slot_[w] = -1;
+    for (const EdgePosition& t : targets_) first_on_edge_[t.edge] = -1;
+    closure_.clear();
+    // Mark the upward closure by rank, in one traversal: the rank bitmap
+    // is the visited set, and reading it off top-down lists the closure
+    // in descending rank.
+    auto mark = [&](VertexId w) {
+      const auto r = static_cast<uint32_t>(ch_->rank(w));
+      uint64_t& word = marked_[r >> 6];
+      const uint64_t bit = uint64_t{1} << (r & 63u);
+      if ((word & bit) != 0) return;
+      word |= bit;
+      stack_.push_back(w);
+    };
+    for (const EdgePosition& t : targets) {
+      mark(graph_->edge_u(t.edge));
+      mark(graph_->edge_v(t.edge));
+    }
+    while (!stack_.empty()) {
+      const VertexId w = stack_.back();
+      stack_.pop_back();
+      for (const auto& arc : ch_->up(w)) mark(arc.to);
+    }
+    for (size_t i = marked_.size(); i-- > 0;) {
+      for (uint64_t word = marked_[i]; word != 0;) {
+        const int b = 63 - std::countl_zero(word);
+        word ^= uint64_t{1} << b;
+        const VertexId w = ch_->vertex_at_rank(static_cast<int>(i * 64) + b);
+        slot_[w] = static_cast<int32_t>(closure_.size());
+        closure_.push_back(w);
+      }
+      marked_[i] = 0;
+    }
+    arc_begin_.clear();
+    arcs_.clear();
+    for (VertexId w : closure_) {
+      arc_begin_.push_back(static_cast<uint32_t>(arcs_.size()));
+      for (const auto& arc : ch_->up(w)) {
+        arcs_.push_back({slot_[arc.to], arc.weight});
+      }
+    }
+    arc_begin_.push_back(static_cast<uint32_t>(arcs_.size()));
+    sweep_.resize(closure_.size());
+
     targets_.assign(targets.begin(), targets.end());
+    ends_.clear();
+    next_on_edge_.clear();
     for (size_t j = 0; j < targets_.size(); ++j) {
       const EdgePosition& t = targets_[j];
       const VertexId u = graph_->edge_u(t.edge);
       const VertexId v = graph_->edge_v(t.edge);
-      UpwardSearch({{u, graph_->OffsetTo(t, u)}, {v, graph_->OffsetTo(t, v)}},
-                   kInfDistance, [&](VertexId w, double d) {
-                     if (buckets_[w].empty()) bucketed_.push_back(w);
-                     buckets_[w].emplace_back(static_cast<int32_t>(j), d);
-                   });
+      ends_.push_back({slot_[u], slot_[v], graph_->OffsetTo(t, u),
+                       graph_->OffsetTo(t, v)});
+      next_on_edge_.push_back(first_on_edge_[t.edge]);
+      first_on_edge_[t.edge] = static_cast<int32_t>(j);
     }
   }
 
   void SourceToTargets(const EdgePosition& source, double bound,
                        double* out) override {
+    if (ends_.empty()) return;
+    std::fill(sweep_.begin(), sweep_.end(), kInfDistance);
+    SeedFrom(source, bound);
+    for (size_t i = 0; i < closure_.size(); ++i) {
+      double d = sweep_[i];
+      for (uint32_t a = arc_begin_[i]; a < arc_begin_[i + 1]; ++a) {
+        d = std::min(d, sweep_[arcs_[a].head] + arcs_[a].weight);
+      }
+      sweep_[i] = d;
+    }
+    for (size_t j = 0; j < ends_.size(); ++j) {
+      const TargetEnds& e = ends_[j];
+      const double d =
+          std::min(sweep_[e.u] + e.u_offset, sweep_[e.v] + e.v_offset);
+      out[j] = d <= bound ? d : kInfDistance;
+    }
     // Same-edge shortcut: a path between positions on one edge need not
     // pass either endpoint.
-    for (size_t j = 0; j < targets_.size(); ++j) {
-      out[j] = SameEdgeDistance(*graph_, source, targets_[j]);
-    }
-    const VertexId u = graph_->edge_u(source.edge);
-    const VertexId v = graph_->edge_v(source.edge);
-    // Forward labels above `bound` cannot open a candidate <= bound
-    // (bucket distances are nonnegative), so the search prunes at it.
-    UpwardSearch(
-        {{u, graph_->OffsetTo(source, u)}, {v, graph_->OffsetTo(source, v)}},
-        bound, [&](VertexId w, double d) {
-          for (const auto& [j, td] : buckets_[w]) {
-            const double cand = d + td;
-            if (cand < out[j]) out[j] = cand;
-          }
-        });
-    for (size_t j = 0; j < targets_.size(); ++j) {
-      if (out[j] > bound) out[j] = kInfDistance;
+    for (int32_t j = first_on_edge_[source.edge]; j >= 0;
+         j = next_on_edge_[j]) {
+      const double d = SameEdgeDistance(*graph_, source, targets_[j]);
+      if (d <= bound) out[j] = std::min(out[j], d);
     }
   }
 
  private:
-  /// Dijkstra over the upward graph from `seeds`, invoking `on_settled`
-  /// with every vertex's final upward label. Labels above `bound` are
-  /// neither settled nor relaxed.
-  template <typename Fn>
-  void UpwardSearch(std::initializer_list<std::pair<VertexId, double>> seeds,
-                    double bound, Fn&& on_settled) {
+  /// A closure vertex's upward arc, its head as a closure slot.
+  struct SweepArc {
+    int32_t head = -1;
+    double weight = 0.0;
+  };
+  /// A target's edge endpoints, as closure slots, and its offsets to them.
+  struct TargetEnds {
+    int32_t u = -1;
+    int32_t v = -1;
+    double u_offset = 0.0;
+    double v_offset = 0.0;
+  };
+
+  /// Dijkstra over the upward graph from both ends of `source`'s edge,
+  /// writing each settled vertex's final label into its closure slot.
+  /// Labels above `bound` are neither settled nor relaxed: no path through
+  /// them can reach a target within `bound` (arc weights are nonnegative).
+  void SeedFrom(const EdgePosition& source, double bound) {
     ++generation_;
     if (generation_ == 0) {  // Stamp wrap-around: hard reset.
       std::fill(stamp_.begin(), stamp_.end(), 0);
@@ -159,13 +222,16 @@ class ChDistanceEngine final : public DistanceEngine {
       heap_.emplace_back(d, w);
       std::push_heap(heap_.begin(), heap_.end(), greater);
     };
-    for (const auto& [w, d] : seeds) relax(w, d);
+    const VertexId u = graph_->edge_u(source.edge);
+    const VertexId v = graph_->edge_v(source.edge);
+    relax(u, graph_->OffsetTo(source, u));
+    relax(v, graph_->OffsetTo(source, v));
     while (!heap_.empty()) {
       std::pop_heap(heap_.begin(), heap_.end(), greater);
       const auto [d, w] = heap_.back();
       heap_.pop_back();
       if (stamp_[w] != generation_ || d > dist_[w]) continue;  // Stale.
-      on_settled(w, d);
+      if (slot_[w] >= 0) sweep_[slot_[w]] = d;
       for (const auto& arc : ch_->up(w)) relax(arc.to, d + arc.weight);
     }
   }
@@ -175,16 +241,29 @@ class ChDistanceEngine final : public DistanceEngine {
   DijkstraEngine dijkstra_;  // Radius-bounded ball queries.
   PoiLocator locator_;
 
-  // Upward-search arena (shared by target and source searches).
+  // Source-side upward search arena.
   std::vector<double> dist_;
   std::vector<uint32_t> stamp_;
   uint32_t generation_ = 0;
   std::vector<std::pair<double, VertexId>> heap_;
 
-  // Target buckets: per-vertex (target index, backward upward distance).
+  // The registered targets' upward closure, in descending rank: slot_ maps
+  // a vertex to its place in closure_ (-1 outside it), and the closure's
+  // upward arcs are a CSR over slots. marked_ (one bit per rank, all zero
+  // between calls) and stack_ serve SetTargets' traversal.
+  std::vector<VertexId> closure_;
+  std::vector<int32_t> slot_;
+  std::vector<uint32_t> arc_begin_;
+  std::vector<SweepArc> arcs_;
+  std::vector<double> sweep_;  // Per slot: the current source's distance.
+  std::vector<uint64_t> marked_;
+  std::vector<VertexId> stack_;
   std::vector<EdgePosition> targets_;
-  std::vector<std::vector<std::pair<int32_t, double>>> buckets_;
-  std::vector<VertexId> bucketed_;  // Vertices with non-empty buckets.
+  std::vector<TargetEnds> ends_;
+  // The targets on each edge, as a list: the first per edge (-1 for none)
+  // and the next per target.
+  std::vector<int32_t> first_on_edge_;
+  std::vector<int32_t> next_on_edge_;
 };
 
 class ChBackend final : public DistanceBackend {

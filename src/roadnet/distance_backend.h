@@ -7,12 +7,13 @@
 // processor can run either
 //   * the reference bounded Dijkstra (bit-exact seed behaviour, optimal
 //     for radius-bounded local searches), or
-//   * a contraction-hierarchy bucket engine: one backward upward search
-//     per target POI filling per-vertex buckets, then ONE forward upward
-//     search per user — so a user's distances to all needed ball members
-//     cost O(upward search space) instead of a bounded Dijkstra over the
-//     whole neighbourhood. On large road networks the upward search space
-//     is orders of magnitude smaller than the Dijkstra frontier.
+//   * a contraction-hierarchy sweep engine: registering the targets marks
+//     their upward closure once, then each user costs ONE forward upward
+//     search plus one linear pass down that closure in rank order — so a
+//     user's distances to all needed ball members cost O(upward search
+//     space + closure) instead of a bounded Dijkstra over the whole
+//     neighbourhood. On large road networks both are orders of magnitude
+//     smaller than the Dijkstra frontier.
 //
 // Both engines return IDENTICAL results (up to floating-point association
 // in shortcut weights, < 1e-9 on realistic weights); the differential test
@@ -57,8 +58,8 @@ class DistanceEngine {
       const EdgePosition& center, double radius) = 0;
 
   /// Registers the target positions for subsequent SourceToTargets calls.
-  /// The CH engine runs one backward upward search per target here,
-  /// bucketing (target, distance) entries at every reached vertex; the
+  /// The CH engine marks every vertex an upward path from a target's edge
+  /// endpoints reaches and lists them in descending rank here; the
   /// Dijkstra engine just stores the list. Targets stay registered until
   /// the next SetTargets call.
   virtual void SetTargets(std::span<const EdgePosition> targets) = 0;
@@ -91,8 +92,9 @@ std::unique_ptr<DistanceBackend> MakeDijkstraBackend(
 
 /// The CH-accelerated backend. Builds a ContractionHierarchy once
 /// (seconds for 10^5-vertex graphs); engines answer SourceToTargets with
-/// the bucket many-to-many algorithm and BallWithDistances with the
-/// reference bounded Dijkstra.
+/// one restricted downward sweep over the targets' upward closure per
+/// source (RPHAST) and BallWithDistances with the reference bounded
+/// Dijkstra.
 std::unique_ptr<DistanceBackend> MakeChBackend(const RoadNetwork* graph,
                                                const std::vector<Poi>* pois,
                                                const ChOptions& options = {});

@@ -1,6 +1,6 @@
 // Backend differential harness: on 20 randomized synthetic networks, the
 // full GP-SSN query path must return the SAME answer — (S, R, objective) —
-// under every distance configuration: built-in Dijkstra, the CH bucket
+// under every distance configuration: built-in Dijkstra, the CH sweep
 // backend, and each of those with the shared distance cache enabled (both
 // cold and warm, which exercises the bound-tag reuse path). The center and
 // user/POI sets must match exactly; the objective to 1e-9 (CH shortcut

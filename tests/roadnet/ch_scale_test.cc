@@ -1,6 +1,6 @@
 // Large-scale CH validation: a continental-style jittered grid (hundreds
 // of thousands of vertices by default, 10^6+ via env), CH construction and
-// the bucket engine the queries run, checked against the reference
+// the sweep engine the queries run, checked against the reference
 // Dijkstra engine — what the small tests cover, at a scale where the CH
 // search spaces actually matter.
 //
@@ -60,7 +60,7 @@ EdgePosition RandomPosition(const RoadNetwork& g, Rng* rng) {
                       rng->UniformDouble()};
 }
 
-TEST(ChScaleTest, BucketEngineMatchesDijkstraAtScale) {
+TEST(ChScaleTest, EngineMatchesDijkstraAtScale) {
   if (!LargeTestsEnabled()) {
     GTEST_SKIP() << "set GPSSN_LARGE_TESTS=1 (scripts/check.sh --large-only)";
   }

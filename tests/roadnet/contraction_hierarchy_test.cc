@@ -123,6 +123,7 @@ TEST(ChTest, RanksAreAPermutation) {
     ASSERT_LT(r, g.num_vertices());
     ASSERT_FALSE(seen[r]);
     seen[r] = true;
+    ASSERT_EQ(ch.vertex_at_rank(r), v);  // The inverse the CH engine reads.
   }
 }
 

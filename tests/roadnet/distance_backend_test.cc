@@ -1,14 +1,20 @@
 // Kernel-level equivalence tests for the pluggable distance backends: the
-// CH bucket engine must agree with the reference bounded Dijkstra on
+// CH sweep engine must agree with the reference bounded Dijkstra on
 // one-to-many (SourceToTargets) and ball queries, on random road-like
 // networks. Finite distances match to 1e-9 (CH shortcut weights sum in a
-// different floating-point association order).
+// different floating-point association order). The CH rows must also keep
+// the two properties sharded refinement relies on, bit for bit: a finite
+// entry does not depend on the row's bound, and a target's entry does not
+// depend on which other targets are registered with it.
 
 #include "roadnet/distance_backend.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "roadnet/road_generator.h"
@@ -47,36 +53,58 @@ void ExpectEquivalent(double a, double b, double bound) {
   }
 }
 
+// True when two doubles have the same bits.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Both engines over one random network with `num_targets` random targets.
+// Held by pointer, since the backends keep the network's and the POIs'
+// addresses; members are destroyed in reverse, engines first.
+struct EnginePair {
+  RoadNetwork graph;
+  std::vector<Poi> pois;
+  std::unique_ptr<DistanceBackend> dij_backend;
+  std::unique_ptr<DistanceBackend> ch_backend;
+  std::unique_ptr<DistanceEngine> dij;
+  std::unique_ptr<DistanceEngine> ch;
+  std::vector<EdgePosition> targets;
+};
+
+std::unique_ptr<EnginePair> MakeEnginePair(uint64_t seed, int num_targets,
+                                           Rng* rng) {
+  auto pair = std::make_unique<EnginePair>();
+  RoadGenOptions gen;
+  gen.num_vertices = 500;
+  gen.seed = seed;
+  pair->graph = GenerateRoadNetwork(gen);
+  pair->pois = RandomPois(pair->graph, num_targets, rng);
+  pair->dij_backend = MakeDijkstraBackend(&pair->graph, &pair->pois);
+  pair->ch_backend = MakeChBackend(&pair->graph, &pair->pois);
+  pair->dij = pair->dij_backend->CreateEngine();
+  pair->ch = pair->ch_backend->CreateEngine();
+  for (const Poi& p : pair->pois) pair->targets.push_back(p.position);
+  return pair;
+}
+
 class BackendEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BackendEquivalenceTest, SourceToTargetsMatchesDijkstra) {
-  RoadGenOptions gen;
-  gen.num_vertices = 500;
-  gen.seed = GetParam();
-  const RoadNetwork g = GenerateRoadNetwork(gen);
   Rng rng(GetParam() * 77 + 3);
-  const std::vector<Poi> pois = RandomPois(g, 40, &rng);
-
-  const auto dij_backend = MakeDijkstraBackend(&g, &pois);
-  const auto ch_backend = MakeChBackend(&g, &pois);
-  const auto dij = dij_backend->CreateEngine();
-  const auto ch = ch_backend->CreateEngine();
-
-  std::vector<EdgePosition> targets;
-  targets.reserve(pois.size());
-  for (const Poi& p : pois) targets.push_back(p.position);
+  const auto e = MakeEnginePair(GetParam(), 40, &rng);
+  std::vector<EdgePosition> targets = e->targets;
   // A duplicate target position must fill both slots independently.
   targets.push_back(targets.front());
-  dij->SetTargets(targets);
-  ch->SetTargets(targets);
+  e->dij->SetTargets(targets);
+  e->ch->SetTargets(targets);
 
   std::vector<double> a(targets.size()), b(targets.size());
   for (int trial = 0; trial < 30; ++trial) {
-    const EdgePosition src = RandomPosition(g, &rng);
+    const EdgePosition src = RandomPosition(e->graph, &rng);
     const double bound =
         trial % 3 == 0 ? kInfDistance : rng.UniformDouble(0.5, 8.0);
-    dij->SourceToTargets(src, bound, a.data());
-    ch->SourceToTargets(src, bound, b.data());
+    e->dij->SourceToTargets(src, bound, a.data());
+    e->ch->SourceToTargets(src, bound, b.data());
     for (size_t i = 0; i < targets.size(); ++i) {
       ExpectEquivalent(a[i], b[i], bound);
     }
@@ -86,11 +114,11 @@ TEST_P(BackendEquivalenceTest, SourceToTargetsMatchesDijkstra) {
 
   // Retargeting must fully replace the previous registration.
   const std::vector<EdgePosition> fewer(targets.begin(), targets.begin() + 5);
-  dij->SetTargets(fewer);
-  ch->SetTargets(fewer);
-  const EdgePosition src = RandomPosition(g, &rng);
-  dij->SourceToTargets(src, kInfDistance, a.data());
-  ch->SourceToTargets(src, kInfDistance, b.data());
+  e->dij->SetTargets(fewer);
+  e->ch->SetTargets(fewer);
+  const EdgePosition src = RandomPosition(e->graph, &rng);
+  e->dij->SourceToTargets(src, kInfDistance, a.data());
+  e->ch->SourceToTargets(src, kInfDistance, b.data());
   for (size_t i = 0; i < fewer.size(); ++i) {
     ExpectEquivalent(a[i], b[i], kInfDistance);
   }
@@ -115,6 +143,139 @@ TEST_P(BackendEquivalenceTest, BallsAreBitExactAcrossBackends) {
     const auto a = dij->BallWithDistances(center, radius);
     const auto b = ch->BallWithDistances(center, radius);
     ASSERT_EQ(a, b) << "trial " << trial << " radius " << radius;
+  }
+}
+
+TEST_P(BackendEquivalenceTest, FiniteChEntriesDoNotDependOnTheBound) {
+  Rng rng(GetParam() * 31 + 5);
+  const auto e = MakeEnginePair(GetParam(), 60, &rng);
+  e->dij->SetTargets(e->targets);
+  e->ch->SetTargets(e->targets);
+  const size_t n = e->targets.size();
+  std::vector<double> unbounded(n), bounded(n), want(n);
+  for (int trial = 0; trial < 20; ++trial) {
+    const EdgePosition src = RandomPosition(e->graph, &rng);
+    e->ch->SourceToTargets(src, kInfDistance, unbounded.data());
+    for (double b : {0.0, 0.5, 2.0, rng.UniformDouble(0.5, 8.0)}) {
+      e->ch->SourceToTargets(src, b, bounded.data());
+      e->dij->SourceToTargets(src, b, want.data());
+      for (size_t i = 0; i < n; ++i) {
+        SCOPED_TRACE(testing::Message() << "trial " << trial << " bound "
+                                        << b << " target " << i);
+        if (unbounded[i] <= b) {
+          ASSERT_TRUE(SameBits(bounded[i], unbounded[i]));
+        } else {
+          ASSERT_EQ(bounded[i], kInfDistance);
+        }
+        ExpectEquivalent(want[i], bounded[i], b);
+      }
+    }
+  }
+}
+
+TEST_P(BackendEquivalenceTest, ChEntriesDoNotDependOnTheOtherTargets) {
+  Rng rng(GetParam() * 13 + 1);
+  const auto e = MakeEnginePair(GetParam(), 80, &rng);
+  // Two disjoint registrations, as two shards holding different centers
+  // would make, and their union.
+  const std::vector<EdgePosition> first(e->targets.begin(),
+                                        e->targets.begin() + 40);
+  const std::vector<EdgePosition> second(e->targets.begin() + 40,
+                                         e->targets.end());
+  std::vector<EdgePosition> both = second;
+  both.insert(both.end(), first.begin(), first.end());
+  std::vector<EdgePosition> sources;
+  for (int i = 0; i < 12; ++i) {
+    sources.push_back(RandomPosition(e->graph, &rng));
+  }
+
+  // Rows of `targets` from every source under `bound`, on a fresh CH engine
+  // and on the shared one after whatever it registered before.
+  const auto fresh = e->ch_backend->CreateEngine();
+  auto rows = [&](DistanceEngine* engine,
+                  const std::vector<EdgePosition>& targets, double bound) {
+    engine->SetTargets(targets);
+    std::vector<double> out(sources.size() * targets.size());
+    for (size_t s = 0; s < sources.size(); ++s) {
+      engine->SourceToTargets(sources[s], bound,
+                              out.data() + s * targets.size());
+    }
+    return out;
+  };
+  for (double bound : {kInfDistance, 3.0}) {
+    const std::vector<double> alone = rows(fresh.get(), first, bound);
+    const std::vector<double> inside = rows(e->ch.get(), both, bound);
+    rows(e->ch.get(), second, bound);  // A disjoint registration first.
+    const std::vector<double> after = rows(e->ch.get(), first, bound);
+    const std::vector<double> want = rows(e->dij.get(), first, bound);
+    for (size_t s = 0; s < sources.size(); ++s) {
+      for (size_t j = 0; j < first.size(); ++j) {
+        SCOPED_TRACE(testing::Message() << "bound " << bound << " source "
+                                        << s << " target " << j);
+        const double a = alone[s * first.size() + j];
+        const double in_both =
+            inside[s * both.size() + second.size() + j];
+        ASSERT_TRUE(SameBits(a, in_both));
+        ASSERT_TRUE(SameBits(a, after[s * first.size() + j]));
+        ExpectEquivalent(want[s * first.size() + j], a, bound);
+      }
+    }
+  }
+}
+
+TEST_P(BackendEquivalenceTest, SourceOnATargetsEdgeTakesTheEdge) {
+  Rng rng(GetParam() * 7 + 11);
+  const auto e = MakeEnginePair(GetParam(), 30, &rng);
+  for (int trial = 0; trial < 20; ++trial) {
+    // Two targets on the source's edge, on either side of it, among
+    // targets elsewhere.
+    const EdgePosition src = RandomPosition(e->graph, &rng);
+    std::vector<EdgePosition> targets = e->targets;
+    const EdgePosition left{src.edge, src.t * rng.UniformDouble()};
+    const EdgePosition right{src.edge,
+                             src.t + (1.0 - src.t) * rng.UniformDouble()};
+    targets.insert(targets.begin() + trial % 7, left);
+    targets.push_back(right);
+    e->dij->SetTargets(targets);
+    e->ch->SetTargets(targets);
+    std::vector<double> a(targets.size()), b(targets.size());
+    for (double bound : {kInfDistance, rng.UniformDouble(0.0, 1.0)}) {
+      e->dij->SourceToTargets(src, bound, a.data());
+      e->ch->SourceToTargets(src, bound, b.data());
+      for (size_t i = 0; i < targets.size(); ++i) {
+        ExpectEquivalent(a[i], b[i], bound);
+      }
+      for (const size_t i : {static_cast<size_t>(trial % 7),
+                             targets.size() - 1}) {
+        // No path between two points of one edge beats the edge itself.
+        const double along = SameEdgeDistance(e->graph, src, targets[i]);
+        ASSERT_TRUE(SameBits(b[i], along <= bound ? along : kInfDistance))
+            << "trial " << trial << " target " << i;
+      }
+    }
+  }
+}
+
+TEST_P(BackendEquivalenceTest, EmptyTargetSetWritesNothing) {
+  Rng rng(GetParam() + 3);
+  const auto e = MakeEnginePair(GetParam(), 20, &rng);
+  for (DistanceEngine* engine : {e->dij.get(), e->ch.get()}) {
+    engine->SetTargets(e->targets);
+    engine->SetTargets({});
+    double sentinel = -1.0;
+    engine->SourceToTargets(RandomPosition(e->graph, &rng), kInfDistance,
+                            &sentinel);
+    ASSERT_EQ(sentinel, -1.0);
+  }
+  // A registration after the empty one serves full rows again.
+  e->dij->SetTargets(e->targets);
+  e->ch->SetTargets(e->targets);
+  std::vector<double> a(e->targets.size()), b(e->targets.size());
+  const EdgePosition src = RandomPosition(e->graph, &rng);
+  e->dij->SourceToTargets(src, kInfDistance, a.data());
+  e->ch->SourceToTargets(src, kInfDistance, b.data());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ExpectEquivalent(a[i], b[i], kInfDistance);
   }
 }
 
