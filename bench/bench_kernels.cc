@@ -14,6 +14,7 @@
 
 #include "bench/bench_util.h"
 #include "common/pagestore.h"
+#include "core/options.h"
 #include "core/pruning.h"
 #include "core/refinement.h"
 #include "core/scores.h"
@@ -509,21 +510,64 @@ BENCHMARK(BM_Corollary2MemoOn)->Arg(8)->Arg(32)->Arg(128);
 
 // ----- Simulated I/O -----
 
-// Replays one fixed page trace through a fresh 64-page pool (the query
-// default) per iteration: 64% of the accesses go to a 24-page hot set and
-// the rest scatter over 2^20 cold pages, so about 0.4 of them miss, near
-// the miss ratio of a query's gather.
-void BM_BufferPoolAccess(benchmark::State& state) {
+// UNI x0.2's layout: I_S holds 179 nodes, two to a page, on pages
+// [0, 90) and 6,000 user records, four to a page, after them; I_R holds
+// its nodes on pages [0, 21) of its range and 2,000 POI records, 50 to a
+// page, on [21, 61).
+constexpr uint32_t kUniSocialPages = 1590;
+constexpr uint32_t kUniSocialNodePages = 90;
+constexpr uint32_t kUniPoiPages = 61;
+constexpr uint32_t kUniPoiNodePages = 21;
+
+// One uni-ch query's page trace, in the order Gather and Refine read:
+// every I_S node (2 per page, breadth first), one user record per
+// candidate user in leaf order (3,680 users at random, since records lie
+// in id order), the I_R descent (6 inner nodes, then 64 leaves with 25
+// POI records each), 6,900 ball members and 20 members' records. A real
+// uni-ch query reads about 11.3k pages and misses 34% of them through a
+// 64-page pool, 97% of its user records.
+std::vector<PageId> QueryShapedTrace() {
   Rng rng(19);
-  std::vector<PageId> trace(16384);
-  for (PageId& page : trace) {
-    page = static_cast<PageId>(rng.Bernoulli(0.64)
-                                   ? rng.NextBounded(24)
-                                   : 24 + rng.NextBounded(uint64_t{1} << 20));
+  std::vector<PageId> trace;
+  for (PageId page = 0; page < kUniSocialNodePages; ++page) {
+    trace.insert(trace.end(), {page, page});
   }
+  auto poi_page = [&] {
+    return kPoiIndexFirstPage + kUniPoiNodePages +
+           static_cast<PageId>(
+               rng.NextBounded(kUniPoiPages - kUniPoiNodePages));
+  };
+  auto poi_node_page = [&] {
+    return kPoiIndexFirstPage +
+           static_cast<PageId>(rng.NextBounded(kUniPoiNodePages));
+  };
+  std::vector<PageId> users(3680);
+  for (PageId& page : users) {
+    page = kUniSocialNodePages +
+           static_cast<PageId>(
+               rng.NextBounded(kUniSocialPages - kUniSocialNodePages));
+  }
+  trace.insert(trace.end(), users.begin(), users.end());
+  for (int i = 0; i < 6; ++i) trace.push_back(poi_node_page());
+  for (int leaf = 0; leaf < 64; ++leaf) {
+    trace.push_back(poi_node_page());
+    for (int i = 0; i < 25; ++i) trace.push_back(poi_page());
+  }
+  for (int i = 0; i < 6900; ++i) trace.push_back(poi_page());
+  for (int i = 0; i < 20; ++i) {
+    trace.push_back(users[rng.NextBounded(users.size())]);
+  }
+  return trace;
+}
+
+// Replays the query-shaped trace through a pool built as a query builds
+// its own: the default 64 pages over UNI x0.2's page counts.
+void BM_BufferPoolAccess(benchmark::State& state) {
+  const std::vector<PageId> trace = QueryShapedTrace();
   IoStats stats;
   for (auto _ : state) {
-    BufferPool pool(64);
+    BufferPool pool(QueryOptions().buffer_pool_pages, kUniSocialPages,
+                    kUniPoiPages);
     for (PageId page : trace) pool.Access(page);
     stats = pool.stats();
     benchmark::DoNotOptimize(stats);

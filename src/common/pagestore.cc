@@ -1,12 +1,13 @@
 #include "common/pagestore.h"
 
-#include <algorithm>
-
 namespace gpssn {
 
 PageAllocator::PageAllocator(uint32_t page_size, PageId first_page,
                              PageId end_page)
-    : page_size_(page_size), next_page_(first_page), end_page_(end_page) {
+    : page_size_(page_size),
+      first_page_(first_page),
+      next_page_(first_page),
+      end_page_(end_page) {
   GPSSN_CHECK(page_size > 0 && first_page < end_page);
 }
 
@@ -39,73 +40,53 @@ uint32_t PageAllocator::PagesSpanned(uint32_t nbytes) const {
   return (nbytes + page_size_ - 1) / page_size_;
 }
 
-BufferPool::BufferPool(uint32_t capacity_pages) : capacity_(capacity_pages) {
+BufferPool::BufferPool(uint32_t capacity_pages, uint32_t social_pages,
+                       uint32_t poi_pages)
+    : capacity_(capacity_pages),
+      social_pages_(social_pages),
+      poi_pages_(poi_pages) {
+  GPSSN_CHECK(social_pages <= kPoiIndexFirstPage &&
+              poi_pages <= kInvalidPage - kPoiIndexFirstPage);
   if (capacity_ == 0) return;
-  // The smallest power of two >= 2 × capacity and >= 4, so the table keeps
-  // an empty bucket even while it holds capacity + 1 pages mid-eviction.
-  int bits = 2;
-  while ((uint64_t{1} << bits) < 2 * uint64_t{capacity_}) ++bits;
-  GPSSN_CHECK(bits <= 32);
-  mask_ = static_cast<uint32_t>((uint64_t{1} << bits) - 1);
-  shift_ = 64 - bits;
   slots_.resize(capacity_);
-  table_.resize(size_t{mask_} + 1);
+  slot_of_.assign(size_t{social_pages} + poi_pages, kNoSlot);
 }
 
-uint32_t BufferPool::Home(PageId page) const {
-  return static_cast<uint32_t>((page * 0x9E3779B97F4A7C15ull) >> shift_);
+uint32_t BufferPool::PageIndex(PageId page) const {
+  if (page < kPoiIndexFirstPage) {
+    GPSSN_DCHECK(page < social_pages_);
+    return page;
+  }
+  GPSSN_DCHECK(page - kPoiIndexFirstPage < poi_pages_);
+  return social_pages_ + (page - kPoiIndexFirstPage);
 }
 
 void BufferPool::Access(PageId page) {
   ++stats_.logical_accesses;
+  const uint32_t index = PageIndex(page);
   if (capacity_ == 0) {
     ++stats_.page_misses;
     return;
   }
-  if (head_ != kNoSlot && slots_[head_].page == page) return;
-  GPSSN_DCHECK(page != kInvalidPage);
-  uint32_t b = Home(page);
-  for (; table_[b].page != kInvalidPage; b = (b + 1) & mask_) {
-    if (table_[b].page == page) {
-      const uint32_t slot = table_[b].slot;
+  uint32_t slot = slot_of_[index];
+  if (slot != kNoSlot) {
+    if (slot != head_) {  // The MRU page needs no relinking.
       Unlink(slot);
       PushFront(slot);
-      return;
     }
+    return;
   }
   ++stats_.page_misses;
-  uint32_t slot;
-  PageId victim = kInvalidPage;
   if (used_ < capacity_) {
     slot = used_++;
   } else {
     slot = tail_;  // Full: the new page takes the LRU page's slot.
-    victim = slots_[slot].page;
+    slot_of_[slots_[slot].index] = kNoSlot;
     Unlink(slot);
   }
-  // The new page enters the table before the victim leaves: the erase may
-  // shift buckets, which would move the empty bucket found above.
-  table_[b] = {page, slot};
-  if (victim != kInvalidPage) EraseFromTable(victim);
-  slots_[slot].page = page;
+  slots_[slot].index = index;
+  slot_of_[index] = slot;
   PushFront(slot);
-}
-
-void BufferPool::EraseFromTable(PageId page) {
-  uint32_t hole = Home(page);
-  while (table_[hole].page != page) hole = (hole + 1) & mask_;
-  // Backward shift: pull each later bucket of the cluster into the hole
-  // when the hole lies on its probe path, so no probe crosses an empty
-  // bucket before its page.
-  for (uint32_t b = (hole + 1) & mask_; table_[b].page != kInvalidPage;
-       b = (b + 1) & mask_) {
-    const uint32_t home = Home(table_[b].page);
-    if (((b - home) & mask_) >= ((b - hole) & mask_)) {
-      table_[hole] = table_[b];
-      hole = b;
-    }
-  }
-  table_[hole] = Bucket();
 }
 
 void BufferPool::Unlink(uint32_t slot) {
@@ -132,16 +113,6 @@ void BufferPool::PushFront(uint32_t slot) {
     tail_ = slot;
   }
   head_ = slot;
-}
-
-void BufferPool::AccessRun(PageId page, uint32_t count) {
-  for (uint32_t i = 0; i < count; ++i) Access(page + i);
-}
-
-void BufferPool::Clear() {
-  std::fill(table_.begin(), table_.end(), Bucket());
-  used_ = 0;
-  head_ = tail_ = kNoSlot;
 }
 
 }  // namespace gpssn

@@ -25,8 +25,6 @@ inline constexpr PageId kInvalidPage = ~0u;
 struct IoStats {
   uint64_t logical_accesses = 0;  // Object fetches requested.
   uint64_t page_misses = 0;       // Pages actually "read from disk".
-
-  void Reset() { *this = IoStats(); }
 };
 
 /// Simulated page size of both indexes, in bytes.
@@ -52,80 +50,74 @@ class PageAllocator {
 
   /// Places an object of `nbytes` bytes and returns its page. Objects larger
   /// than one page occupy ceil(nbytes / page_size) pages and return the
-  /// first one (subsequent reads charge all spanned pages).
+  /// first one, the only page a read of the object charges. No index record
+  /// is that large: the biggest, an I_S node, stays under 2 KB at d = 100.
   PageId Place(uint32_t nbytes);
 
   /// Number of pages spanned by the object placed at `page` with `nbytes`.
   uint32_t PagesSpanned(uint32_t nbytes) const;
 
+  /// Pages handed out so far: they lie in [first_page, first_page +
+  /// pages_used()).
+  uint32_t pages_used() const {
+    return (used_ > 0 ? next_page_ + 1 : next_page_) - first_page_;
+  }
+
   uint32_t page_size() const { return page_size_; }
 
  private:
   uint32_t page_size_;
+  PageId first_page_;
   PageId next_page_;   // Page currently being filled.
   PageId end_page_;    // First page id outside the allocator's range.
   uint32_t used_ = 0;  // Bytes used on the current page.
 };
 
-/// Exact LRU buffer pool over simulated pages: a page misses iff it is not
-/// among the `capacity` most recently used distinct pages. Flat arrays
-/// only: `capacity` slots hold the cached pages, linked MRU → LRU by index,
-/// and an open-addressed page → slot table (linear probing, backward-shift
-/// deletion, at least 2 × capacity buckets) finds them. After construction
-/// the pool never allocates. Page ids must be below kInvalidPage, the
-/// table's empty mark. Thread-compatible: every pool belongs to one query
-/// plan, which one thread runs, so it is deliberately not a capability of
-/// common/sync.h.
+/// Exact LRU buffer pool over the pages of the two indexes: a page misses
+/// iff it is not among the `capacity` most recently used distinct pages.
+/// The pool is sized for the layouts it serves, `social_pages` I_S pages in
+/// [0, social_pages) and `poi_pages` I_R pages in [kPoiIndexFirstPage,
+/// kPoiIndexFirstPage + poi_pages), and numbers them densely: I_S page p is
+/// page index p, I_R page p is social_pages + (p − kPoiIndexFirstPage).
+/// Flat arrays only: a slot map from page index to the slot caching the
+/// page, and `capacity` slots linked MRU → LRU by index. After
+/// construction the pool never allocates. Thread-compatible: every pool
+/// belongs to one query plan, which one thread runs, so it is deliberately
+/// not a capability of common/sync.h.
 class BufferPool {
  public:
   /// `capacity_pages` == 0 disables caching (every access is a miss).
-  explicit BufferPool(uint32_t capacity_pages = 64);
+  BufferPool(uint32_t capacity_pages, uint32_t social_pages,
+             uint32_t poi_pages);
 
-  /// Touches `page`; updates stats and LRU state.
+  /// Touches `page`, which must lie in one of the two ranges
+  /// (GPSSN_DCHECK); updates stats and LRU state.
   void Access(PageId page);
 
-  /// Touches `count` consecutive pages starting at `page`.
-  void AccessRun(PageId page, uint32_t count);
-
-  /// Drops all cached pages (stats are preserved).
-  void Clear();
-
   const IoStats& stats() const { return stats_; }
-  IoStats* mutable_stats() { return &stats_; }
-  void ResetStats() { stats_.Reset(); }
-
-  uint32_t capacity() const { return capacity_; }
 
  private:
   static constexpr uint32_t kNoSlot = ~0u;
 
   struct Slot {
-    PageId page;
-    uint32_t prev;  // Towards the MRU end; kNoSlot at the head.
-    uint32_t next;  // Towards the LRU end; kNoSlot at the tail.
-  };
-  struct Bucket {
-    PageId page = kInvalidPage;  // kInvalidPage = empty.
-    uint32_t slot = kNoSlot;
+    uint32_t index;  // Page index of the cached page.
+    uint32_t prev;   // Towards the MRU end; kNoSlot at the head.
+    uint32_t next;   // Towards the LRU end; kNoSlot at the tail.
   };
 
-  // The bucket a probe for `page` starts at: the high bits of a
-  // multiplicative hash, so ids that differ only in high bits spread too.
-  uint32_t Home(PageId page) const;
-  // Removes `page`, which must be present, from the table.
-  void EraseFromTable(PageId page);
+  uint32_t PageIndex(PageId page) const;
   void Unlink(uint32_t slot);
   void PushFront(uint32_t slot);
 
   uint32_t capacity_;
+  uint32_t social_pages_;
+  uint32_t poi_pages_;
   IoStats stats_;
   uint32_t used_ = 0;        // Slots holding a page.
   uint32_t head_ = kNoSlot;  // Most recently used.
   uint32_t tail_ = kNoSlot;  // Least recently used.
-  uint32_t mask_ = 0;        // Table size − 1.
-  int shift_ = 0;            // 64 − log2(table size).
   std::vector<Slot> slots_;
-  std::vector<Bucket> table_;
+  std::vector<uint32_t> slot_of_;  // Page index → slot, or kNoSlot.
 };
 
 }  // namespace gpssn

@@ -195,7 +195,8 @@ Status GpssnProcessor::RunPlanned(const GpssnQuery& query,
   QueryStats* out = stats != nullptr ? stats : &local;
   *out = QueryStats();
   WallTimer timer;
-  QueryPlan plan(query, *social_index_, options.buffer_pool_pages);
+  QueryPlan plan(query, *social_index_, *poi_index_,
+                 options.buffer_pool_pages);
   const Status status = stages(&plan, out);
   out->io.logical_accesses += plan.pool.stats().logical_accesses;
   out->io.page_misses += plan.pool.stats().page_misses;

@@ -157,8 +157,10 @@ class GpssnProcessor {
   /// The state one query carries through Gather → Plan → Refine.
   struct QueryPlan {
     QueryPlan(const GpssnQuery& query, const SocialIndex& social_index,
-              uint32_t buffer_pool_pages)
-        : ctx(query, social_index), pool(buffer_pool_pages) {}
+              const PoiIndex& poi_index, uint32_t buffer_pool_pages)
+        : ctx(query, social_index),
+          pool(buffer_pool_pages, social_index.num_pages(),
+               poi_index.num_pages()) {}
 
     QueryUserContext ctx;  // The query and the issuer's pruning bounds.
     BufferPool pool;       // Page buffer behind the I/O metric.

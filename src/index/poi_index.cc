@@ -116,6 +116,7 @@ void PoiIndex::RebuildNodeAugmentations() {
         24 + 8 * mask_words_ + 8 * poi_aug_[id].pivot_dist.size());
     poi_page_[id] = alloc.Place(bytes);
   }
+  num_pages_ = alloc.pages_used();
 }
 
 Status PoiIndex::InsertPoi(PoiId id) {

@@ -101,6 +101,11 @@ class PoiIndex {
   /// (POI payloads are packed after the node pages).
   PageId poi_page(PoiId id) const { return poi_page_[id]; }
 
+  /// Pages of the current layout: node and POI pages lie in
+  /// [kPoiIndexFirstPage, kPoiIndexFirstPage + num_pages()). InsertPoi lays
+  /// the index out again and updates the count.
+  uint32_t num_pages() const { return num_pages_; }
+
   int height() const { return tree_.height(); }
 
   /// Corruption-injection hooks for the audit tests (core/audit.h): grant
@@ -149,6 +154,7 @@ class PoiIndex {
   std::vector<uint64_t> node_masks_;  // mask_words_ per node, in id order.
   std::vector<PoiNodeAug> node_aug_;
   std::vector<PageId> poi_page_;
+  uint32_t num_pages_ = 0;
   // The index's own ball searches (build and InsertPoi); queries never
   // touch them.
   DijkstraEngine engine_;

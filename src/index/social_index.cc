@@ -213,6 +213,7 @@ SocialIndex::SocialIndex(const SpatialSocialNetwork* ssn,
                               4 * social.Degree(u));
     user_page_[u] = alloc.Place(bytes);
   }
+  num_pages_ = alloc.pages_used();
 }
 
 Status SocialIndex::UpdateUserInterests(UserId u) {

@@ -77,6 +77,9 @@ class SocialIndex {
   /// Page of the leaf record holding user u's payload.
   PageId user_page(UserId u) const { return user_page_[u]; }
 
+  /// Pages of the layout: node and user pages lie in [0, num_pages()).
+  uint32_t num_pages() const { return num_pages_; }
+
   /// Leaf node holding user u.
   SNodeId leaf_of_user(UserId u) const { return leaf_of_user_[u]; }
 
@@ -105,6 +108,7 @@ class SocialIndex {
   std::vector<SNodeId> leaf_of_user_;  // Leaf node per user.
   std::vector<std::vector<double>> user_rp_;
   std::vector<PageId> user_page_;
+  uint32_t num_pages_ = 0;
   std::vector<size_t> holders_;  // UpdateUserInterests' per-topic counts.
 };
 

@@ -69,9 +69,9 @@ TEST(AllocationTest, CounterSeesAVectorGrow) {
 }
 
 TEST(AllocationTest, BufferPoolNeverAllocatesAfterConstruction) {
-  BufferPool pool(64);
+  BufferPool pool(64, /*social_pages=*/96, /*poi_pages=*/96);
   // A fixed trace over 96 pages with a hot set, so hits, MRU hits and
-  // evictions all occur.
+  // evictions all occur; it runs over I_S's pages and then over I_R's.
   std::vector<PageId> trace(100000);
   Rng rng(5);
   for (PageId& page : trace) {
@@ -80,9 +80,7 @@ TEST(AllocationTest, BufferPoolNeverAllocatesAfterConstruction) {
   }
   const int64_t n = CountAllocations([&] {
     for (PageId page : trace) pool.Access(page);
-    pool.AccessRun(1000, 8);
-    pool.Clear();
-    for (PageId page : trace) pool.Access(page | 0xFF000000u);
+    for (PageId page : trace) pool.Access(kPoiIndexFirstPage + page);
   });
   EXPECT_EQ(n, 0);
   EXPECT_GT(pool.stats().page_misses, 64u);

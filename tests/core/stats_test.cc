@@ -120,14 +120,5 @@ TEST(QueryStatsTest, ToStringPrintsEveryRowAsNameEqualsValue) {
 #undef GPSSN_TEST_PRINT
 }
 
-TEST(IoStatsTest, ResetClearsCounters) {
-  IoStats io;
-  io.logical_accesses = 5;
-  io.page_misses = 2;
-  io.Reset();
-  EXPECT_EQ(io.logical_accesses, 0u);
-  EXPECT_EQ(io.page_misses, 0u);
-}
-
 }  // namespace
 }  // namespace gpssn

@@ -14,6 +14,7 @@
 
 #include "core/baseline.h"
 #include "core/database.h"
+#include "core/query.h"
 #include "index/poi_index.h"
 #include "index/social_index.h"
 #include "roadnet/distance_backend.h"
@@ -267,7 +268,8 @@ TEST(DynamicPoiTest, NewPoiCanBecomeTheAnswer) {
 // A query charges I_S and I_R pages to one buffer pool, so no page id may
 // belong to both: I_S node and user pages lie below kPoiIndexFirstPage and
 // I_R node and POI pages at or above it, after the build and after AddPoi
-// lays out I_R again.
+// lays out I_R again. The pool is sized by each index's page count, so
+// each count must end at the index's last page.
 TEST(DynamicPoiTest, SocialAndPoiIndexPagesAreDisjoint) {
   GpssnBuildOptions build;
   build.num_road_pivots = 2;
@@ -305,6 +307,10 @@ TEST(DynamicPoiTest, SocialAndPoiIndexPagesAreDisjoint) {
     const std::set<PageId> road = poi_pages();
     EXPECT_LT(*social.rbegin(), kPoiIndexFirstPage) << when;
     EXPECT_GE(*road.begin(), kPoiIndexFirstPage) << when;
+    EXPECT_EQ(*social.rbegin() + 1, db.social_index().num_pages()) << when;
+    EXPECT_EQ(*road.rbegin() + 1,
+              kPoiIndexFirstPage + db.poi_index().num_pages())
+        << when;
     std::vector<PageId> shared;
     std::set_intersection(social.begin(), social.end(), road.begin(),
                           road.end(), std::back_inserter(shared));
@@ -320,6 +326,50 @@ TEST(DynamicPoiTest, SocialAndPoiIndexPagesAreDisjoint) {
     ASSERT_TRUE(db.AddPoi(pos, {static_cast<KeywordId>(i)}).ok());
     expect_disjoint("after AddPoi " + std::to_string(i));
   }
+}
+
+// Each query sizes its buffer pool from the page counts the indexes hold
+// when it runs, so a processor made before a burst of AddPoi, which lays
+// I_R out again on more pages, charges the same I/O as one made after it.
+TEST(DynamicPoiTest, ProcessorsBeforeAndAfterInsertsChargeTheSameIo) {
+  GpssnBuildOptions build;
+  build.num_road_pivots = 2;
+  build.num_social_pivots = 2;
+  build.social_index.leaf_cell_size = 16;
+  GpssnDatabase db(MakeSynthetic(SmallData(8)), build);
+  GpssnProcessor before(&db.poi_index(), &db.social_index());
+  const uint32_t pages_at_build = db.poi_index().num_pages();
+  Rng rng(10);
+  for (int i = 0; i < 60; ++i) {
+    const EdgePosition pos{
+        static_cast<EdgeId>(rng.NextBounded(db.ssn().road().num_edges())),
+        rng.UniformDouble()};
+    ASSERT_TRUE(db.AddPoi(pos, {static_cast<KeywordId>(i % 15)}).ok());
+  }
+  ASSERT_GT(db.poi_index().num_pages(), pages_at_build);
+  GpssnProcessor after(&db.poi_index(), &db.social_index());
+  uint64_t accesses = 0;
+  for (UserId issuer = 0; issuer < db.ssn().num_users(); issuer += 15) {
+    GpssnQuery q;
+    q.issuer = issuer;
+    q.tau = 3;
+    q.gamma = 0.2;
+    q.theta = 0.2;
+    q.radius = 2.0;
+    QueryStats stats_before;
+    QueryStats stats_after;
+    auto got_before = before.Execute(q, QueryOptions(), &stats_before);
+    auto got_after = after.Execute(q, QueryOptions(), &stats_after);
+    ASSERT_TRUE(got_before.ok() && got_after.ok());
+    EXPECT_EQ(got_before->found, got_after->found) << "issuer " << issuer;
+    EXPECT_EQ(stats_before.io.logical_accesses,
+              stats_after.io.logical_accesses)
+        << "issuer " << issuer;
+    EXPECT_EQ(stats_before.io.page_misses, stats_after.io.page_misses)
+        << "issuer " << issuer;
+    accesses += stats_after.io.logical_accesses;
+  }
+  EXPECT_GT(accesses, 0u);
 }
 
 }  // namespace
