@@ -29,6 +29,13 @@ struct EdgeRec {
 // serves every pair that neighbour participates in, so simulating a
 // degree-d contraction costs d searches instead of d^2/2. Owns stamped
 // arenas sized once per build.
+//
+// It keeps std::push_heap / std::pop_heap, not the road searches'
+// SearchHeap (roadnet/search_heap.h). Unlike a plain search, what it
+// returns depends on the pop order among equal keys: the settle limit
+// counts pops, and a vertex's hop count comes from whichever equal-length
+// path reaches it first. Another heap could find other witnesses, and so
+// build other shortcuts.
 class WitnessSearch {
  public:
   explicit WitnessSearch(int n)

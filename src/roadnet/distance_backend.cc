@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "common/macros.h"
+#include "roadnet/search_heap.h"
 
 namespace gpssn {
 
@@ -210,27 +211,20 @@ class ChDistanceEngine final : public DistanceEngine {
       generation_ = 1;
     }
     heap_.clear();
-    auto greater = [](const std::pair<double, VertexId>& a,
-                      const std::pair<double, VertexId>& b) {
-      return a.first > b.first;
-    };
     auto relax = [&](VertexId w, double d) {
       if (d > bound) return;
       if (stamp_[w] == generation_ && dist_[w] <= d) return;
       dist_[w] = d;
       stamp_[w] = generation_;
-      heap_.emplace_back(d, w);
-      std::push_heap(heap_.begin(), heap_.end(), greater);
+      heap_.Push(d, w);
     };
     const VertexId u = graph_->edge_u(source.edge);
     const VertexId v = graph_->edge_v(source.edge);
     relax(u, graph_->OffsetTo(source, u));
     relax(v, graph_->OffsetTo(source, v));
     while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), greater);
-      const auto [d, w] = heap_.back();
-      heap_.pop_back();
-      if (stamp_[w] != generation_ || d > dist_[w]) continue;  // Stale.
+      const auto [d, w] = heap_.Pop();
+      if (d > dist_[w]) continue;  // Stale.
       if (slot_[w] >= 0) sweep_[slot_[w]] = d;
       for (const auto& arc : ch_->up(w)) relax(arc.to, d + arc.weight);
     }
@@ -245,7 +239,7 @@ class ChDistanceEngine final : public DistanceEngine {
   std::vector<double> dist_;
   std::vector<uint32_t> stamp_;
   uint32_t generation_ = 0;
-  std::vector<std::pair<double, VertexId>> heap_;
+  SearchHeap heap_;
 
   // The registered targets' upward closure, in descending rank: slot_ maps
   // a vertex to its place in closure_ (-1 outside it), and the closure's

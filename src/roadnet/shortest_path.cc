@@ -27,14 +27,6 @@ void DijkstraEngine::Reset() {
   heap_.clear();
 }
 
-void DijkstraEngine::Relax(VertexId v, double dist) {
-  if (stamp_[v] == generation_ && dist_[v] <= dist) return;
-  dist_[v] = dist;
-  stamp_[v] = generation_;
-  heap_.emplace_back(dist, v);
-  std::push_heap(heap_.begin(), heap_.end(), HeapGreater());
-}
-
 void DijkstraEngine::Run(const std::vector<std::pair<VertexId, double>>& seeds,
                          double bound) {
   Search(seeds, bound, {});
@@ -49,9 +41,16 @@ void DijkstraEngine::RunWithTargets(
 void DijkstraEngine::Search(std::span<const std::pair<VertexId, double>> seeds,
                             double bound, std::span<const VertexId> targets) {
   Reset();
+  // Labels a vertex at `d` unless it already holds a label no larger.
+  auto reach = [this](VertexId v, double d) {
+    if (stamp_[v] == generation_ && dist_[v] <= d) return;
+    dist_[v] = d;
+    stamp_[v] = generation_;
+    heap_.Push(d, v);
+  };
   for (const auto& [v, d] : seeds) {
     GPSSN_CHECK(v >= 0 && v < graph_->num_vertices());
-    if (d <= bound) Relax(v, d);
+    if (d <= bound) reach(v, d);
   }
   // Generation-stamped target marks: O(1) membership per settled vertex,
   // and counting DISTINCT targets (duplicates in `targets` must not
@@ -65,12 +64,11 @@ void DijkstraEngine::Search(std::span<const std::pair<VertexId, double>> seeds,
       ++targets_left;
     }
   }
+  // Every key pushed is at most `bound`, so the search ends when the heap
+  // does.
   while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), HeapGreater());
-    const auto [d, v] = heap_.back();
-    heap_.pop_back();
+    const auto [d, v] = heap_.Pop();
     if (settled_stamp_[v] == generation_) continue;  // Stale entry.
-    if (d > bound) break;
     settled_stamp_[v] = generation_;
     settled_.push_back(v);
     // Each vertex settles at most once per generation, so a marked target
@@ -80,7 +78,7 @@ void DijkstraEngine::Search(std::span<const std::pair<VertexId, double>> seeds,
     }
     for (const RoadArc& arc : graph_->Neighbors(v)) {
       const double nd = d + arc.weight;
-      if (nd <= bound) Relax(arc.to, nd);
+      if (nd <= bound) reach(arc.to, nd);
     }
   }
 }
@@ -159,19 +157,19 @@ std::vector<std::pair<PoiId, double>> PoiLocator::BallWithDistances(
   engine->RunFromPosition(center, radius);
 
   // Deduplicate edges incident to settled vertices.
-  std::vector<EdgeId> edges;
+  edges_.clear();
   for (VertexId v : engine->Settled()) {
     for (const RoadArc& arc : graph_->Neighbors(v)) {
-      if (!pois_on_edge_[arc.edge].empty()) edges.push_back(arc.edge);
+      if (!pois_on_edge_[arc.edge].empty()) edges_.push_back(arc.edge);
     }
   }
   // The center's own edge may carry in-range POIs even when no vertex is
   // settled (tiny radius).
-  if (!pois_on_edge_[center.edge].empty()) edges.push_back(center.edge);
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  if (!pois_on_edge_[center.edge].empty()) edges_.push_back(center.edge);
+  std::sort(edges_.begin(), edges_.end());
+  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 
-  for (EdgeId e : edges) {
+  for (EdgeId e : edges_) {
     const VertexId u = graph_->edge_u(e);
     const VertexId v = graph_->edge_v(e);
     const double du = engine->Distance(u);

@@ -2,8 +2,8 @@
 //
 // Exact road-network shortest-path distances dist_RN (Definition 5) via
 // Dijkstra's algorithm. The engine owns reusable arenas (distance labels with
-// generation stamps and a binary heap) so repeated queries do no per-query
-// allocation, and supports:
+// generation stamps and a 4-ary heap, roadnet/search_heap.h) so repeated
+// queries do no per-query allocation, and supports:
 //   * full single-source distance arrays (pivot table construction),
 //   * bounded searches (ball queries B(o, r) of Section 3.1 / Fig. 2),
 //   * multi-seed starts (positions on edge interiors seed both endpoints),
@@ -19,6 +19,7 @@
 
 #include "roadnet/poi.h"
 #include "roadnet/road_graph.h"
+#include "roadnet/search_heap.h"
 #include "roadnet/types.h"
 
 namespace gpssn {
@@ -53,7 +54,8 @@ class DijkstraEngine {
   /// Settled distance label of `v` from the last run.
   double Distance(VertexId v) const;
 
-  /// Vertices settled by the last run (distance <= bound), unordered.
+  /// Vertices settled by the last run (distance <= bound), unordered: the
+  /// heap may settle equal labels in any order.
   const std::vector<VertexId>& Settled() const { return settled_; }
 
   /// Distance from the last run's source to a position on an edge: the
@@ -72,19 +74,11 @@ class DijkstraEngine {
   const RoadNetwork& graph() const { return *graph_; }
 
  private:
-  struct HeapGreater {
-    bool operator()(const std::pair<double, VertexId>& a,
-                    const std::pair<double, VertexId>& b) const {
-      return a.first > b.first;
-    }
-  };
-
   // Run and RunWithTargets over spans: the convenience entry points seed
   // it from stack arrays, so a search allocates nothing once warm.
   void Search(std::span<const std::pair<VertexId, double>> seeds,
               double bound, std::span<const VertexId> targets);
   void Reset();
-  void Relax(VertexId v, double dist);
 
   const RoadNetwork* graph_;
   std::vector<double> dist_;
@@ -93,8 +87,7 @@ class DijkstraEngine {
   std::vector<uint32_t> target_stamp_;   // RunWithTargets membership.
   uint32_t generation_ = 0;
   std::vector<VertexId> settled_;
-  // Binary heap of (distance, vertex); lazily deleted entries.
-  std::vector<std::pair<double, VertexId>> heap_;
+  SearchHeap heap_;  // Lazily deleted entries.
 };
 
 /// Direct distance along a shared edge between two positions, or
@@ -127,6 +120,7 @@ class PoiLocator {
   const std::vector<Poi>* pois_;
   std::vector<std::vector<PoiId>> pois_on_edge_;
   size_t num_registered_ = 0;  // pois_[0, num_registered_) are on an edge.
+  std::vector<EdgeId> edges_;  // A ball's edges with POIs; kept for reuse.
 };
 
 }  // namespace gpssn

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -72,6 +75,104 @@ TEST(DatabaseTest, BuildsAllComponents) {
   EXPECT_GT(db.social_index().num_nodes(), 1);
   EXPECT_EQ(db.social_index().node(db.social_index().root()).subtree_users,
             900);
+}
+
+// Appends the bytes of `value` to `bytes`; a double goes in as its bits.
+template <typename T>
+void AppendBytes(std::string* bytes, T value) {
+  if constexpr (std::is_same_v<T, double>) {
+    AppendBytes(bytes, std::bit_cast<uint64_t>(value));
+  } else {
+    bytes->append(reinterpret_cast<const char*>(&value), sizeof(T));
+  }
+}
+
+// Checksum lines of what the build's road searches leave behind.
+struct SearchChecksums {
+  std::string balls;   // Every POI's B(o, r_max): ids and distance bits.
+  std::string masks;   // Every POI's sup_K mask.
+  std::string pivots;  // The road pivots and their distance tables.
+  std::string rows;    // A fixed set of CH rows: user homes to POIs.
+  std::string added;   // Balls and masks after three AddPoi calls.
+};
+
+SearchChecksums BuildSearchChecksums(Distribution distribution) {
+  SyntheticSsnOptions data;  // Table 3's sizes at scale 0.02.
+  data.distribution = distribution;
+  data.num_road_vertices = 400;
+  data.num_pois = 200;
+  data.num_users = 600;
+  GpssnBuildOptions build;
+  build.distance_backend = DistanceBackendKind::kContractionHierarchy;
+  GpssnDatabase db(MakeSynthetic(data), build);
+  const SpatialSocialNetwork& ssn = db.ssn();
+
+  auto balls_and_masks = [&db](std::string* balls, std::string* masks) {
+    for (PoiId id = 0; id < db.ssn().num_pois(); ++id) {
+      const auto& ball = db.poi_index().poi_aug(id).ball;
+      AppendBytes(balls, ball.size());
+      for (const auto& [member, d] : ball) {
+        AppendBytes(balls, member);
+        AppendBytes(balls, d);
+      }
+      for (uint64_t word : db.poi_index().sup_mask(id)) {
+        AppendBytes(masks, word);
+      }
+    }
+  };
+  std::string balls, masks, pivots, rows;
+  balls_and_masks(&balls, &masks);
+
+  const RoadPivotTable& table = db.road_pivots();
+  for (int k = 0; k < table.num_pivots(); ++k) {
+    AppendBytes(&pivots, table.pivots()[k]);
+    for (VertexId v = 0; v < ssn.road().num_vertices(); ++v) {
+      AppendBytes(&pivots, table.VertexToPivot(v, k));
+    }
+  }
+
+  std::vector<EdgePosition> targets;
+  for (PoiId id = 0; id < ssn.num_pois(); id += 4) {
+    targets.push_back(ssn.poi(id).position);
+  }
+  const auto engine = db.distance_backend()->CreateEngine();
+  engine->SetTargets(targets);
+  std::vector<double> row(targets.size());
+  for (UserId u = 0; u < ssn.num_users(); u += 20) {
+    for (double bound : {kInfDistance, 3.0}) {
+      engine->SourceToTargets(ssn.user_home(u), bound, row.data());
+      for (double d : row) AppendBytes(&rows, d);
+    }
+  }
+
+  for (EdgeId edge : {3, 50, 120}) {
+    EXPECT_TRUE(db.AddPoi(EdgePosition{edge, 0.25}, {1, 4}).ok());
+  }
+  std::string added;
+  balls_and_masks(&added, &added);
+  return {ChecksumLine(balls), ChecksumLine(masks), ChecksumLine(pivots),
+          ChecksumLine(rows), ChecksumLine(added)};
+}
+
+// Every label a build's road searches keep, bit for bit: the stored balls
+// and sup_K masks (one 2·r_max search per POI), the pivot tables (one full
+// search per pivot), CH rows (one upward search per source) and the balls
+// AddPoi searches again. A search kernel may settle equal keys in any
+// order, but no label may move. The values depend on the libm behind the
+// generators' pow and log, as DatasetTest.NetworksArePinned's do.
+TEST(DatabaseTest, BuildSearchesArePinned) {
+  const SearchChecksums uni = BuildSearchChecksums(Distribution::kUniform);
+  EXPECT_EQ(uni.balls, "checksum 87ac651f561684f5\n");
+  EXPECT_EQ(uni.masks, "checksum ff6461bb3edb0e17\n");
+  EXPECT_EQ(uni.pivots, "checksum 46de9f25baafad9e\n");
+  EXPECT_EQ(uni.rows, "checksum cf588b5e8d514a3f\n");
+  EXPECT_EQ(uni.added, "checksum e65d166e6f4da7eb\n");
+  const SearchChecksums zipf = BuildSearchChecksums(Distribution::kZipf);
+  EXPECT_EQ(zipf.balls, "checksum fef3de820927c33a\n");
+  EXPECT_EQ(zipf.masks, "checksum 270826c1b8d9ceb7\n");
+  EXPECT_EQ(zipf.pivots, "checksum 46de9f25baafad9e\n");
+  EXPECT_EQ(zipf.rows, "checksum 1cbe7ccd663a9b20\n");
+  EXPECT_EQ(zipf.added, "checksum 05d81e0328c47067\n");
 }
 
 TEST(DatabaseTest, QueriesRunWithDefaults) {

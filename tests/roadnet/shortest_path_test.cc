@@ -3,8 +3,11 @@
 
 #include "roadnet/shortest_path.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -167,6 +170,106 @@ TEST_P(DijkstraPropertyTest, EarlyExitKeepsTheFullSearchBits) {
     }
   }
   EXPECT_GT(unreachable, 0) << "the graph should have several components";
+}
+
+// Dijkstra's labels from the O(n^2) textbook loop, which settles, among
+// equal keys, the vertex with the largest id first.
+struct ReferenceSearch {
+  std::vector<double> label;  // kInfDistance when not settled.
+  size_t settled = 0;
+  int ties = 0;  // Settles that had another vertex at the same key.
+};
+
+ReferenceSearch ReferenceDijkstra(
+    const RoadNetwork& g, const std::vector<std::pair<VertexId, double>>& seeds,
+    double bound) {
+  const int n = g.num_vertices();
+  std::vector<double> tentative(n, kInfDistance);
+  std::vector<bool> done(n, false);
+  for (const auto& [v, d] : seeds) {
+    if (d <= bound) tentative[v] = std::min(tentative[v], d);
+  }
+  ReferenceSearch out{std::vector<double>(n, kInfDistance)};
+  while (true) {
+    VertexId best = kInvalidVertex;
+    bool tie = false;
+    for (VertexId v = n - 1; v >= 0; --v) {
+      if (done[v] || tentative[v] == kInfDistance) continue;
+      if (best == kInvalidVertex || tentative[v] < tentative[best]) {
+        best = v;
+        tie = false;
+      } else if (tentative[v] == tentative[best]) {
+        tie = true;
+      }
+    }
+    if (best == kInvalidVertex) break;
+    done[best] = true;
+    out.label[best] = tentative[best];
+    ++out.settled;
+    out.ties += tie;
+    for (const RoadArc& arc : g.Neighbors(best)) {
+      const double nd = tentative[best] + arc.weight;
+      if (nd <= bound && !done[arc.to]) {
+        tentative[arc.to] = std::min(tentative[arc.to], nd);
+      }
+    }
+  }
+  return out;
+}
+
+// The engine may settle equal keys in any order: a label is the least
+// label(u) + w over the neighbours u settled before it, and a neighbour
+// settled later has a label no smaller, so adding w >= 0 cannot lower it.
+// Integer weights make equal keys common and fractional seeds make the sums
+// round, so this compares every label bit for bit with a reference that
+// breaks ties the other way: unbounded and bounded, from one seed and from
+// two, and, for a search that stops at its targets, the targets' labels.
+TEST_P(DijkstraPropertyTest, TieOrderKeepsEveryLabelBit) {
+  Rng rng(GetParam() ^ 0x71e5);
+  constexpr int kVertices = 100;
+  RoadNetworkBuilder b;
+  for (int i = 0; i < kVertices; ++i) {
+    b.AddVertex({rng.UniformDouble(0, 10), rng.UniformDouble(0, 10)});
+  }
+  for (int i = 0; i < kVertices; ++i) {
+    for (int j = i + 1; j < kVertices; ++j) {
+      if (rng.UniformDouble() < 0.05) {
+        ASSERT_TRUE(
+            b.AddEdge(i, j, static_cast<double>(rng.NextBounded(5))).ok());
+      }
+    }
+  }
+  const RoadNetwork g = b.Build();
+  DijkstraEngine engine(&g);
+  auto bits = [](double d) { return std::bit_cast<uint64_t>(d); };
+  int ties = 0;
+  for (VertexId s = 0; s < kVertices; ++s) {
+    const auto t = static_cast<VertexId>(rng.NextBounded(kVertices));
+    const std::vector<std::pair<VertexId, double>> seed_sets[] = {
+        {{s, 0.0}}, {{s, 0.1}, {t, 0.7}}};
+    for (const auto& seeds : seed_sets) {
+      for (double bound : {kInfDistance, 5.3}) {
+        const ReferenceSearch want = ReferenceDijkstra(g, seeds, bound);
+        ties += want.ties;
+        engine.Run(seeds, bound);
+        ASSERT_EQ(engine.Settled().size(), want.settled) << s;
+        for (VertexId v = 0; v < kVertices; ++v) {
+          ASSERT_EQ(bits(engine.Distance(v)), bits(want.label[v]))
+              << s << "->" << v << " bound " << bound;
+        }
+        std::vector<VertexId> targets;
+        for (int i = 0; i < 4; ++i) {
+          targets.push_back(static_cast<VertexId>(rng.NextBounded(kVertices)));
+        }
+        engine.RunWithTargets(seeds, bound, targets);
+        for (VertexId v : targets) {
+          ASSERT_EQ(bits(engine.Distance(v)), bits(want.label[v]))
+              << s << "->" << v << " bound " << bound << " (targets)";
+        }
+      }
+    }
+  }
+  EXPECT_GT(ties, 1000) << "integer weights should make equal keys common";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DijkstraPropertyTest,
