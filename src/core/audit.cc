@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <tuple>
 
 #include "common/macros.h"
 #include "core/scores.h"
@@ -162,25 +163,33 @@ AuditReport AuditPoiIndex(const PoiIndex& index) {
   AuditReport report = AuditRStarTree(index.tree());
   const RStarTree& tree = index.tree();
   if (tree.size() == 0) return report;
-  const int h = index.pivots().num_pivots();
 
   // Per-POI invariants: the stored B(o, r_max) holds o at distance 0,
-  // every distance lies in [0, r_max], and it equals a fresh reference
-  // search in ids, distances and order; pivot vector arity.
+  // every distance lies in [0, r_max], its entries ascend by (distance,
+  // id), it equals a fresh reference search as a set with its distance
+  // bits, each entry's mask is the keyword union of the entries up to it,
+  // and the pivot row equals fresh pivot distances.
   const SpatialSocialNetwork& ssn = index.ssn();
   const double r_max = index.options().r_max;
+  const size_t words = KeywordMaskWords(ssn.num_topics());
   DijkstraEngine engine(&ssn.road());
   PoiLocator locator(&ssn.road(), &ssn.pois());
   const int num_pois = ssn.num_pois();
+  std::vector<uint64_t> running(words);
   for (PoiId id = 0; id < num_pois; ++id) {
-    const PoiAug& aug = index.poi_aug(id);
+    const std::span<const PoiId> ids = index.ball_ids(id);
+    const std::span<const double> dists = index.ball_dists(id);
     const std::string poi = "poi " + std::to_string(id) + ": ";
-    if (std::find(aug.ball.begin(), aug.ball.end(),
-                  std::pair<PoiId, double>(id, 0.0)) == aug.ball.end()) {
+    std::vector<std::pair<PoiId, double>> stored;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      stored.emplace_back(ids[i], dists[i]);
+    }
+    if (std::find(stored.begin(), stored.end(),
+                  std::pair<PoiId, double>(id, 0.0)) == stored.end()) {
       AddIssue(&report, "poi-ball", -1,
                poi + "ball misses the POI itself at distance 0");
     }
-    for (const auto& [member, d] : aug.ball) {
+    for (const auto& [member, d] : stored) {
       if (!(d >= 0.0 && d <= r_max)) {
         std::ostringstream os;
         os << poi << "member " << member << " at distance " << d
@@ -189,19 +198,47 @@ AuditReport AuditPoiIndex(const PoiIndex& index) {
         break;
       }
     }
-    const auto fresh =
+    const auto by_distance = [](const auto& a, const auto& b) {
+      return std::tie(a.second, a.first) < std::tie(b.second, b.first);
+    };
+    const auto disorder =
+        std::adjacent_find(stored.begin(), stored.end(),
+                           [&](const auto& a, const auto& b) {
+                             return !by_distance(a, b);
+                           });
+    if (disorder != stored.end()) {
+      AddIssue(&report, "poi-ball-order", -1,
+               poi + "entry " + std::to_string(disorder - stored.begin()) +
+                   " does not precede the next in (distance, id) order");
+    }
+    auto fresh =
         locator.BallWithDistances(ssn.poi(id).position, r_max, &engine);
-    if (aug.ball != fresh) {
+    std::sort(fresh.begin(), fresh.end(), by_distance);
+    std::sort(stored.begin(), stored.end(), by_distance);
+    if (stored != fresh) {
       AddIssue(&report, "poi-ball", -1,
-               poi + "ball (" + std::to_string(aug.ball.size()) +
+               poi + "ball (" + std::to_string(stored.size()) +
                    " entries) differs from a fresh B(o, r_max) search (" +
                    std::to_string(fresh.size()) + " entries)");
     }
-    if (static_cast<int>(aug.pivot_dist.size()) != h) {
-      AddIssue(&report, "poi-pivot-arity", -1,
-               "poi " + std::to_string(id) + " carries " +
-                   std::to_string(aug.pivot_dist.size()) + " pivot distances, " +
-                   std::to_string(h) + " pivots exist");
+    std::fill(running.begin(), running.end(), 0);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (ids[i] < 0 || ids[i] >= num_pois) break;  // Reported above.
+      AddToKeywordMask(ssn.poi(ids[i]).keywords, ssn.num_topics(),
+                       running.data());
+      if (!std::ranges::equal(index.ball_mask(id, i + 1), running)) {
+        AddIssue(&report, "poi-ball-mask", -1,
+                 poi + "mask of entry " + std::to_string(i) +
+                     " is not the keyword union of the entries up to it");
+        break;
+      }
+    }
+    const std::vector<double> pivots =
+        index.pivots().PositionDistances(ssn.poi(id).position);
+    if (!std::ranges::equal(index.pivot_dists(id), pivots)) {
+      AddIssue(&report, "poi-pivot-row", -1,
+               poi + "pivot row differs from fresh distances to the " +
+                   std::to_string(pivots.size()) + " pivots");
     }
   }
 
@@ -214,7 +251,6 @@ AuditReport AuditPoiIndex(const PoiIndex& index) {
   };
   std::vector<Frame> stack = {{tree.root(), false}};
   std::vector<int64_t> subtree_count(tree.num_nodes(), 0);
-  const size_t words = KeywordMaskWords(ssn.num_topics());
   std::vector<uint64_t> subtree_mask(
       static_cast<size_t>(tree.num_nodes()) * words, 0);
   while (!stack.empty()) {
@@ -344,6 +380,18 @@ AuditReport AuditSocialIndex(const SocialIndex& index) {
     if (owner[u] == -1) {
       AddIssue(&report, "social-partition-complete", -1,
                "user " + std::to_string(u) + " reachable from no leaf");
+    }
+  }
+
+  // --- Each user's road-pivot row (leaf payload) equals fresh distances.
+  for (UserId u = 0; u < m; ++u) {
+    const std::vector<double> fresh =
+        index.road_pivots().PositionDistances(ssn.user_home(u));
+    if (!std::ranges::equal(index.user_road_pivot_dists(u), fresh)) {
+      AddIssue(&report, "social-pivot-row", index.leaf_of_user(u),
+               "user " + std::to_string(u) +
+                   " road-pivot row differs from fresh distances to the " +
+                   std::to_string(fresh.size()) + " pivots");
     }
   }
 

@@ -11,11 +11,12 @@
 //         coherence (uniform leaf depth), object count.
 //       * I_R augmentations: each node mask is the OR of its entries'
 //         masks, subtree POI counts add up, stored balls equal a fresh
-//         search.
+//         search, ascend by (distance, id) and carry their running keyword
+//         unions, and pivot rows equal fresh pivot distances.
 //       * I_S partition tree: leaves partition the user set (disjoint,
 //         complete, consistent with leaf_of_user), interest / social-pivot
 //         lb/ub boxes contain every member, subtree counts and levels are
-//         coherent.
+//         coherent, and users' road-pivot rows equal fresh distances.
 //
 //  2. PruningAuditor — a sampling recorder the query processor notifies on
 //     every pruned candidate. Sampled events are re-tested against the

@@ -103,24 +103,11 @@ bool PrunePoiMatch(const QueryUserContext& ctx,
   return MatchScoreOverMask(ctx.q_run(), sup_mask) < ctx.query.theta;
 }
 
-double LbDistToPoi(const QueryUserContext& ctx, const PoiAug& aug) {
+double LbRoadPivotDist(std::span<const double> a, std::span<const double> b) {
   double lb = 0.0;
-  for (size_t k = 0; k < ctx.rp_dist.size(); ++k) {
-    if (!std::isfinite(ctx.rp_dist[k]) || !std::isfinite(aug.pivot_dist[k])) {
-      continue;
-    }
-    lb = std::max(lb, std::abs(ctx.rp_dist[k] - aug.pivot_dist[k]));
-  }
-  return lb;
-}
-
-double LbUserPoiDist(const std::vector<double>& user_rp, const PoiAug& aug) {
-  double lb = 0.0;
-  for (size_t k = 0; k < user_rp.size(); ++k) {
-    if (!std::isfinite(user_rp[k]) || !std::isfinite(aug.pivot_dist[k])) {
-      continue;
-    }
-    lb = std::max(lb, std::abs(user_rp[k] - aug.pivot_dist[k]));
+  for (size_t k = 0; k < a.size(); ++k) {
+    if (!std::isfinite(a[k]) || !std::isfinite(b[k])) continue;
+    lb = std::max(lb, std::abs(a[k] - b[k]));
   }
   return lb;
 }

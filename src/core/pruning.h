@@ -20,6 +20,7 @@
 #ifndef GPSSN_CORE_PRUNING_H_
 #define GPSSN_CORE_PRUNING_H_
 
+#include <span>
 #include <vector>
 
 #include "core/options.h"
@@ -37,7 +38,8 @@ struct QueryUserContext {
   std::vector<KeywordId> q_topics;
   std::vector<double> q_weights;
   std::vector<int> sp_hops;       // dist_SN(u_q, sp_k), k = 1..l.
-  std::vector<double> rp_dist;    // dist_RN(u_q's home, rp_k), k = 1..h.
+  // dist_RN(u_q's home, rp_k), k = 1..h: u_q's row of I_S.
+  std::span<const double> rp_dist;
 
   QueryUserContext(const GpssnQuery& q, const SocialIndex& is);
 
@@ -84,12 +86,13 @@ bool PruneSocialNodeDistance(const QueryUserContext& ctx,
 bool PrunePoiMatch(const QueryUserContext& ctx,
                    std::span<const uint64_t> sup_mask);
 
-/// Eq. 17 (object form): pivot lower bound of dist_RN(u_q, o_i).
-double LbDistToPoi(const QueryUserContext& ctx, const PoiAug& aug);
-
-/// Lemma 5 (pair form, used in refinement): pivot lower bound of
-/// dist_RN(user, o_i) from the user's exact road-pivot distances.
-double LbUserPoiDist(const std::vector<double>& user_rp, const PoiAug& aug);
+/// The pivot lower bound of the road distance between two points, from
+/// their exact distances to the same h road pivots: max_k |a_k − b_k| over
+/// the pivots both reach (0 when none does). Eq. 17 (object form) bounds
+/// dist_RN(u_q, o_i) from ctx.rp_dist and PoiIndex::pivot_dists(o_i);
+/// Lemma 5 (pair form, used in refinement) bounds a member's distance to a
+/// center from SocialIndex::user_road_pivot_dists.
+double LbRoadPivotDist(std::span<const double> a, std::span<const double> b);
 
 }  // namespace gpssn
 

@@ -111,8 +111,6 @@ void GpssnProcessor::RefineScratch::BeginQuery(size_t num_users,
   needed.clear();
   needed_positions.clear();
   centers.clear();
-  balls.clear();
-  masks.clear();
   num_members = 0;
   rows.clear();
 }
@@ -285,7 +283,8 @@ Result<ShardRefineResult> GpssnProcessor::RefineCandidates(
         plan->pois.reserve(centers.size());
         for (PoiId c : centers) {
           plan->pois.emplace_back(
-              LbDistToPoi(plan->ctx, poi_index_->poi_aug(c)), c);
+              LbRoadPivotDist(plan->ctx.rp_dist, poi_index_->pivot_dists(c)),
+              c);
         }
         const ScopedPhaseTimer refine_phase(&out->refine_seconds);
         return Refine(options, groups, /*top_k=*/1, incumbent, plan, out,
@@ -439,7 +438,6 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
       for (const RTreeEntry& e : node.entries) {
         ++stats->pois_seen;
         pool.Access(poi_index_->poi_page(e.id));
-        const PoiAug& aug = poi_index_->poi_aug(e.id);
         if (flags.match_score &&
             PrunePoiMatch(ctx, poi_index_->sup_mask(e.id))) {
           ++stats->pois_pruned_match;
@@ -449,7 +447,8 @@ Status GpssnProcessor::Gather(const QueryOptions& options,
         // Eq. 17 (object form) bounds the issuer's share of any objective
         // centered here; Refine orders the centers by it, and the least
         // bound is the one a serving coordinator skips a shard by.
-        const double lb = LbDistToPoi(ctx, aug);
+        const double lb =
+            LbRoadPivotDist(ctx.rp_dist, poi_index_->pivot_dists(e.id));
         if (auditor != nullptr) auditor->OnPoiDistanceBound(ctx, e.id, lb);
         plan->pois.emplace_back(lb, e.id);
         plan->lower_bound = std::min(plan->lower_bound, lb);
@@ -491,15 +490,12 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   // materializes up front so the needed-POI slot table is complete
   // before the first distance row is computed: a row covers every needed
   // POI, and an infinite entry is a proof, not a gap. B(c, r) is read from
-  // I_R: the members of the stored B(c, r_max) within r, in the order the
-  // reference bounded search emits them, with ∪_{o∈R} o.K built as a
-  // keyword mask alongside. Only a ball whose keyword union the issuer
-  // matches can hold an answer, so only its center is kept (its ball
-  // sorted and its mask, both in the flat scratch arrays) and only its
-  // members take slots.
+  // I_R: the stored B(c, r_max) is in (distance, id) order, so B(c, r) is
+  // its prefix within r, and the prefix's last running mask is ∪_{o∈R}
+  // o.K. Only a ball whose keyword union the issuer matches can hold an
+  // answer, so only its center is kept, and only its members take slots
+  // and are charged.
   std::sort(plan->pois.begin(), plan->pois.end());
-  const int num_topics = ssn.num_topics();
-  const size_t mask_words = KeywordMaskWords(num_topics);
   {
     // One timer spans the loop, not one per center: a query visits
     // hundreds of centers, and each timer reads the clock twice.
@@ -507,23 +503,15 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     for (const auto& [lb, c] : plan->pois) {
       if (InterruptRequested(options)) return InterruptStatus(options);
       ++stats->ball_queries;
-      const size_t ball_begin = scr.balls.size();
-      const size_t mask_begin = scr.masks.size();
-      scr.masks.resize(mask_begin + mask_words, 0);
-      uint64_t* mask = scr.masks.data() + mask_begin;
-      for (const auto& [id, dist] : poi_index_->poi_aug(c).ball) {
-        if (dist > query.radius) continue;
-        scr.balls.push_back(id);
-        pool.Access(poi_index_->poi_page(id));
-        AddToKeywordMask(ssn.poi(id).keywords, num_topics, mask);
-      }
-      if (MatchScoreOverMask(ctx.q_run(), {mask, mask_words}) < query.theta) {
-        scr.balls.resize(ball_begin);
-        scr.masks.resize(mask_begin);
+      // B(c, r) holds c itself at distance 0, so the prefix is not empty.
+      const size_t size = poi_index_->BallPrefix(c, query.radius);
+      GPSSN_DCHECK(size > 0);
+      if (MatchScoreOverMask(ctx.q_run(), poi_index_->ball_mask(c, size)) <
+          query.theta) {
         continue;
       }
-      for (size_t i = ball_begin; i < scr.balls.size(); ++i) {
-        const PoiId id = scr.balls[i];
+      for (PoiId id : poi_index_->ball_ids(c).first(size)) {
+        pool.Access(poi_index_->poi_page(id));
         if (scr.poi_stamp[id] != scr.generation) {
           scr.poi_stamp[id] = scr.generation;
           scr.poi_slot[id] = static_cast<int32_t>(scr.needed.size());
@@ -531,17 +519,11 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
           scr.needed_positions.push_back(ssn.poi(id).position);
         }
       }
-      std::sort(scr.balls.begin() + static_cast<ptrdiff_t>(ball_begin),
-                scr.balls.end());
-      scr.centers.push_back({/*worst=*/0.0, c,
-                             static_cast<uint32_t>(ball_begin),
-                             static_cast<uint32_t>(scr.balls.size()),
-                             static_cast<uint32_t>(mask_begin)});
+      scr.centers.push_back({/*worst=*/0.0, c, static_cast<uint32_t>(size)});
     }
   }
   auto ball_of = [&](const RefineCenter& center) {
-    return std::span<const PoiId>(scr.balls.data() + center.ball_begin,
-                                  center.ball_end - center.ball_begin);
+    return poi_index_->ball_ids(center.id).first(center.size);
   };
   // The cache keeps a user's items in ascending POI id order: sort the
   // needed POIs that way once per query, with each one's slot, so a row
@@ -622,7 +604,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     size_t kept = 0;
     for (size_t i = 0; i < scr.centers.size(); ++i) {
       RefineCenter center = scr.centers[i];
-      bool in_range = center.ball_end > center.ball_begin;
+      bool in_range = true;
       for (PoiId o : ball_of(center)) {
         const double d = issuer_dists[scr.poi_slot[o]];
         if (d >= kInfDistance) {
@@ -701,9 +683,10 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
       break;
     }
     const std::span<const PoiId> ball = ball_of(center);
-    const std::span<const uint64_t> mask(scr.masks.data() + center.mask_begin,
-                                         mask_words);
-    const PoiAug& center_aug = poi_index_->poi_aug(center.id);
+    const std::span<const uint64_t> mask =
+        poi_index_->ball_mask(center.id, center.size);
+    const std::span<const double> center_pivots =
+        poi_index_->pivot_dists(center.id);
     ++visit;
     scr.dead_groups.assign(group_words, 0);
     if (num_groups % 64 != 0) {
@@ -714,8 +697,8 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     auto cell = [&](UserId u) -> CenterCell& {
       CenterCell& entry = scr.at_center[scr.user_member[u]];
       if (entry.visit != visit) {
-        entry.lb = LbUserPoiDist(social_index_->user_road_pivot_dists(u),
-                                 center_aug);
+        entry.lb = LbRoadPivotDist(social_index_->user_road_pivot_dists(u),
+                                   center_pivots);
         entry.visit = visit;
         entry.match = -1;
         ++stats->pair_bounds;
@@ -799,11 +782,11 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   }
   for (RankedAnswer& ranked : *best) {
     ranked.answer.users = groups[static_cast<size_t>(ranked.group_index)];
-    const auto center = std::find_if(
-        scr.centers.begin(), scr.centers.end(),
-        [&](const RefineCenter& c) { return c.id == ranked.answer.center; });
-    const std::span<const PoiId> ball = ball_of(*center);
+    const PoiId c = ranked.answer.center;
+    const std::span<const PoiId> ball =
+        poi_index_->ball_ids(c).first(poi_index_->BallPrefix(c, query.radius));
     ranked.answer.pois.assign(ball.begin(), ball.end());
+    std::sort(ranked.answer.pois.begin(), ranked.answer.pois.end());
   }
   return Status::OK();
 }

@@ -191,11 +191,11 @@ class GpssnProcessor {
   Status Gather(const QueryOptions& options, const ShardScope& scope,
                 QueryPlan* plan, QueryStats* stats);
 
-  /// Refine stage: materializes the ball of every center in plan->pois
-  /// (sorting them by bound, then id), keeps the centers whose keyword
-  /// union the issuer matches, orders them by the issuer's exact
-  /// distances, and runs the pair loop over `groups` (plan->groups on a
-  /// single node, the coordinator's list on a shard).
+  /// Refine stage: finds the ball of every center in plan->pois (sorting
+  /// them by bound, then id) as a prefix of I_R's stored ball, keeps the
+  /// centers whose keyword union the issuer matches, orders them by the
+  /// issuer's exact distances, and runs the pair loop over `groups`
+  /// (plan->groups on a single node, the coordinator's list on a shard).
   /// `best` receives up to `top_k` answers in discovery-rank order; only
   /// answers with objective <= `incumbent` are kept.
   Status Refine(const QueryOptions& options,
@@ -221,24 +221,20 @@ class GpssnProcessor {
     int8_t match = -1;
   };
 
-  /// A candidate center whose ball the issuer matches. Its sorted ball
-  /// B(c, r) is balls[ball_begin, ball_end) and its keyword-union mask
-  /// (∪_{o∈R} o.K over [0, num_topics)) starts at masks[mask_begin], both
-  /// in RefineScratch.
+  /// A candidate center whose ball the issuer matches. Its ball B(c, r)
+  /// is the first `size` entries of I_R's B(c, r_max), and its keyword
+  /// union the running mask of the last of them (PoiIndex::ball_mask).
   struct RefineCenter {
     double worst;  // Exact issuer-side objective contribution.
     PoiId id;
-    uint32_t ball_begin;
-    uint32_t ball_end;
-    uint32_t mask_begin;
+    uint32_t size;
   };
 
   /// Flat stamped scratch for the refinement phase, reused across queries:
   /// generation-stamped slot and member arrays, each member's list of the
-  /// groups that hold it, the matched centers with their balls and keyword
-  /// masks, one flat row-major distance table, the per-center member table
-  /// and dead-group bitmap, so a warm refinement allocates nothing per
-  /// center or pair.
+  /// groups that hold it, the matched centers, one flat row-major distance
+  /// table, the per-center member table and dead-group bitmap, so a warm
+  /// refinement allocates nothing per center or pair.
   struct RefineScratch {
     uint32_t generation = 0;
     // POI id -> slot in `needed` (valid when poi_stamp matches).
@@ -263,11 +259,8 @@ class GpssnProcessor {
     // member_groups[member_group_begin[m], member_group_begin[m + 1]).
     std::vector<uint32_t> member_group_begin;
     std::vector<uint32_t> member_groups;
-    // The matched centers, in pair-loop order once ranked, and their
-    // balls and masks back to back.
+    // The matched centers, in pair-loop order once ranked.
     std::vector<RefineCenter> centers;
-    std::vector<PoiId> balls;
-    std::vector<uint64_t> masks;
     // Member -> its entry at the visited center, filled lazily.
     std::vector<CenterCell> at_center;
     // Bit g set: group g is dead at the visited center, because one of its

@@ -12,48 +12,50 @@ namespace gpssn {
 
 namespace {
 
-// The count-based core of Corollary 2 with per-user early termination.
-// `fails(i, j)` evaluates the pairwise predicate for candidate positions
-// i < j. A user's decision is FINAL as soon as its failure count reaches
-// the threshold (removal certain) or cannot reach it with the pairs still
-// pending (kept certain); the issuer's decision (kept) is final from the
-// start. A pair is skipped only when BOTH endpoints are final, so every
-// still-open user sees every one of its pairs — the resulting removed set
-// is exactly the one full evaluation produces, at a fraction of the pair
-// evaluations.
-template <typename FailFn>
-void Corollary2Counts(const GpssnQuery& query,
-                      const std::vector<UserId>& candidates,
-                      int64_t fail_threshold, FailFn&& fails,
-                      std::vector<int64_t>* failures) {
-  const size_t count = candidates.size();
-  std::vector<int64_t> pending(count, static_cast<int64_t>(count) - 1);
-  std::vector<char> decided(count, 0);
-  size_t undecided = count;
-  auto update = [&](size_t k) {
-    if (decided[k]) return;
-    if (candidates[k] == query.issuer ||
-        (*failures)[k] >= fail_threshold ||
-        (*failures)[k] + pending[k] < fail_threshold) {
-      decided[k] = 1;
-      --undecided;
-    }
-  };
-  for (size_t k = 0; k < count; ++k) update(k);
-  for (size_t i = 0; i < count && undecided > 0; ++i) {
-    for (size_t j = i + 1; j < count; ++j) {
-      if (decided[i] && decided[j]) continue;
-      if (fails(i, j)) {
-        ++(*failures)[i];
-        ++(*failures)[j];
+// Corollary 2 as a partner search. A user failing the pair test against at
+// least |S'| − τ + 1 of the |S'| candidates passes it with at most τ − 2
+// others, so a user stays iff it finds τ − 1 candidates it passes with.
+// Each non-issuer user searches for them and stops once it has: first over
+// its topics' posting lists (a candidate in several of them is tried once),
+// then over the candidates that share no topic with it, which can pass too
+// (under Hamming, at γ = 0, or for two empty runs under Jaccard). The
+// removed set is the full count's. `passes(i, j)` is the pair test of
+// candidate positions i and j.
+template <typename PassFn>
+void KeepUsersWithPartners(const SocialNetwork& social,
+                           const GpssnQuery& query, TopicPostings* lists,
+                           std::vector<UserId>* candidates, QueryStats* stats,
+                           PassFn&& passes) {
+  const std::vector<UserId>& users = *candidates;
+  const auto wanted = static_cast<size_t>(query.tau - 1);
+  const auto count = static_cast<int32_t>(users.size());
+  auto finds_partners = [&](int32_t i) {
+    lists->BeginSearch();
+    lists->Try(i);  // A user is not its own partner.
+    size_t found = 0;
+    auto passes_new = [&](int32_t j) {
+      return lists->Try(j) && passes(i, j) && ++found == wanted;
+    };
+    for (KeywordId f : social.Run(users[i]).topics) {
+      for (int32_t j : lists->Holders(f)) {
+        if (passes_new(j)) return true;
       }
-      --pending[i];
-      --pending[j];
-      update(i);
-      update(j);
-      if (undecided == 0) break;
     }
+    for (int32_t j = 0; j < count; ++j) {
+      if (passes_new(j)) return true;
+    }
+    return false;
+  };
+  std::vector<UserId> kept;
+  kept.reserve(users.size());
+  for (int32_t i = 0; i < count; ++i) {
+    if (users[i] != query.issuer && !finds_partners(i)) {
+      if (stats != nullptr) ++stats->users_pruned_corollary2;
+      continue;
+    }
+    kept.push_back(users[i]);
   }
+  *candidates = std::move(kept);
 }
 
 }  // namespace
@@ -61,47 +63,43 @@ void Corollary2Counts(const GpssnQuery& query,
 void ApplyCorollary2(const SocialNetwork& social, const GpssnQuery& query,
                      std::vector<UserId>* candidates, QueryStats* stats,
                      SocialScratch* scratch) {
-  const size_t count = candidates->size();
-  if (count == 0) return;
-  // fail_threshold = |S'| − τ + 1 (Corollary 2).
-  const int64_t fail_threshold =
-      static_cast<int64_t>(count) - query.tau + 1;
-  if (fail_threshold <= 0) return;
-  std::vector<int64_t> failures(count, 0);
+  // Nothing goes at τ = 1, where no partner is needed, nor with fewer than
+  // τ candidates, where the failure threshold |S'| − τ + 1 is not positive
+  // and Corollary 2 does not apply (no group can be formed anyway).
+  if (query.tau <= 1 ||
+      candidates->size() < static_cast<size_t>(query.tau)) {
+    return;
+  }
   if (scratch != nullptr && scratch->built()) {
-    std::vector<int> sidx(count);
-    for (size_t i = 0; i < count; ++i) {
+    std::vector<int> sidx(candidates->size());
+    for (size_t i = 0; i < candidates->size(); ++i) {
       sidx[i] = scratch->IndexOf((*candidates)[i]);
       GPSSN_CHECK(sidx[i] >= 0);
     }
-    Corollary2Counts(
-        query, *candidates, fail_threshold,
-        [&](size_t i, size_t j) {
-          return !scratch->PairPasses(sidx[i], sidx[j]);
-        },
-        &failures);
-  } else {
-    const std::vector<UserId>& users = *candidates;
-    Corollary2Counts(
-        query, users, fail_threshold,
-        [&](size_t i, size_t j) {
-          return RunSimilarity(query.metric, social.Run(users[i]),
-                               social.Run(users[j]),
-                               social.num_topics()) < query.gamma;
-        },
-        &failures);
-  }
-  std::vector<UserId> kept;
-  kept.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const UserId u = (*candidates)[i];
-    if (u != query.issuer && failures[i] >= fail_threshold) {
-      if (stats != nullptr) ++stats->users_pruned_corollary2;
-      continue;
+    TopicPostings* lists = scratch->postings();
+    lists->Build(social, *candidates);
+    const uint64_t scored = scratch->pairs_scored();
+    KeepUsersWithPartners(social, query, lists, candidates, stats,
+                          [&](int32_t i, int32_t j) {
+                            return scratch->PairPasses(sidx[i], sidx[j]);
+                          });
+    if (stats != nullptr) {
+      stats->interest_pairs_scored += scratch->pairs_scored() - scored;
     }
-    kept.push_back(u);
+    return;
   }
-  *candidates = std::move(kept);
+  TopicPostings lists;
+  lists.Build(social, *candidates);
+  const std::vector<UserId>& users = *candidates;
+  uint64_t scored = 0;
+  KeepUsersWithPartners(
+      social, query, &lists, candidates, stats, [&](int32_t i, int32_t j) {
+        ++scored;
+        return RunSimilarity(query.metric, social.Run(users[i]),
+                             social.Run(users[j]), social.num_topics()) >=
+               query.gamma;
+      });
+  if (stats != nullptr) stats->interest_pairs_scored += scored;
 }
 
 namespace {
@@ -316,6 +314,7 @@ void PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
   }
   stats->corollary2_seconds += timer.ElapsedSeconds();
   timer.Restart();
+  const uint64_t scored = kernels != nullptr ? kernels->pairs_scored() : 0;
   if (!EnumerateGroups(social, query, *users, QueryOptions::max_groups,
                        groups, kernels)) {
     stats->truncated = true;
@@ -323,7 +322,7 @@ void PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
   stats->enumerate_seconds += timer.ElapsedSeconds();
   stats->groups_enumerated = groups->size();
   if (kernels != nullptr) {
-    stats->interest_pairs_scored += kernels->pairs_scored();
+    stats->interest_pairs_scored += kernels->pairs_scored() - scored;
   }
 }
 

@@ -1,9 +1,9 @@
 // Copyright 2026 The gpssn Authors.
 //
 // Refinement-phase helpers of Algorithm 2 (lines 29-31): the Corollary 2
-// count-based user pruning and the enumeration of connected τ-subsets S of
-// the candidate users that contain u_q and satisfy the pairwise
-// interest-score predicate. Enumeration uses the ESU (enumerate-subgraphs)
+// count-based user pruning, by partner search, and the enumeration of
+// connected τ-subsets S of the candidate users that contain u_q and satisfy
+// the pairwise interest-score predicate. Enumeration uses the ESU (enumerate-subgraphs)
 // scheme, emitting every qualifying group exactly once.
 
 #ifndef GPSSN_CORE_REFINEMENT_H_
@@ -20,16 +20,18 @@ namespace gpssn {
 
 /// Corollary 2: a user u_k failing the pairwise interest test against at
 /// least (|S'| − τ + 1) candidates cannot appear in any answer group and is
-/// removed. The issuer is never removed. Worst-case quadratic in
-/// |candidates|, but per-user failure counters terminate each user early
-/// once its decision is certain (removal reached, or too few pairs left to
-/// reach it), and pairs between two decided users are skipped outright —
-/// the removed set is provably the one full evaluation would produce.
-/// When `scratch` is non-null (built over a superset of `candidates`),
-/// pair tests go through its memo and stay cached for the group
-/// enumeration; null scores every pair afresh. Both merge the two users'
-/// interest runs in the 4-lane order of core/scores.h, so they remove the
-/// same users.
+/// removed. The issuer is never removed. Equivalently, a user stays iff it
+/// passes the test with τ − 1 other candidates, so each non-issuer user
+/// searches for that many partners and stops once it has them: first
+/// among the candidates sharing one of its topics (topic posting lists
+/// over the candidates' runs), then among the rest. The removed set is the
+/// one a full count of every pair gives, for every metric and γ. When
+/// `scratch` is non-null (built over a superset of `candidates`), pair
+/// tests go through its memo and stay cached for the group enumeration,
+/// and the posting lists use its arrays; null scores every pair afresh.
+/// Both merge the two users' interest runs in the 4-lane order of
+/// core/scores.h, so they remove the same users. Adds the pair scores it
+/// computes afresh to `stats->interest_pairs_scored`.
 void ApplyCorollary2(const SocialNetwork& social, const GpssnQuery& query,
                      std::vector<UserId>* candidates, QueryStats* stats,
                      SocialScratch* scratch = nullptr);
@@ -56,15 +58,15 @@ inline constexpr size_t kScratchMaxCandidates = 4096;
 /// candidates in I_S leaf order, the issuer included. With interest
 /// pruning on, Corollary 2 shrinks `users` in place; then `groups`
 /// receives the enumerated groups, at most QueryOptions::max_groups of
-/// them. The social kernel follows from cost: Corollary 2 scores most of
-/// the n(n−1)/2 candidate pairs, so when it runs over at most
-/// kScratchMaxCandidates users PlanGroups first builds `scratch` over them
-/// and both stages share its pair memo and adjacency bitsets; otherwise
-/// the enumerator touches few pairs and scores each one afresh over the
-/// CSR friend lists. Either way the groups are the same. Records
-/// groups_enumerated, interest_pairs_scored, a max_groups truncation and
-/// the two stages' wall times (corollary2_seconds, which includes the
-/// scratch build, and enumerate_seconds) in `stats` (required).
+/// them. The social kernel follows from size: when Corollary 2 runs over
+/// at most kScratchMaxCandidates users PlanGroups first builds `scratch`
+/// over them and both stages share its pair memo, posting lists and
+/// adjacency bitsets; otherwise both score each pair afresh, and the
+/// enumerator walks the CSR friend lists. Either way the groups are the
+/// same. Records groups_enumerated, interest_pairs_scored, a max_groups
+/// truncation and the two stages' wall times (corollary2_seconds, which
+/// includes the scratch build, and enumerate_seconds) in `stats`
+/// (required).
 void PlanGroups(const SocialNetwork& social, const GpssnQuery& query,
                 const QueryOptions& options, SocialScratch* scratch,
                 std::vector<UserId>* users,

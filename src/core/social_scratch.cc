@@ -8,6 +8,35 @@
 
 namespace gpssn {
 
+void TopicPostings::Build(const SocialNetwork& social,
+                          std::span<const UserId> users) {
+  // Counts per topic; running sums leave each topic's end in its entry,
+  // and filling the positions in descending order moves it back to the
+  // topic's start and leaves each list ascending.
+  begin_.assign(static_cast<size_t>(social.num_topics()) + 1, 0);
+  for (UserId u : users) {
+    for (KeywordId f : social.Run(u).topics) ++begin_[f];
+  }
+  uint32_t total = 0;
+  for (uint32_t& entry : begin_) entry = total += entry;
+  holders_.resize(total);
+  for (size_t i = users.size(); i-- > 0;) {
+    for (KeywordId f : social.Run(users[i]).topics) {
+      holders_[--begin_[f]] = static_cast<int32_t>(i);
+    }
+  }
+  tried_.assign(users.size(), 0);
+  search_ = 0;
+}
+
+void TopicPostings::BeginSearch() {
+  ++search_;
+  if (search_ == 0) {  // Stamp wrap-around: hard reset.
+    std::fill(tried_.begin(), tried_.end(), 0);
+    search_ = 1;
+  }
+}
+
 void SocialScratch::Build(const SocialNetwork& social, const GpssnQuery& query,
                           std::span<const UserId> candidates) {
   social_ = &social;

@@ -1,10 +1,11 @@
 // Copyright 2026 The gpssn Authors.
 //
 // Per-query social scoring scratch over the surviving candidate users:
-// a candidate index, candidate-local adjacency bitsets and a triangular
-// pairwise Interest_Score memo. PlanGroups (core/refinement.h) builds it
-// whenever Corollary 2 runs over at most kScratchMaxCandidates candidates,
-// and shares it between ApplyCorollary2 and the ESU group enumerator, so:
+// a candidate index, candidate-local adjacency bitsets, a triangular
+// pairwise Interest_Score memo and topic posting lists. PlanGroups
+// (core/refinement.h) builds it whenever Corollary 2 runs over at most
+// kScratchMaxCandidates candidates, and shares it between ApplyCorollary2
+// and the ESU group enumerator, so:
 //
 //   - every pairwise Interest_Score (Eq. 1) is evaluated at most once per
 //     query, by RunSimilarity (core/scores.h) over the two users' interest
@@ -33,6 +34,40 @@
 
 namespace gpssn {
 
+/// Topic posting lists over a candidate list, the workspace of Corollary
+/// 2's partner search (ApplyCorollary2, core/refinement.h): for each topic,
+/// the positions in the list of the candidates whose runs hold it,
+/// ascending, and which candidates the current search has tried. Reuses
+/// its arrays across queries.
+class TopicPostings {
+ public:
+  /// Lists `users` by topic and starts with no search open.
+  void Build(const SocialNetwork& social, std::span<const UserId> users);
+
+  /// Positions of the candidates holding topic `f`, ascending.
+  std::span<const int32_t> Holders(KeywordId f) const {
+    return {holders_.data() + begin_[f], begin_[f + 1] - begin_[f]};
+  }
+
+  /// Starts a search: no candidate is tried yet.
+  void BeginSearch();
+
+  /// Marks candidate position `i` tried; false when this search already
+  /// tried it.
+  bool Try(int32_t i) {
+    if (tried_[i] == search_) return false;
+    tried_[i] = search_;
+    return true;
+  }
+
+ private:
+  // Topic f's holders are holders_[begin_[f], begin_[f + 1]).
+  std::vector<uint32_t> begin_;
+  std::vector<int32_t> holders_;
+  std::vector<uint32_t> tried_;  // Per position: the last search to try it.
+  uint32_t search_ = 0;
+};
+
 class SocialScratch {
  public:
   SocialScratch() = default;
@@ -58,6 +93,9 @@ class SocialScratch {
 
   /// Fresh (non-memoized) pair evaluations since Build.
   uint64_t pairs_scored() const { return pairs_scored_; }
+
+  /// The posting lists ApplyCorollary2 builds here.
+  TopicPostings* postings() { return &postings_; }
 
   // --- Candidate-local adjacency (one n-bit row per candidate).
   size_t adj_words() const { return adj_words_; }
@@ -85,6 +123,8 @@ class SocialScratch {
   // Triangular pair memo: 0 = unknown, 1 = pass, 2 = fail.
   std::vector<uint8_t> memo_;
   uint64_t pairs_scored_ = 0;
+
+  TopicPostings postings_;
 };
 
 }  // namespace gpssn

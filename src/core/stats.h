@@ -77,13 +77,15 @@ namespace gpssn {
      evaluation (one bounded Dijkstra / CH forward search) was skipped. */   \
   X(uint64_t, dist_cache_row_hits, Sum)                                      \
   X(uint64_t, dist_cache_row_misses, Sum)                                    \
-  /* Fresh pairwise Interest_Score evaluations through the SocialScratch     \
-     memo, which PlanGroups builds whenever Corollary 2 runs over at most    \
-     kScratchMaxCandidates candidates (0 when the sparse kernels ran).       \
-     Bounded by n(n-1)/2 per plan — each pair is scored at most once. */     \
+  /* Fresh pairwise Interest_Score evaluations: Corollary 2's, and the       \
+     enumerator's through the SocialScratch memo, which PlanGroups builds    \
+     whenever Corollary 2 runs over at most kScratchMaxCandidates            \
+     candidates (the sparse enumerator's are not counted). Through the       \
+     memo each pair is scored at most once per plan. */                      \
   X(uint64_t, interest_pairs_scored, Sum)                                    \
-  /* --- Ball materialization: B(o, r) reads from I_R's stored balls         \
-     (PoiAug::ball), one per candidate center; ball_seconds times them.      \
+  /* --- Ball materialization: B(o, r) is a prefix of I_R's stored ball      \
+     (PoiIndex::BallPrefix), one per candidate center; ball_seconds times    \
+     the prefix searches, the match tests and the matched balls' slots.      \
      No query searches the road network for a ball, so nothing increments    \
      ball_range_engine_queries: it always reads 0 and stays only because     \
      perfbench reads it (roadnet.range_engine_share). */                     \

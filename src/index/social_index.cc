@@ -31,7 +31,8 @@ SocialIndex::SocialIndex(const SpatialSocialNetwork* ssn,
     : ssn_(ssn),
       social_pivots_(social_pivots),
       road_pivots_(road_pivots),
-      options_(options) {
+      options_(options),
+      num_pivots_(static_cast<size_t>(road_pivots->num_pivots())) {
   GPSSN_CHECK(ssn != nullptr && social_pivots != nullptr &&
               road_pivots != nullptr);
   GPSSN_CHECK(options.fanout >= 2);
@@ -43,9 +44,11 @@ SocialIndex::SocialIndex(const SpatialSocialNetwork* ssn,
   const int h = road_pivots->num_pivots();
 
   // --- Exact per-user road-pivot distances (leaf payload, Section 4.1).
-  user_rp_.resize(m);
+  user_pivot_rows_.reserve(static_cast<size_t>(m) * num_pivots_);
   for (UserId u = 0; u < m; ++u) {
-    user_rp_[u] = road_pivots->PositionDistances(ssn->user_home(u));
+    const std::vector<double> row =
+        road_pivots->PositionDistances(ssn->user_home(u));
+    user_pivot_rows_.insert(user_pivot_rows_.end(), row.begin(), row.end());
   }
 
   // --- Leaf level: graph partition cells.

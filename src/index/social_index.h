@@ -9,11 +9,13 @@
 // and is mapped onto simulated disk pages for the I/O metric. The paper's
 // node road-pivot boxes (Eqs. 13-14) are not stored: no prune that is sound
 // on its own reads them (DESIGN.md §5). Each user's exact road-pivot
-// distances stay at leaf granularity.
+// distances stay at leaf granularity, one row per user of a flat
+// id-indexed table.
 
 #ifndef GPSSN_INDEX_SOCIAL_INDEX_H_
 #define GPSSN_INDEX_SOCIAL_INDEX_H_
 
+#include <span>
 #include <vector>
 
 #include "common/pagestore.h"
@@ -70,8 +72,9 @@ class SocialIndex {
 
   /// Exact road distances of user u's home to the h road pivots (stored at
   /// leaf granularity per Section 4.1).
-  const std::vector<double>& user_road_pivot_dists(UserId u) const {
-    return user_rp_[u];
+  std::span<const double> user_road_pivot_dists(UserId u) const {
+    return {user_pivot_rows_.data() + static_cast<size_t>(u) * num_pivots_,
+            num_pivots_};
   }
 
   /// Page of the leaf record holding user u's payload.
@@ -83,10 +86,15 @@ class SocialIndex {
   /// Leaf node holding user u.
   SNodeId leaf_of_user(UserId u) const { return leaf_of_user_[u]; }
 
-  /// Corruption-injection hook for the audit tests (core/audit.h): grants
-  /// mutable access to a node so a test can break an invariant on purpose
-  /// and assert the validator localizes it. Never call outside tests.
+  /// Corruption-injection hooks for the audit tests (core/audit.h): grant
+  /// mutable access to a node or a pivot row so a test can break an
+  /// invariant on purpose and assert the validator localizes it. Never
+  /// call outside tests.
   SocialIndexNode& mutable_node_for_test(SNodeId id) { return nodes_[id]; }
+  std::span<double> mutable_user_road_pivot_dists_for_test(UserId u) {
+    return {user_pivot_rows_.data() + static_cast<size_t>(u) * num_pivots_,
+            num_pivots_};
+  }
 
   /// Dynamic maintenance: user u's interest vector changed in the
   /// underlying network (SpatialSocialNetwork::UpdateUserInterests).
@@ -106,7 +114,8 @@ class SocialIndex {
   SNodeId root_ = -1;
   std::vector<SNodeId> parent_;        // Parent per node (-1 at the root).
   std::vector<SNodeId> leaf_of_user_;  // Leaf node per user.
-  std::vector<std::vector<double>> user_rp_;
+  size_t num_pivots_;                   // h.
+  std::vector<double> user_pivot_rows_;  // num_pivots_ per user, id order.
   std::vector<PageId> user_page_;
   uint32_t num_pages_ = 0;
   std::vector<size_t> holders_;  // UpdateUserInterests' per-topic counts.

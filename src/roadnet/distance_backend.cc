@@ -16,7 +16,9 @@ namespace {
 /// Reference engine: bounded Dijkstra + PoiLocator. SourceToTargets is one
 /// bounded run from the source followed by per-target label reads — the
 /// exact operation sequence the seed query path performed inline, so the
-/// default backend is bit-exact with it.
+/// default backend is bit-exact with it. A target reads only its edge's
+/// endpoint labels, so the run stops once every endpoint has settled: a
+/// settled label is final, so the early exit keeps every bit.
 class DijkstraDistanceEngine final : public DistanceEngine {
  public:
   DijkstraDistanceEngine(const RoadNetwork* graph,
@@ -30,11 +32,20 @@ class DijkstraDistanceEngine final : public DistanceEngine {
 
   void SetTargets(std::span<const EdgePosition> targets) override {
     targets_.assign(targets.begin(), targets.end());
+    endpoints_.clear();
+    for (const EdgePosition& t : targets_) {
+      endpoints_.push_back(graph_->edge_u(t.edge));
+      endpoints_.push_back(graph_->edge_v(t.edge));
+    }
+    std::sort(endpoints_.begin(), endpoints_.end());
+    endpoints_.erase(std::unique(endpoints_.begin(), endpoints_.end()),
+                     endpoints_.end());
   }
 
   void SourceToTargets(const EdgePosition& source, double bound,
                        double* out) override {
-    engine_.RunFromPosition(source, bound);
+    if (targets_.empty()) return;
+    engine_.RunFromPosition(source, bound, endpoints_);
     for (size_t i = 0; i < targets_.size(); ++i) {
       double d = engine_.DistanceToPosition(targets_[i]);
       d = std::min(d, SameEdgeDistance(*graph_, source, targets_[i]));
@@ -47,6 +58,7 @@ class DijkstraDistanceEngine final : public DistanceEngine {
   DijkstraEngine engine_;
   PoiLocator locator_;
   std::vector<EdgePosition> targets_;
+  std::vector<VertexId> endpoints_;  // The targets' edge endpoints, unique.
 };
 
 class DijkstraBackend final : public DistanceBackend {

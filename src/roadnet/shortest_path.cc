@@ -88,12 +88,13 @@ void DijkstraEngine::RunFromVertex(VertexId source, double bound) {
   Search(seeds, bound, {});
 }
 
-void DijkstraEngine::RunFromPosition(const EdgePosition& pos, double bound) {
+void DijkstraEngine::RunFromPosition(const EdgePosition& pos, double bound,
+                                     std::span<const VertexId> targets) {
   const VertexId u = graph_->edge_u(pos.edge);
   const VertexId v = graph_->edge_v(pos.edge);
   const std::pair<VertexId, double> seeds[] = {{u, graph_->OffsetTo(pos, u)},
                                                {v, graph_->OffsetTo(pos, v)}};
-  Search(seeds, bound, {});
+  Search(seeds, bound, targets);
 }
 
 double DijkstraEngine::Distance(VertexId v) const {

@@ -48,8 +48,10 @@ class DijkstraEngine {
   void RunFromVertex(VertexId source, double bound = kInfDistance);
 
   /// Convenience: from a position on an edge interior (seeds both
-  /// endpoints with the respective offsets).
-  void RunFromPosition(const EdgePosition& pos, double bound = kInfDistance);
+  /// endpoints with the respective offsets). With `targets`, stops as
+  /// RunWithTargets does.
+  void RunFromPosition(const EdgePosition& pos, double bound = kInfDistance,
+                       std::span<const VertexId> targets = {});
 
   /// Settled distance label of `v` from the last run.
   double Distance(VertexId v) const;

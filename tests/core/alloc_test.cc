@@ -90,8 +90,8 @@ TEST(AllocationTest, BufferPoolNeverAllocatesAfterConstruction) {
 // C, the allocations of one warm Execute beyond one per emitted group:
 // the query's own vectors (the plan's candidate lists and buffer pool, the
 // Corollary 2 and ESU arrays, the answer), several of them grown a few
-// times. Measured at 77–85 over the queries below (gcc 12, libstdc++,
-// x86-64); the bound leaves a little room for another standard library.
+// times. Measured at 70–78 over the queries below (gcc 12, libstdc++,
+// x86-64); the bound leaves room for another standard library.
 // Before the buffer pool moved to flat arrays, Refine built keyword unions
 // as masks and the ESU stacked its extension sets in place, the same
 // queries made 3109–3781 allocations against 244–251 page misses.

@@ -9,7 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <span>
+#include <string>
+#include <utility>
 
 #include "core/query.h"
 #include "index/poi_index.h"
@@ -144,28 +148,83 @@ TEST_F(AuditTest, OutOfRangeChildIdIsReportedNotRead) {
   EXPECT_TRUE(HasIssue(report, "rtree-child-id", root)) << report.ToString();
 }
 
-TEST_F(AuditTest, PoiBallCorruptionIsLocalizedToPoi) {
-  // Drop one member (not the POI itself) from a stored B(o, r_max).
-  PoiId victim = kInvalidPoi;
-  for (PoiId id = 0; id < ssn_->num_pois(); ++id) {
-    if (poi_index_->poi_aug(id).ball.size() >= 2) {
-      victim = id;
-      break;
-    }
-  }
-  ASSERT_NE(victim, kInvalidPoi) << "fixture too small: every ball is a "
-                                    "singleton";
-  auto& ball = poi_index_->mutable_poi_aug_for_test(victim).ball;
-  ball.erase(std::find_if(ball.begin(), ball.end(), [&](const auto& entry) {
-    return entry.first != victim;
-  }));
-  const AuditReport report = AuditPoiIndex(*poi_index_);
-  ASSERT_TRUE(HasCheck(report, "poi-ball")) << report.ToString();
+// Expects `report` to hold issues, each from a check whose name starts
+// with `check_prefix` and each naming POI `victim` first.
+void ExpectOnlyPoiNamed(const AuditReport& report,
+                        const std::string& check_prefix, PoiId victim) {
+  ASSERT_FALSE(report.ok());
   const std::string named = "poi " + std::to_string(victim) + ": ";
   for (const AuditIssue& issue : report.issues) {
-    EXPECT_EQ(issue.check, "poi-ball") << report.ToString();
+    EXPECT_EQ(issue.check.rfind(check_prefix, 0), 0u) << report.ToString();
     EXPECT_EQ(issue.detail.rfind(named, 0), 0u) << issue.detail;
   }
+}
+
+// The first POI whose stored B(o, r_max) holds another POI.
+PoiId PoiWithNeighbour(const PoiIndex& index, int num_pois) {
+  for (PoiId id = 0; id < num_pois; ++id) {
+    if (index.ball_ids(id).size() >= 2) return id;
+  }
+  return kInvalidPoi;
+}
+
+TEST_F(AuditTest, PoiBallCorruptionIsLocalizedToPoi) {
+  // Move the farthest member of a stored B(o, r_max) one ulp further out:
+  // the order and the masks still hold, only the distance bits are wrong.
+  const PoiId victim = PoiWithNeighbour(*poi_index_, ssn_->num_pois());
+  ASSERT_NE(victim, kInvalidPoi) << "fixture too small: every ball is a "
+                                    "singleton";
+  double& last = poi_index_->mutable_ball_dists_for_test(victim).back();
+  ASSERT_LT(last, poi_index_->options().r_max);
+  last = std::nextafter(last, kInfDistance);
+  const AuditReport report = AuditPoiIndex(*poi_index_);
+  ASSERT_TRUE(HasCheck(report, "poi-ball")) << report.ToString();
+  ExpectOnlyPoiNamed(report, "poi-ball", victim);
+  EXPECT_EQ(report.issues.size(), 1u) << report.ToString();
+}
+
+TEST_F(AuditTest, PoiBallOrderAndMaskCorruptionIsLocalizedToPoi) {
+  const PoiId victim = PoiWithNeighbour(*poi_index_, ssn_->num_pois());
+  ASSERT_NE(victim, kInvalidPoi) << "fixture too small";
+  // Bit d of a running mask is past the vocabulary, so no POI holds it.
+  poi_index_->mutable_ball_masks_for_test(victim).back() ^=
+      uint64_t{1} << ssn_->num_topics();
+  AuditReport report = AuditPoiIndex(*poi_index_);
+  ASSERT_TRUE(HasCheck(report, "poi-ball-mask")) << report.ToString();
+  ExpectOnlyPoiNamed(report, "poi-ball-mask", victim);
+  poi_index_->mutable_ball_masks_for_test(victim).back() ^=
+      uint64_t{1} << ssn_->num_topics();
+  ASSERT_TRUE(AuditPoiIndex(*poi_index_).ok());
+
+  // Swap the first two entries, ids and distances: the same set, out of
+  // (distance, id) order.
+  const std::span<PoiId> ids = poi_index_->mutable_ball_ids_for_test(victim);
+  const std::span<double> dists =
+      poi_index_->mutable_ball_dists_for_test(victim);
+  std::swap(ids[0], ids[1]);
+  std::swap(dists[0], dists[1]);
+  report = AuditPoiIndex(*poi_index_);
+  ASSERT_TRUE(HasCheck(report, "poi-ball-order")) << report.ToString();
+  EXPECT_FALSE(HasCheck(report, "poi-ball")) << report.ToString();
+  ExpectOnlyPoiNamed(report, "poi-ball", victim);
+}
+
+TEST_F(AuditTest, PivotRowCorruptionIsLocalized) {
+  const PoiId poi = 5;
+  poi_index_->mutable_pivot_dists_for_test(poi)[1] += 0.5;
+  const AuditReport poi_report = AuditPoiIndex(*poi_index_);
+  ASSERT_TRUE(HasCheck(poi_report, "poi-pivot-row")) << poi_report.ToString();
+  ExpectOnlyPoiNamed(poi_report, "poi-pivot-row", poi);
+
+  const UserId user = 9;
+  social_index_->mutable_user_road_pivot_dists_for_test(user)[2] -= 0.5;
+  const AuditReport social_report = AuditSocialIndex(*social_index_);
+  ASSERT_EQ(social_report.issues.size(), 1u) << social_report.ToString();
+  EXPECT_TRUE(HasIssue(social_report, "social-pivot-row",
+                       social_index_->leaf_of_user(user)))
+      << social_report.ToString();
+  EXPECT_EQ(social_report.issues[0].detail.rfind("user 9 ", 0), 0u)
+      << social_report.ToString();
 }
 
 // ----- Localized corruption: I_S bounds and partition -----

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -107,9 +109,22 @@ SearchChecksums BuildSearchChecksums(Distribution distribution) {
   GpssnDatabase db(MakeSynthetic(data), build);
   const SpatialSocialNetwork& ssn = db.ssn();
 
+  // Each ball is hashed in the order the reference search emits it,
+  // ascending edge and then POI id, so the pinned values do not depend on
+  // the order I_R stores a ball in.
   auto balls_and_masks = [&db](std::string* balls, std::string* masks) {
-    for (PoiId id = 0; id < db.ssn().num_pois(); ++id) {
-      const auto& ball = db.poi_index().poi_aug(id).ball;
+    const SpatialSocialNetwork& ssn = db.ssn();
+    for (PoiId id = 0; id < ssn.num_pois(); ++id) {
+      const std::span<const PoiId> ids = db.poi_index().ball_ids(id);
+      const std::span<const double> dists = db.poi_index().ball_dists(id);
+      std::vector<std::pair<PoiId, double>> ball;
+      for (size_t i = 0; i < ids.size(); ++i) {
+        ball.emplace_back(ids[i], dists[i]);
+      }
+      std::sort(ball.begin(), ball.end(), [&](const auto& a, const auto& b) {
+        return std::pair(ssn.poi(a.first).position.edge, a.first) <
+               std::pair(ssn.poi(b.first).position.edge, b.first);
+      });
       AppendBytes(balls, ball.size());
       for (const auto& [member, d] : ball) {
         AppendBytes(balls, member);

@@ -233,14 +233,15 @@ TEST_F(PruningTest, RoadNodeMatchPruningImpliesPoiPruning) {
   EXPECT_GT(pruned_nodes, 0);
 }
 
-TEST_F(PruningTest, LbDistToPoiNeverExceedsTrueDistance) {
+TEST_F(PruningTest, IssuerPoiLowerBoundIsSound) {
   const GpssnQuery q = MakeQuery(11);
   const QueryUserContext ctx(q, *social_index_);
   DijkstraEngine engine(&ssn_->road());
   for (PoiId o = 0; o < ssn_->num_pois(); o += 7) {
     const double truth = engine.PositionToPosition(
         ssn_->user_home(q.issuer), ssn_->poi(o).position);
-    const double lb = LbDistToPoi(ctx, poi_index_->poi_aug(o));
+    const double lb =
+        LbRoadPivotDist(ctx.rp_dist, poi_index_->pivot_dists(o));
     if (std::isfinite(truth)) {
       ASSERT_LE(lb, truth + 1e-9) << "poi " << o;
     }
@@ -253,12 +254,12 @@ TEST_F(PruningTest, UserPoiPairLowerBoundIsSound) {
   for (int trial = 0; trial < 60; ++trial) {
     const UserId u = rng.NextBounded(ssn_->num_users());
     const PoiId o = rng.NextBounded(ssn_->num_pois());
-    const auto& rp = social_index_->user_road_pivot_dists(u);
-    const PoiAug& aug = poi_index_->poi_aug(o);
     const double truth =
         engine.PositionToPosition(ssn_->user_home(u), ssn_->poi(o).position);
     if (!std::isfinite(truth)) continue;
-    ASSERT_LE(LbUserPoiDist(rp, aug), truth + 1e-9);
+    ASSERT_LE(LbRoadPivotDist(social_index_->user_road_pivot_dists(u),
+                              poi_index_->pivot_dists(o)),
+              truth + 1e-9);
   }
 }
 

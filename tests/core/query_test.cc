@@ -225,17 +225,18 @@ TEST(QueryRefineTest, FailedMemberBoundRejectsEveryGroupHoldingIt) {
       }
     }
     ASSERT_NE(center, kInvalidPoi);
-    const PoiAug& aug = db->poi_index().poi_aug(center);
+    const PoiIndex& poi_index = db->poi_index();
     double worst = 0.0;
-    for (const auto& [o, dist] : aug.ball) {
-      if (dist > q.radius) continue;
+    for (PoiId o : poi_index.ball_ids(center).first(
+             poi_index.BallPrefix(center, q.radius))) {
       worst = std::max(worst,
                        engine.PositionToPosition(ssn.user_home(q.issuer),
                                                  ssn.poi(o).position));
     }
     // f: the user with the largest Lemma 5 bound; x_i: the n smallest.
     auto lb = [&](UserId u) {
-      return LbUserPoiDist(db->social_index().user_road_pivot_dists(u), aug);
+      return LbRoadPivotDist(db->social_index().user_road_pivot_dists(u),
+                             poi_index.pivot_dists(center));
     };
     std::vector<std::pair<double, UserId>> by_lb;
     for (UserId u = 0; u < ssn.num_users(); ++u) {

@@ -5,11 +5,14 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/scores.h"
+#include "core/social_scratch.h"
 #include "socialnet/bfs.h"
 
 namespace gpssn {
@@ -198,6 +201,136 @@ TEST(Corollary2Test, KeepsIssuerAlways) {
   QueryStats stats;
   ApplyCorollary2(g, q, &cands, &stats);
   EXPECT_TRUE(std::find(cands.begin(), cands.end(), q.issuer) != cands.end());
+}
+
+// A network for the Corollary 2 reference: `n` random users over topics
+// [0, d−1), three users with empty runs, and last a user holding only
+// topic d−1, which no other user holds, so every partner it has shares no
+// topic with it.
+SocialNetwork Corollary2Network(int n, int d, uint64_t seed) {
+  Rng rng(seed);
+  SocialNetworkBuilder b(d);
+  std::vector<double> w(d);
+  for (int i = 0; i < n; ++i) {
+    for (int f = 0; f < d; ++f) {
+      w[f] = f + 1 < d && rng.Bernoulli(0.35) ? rng.UniformDouble() : 0.0;
+    }
+    EXPECT_TRUE(b.AddUser(w).ok());
+  }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(b.AddUser(std::vector<double>(d, 0.0)).ok());
+  }
+  std::vector<double> lone(d, 0.0);
+  lone[d - 1] = 0.5;
+  EXPECT_TRUE(b.AddUser(lone).ok());
+  return b.Build();
+}
+
+// Corollary 2 by brute force: with at least τ candidates, every non-issuer
+// user passing the pair test with fewer than τ − 1 other candidates goes.
+std::vector<UserId> Corollary2Reference(const SocialNetwork& g,
+                                        const GpssnQuery& q,
+                                        const std::vector<UserId>& cands) {
+  if (cands.size() < static_cast<size_t>(q.tau)) return cands;
+  std::vector<UserId> kept;
+  for (UserId u : cands) {
+    int partners = 0;
+    for (UserId v : cands) {
+      partners += v != u && UserSimilarity(q.metric, g.Interests(u),
+                                           g.Interests(v)) >= q.gamma;
+    }
+    if (u == q.issuer || partners >= q.tau - 1) kept.push_back(u);
+  }
+  return kept;
+}
+
+bool SharesTopic(const SocialNetwork& g, UserId u, UserId v) {
+  const auto a = g.Interests(u);
+  const auto b = g.Interests(v);
+  for (size_t f = 0; f < a.size(); ++f) {
+    if (a[f] > 0.0 && b[f] > 0.0) return true;
+  }
+  return false;
+}
+
+// The partner search, on the sparse path and through a scratch, removes
+// exactly the users the brute-force count removes: every metric, γ = 0
+// and a middle and a high value, τ ∈ {1, 2, 5}. The networks hold empty
+// runs (two of them score 1.0 under Jaccard) and a user whose partners
+// share no topic with it, so a search that stopped after the posting lists
+// would remove users the count keeps.
+TEST(Corollary2Test, RemovesExactlyTheUsersOfABruteForceCount) {
+  struct MetricGammas {
+    InterestMetric metric;
+    double gammas[3];
+  };
+  constexpr MetricGammas kCases[] = {
+      {InterestMetric::kDotProduct, {0.0, 0.3, 1.0}},
+      {InterestMetric::kJaccard, {0.0, 0.2, 0.6}},
+      {InterestMetric::kHamming, {0.0, 0.5, 0.85}},
+  };
+  int kept_without_shared_topic = 0;
+  int removed = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const SocialNetwork g = Corollary2Network(24, 8, seed);
+    Rng rng(seed * 7 + 1);
+    for (const MetricGammas& c : kCases) {
+      for (double gamma : c.gammas) {
+        for (int tau : {1, 2, 5}) {
+          GpssnQuery q;
+          q.issuer = static_cast<UserId>(rng.NextBounded(g.num_users()));
+          q.tau = tau;
+          q.metric = c.metric;
+          q.gamma = gamma;
+          std::vector<UserId> cands;
+          for (UserId u = 0; u < g.num_users(); ++u) {
+            if (u == q.issuer || u >= 24 || rng.Bernoulli(0.7)) {
+              cands.push_back(u);
+            }
+          }
+          const std::vector<UserId> want = Corollary2Reference(g, q, cands);
+          const std::string where =
+              "seed=" + std::to_string(seed) +
+              " metric=" + std::to_string(static_cast<int>(c.metric)) +
+              " gamma=" + std::to_string(gamma) +
+              " tau=" + std::to_string(tau);
+
+          std::vector<UserId> sparse = cands;
+          QueryStats sparse_stats;
+          ApplyCorollary2(g, q, &sparse, &sparse_stats, nullptr);
+          EXPECT_EQ(sparse, want) << where;
+          EXPECT_EQ(sparse_stats.users_pruned_corollary2,
+                    cands.size() - want.size())
+              << where;
+
+          SocialScratch scratch;
+          scratch.Build(g, q, cands);
+          std::vector<UserId> memoized = cands;
+          QueryStats memo_stats;
+          ApplyCorollary2(g, q, &memoized, &memo_stats, &scratch);
+          EXPECT_EQ(memoized, want) << where;
+          EXPECT_EQ(memo_stats.users_pruned_corollary2,
+                    cands.size() - want.size())
+              << where;
+
+          removed += static_cast<int>(cands.size() - want.size());
+          for (UserId u : want) {
+            if (u == q.issuer || tau < 2) continue;
+            const bool shared_partner =
+                std::any_of(cands.begin(), cands.end(), [&](UserId v) {
+                  return v != u && SharesTopic(g, u, v) &&
+                         UserSimilarity(q.metric, g.Interests(u),
+                                        g.Interests(v)) >= q.gamma;
+                });
+            kept_without_shared_topic += !shared_partner;
+          }
+        }
+      }
+    }
+  }
+  // The cases the test exists for do occur.
+  EXPECT_GT(removed, 0);
+  EXPECT_GT(kept_without_shared_topic, 0);
 }
 
 }  // namespace

@@ -79,8 +79,11 @@ void ExpectSameIndexes(const GpssnDatabase& a, const GpssnDatabase& b) {
   for (PoiId id = 0; id < a.ssn().num_pois(); ++id) {
     EXPECT_TRUE(std::ranges::equal(ra.sup_mask(id), rb.sup_mask(id)))
         << "poi " << id;
-    EXPECT_EQ(ra.poi_aug(id).ball, rb.poi_aug(id).ball) << "poi " << id;
-    EXPECT_EQ(ra.poi_aug(id).pivot_dist, rb.poi_aug(id).pivot_dist)
+    EXPECT_TRUE(std::ranges::equal(ra.ball_ids(id), rb.ball_ids(id)))
+        << "poi " << id;
+    EXPECT_TRUE(std::ranges::equal(ra.ball_dists(id), rb.ball_dists(id)))
+        << "poi " << id;
+    EXPECT_TRUE(std::ranges::equal(ra.pivot_dists(id), rb.pivot_dists(id)))
         << "poi " << id;
     EXPECT_EQ(ra.poi_page(id), rb.poi_page(id)) << "poi " << id;
   }

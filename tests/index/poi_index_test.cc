@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -72,43 +75,67 @@ TEST_F(PoiIndexTest, SupCoversAnyBallWithinEnvelope) {
   }
 }
 
-TEST_F(PoiIndexTest, StoredBallsMatchBothEnginesAtEveryRadius) {
-  // A query reads B(o, r) as the stored B(o, r_max) entries within r; that
-  // filter must equal the engines' own ball searches bit for bit (ids,
-  // distances, order), including at a radius equal to a member distance.
+// A ball's entries sorted by id: a ball as a set with its distance bits.
+std::vector<std::pair<PoiId, double>> ById(
+    std::vector<std::pair<PoiId, double>> ball) {
+  std::sort(ball.begin(), ball.end());
+  return ball;
+}
+
+TEST_F(PoiIndexTest, BallPrefixesMatchBothEnginesAtEveryRadius) {
+  // A query reads B(o, r) as the prefix of the stored B(o, r_max) within
+  // r, and its keyword union as that prefix's last running mask. At every
+  // radius, each member's own distance included (an exact tie), the prefix
+  // must equal the engines' own ball searches as a set with its distance
+  // bits, and its mask the union of its members' keywords.
   const auto dijkstra_backend =
       MakeDijkstraBackend(&ssn_->road(), &ssn_->pois());
   const auto ch_backend = MakeChBackend(&ssn_->road(), &ssn_->pois());
   const auto dijkstra = dijkstra_backend->CreateEngine();
   const auto ch = ch_backend->CreateEngine();
+  const size_t words = KeywordMaskWords(ssn_->num_topics());
   for (PoiId id = 0; id < ssn_->num_pois(); ++id) {
-    const auto& ball = index_->poi_aug(id).ball;
-    std::vector<double> member_dists;
-    for (const auto& [member, d] : ball) member_dists.push_back(d);
-    std::sort(member_dists.begin(), member_dists.end());
-    ASSERT_FALSE(member_dists.empty()) << "poi " << id;
-    const double member_r = member_dists[member_dists.size() / 2];
-    for (double r : {options_.r_min, 1.0, 2.0, options_.r_max, member_r}) {
-      std::vector<std::pair<PoiId, double>> filtered;
-      for (const auto& entry : ball) {
-        if (entry.second <= r) filtered.push_back(entry);
+    const std::span<const PoiId> ids = index_->ball_ids(id);
+    const std::span<const double> dists = index_->ball_dists(id);
+    ASSERT_EQ(ids.size(), dists.size()) << "poi " << id;
+    ASSERT_FALSE(ids.empty()) << "poi " << id;
+    for (size_t i = 1; i < ids.size(); ++i) {
+      ASSERT_LT(std::tie(dists[i - 1], ids[i - 1]), std::tie(dists[i], ids[i]))
+          << "poi " << id << " entry " << i;
+    }
+    std::vector<double> radii = {options_.r_min, 1.0, 2.0, options_.r_max};
+    radii.insert(radii.end(), dists.begin(), dists.end());
+    for (double r : radii) {
+      const size_t k = index_->BallPrefix(id, r);
+      ASSERT_GT(k, 0u) << "poi " << id << " r " << r;
+      std::vector<std::pair<PoiId, double>> prefix;
+      std::vector<uint64_t> mask(words, 0);
+      for (size_t i = 0; i < k; ++i) {
+        prefix.emplace_back(ids[i], dists[i]);
+        AddToKeywordMask(ssn_->poi(ids[i]).keywords, ssn_->num_topics(),
+                         mask.data());
       }
-      const EdgePosition& center = ssn_->poi(id).position;
-      EXPECT_EQ(filtered, dijkstra->BallWithDistances(center, r))
+      // The prefix stops at the last entry within r, never inside a tie.
+      EXPECT_TRUE(k == ids.size() || dists[k] > r)
           << "poi " << id << " r " << r;
-      EXPECT_EQ(filtered, ch->BallWithDistances(center, r))
+      const EdgePosition& center = ssn_->poi(id).position;
+      EXPECT_EQ(ById(prefix), ById(dijkstra->BallWithDistances(center, r)))
+          << "poi " << id << " r " << r;
+      EXPECT_EQ(ById(prefix), ById(ch->BallWithDistances(center, r)))
+          << "poi " << id << " r " << r;
+      EXPECT_TRUE(std::ranges::equal(index_->ball_mask(id, k), mask))
           << "poi " << id << " r " << r;
     }
   }
 }
 
 TEST_F(PoiIndexTest, PivotDistancesAreExact) {
-  DijkstraEngine engine(&ssn_->road());
   for (PoiId id = 0; id < ssn_->num_pois(); id += 13) {
-    const PoiAug& aug = index_->poi_aug(id);
+    const std::span<const double> row = index_->pivot_dists(id);
+    ASSERT_EQ(static_cast<int>(row.size()), pivots_->num_pivots());
     for (int k = 0; k < pivots_->num_pivots(); ++k) {
-      EXPECT_NEAR(aug.pivot_dist[k],
-                  pivots_->PositionToPivot(ssn_->poi(id).position, k), 1e-9);
+      EXPECT_NEAR(row[k], pivots_->PositionToPivot(ssn_->poi(id).position, k),
+                  1e-9);
     }
   }
 }

@@ -128,7 +128,7 @@ TEST_F(SocialIndexTest, PivotBoundsContainMembers) {
 
 TEST_F(SocialIndexTest, UserRoadPivotDistancesAreExact) {
   for (UserId u = 0; u < ssn_->num_users(); u += 37) {
-    const auto& rp = index_->user_road_pivot_dists(u);
+    const std::span<const double> rp = index_->user_road_pivot_dists(u);
     ASSERT_EQ(rp.size(), static_cast<size_t>(road_pivots_->num_pivots()));
     for (int k = 0; k < road_pivots_->num_pivots(); ++k) {
       EXPECT_NEAR(rp[k], road_pivots_->PositionToPivot(ssn_->user_home(u), k),

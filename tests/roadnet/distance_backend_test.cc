@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -18,6 +19,7 @@
 
 #include "common/rng.h"
 #include "roadnet/road_generator.h"
+#include "roadnet/shortest_path.h"
 
 namespace gpssn {
 namespace {
@@ -276,6 +278,36 @@ TEST_P(BackendEquivalenceTest, EmptyTargetSetWritesNothing) {
   e->ch->SourceToTargets(src, kInfDistance, b.data());
   for (size_t i = 0; i < a.size(); ++i) {
     ExpectEquivalent(a[i], b[i], kInfDistance);
+  }
+}
+
+// A Dijkstra row stops once every target's edge endpoint has settled. Each
+// entry must keep the bits a full bounded search reads for it, the
+// same-edge shortcut and the bound's cut included.
+TEST_P(BackendEquivalenceTest, DijkstraRowsKeepTheFullSearchBits) {
+  Rng rng(GetParam() * 5 + 9);
+  const auto e = MakeEnginePair(GetParam(), 12, &rng);
+  e->dij->SetTargets(e->targets);
+  DijkstraEngine full(&e->graph);
+  std::vector<double> row(e->targets.size());
+  for (int trial = 0; trial < 40; ++trial) {
+    EdgePosition src = RandomPosition(e->graph, &rng);
+    if (trial % 4 == 0) {  // A source on a target's edge.
+      const size_t k = static_cast<size_t>(trial) % e->targets.size();
+      src.edge = e->targets[k].edge;
+    }
+    const double bound =
+        trial % 3 == 0 ? kInfDistance : rng.UniformDouble(0.5, 8.0);
+    e->dij->SourceToTargets(src, bound, row.data());
+    full.RunFromPosition(src, bound);
+    for (size_t i = 0; i < e->targets.size(); ++i) {
+      const EdgePosition& t = e->targets[i];
+      const double d = std::min(full.DistanceToPosition(t),
+                                SameEdgeDistance(e->graph, src, t));
+      ASSERT_TRUE(SameBits(row[i], d <= bound ? d : kInfDistance))
+          << "trial " << trial << " target " << i << ": " << row[i]
+          << " vs " << d;
+    }
   }
 }
 
