@@ -4,7 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -228,15 +230,16 @@ void BM_OneToManyCacheWarm(benchmark::State& state) {
   std::vector<PoiId> pois(kOneToManyTargets);
   for (int i = 0; i < kOneToManyTargets; ++i) pois[i] = i;
   std::vector<double> row(kOneToManyTargets);
+  std::vector<double> tags(kOneToManyTargets, kInfDistance);
   for (UserId u = 0; u < kUsers; ++u) {
     for (int i = 0; i < kOneToManyTargets; ++i) {
       row[i] = static_cast<double>(u + i);
     }
-    cache.InsertRow(u, pois, kInfDistance, row.data());
+    cache.InsertRow(u, pois, row.data(), tags.data());
   }
   UserId u = 0;
   for (auto _ : state) {
-    const bool hit = cache.LookupRow(u, pois, kInfDistance, row.data());
+    const bool hit = cache.LookupRow(u, pois, row.data(), tags.data());
     benchmark::DoNotOptimize(hit);
     benchmark::DoNotOptimize(row.data());
     benchmark::ClobberMemory();
@@ -246,6 +249,158 @@ void BM_OneToManyCacheWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_OneToManyCacheWarm)
     ->Arg(10000)->Arg(20000)->Arg(30000)->Arg(40000)->Arg(50000);
+
+// A Refine-shaped trace of Dijkstra rows on ZIPF ×0.2 (4,000 vertices): an
+// issuer's candidate centers with their B(c, 2) balls, in ascending order
+// of the issuer's farthest ball member, until the balls' union holds about
+// 1,000 targets, and 8 member rows read center by center.
+struct RefineRowTrace {
+  std::vector<EdgePosition> targets;
+  std::vector<std::vector<int32_t>> balls;  // Target indices, visit order.
+  std::vector<double> issuer_worst;         // Per center, ascending.
+  std::vector<EdgePosition> sources;        // The member rows' sources.
+};
+
+struct RefineRowData {
+  SpatialSocialNetwork ssn;
+  std::unique_ptr<DistanceBackend> backend;
+  std::vector<RefineRowTrace> traces;
+};
+
+const RefineRowData& SharedRefineRowData() {
+  static const RefineRowData* data = [] {
+    auto* d = new RefineRowData{MakeDataset("ZIPF", 0.2), nullptr, {}};
+    const SpatialSocialNetwork& ssn = d->ssn;
+    d->backend = MakeDijkstraBackend(&ssn.road(), &ssn.pois());
+    const auto engine = d->backend->CreateEngine();
+    std::vector<EdgePosition> all;
+    for (const Poi& p : ssn.pois()) all.push_back(p.position);
+    std::vector<std::vector<PoiId>> balls(ssn.pois().size());
+    for (size_t c = 0; c < balls.size(); ++c) {
+      for (const auto& [id, dist] :
+           engine->BallWithDistances(ssn.poi(static_cast<PoiId>(c)).position,
+                                     2.0)) {
+        balls[c].push_back(id);
+      }
+    }
+    Rng rng(53);
+    std::vector<double> issuer(all.size());
+    for (int t = 0; t < 4; ++t) {
+      RefineRowTrace trace;
+      engine->SetTargets(all);
+      const auto pick_user = [&] {
+        return static_cast<UserId>(rng.NextBounded(ssn.num_users()));
+      };
+      engine->SourceToTargets(ssn.user_home(pick_user()), kInfDistance,
+                              issuer.data());
+      std::vector<std::pair<double, PoiId>> order;
+      for (size_t c = 0; c < balls.size(); ++c) {
+        double worst = 0.0;
+        for (PoiId o : balls[c]) worst = std::max(worst, issuer[o]);
+        if (std::isfinite(worst)) {
+          order.emplace_back(worst, static_cast<PoiId>(c));
+        }
+      }
+      std::sort(order.begin(), order.end());
+      std::vector<int32_t> slot(all.size(), -1);
+      for (const auto& [worst, c] : order) {
+        if (trace.targets.size() >= 1000) break;
+        std::vector<int32_t> ball;
+        for (PoiId o : balls[c]) {
+          if (slot[o] < 0) {
+            slot[o] = static_cast<int32_t>(trace.targets.size());
+            trace.targets.push_back(all[o]);
+          }
+          ball.push_back(slot[o]);
+        }
+        trace.balls.push_back(std::move(ball));
+        trace.issuer_worst.push_back(worst);
+      }
+      for (int r = 0; r < 8; ++r) {
+        trace.sources.push_back(ssn.user_home(pick_user()));
+      }
+      d->traces.push_back(std::move(trace));
+    }
+    return d;
+  }();
+  return *data;
+}
+
+// One Refine's member rows on the Dijkstra engine, read center by center:
+// each center reads every row over its ball under the current bound; a
+// center whose reads all fit sets the bound to their objective, and the
+// loop stops at the first center whose issuer distance reaches the bound
+// (Lemma 7). Arg 0 computes each row in full at its first read, under the
+// bound of that read (SourceToTargets, as Refine did before grown rows);
+// arg 1 opens each row and grows it to each ball it reads (OpenRow,
+// GrowRow). Both read the same entries, the registration included. The
+// `settles_per_row` counter is the vertices one row settles.
+void BM_DijkstraRefineRows(benchmark::State& state) {
+  const RefineRowData& data = SharedRefineRowData();
+  const bool grown = state.range(0) == 1;
+  const auto engine = data.backend->CreateEngine();
+  std::vector<double> dists;
+  std::vector<double> proven;
+  std::vector<int32_t> wanted;
+  uint64_t rows = 0;
+  const uint64_t settled_before = engine->vertices_settled();
+  size_t next = 0;
+  for (auto _ : state) {
+    const RefineRowTrace& trace = data.traces[next];
+    next = (next + 1) % data.traces.size();
+    const size_t width = trace.targets.size();
+    const size_t num_rows = trace.sources.size();
+    engine->SetTargets(trace.targets);
+    dists.assign(num_rows * width, kInfDistance);
+    proven.assign(num_rows * width, -kInfDistance);
+    std::vector<int32_t> handle(num_rows, -1);
+    double bound = kInfDistance;
+    for (size_t c = 0; c < trace.balls.size(); ++c) {
+      if (trace.issuer_worst[c] >= bound) break;
+      double obj = trace.issuer_worst[c];
+      bool feasible = true;
+      for (size_t r = 0; r < num_rows && feasible; ++r) {
+        double* row = dists.data() + r * width;
+        if (handle[r] < 0) {
+          ++rows;
+          if (grown) {
+            handle[r] = engine->OpenRow(trace.sources[r], row);
+          } else {
+            handle[r] = 0;
+            engine->SourceToTargets(trace.sources[r], bound, row);
+          }
+        }
+        if (grown) {
+          double* tags = proven.data() + r * width;
+          wanted.clear();
+          for (int32_t j : trace.balls[c]) {
+            if (tags[j] < bound) wanted.push_back(j);
+          }
+          if (!wanted.empty()) {
+            engine->GrowRow(handle[r], wanted, bound, row);
+            for (int32_t j : wanted) tags[j] = bound;
+          }
+        }
+        for (int32_t j : trace.balls[c]) {
+          if (row[j] >= kInfDistance || row[j] > bound) {
+            feasible = false;
+            break;
+          }
+          obj = std::max(obj, row[j]);
+        }
+      }
+      if (feasible && obj < bound) bound = obj;
+    }
+    benchmark::DoNotOptimize(bound);
+  }
+  state.counters["settles_per_row"] =
+      rows > 0 ? static_cast<double>(engine->vertices_settled() -
+                                     settled_before) /
+                     static_cast<double>(rows)
+               : 0.0;
+  state.SetLabel(grown ? "grown rows" : "full rows");
+}
+BENCHMARK(BM_DijkstraRefineRows)->Arg(0)->Arg(1);
 
 void BM_RStarTreeInsert(benchmark::State& state) {
   Rng rng(7);

@@ -116,13 +116,15 @@ struct QueryOptions {
   /// pointee must outlive every query using it.
   const DistanceBackend* distance_backend = nullptr;
   /// Optional shared cross-query distance cache (roadnet/distance_cache.h):
-  /// one entry per user holding that user's (poi → distance) items, read
-  /// and written a whole needed-POI row at a time under one lock, and
+  /// one entry per user holding that user's (poi → distance, tag) items,
+  /// read and written a whole needed-POI row at a time under one lock, and
   /// evicted whole, least recently used first, within a budget counted in
-  /// (user, POI) items. Hits and misses (the cache's and QueryStats'
-  /// dist_cache_row_*) count rows; insertions, evictions and entries count
-  /// items. Thread-safe: one cache may be shared by all workers of a batch
-  /// executor. Null disables caching. The pointee must outlive the query.
+  /// (user, POI) items. QueryStats' dist_cache_row_* count rows, a hit
+  /// being a row whose reads the cached items all decided; the cache's own
+  /// hits and misses count lookups that found every item or not; and
+  /// insertions, evictions and entries count items. Thread-safe: one cache
+  /// may be shared by all workers of a batch executor. Null disables
+  /// caching. The pointee must outlive the query.
   /// GpssnDatabase::AddPoi leaves the road graph and every existing POI id
   /// as they are, so cached rows stay valid across it.
   DistanceCache* distance_cache = nullptr;

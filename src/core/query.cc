@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <span>
 #include <tuple>
 
@@ -113,6 +114,7 @@ void GpssnProcessor::RefineScratch::BeginQuery(size_t num_users,
   centers.clear();
   num_members = 0;
   rows.clear();
+  tables.clear();
 }
 
 void GpssnProcessor::RefineScratch::AddMembers(
@@ -530,84 +532,124 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   // lookup or insert is one linear merge plus a gather. The slots keep
   // discovery order, which groups each ball's targets; id-ordered targets
   // made the CH engine's rows slower.
-  if (options.distance_cache != nullptr) {
+  DistanceCache* const cache = options.distance_cache;
+  const size_t width = scr.needed.size();
+  if (cache != nullptr) {
     scr.cache_pois = scr.needed;
     std::sort(scr.cache_pois.begin(), scr.cache_pois.end());
     scr.cache_slots.clear();
     for (PoiId id : scr.cache_pois) {
       scr.cache_slots.push_back(scr.poi_slot[id]);
     }
-    scr.cache_row.resize(scr.needed.size());
+    scr.cache_dists.resize(width);
+    scr.cache_tags.resize(width);
   }
 
-  // Per-user exact distances to every needed POI, computed lazily with one
-  // bounded search per member (a kInfDistance entry proves the pair cannot
-  // beat the bound the row was computed under), backed by the processor's
-  // stamped scratch and optionally by the shared cross-query cache, which
-  // serves or stores the whole row under one lock. The returned row stays
-  // valid until the next call. A row of no needed POI is a cache hit:
-  // there is nothing to look up.
+  // Per-member exact distances to the needed POIs, decided lazily. A
+  // member's row is looked up in the shared cache, and charged, at its
+  // first use. Each read then decides the entries it reads under its
+  // bound: the entries the row does not decide yet (missing, or "> tag"
+  // below the bound) grow the row's search, which the first such read
+  // opens. Without a cache every entry starts missing, so the search opens
+  // at the first read, which follows the lookup at once. The engine grows a
+  // row in place. Rows are valid until the next row_of call.
   bool targets_set = false;
-  auto user_dists = [&](UserId u, double bound) -> const double* {
-    const size_t width = scr.needed.size();
-    int32_t& stored_row = scr.member_row[scr.user_member[u]];
-    if (stored_row >= 0) {
-      return scr.rows.data() + static_cast<size_t>(stored_row) * width;
-    }
+  auto entries_of = [&](size_t r) { return scr.tables.data() + 2 * r * width; };
+  auto row_of = [&](UserId u) -> size_t {
+    int32_t& r = scr.member_row[static_cast<size_t>(scr.user_member[u])];
+    if (r >= 0) return static_cast<size_t>(r);
     if (!targets_set) {
       engine.SetTargets(scr.needed_positions);
-      scr.rows.reserve(static_cast<size_t>(scr.num_members) * width);
+      scr.rows.reserve(static_cast<size_t>(scr.num_members));
       targets_set = true;
     }
-    const int32_t row_index =
-        width == 0 ? 0 : static_cast<int32_t>(scr.rows.size() / width);
-    scr.rows.resize(scr.rows.size() + width);
-    double* row = scr.rows.data() + static_cast<size_t>(row_index) * width;
-    bool have_row = false;
-    if (options.distance_cache != nullptr) {
-      have_row = options.distance_cache->LookupRow(u, scr.cache_pois, bound,
-                                                   scr.cache_row.data());
-      if (have_row) {
-        ++stats->dist_cache_row_hits;
-        for (size_t i = 0; i < width; ++i) {
-          row[scr.cache_slots[i]] = scr.cache_row[i];
-        }
-      } else {
-        ++stats->dist_cache_row_misses;
-      }
-    }
-    if (!have_row) {
-      const ScopedPhaseTimer exact_phase(&stats->exact_dist_seconds);
-      engine.SourceToTargets(ssn.user_home(u), bound, row);
-      ++stats->exact_distance_evals;
-      if (options.distance_cache != nullptr) {
-        for (size_t i = 0; i < width; ++i) {
-          scr.cache_row[i] = row[scr.cache_slots[i]];
-        }
-        options.distance_cache->InsertRow(u, scr.cache_pois, bound,
-                                          scr.cache_row.data());
+    r = static_cast<int32_t>(scr.rows.size());
+    scr.rows.push_back({u});
+    scr.tables.resize(scr.tables.size() + width, kInfDistance);
+    scr.tables.resize(scr.tables.size() + width, -kInfDistance);
+    const auto row = static_cast<size_t>(r);
+    if (cache != nullptr) {
+      cache->LookupRow(u, scr.cache_pois, scr.cache_dists.data(),
+                       scr.cache_tags.data());
+      double* dists = entries_of(row);
+      double* proven = dists + width;
+      for (size_t i = 0; i < width; ++i) {
+        dists[scr.cache_slots[i]] = scr.cache_dists[i];
+        proven[scr.cache_slots[i]] = scr.cache_tags[i];
       }
     }
     // Charge the traversal of the user's neighbourhood (adjacency pages).
     pool.Access(social_index_->user_page(u));
-    stored_row = row_index;
     return row;
   };
+  // Row r's entries, those at scr.read_slots decided under `bound`. A
+  // bound the row's search decides every entry under needs no look at the
+  // entries: a CH row's after its sweep, a Dijkstra row's below its
+  // frontier.
+  auto read_row = [&](size_t r, double bound) -> const double* {
+    double* dists = entries_of(r);
+    RefineRow& row = scr.rows[r];
+    if (bound <= row.decided) return dists;
+    double* proven = dists + width;
+    scr.wanted.clear();
+    for (int32_t slot : scr.read_slots) {
+      if (proven[slot] < bound) scr.wanted.push_back(slot);
+    }
+    if (!scr.wanted.empty()) {
+      const ScopedPhaseTimer exact_phase(&stats->exact_dist_seconds);
+      if (row.search < 0) {
+        row.search = engine.OpenRow(ssn.user_home(row.user), dists);
+        ++stats->exact_distance_evals;
+      }
+      engine.GrowRow(row.search, scr.wanted, bound, dists);
+      for (int32_t slot : scr.wanted) proven[slot] = bound;
+      row.decided = engine.RowDecidedBound(row.search);
+    }
+    return dists;
+  };
+  // Stores every row that opened a search into the cache, each entry with
+  // what it proves: the larger of its reads' bounds and the bound the
+  // row's search decides every entry under. Counts the rows whose reads
+  // opened no search as hits.
+  auto store_rows = [&]() {
+    if (cache == nullptr) return;
+    const ScopedPhaseTimer exact_phase(&stats->exact_dist_seconds);
+    for (size_t r = 0; r < scr.rows.size(); ++r) {
+      const RefineRow& row = scr.rows[r];
+      if (row.search < 0) {
+        ++stats->dist_cache_row_hits;
+        continue;
+      }
+      ++stats->dist_cache_row_misses;
+      const double* dists = entries_of(r);
+      const double* proven = dists + width;
+      for (size_t i = 0; i < width; ++i) {
+        const int32_t slot = scr.cache_slots[i];
+        const double tag = std::max(proven[slot], row.decided);
+        scr.cache_dists[i] = dists[slot] <= tag ? dists[slot] : kInfDistance;
+        scr.cache_tags[i] = tag;
+      }
+      cache->InsertRow(row.user, scr.cache_pois, scr.cache_dists.data(),
+                       scr.cache_tags.data());
+    }
+  };
 
-  // One exact search from the issuer, bounded by the incumbent, upgrades
-  // the center order to the exact issuer-side objective contribution
-  // max_{o∈ball} dist(u_q, o): the objective of any pair at center c is at
-  // least that, since u_q ∈ S. A center beyond the bound cannot beat the
-  // incumbent, so it is dropped outright.
+  // The issuer's row, decided over every needed POI under the incumbent,
+  // upgrades the center order to the exact issuer-side objective
+  // contribution max_{o∈ball} dist(u_q, o): the objective of any pair at
+  // center c is at least that, since u_q ∈ S. A center beyond the bound
+  // cannot beat the incumbent, so it is dropped outright.
   {
-    const double* issuer_dists = user_dists(query.issuer, incumbent);
+    scr.read_slots.resize(width);
+    std::iota(scr.read_slots.begin(), scr.read_slots.end(), 0);
+    const double* issuer_dists = read_row(row_of(query.issuer), incumbent);
     size_t kept = 0;
     for (size_t i = 0; i < scr.centers.size(); ++i) {
       RefineCenter center = scr.centers[i];
       bool in_range = true;
       for (PoiId o : ball_of(center)) {
         const double d = issuer_dists[scr.poi_slot[o]];
-        if (d >= kInfDistance) {
+        if (d >= kInfDistance || d > incumbent) {
           in_range = false;  // Beyond the bound (or unreachable).
           break;
         }
@@ -672,8 +714,12 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   int64_t pair_budget = QueryOptions::max_refine_pairs;
   uint32_t poll_stride = 0;
   uint32_t visit = 0;
+  auto interrupted = [&]() {
+    store_rows();
+    return InterruptStatus(options);
+  };
   for (size_t ci = 0; ci < scr.centers.size(); ++ci) {
-    if (InterruptRequested(options)) return InterruptStatus(options);
+    if (InterruptRequested(options)) return interrupted();
     const RefineCenter& center = scr.centers[ci];
     // Lemma 7 with the issuer's exact distances: centers ascend by `worst`
     // and the threshold only tightens, so every later center is rejected
@@ -682,7 +728,10 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
       stats->pois_pruned_distance += scr.centers.size() - ci;
       break;
     }
-    const std::span<const PoiId> ball = ball_of(center);
+    scr.read_slots.clear();
+    for (PoiId o : ball_of(center)) {
+      scr.read_slots.push_back(scr.poi_slot[o]);
+    }
     const std::span<const uint64_t> mask =
         poi_index_->ball_mask(center.id, center.size);
     const std::span<const double> center_pivots =
@@ -722,7 +771,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
 
     for (size_t gi = next_live(0); gi < num_groups; gi = next_live(gi + 1)) {
       if ((++poll_stride & 63u) == 0 && InterruptRequested(options)) {
-        return InterruptStatus(options);
+        return interrupted();
       }
       // Once an answer here ties `worst`, every group here is rejected; the
       // next center is then rejected by Lemma 7.
@@ -751,10 +800,13 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
       double obj = 0.0;
       bool feasible = true;
       for (UserId u : group) {
-        const double* dists = user_dists(u, bound());
-        for (PoiId o : ball) {
-          const double d = dists[scr.poi_slot[o]];
-          if (d >= kInfDistance) {
+        // The row grows to this center's ball under the bound the read
+        // judges it by.
+        const double b = bound();
+        const double* dists = read_row(row_of(u), b);
+        for (int32_t slot : scr.read_slots) {
+          const double d = dists[slot];
+          if (d >= kInfDistance || d > b) {
             feasible = false;  // Distance beyond the bound: cannot win.
             break;
           }
@@ -780,6 +832,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     }
     if (pair_budget < 0) break;
   }
+  store_rows();
   for (RankedAnswer& ranked : *best) {
     ranked.answer.users = groups[static_cast<size_t>(ranked.group_index)];
     const PoiId c = ranked.answer.center;

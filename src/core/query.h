@@ -230,11 +230,21 @@ class GpssnProcessor {
     uint32_t size;
   };
 
+  /// A member's distance row: its user, the engine row its search grows
+  /// through (-1 until a read opens one), and the bound that search decides
+  /// every entry under (DistanceEngine::RowDecidedBound after its last
+  /// growth; -kInfDistance before).
+  struct RefineRow {
+    UserId user;
+    int32_t search = -1;
+    double decided = -kInfDistance;
+  };
+
   /// Flat stamped scratch for the refinement phase, reused across queries:
   /// generation-stamped slot and member arrays, each member's list of the
-  /// groups that hold it, the matched centers, one flat row-major distance
-  /// table, the per-center member table and dead-group bitmap, so a warm
-  /// refinement allocates nothing per center or pair.
+  /// groups that hold it, the matched centers, flat row-major distance and
+  /// proof tables, the per-center member table and dead-group bitmap, so a
+  /// warm refinement allocates nothing per center or pair.
   struct RefineScratch {
     uint32_t generation = 0;
     // POI id -> slot in `needed` (valid when poi_stamp matches).
@@ -243,14 +253,16 @@ class GpssnProcessor {
     std::vector<PoiId> needed;                  // Slot -> POI id.
     std::vector<EdgePosition> needed_positions; // Slot -> position.
     // The needed POIs in ascending id order, the order DistanceCache rows
-    // keep, with each one's slot, and a row in that order (cache only).
+    // keep, with each one's slot, and one row's items in that order, as
+    // entries and tags (cache only).
     std::vector<PoiId> cache_pois;
     std::vector<int32_t> cache_slots;
-    std::vector<double> cache_row;
+    std::vector<double> cache_dists;
+    std::vector<double> cache_tags;
     // Members: the issuer and every user of the refined groups, numbered
     // 0 .. num_members-1 once per query. User id -> member (valid when
-    // user_stamp matches), and member -> row index into `rows` (-1 until
-    // computed).
+    // user_stamp matches), and member -> its distance row (-1 until its
+    // first use).
     std::vector<uint32_t> user_stamp;
     std::vector<int32_t> user_member;
     int32_t num_members = 0;
@@ -267,9 +279,17 @@ class GpssnProcessor {
     // members failed its Lemma 5 bound or θ match there. The bits past the
     // last group are set too.
     std::vector<uint64_t> dead_groups;
-    // Row-major |rows| x |needed| distance table; kInfDistance = beyond
-    // the bound the row was computed under.
-    std::vector<double> rows;
+    // The distance rows, one per member in first-use order. Row r holds
+    // tables[2r·|needed|, (2r+1)·|needed|), its entries, then as many
+    // tags: the largest bound each entry has been decided under
+    // (-kInfDistance until then). An entry d tagged p is the exact
+    // distance when d <= p, and proves "distance > p" otherwise.
+    std::vector<RefineRow> rows;
+    std::vector<double> tables;
+    // One read's slots (the visited center's ball, or every slot for the
+    // issuer), and those of them the row does not decide yet.
+    std::vector<int32_t> read_slots;
+    std::vector<int32_t> wanted;
 
     /// Starts a query: bumps the generation (invalidating every slot and
     /// member number in O(1)) and clears the flat arrays, keeping their

@@ -52,6 +52,9 @@ namespace gpssn {
   /* Lemma 5 pivot bounds the pair loop evaluated: at most one per           \
      (group member, visited center), however many groups share it. */        \
   X(uint64_t, pair_bounds, Sum)                                              \
+  /* Distance-row searches opened: one per row whose reads some cached       \
+     item could not decide (every row, without a cache). A Dijkstra search   \
+     then grows only as far as the row's reads need. */                      \
   X(uint64_t, exact_distance_evals, Sum)                                     \
   X(bool, truncated, Or) /* A refinement cap was hit. */                     \
   /* --- Per-phase wall time (attributes backend/cache wins to the phase     \
@@ -62,8 +65,8 @@ namespace gpssn {
   X(double, ball_seconds, Sum) /* Ball materialization (B(o_i, r)). */       \
   /* Phase 2 total (includes the below). */                                  \
   X(double, refine_seconds, Sum)                                             \
-  /* Exact user→POI distance evaluations (the issuer's row and the pair      \
-     loop's member rows). */                                                 \
+  /* Exact user→POI distances: opening and growing the issuer's and the    \
+     pair loop's member rows, and storing them in the cache. */              \
   X(double, exact_dist_seconds, Sum)                                         \
   /* PlanGroups: Corollary 2 (with the SocialScratch build), then the        \
      group enumeration. */                                                   \
@@ -73,8 +76,8 @@ namespace gpssn {
      rows it computes (part of exact_dist_seconds). */                       \
   X(double, pair_loop_seconds, Sum)                                          \
   /* --- Shared distance cache (roadnet/distance_cache.h), counted at        \
-     user-row granularity: a hit means one whole per-user distance           \
-     evaluation (one bounded Dijkstra / CH forward search) was skipped. */   \
+     user-row granularity: a hit is a row whose reads the cached items       \
+     all decided, so it opened no search; a miss opened one. */              \
   X(uint64_t, dist_cache_row_hits, Sum)                                      \
   X(uint64_t, dist_cache_row_misses, Sum)                                    \
   /* Fresh pairwise Interest_Score evaluations: Corollary 2's, and the       \

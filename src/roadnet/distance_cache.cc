@@ -66,45 +66,36 @@ void DistanceCache::Shard::PushFront(uint32_t r) {
 }
 
 bool DistanceCache::LookupRow(UserId user, std::span<const PoiId> pois,
-                              double bound, double* out) {
+                              double* dists, double* tags) {
   Shard& shard = ShardFor(user);
   MutexLock lock(shard.mu);
-  if (pois.empty()) {
-    ++shard.hits;
-    return true;
-  }
   const uint32_t r = shard.Find(user);
-  if (r == kNone) {
-    ++shard.misses;
-    return false;
-  }
+  const std::span<const Item> items =
+      r == kNone ? std::span<const Item>() : shard.slab[r].items;
   // The row and the request both ascend by POI id: walk them together.
-  const std::vector<Item>& items = shard.slab[r].items;
+  bool all = true;
   auto it = items.begin();
   for (size_t i = 0; i < pois.size(); ++i) {
     while (it != items.end() && it->poi < pois[i]) ++it;
     if (it == items.end() || it->poi != pois[i]) {
-      ++shard.misses;
-      return false;
+      dists[i] = kInfDistance;
+      tags[i] = -kInfDistance;
+      all = false;
+      continue;
     }
-    if (!std::isfinite(it->dist) && it->bound < bound) {
-      // "dist > it->bound" says nothing about bounds beyond it->bound.
-      ++shard.misses;
-      return false;
-    }
-    // A finite item is the exact distance; report it against the caller's
-    // bound so the hit is indistinguishable from a fresh computation.
-    out[i] = it->dist <= bound ? it->dist : kInfDistance;
+    dists[i] = it->exact ? it->value : kInfDistance;
+    tags[i] = it->tag();
   }
-  shard.Unlink(r);
-  shard.PushFront(r);
-  ++shard.hits;
-  return true;
+  if (r != kNone) {
+    shard.Unlink(r);
+    shard.PushFront(r);
+  }
+  ++(all ? shard.hits : shard.misses);
+  return all;
 }
 
 void DistanceCache::InsertRow(UserId user, std::span<const PoiId> pois,
-                              double bound, const double* dists) {
-  if (pois.empty()) return;
+                              const double* dists, const double* tags) {
   Shard& shard = ShardFor(user);
   MutexLock lock(shard.mu);
   uint32_t r = shard.Find(user);
@@ -120,24 +111,21 @@ void DistanceCache::InsertRow(UserId user, std::span<const PoiId> pois,
     for (; i < old.size() && old[i].poi < pois[j]; ++i) {
       merged.push_back(old[i]);
     }
+    const bool exact = std::isfinite(dists[j]);
+    if (!exact && tags[j] == -kInfDistance) continue;  // Proves nothing.
+    const Item item{pois[j], exact, exact ? dists[j] : tags[j]};
     if (i == old.size() || old[i].poi != pois[j]) {
-      merged.push_back(Item{pois[j], dists[j], bound});
+      merged.push_back(item);
       ++added;
       continue;
     }
-    Item e = old[i++];
-    if (std::isfinite(dists[j])) {
-      // Finite (exact) beats inf; among inf tags the larger bound is
-      // strictly more informative.
-      e.dist = dists[j];
-      e.bound = bound;
-    } else if (!std::isfinite(e.dist) && bound > e.bound) {
-      e.bound = bound;
-    }
-    merged.push_back(e);
+    // An exact item's tag is +inf, so the larger tag wins both ways: exact
+    // over inf, and the stronger of two inf proofs.
+    merged.push_back(item.tag() > old[i].tag() ? item : old[i]);
+    ++i;
   }
   merged.insert(merged.end(), old.begin() + i, old.end());
-  if (merged.size() > shard.budget) return;
+  if (merged.empty() || merged.size() > shard.budget) return;
 
   // Evict whole least-recently-used rows, never this user's, until the
   // merged row fits the shard's budget.

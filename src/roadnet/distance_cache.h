@@ -12,18 +12,18 @@
 // flat allocation. LookupRow and InsertRow cost one stripe lock and one
 // probe per row, and walk the row and the requested POI ids together.
 //
-// Items are BOUND-TAGGED: refinement computes distances under a bound
+// Items are BOUND-TAGGED: refinement decides each distance under a bound
 // (the best objective so far), and "no result" only proves the distance
 // exceeds THAT bound. An item therefore stores either
-//   * a finite distance d — exact, reusable under ANY requested bound
-//     (the caller compares d against its own bound), or
-//   * kInfDistance tagged with the bound b it was computed under —
-//     meaning dist > b, reusable only for requests with bound <= b.
-// Serving an inf item computed under a smaller bound to a larger-bound
-// request would wrongly report "unreachable"; LookupRow treats that case
-// as a miss. Inserts only strengthen items, so an entry serves any subset
-// of what was ever cached for its user. See DESIGN.md "Distance backends
-// & caching".
+//   * a finite distance d — exact, decides a read under ANY bound (the
+//     caller compares d against its own bound); its tag is +inf, or
+//   * kInfDistance tagged with the bound b it was proven under — meaning
+//     dist > b, which decides reads with bound <= b only.
+// LookupRow hands each item back with its tag and leaves the judging to the
+// caller, because refinement reads one row under many bounds: it grows a
+// row's search only for the entries whose tags fall below a read's bound.
+// Inserts only strengthen items, so an entry serves any subset of what was
+// ever cached for its user. See DESIGN.md "Distance backends & caching".
 //
 // Dynamic maintenance needs no invalidation: GpssnDatabase::AddPoi gives
 // the new POI the next unused id and leaves the road graph as it is, so
@@ -65,28 +65,29 @@ class DistanceCache {
 
   GPSSN_DISALLOW_COPY_AND_MOVE(DistanceCache);
 
-  /// Serves `user`'s row over `pois` (strictly ascending ids): returns true
-  /// only when every POI has a usable item, and then sets out[i] to the
-  /// distance to pois[i] as a search under `bound` would report it (the
-  /// exact distance when <= bound, kInfDistance otherwise). An inf item
-  /// tagged with a smaller bound than `bound` is NOT usable, and neither is
-  /// a missing one. On false, `out` is unspecified. An empty `pois` hits.
-  /// A hit allocates nothing.
-  bool LookupRow(UserId user, std::span<const PoiId> pois, double bound,
-                 double* out);
+  /// Reads `user`'s items over `pois` (strictly ascending ids): dists[i]
+  /// and tags[i] receive pois[i]'s item, an exact distance with tag +inf
+  /// or kInfDistance with the tag t it proves "dist > t" for. A POI with
+  /// no item reads kInfDistance tagged -kInfDistance, which proves
+  /// nothing. Returns true when every POI had an item (an empty `pois`
+  /// does). A lookup that finds the user's entry makes it the most recently
+  /// used. Allocates nothing.
+  bool LookupRow(UserId user, std::span<const PoiId> pois, double* dists,
+                 double* tags);
 
-  /// Merges a row computed under `bound` into `user`'s entry: dists[i] is
-  /// dist_RN(user, pois[i]) when <= bound and kInfDistance ("> bound")
-  /// otherwise; `pois` ascends strictly. Per item, finite wins over inf,
-  /// and among inf items the larger bound wins. A merged row wider than
-  /// its shard's budget is not cached (the entry stays as it was).
-  void InsertRow(UserId user, std::span<const PoiId> pois, double bound,
-                 const double* dists);
+  /// Merges items into `user`'s entry, over `pois` (strictly ascending): a
+  /// finite dists[i] is the exact dist_RN(user, pois[i]); kInfDistance
+  /// proves dist_RN > tags[i], and is skipped when tags[i] is
+  /// -kInfDistance. Per item, finite wins over inf, and among inf items the
+  /// larger tag wins. A merged row wider than its shard's budget is not
+  /// cached (the entry stays as it was).
+  void InsertRow(UserId user, std::span<const PoiId> pois,
+                 const double* dists, const double* tags);
 
   /// Row lookups count in hits/misses; items count in everything else.
   struct Stats {
-    uint64_t hits = 0;         // LookupRow calls served.
-    uint64_t misses = 0;       // LookupRow calls not served.
+    uint64_t hits = 0;         // LookupRow calls that found every item.
+    uint64_t misses = 0;       // LookupRow calls that missed an item.
     uint64_t insertions = 0;   // Items added for a (user, POI) not cached.
     uint64_t evictions = 0;    // Items dropped with their evicted rows.
     size_t entries = 0;        // Items cached now.
@@ -102,11 +103,17 @@ class DistanceCache {
   /// Null slab index: no row, or the end of a list.
   static constexpr uint32_t kNone = ~uint32_t{0};
 
+  // An item is the exact distance, or the proof "dist > value": one value
+  // and its kind, so an item takes 16 bytes.
   struct Item {
     PoiId poi = 0;
-    double dist = kInfDistance;  // Exact when finite.
-    double bound = 0.0;          // Tag: the bound `dist` was computed under.
+    bool exact = false;
+    double value = kInfDistance;
+
+    /// The largest bound the item decides reads under.
+    double tag() const { return exact ? kInfDistance : value; }
   };
+  static_assert(sizeof(Item) == 16);
 
   // One cached user: its items, ascending by POI id, and its links in the
   // shard's LRU list (slab indices). `next` also links the free list.

@@ -3,7 +3,8 @@
 // The frontier of the road searches: a 4-ary min-heap of (key, vertex)
 // entries with lazy deletion. DijkstraEngine (roadnet/shortest_path.h) and
 // the CH engine's upward search (roadnet/distance_backend.cc) push a vertex
-// again whenever its label drops and skip the stale entries as they pop.
+// again whenever its label drops, the Dijkstra engine's grown rows whenever
+// a settle reaches it, and all skip the stale entries as they pop.
 //
 // A road search's frontier is small (tens of entries), so a binary heap
 // spends its time in mispredicted branches, not in memory. This heap is
@@ -36,6 +37,14 @@ class SearchHeap {
   };
 
   bool empty() const { return size_ == 0; }
+
+  /// The least key, or +inf when the heap is empty (slot 0 is then free).
+  double TopKey() const { return slots_[0].key; }
+
+  /// Makes room for `n` entries, so that many pushes allocate nothing.
+  void Reserve(size_t n) {
+    if (n + kArity > slots_.size()) slots_.resize(n + kArity, kFree);
+  }
 
   /// Empties the heap and keeps its storage.
   void clear() {

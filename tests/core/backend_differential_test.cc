@@ -4,15 +4,18 @@
 // backend, and each of those with the shared distance cache enabled (both
 // cold and warm, which exercises the bound-tag reuse path). The center and
 // user/POI sets must match exactly; the objective to 1e-9 (CH shortcut
-// weights sum in a different floating-point association order).
+// weights sum in a different floating-point association order). A replay
+// over a warm cache must open no search at all.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "core/database.h"
 #include "roadnet/distance_backend.h"
 #include "roadnet/distance_cache.h"
+#include "serving/coordinator.h"
 #include "ssn/dataset.h"
 
 namespace gpssn {
@@ -209,6 +212,116 @@ TEST(BackendDatabaseTest, CallerBackendNeverUsesTheDatabaseCache) {
   ASSERT_TRUE(db.Query(answered.front(), ch_with_cache).ok());
   EXPECT_GT(ch_cache.GetStats().insertions, 0u);
   EXPECT_EQ(cache->GetStats().misses, before.misses);
+}
+
+// True when two answers agree byte for byte, the objective's bits too.
+bool SameBytes(const GpssnAnswer& a, const GpssnAnswer& b) {
+  return a.found == b.found && a.users == b.users && a.center == b.center &&
+         a.pois == b.pois &&
+         std::bit_cast<uint64_t>(a.max_dist) ==
+             std::bit_cast<uint64_t>(b.max_dist);
+}
+
+// A Refine stores each grown row with what every entry proved, so a replay
+// of the same queries reads every entry at a bound some stored item
+// already decides: the second serial pass and a 4-worker batch over the
+// same list open no search. A 2-shard cluster reads under its
+// coordinator's incumbents and may search. Every path answers byte for
+// byte as the first pass did. The cache is large enough that nothing is
+// evicted.
+TEST(BackendDatabaseTest, CacheReplayOpensNoSearch) {
+  SyntheticSsnOptions data;
+  data.num_road_vertices = 400;
+  data.num_pois = 160;
+  data.num_users = 240;
+  data.num_topics = 10;
+  data.seed = 43;
+  GpssnBuildOptions build;
+  build.poi_index.r_min = 0.3;
+  build.poi_index.r_max = 4.5;
+  build.distance_cache_entries = 1u << 22;
+  GpssnDatabase db(MakeSynthetic(data), build);
+  ASSERT_EQ(db.distance_backend(), nullptr);  // Dijkstra rows.
+  const DistanceCache* cache = db.distance_cache();
+  ASSERT_NE(cache, nullptr);
+
+  Rng rng(44);
+  const InterestMetric metrics[] = {InterestMetric::kDotProduct,
+                                    InterestMetric::kJaccard,
+                                    InterestMetric::kHamming};
+  std::vector<GpssnQuery> queries;
+  for (int i = 0; i < 30; ++i) {
+    GpssnQuery q;
+    q.issuer = static_cast<UserId>(rng.NextBounded(db.ssn().num_users()));
+    q.tau = 2 + static_cast<int>(rng.NextBounded(3));
+    q.gamma = rng.UniformDouble(0.05, 0.4);
+    q.theta = rng.UniformDouble(0.05, 0.5);
+    q.radius = rng.UniformDouble(0.4, 4.0);
+    q.metric = metrics[i % 3];
+    queries.push_back(q);
+  }
+
+  // One serial pass: Query, then QueryTopK(3), per query.
+  struct Pass {
+    std::vector<GpssnAnswer> answers;
+    std::vector<std::vector<GpssnAnswer>> top;
+    uint64_t searches = 0;
+  };
+  auto serial_pass = [&](Pass* pass) {
+    for (const GpssnQuery& q : queries) {
+      QueryStats stats;
+      auto answer = db.Query(q, &stats);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      pass->answers.push_back(*answer);
+      pass->searches += stats.exact_distance_evals;
+      QueryStats top_stats;
+      auto top = db.QueryTopK(q, 3, QueryOptions(), &top_stats);
+      ASSERT_TRUE(top.ok()) << top.status().ToString();
+      pass->top.push_back(*top);
+      pass->searches += top_stats.exact_distance_evals;
+    }
+  };
+  Pass first;
+  serial_pass(&first);
+  int found = 0;
+  for (const GpssnAnswer& a : first.answers) found += a.found;
+  ASSERT_GT(found, 5) << "too few answers for the replay to read rows";
+  ASSERT_GT(first.searches, 0u);
+
+  Pass second;
+  serial_pass(&second);
+  EXPECT_EQ(second.searches, 0u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_TRUE(SameBytes(first.answers[i], second.answers[i])) << i;
+    ASSERT_EQ(first.top[i].size(), second.top[i].size()) << i;
+    for (size_t k = 0; k < first.top[i].size(); ++k) {
+      EXPECT_TRUE(SameBytes(first.top[i][k], second.top[i][k]))
+          << i << " rank " << k;
+    }
+  }
+
+  BatchExecutorOptions batch;
+  batch.num_workers = 4;
+  const std::vector<BatchQueryResult> batched = db.QueryBatch(queries, batch);
+  ASSERT_EQ(batched.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(batched[i].status.ok()) << batched[i].status.ToString();
+    EXPECT_EQ(batched[i].stats.exact_distance_evals, 0u) << i;
+    EXPECT_TRUE(SameBytes(first.answers[i], batched[i].answer)) << i;
+  }
+
+  serving::ServingOptions serving;
+  serving.num_shards = 2;
+  auto cluster = serving::ServingCluster::Create(db, serving);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  const std::vector<BatchQueryResult> served =
+      (*cluster)->QueryBatch(queries);
+  ASSERT_EQ(served.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(served[i].status.ok()) << served[i].status.ToString();
+    EXPECT_TRUE(SameBytes(first.answers[i], served[i].answer)) << i;
+  }
+  EXPECT_EQ(cache->GetStats().evictions, 0u);
 }
 
 // 20 random networks × 4 queries × 6 configurations.

@@ -214,9 +214,9 @@ TEST(DynamicPoiTest, SharedCacheSurvivesUnrelatedAddPoi) {
   EXPECT_GT(cache->GetStats().entries, 0u)
       << "AddPoi wiped the cache wholesale";
 
-  // Each member still row-hits the answer's ball at its objective, with
-  // the distances a fresh search reports; adding the new POI (the largest
-  // id, so the row still ascends) makes the same row miss.
+  // Each member's items over the answer's ball survive and decide a read
+  // under its objective, with the distances a fresh search reports; the
+  // new POI (the largest id, so the row still ascends) has no item yet.
   const SpatialSocialNetwork& ssn = db.ssn();
   const auto backend = MakeDijkstraBackend(&ssn.road(), &ssn.pois());
   const auto engine = backend->CreateEngine();
@@ -227,16 +227,24 @@ TEST(DynamicPoiTest, SharedCacheSurvivesUnrelatedAddPoi) {
   with_new.push_back(*id);
   for (UserId u : first->users) {
     std::vector<double> cached(first->pois.size());
+    std::vector<double> tags(first->pois.size());
     ASSERT_TRUE(
-        cache->LookupRow(u, first->pois, first->max_dist, cached.data()))
+        cache->LookupRow(u, first->pois, cached.data(), tags.data()))
         << "user " << u << ": row did not survive the unrelated AddPoi";
     std::vector<double> fresh(first->pois.size());
     engine->SourceToTargets(ssn.user_home(u), first->max_dist, fresh.data());
-    EXPECT_EQ(cached, fresh) << "user " << u;
+    for (size_t i = 0; i < cached.size(); ++i) {
+      ASSERT_GE(tags[i], first->max_dist) << "user " << u << " item " << i;
+      EXPECT_EQ(cached[i] <= first->max_dist ? cached[i] : kInfDistance,
+                fresh[i])
+          << "user " << u << " item " << i;
+    }
     std::vector<double> wider(with_new.size());
-    EXPECT_FALSE(
-        cache->LookupRow(u, with_new, first->max_dist, wider.data()))
+    std::vector<double> wider_tags(with_new.size());
+    EXPECT_FALSE(cache->LookupRow(u, with_new, wider.data(),
+                                  wider_tags.data()))
         << "user " << u << ": a row with the new POI cannot be cached yet";
+    EXPECT_EQ(wider_tags.back(), -kInfDistance) << "user " << u;
   }
 
   // And the answers stay exact over the grown network.

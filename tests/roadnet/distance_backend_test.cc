@@ -5,13 +5,16 @@
 // different floating-point association order). The CH rows must also keep
 // the two properties sharded refinement relies on, bit for bit: a finite
 // entry does not depend on the row's bound, and a target's entry does not
-// depend on which other targets are registered with it.
+// depend on which other targets are registered with it. Grown rows
+// (OpenRow/GrowRow), on both engines, must read what SourceToTargets reads
+// under each read's bound, bit for bit, and every proof must hold.
 
 #include "roadnet/distance_backend.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -313,6 +316,155 @@ TEST_P(BackendEquivalenceTest, DijkstraRowsKeepTheFullSearchBits) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendEquivalenceTest,
                          ::testing::Values(1, 7, 13, 21, 42));
+
+// A grown row settles only as far as its reads need. On random graphs with
+// integer weights 0-4, equal labels are common, and targets at edge ends
+// and at quarter points make entries tie the bounds drawn from the
+// distances themselves; fractional sources make sums round. Each engine
+// grows interleaved rows, sources on a target's edge among them, over
+// random target subsets (duplicate targets too) under a non-increasing
+// bound sequence from kInfDistance. Every read must equal the bits of the
+// same engine's SourceToTargets under its bound, every entry a row has
+// decided must keep its proof against the full search (exact at or below
+// its tag, the distance above it otherwise), every entry must keep the
+// proof of the row's RowDecidedBound too, and no entry may drop below its
+// distance.
+class RowGrowthTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RowGrowthTest, GrownRowsReadWhatFullRowsRead) {
+  Rng rng(GetParam() ^ 0x6a0f);
+  constexpr int kVertices = 100;
+  RoadNetworkBuilder builder;
+  for (int i = 0; i < kVertices; ++i) {
+    builder.AddVertex({rng.UniformDouble(0, 10), rng.UniformDouble(0, 10)});
+  }
+  for (int i = 0; i < kVertices; ++i) {
+    for (int j = i + 1; j < kVertices; ++j) {
+      if (rng.UniformDouble() < 0.05) {
+        ASSERT_TRUE(builder
+                        .AddEdge(i, j, static_cast<double>(rng.NextBounded(5)))
+                        .ok());
+      }
+    }
+  }
+  const RoadNetwork g = builder.Build();
+  ASSERT_GT(g.num_edges(), 0);
+  const std::vector<Poi> pois;
+  const auto dij_backend = MakeDijkstraBackend(&g, &pois);
+  const auto ch_backend = MakeChBackend(&g, &pois);
+  auto bits = [](double d) { return std::bit_cast<uint64_t>(d); };
+  auto position = [&](double t) {
+    return EdgePosition{static_cast<EdgeId>(rng.NextBounded(g.num_edges())),
+                        t};
+  };
+  const double quarter_points[] = {0.0, 0.25, 0.5, 1.0};
+
+  std::vector<EdgePosition> targets;
+  for (int i = 0; i < 40; ++i) {
+    targets.push_back(position(i % 2 == 0 ? quarter_points[i / 2 % 4]
+                                          : rng.UniformDouble()));
+  }
+  for (int i = 0; i < 4; ++i) targets.push_back(targets[i * 7]);  // Twins.
+  const int n = static_cast<int>(targets.size());
+
+  int reads = 0;
+  int inf_reads = 0;
+  int decided_finite = 0;
+  for (const DistanceBackend* backend : {dij_backend.get(), ch_backend.get()}) {
+    const auto engine = backend->CreateEngine();
+    for (int round = 0; round < 12; ++round) {
+      // Fresh registrations reuse the engine's pooled rows.
+      engine->SetTargets(targets);
+      constexpr int kRows = 3;
+      struct OpenedRow {
+        EdgePosition source;
+        int32_t handle = -1;
+        std::vector<double> dists;
+        std::vector<double> tags;    // -inf until decided.
+        std::vector<double> full;    // SourceToTargets under +inf.
+        std::vector<double> bounds;  // Non-increasing, from +inf.
+      };
+      std::vector<OpenedRow> rows(kRows);
+      for (int r = 0; r < kRows; ++r) {
+        OpenedRow& row = rows[r];
+        if ((round + r) % 3 == 0) {  // A source on a target's edge.
+          row.source = targets[rng.NextBounded(n)];
+          row.source.t = rng.Bernoulli(0.5) ? quarter_points[r]
+                                            : rng.UniformDouble();
+        } else {
+          row.source = position(rng.Bernoulli(0.3) ? 1.0 : rng.UniformDouble());
+        }
+        row.full.resize(n);
+        engine->SourceToTargets(row.source, kInfDistance, row.full.data());
+        row.bounds.push_back(kInfDistance);
+        std::vector<double> finite;
+        for (double d : row.full) {
+          if (std::isfinite(d)) finite.push_back(d);
+        }
+        for (int k = 0; k < 8 && !finite.empty(); ++k) {
+          const double d = finite[rng.NextBounded(finite.size())];
+          row.bounds.push_back(rng.Bernoulli(0.7) ? d : d + 0.5);
+        }
+        std::sort(row.bounds.begin() + 1, row.bounds.end(),
+                  std::greater<>());
+        row.dists.assign(n, kInfDistance);
+        row.tags.assign(n, -kInfDistance);
+        row.handle = engine->OpenRow(row.source, row.dists.data());
+      }
+      // The rows grow interleaved, each along its own bound sequence.
+      std::vector<size_t> next(kRows, 0);
+      std::vector<double> want(n);
+      for (int step = 0; step < 40; ++step) {
+        const int r = static_cast<int>(rng.NextBounded(kRows));
+        OpenedRow& row = rows[r];
+        const double bound = row.bounds[next[r]];
+        if (next[r] + 1 < row.bounds.size() && rng.Bernoulli(0.4)) ++next[r];
+        std::vector<int32_t> wanted;
+        for (int k = 1 + static_cast<int>(rng.NextBounded(6)); k > 0; --k) {
+          wanted.push_back(static_cast<int32_t>(rng.NextBounded(n)));
+        }
+        engine->GrowRow(row.handle, wanted, bound, row.dists.data());
+        engine->SourceToTargets(row.source, bound, want.data());
+        for (const int32_t j : wanted) {
+          SCOPED_TRACE(testing::Message()
+                       << "round " << round << " row " << r << " target "
+                       << j << " bound " << bound);
+          const double got =
+              row.dists[j] <= bound ? row.dists[j] : kInfDistance;
+          ASSERT_EQ(bits(got), bits(want[j]))
+              << got << " vs " << want[j] << " (full " << row.full[j]
+              << ")";
+          row.tags[j] = std::max(row.tags[j], bound);
+          ++reads;
+          inf_reads += got == kInfDistance;
+        }
+        const double decided = engine->RowDecidedBound(row.handle);
+        for (int j = 0; j < n; ++j) {
+          SCOPED_TRACE(testing::Message() << "round " << round << " row "
+                                          << r << " target " << j);
+          ASSERT_GE(row.dists[j], row.full[j]);
+          for (const double tag : {row.tags[j], decided}) {
+            if (tag == -kInfDistance) continue;
+            if (row.dists[j] <= tag) {
+              ASSERT_EQ(bits(row.dists[j]), bits(row.full[j])) << tag;
+            } else {
+              ASSERT_GT(row.full[j], tag);
+            }
+          }
+        }
+        decided_finite += std::isfinite(decided);
+      }
+    }
+  }
+  // Both outcomes were read many times, and rows stopped short of their
+  // whole reach.
+  EXPECT_GT(reads - inf_reads, 500);
+  EXPECT_GT(inf_reads, 200);
+  EXPECT_GT(decided_finite, 200);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RowGrowthTest,
+                         ::testing::Values(1, 2, 3, 7, 11));
 
 }  // namespace
 }  // namespace gpssn

@@ -1,9 +1,10 @@
 // Unit and concurrency tests for the shared cross-query distance cache:
-// bound-tag semantics (an "unreachable within b" item must not serve a
-// request with a larger bound), finite-over-inf upgrade policy, a seeded
-// model test of whole rows against a per-(user, POI) reference, LRU
-// eviction of whole rows under the item budget, and a multithreaded hammer
-// that the TSAN preset runs to prove the striped locking is race-free.
+// bound-tag semantics (an inf item tagged b decides reads up to b only,
+// and a lookup hands every item back with its tag), finite-over-inf and
+// larger-tag merges, a seeded model test of whole rows against a
+// per-(user, POI) reference, LRU eviction of whole rows under the item
+// budget, and a multithreaded hammer that the TSAN preset runs to prove
+// the striped locking is race-free.
 
 #include "roadnet/distance_cache.h"
 
@@ -15,6 +16,7 @@
 #include <cmath>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <span>
 #include <thread>
 #include <utility>
@@ -25,15 +27,38 @@
 namespace gpssn {
 namespace {
 
-// The single-pair tests read and write one-item rows.
-bool Lookup(DistanceCache& cache, UserId user, PoiId poi, double bound,
-            double* dist) {
-  return cache.LookupRow(user, std::span<const PoiId>(&poi, 1), bound, dist);
+// One item as a lookup reads it back.
+struct Item {
+  double dist = 0.0;
+  double tag = 0.0;
+};
+
+// The single-pair tests read and write one-item rows. Lookup is false when
+// the user has no item for `poi`.
+bool Lookup(DistanceCache& cache, UserId user, PoiId poi, Item* item) {
+  return cache.LookupRow(user, std::span<const PoiId>(&poi, 1), &item->dist,
+                         &item->tag);
 }
 
-void Insert(DistanceCache& cache, UserId user, PoiId poi, double bound,
+void Insert(DistanceCache& cache, UserId user, PoiId poi, double tag,
             double dist) {
-  cache.InsertRow(user, std::span<const PoiId>(&poi, 1), bound, &dist);
+  cache.InsertRow(user, std::span<const PoiId>(&poi, 1), &dist, &tag);
+}
+
+// What a read under `bound` makes of an item, as refinement judges it: the
+// distance a search under `bound` reports, or nothing when the item does
+// not decide the read.
+std::optional<double> Decide(const Item& item, double bound) {
+  if (std::isfinite(item.dist)) {
+    return item.dist <= bound ? item.dist : kInfDistance;
+  }
+  if (item.tag >= bound) return kInfDistance;
+  return std::nullopt;
+}
+
+// A row of `n` items, all tagged `tag`.
+std::vector<double> Tags(size_t n, double tag) {
+  return std::vector<double>(n, tag);
 }
 
 // `n` distinct POI ids below `universe`, ascending.
@@ -48,57 +73,86 @@ std::vector<PoiId> RandomRow(Rng* rng, int universe, int n) {
 
 TEST(DistanceCacheTest, FiniteEntryServesAnyBound) {
   DistanceCache cache;
-  Insert(cache, 1, 2, /*bound=*/10.0, /*dist=*/4.0);
-  double d = 0.0;
-  // Exact distance, reusable under any bound.
-  ASSERT_TRUE(Lookup(cache, 1, 2, 10.0, &d));
-  EXPECT_EQ(d, 4.0);
-  ASSERT_TRUE(Lookup(cache, 1, 2, 100.0, &d));
-  EXPECT_EQ(d, 4.0);
+  Insert(cache, 1, 2, /*tag=*/10.0, /*dist=*/4.0);
+  Item item;
+  ASSERT_TRUE(Lookup(cache, 1, 2, &item));
+  // Exact distance: tagged +inf, it decides a read under any bound.
+  EXPECT_EQ(item.dist, 4.0);
+  EXPECT_EQ(item.tag, kInfDistance);
+  EXPECT_EQ(Decide(item, 10.0), 4.0);
+  EXPECT_EQ(Decide(item, 100.0), 4.0);
   // Under a smaller bound the exact value proves "beyond the bound".
-  ASSERT_TRUE(Lookup(cache, 1, 2, 3.0, &d));
-  EXPECT_EQ(d, kInfDistance);
+  EXPECT_EQ(Decide(item, 3.0), kInfDistance);
 }
 
 TEST(DistanceCacheTest, InfEntryOnlyServesSmallerOrEqualBounds) {
   DistanceCache cache;
-  Insert(cache, 1, 2, /*bound=*/5.0, kInfDistance);  // dist > 5.
-  double d = 0.0;
-  ASSERT_TRUE(Lookup(cache, 1, 2, 5.0, &d));
-  EXPECT_EQ(d, kInfDistance);
-  ASSERT_TRUE(Lookup(cache, 1, 2, 2.0, &d));
-  EXPECT_EQ(d, kInfDistance);
-  // A larger bound cannot be answered: the distance might be 6.
-  EXPECT_FALSE(Lookup(cache, 1, 2, 8.0, &d));
+  Insert(cache, 1, 2, /*tag=*/5.0, kInfDistance);  // dist > 5.
+  Item item;
+  ASSERT_TRUE(Lookup(cache, 1, 2, &item));
+  EXPECT_EQ(item.dist, kInfDistance);
+  EXPECT_EQ(item.tag, 5.0);
+  EXPECT_EQ(Decide(item, 5.0), kInfDistance);
+  EXPECT_EQ(Decide(item, 2.0), kInfDistance);
+  // A larger bound is not decided: the distance might be 6.
+  EXPECT_EQ(Decide(item, 8.0), std::nullopt);
 }
 
 TEST(DistanceCacheTest, FiniteWinsOverInfAndLargerInfBoundWins) {
   DistanceCache cache;
   Insert(cache, 1, 2, 5.0, kInfDistance);
   Insert(cache, 1, 2, 7.0, kInfDistance);  // Stronger proof: dist > 7.
-  double d = 0.0;
-  ASSERT_TRUE(Lookup(cache, 1, 2, 6.0, &d));
-  EXPECT_EQ(d, kInfDistance);
+  Insert(cache, 1, 2, 6.0, kInfDistance);  // A weaker one changes nothing.
+  Item item;
+  ASSERT_TRUE(Lookup(cache, 1, 2, &item));
+  EXPECT_EQ(item.tag, 7.0);
+  EXPECT_EQ(Decide(item, 6.0), kInfDistance);
   // A later exact result upgrades the entry permanently.
   Insert(cache, 1, 2, 20.0, 9.5);
-  ASSERT_TRUE(Lookup(cache, 1, 2, 100.0, &d));
-  EXPECT_EQ(d, 9.5);
-  // An inf insert must NOT downgrade a finite entry.
+  ASSERT_TRUE(Lookup(cache, 1, 2, &item));
+  EXPECT_EQ(Decide(item, 100.0), 9.5);
+  // An inf insert must NOT downgrade a finite entry, whatever its tag.
   Insert(cache, 1, 2, 3.0, kInfDistance);
-  ASSERT_TRUE(Lookup(cache, 1, 2, 100.0, &d));
-  EXPECT_EQ(d, 9.5);
+  Insert(cache, 1, 2, kInfDistance, kInfDistance);
+  ASSERT_TRUE(Lookup(cache, 1, 2, &item));
+  EXPECT_EQ(item.dist, 9.5);
+  EXPECT_EQ(Decide(item, 100.0), 9.5);
+  EXPECT_EQ(cache.GetStats().insertions, 1u);
+}
+
+TEST(DistanceCacheTest, ItemsThatProveNothingAreNotStored) {
+  DistanceCache cache;
+  const std::vector<PoiId> pois = {1, 4, 6};
+  const double dists[] = {kInfDistance, 2.5, kInfDistance};
+  const double tags[] = {-kInfDistance, -kInfDistance, 0.0};
+  cache.InsertRow(3, pois, dists, tags);
+  // The exact item and the "> 0" proof are kept; the undecided one is not.
+  EXPECT_EQ(cache.GetStats().entries, 2u);
+  EXPECT_EQ(cache.GetStats().insertions, 2u);
+  Item item;
+  EXPECT_FALSE(Lookup(cache, 3, 1, &item));
+  EXPECT_EQ(item.dist, kInfDistance);
+  EXPECT_EQ(item.tag, -kInfDistance);
+  ASSERT_TRUE(Lookup(cache, 3, 6, &item));
+  EXPECT_EQ(item.tag, 0.0);
+  // A row of undecided items alone creates no entry.
+  const double nothing[] = {-kInfDistance};
+  const double inf[] = {kInfDistance};
+  cache.InsertRow(8, std::span<const PoiId>(pois.data(), 1), inf, nothing);
+  EXPECT_EQ(cache.GetStats().entries, 2u);
+  EXPECT_FALSE(Lookup(cache, 8, 1, &item));
 }
 
 TEST(DistanceCacheTest, DistinctKeysDoNotCollide) {
   DistanceCache cache;
   Insert(cache, 1, 2, 10.0, 1.0);
   Insert(cache, 2, 1, 10.0, 2.0);
-  double d = 0.0;
-  ASSERT_TRUE(Lookup(cache, 1, 2, 10.0, &d));
-  EXPECT_EQ(d, 1.0);
-  ASSERT_TRUE(Lookup(cache, 2, 1, 10.0, &d));
-  EXPECT_EQ(d, 2.0);
-  EXPECT_FALSE(Lookup(cache, 3, 3, 10.0, &d));
+  Item item;
+  ASSERT_TRUE(Lookup(cache, 1, 2, &item));
+  EXPECT_EQ(item.dist, 1.0);
+  ASSERT_TRUE(Lookup(cache, 2, 1, &item));
+  EXPECT_EQ(item.dist, 2.0);
+  EXPECT_FALSE(Lookup(cache, 3, 3, &item));
 }
 
 TEST(DistanceCacheTest, EvictsLeastRecentlyUsedWithinBudget) {
@@ -112,10 +166,10 @@ TEST(DistanceCacheTest, EvictsLeastRecentlyUsedWithinBudget) {
   const auto stats = cache.GetStats();
   EXPECT_LE(stats.entries, options.max_entries);
   EXPECT_GT(stats.evictions, 0u);
-  double d = 0.0;
+  Item item;
   // The most recent insert survives; the oldest was evicted.
-  EXPECT_TRUE(Lookup(cache, 199, 0, 10.0, &d));
-  EXPECT_FALSE(Lookup(cache, 0, 0, 10.0, &d));
+  EXPECT_TRUE(Lookup(cache, 199, 0, &item));
+  EXPECT_FALSE(Lookup(cache, 0, 0, &item));
 }
 
 TEST(DistanceCacheTest, LookupRefreshesRecency) {
@@ -124,20 +178,20 @@ TEST(DistanceCacheTest, LookupRefreshesRecency) {
   options.num_shards = 1;
   DistanceCache cache(options);
   for (UserId u = 0; u < 4; ++u) Insert(cache, u, 0, 10.0, 1.0);
-  double d = 0.0;
-  ASSERT_TRUE(Lookup(cache, 0, 0, 10.0, &d));  // 0 becomes most recent.
-  Insert(cache, 50, 0, 10.0, 1.0);             // Evicts 1, not 0.
-  EXPECT_TRUE(Lookup(cache, 0, 0, 10.0, &d));
-  EXPECT_FALSE(Lookup(cache, 1, 0, 10.0, &d));
+  Item item;
+  ASSERT_TRUE(Lookup(cache, 0, 0, &item));  // 0 becomes most recent.
+  Insert(cache, 50, 0, 10.0, 1.0);          // Evicts 1, not 0.
+  EXPECT_TRUE(Lookup(cache, 0, 0, &item));
+  EXPECT_FALSE(Lookup(cache, 1, 0, &item));
 }
 
 TEST(DistanceCacheTest, ClearDropsEverythingAndKeepsCounters) {
   DistanceCache cache;
   Insert(cache, 1, 1, 10.0, 1.0);
-  double d = 0.0;
-  ASSERT_TRUE(Lookup(cache, 1, 1, 10.0, &d));
+  Item item;
+  ASSERT_TRUE(Lookup(cache, 1, 1, &item));
   cache.Clear();
-  EXPECT_FALSE(Lookup(cache, 1, 1, 10.0, &d));
+  EXPECT_FALSE(Lookup(cache, 1, 1, &item));
   const auto stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.hits, 1u);
@@ -151,22 +205,29 @@ TEST(DistanceCacheTest, RowServesAnySubsetOfItsMergedItems) {
   const std::vector<PoiId> second = {1, 5, 12};
   const double first_dists[] = {2.0, 5.0, 9.0};
   const double second_dists[] = {1.0, 5.0, 12.0};
-  cache.InsertRow(4, first, 20.0, first_dists);
-  cache.InsertRow(4, second, 20.0, second_dists);
+  cache.InsertRow(4, first, first_dists, Tags(3, 20.0).data());
+  cache.InsertRow(4, second, second_dists, Tags(3, 20.0).data());
   EXPECT_EQ(cache.GetStats().entries, 5u);
   EXPECT_EQ(cache.GetStats().insertions, 5u);
   const std::vector<PoiId> across = {1, 2, 9, 12};
   double out[4] = {};
-  ASSERT_TRUE(cache.LookupRow(4, across, 20.0, out));
+  double tags[4] = {};
+  ASSERT_TRUE(cache.LookupRow(4, across, out, tags));
   EXPECT_EQ(out[0], 1.0);
   EXPECT_EQ(out[1], 2.0);
   EXPECT_EQ(out[2], 9.0);
   EXPECT_EQ(out[3], 12.0);
-  // One uncached POI misses the whole row; an empty row hits.
+  for (double tag : tags) EXPECT_EQ(tag, kInfDistance);
+  // One uncached POI reads as proving nothing, and the lookup reports the
+  // gap; an empty row finds everything.
   const std::vector<PoiId> wider = {1, 2, 3};
-  EXPECT_FALSE(cache.LookupRow(4, wider, 20.0, out));
-  EXPECT_TRUE(cache.LookupRow(4, {}, 20.0, out));
-  EXPECT_TRUE(cache.LookupRow(99, {}, 20.0, out));
+  EXPECT_FALSE(cache.LookupRow(4, wider, out, tags));
+  EXPECT_EQ(out[0], 1.0);
+  EXPECT_EQ(out[1], 2.0);
+  EXPECT_EQ(out[2], kInfDistance);
+  EXPECT_EQ(tags[2], -kInfDistance);
+  EXPECT_TRUE(cache.LookupRow(4, {}, out, tags));
+  EXPECT_TRUE(cache.LookupRow(99, {}, out, tags));
   const auto stats = cache.GetStats();
   EXPECT_EQ(stats.hits, 3u);
   EXPECT_EQ(stats.misses, 1u);
@@ -175,98 +236,112 @@ TEST(DistanceCacheTest, RowServesAnySubsetOfItsMergedItems) {
 TEST(DistanceCacheTest, RowsMatchPerItemReferenceModel) {
   // Random InsertRow / LookupRow sequences under a budget that never
   // evicts, checked against a per-(user, POI) reference of the item rules.
-  // A row must hit exactly when every item would, and a hit must return
-  // the reference's values bit for bit.
+  // Every item must read back with the reference's entry and tag bit for
+  // bit, a missing one as kInfDistance tagged -kInfDistance, and a lookup
+  // must report whether every item was there.
   constexpr int kUsers = 24;
-  // Wide enough that rows stay sparse and bound-tag misses keep coming.
+  // Wide enough that rows stay sparse and missing items keep coming.
   constexpr int kPois = 480;
   DistanceCacheOptions options;
   options.max_entries = 1 << 16;
   DistanceCache cache(options);
 
-  struct RefItem {
-    double dist;
-    double bound;
-  };
-  std::map<std::pair<UserId, PoiId>, RefItem> ref;
+  std::map<std::pair<UserId, PoiId>, Item> ref;
   std::vector<std::vector<PoiId>> last_row(kUsers);
-  const double bounds[] = {0.5, 2.0, 4.0, 6.0, 9.0, kInfDistance};
+  // Tags an insert may carry: -inf is an entry no search has decided.
+  const double tags[] = {-kInfDistance, 0.5, 2.0, 4.0, 6.0, 9.0,
+                         kInfDistance};
   auto true_dist = [](UserId u, PoiId o) {
     return static_cast<double>((u * 37 + o * 11) % 97) / 10.0 + 0.05;
   };
+  auto bits = [](double d) { return std::bit_cast<uint64_t>(d); };
 
   Rng rng(20260417);
-  int hits = 0;
-  int misses = 0;
+  int full = 0;
+  int partial = 0;
+  int decided = 0;
+  int undecided = 0;
   for (int step = 0; step < 20000; ++step) {
     const UserId u = static_cast<UserId>(rng.NextBounded(kUsers));
-    const double bound = bounds[rng.NextBounded(std::size(bounds))];
     const uint64_t op = rng.NextBounded(10);
     std::vector<PoiId> row;
     if (op <= 4 || last_row[u].empty()) {
       row = RandomRow(&rng, kPois, static_cast<int>(rng.NextBounded(11)));
     } else {
-      // A subset of the user's last inserted row: lookups that can hit.
+      // A subset of the user's last inserted row: lookups that can find
+      // every item.
       for (PoiId o : last_row[u]) {
         if (rng.Bernoulli(0.7)) row.push_back(o);
       }
     }
     if (op <= 4) {
+      // Each item decided under its own tag, as a grown row's are.
       std::vector<double> dists;
+      std::vector<double> row_tags;
       for (PoiId o : row) {
+        const double tag = tags[rng.NextBounded(std::size(tags))];
         const double t = true_dist(u, o);
-        dists.push_back(t <= bound ? t : kInfDistance);
+        dists.push_back(t <= tag ? t : kInfDistance);
+        row_tags.push_back(tag);
       }
-      cache.InsertRow(u, row, bound, dists.data());
+      cache.InsertRow(u, row, dists.data(), row_tags.data());
       last_row[u] = row;
       for (size_t i = 0; i < row.size(); ++i) {
+        const bool exact = std::isfinite(dists[i]);
+        if (!exact && row_tags[i] == -kInfDistance) continue;
+        const Item item{dists[i], exact ? kInfDistance : row_tags[i]};
         const auto key = std::make_pair(u, row[i]);
         auto it = ref.find(key);
         if (it == ref.end()) {
-          ref[key] = {dists[i], bound};
-        } else if (std::isfinite(dists[i])) {
-          it->second.dist = dists[i];
-          it->second.bound = bound;
-        } else if (!std::isfinite(it->second.dist) &&
-                   bound > it->second.bound) {
-          it->second.bound = bound;
+          ref[key] = item;
+        } else if (item.tag > it->second.tag) {
+          it->second = item;
         }
       }
     } else {
-      bool want_hit = true;
-      std::vector<double> want;
+      bool want_all = true;
+      std::vector<Item> want;
       for (PoiId o : row) {
         auto it = ref.find({u, o});
-        if (it == ref.end() ||
-            (!std::isfinite(it->second.dist) && it->second.bound < bound)) {
-          want_hit = false;
-          break;
+        if (it == ref.end()) {
+          want_all = false;
+          want.push_back({kInfDistance, -kInfDistance});
+        } else {
+          want.push_back(it->second);
         }
-        want.push_back(it->second.dist <= bound ? it->second.dist
-                                                : kInfDistance);
       }
       std::vector<double> out(row.size(), -1.0);
-      const bool got = cache.LookupRow(u, row, bound, out.data());
-      ASSERT_EQ(got, want_hit) << "step " << step << " user " << u;
-      if (!got) {
-        ++misses;
-        continue;
-      }
-      ++hits;
+      std::vector<double> out_tags(row.size(), -1.0);
+      const bool got = cache.LookupRow(u, row, out.data(), out_tags.data());
+      ASSERT_EQ(got, want_all) << "step " << step << " user " << u;
+      ++(got ? full : partial);
+      const double bound = tags[1 + rng.NextBounded(std::size(tags) - 1)];
       for (size_t i = 0; i < row.size(); ++i) {
-        ASSERT_EQ(std::bit_cast<uint64_t>(out[i]),
-                  std::bit_cast<uint64_t>(want[i]))
+        ASSERT_EQ(bits(out[i]), bits(want[i].dist))
             << "step " << step << " user " << u << " poi " << row[i];
+        ASSERT_EQ(bits(out_tags[i]), bits(want[i].tag))
+            << "step " << step << " user " << u << " poi " << row[i];
+        // A decided read reports what a search under its bound would.
+        const std::optional<double> d = Decide(want[i], bound);
+        if (!d.has_value()) {
+          ++undecided;
+          continue;
+        }
+        ++decided;
+        const double t = true_dist(u, row[i]);
+        ASSERT_EQ(bits(*d), bits(t <= bound ? t : kInfDistance));
       }
     }
   }
-  // Both outcomes were exercised, and the budget never evicted.
-  EXPECT_GT(hits, 1000);
-  EXPECT_GT(misses, 1000);
+  // Every outcome was exercised, and the budget never evicted.
+  EXPECT_GT(full, 1000);
+  EXPECT_GT(partial, 1000);
+  EXPECT_GT(decided, 1000);
+  EXPECT_GT(undecided, 1000);
   const auto stats = cache.GetStats();
   EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(stats.hits, static_cast<uint64_t>(hits));
-  EXPECT_EQ(stats.misses, static_cast<uint64_t>(misses));
+  EXPECT_EQ(stats.hits, static_cast<uint64_t>(full));
+  EXPECT_EQ(stats.misses, static_cast<uint64_t>(partial));
 }
 
 TEST(DistanceCacheTest, EvictsWholeLeastRecentlyUsedRows) {
@@ -275,13 +350,15 @@ TEST(DistanceCacheTest, EvictsWholeLeastRecentlyUsedRows) {
   options.num_shards = 1;  // Single shard: deterministic LRU order.
   DistanceCache cache(options);
   const double dists[] = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  const std::vector<double> tags = Tags(6, 10.0);
   auto insert = [&](UserId u, const std::vector<PoiId>& pois) {
-    cache.InsertRow(u, pois, 10.0, dists);
+    cache.InsertRow(u, pois, dists, tags.data());
     ASSERT_LE(cache.GetStats().entries, options.max_entries);
   };
   auto hits = [&](UserId u, const std::vector<PoiId>& pois) {
     double out[6];
-    const bool hit = cache.LookupRow(u, pois, 10.0, out);
+    double out_tags[6];
+    const bool hit = cache.LookupRow(u, pois, out, out_tags);
     EXPECT_LE(cache.GetStats().entries, options.max_entries);
     return hit;
   };
@@ -324,10 +401,11 @@ TEST(DistanceCacheTest, BudgetHoldsWhenShardsDoNotDivideIt) {
         RandomRow(&rng, 32, 1 + static_cast<int>(rng.NextBounded(7)));
     const std::vector<double> dists(row.size(), 1.0);
     if (rng.Bernoulli(0.5)) {
-      cache.InsertRow(u, row, 10.0, dists.data());
+      cache.InsertRow(u, row, dists.data(), Tags(row.size(), 10.0).data());
     } else {
       std::vector<double> out(row.size());
-      cache.LookupRow(u, row, 10.0, out.data());
+      std::vector<double> out_tags(row.size());
+      cache.LookupRow(u, row, out.data(), out_tags.data());
     }
     const size_t entries = cache.GetStats().entries;
     ASSERT_LE(entries, options.max_entries) << "step " << step;
@@ -344,26 +422,29 @@ TEST(DistanceCacheTest, RowWiderThanShardBudgetIsNotCached) {
   DistanceCache cache(options);
   const std::vector<PoiId> wide = {0, 1, 2, 3, 4, 5, 6, 7, 8};
   const std::vector<double> dists(wide.size(), 1.0);
+  const std::vector<double> tags = Tags(wide.size(), 10.0);
   std::vector<double> out(wide.size());
-  cache.InsertRow(5, wide, 10.0, dists.data());
-  EXPECT_FALSE(cache.LookupRow(5, wide, 10.0, out.data()));
+  std::vector<double> out_tags(wide.size());
+  cache.InsertRow(5, wide, dists.data(), tags.data());
+  EXPECT_FALSE(cache.LookupRow(5, wide, out.data(), out_tags.data()));
   EXPECT_EQ(cache.GetStats().entries, 0u);
   EXPECT_EQ(cache.GetStats().insertions, 0u);
   // A row that would outgrow the share leaves the cached row as it was.
   const std::vector<PoiId> low = {0, 1, 2, 3, 4};
   const std::vector<PoiId> high = {10, 11, 12, 13, 14};
-  cache.InsertRow(5, low, 10.0, dists.data());
-  cache.InsertRow(5, high, 10.0, dists.data());
-  EXPECT_TRUE(cache.LookupRow(5, low, 10.0, out.data()));
-  EXPECT_FALSE(cache.LookupRow(5, high, 10.0, out.data()));
+  cache.InsertRow(5, low, dists.data(), tags.data());
+  cache.InsertRow(5, high, dists.data(), tags.data());
+  EXPECT_TRUE(cache.LookupRow(5, low, out.data(), out_tags.data()));
+  EXPECT_FALSE(cache.LookupRow(5, high, out.data(), out_tags.data()));
   EXPECT_EQ(cache.GetStats().entries, 5u);
 }
 
 TEST(DistanceCacheTest, ConcurrentHammerKeepsEntriesConsistent) {
   // 8 threads × overlapping users and multi-POI rows. Every thread
-  // inserts the canonical value f(u, o) and checks that any hit returns
-  // exactly those values — never a torn or foreign value. The budget is
-  // small enough that whole rows are evicted too.
+  // inserts the canonical value f(u, o) or a weak "> 0.5" proof, and
+  // checks that every item it reads is one of those two, or missing —
+  // never a torn or foreign value. The budget is small enough that whole
+  // rows are evicted too.
   DistanceCacheOptions options;
   options.max_entries = 1024;
   options.num_shards = 8;
@@ -382,7 +463,9 @@ TEST(DistanceCacheTest, ConcurrentHammerKeepsEntriesConsistent) {
     threads.emplace_back([&, t]() {
       Rng rng(0x9e3779b9u + static_cast<uint64_t>(t));
       std::vector<double> dists;
+      std::vector<double> tags;
       std::vector<double> out;
+      std::vector<double> out_tags;
       for (int i = 0; i < kIters; ++i) {
         const UserId u = static_cast<UserId>(rng.NextBounded(kUsers));
         const std::vector<PoiId> row =
@@ -391,19 +474,26 @@ TEST(DistanceCacheTest, ConcurrentHammerKeepsEntriesConsistent) {
           case 0:
             dists.clear();
             for (PoiId o : row) dists.push_back(canonical(u, o));
-            cache.InsertRow(u, row, /*bound=*/1e9, dists.data());
+            tags.assign(row.size(), 1e9);
+            cache.InsertRow(u, row, dists.data(), tags.data());
             break;
           case 1:
             // A weaker inf proof; must never clobber a finite value.
             dists.assign(row.size(), kInfDistance);
-            cache.InsertRow(u, row, /*bound=*/0.5, dists.data());
+            tags.assign(row.size(), 0.5);
+            cache.InsertRow(u, row, dists.data(), tags.data());
             break;
           default:
             out.assign(row.size(), -1.0);
-            if (cache.LookupRow(u, row, 1e9, out.data())) {
-              for (size_t k = 0; k < row.size(); ++k) {
-                if (out[k] != canonical(u, row[k])) ++violations;
-              }
+            out_tags.assign(row.size(), -1.0);
+            cache.LookupRow(u, row, out.data(), out_tags.data());
+            for (size_t k = 0; k < row.size(); ++k) {
+              const bool exact = out[k] == canonical(u, row[k]) &&
+                                 out_tags[k] == kInfDistance;
+              const bool proof = out[k] == kInfDistance &&
+                                 (out_tags[k] == 0.5 ||
+                                  out_tags[k] == -kInfDistance);
+              if (!exact && !proof) ++violations;
             }
         }
       }
