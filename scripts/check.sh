@@ -15,10 +15,12 @@
 #   analyzer  Clang Static Analyzer (clang-tidy clang-analyzer-* +
 #           concurrency-* as errors) over the compile database
 #   perfbench  end-to-end benchmark smoke: perfbench/run.py on uni-ch and
-#           zipf-maint (seed 1, 1 s), untraced and traced. Any non-zero exit
-#           fails it: a failed build, a failed answer check or a timeout. It
-#           gates that the benchmark compiles and answers correctly, not its
-#           numbers. NOT part of the default mode.
+#           zipf-maint (seed 1, 1 s), untraced and traced, then uni-ch at
+#           seed 5308 for 20 s, whose cluster pass meets an exact tie that a
+#           pivot bound rounded above its distance once broke. Any non-zero
+#           exit fails it: a failed build, a failed answer check or a
+#           timeout. It gates that the benchmark compiles and answers
+#           correctly, not its numbers. NOT part of the default mode.
 #   large   continental-scale tests (ctest label `large`, e.g. the 10^5+
 #           vertex CH build and its sweep engine checked against
 #           Dijkstra): builds tier-1 and runs `ctest -L large` with
@@ -142,6 +144,8 @@ run_perfbench() {
         --trace "$trace"
     done
   done
+  python3 perfbench/run.py --workload uni-ch --seed 5308 --seconds 20 \
+    --trace 0
 }
 
 run_audit() {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -15,13 +14,6 @@
 namespace gpssn {
 
 namespace {
-
-// Relative slack for comparing a recomputed exact road distance against a
-// pivot bound: both sides are sums of the same edge weights, so anything
-// beyond accumulated rounding is a genuine violation.
-double DistanceSlack(double reference) {
-  return 1e-9 * std::max(1.0, std::abs(reference));
-}
 
 void AddIssue(AuditReport* report, std::string check, int32_t node,
               std::string detail) {
@@ -692,11 +684,12 @@ void PruningAuditor::OnPoiDistanceBound(const QueryUserContext& ctx, PoiId poi,
   if (lb <= 0.0) return;
   // Eq. 17 claims dist_RN(u_q, o) >= lb. A Dijkstra bounded by lb either
   // proves the claim (no path within the bound) or produces the violating
-  // exact distance.
+  // exact distance. The bound is already shaved for rounding
+  // (LbRoadPivotDist), so any distance below it is a violation.
   const SpatialSocialNetwork& ssn = poi_index_->ssn();
   const double exact = engine_.PositionToPosition(
       ssn.user_home(ctx.query.issuer), ssn.poi(poi).position, lb);
-  if (exact < lb - DistanceSlack(lb)) {
+  if (exact < lb) {
     std::ostringstream os;
     os << "poi " << poi << " distance lower bound " << lb
        << " exceeds the exact issuer distance " << exact;
@@ -714,7 +707,7 @@ void PruningAuditor::OnPairDistanceBound(const QueryUserContext& /*ctx*/,
   const SpatialSocialNetwork& ssn = poi_index_->ssn();
   const double exact = engine_.PositionToPosition(
       ssn.user_home(user), ssn.poi(center).position, lb);
-  if (exact < lb - DistanceSlack(lb)) {
+  if (exact < lb) {
     std::ostringstream os;
     os << "pair (user " << user << ", poi " << center << ") lower bound "
        << lb << " exceeds the exact distance " << exact;

@@ -109,7 +109,7 @@ double LbRoadPivotDist(std::span<const double> a, std::span<const double> b) {
     if (!std::isfinite(a[k]) || !std::isfinite(b[k])) continue;
     lb = std::max(lb, std::abs(a[k] - b[k]));
   }
-  return lb;
+  return std::max(0.0, lb - 1e-9 * std::max(1.0, lb));
 }
 
 }  // namespace gpssn

@@ -88,10 +88,16 @@ bool PrunePoiMatch(const QueryUserContext& ctx,
 
 /// The pivot lower bound of the road distance between two points, from
 /// their exact distances to the same h road pivots: max_k |a_k − b_k| over
-/// the pivots both reach (0 when none does). Eq. 17 (object form) bounds
-/// dist_RN(u_q, o_i) from ctx.rp_dist and PoiIndex::pivot_dists(o_i);
-/// Lemma 5 (pair form, used in refinement) bounds a member's distance to a
-/// center from SocialIndex::user_road_pivot_dists.
+/// the pivots both reach, shaved by 1e-9 · max(1, bound) (0 when no pivot
+/// reaches both). Each of the three distances is a sum of edge weights
+/// rounded on its own, so the raw max can exceed the distance an engine
+/// reports for the pair by a few ulps; shaved, it never does, so a bound
+/// cannot reject or reorder an objective that ties it. Every pivot bound
+/// the query path rejects or orders by is this one: Eq. 17 (object form)
+/// bounds dist_RN(u_q, o_i) from ctx.rp_dist and PoiIndex::pivot_dists(o_i)
+/// (Gather's bound and Refine's center key); Lemma 5 (pair form, used in
+/// refinement) bounds a member's distance to a center from
+/// SocialIndex::user_road_pivot_dists.
 double LbRoadPivotDist(std::span<const double> a, std::span<const double> b);
 
 }  // namespace gpssn

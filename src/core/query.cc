@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <functional>
 #include <numeric>
 #include <span>
 #include <tuple>
@@ -30,6 +32,12 @@ class ScopedPhaseTimer {
   WallTimer timer_;
   double* out_;
 };
+
+// Matched centers in Refine's first lazy batch; each later batch doubles
+// it. A batch that adds targets costs a registration plus one sweep per row
+// read again, so the batches grow: a query that visits n centers
+// re-registers O(log n) times.
+constexpr size_t kFirstRefineBatch = 16;
 
 // Cooperative interruption (deadline / external cancel), polled at every
 // loop boundary of the stages. The longest unpolled stretch is one bounded
@@ -475,6 +483,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   const SpatialSocialNetwork& ssn = poi_index_->ssn();
   BufferPool& pool = plan->pool;
   DistanceEngine& engine = *EngineFor(options);
+  DistanceCache* const cache = options.distance_cache;
   PruningAuditor* auditor = AuditorFor(options);
   scratch_.BeginQuery(static_cast<size_t>(ssn.num_users()),
                       static_cast<size_t>(ssn.num_pois()));
@@ -486,24 +495,70 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   scr.AddMembers(query.issuer, groups);
   scr.member_row.assign(static_cast<size_t>(scr.num_members), -1);
   scr.at_center.assign(static_cast<size_t>(scr.num_members), CenterCell());
+  scr.rows.reserve(static_cast<size_t>(scr.num_members));
 
-  // Candidate centers ordered by (the issuer's pivot lower bound, id), so
-  // the order Gather found them in cannot reach an answer. Every ball
-  // materializes up front so the needed-POI slot table is complete
-  // before the first distance row is computed: a row covers every needed
-  // POI, and an infinite entry is a proof, not a gap. B(c, r) is read from
-  // I_R: the stored B(c, r_max) is in (distance, id) order, so B(c, r) is
-  // its prefix within r, and the prefix's last running mask is ∪_{o∈R}
-  // o.K. Only a ball whose keyword union the issuer matches can hold an
-  // answer, so only its center is kept, and only its members take slots
-  // and are charged.
-  std::sort(plan->pois.begin(), plan->pois.end());
-  {
-    // One timer spans the loop, not one per center: a query visits
+  // `best` holds up to top_k answers in discovery-rank order. Until it is
+  // full, an answer survives when it does not exceed the incumbent (a tie
+  // may still win a rank comparison against it); once full, an answer must
+  // beat the k-th strictly, since it would rank after every equal
+  // objective found before it. The row bound follows the same threshold.
+  // reject() is monotone in its argument and its threshold moves only when
+  // an answer is kept, which needs a center the issuer matches; so leaving
+  // the other centers out below changes neither which centers are visited
+  // nor where the loop breaks.
+  auto full = [&]() { return static_cast<int>(best->size()) >= top_k; };
+  auto bound = [&]() {
+    return full() ? best->back().answer.max_dist : incumbent;
+  };
+  auto reject = [&](double v) { return full() ? v >= bound() : v > incumbent; };
+
+  // The candidates not materialized yet ("pending") come out in (key, id)
+  // order, the key being the issuer's Eq. 17 bound. A center belongs to its
+  // own ball, so its key never exceeds its exact `worst` below, and a
+  // center whose `worst` is below every pending key ranks before all of
+  // them. A row that refills in one sweep (CH) lets them materialize
+  // lazily, in batches of kFirstRefineBatch matched centers, doubling: each
+  // batch that adds targets re-registers the needed set, and every row
+  // reopens at its next read. A Dijkstra row would redo its search, and a
+  // cache looks rows up and stores them over one needed set, so either
+  // takes one batch of every candidate, before the first row. The next
+  // pending candidate is the last element: one batch sorts them in
+  // descending order; lazy batches keep a min-heap over the others.
+  const bool lazy = engine.RowRefillsInOneSweep() && cache == nullptr;
+  std::vector<std::pair<double, PoiId>>& pending = plan->pois;
+  if (lazy) {
+    std::make_heap(pending.begin(), pending.end(), std::greater<>());
+    std::pop_heap(pending.begin(), pending.end(), std::greater<>());
+  } else {
+    std::sort(pending.begin(), pending.end(), std::greater<>());
+  }
+  auto next_key = [&]() {
+    return pending.empty() ? kInfDistance : pending.back().first;
+  };
+  auto pop_pending = [&]() {
+    const PoiId c = pending.back().second;
+    pending.pop_back();
+    if (lazy && !pending.empty()) {
+      std::pop_heap(pending.begin(), pending.end(), std::greater<>());
+    }
+    return c;
+  };
+  // Materializes pending candidates until `quota` of them match or none is
+  // left; a lazy batch also stops at a key that fails Lemma 7, since every
+  // later center's `worst` fails it too. B(c, r) is read from I_R: the
+  // stored B(c, r_max) is in (distance, id) order, so B(c, r) is its prefix
+  // within r, and the prefix's last running mask is ∪_{o∈R} o.K. Only a
+  // ball whose keyword union the issuer matches can hold an answer, so only
+  // its center is kept, and only its members take slots and are charged.
+  // False when interrupted.
+  auto materialize = [&](size_t quota) {
+    // One timer spans the batch, not one per center: a query materializes
     // hundreds of centers, and each timer reads the clock twice.
     const ScopedPhaseTimer ball_phase(&stats->ball_seconds);
-    for (const auto& [lb, c] : plan->pois) {
-      if (InterruptRequested(options)) return InterruptStatus(options);
+    for (size_t matched = 0; matched < quota && !pending.empty();) {
+      if (lazy && reject(next_key())) break;
+      if (InterruptRequested(options)) return false;
+      const PoiId c = pop_pending();
       ++stats->ball_queries;
       // B(c, r) holds c itself at distance 0, so the prefix is not empty.
       const size_t size = poi_index_->BallPrefix(c, query.radius);
@@ -522,28 +577,13 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
         }
       }
       scr.centers.push_back({/*worst=*/0.0, c, static_cast<uint32_t>(size)});
+      ++matched;
     }
-  }
+    return true;
+  };
   auto ball_of = [&](const RefineCenter& center) {
     return poi_index_->ball_ids(center.id).first(center.size);
   };
-  // The cache keeps a user's items in ascending POI id order: sort the
-  // needed POIs that way once per query, with each one's slot, so a row
-  // lookup or insert is one linear merge plus a gather. The slots keep
-  // discovery order, which groups each ball's targets; id-ordered targets
-  // made the CH engine's rows slower.
-  DistanceCache* const cache = options.distance_cache;
-  const size_t width = scr.needed.size();
-  if (cache != nullptr) {
-    scr.cache_pois = scr.needed;
-    std::sort(scr.cache_pois.begin(), scr.cache_pois.end());
-    scr.cache_slots.clear();
-    for (PoiId id : scr.cache_pois) {
-      scr.cache_slots.push_back(scr.poi_slot[id]);
-    }
-    scr.cache_dists.resize(width);
-    scr.cache_tags.resize(width);
-  }
 
   // Per-member exact distances to the needed POIs, decided lazily. A
   // member's row is looked up in the shared cache, and charged, at its
@@ -552,17 +592,45 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   // below the bound) grow the row's search, which the first such read
   // opens. Without a cache every entry starts missing, so the search opens
   // at the first read, which follows the lookup at once. The engine grows a
-  // row in place. Rows are valid until the next row_of call.
-  bool targets_set = false;
+  // row in place. Rows are valid until the next row_of call or
+  // registration.
+  size_t width = 0;  // The needed POIs registered as targets.
   auto entries_of = [&](size_t r) { return scr.tables.data() + 2 * r * width; };
+  // Registers the needed POIs as the engine's targets when a batch added
+  // some. SetTargets closes every row, so each row starts over at the new
+  // width, decided nowhere, and reopens at its next read: one sweep on CH,
+  // whose finite entries do not depend on the other targets. The cache
+  // keeps a user's items in ascending POI id order: sort the needed POIs
+  // that way, with each one's slot, so a row lookup or insert is one
+  // linear merge plus a gather. The slots keep discovery order, which
+  // groups each ball's targets; id-ordered targets made the CH engine's
+  // rows slower.
+  auto register_targets = [&]() {
+    if (scr.needed.size() == width) return;
+    engine.SetTargets(scr.needed_positions);
+    width = scr.needed.size();
+    scr.tables.resize(2 * width * scr.rows.size());
+    for (size_t r = 0; r < scr.rows.size(); ++r) {
+      double* dists = entries_of(r);
+      std::fill(dists, dists + width, kInfDistance);
+      std::fill(dists + width, dists + 2 * width, -kInfDistance);
+      scr.rows[r].search = -1;
+      scr.rows[r].decided = -kInfDistance;
+    }
+    if (cache != nullptr) {
+      scr.cache_pois = scr.needed;
+      std::sort(scr.cache_pois.begin(), scr.cache_pois.end());
+      scr.cache_slots.clear();
+      for (PoiId id : scr.cache_pois) {
+        scr.cache_slots.push_back(scr.poi_slot[id]);
+      }
+      scr.cache_dists.resize(width);
+      scr.cache_tags.resize(width);
+    }
+  };
   auto row_of = [&](UserId u) -> size_t {
     int32_t& r = scr.member_row[static_cast<size_t>(scr.user_member[u])];
     if (r >= 0) return static_cast<size_t>(r);
-    if (!targets_set) {
-      engine.SetTargets(scr.needed_positions);
-      scr.rows.reserve(static_cast<size_t>(scr.num_members));
-      targets_set = true;
-    }
     r = static_cast<int32_t>(scr.rows.size());
     scr.rows.push_back({u});
     scr.tables.resize(scr.tables.size() + width, kInfDistance);
@@ -633,23 +701,30 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
                        scr.cache_tags.data());
     }
   };
+  auto interrupted = [&]() {
+    store_rows();
+    return InterruptStatus(options);
+  };
 
-  // The issuer's row, decided over every needed POI under the incumbent,
-  // upgrades the center order to the exact issuer-side objective
+  // The issuer's row, decided over every needed POI under the bound,
+  // upgrades each new center's key to its exact issuer-side objective
   // contribution max_{o∈ball} dist(u_q, o): the objective of any pair at
   // center c is at least that, since u_q ∈ S. A center beyond the bound
-  // cannot beat the incumbent, so it is dropped outright.
-  {
+  // cannot beat the incumbent, so it is dropped outright. The centers not
+  // visited yet, from `first_unvisited` on, are then ranked.
+  auto resolve = [&](size_t first_new, size_t first_unvisited) {
+    register_targets();
+    const double b = bound();
     scr.read_slots.resize(width);
     std::iota(scr.read_slots.begin(), scr.read_slots.end(), 0);
-    const double* issuer_dists = read_row(row_of(query.issuer), incumbent);
-    size_t kept = 0;
-    for (size_t i = 0; i < scr.centers.size(); ++i) {
+    const double* issuer_dists = read_row(row_of(query.issuer), b);
+    size_t kept = first_new;
+    for (size_t i = first_new; i < scr.centers.size(); ++i) {
       RefineCenter center = scr.centers[i];
       bool in_range = true;
       for (PoiId o : ball_of(center)) {
         const double d = issuer_dists[scr.poi_slot[o]];
-        if (d >= kInfDistance || d > incumbent) {
+        if (d >= kInfDistance || d > b) {
           in_range = false;  // Beyond the bound (or unreachable).
           break;
         }
@@ -659,26 +734,12 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     }
     stats->pois_pruned_distance += scr.centers.size() - kept;
     scr.centers.resize(kept);
-    std::sort(scr.centers.begin(), scr.centers.end(),
+    const auto unvisited = static_cast<std::ptrdiff_t>(first_unvisited);
+    std::sort(scr.centers.begin() + unvisited, scr.centers.end(),
               [](const RefineCenter& a, const RefineCenter& b) {
                 return std::tie(a.worst, a.id) < std::tie(b.worst, b.id);
               });
-  }
-
-  // `best` holds up to top_k answers in discovery-rank order. Until it is
-  // full, an answer survives when it does not exceed the incumbent (a tie
-  // may still win a rank comparison against it); once full, an answer must
-  // beat the k-th strictly, since it would rank after every equal
-  // objective found before it. The row bound follows the same threshold.
-  // reject() is monotone in its argument and its threshold moves only when
-  // an answer is kept, which needs a center the issuer matches; so leaving
-  // the other centers out above changes neither which centers are visited
-  // nor where the loop breaks.
-  auto full = [&]() { return static_cast<int>(best->size()) >= top_k; };
-  auto bound = [&]() {
-    return full() ? best->back().answer.max_dist : incumbent;
   };
-  auto reject = [&](double v) { return full() ? v >= bound() : v > incumbent; };
 
   // A member whose Lemma 5 bound or θ match fails at a center fails every
   // group that holds it there, now or later at that center, since the
@@ -709,130 +770,146 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     return (w << 6) + static_cast<size_t>(std::countr_zero(live));
   };
 
-  // The pair loop's timer also covers the copy of the kept answers below.
-  const ScopedPhaseTimer pair_loop_phase(&stats->pair_loop_seconds);
   int64_t pair_budget = QueryOptions::max_refine_pairs;
   uint32_t poll_stride = 0;
   uint32_t visit = 0;
-  auto interrupted = [&]() {
-    store_rows();
-    return InterruptStatus(options);
-  };
-  for (size_t ci = 0; ci < scr.centers.size(); ++ci) {
-    if (InterruptRequested(options)) return interrupted();
-    const RefineCenter& center = scr.centers[ci];
-    // Lemma 7 with the issuer's exact distances: centers ascend by `worst`
-    // and the threshold only tightens, so every later center is rejected
-    // too. These are the road-distance prunes the funnel counts.
-    if (reject(center.worst)) {
-      stats->pois_pruned_distance += scr.centers.size() - ci;
-      break;
-    }
-    scr.read_slots.clear();
-    for (PoiId o : ball_of(center)) {
-      scr.read_slots.push_back(scr.poi_slot[o]);
-    }
-    const std::span<const uint64_t> mask =
-        poi_index_->ball_mask(center.id, center.size);
-    const std::span<const double> center_pivots =
-        poi_index_->pivot_dists(center.id);
-    ++visit;
-    scr.dead_groups.assign(group_words, 0);
-    if (num_groups % 64 != 0) {
-      scr.dead_groups.back() = ~uint64_t{0} << (num_groups % 64);
-    }
-    // User u's entry at this center, its Lemma 5 bound computed on first
-    // use: once per (member, center), however many groups share u.
-    auto cell = [&](UserId u) -> CenterCell& {
-      CenterCell& entry = scr.at_center[scr.user_member[u]];
-      if (entry.visit != visit) {
-        entry.lb = LbRoadPivotDist(social_index_->user_road_pivot_dists(u),
-                                   center_pivots);
-        entry.visit = visit;
-        entry.match = -1;
-        ++stats->pair_bounds;
-        if (auditor != nullptr) {
-          auditor->OnPairDistanceBound(ctx, u, center.id, entry.lb);
-        }
-      }
-      return entry;
-    };
-    auto bound_fails = [&](UserId u) {
-      return reject(std::max(center.worst, cell(u).lb));
-    };
-    auto matches = [&](UserId u) {
-      CenterCell& entry = cell(u);
-      if (entry.match < 0) {
-        entry.match =
-            MatchScoreOverMask(ssn.social().Run(u), mask) >= query.theta;
-      }
-      return entry.match == 1;
-    };
-
-    for (size_t gi = next_live(0); gi < num_groups; gi = next_live(gi + 1)) {
-      if ((++poll_stride & 63u) == 0 && InterruptRequested(options)) {
-        return interrupted();
-      }
-      // Once an answer here ties `worst`, every group here is rejected; the
-      // next center is then rejected by Lemma 7.
-      if (reject(center.worst)) break;
-      // Pivot lower bound of the pair objective (Lemma 5), member by
-      // member, then the θ test; the first member to fail either kills
-      // its groups.
-      const std::vector<UserId>& group = groups[gi];
-      auto failed = std::find_if(group.begin(), group.end(), bound_fails);
-      if (failed == group.end()) {
-        failed = std::find_if_not(group.begin(), group.end(), matches);
-      }
-      if (failed != group.end()) {
-        kill(*failed);
-        continue;
-      }
-
-      // Exact objective: maxdist_RN(S, B(c, r)). The budget caps only
-      // these expensive evaluations; lower-bound skips above are O(h) and
-      // free.
-      if (--pair_budget < 0) {
-        stats->truncated = true;
+  // Centers [0, ci) are visited. Each round materializes a batch, resolves
+  // it, and visits the resolved centers ranked below the next pending key:
+  // in (worst, id) order, as if every center had been resolved up front.
+  size_t ci = 0;
+  for (size_t quota = kFirstRefineBatch;; quota *= 2) {
+    const size_t first_new = scr.centers.size();
+    if (!materialize(lazy ? quota : pending.size())) return interrupted();
+    resolve(first_new, ci);
+    const double frontier = next_key();
+    bool stopped = false;
+    const ScopedPhaseTimer pair_loop_phase(&stats->pair_loop_seconds);
+    for (; ci < scr.centers.size() && scr.centers[ci].worst < frontier;
+         ++ci) {
+      if (InterruptRequested(options)) return interrupted();
+      const RefineCenter& center = scr.centers[ci];
+      // Lemma 7 with the issuer's exact distances: centers ascend by
+      // `worst`, every pending one's is at least its key, and the
+      // threshold only tightens, so every later center is rejected too.
+      // These are the road-distance prunes the funnel counts.
+      if (reject(center.worst)) {
+        stopped = true;
         break;
       }
-      ++stats->pairs_examined;
-      double obj = 0.0;
-      bool feasible = true;
-      for (UserId u : group) {
-        // The row grows to this center's ball under the bound the read
-        // judges it by.
-        const double b = bound();
-        const double* dists = read_row(row_of(u), b);
-        for (int32_t slot : scr.read_slots) {
-          const double d = dists[slot];
-          if (d >= kInfDistance || d > b) {
-            feasible = false;  // Distance beyond the bound: cannot win.
-            break;
+      scr.read_slots.clear();
+      for (PoiId o : ball_of(center)) {
+        scr.read_slots.push_back(scr.poi_slot[o]);
+      }
+      const std::span<const uint64_t> mask =
+          poi_index_->ball_mask(center.id, center.size);
+      const std::span<const double> center_pivots =
+          poi_index_->pivot_dists(center.id);
+      ++visit;
+      scr.dead_groups.assign(group_words, 0);
+      if (num_groups % 64 != 0) {
+        scr.dead_groups.back() = ~uint64_t{0} << (num_groups % 64);
+      }
+      // User u's entry at this center, its Lemma 5 bound computed on first
+      // use: once per (member, center), however many groups share u.
+      auto cell = [&](UserId u) -> CenterCell& {
+        CenterCell& entry = scr.at_center[scr.user_member[u]];
+        if (entry.visit != visit) {
+          entry.lb = LbRoadPivotDist(social_index_->user_road_pivot_dists(u),
+                                     center_pivots);
+          entry.visit = visit;
+          entry.match = -1;
+          ++stats->pair_bounds;
+          if (auditor != nullptr) {
+            auditor->OnPairDistanceBound(ctx, u, center.id, entry.lb);
           }
-          obj = std::max(obj, d);
         }
-        if (!feasible || reject(obj)) {
-          feasible = false;
+        return entry;
+      };
+      auto bound_fails = [&](UserId u) {
+        return reject(std::max(center.worst, cell(u).lb));
+      };
+      auto matches = [&](UserId u) {
+        CenterCell& entry = cell(u);
+        if (entry.match < 0) {
+          entry.match =
+              MatchScoreOverMask(ssn.social().Run(u), mask) >= query.theta;
+        }
+        return entry.match == 1;
+      };
+
+      for (size_t gi = next_live(0); gi < num_groups; gi = next_live(gi + 1)) {
+        if ((++poll_stride & 63u) == 0 && InterruptRequested(options)) {
+          return interrupted();
+        }
+        // Once an answer here ties `worst`, every group here is rejected;
+        // the next center is then rejected by Lemma 7.
+        if (reject(center.worst)) break;
+        // Pivot lower bound of the pair objective (Lemma 5), member by
+        // member, then the θ test; the first member to fail either kills
+        // its groups.
+        const std::vector<UserId>& group = groups[gi];
+        auto failed = std::find_if(group.begin(), group.end(), bound_fails);
+        if (failed == group.end()) {
+          failed = std::find_if_not(group.begin(), group.end(), matches);
+        }
+        if (failed != group.end()) {
+          kill(*failed);
+          continue;
+        }
+
+        // Exact objective: maxdist_RN(S, B(c, r)). The budget caps only
+        // these expensive evaluations; lower-bound skips above are O(h) and
+        // free.
+        if (--pair_budget < 0) {
+          stats->truncated = true;
           break;
         }
+        ++stats->pairs_examined;
+        double obj = 0.0;
+        bool feasible = true;
+        for (UserId u : group) {
+          // The row grows to this center's ball under the bound the read
+          // judges it by.
+          const double b = bound();
+          const double* dists = read_row(row_of(u), b);
+          for (int32_t slot : scr.read_slots) {
+            const double d = dists[slot];
+            if (d >= kInfDistance || d > b) {
+              feasible = false;  // Distance beyond the bound: cannot win.
+              break;
+            }
+            obj = std::max(obj, d);
+          }
+          if (!feasible || reject(obj)) {
+            feasible = false;
+            break;
+          }
+        }
+        if (!feasible) continue;
+        // S and R are copied once the loop ends, for the answers still kept.
+        RankedAnswer ranked;
+        ranked.answer.found = true;
+        ranked.answer.center = center.id;
+        ranked.answer.max_dist = obj;
+        ranked.center_worst = center.worst;
+        ranked.group_index = static_cast<int64_t>(gi);
+        best->insert(std::upper_bound(best->begin(), best->end(), ranked,
+                                      RanksBefore),
+                     std::move(ranked));
+        if (static_cast<int>(best->size()) > top_k) best->pop_back();
       }
-      if (!feasible) continue;
-      // S and R are copied once the loop ends, for the answers still kept.
-      RankedAnswer ranked;
-      ranked.answer.found = true;
-      ranked.answer.center = center.id;
-      ranked.answer.max_dist = obj;
-      ranked.center_worst = center.worst;
-      ranked.group_index = static_cast<int64_t>(gi);
-      best->insert(std::upper_bound(best->begin(), best->end(), ranked,
-                                    RanksBefore),
-                   std::move(ranked));
-      if (static_cast<int>(best->size()) > top_k) best->pop_back();
+      if (pair_budget < 0) break;
     }
     if (pair_budget < 0) break;
+    // The pending keys bound every later center's `worst` from below.
+    if (stopped || (!pending.empty() && reject(frontier))) {
+      stats->pois_pruned_distance += scr.centers.size() - ci + pending.size();
+      break;
+    }
+    if (pending.empty()) break;
   }
   store_rows();
+  const ScopedPhaseTimer pair_loop_phase(&stats->pair_loop_seconds);
   for (RankedAnswer& ranked : *best) {
     ranked.answer.users = groups[static_cast<size_t>(ranked.group_index)];
     const PoiId c = ranked.answer.center;

@@ -11,7 +11,8 @@
 //           a single node, a shard's subtrees when serving);
 //   PLAN    Corollary 2 + group enumeration (PlanGroups, core/refinement.h);
 //   REFINE  ball materialization, per-member distance rows, and the
-//           ranked pair loop over (center, group) candidates.
+//           ranked pair loop over (center, group) candidates; on CH the
+//           balls materialize in batches, as far as the pair loop visits.
 // Execute/ExecuteTopK run all three; the serving shards run GATHER and
 // REFINE while the coordinator runs PLAN (serving/coordinator.h).
 //
@@ -166,7 +167,8 @@ class GpssnProcessor {
     BufferPool pool;       // Page buffer behind the I/O metric.
     // Gather: candidate users in I_S leaf-traversal order, candidate ball
     // centers as (the issuer's Eq. 17 lower bound, id), in the order
-    // Gather found them, and the least of those bounds.
+    // Gather found them (Refine reorders and consumes them), and the least
+    // of those bounds.
     std::vector<UserId> users;
     std::vector<std::pair<double, PoiId>> pois;
     double lower_bound = kInfDistance;
@@ -191,13 +193,17 @@ class GpssnProcessor {
   Status Gather(const QueryOptions& options, const ShardScope& scope,
                 QueryPlan* plan, QueryStats* stats);
 
-  /// Refine stage: finds the ball of every center in plan->pois (sorting
-  /// them by bound, then id) as a prefix of I_R's stored ball, keeps the
-  /// centers whose keyword union the issuer matches, orders them by the
-  /// issuer's exact distances, and runs the pair loop over `groups`
-  /// (plan->groups on a single node, the coordinator's list on a shard).
-  /// `best` receives up to `top_k` answers in discovery-rank order; only
-  /// answers with objective <= `incumbent` are kept.
+  /// Refine stage: takes the centers of plan->pois in (key, id) order,
+  /// the key being the issuer's Eq. 17 bound, finds each one's ball as a
+  /// prefix of I_R's stored ball, keeps the centers whose keyword union the
+  /// issuer matches, ranks them by the issuer's exact distances, and runs
+  /// the pair loop over `groups` (plan->groups on a single node, the
+  /// coordinator's list on a shard). When the engine's rows refill in one
+  /// sweep and no cache is attached, the centers materialize in batches,
+  /// each visited once its exact rank is below every pending key, and none
+  /// past the first key that fails Lemma 7; otherwise all at once. Consumes
+  /// plan->pois. `best` receives up to `top_k` answers in discovery-rank
+  /// order; only answers with objective <= `incumbent` are kept.
   Status Refine(const QueryOptions& options,
                 const std::vector<std::vector<UserId>>& groups, int top_k,
                 double incumbent, QueryPlan* plan, QueryStats* stats,
@@ -271,7 +277,9 @@ class GpssnProcessor {
     // member_groups[member_group_begin[m], member_group_begin[m + 1]).
     std::vector<uint32_t> member_group_begin;
     std::vector<uint32_t> member_groups;
-    // The matched centers, in pair-loop order once ranked.
+    // The matched centers materialized so far that the issuer's bound
+    // keeps: the visited ones, then the rest in pair-loop order once
+    // ranked.
     std::vector<RefineCenter> centers;
     // Member -> its entry at the visited center, filled lazily.
     std::vector<CenterCell> at_center;

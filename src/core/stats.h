@@ -40,8 +40,10 @@ namespace gpssn {
   X(uint64_t, road_nodes_pruned_match, Sum) /* Lemma 6. */                   \
   X(uint64_t, pois_seen, Sum)                                                \
   X(uint64_t, pois_pruned_match, Sum) /* Lemma 1. */                         \
-  /* Matched candidate centers Refine never visits: their exact issuer       \
-     distance already rules them out (Lemma 7 against the incumbent). */     \
+  /* Candidate centers Refine rules out by Lemma 7 against the incumbent:   \
+     matched centers whose exact issuer distances fail it, plus, on CH       \
+     without a cache, the candidates never materialized because the pivot    \
+     key (Eq. 17) of the first of them in key order fails it. */             \
   X(uint64_t, pois_pruned_distance, Sum)                                     \
   X(uint64_t, pois_candidates, Sum)                                          \
   X(uint64_t, pois_pruned_at_index_level, Sum)                               \
@@ -53,8 +55,9 @@ namespace gpssn {
      (group member, visited center), however many groups share it. */        \
   X(uint64_t, pair_bounds, Sum)                                              \
   /* Distance-row searches opened: one per row whose reads some cached       \
-     item could not decide (every row, without a cache). A Dijkstra search   \
-     then grows only as far as the row's reads need. */                      \
+     item could not decide (every row, without a cache), and on CH one more  \
+     each time a row is read again after a lazy batch added targets. A       \
+     Dijkstra search then grows only as far as the row's reads need. */      \
   X(uint64_t, exact_distance_evals, Sum)                                     \
   X(bool, truncated, Or) /* A refinement cap was hit. */                     \
   /* --- Per-phase wall time (attributes backend/cache wins to the phase     \
@@ -87,9 +90,13 @@ namespace gpssn {
      memo each pair is scored at most once per plan. */                      \
   X(uint64_t, interest_pairs_scored, Sum)                                    \
   /* --- Ball materialization: B(o, r) is a prefix of I_R's stored ball      \
-     (PoiIndex::BallPrefix), one per candidate center; ball_seconds times    \
-     the prefix searches, the match tests and the matched balls' slots.      \
-     No query searches the road network for a ball, so nothing increments    \
+     (PoiIndex::BallPrefix), one per candidate center Refine takes: every    \
+     candidate with the Dijkstra engine or a cache; on CH without a cache    \
+     only those taken, in pivot-key order, before the next key fails Lemma   \
+     7 (each batch stops there too), so the rest are never materialized.     \
+     ball_seconds times the prefix searches, the match tests, the matched    \
+     balls' slots and, on CH, the key heap's pops. No query searches the     \
+     road network for a ball, so nothing increments                          \
      ball_range_engine_queries: it always reads 0 and stays only because     \
      perfbench reads it (roadnet.range_engine_share). */                     \
   X(uint64_t, ball_queries, Sum)                                             \

@@ -151,6 +151,8 @@ class DijkstraDistanceEngine final : public DistanceEngine {
                                  : std::nextafter(least, -kInfDistance);
   }
 
+  bool RowRefillsInOneSweep() const override { return false; }
+
   uint64_t vertices_settled() const override { return settled_; }
 
  private:
@@ -360,6 +362,8 @@ class ChDistanceEngine final : public DistanceEngine {
     GPSSN_DCHECK(handle >= 0 && static_cast<size_t>(handle) < rows_.size());
     return rows_[static_cast<size_t>(handle)].filled_under;
   }
+
+  bool RowRefillsInOneSweep() const override { return true; }
 
   uint64_t vertices_settled() const override { return settled_; }
 

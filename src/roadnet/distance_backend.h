@@ -100,6 +100,13 @@ class DistanceEngine {
   /// -kInfDistance before a CH row's first growth.
   virtual double RowDecidedBound(int32_t row) const = 0;
 
+  /// True when a row costs the same however it is reopened: its first
+  /// growth is one sweep over every registered target, so a caller that
+  /// registers more targets (SetTargets closes every row) pays one sweep
+  /// per row it reopens. True for the CH engine; false for the Dijkstra
+  /// engine, whose reopened row would redo the search it had grown.
+  virtual bool RowRefillsInOneSweep() const = 0;
+
   /// Vertices this engine's row searches (SourceToTargets and grown rows)
   /// have settled since it was created: the Dijkstra rows' settles, the CH
   /// engine's upward-search settles. A work counter for benchmarks.

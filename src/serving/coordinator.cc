@@ -59,6 +59,10 @@ void ServingCluster::Send(QueryState* state, uint64_t query_id, int shard,
   ++state->stats.shard_msgs;
   messages_sent_.fetch_add(
       1, std::memory_order_relaxed);  // gpssn-lint: relaxed(monotone stat counter)
+  if (inline_worker_ >= 0) {
+    RunStage(inline_worker_, request);
+    return;
+  }
   scheduler_.Submit(
       [this, request = std::move(request)](int worker) {
         RunStage(worker, request);
@@ -297,6 +301,17 @@ std::vector<BatchQueryResult> ServingCluster::QueryBatch(
         std::max(stats->totals.shard_msgs, messages_sent() - msgs_base);
   }
   return results;
+}
+
+void ServingCluster::WarmWorkers(std::span<const GpssnQuery> queries) {
+  // A stage an earlier batch left behind (its query failed on another
+  // shard) may still hold a worker's processor.
+  scheduler_.WaitAll();
+  for (int worker = 0; worker < scheduler_.num_threads(); ++worker) {
+    inline_worker_ = worker;
+    QueryBatch(queries);
+  }
+  inline_worker_ = -1;
 }
 
 Result<GpssnAnswer> ServingCluster::Query(const GpssnQuery& query,

@@ -117,6 +117,14 @@ class ServingCluster {
   std::vector<BatchQueryResult> QueryBatch(std::span<const GpssnQuery> queries,
                                            BatchStats* stats = nullptr);
 
+  /// Waits for any stage still in flight, then runs `queries` once on each
+  /// worker's processor in turn, every stage inline on the calling thread,
+  /// and discards the answers: each processor's scratch is then sized for
+  /// these queries' stages. The
+  /// pool runs a stage on whichever worker pops it, so warming through
+  /// Query() reaches a given worker only by chance.
+  void WarmWorkers(std::span<const GpssnQuery> queries);
+
   /// Raises the cluster-wide cancel flag: queued and running stages finish
   /// with Cancelled at their next cooperative poll. Cleared when the next
   /// batch starts.
@@ -177,6 +185,9 @@ class ServingCluster {
   uint64_t next_query_id_ = 1;  // Never reused (stale-reply detection).
   std::unordered_map<uint64_t, QueryState> inflight_;
   std::vector<std::unique_ptr<GpssnProcessor>> processors_;  // One per worker.
+  // The worker whose processor runs every stage inline while WarmWorkers
+  // runs; -1 otherwise (stages go to the pool).
+  int inline_worker_ = -1;
   Mailbox<ShardReply> replies_;
   // Last member: its destructor runs every queued stage, whose reply still
   // finds `replies_` and the state above alive.

@@ -180,14 +180,15 @@ TEST(AllocationTest, WarmClusterQueryAllocatesItsGroupsOnce) {
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
 
   // Any pool worker may run any shard's stage, so warm every worker's
-  // processor on every query: two passes over the whole set.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const GpssnQuery& query : WarmQueries()) {
-      ASSERT_TRUE((*cluster)->Query(query).ok());
-    }
+  // processor on every (query, shard) stage, then warm the coordinator's
+  // pool path with one pass.
+  const std::vector<GpssnQuery> queries = WarmQueries();
+  (*cluster)->WarmWorkers(queries);
+  for (const GpssnQuery& query : queries) {
+    ASSERT_TRUE((*cluster)->Query(query).ok());
   }
   int queries_with_groups = 0;
-  for (const GpssnQuery& query : WarmQueries()) {
+  for (const GpssnQuery& query : queries) {
     QueryStats stats;
     bool ok = false;
     const int64_t allocations = CountAllocations(

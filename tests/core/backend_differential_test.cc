@@ -9,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <string>
 #include <vector>
 
+#include "core/baseline.h"
 #include "core/database.h"
+#include "core/pruning.h"
+#include "core/refinement.h"
 #include "roadnet/distance_backend.h"
 #include "roadnet/distance_cache.h"
 #include "serving/coordinator.h"
@@ -322,6 +327,116 @@ TEST(BackendDatabaseTest, CacheReplayOpensNoSearch) {
     EXPECT_TRUE(SameBytes(first.answers[i], served[i].answer)) << i;
   }
   EXPECT_EQ(cache->GetStats().evictions, 0u);
+}
+
+// On CH without a cache, Refine materializes candidates lazily: in (key,
+// id) order, in batches, and none past the first key that fails Lemma 7.
+// Over a seeded mix of Query, QueryTopK(3) and RefineCandidates under the
+// single-node objective as its incumbent, on a CH database:
+//   - every answer's objective is the oracle's, and every top-3 list is
+//     the one-batch run's (the built-in Dijkstra engine) up to ties;
+//   - RefineCandidates over the gathered candidates and planned groups
+//     returns an answer that ties the single-node objective, bit for bit;
+//   - whenever the answer ranks below the last candidate key, fewer balls
+//     materialize (ball_queries) than candidates reached Refine.
+TEST(LazyRefineTest, MaterializesOnlyTheCentersItCanVisit) {
+  SyntheticSsnOptions data;
+  data.num_road_vertices = 500;
+  data.num_pois = 240;
+  data.num_users = 160;
+  data.num_topics = 8;
+  data.space_size = 30.0;
+  data.seed = 71;
+  GpssnBuildOptions build;
+  build.poi_index.r_min = 0.3;
+  build.poi_index.r_max = 4.5;
+  build.distance_backend = DistanceBackendKind::kContractionHierarchy;
+  GpssnDatabase db(MakeSynthetic(data), build);
+  ASSERT_NE(db.distance_backend(), nullptr);
+  const QueryOptions ch = db.WithDatabaseDefaults(QueryOptions());
+  GpssnProcessor lazy(&db.poi_index(), &db.social_index());
+  GpssnProcessor one_batch(&db.poi_index(), &db.social_index());
+  ShardScope whole;
+  whole.social_roots = {db.social_index().root()};
+  whole.road_roots = {db.poi_index().tree().root()};
+  SocialScratch social_scratch;
+
+  Rng rng(72);
+  int fewer = 0;    // Runs whose answer ranks below the last key.
+  int refined = 0;  // RefineCandidates answers checked.
+  for (int trial = 0; trial < 40; ++trial) {
+    GpssnQuery q;
+    q.issuer = static_cast<UserId>(rng.NextBounded(db.ssn().num_users()));
+    q.tau = 2 + static_cast<int>(rng.NextBounded(2));
+    q.gamma = rng.UniformDouble(0.05, 0.4);
+    q.theta = rng.UniformDouble(0.05, 0.4);
+    q.radius = rng.UniformDouble(0.5, 4.0);
+    const std::string label = "trial " + std::to_string(trial);
+
+    // The candidates that reach Refine, and the largest of their keys.
+    auto gathered = lazy.GatherCandidates(q, ch, whole);
+    ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
+    double last_key = -kInfDistance;
+    for (PoiId c : gathered->pois) {
+      last_key = std::max(
+          last_key,
+          LbRoadPivotDist(db.social_index().user_road_pivot_dists(q.issuer),
+                          db.poi_index().pivot_dists(c)));
+    }
+    auto expect_lazy = [&](const QueryStats& stats, double objective,
+                           uint64_t candidates, const char* what) {
+      EXPECT_LE(stats.ball_queries, candidates) << label << " " << what;
+      if (objective < last_key) {
+        EXPECT_LT(stats.ball_queries, candidates) << label << " " << what;
+        ++fewer;
+      }
+    };
+
+    QueryStats stats;
+    auto answer = lazy.Execute(q, ch, &stats);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    const GpssnAnswer oracle = BruteForceGpssn(db.ssn(), q);
+    ASSERT_EQ(answer->found, oracle.found) << label;
+    if (answer->found) {
+      EXPECT_NEAR(answer->max_dist, oracle.max_dist, 1e-9) << label;
+    }
+    expect_lazy(stats, answer->max_dist, stats.pois_candidates, "query");
+
+    QueryStats top_stats;
+    auto top = lazy.ExecuteTopK(q, 3, ch, &top_stats);
+    ASSERT_TRUE(top.ok()) << top.status().ToString();
+    auto eager_top = one_batch.ExecuteTopK(q, 3, QueryOptions());
+    ASSERT_TRUE(eager_top.ok()) << eager_top.status().ToString();
+    ASSERT_EQ(top->size(), eager_top->size()) << label;
+    for (size_t k = 0; k < top->size(); ++k) {
+      EXPECT_NEAR((*top)[k].max_dist, (*eager_top)[k].max_dist, 1e-9)
+          << label << " rank " << k;
+    }
+    expect_lazy(top_stats,
+                top->size() == 3 ? top->back().max_dist : kInfDistance,
+                top_stats.pois_candidates, "top-3");
+
+    if (!answer->found) continue;
+    std::vector<UserId> users = gathered->users;
+    if (std::find(users.begin(), users.end(), q.issuer) == users.end()) {
+      users.push_back(q.issuer);
+    }
+    std::vector<std::vector<UserId>> groups;
+    QueryStats plan_stats;
+    PlanGroups(db.ssn().social(), q, ch, &social_scratch, &users, &groups,
+               &plan_stats);
+    QueryStats refine_stats;
+    auto shard = lazy.RefineCandidates(q, ch, gathered->pois, groups,
+                                       answer->max_dist, &refine_stats);
+    ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+    ASSERT_TRUE(shard->answer.found) << label;
+    EXPECT_EQ(shard->answer.max_dist, answer->max_dist) << label;
+    expect_lazy(refine_stats, answer->max_dist, gathered->pois.size(),
+                "refine");
+    ++refined;
+  }
+  EXPECT_GT(fewer, 10);
+  EXPECT_GT(refined, 10);
 }
 
 // 20 random networks × 4 queries × 6 configurations.
