@@ -34,8 +34,8 @@ void Run() {
   }
   table.Print();
   std::printf("(paper: smooth growth; 0.01-0.022 s, 170-235 I/Os; capped = "
-              "queries stopped by a refinement cap, whose answers may miss "
-              "the optimum)\n");
+              "queries whose group enumeration hit max_groups, whose "
+              "answers may miss the optimum)\n");
 }
 
 }  // namespace

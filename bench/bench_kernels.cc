@@ -564,7 +564,8 @@ BENCHMARK(BM_SocialScoreRun)->Arg(0)->Arg(1);
 
 // ESU extension probe, sparse-path shape: walk a candidate's CSR friend
 // list and test candidate membership and seen-ness through std::vector<bool>
-// over the user id space (what GroupEnumerator does per extension step).
+// over the user id space (what EnumerateGroups' SparseView does per
+// extension step, core/refinement.cc).
 void BM_EsuExtendVectorBool(benchmark::State& state) {
   const SocialNetwork& g = SharedSocial(2000);
   const int n = kSocialRows;
@@ -586,7 +587,8 @@ void BM_EsuExtendVectorBool(benchmark::State& state) {
 BENCHMARK(BM_EsuExtendVectorBool);
 
 // The same probe over SocialScratch's candidate-local adjacency bitsets:
-// one AND-NOT + popcount per word (what ScratchGroupEnumerator does).
+// one AND-NOT + popcount per word (EnumerateGroups' ScratchView sweeps
+// adjacency ∧ active ∧ ¬seen a word at a time).
 void BM_EsuExtendBitset(benchmark::State& state) {
   const SocialNetwork& g = SharedSocial(2000);
   const int n = kSocialRows;

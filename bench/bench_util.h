@@ -53,8 +53,8 @@ struct Aggregate {
   double avg_page_ios = 0.0;
   int answers_found = 0;
   int queries = 0;
-  // Queries that hit a refinement cap (QueryStats::truncated): `total`
-  // ORs the flag, so it cannot count them.
+  // Queries whose group enumeration hit max_groups
+  // (QueryStats::truncated): `total` ORs the flag, so it cannot count them.
   int truncated = 0;
   QueryStats total;  // Counter sums across the workload.
 

@@ -17,7 +17,9 @@
 #   perfbench  end-to-end benchmark smoke: perfbench/run.py on uni-ch and
 #           zipf-maint (seed 1, 1 s), untraced and traced, then uni-ch at
 #           seed 5308 for 20 s, whose cluster pass meets an exact tie that a
-#           pivot bound rounded above its distance once broke. Any non-zero
+#           pivot bound rounded above its distance once broke, then
+#           gowcol-dense (seed 1, 1 s, untraced), the dense social graph
+#           where the exact stage and the caps matter most. Any non-zero
 #           exit fails it: a failed build, a failed answer check or a
 #           timeout. It gates that the benchmark compiles and answers
 #           correctly, not its numbers. NOT part of the default mode.
@@ -145,6 +147,8 @@ run_perfbench() {
     done
   done
   python3 perfbench/run.py --workload uni-ch --seed 5308 --seconds 20 \
+    --trace 0
+  python3 perfbench/run.py --workload gowcol-dense --seed 1 --seconds 1 \
     --trace 0
 }
 

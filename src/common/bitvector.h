@@ -15,7 +15,6 @@
 #ifndef GPSSN_COMMON_BITVECTOR_H_
 #define GPSSN_COMMON_BITVECTOR_H_
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -34,19 +33,6 @@ inline size_t KeywordMaskWords(int num_topics) {
 /// vector has a weight for them, so no match score counts them.
 void AddToKeywordMask(std::span<const int> keywords, int num_topics,
                       uint64_t* mask);
-
-/// Set bits of `words`.
-size_t CountSetBits(std::span<const uint64_t> words);
-
-/// Calls `fn(i)` for every set bit i of `words`, ascending.
-template <typename Fn>
-void ForEachSetBit(std::span<const uint64_t> words, Fn&& fn) {
-  for (size_t w = 0; w < words.size(); ++w) {
-    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
-      fn(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
-    }
-  }
-}
 
 /// Exact variable-width bitset over ids in [0, size): bit i means exactly
 /// "i is in the set". Word-level access is exposed so callers can fuse set
@@ -74,14 +60,6 @@ class DynamicBitset {
 
   uint64_t Word(size_t w) const { return words_[w]; }
   const uint64_t* words() const { return words_.data(); }
-
-  size_t PopCount() const { return CountSetBits(words_); }
-
-  /// Calls `fn(i)` for every set bit, ascending.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    ForEachSetBit(words_, fn);
-  }
 
  private:
   size_t size_ = 0;

@@ -68,23 +68,6 @@ double Rng::UniformDouble(double lo, double hi) {
   return lo + (hi - lo) * UniformDouble();
 }
 
-double Rng::Normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  double u, v, s;
-  do {
-    u = UniformDouble(-1.0, 1.0);
-    v = UniformDouble(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double mul = std::sqrt(-2.0 * std::log(s) / s);
-  cached_normal_ = v * mul;
-  has_cached_normal_ = true;
-  return u * mul;
-}
-
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   GPSSN_CHECK(k <= n);
   if (k == 0) return {};

@@ -45,9 +45,6 @@ class Rng {
   /// Uniform double in [lo, hi).
   double UniformDouble(double lo, double hi);
 
-  /// Standard normal via Marsaglia polar method.
-  double Normal();
-
   /// Bernoulli draw with success probability p.
   bool Bernoulli(double p) { return UniformDouble() < p; }
 
@@ -65,9 +62,6 @@ class Rng {
 
  private:
   uint64_t state_[4];
-  // Cached second value of the polar method.
-  double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
 };
 
 /// Zipf-distributed integer sampler over {0, 1, ..., n-1} with exponent s

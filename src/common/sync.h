@@ -85,11 +85,6 @@
 #define GPSSN_RELEASE(...) \
   GPSSN_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
 
-/// The function acquires the capability iff it returns the first argument
-/// (a bool literal), e.g. GPSSN_TRY_ACQUIRE(true).
-#define GPSSN_TRY_ACQUIRE(...) \
-  GPSSN_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
-
 /// The function must NOT be called while holding the capabilities (it will
 /// acquire them itself; catches self-deadlock).
 #define GPSSN_EXCLUDES(...) \
@@ -121,7 +116,6 @@ class GPSSN_CAPABILITY("mutex") Mutex {
 
   void Lock() GPSSN_ACQUIRE() { mu_.lock(); }
   void Unlock() GPSSN_RELEASE() { mu_.unlock(); }
-  bool TryLock() GPSSN_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

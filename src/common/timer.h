@@ -21,8 +21,6 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

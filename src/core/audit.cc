@@ -29,6 +29,10 @@ std::string FormatIssue(const AuditIssue& issue) {
   return os.str();
 }
 
+// Node-level events re-test at most this many members of the pruned
+// subtree (evenly strided, deterministic).
+constexpr int kMaxMembersChecked = 8;
+
 // Evenly-strided deterministic sample of [0, n): indices 0, s, 2s, ...
 // covering at most `limit` elements.
 template <typename Fn>
@@ -603,7 +607,7 @@ void PruningAuditor::OnSocialNodePruned(const QueryUserContext& ctx,
     case PruneRule::kSocialNodeInterest:
       // Lemma 8: a pruned node may contain NO user with score >= γ.
       ForSampledIndices(
-          members.size(), options_.max_members_checked, [&](size_t i) {
+          members.size(), kMaxMembersChecked, [&](size_t i) {
             const UserId u = members[i];
             const double score = UserSimilarity(ctx.query.metric, ctx.w_q,
                                                 social.Interests(u));
@@ -620,7 +624,7 @@ void PruningAuditor::OnSocialNodePruned(const QueryUserContext& ctx,
       // Lemma 9: no member may be within τ−1 hops of the issuer.
       EnsureIssuerBfs(ctx);
       ForSampledIndices(
-          members.size(), options_.max_members_checked, [&](size_t i) {
+          members.size(), kMaxMembersChecked, [&](size_t i) {
             const UserId u = members[i];
             const int hops = bfs_.Hops(u);
             if (hops < ctx.query.tau) {
@@ -664,7 +668,7 @@ void PruningAuditor::OnRoadNodeMatchPruned(const QueryUserContext& ctx,
   std::vector<PoiId> members;
   CollectSubtreePois(node, &members);
   ForSampledIndices(
-      members.size(), options_.max_members_checked, [&](size_t i) {
+      members.size(), kMaxMembersChecked, [&](size_t i) {
         const PoiId o = members[i];
         const double score =
             MatchScoreOverMask(ctx.w_q, poi_index_->sup_mask(o));

@@ -115,9 +115,6 @@ struct PruningAuditorOptions {
   /// re-tests run BFS / Dijkstra, so production-shaped audit runs want a
   /// stride; tests use 1 for determinism.
   uint32_t sample_period = 17;
-  /// Node-level events re-test at most this many members of the pruned
-  /// subtree (evenly strided, deterministic).
-  int max_members_checked = 8;
   /// Abort with a diagnostic on the first violation (the GPSSN_AUDIT
   /// default). Tests set false and assert on violations() instead.
   bool abort_on_violation = true;

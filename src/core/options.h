@@ -97,11 +97,11 @@ struct QueryOptions {
   PruningFlags pruning;
   /// LRU buffer pool capacity (pages) for the I/O metric.
   uint32_t buffer_pool_pages = 64;
-  /// Refinement safety caps (exact answers are unaffected unless a cap is
-  /// hit, which is reported in QueryStats::truncated): the groups the plan
-  /// enumerates, and the EXACT distance evaluations in refinement.
+  /// Safety cap on the groups the plan enumerates (exact answers are
+  /// unaffected unless it is hit, which is reported in
+  /// QueryStats::truncated). Refinement needs no cap: each exact evaluation
+  /// at a center kills a member's groups there or keeps an answer.
   static constexpr int64_t max_groups = 100000;
-  static constexpr int64_t max_refine_pairs = 100000;
   /// Cooperative deadline (see QueryDeadline). Unarmed by default.
   QueryDeadline deadline;
   /// Optional external cancel flag (e.g. batch shutdown), polled at the

@@ -33,10 +33,10 @@ class ScopedPhaseTimer {
   double* out_;
 };
 
-// Matched centers in Refine's first lazy batch; each later batch doubles
-// it. A batch that adds targets costs a registration plus one sweep per row
-// read again, so the batches grow: a query that visits n centers
-// re-registers O(log n) times.
+// Matched centers in Refine's first batch when rows refill in one sweep;
+// each later batch doubles it. A batch that adds targets costs a
+// registration plus one sweep per row read again, so the batches grow: a
+// query that visits n centers re-registers O(log n) times.
 constexpr size_t kFirstRefineBatch = 16;
 
 // Cooperative interruption (deadline / external cancel), polled at every
@@ -512,51 +512,44 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
   };
   auto reject = [&](double v) { return full() ? v >= bound() : v > incumbent; };
 
-  // The candidates not materialized yet ("pending") come out in (key, id)
-  // order, the key being the issuer's Eq. 17 bound. A center belongs to its
-  // own ball, so its key never exceeds its exact `worst` below, and a
-  // center whose `worst` is below every pending key ranks before all of
-  // them. A row that refills in one sweep (CH) lets them materialize
-  // lazily, in batches of kFirstRefineBatch matched centers, doubling: each
-  // batch that adds targets re-registers the needed set, and every row
-  // reopens at its next read. A Dijkstra row would redo its search, and a
-  // cache looks rows up and stores them over one needed set, so either
-  // takes one batch of every candidate, before the first row. The next
-  // pending candidate is the last element: one batch sorts them in
-  // descending order; lazy batches keep a min-heap over the others.
-  const bool lazy = engine.RowRefillsInOneSweep() && cache == nullptr;
+  // The candidates not materialized yet ("pending") come out of a min-heap
+  // in (key, id) order, the key being the issuer's Eq. 17 bound. A center
+  // belongs to its own ball, so its key never exceeds its exact `worst`
+  // below, and a center whose `worst` is below every pending key ranks
+  // before all of them. They materialize in batches. A row that refills in
+  // one sweep (CH) lets a batch hold kFirstRefineBatch matched centers,
+  // doubling: each batch that adds targets re-registers the needed set, and
+  // every row reopens at its next read. A Dijkstra row would redo its
+  // search, and a cache looks rows up and stores them over one needed set,
+  // so either takes one batch of every candidate, before the first row.
   std::vector<std::pair<double, PoiId>>& pending = plan->pois;
-  if (lazy) {
-    std::make_heap(pending.begin(), pending.end(), std::greater<>());
-    std::pop_heap(pending.begin(), pending.end(), std::greater<>());
-  } else {
-    std::sort(pending.begin(), pending.end(), std::greater<>());
-  }
+  std::make_heap(pending.begin(), pending.end(), std::greater<>());
+  const size_t first_batch = engine.RowRefillsInOneSweep() && cache == nullptr
+                                 ? kFirstRefineBatch
+                                 : pending.size();
   auto next_key = [&]() {
-    return pending.empty() ? kInfDistance : pending.back().first;
+    return pending.empty() ? kInfDistance : pending.front().first;
   };
   auto pop_pending = [&]() {
+    std::pop_heap(pending.begin(), pending.end(), std::greater<>());
     const PoiId c = pending.back().second;
     pending.pop_back();
-    if (lazy && !pending.empty()) {
-      std::pop_heap(pending.begin(), pending.end(), std::greater<>());
-    }
     return c;
   };
-  // Materializes pending candidates until `quota` of them match or none is
-  // left; a lazy batch also stops at a key that fails Lemma 7, since every
-  // later center's `worst` fails it too. B(c, r) is read from I_R: the
-  // stored B(c, r_max) is in (distance, id) order, so B(c, r) is its prefix
-  // within r, and the prefix's last running mask is ∪_{o∈R} o.K. Only a
-  // ball whose keyword union the issuer matches can hold an answer, so only
-  // its center is kept, and only its members take slots and are charged.
-  // False when interrupted.
+  // Materializes pending candidates until `quota` of them match, none is
+  // left, or the next key fails Lemma 7, since every later center's `worst`
+  // fails it too. B(c, r) is read from I_R: the stored B(c, r_max) is in
+  // (distance, id) order, so B(c, r) is its prefix within r, and the
+  // prefix's last running mask is ∪_{o∈R} o.K. Only a ball whose keyword
+  // union the issuer matches can hold an answer, so only its center is
+  // kept, and only its members take slots and are charged. False when
+  // interrupted.
   auto materialize = [&](size_t quota) {
     // One timer spans the batch, not one per center: a query materializes
     // hundreds of centers, and each timer reads the clock twice.
     const ScopedPhaseTimer ball_phase(&stats->ball_seconds);
     for (size_t matched = 0; matched < quota && !pending.empty();) {
-      if (lazy && reject(next_key())) break;
+      if (reject(next_key())) break;
       if (InterruptRequested(options)) return false;
       const PoiId c = pop_pending();
       ++stats->ball_queries;
@@ -741,12 +734,14 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
               });
   };
 
-  // A member whose Lemma 5 bound or θ match fails at a center fails every
-  // group that holds it there, now or later at that center, since the
-  // threshold only tightens. So the loop marks all of those groups dead at
-  // once and visits only live ones, in index order: the groups that reach
-  // the exact objective, and their order, are the same as if each group
-  // had been bounded member by member.
+  // A member whose Lemma 5 bound, θ match or exact share fails at a center
+  // fails every group that holds it there, now or later at that center,
+  // since the threshold only tightens. So the loop marks all of those
+  // groups dead at once and visits only live ones, in index order: the
+  // groups it keeps, and their order, are the same as if each group had
+  // been tested member by member. A group whose members all pass is kept,
+  // so a center costs at most one exact evaluation per member plus k per
+  // share value an answer takes.
   const size_t num_groups = groups.size();
   const size_t group_words = (num_groups + 63) / 64;
   auto kill = [&](UserId u) {
@@ -770,16 +765,15 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
     return (w << 6) + static_cast<size_t>(std::countr_zero(live));
   };
 
-  int64_t pair_budget = QueryOptions::max_refine_pairs;
   uint32_t poll_stride = 0;
   uint32_t visit = 0;
   // Centers [0, ci) are visited. Each round materializes a batch, resolves
   // it, and visits the resolved centers ranked below the next pending key:
   // in (worst, id) order, as if every center had been resolved up front.
   size_t ci = 0;
-  for (size_t quota = kFirstRefineBatch;; quota *= 2) {
+  for (size_t quota = first_batch;; quota *= 2) {
     const size_t first_new = scr.centers.size();
-    if (!materialize(lazy ? quota : pending.size())) return interrupted();
+    if (!materialize(quota)) return interrupted();
     resolve(first_new, ci);
     const double frontier = next_key();
     bool stopped = false;
@@ -816,6 +810,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
         if (entry.visit != visit) {
           entry.lb = LbRoadPivotDist(social_index_->user_road_pivot_dists(u),
                                      center_pivots);
+          entry.share = -1.0;
           entry.visit = visit;
           entry.match = -1;
           ++stats->pair_bounds;
@@ -836,6 +831,22 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
         }
         return entry.match == 1;
       };
+      // u's share of any objective here, max_{o∈ball} dist(u, o), read on
+      // first use under the bound then in force: the row grows to this
+      // center's ball only that far. An entry beyond the bound, or
+      // unreachable, fails the share; a share that passes is exact and
+      // stays so as the threshold tightens.
+      auto share_fails = [&](UserId u) {
+        CenterCell& entry = cell(u);
+        if (entry.share < 0.0) {
+          const double* dists = read_row(row_of(u), bound());
+          entry.share = 0.0;
+          for (int32_t slot : scr.read_slots) {
+            entry.share = std::max(entry.share, dists[slot]);
+          }
+        }
+        return entry.share >= kInfDistance || reject(entry.share);
+      };
 
       for (size_t gi = next_live(0); gi < num_groups; gi = next_live(gi + 1)) {
         if ((++poll_stride & 63u) == 0 && InterruptRequested(options)) {
@@ -845,48 +856,26 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
         // the next center is then rejected by Lemma 7.
         if (reject(center.worst)) break;
         // Pivot lower bound of the pair objective (Lemma 5), member by
-        // member, then the θ test; the first member to fail either kills
-        // its groups.
+        // member, then the θ test, then the exact share; the first member
+        // to fail any of them kills its groups.
         const std::vector<UserId>& group = groups[gi];
         auto failed = std::find_if(group.begin(), group.end(), bound_fails);
         if (failed == group.end()) {
           failed = std::find_if_not(group.begin(), group.end(), matches);
         }
+        if (failed == group.end()) {
+          ++stats->pairs_examined;
+          failed = std::find_if(group.begin(), group.end(), share_fails);
+        }
         if (failed != group.end()) {
           kill(*failed);
           continue;
         }
-
-        // Exact objective: maxdist_RN(S, B(c, r)). The budget caps only
-        // these expensive evaluations; lower-bound skips above are O(h) and
-        // free.
-        if (--pair_budget < 0) {
-          stats->truncated = true;
-          break;
-        }
-        ++stats->pairs_examined;
+        // Every share passes, so their max, the exact objective
+        // maxdist_RN(S, B(c, r)), does too. S and R are copied once the
+        // loop ends, for the answers still kept.
         double obj = 0.0;
-        bool feasible = true;
-        for (UserId u : group) {
-          // The row grows to this center's ball under the bound the read
-          // judges it by.
-          const double b = bound();
-          const double* dists = read_row(row_of(u), b);
-          for (int32_t slot : scr.read_slots) {
-            const double d = dists[slot];
-            if (d >= kInfDistance || d > b) {
-              feasible = false;  // Distance beyond the bound: cannot win.
-              break;
-            }
-            obj = std::max(obj, d);
-          }
-          if (!feasible || reject(obj)) {
-            feasible = false;
-            break;
-          }
-        }
-        if (!feasible) continue;
-        // S and R are copied once the loop ends, for the answers still kept.
+        for (UserId u : group) obj = std::max(obj, cell(u).share);
         RankedAnswer ranked;
         ranked.answer.found = true;
         ranked.answer.center = center.id;
@@ -898,9 +887,7 @@ Status GpssnProcessor::Refine(const QueryOptions& options,
                      std::move(ranked));
         if (static_cast<int>(best->size()) > top_k) best->pop_back();
       }
-      if (pair_budget < 0) break;
     }
-    if (pair_budget < 0) break;
     // The pending keys bound every later center's `worst` from below.
     if (stopped || (!pending.empty() && reject(frontier))) {
       stats->pois_pruned_distance += scr.centers.size() - ci + pending.size();

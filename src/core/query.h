@@ -11,15 +11,16 @@
 //           a single node, a shard's subtrees when serving);
 //   PLAN    Corollary 2 + group enumeration (PlanGroups, core/refinement.h);
 //   REFINE  ball materialization, per-member distance rows, and the
-//           ranked pair loop over (center, group) candidates; on CH the
-//           balls materialize in batches, as far as the pair loop visits.
+//           ranked pair loop over (center, group) candidates; the balls
+//           materialize as far as the pair loop visits.
 // Execute/ExecuteTopK run all three; the serving shards run GATHER and
 // REFINE while the coordinator runs PLAN (serving/coordinator.h).
 //
 // Exact by construction: every prune is sound on its own, so no query
 // runs twice. The road-distance prune is Refine's incumbent (Lemma 7 over
-// the issuer's exact distances, DESIGN.md §5). Answers are exact unless a
-// refinement cap was hit, which is reported via QueryStats::truncated.
+// the issuer's exact distances, DESIGN.md §5). Answers are exact unless
+// the group enumeration hit QueryOptions::max_groups, which is reported
+// via QueryStats::truncated.
 
 #ifndef GPSSN_CORE_QUERY_H_
 #define GPSSN_CORE_QUERY_H_
@@ -198,12 +199,13 @@ class GpssnProcessor {
   /// prefix of I_R's stored ball, keeps the centers whose keyword union the
   /// issuer matches, ranks them by the issuer's exact distances, and runs
   /// the pair loop over `groups` (plan->groups on a single node, the
-  /// coordinator's list on a shard). When the engine's rows refill in one
-  /// sweep and no cache is attached, the centers materialize in batches,
+  /// coordinator's list on a shard). The centers materialize in batches,
   /// each visited once its exact rank is below every pending key, and none
-  /// past the first key that fails Lemma 7; otherwise all at once. Consumes
-  /// plan->pois. `best` receives up to `top_k` answers in discovery-rank
-  /// order; only answers with objective <= `incumbent` are kept.
+  /// past the first key that fails Lemma 7; a batch is every candidate
+  /// unless the engine's rows refill in one sweep and no cache is
+  /// attached. Consumes plan->pois. `best` receives up to `top_k` answers
+  /// in discovery-rank order; only answers with objective <= `incumbent`
+  /// are kept.
   Status Refine(const QueryOptions& options,
                 const std::vector<std::vector<UserId>>& groups, int top_k,
                 double incumbent, QueryPlan* plan, QueryStats* stats,
@@ -218,11 +220,13 @@ class GpssnProcessor {
   /// builds).
   PruningAuditor* AuditorFor(const QueryOptions& options) const;
 
-  /// One member's entry in the per-center table: its Lemma 5 bound and
-  /// θ match at the center being visited, valid when `visit` is that
-  /// center's visit number. `match` is -1 until first asked.
+  /// One member's entry in the per-center table: its Lemma 5 bound, θ
+  /// match and exact share at the center being visited, valid when `visit`
+  /// is that center's visit number. `match` is -1 and `share` negative
+  /// until first asked.
   struct CenterCell {
     double lb = 0.0;
+    double share = -1.0;
     uint32_t visit = 0;
     int8_t match = -1;
   };
@@ -284,8 +288,8 @@ class GpssnProcessor {
     // Member -> its entry at the visited center, filled lazily.
     std::vector<CenterCell> at_center;
     // Bit g set: group g is dead at the visited center, because one of its
-    // members failed its Lemma 5 bound or θ match there. The bits past the
-    // last group are set too.
+    // members failed its Lemma 5 bound, θ match or exact share there. The
+    // bits past the last group are set too.
     std::vector<uint64_t> dead_groups;
     // The distance rows, one per member in first-use order. Row r holds
     // tables[2r·|needed|, (2r+1)·|needed|), its entries, then as many

@@ -40,26 +40,30 @@ namespace gpssn {
   X(uint64_t, road_nodes_pruned_match, Sum) /* Lemma 6. */                   \
   X(uint64_t, pois_seen, Sum)                                                \
   X(uint64_t, pois_pruned_match, Sum) /* Lemma 1. */                         \
-  /* Candidate centers Refine rules out by Lemma 7 against the incumbent:   \
-     matched centers whose exact issuer distances fail it, plus, on CH       \
-     without a cache, the candidates never materialized because the pivot    \
-     key (Eq. 17) of the first of them in key order fails it. */             \
+  /* Candidate centers Refine rules out by Lemma 7 against the incumbent:    \
+     matched centers whose exact issuer distances fail it, plus the          \
+     candidates never materialized because the pivot key (Eq. 17) of the     \
+     first of them in key order fails it. */                                 \
   X(uint64_t, pois_pruned_distance, Sum)                                     \
   X(uint64_t, pois_candidates, Sum)                                          \
   X(uint64_t, pois_pruned_at_index_level, Sum)                               \
   /* --- Refinement (Fig. 7(d), Figs. 8-11). */                              \
   X(uint64_t, groups_enumerated, Sum)                                        \
-  /* (S, R) pairs actually evaluated. */                                     \
+  /* (S, R) pairs that reach the exact stage, where each either kills the    \
+     first member whose exact share fails or is kept. */                     \
   X(uint64_t, pairs_examined, Sum)                                           \
   /* Lemma 5 pivot bounds the pair loop evaluated: at most one per           \
      (group member, visited center), however many groups share it. */        \
   X(uint64_t, pair_bounds, Sum)                                              \
-  /* Distance-row searches opened: one per row whose reads some cached       \
-     item could not decide (every row, without a cache), and on CH one more  \
-     each time a row is read again after a lazy batch added targets. A       \
-     Dijkstra search then grows only as far as the row's reads need. */      \
+  /* Distance-row searches opened: one per member row whose reads some       \
+     cached item could not decide (every row read, without a cache), and on  \
+     CH one more each time a row is read again after a batch added targets.  \
+     A member's row is read once per visited center, at the first group      \
+     that brings it to the exact stage. A Dijkstra search then grows only    \
+     as far as the row's reads need. */                                      \
   X(uint64_t, exact_distance_evals, Sum)                                     \
-  X(bool, truncated, Or) /* A refinement cap was hit. */                     \
+  /* The group enumeration hit QueryOptions::max_groups. */                  \
+  X(bool, truncated, Or)                                                     \
   /* --- Per-phase wall time (attributes backend/cache wins to the phase     \
      they land in; they do not sum to cpu_seconds — ball and the rows after  \
      refine are parts of refine, though on a cluster the two PlanGroups rows \
@@ -90,15 +94,13 @@ namespace gpssn {
      memo each pair is scored at most once per plan. */                      \
   X(uint64_t, interest_pairs_scored, Sum)                                    \
   /* --- Ball materialization: B(o, r) is a prefix of I_R's stored ball      \
-     (PoiIndex::BallPrefix), one per candidate center Refine takes: every    \
-     candidate with the Dijkstra engine or a cache; on CH without a cache    \
-     only those taken, in pivot-key order, before the next key fails Lemma   \
-     7 (each batch stops there too), so the rest are never materialized.     \
-     ball_seconds times the prefix searches, the match tests, the matched    \
-     balls' slots and, on CH, the key heap's pops. No query searches the     \
-     road network for a ball, so nothing increments                          \
-     ball_range_engine_queries: it always reads 0 and stays only because     \
-     perfbench reads it (roadnet.range_engine_share). */                     \
+     (PoiIndex::BallPrefix), one per candidate center Refine takes, in       \
+     pivot-key order, before the next key fails Lemma 7 (each batch stops    \
+     there too), so the rest are never materialized. ball_seconds times the  \
+     prefix searches, the match tests, the matched balls' slots and the key  \
+     heap's pops. No query searches the road network for a ball, so          \
+     nothing increments ball_range_engine_queries: it always reads 0 and     \
+     stays only because perfbench reads it (roadnet.range_engine_share). */  \
   X(uint64_t, ball_queries, Sum)                                             \
   X(uint64_t, ball_range_engine_queries, Sum)                                \
   /* --- Sharded serving (src/serving/): all 0 on the single-node path.      \

@@ -15,6 +15,8 @@ namespace {
 // Sample sizes: score pairs for γ and for θ, and ball centers for r.
 constexpr int kScoreSamples = 800;
 constexpr int kRadiusSamples = 200;
+// The ball size the radius suggestion should typically gather.
+constexpr size_t kTargetBallSize = 8;
 
 double Percentile(std::vector<double>* values, double p) {
   if (values->empty()) return 0.0;
@@ -56,7 +58,7 @@ ParameterSuggestion SuggestParameters(const SpatialSocialNetwork& ssn,
     suggestion.gamma = Percentile(&scores, 1.0 - options.percentile);
   }
 
-  // --- r: percentile of the radius needed to gather target_ball_size POIs
+  // --- r: percentile of the radius needed to gather kTargetBallSize POIs
   // around a random POI (a stand-in for the trip-length distribution of a
   // query log).
   const std::unique_ptr<DistanceBackend> backend =
@@ -72,7 +74,7 @@ ParameterSuggestion SuggestParameters(const SpatialSocialNetwork& ssn,
       for (int iter = 0; iter < 12; ++iter) {
         const auto ball =
             engine->BallWithDistances(ssn.poi(center).position, probe);
-        if (static_cast<int>(ball.size()) >= options.target_ball_size) {
+        if (ball.size() >= kTargetBallSize) {
           double max_d = 0.0;
           for (const auto& [id, d] : ball) max_d = std::max(max_d, d);
           radii.push_back(max_d);

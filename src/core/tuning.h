@@ -15,7 +15,6 @@
 #define GPSSN_CORE_TUNING_H_
 
 #include "common/rng.h"
-#include "core/options.h"
 #include "ssn/spatial_social_network.h"
 
 namespace gpssn {
@@ -24,8 +23,6 @@ struct TuningOptions {
   /// The x-th percentile used for every distribution, in (0, 1). 0.5 =
   /// median: half of friend pairs / user-ball pairs qualify.
   double percentile = 0.5;
-  /// Ball size the radius suggestion should typically gather.
-  int target_ball_size = 8;
   uint64_t seed = 1;
 };
 
@@ -39,13 +36,6 @@ struct ParameterSuggestion {
 /// returned radius is clamped to be strictly positive.
 ParameterSuggestion SuggestParameters(const SpatialSocialNetwork& ssn,
                                       const TuningOptions& options);
-
-/// Fills a GpssnQuery's thresholds from a suggestion (issuer/τ untouched).
-inline void ApplySuggestion(const ParameterSuggestion& s, GpssnQuery* query) {
-  query->gamma = s.gamma;
-  query->theta = s.theta;
-  query->radius = s.radius;
-}
 
 }  // namespace gpssn
 

@@ -22,6 +22,29 @@ void MergeBounds(std::vector<T>* lb, std::vector<T>* ub,
   }
 }
 
+// A leaf's interest boxes (Eqs. 9-10) from its members' runs: a topic some
+// member does not hold has lower bound 0, and one no member holds has upper
+// bound 0 too. `holders` is scratch, one count per topic.
+void FillLeafInterestBounds(const SocialNetwork& social, SocialIndexNode* leaf,
+                            std::vector<size_t>* holders) {
+  const auto d = static_cast<size_t>(social.num_topics());
+  leaf->lb_w.assign(d, std::numeric_limits<double>::infinity());
+  leaf->ub_w.assign(d, 0.0);
+  holders->assign(d, 0);
+  for (UserId member : leaf->users) {
+    const InterestRun run = social.Run(member);
+    for (size_t i = 0; i < run.size(); ++i) {
+      const KeywordId f = run.topics[i];
+      leaf->lb_w[f] = std::min(leaf->lb_w[f], run.weights[i]);
+      leaf->ub_w[f] = std::max(leaf->ub_w[f], run.weights[i]);
+      ++(*holders)[f];
+    }
+  }
+  for (size_t f = 0; f < d; ++f) {
+    if ((*holders)[f] < leaf->users.size()) leaf->lb_w[f] = 0.0;
+  }
+}
+
 }  // namespace
 
 SocialIndex::SocialIndex(const SpatialSocialNetwork* ssn,
@@ -82,11 +105,6 @@ SocialIndex::SocialIndex(const SpatialSocialNetwork* ssn,
   for (UserId u = 0; u < m; ++u) {
     SocialIndexNode& leaf = nodes_[node_of_cell[partition.cell[u]]];
     leaf.users.push_back(u);
-    const auto w = social.Interests(u);
-    for (int f = 0; f < d; ++f) {
-      leaf.lb_w[f] = std::min(leaf.lb_w[f], w[f]);
-      leaf.ub_w[f] = std::max(leaf.ub_w[f], w[f]);
-    }
     for (int k = 0; k < l; ++k) {
       const int hops = social_pivots->UserToPivot(u, k);
       leaf.lb_sp[k] = std::min(leaf.lb_sp[k], hops);
@@ -95,6 +113,7 @@ SocialIndex::SocialIndex(const SpatialSocialNetwork* ssn,
   }
   for (SNodeId id : current_level) {
     nodes_[id].subtree_users = static_cast<int>(nodes_[id].users.size());
+    FillLeafInterestBounds(social, &nodes_[id], &holders_);
   }
   GPSSN_CHECK(!current_level.empty());
 
@@ -224,38 +243,19 @@ Status SocialIndex::UpdateUserInterests(UserId u) {
     return Status::InvalidArgument("user out of range");
   }
   const int d = ssn_->num_topics();
-  const SocialNetwork& social = ssn_->social();
-  // Exact recomputation of the interest boxes along the leaf-to-root path.
-  // The leaf reads its members' runs: a topic some member does not hold
-  // has lower bound 0, and one no member holds has upper bound 0 too.
+  // Exact recomputation of the interest boxes along the leaf-to-root path,
+  // as the build computes them.
   for (SNodeId id = leaf_of_user_[u]; id != -1; id = parent_[id]) {
     SocialIndexNode& node = nodes_[id];
     if (node.is_leaf()) {
-      node.lb_w.assign(d, std::numeric_limits<double>::infinity());
-      node.ub_w.assign(d, 0.0);
-      holders_.assign(d, 0);
-      for (UserId member : node.users) {
-        const InterestRun run = social.Run(member);
-        for (size_t i = 0; i < run.size(); ++i) {
-          const KeywordId f = run.topics[i];
-          node.lb_w[f] = std::min(node.lb_w[f], run.weights[i]);
-          node.ub_w[f] = std::max(node.ub_w[f], run.weights[i]);
-          ++holders_[f];
-        }
-      }
-      for (int f = 0; f < d; ++f) {
-        if (holders_[f] < node.users.size()) node.lb_w[f] = 0.0;
-      }
-    } else {
-      node.lb_w.assign(d, std::numeric_limits<double>::infinity());
-      node.ub_w.assign(d, -std::numeric_limits<double>::infinity());
-      for (SNodeId child : node.children) {
-        const SocialIndexNode& c = nodes_[child];
-        for (int f = 0; f < d; ++f) {
-          node.lb_w[f] = std::min(node.lb_w[f], c.lb_w[f]);
-          node.ub_w[f] = std::max(node.ub_w[f], c.ub_w[f]);
-        }
-      }
+      FillLeafInterestBounds(ssn_->social(), &node, &holders_);
+      continue;
+    }
+    node.lb_w.assign(d, std::numeric_limits<double>::infinity());
+    node.ub_w.assign(d, -std::numeric_limits<double>::infinity());
+    for (SNodeId child : node.children) {
+      MergeBounds(&node.lb_w, &node.ub_w, nodes_[child].lb_w,
+                  nodes_[child].ub_w);
     }
   }
   return Status::OK();

@@ -99,10 +99,9 @@ class SocialIndex {
   /// Dynamic maintenance: user u's interest vector changed in the
   /// underlying network (SpatialSocialNetwork::UpdateUserInterests).
   /// Recomputes the interest lb/ub boxes exactly along the leaf-to-root
-  /// path, the leaf from its members' interest runs (O(Σ run lengths +
-  /// d·height)). A zero bound is +0.0, which equals a build's bound bit
-  /// for bit unless a member's row holds -0.0; then only the zero's sign
-  /// differs, which no box test can tell apart.
+  /// path, as the build computes them: the leaf from its members' interest
+  /// runs, the parents by merging their children (O(Σ run lengths +
+  /// d·height)).
   Status UpdateUserInterests(UserId u);
 
  private:
@@ -118,7 +117,7 @@ class SocialIndex {
   std::vector<double> user_pivot_rows_;  // num_pivots_ per user, id order.
   std::vector<PageId> user_page_;
   uint32_t num_pages_ = 0;
-  std::vector<size_t> holders_;  // UpdateUserInterests' per-topic counts.
+  std::vector<size_t> holders_;  // Per-topic counts for a leaf's boxes.
 };
 
 }  // namespace gpssn

@@ -203,52 +203,4 @@ RoadNetwork GenerateRoadNetwork(const RoadGenOptions& options) {
   return builder.Build();
 }
 
-RoadNetwork GenerateGridRoadNetwork(const GridRoadOptions& options) {
-  GPSSN_CHECK(options.rows >= 2 && options.cols >= 2);
-  GPSSN_CHECK(options.spacing > 0.0);
-  GPSSN_CHECK(options.knockout_fraction >= 0.0 &&
-              options.knockout_fraction < 1.0);
-  Rng rng(options.seed);
-  RoadNetworkBuilder builder;
-  auto vertex_at = [&](int r, int c) { return r * options.cols + c; };
-  for (int r = 0; r < options.rows; ++r) {
-    for (int c = 0; c < options.cols; ++c) {
-      builder.AddVertex({c * options.spacing, r * options.spacing});
-    }
-  }
-  // Candidate street segments.
-  struct Segment {
-    VertexId a, b;
-  };
-  std::vector<Segment> segments;
-  for (int r = 0; r < options.rows; ++r) {
-    for (int c = 0; c < options.cols; ++c) {
-      if (c + 1 < options.cols) {
-        segments.push_back({vertex_at(r, c), vertex_at(r, c + 1)});
-      }
-      if (r + 1 < options.rows) {
-        segments.push_back({vertex_at(r, c), vertex_at(r + 1, c)});
-      }
-    }
-  }
-  rng.Shuffle(&segments);
-  // Keep a spanning skeleton first so knockouts cannot disconnect the city.
-  const int n = options.rows * options.cols;
-  UnionFind uf(n);
-  std::vector<Segment> optional;
-  for (const Segment& s : segments) {
-    if (uf.Union(s.a, s.b)) {
-      GPSSN_CHECK(builder.AddEdge(s.a, s.b).ok());
-    } else {
-      optional.push_back(s);
-    }
-  }
-  for (const Segment& s : optional) {
-    if (rng.UniformDouble() >= options.knockout_fraction) {
-      GPSSN_CHECK(builder.AddEdge(s.a, s.b).ok());
-    }
-  }
-  return builder.Build();
-}
-
 }  // namespace gpssn

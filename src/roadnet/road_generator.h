@@ -28,23 +28,6 @@ struct RoadGenOptions {
 /// Generates a connected, spatially embedded road network.
 RoadNetwork GenerateRoadNetwork(const RoadGenOptions& options);
 
-struct GridRoadOptions {
-  int rows = 50;
-  int cols = 50;
-  /// Distance between adjacent intersections.
-  double spacing = 1.0;
-  /// Fraction of grid edges randomly removed (closed streets); the network
-  /// is kept connected regardless.
-  double knockout_fraction = 0.1;
-  uint64_t seed = 1;
-};
-
-/// Generates a Manhattan-style grid city: rows x cols intersections with
-/// axis-aligned streets, minus a random knockout of street segments. A
-/// harsher test for spatial indexes than the organic generator (strong
-/// directional structure, many equal-length shortest paths).
-RoadNetwork GenerateGridRoadNetwork(const GridRoadOptions& options);
-
 }  // namespace gpssn
 
 #endif  // GPSSN_ROADNET_ROAD_GENERATOR_H_

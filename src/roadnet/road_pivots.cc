@@ -42,17 +42,6 @@ double RoadPivotTable::LowerBound(const std::vector<double>& a_to_pivots,
   return best;
 }
 
-double RoadPivotTable::UpperBound(const std::vector<double>& a_to_pivots,
-                                  const std::vector<double>& b_to_pivots) const {
-  GPSSN_CHECK(a_to_pivots.size() == pivots_.size());
-  GPSSN_CHECK(b_to_pivots.size() == pivots_.size());
-  double best = kInfDistance;
-  for (size_t k = 0; k < pivots_.size(); ++k) {
-    best = std::min(best, a_to_pivots[k] + b_to_pivots[k]);
-  }
-  return best;
-}
-
 std::vector<double> RoadPivotTable::PositionDistances(
     const EdgePosition& pos) const {
   std::vector<double> out(pivots_.size());

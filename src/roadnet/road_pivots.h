@@ -42,11 +42,6 @@ class RoadPivotTable {
   double LowerBound(const std::vector<double>& a_to_pivots,
                     const std::vector<double>& b_to_pivots) const;
 
-  /// Triangle-inequality upper bound of dist_RN(a, b):
-  ///   min_k ( d(a, rp_k) + d(b, rp_k) ).
-  double UpperBound(const std::vector<double>& a_to_pivots,
-                    const std::vector<double>& b_to_pivots) const;
-
   /// All pivot distances of a position, as a dense vector of length h.
   std::vector<double> PositionDistances(const EdgePosition& pos) const;
 

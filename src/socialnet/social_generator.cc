@@ -146,22 +146,6 @@ std::vector<double> DrawSparseInterestVector(
 
 }  // namespace
 
-std::vector<double> DrawDenseInterestVector(int num_topics, Distribution dist,
-                                            double zipf_exponent, Rng* rng) {
-  std::vector<double> w(num_topics);
-  if (dist == Distribution::kUniform) {
-    for (double& p : w) p = rng->UniformDouble();
-    return w;
-  }
-  static constexpr int kLevels = 11;
-  ZipfSampler sampler(kLevels, zipf_exponent);
-  for (double& p : w) {
-    const size_t rank = sampler.Sample(rng);
-    p = 1.0 - static_cast<double>(rank) / (kLevels - 1);
-  }
-  return w;
-}
-
 SocialNetwork GenerateSocialNetwork(const SocialGenOptions& options,
                                     std::vector<int>* community_of) {
   GPSSN_CHECK(options.num_users >= 2);
@@ -182,15 +166,10 @@ SocialNetwork GenerateSocialNetwork(const SocialGenOptions& options,
   ZipfSampler topic_sampler(d, kTopicZipfExponent);
   std::vector<std::vector<double>> interests(m);
   for (UserId u = 0; u < m; ++u) {
-    if (options.interests.sparse) {
-      interests[u] = DrawSparseInterestVector(
-          d, profiles[community[u]],
-          options.community_size > 0 ? kProfileAffinity : 0.0, topic_sampler,
-          &rng);
-    } else {
-      interests[u] = DrawDenseInterestVector(
-          d, options.interest_distribution, options.zipf_exponent, &rng);
-    }
+    interests[u] = DrawSparseInterestVector(
+        d, profiles[community[u]],
+        options.community_size > 0 ? kProfileAffinity : 0.0, topic_sampler,
+        &rng);
   }
 
   // --- Target degrees.

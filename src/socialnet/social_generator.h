@@ -36,14 +36,6 @@ inline constexpr int kSparseTopicsMax = 4;
 inline constexpr double kSparseWeightMin = 0.2;
 inline constexpr double kTopicZipfExponent = 0.25;
 
-/// How user interest vectors are drawn.
-struct InterestModel {
-  /// Sparse (default): the model above. Dense: every entry drawn from
-  /// [0, 1] (the paper's literal synthetic recipe; scores concentrate near
-  /// d/4).
-  bool sparse = true;
-};
-
 struct SocialGenOptions {
   int num_users = 10000;
   int num_topics = 50;
@@ -52,11 +44,8 @@ struct SocialGenOptions {
   Distribution degree_distribution = Distribution::kUniform;
   int degree_min = 1;
   int degree_max = 10;
-  /// Zipf exponent for kZipf degree / dense-interest draws.
+  /// Zipf exponent for kZipf degree draws.
   double zipf_exponent = 1.0;
-  /// Interest vectors: sparse homophilous (default) or paper-literal dense.
-  Distribution interest_distribution = Distribution::kUniform;
-  InterestModel interests;
   /// Community structure; 0 disables it.
   int community_size = 150;
   double intra_community_edge_fraction = 0.7;
@@ -93,11 +82,6 @@ struct PowerLawSocialOptions {
 SocialNetwork GeneratePowerLawSocialNetwork(
     const PowerLawSocialOptions& options,
     std::vector<int>* community_of = nullptr);
-
-/// Draws a dense interest vector (paper-literal mode): d entries in [0, 1]
-/// with the given distribution.
-std::vector<double> DrawDenseInterestVector(int num_topics, Distribution dist,
-                                            double zipf_exponent, Rng* rng);
 
 }  // namespace gpssn
 

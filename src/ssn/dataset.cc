@@ -95,7 +95,6 @@ SpatialSocialNetwork MakeSynthetic(const SyntheticSsnOptions& options) {
   social_options.num_users = options.num_users;
   social_options.num_topics = options.num_topics;
   social_options.degree_distribution = options.distribution;
-  social_options.interest_distribution = options.distribution;
   social_options.zipf_exponent = options.zipf_exponent;
   social_options.community_size = options.community_size;
   social_options.seed = rng.Next();

@@ -1,6 +1,6 @@
 // Tests for the exact bit sets: a keyword mask holds exactly the keywords
-// added to it (Lemmas 1 and 6 score it as the keyword set itself), and
-// the set-bit walks and counts see exactly the set bits.
+// added to it (Lemmas 1 and 6 score it as the keyword set itself), and a
+// bitset holds exactly the bits set in it.
 
 #include "common/bitvector.h"
 
@@ -30,30 +30,29 @@ TEST(KeywordMaskTest, HoldsExactlyTheKeywordsInRange) {
       }
       std::vector<uint64_t> mask(words, 0);
       AddToKeywordMask(keywords, num_topics, mask.data());
-      std::vector<size_t> walked;
-      ForEachSetBit(mask, [&](size_t kw) { walked.push_back(kw); });
-      ASSERT_EQ(walked, std::vector<size_t>(in_range.begin(), in_range.end()))
-          << "num_topics " << num_topics;
-      ASSERT_EQ(CountSetBits(mask), in_range.size());
+      for (size_t kw = 0; kw < 64 * words; ++kw) {
+        ASSERT_EQ((mask[kw / 64] >> (kw % 64)) & 1u, in_range.count(kw))
+            << "num_topics " << num_topics << " keyword " << kw;
+      }
     }
   }
 }
 
-TEST(DynamicBitsetTest, SetClearTestAndWalk) {
+TEST(DynamicBitsetTest, SetClearTestAndReset) {
   DynamicBitset bits(130);
   EXPECT_EQ(bits.size(), 130u);
   EXPECT_EQ(bits.num_words(), 3u);
   for (size_t i : {0, 63, 64, 129}) bits.Set(i);
   bits.Clear(63);
-  EXPECT_TRUE(bits.Test(64));
-  EXPECT_FALSE(bits.Test(63));
-  EXPECT_EQ(bits.PopCount(), 3u);
-  std::vector<size_t> walked;
-  bits.ForEach([&](size_t i) { walked.push_back(i); });
-  EXPECT_EQ(walked, (std::vector<size_t>{0, 64, 129}));
+  std::vector<size_t> set;
+  for (size_t i = 0; i < bits.size(); ++i) {
+    if (bits.Test(i)) set.push_back(i);
+  }
+  EXPECT_EQ(set, (std::vector<size_t>{0, 64, 129}));
+  EXPECT_EQ(bits.Word(1), uint64_t{1});
   bits.Reset(10);
   EXPECT_EQ(bits.num_words(), 1u);
-  EXPECT_EQ(bits.PopCount(), 0u);
+  EXPECT_EQ(bits.Word(0), uint64_t{0});
 }
 
 }  // namespace

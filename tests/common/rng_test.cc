@@ -65,19 +65,6 @@ TEST(RngTest, UniformDoubleInHalfOpenUnitInterval) {
   EXPECT_NEAR(sum / 10000, 0.5, 0.02);
 }
 
-TEST(RngTest, NormalHasZeroMeanUnitVariance) {
-  Rng rng(17);
-  double sum = 0, sum_sq = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double v = rng.Normal();
-    sum += v;
-    sum_sq += v * v;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.03);
-  EXPECT_NEAR(sum_sq / n, 1.0, 0.05);
-}
-
 TEST(RngTest, ShufflePreservesMultiset) {
   Rng rng(19);
   std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};

@@ -329,14 +329,16 @@ TEST(BackendDatabaseTest, CacheReplayOpensNoSearch) {
   EXPECT_EQ(cache->GetStats().evictions, 0u);
 }
 
-// On CH without a cache, Refine materializes candidates lazily: in (key,
-// id) order, in batches, and none past the first key that fails Lemma 7.
-// Over a seeded mix of Query, QueryTopK(3) and RefineCandidates under the
-// single-node objective as its incumbent, on a CH database:
+// Refine materializes candidates in (key, id) order and none past the
+// first key that fails Lemma 7: on CH without a cache in batches, on the
+// built-in Dijkstra engine in one. Over a seeded mix of Query, QueryTopK(3)
+// and RefineCandidates under the single-node objective as its incumbent,
+// on a CH database:
 //   - every answer's objective is the oracle's, and every top-3 list is
 //     the one-batch run's (the built-in Dijkstra engine) up to ties;
 //   - RefineCandidates over the gathered candidates and planned groups
-//     returns an answer that ties the single-node objective, bit for bit;
+//     returns an answer that ties the single-node objective, bit for bit,
+//     on either engine;
 //   - whenever the answer ranks below the last candidate key, fewer balls
 //     materialize (ball_queries) than candidates reached Refine.
 TEST(LazyRefineTest, MaterializesOnlyTheCentersItCanVisit) {
@@ -433,6 +435,17 @@ TEST(LazyRefineTest, MaterializesOnlyTheCentersItCanVisit) {
     EXPECT_EQ(shard->answer.max_dist, answer->max_dist) << label;
     expect_lazy(refine_stats, answer->max_dist, gathered->pois.size(),
                 "refine");
+    ASSERT_FALSE(eager_top->empty()) << label;
+    const double dijkstra_best = eager_top->front().max_dist;
+    QueryStats dijkstra_stats;
+    auto dijkstra_shard =
+        one_batch.RefineCandidates(q, QueryOptions(), gathered->pois, groups,
+                                   dijkstra_best, &dijkstra_stats);
+    ASSERT_TRUE(dijkstra_shard.ok()) << dijkstra_shard.status().ToString();
+    ASSERT_TRUE(dijkstra_shard->answer.found) << label;
+    EXPECT_EQ(dijkstra_shard->answer.max_dist, dijkstra_best) << label;
+    expect_lazy(dijkstra_stats, dijkstra_best, gathered->pois.size(),
+                "dijkstra refine");
     ++refined;
   }
   EXPECT_GT(fewer, 10);

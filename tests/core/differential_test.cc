@@ -95,7 +95,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
 // Dense social graphs (average degree ≈ 30, GowCol's regime) through
 // Execute, under both social kernels: default pruning runs Corollary 2
 // over the SocialScratch; with interest pruning off the sparse kernels
-// run. Sizes keep the oracle cheap and every refinement cap idle.
+// run. Sizes keep the oracle cheap and the max_groups cap idle.
 class DenseDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DenseDifferentialTest, BothSocialKernelsMatchOracle) {

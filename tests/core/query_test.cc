@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "core/baseline.h"
 #include "core/database.h"
@@ -262,6 +266,113 @@ TEST(QueryRefineTest, FailedMemberBoundRejectsEveryGroupHoldingIt) {
     return;
   }
   FAIL() << "no issuer has a center where one bound stands out";
+}
+
+void ExpectIdenticalAnswer(const GpssnAnswer& got, const GpssnAnswer& oracle) {
+  ASSERT_EQ(got.found, oracle.found);
+  EXPECT_EQ(got.users, oracle.users);
+  EXPECT_EQ(got.center, oracle.center);
+  EXPECT_EQ(got.pois, oracle.pois);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.max_dist),
+            std::bit_cast<uint64_t>(oracle.max_dist));
+}
+
+// A member whose exact share of a center fails the threshold fails every
+// group that holds it there. The road is a line of unit edges at x = -4..4,
+// with c1 (topic 0) at x = 1 and c2 (topic 1) at x = -1. The issuer q
+// (x = 0, both topics) befriends y (x = 1) and f (x = -3); y befriends
+// z (x = 3), and f befriends x_1..x_n (x = -1). y and z hold topic 0, f and
+// the x_i topic 1. So the τ = 3 groups are {q, y, z}, {q, y, f} and the n
+// groups {q, f, x_i}. At c1 f fails θ, and {q, y, z} is kept at max_dist
+// 2. At c2, visited next, f's pivot bound lies below 2, but its exact share
+// is 2, which cannot beat the kept answer, so the first {q, f, x_i} group
+// to reach the exact stage kills f: two pairs reach it, where rejecting
+// group by group took n + 1.
+TEST(QueryRefineTest, FailedMemberShareRejectsEveryGroupHoldingIt) {
+  constexpr int kN = 6;
+  RoadNetworkBuilder road_builder;
+  for (int x = -4; x <= 4; ++x) {
+    road_builder.AddVertex(Point{static_cast<double>(x), 0.0});
+  }
+  for (VertexId v = 0; v < 8; ++v) {
+    ASSERT_TRUE(road_builder.AddEdge(v, v + 1, 1.0).ok());
+  }
+  RoadNetwork road = road_builder.Build();
+  // The position of the vertex at coordinate x.
+  auto at = [](int x) {
+    return x < 4 ? EdgePosition{static_cast<EdgeId>(x + 4), 0.0}
+                 : EdgePosition{7, 1.0};
+  };
+  std::vector<Poi> pois(2);
+  for (PoiId o = 0; o < 2; ++o) {
+    pois[o].id = o;
+    pois[o].position = at(o == 0 ? 1 : -1);
+    pois[o].location = road.PositionPoint(pois[o].position);
+    pois[o].keywords = {static_cast<KeywordId>(o)};
+  }
+  SocialNetworkBuilder social_builder(/*num_topics=*/2);
+  const double both[] = {0.5, 0.5}, first[] = {1.0, 0.0},
+               second[] = {0.0, 1.0};
+  std::vector<EdgePosition> homes;
+  auto add_user = [&](const double* interests, int x) {
+    homes.push_back(at(x));
+    return *social_builder.AddUser(std::span<const double>(interests, 2));
+  };
+  const UserId q = add_user(both, 0);
+  const UserId y = add_user(first, 1);
+  const UserId z = add_user(first, 3);
+  const UserId f = add_user(second, -3);
+  ASSERT_TRUE(social_builder.AddFriendship(q, y).ok());
+  ASSERT_TRUE(social_builder.AddFriendship(y, z).ok());
+  ASSERT_TRUE(social_builder.AddFriendship(q, f).ok());
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_TRUE(social_builder.AddFriendship(f, add_user(second, -1)).ok());
+  }
+  GpssnBuildOptions build;
+  build.num_road_pivots = 2;
+  build.num_social_pivots = 2;
+  GpssnDatabase db(SpatialSocialNetwork(std::move(road),
+                                        social_builder.Build(),
+                                        std::move(homes), std::move(pois)),
+                   build);
+  GpssnQuery query;
+  query.issuer = q;
+  query.tau = 3;
+  query.gamma = 0.0;
+  query.theta = 0.3;
+  query.radius = 0.5;
+  // f passes Lemma 5 at c2.
+  ASSERT_LT(LbRoadPivotDist(db.social_index().user_road_pivot_dists(f),
+                            db.poi_index().pivot_dists(1)),
+            2.0);
+
+  QueryStats stats;
+  auto answer = db.Query(query, QueryOptions(), &stats);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(stats.groups_enumerated, static_cast<uint64_t>(kN + 2));
+  EXPECT_EQ(stats.pairs_examined, 2u);
+  EXPECT_FALSE(stats.truncated);
+  const GpssnAnswer oracle = BruteForceGpssn(db.ssn(), query);
+  EXPECT_EQ(oracle.users, (std::vector<UserId>{q, y, z}));
+  EXPECT_EQ(oracle.max_dist, 2.0);
+  ExpectIdenticalAnswer(*answer, oracle);
+}
+
+// The Fig. 7 workload's BriCal ×0.05 network, built as the benches build
+// it, at Table 3 defaults: issuer 1854's query has ≈23k groups. Rejecting
+// exact pairs one group at a time once ran into a budget of 100,000 pairs
+// and returned a worse center, flagged truncated.
+TEST(QueryRefineTest, DenseIssuerMatchesTheOracleUntruncated) {
+  GpssnDatabase db(MakeRealLike(BriCalOptions(0.05, 7)));
+  GpssnQuery query;
+  query.issuer = 1854;
+  QueryStats stats;
+  auto answer = db.Query(query, QueryOptions(), &stats);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_FALSE(stats.truncated);
+  const GpssnAnswer oracle = BruteForceGpssn(db.ssn(), query);
+  EXPECT_EQ(oracle.center, 119);
+  ExpectIdenticalAnswer(*answer, oracle);
 }
 
 TEST(QueryAnswerTest, AnswerSatisfiesAllPredicates) {

@@ -67,9 +67,7 @@ TEST(TuningTest, GammaSplitsFriendPairsNearPercentile) {
 
 TEST(TuningTest, RadiusGathersTargetBallSize) {
   const SpatialSocialNetwork ssn = SmallNetwork(4);
-  TuningOptions options;
-  options.target_ball_size = 8;
-  const ParameterSuggestion s = SuggestParameters(ssn, options);
+  const ParameterSuggestion s = SuggestParameters(ssn, TuningOptions());
   DijkstraEngine engine(&ssn.road());
   PoiLocator locator(&ssn.road(), &ssn.pois());
   Rng rng(5);
@@ -106,7 +104,9 @@ TEST(TuningTest, SuggestedParametersYieldAnswers) {
     GpssnQuery q;
     q.issuer = issuer * 29 % db.ssn().num_users();
     q.tau = 3;
-    ApplySuggestion(s, &q);
+    q.gamma = s.gamma;
+    q.theta = s.theta;
+    q.radius = s.radius;
     auto answer = db.Query(q);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     ++ran;

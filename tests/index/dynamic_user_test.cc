@@ -55,9 +55,9 @@ TEST(DynamicUserTest, RejectsBadUpdates) {
 }
 
 // Every leaf box must equal a dense min/max over its members' rows bit for
-// bit (no slack left behind, no member outside), though an update rebuilds
-// it from the members' runs. The updates add and drop topics, and some
-// empty a row or fill all of it.
+// bit (no slack left behind, no member outside), though the build and each
+// update fill it from the members' runs. The updates add and drop topics,
+// and some empty a row or fill all of it.
 TEST(DynamicUserTest, BoxesStayExactAfterUpdates) {
   GpssnBuildOptions build;
   build.social_index.leaf_cell_size = 16;

@@ -27,7 +27,8 @@ std::vector<Point> MakePoints(int n, Distro distro, Rng* rng) {
       for (int i = 0; i < n; ++i) {
         const double cx = (i % 5) * 20.0 + 10.0;
         const double cy = (i / 5 % 5) * 20.0 + 10.0;
-        pts[i] = {cx + rng->Normal(), cy + rng->Normal()};
+        pts[i] = {cx + rng->UniformDouble(-2, 2),
+                  cy + rng->UniformDouble(-2, 2)};
       }
       break;
     case Distro::kDiagonal:

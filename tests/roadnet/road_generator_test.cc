@@ -89,48 +89,6 @@ TEST(RoadGeneratorTest, EdgesConnectNearbyVertices) {
   EXPECT_LT(avg_len, 10.0);  // ~2.2 expected spacing; generous bound.
 }
 
-TEST(GridRoadGeneratorTest, FullGridShape) {
-  GridRoadOptions options;
-  options.rows = 10;
-  options.cols = 12;
-  options.knockout_fraction = 0.0;
-  options.spacing = 2.0;
-  const RoadNetwork g = GenerateGridRoadNetwork(options);
-  EXPECT_EQ(g.num_vertices(), 120);
-  // Full grid: r(c-1) + c(r-1) edges.
-  EXPECT_EQ(g.num_edges(), 10 * 11 + 12 * 9);
-  EXPECT_TRUE(IsConnected(g));
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    EXPECT_DOUBLE_EQ(g.edge_weight(e), 2.0);
-  }
-}
-
-TEST(GridRoadGeneratorTest, KnockoutKeepsConnectivity) {
-  GridRoadOptions options;
-  options.rows = 30;
-  options.cols = 30;
-  options.knockout_fraction = 0.4;
-  options.seed = 9;
-  const RoadNetwork g = GenerateGridRoadNetwork(options);
-  EXPECT_TRUE(IsConnected(g));
-  // Roughly 40% of the non-skeleton edges are gone.
-  const int full_edges = 30 * 29 * 2;
-  EXPECT_LT(g.num_edges(), full_edges * 9 / 10);
-  EXPECT_GE(g.num_edges(), g.num_vertices() - 1);
-}
-
-TEST(GridRoadGeneratorTest, ManhattanDistancesOnFullGrid) {
-  GridRoadOptions options;
-  options.rows = 6;
-  options.cols = 6;
-  options.knockout_fraction = 0.0;
-  const RoadNetwork g = GenerateGridRoadNetwork(options);
-  DijkstraEngine engine(&g);
-  // (0,0) -> (5,5): Manhattan distance 10 x spacing.
-  EXPECT_NEAR(engine.VertexToVertex(0, 35), 10.0, 1e-9);
-  EXPECT_NEAR(engine.VertexToVertex(0, 5), 5.0, 1e-9);
-}
-
 TEST(RoadGeneratorTest, HigherTargetDegreeAddsEdges) {
   RoadGenOptions sparse, dense;
   sparse.num_vertices = dense.num_vertices = 800;

@@ -66,22 +66,6 @@ TEST(SocialGeneratorTest, SparseInterestsAreSparseAndBounded) {
   }
 }
 
-TEST(SocialGeneratorTest, DenseModeFillsEveryTopic) {
-  SocialGenOptions options;
-  options.num_users = 100;
-  options.num_topics = 8;
-  options.interests.sparse = false;
-  options.seed = 5;
-  const SocialNetwork g = GenerateSocialNetwork(options);
-  int zero_entries = 0;
-  for (UserId u = 0; u < g.num_users(); ++u) {
-    for (double p : g.Interests(u)) {
-      if (p == 0.0) ++zero_entries;
-    }
-  }
-  EXPECT_LT(zero_entries, 100 * 8 / 10);  // Dense draws are rarely zero.
-}
-
 TEST(SocialGeneratorTest, CommunityHomophilyRaisesFriendScores) {
   SocialGenOptions options;
   options.num_users = 2000;
